@@ -30,7 +30,6 @@ from .walsh_system import (
 from .kernels import (
     KernelDecomposition,
     KernelFunction,
-    abel_transform,
     decompose_vp_kernel,
     dirichlet,
     dirichlet_via_recursion,
@@ -63,7 +62,6 @@ __all__ = [
     "partial_sum",
     "rademacher",
     "walsh",
-    "abel_transform",
     "decompose_vp_kernel",
     "dirichlet",
     "dirichlet_via_recursion",

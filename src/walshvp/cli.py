@@ -22,7 +22,7 @@ from .dyadic import (
     read_function,
     write_function,
 )
-from .kernels import fejer_norm_extremum, kernel_norm_sweep
+from .kernels import kernel_norm_sweep
 from .walsh_system import fwht_forward, fwht_inverse, read_spectrum, write_spectrum
 from .weights import DEFAULT_CASE_A_CAP, FAMILIES, build_scheme, load_weight_file, validate
 

@@ -109,10 +109,6 @@ class SampledFunction:
         return f"SampledFunction(N={self.resolution}, size={self.size})"
 
 
-def constant(value: float, resolution: int) -> SampledFunction:
-    return SampledFunction(resolution, np.full(1 << resolution, float(value)))
-
-
 def group_add(a: int, b: int, resolution: int) -> int:
     """Group operation: coordinate-wise addition mod 2, i.e. XOR of indices."""
     check_resolution(resolution)
@@ -227,17 +223,6 @@ def modulus_of_continuity(
         diff = f.values[idx ^ t] - f.values
         best = max(best, _lp_of_values(diff, p, f.resolution))
     return best
-
-
-def round_delta_to_grid(delta: float, resolution: int) -> int:
-    """Round a width delta down to the dyadic grid; returns the rank n with
-    2^-n <= delta (clamped to [0, N])."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    n = 0
-    while n < resolution and 2.0**-n > delta:
-        n += 1
-    return n
 
 
 def write_function(f: SampledFunction, stream) -> None:

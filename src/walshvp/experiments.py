@@ -26,9 +26,9 @@ from .dyadic import (
 )
 from .walsh_system import Spectrum, fwht_forward, fwht_inverse, walsh_signs
 from .kernels import (
-    _dirichlet_int,
     _paley_int,
     decompose_vp_kernel,
+    dirichlet,
     dirichlet_via_recursion,
     fejer,
     kernel_norm_sweep,
@@ -329,7 +329,7 @@ class LemmaResult:
 def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
     worst = 0
     for m in range(resolution + 1):
-        direct = _dirichlet_int(1 << m, resolution)
+        direct = dirichlet(1 << m, resolution).exact_numer
         worst = max(worst, int(np.max(np.abs(direct - _paley_int(m, resolution)))))
     return LemmaResult("dirichlet-closed-form", resolution + 1, float(worst), worst == 0)
 
@@ -390,11 +390,9 @@ def _check_translate_difference(resolution: int, seed: int, count: int) -> Lemma
 def _decomposition_deviation(scheme: WeightScheme, resolution: int) -> Fraction:
     kernel = vp_kernel(scheme, resolution, exact=True)
     parts = decompose_vp_kernel(scheme, resolution, exact=True).components
-    worst = Fraction(0)
-    for j in range(kernel.size):
-        total = sum(part.exact_value(j) for part in parts)
-        worst = max(worst, abs(total - kernel.exact_value(j)))
-    return worst
+    # The parts share the kernel's denominator: the weights' common one.
+    total = sum(part.exact_numer for part in parts)
+    return Fraction(int(np.max(np.abs(total - kernel.exact_numer))), kernel.exact_denom)
 
 
 def _check_decomposition(resolution: int, seed: int, random_schemes: int) -> LemmaResult:

@@ -1,10 +1,11 @@
 """Dirichlet, Fejer, and matrix-transform de la Vallee Poussin kernels.
 
-Dirichlet kernels have exact integer samples; Fejer and VP kernels carry
-exact integer numerators over a common denominator whenever possible, so
-the kernel identities (the closed form of D at powers of two, the
-recursive splitting of D, and the three-part VP decomposition) can be
-checked with zero error.
+Every kernel is synthesized from its known Walsh coefficients by one
+Hadamard butterfly.  Dirichlet kernels have exact integer samples; Fejer
+and VP kernels carry exact integer numerators over a common denominator
+whenever the weights are rational, so the kernel identities (the closed
+form of D at powers of two, the recursive splitting of D, and the
+three-part VP decomposition) can be checked with zero error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .dyadic import SampledFunction, check_resolution, _pairwise_total
 from .walsh_system import hadamard_transform, walsh_signs
 from .weights import WeightScheme
 
-# Exact accumulations switch to arbitrary precision above this bound.
+# Exact sums switch to Python ints once their bound passes this.
 _INT64_SAFE = 1 << 62
 
 
@@ -82,23 +83,30 @@ def _paley_int(m: int, resolution: int) -> np.ndarray:
     return values
 
 
-def _dirichlet_int(n: int, resolution: int) -> np.ndarray:
-    acc = np.zeros(1 << resolution, dtype=np.int64)
-    for k in range(n):
-        acc += walsh_signs(k, resolution)
-    return acc
+def _int_dtype(bound: int):
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _kernel(numer: np.ndarray, denom: int, resolution: int, kind: str) -> KernelFunction:
+    """Kernel from its samples: float64 values as they are, or integer
+    numerators over denom with the exact value path."""
+    if numer.dtype == np.float64:
+        return KernelFunction(resolution, numer, kind=kind)
+    if numer.dtype == object:
+        # int / int rounds once, also for numerators past the float range.
+        values = np.array([int(v) / denom for v in numer])
+    else:
+        values = numer.astype(np.float64) / denom
+    return KernelFunction(resolution, values, kind=kind, exact_numer=numer, exact_denom=denom)
 
 
 def dirichlet(n: int, resolution: int) -> KernelFunction:
-    """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers."""
+    """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
+    synthesized from its coefficients, 1 below n."""
     n = _check_order(n, resolution)
-    numer = _dirichlet_int(n, resolution)
-    return KernelFunction(
-        resolution,
-        numer.astype(np.float64),
-        kind=f"dirichlet:{n}",
-        exact_numer=numer,
-    )
+    coeffs = np.zeros(1 << resolution, dtype=_int_dtype(n))
+    coeffs[:n] = 1
+    return _kernel(hadamard_transform(coeffs), 1, resolution, f"dirichlet:{n}")
 
 
 def _dirichlet_rec_int(n: int, resolution: int) -> np.ndarray:
@@ -128,22 +136,14 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
 
 
 def fejer(n: int, resolution: int) -> KernelFunction:
-    """K_n = (1/n) sum_{k=1}^{n} D_k; exact numerators over denominator n."""
+    """K_n = (1/n) sum_{k=1}^{n} D_k; exact numerators over denominator n,
+    synthesized from the coefficients (n - m)_+ of n K_n."""
     n = _check_order(n, resolution)
     if n < 1:
         raise ValueError(f"Fejer kernel needs n >= 1, got {n}")
-    running = np.zeros(1 << resolution, dtype=np.int64)
-    numer = np.zeros(1 << resolution, dtype=np.int64)
-    for k in range(n):
-        running += walsh_signs(k, resolution)  # running == D_{k+1}
-        numer += running
-    return KernelFunction(
-        resolution,
-        numer.astype(np.float64) / n,
-        kind=f"fejer:{n}",
-        exact_numer=numer,
-        exact_denom=n,
-    )
+    coeffs = np.zeros(1 << resolution, dtype=_int_dtype(n * (n + 1) // 2))
+    coeffs[:n] = np.arange(n, 0, -1)
+    return _kernel(hadamard_transform(coeffs), n, resolution, f"fejer:{n}")
 
 
 def kernel_l1_norm(kernel: KernelFunction):
@@ -176,20 +176,6 @@ def kernel_norm_sweep(n_max: int, resolution: int):
     return d_norms, k_norms
 
 
-def fejer_norm_extremum(n_max: int, resolution: int):
-    """(max L1 norm of K_n, argmax n) over 1 <= n <= n_max, exact."""
-    _, k_norms = kernel_norm_sweep(n_max, resolution)
-    best = max(range(len(k_norms)), key=lambda i: k_norms[i])
-    return k_norms[best], best + 1
-
-
-def _exact_block(w: WeightScheme):
-    # Common-denominator integer weights a_k with t_k = a_k / L.
-    denom = math.lcm(*(t.denominator for t in w.exact))
-    numer = [int(t * denom) for t in w.exact]
-    return numer, denom
-
-
 def _check_block(w: WeightScheme, resolution: int) -> None:
     check_resolution(resolution)
     if w.block_exponent + 1 > resolution:
@@ -198,53 +184,50 @@ def _check_block(w: WeightScheme, resolution: int) -> None:
         )
 
 
-def _use_exact(w: WeightScheme, resolution: int, exact: Optional[bool]) -> bool:
+def _block_weights(w: WeightScheme, exact: Optional[bool]):
+    """The block weights in the arithmetic of the chosen path, with their
+    denominator: the float weights over 1, or the integer numerators a_k
+    over their common denominator L, t_k = a_k / L.  The numerators are
+    int64 while max(a) * 2^(3n+2), which bounds every sum the kernel and its
+    decomposition form, stays below _INT64_SAFE, and Python ints past it.
+
+    exact=None takes the exact path whenever the weights are rational.
+    """
     if exact is None:
-        return w.exact is not None and w.block_size * (1 << resolution) <= 1 << 22
-    if exact and w.exact is None:
+        exact = w.exact is not None
+    if not exact:
+        return w.weights, 1
+    if w.exact is None:
         raise ValueError("exact kernel path requires rational weights")
-    return exact
+    denom = math.lcm(*(t.denominator for t in w.exact))
+    numer = [int(t * denom) for t in w.exact]
+    bound = max(numer) << (3 * w.block_exponent + 2)
+    return np.array(numer, dtype=_int_dtype(bound)), denom
+
+
+def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
+    """Walsh coefficients of sum_k t_k D_k over the block [2^n, 2^(n+1)-1]:
+    the whole weight mass below the block, the weight mass strictly above
+    m at frequency m inside it, and zero from the block end on.  Keeps the
+    dtype of the weights."""
+    count = weights.size
+    coeffs = np.zeros(1 << resolution, dtype=weights.dtype)
+    coeffs[:count] = np.sum(weights)
+    coeffs[count : 2 * count - 1] = np.cumsum(weights[::-1])[::-1][1:]
+    return coeffs
 
 
 def vp_kernel(w: WeightScheme, resolution: int, exact: Optional[bool] = None) -> KernelFunction:
     """Block de la Vallee Poussin kernel sum_k t_k D_k, k over
-    [2^n, 2^(n+1)-1].
+    [2^n, 2^(n+1)-1], synthesized from its Walsh coefficients.
 
-    The float path synthesizes the kernel from its coefficients (the
-    coefficient at frequency m is the tail sum of the weights above m);
-    the exact path accumulates integer Dirichlet samples over the
-    weights' common denominator.
+    The exact path runs the same synthesis on the weights' integer
+    numerators; exact=None takes it whenever the weights are rational.
     """
     _check_block(w, resolution)
-    n = w.block_exponent
-    size = 1 << resolution
-    if _use_exact(w, resolution, exact):
-        a, denom = _exact_block(w)
-        bound = max(a) * (1 << (2 * n + 2)) * w.block_size
-        dtype = np.int64 if bound < _INT64_SAFE else object
-        numer = np.zeros(size, dtype=dtype)
-        d = _paley_int(n, resolution).astype(dtype, copy=True)
-        for i, k in enumerate(range(w.block_start, w.block_end + 1)):
-            numer += a[i] * d
-            if i + 1 < w.block_size:
-                d += walsh_signs(k, resolution)
-        return KernelFunction(
-            resolution,
-            np.array([int(v) for v in numer], dtype=np.float64) / denom
-            if dtype is object
-            else numer.astype(np.float64) / denom,
-            kind=f"vp:{n}",
-            exact_numer=numer,
-            exact_denom=denom,
-        )
-    coeffs = np.zeros(size)
-    total = float(np.sum(w.weights))
-    coeffs[: w.block_start] = total
-    # Tail sums inside the block: coefficient at 2^n + i is the weight
-    # mass strictly above that frequency.
-    tails = np.concatenate([np.cumsum(w.weights[::-1])[::-1][1:], [0.0]])
-    coeffs[w.block_start : w.block_end + 1] = tails
-    return KernelFunction(resolution, hadamard_transform(coeffs), kind=f"vp:{n}")
+    t, denom = _block_weights(w, exact)
+    numer = hadamard_transform(_block_multiplier(t, resolution))
+    return _kernel(numer, denom, resolution, f"vp:{w.block_exponent}")
 
 
 def decompose_vp_kernel(
@@ -257,80 +240,32 @@ def decompose_vp_kernel(
       part 3: r_n * t_last * (2^n - 1) * K_{2^n - 1}.
 
     The identity follows from the Dirichlet splitting plus summation by
-    parts, and holds exactly in rational arithmetic.
+    parts, and holds exactly in rational arithmetic.  The parts are
+    accumulated term by term, in the arithmetic vp_kernel picks for the
+    same weights, so they check its spectral synthesis independently.
     """
     _check_block(w, resolution)
     n = w.block_exponent
     size = 1 << resolution
     if w.block_size < 2:
         raise ValueError("decomposition needs a block of size >= 2")
+    t, denom = _block_weights(w, exact)
     idx = np.arange(size, dtype=np.int64)
     r_n = 1 - 2 * ((idx >> n) & 1)
-    if _use_exact(w, resolution, exact):
-        a, denom = _exact_block(w)
-        bound = max(a) * (1 << (3 * n + 2))
-        dtype = np.int64 if bound < _INT64_SAFE else object
-        first = (sum(a) * _paley_int(n, resolution)).astype(dtype, copy=False)
-        # cumulative[k] = sum_{j=1}^{k} D_j = k * K_k, built incrementally
-        second = np.zeros(size, dtype=dtype)
-        running = np.zeros(size, dtype=dtype)
-        cumulative = np.zeros(size, dtype=dtype)
-        for k in range(1, w.block_size - 1):
-            running += walsh_signs(k - 1, resolution)  # running == D_k
-            cumulative += running
-            second += (a[k] - a[k + 1]) * cumulative
-        # finish cumulative up to k = 2^n - 1 for the boundary term
-        for k in range(max(1, w.block_size - 1), w.block_size):
-            running += walsh_signs(k - 1, resolution)
-            cumulative += running
-        second = r_n * second
-        third = r_n * (a[-1] * cumulative)
-
-        def _pack(numer, tag):
-            if dtype is object:
-                values = np.array([int(v) for v in numer], dtype=np.float64) / denom
-            else:
-                values = numer.astype(np.float64) / denom
-            return KernelFunction(
-                resolution, values, kind=tag, exact_numer=numer, exact_denom=denom
-            )
-
-        parts = (
-            _pack(first, f"vp-part1:{n}"),
-            _pack(second, f"vp-part2:{n}"),
-            _pack(third, f"vp-part3:{n}"),
-        )
-        return KernelDecomposition(n, parts)
-    t = w.weights
-    first = float(np.sum(t)) * _paley_int(n, resolution).astype(np.float64)
-    second = np.zeros(size)
-    running = np.zeros(size)
-    cumulative = np.zeros(size)
-    for k in range(1, w.block_size - 1):
-        running += walsh_signs(k - 1, resolution)
-        cumulative += running
-        second += (t[k] - t[k + 1]) * cumulative
-    for k in range(max(1, w.block_size - 1), w.block_size):
-        running += walsh_signs(k - 1, resolution)
-        cumulative += running
-    parts = (
-        KernelFunction(resolution, first, kind=f"vp-part1:{n}"),
-        KernelFunction(resolution, r_n * second, kind=f"vp-part2:{n}"),
-        KernelFunction(resolution, r_n * (t[-1] * cumulative), kind=f"vp-part3:{n}"),
+    first = np.sum(t) * _paley_int(n, resolution).astype(t.dtype)
+    second = np.zeros(size, dtype=t.dtype)
+    running = np.zeros(size, dtype=t.dtype)
+    cumulative = np.zeros(size, dtype=t.dtype)
+    for k in range(1, w.block_size):
+        running += walsh_signs(k - 1, resolution)  # running == D_k
+        cumulative += running  # cumulative == k K_k
+        if k + 1 < w.block_size:
+            second += (t[k] - t[k + 1]) * cumulative
+    parts = (first, r_n * second, r_n * (t[-1] * cumulative))
+    return KernelDecomposition(
+        n,
+        tuple(
+            _kernel(part, denom, resolution, f"vp-part{i}:{n}")
+            for i, part in enumerate(parts, start=1)
+        ),
     )
-    return KernelDecomposition(n, parts)
-
-
-def abel_transform(seq):
-    """Summation-by-parts data for a coefficient sequence a_1..a_n.
-
-    Returns (differences, boundary) where differences[k-1] = a_k -
-    a_(k+1) with the zero-padding convention a_(n+1) = 0, and boundary =
-    a_n.  With that padding, sum_k a_k D_k = sum_k differences[k-1] * k
-    * K_k.
-    """
-    arr = np.asarray(seq, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("abel_transform needs a non-empty sequence")
-    padded = np.concatenate([arr, [0.0]])
-    return padded[:-1] - padded[1:], float(arr[-1])

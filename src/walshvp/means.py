@@ -2,9 +2,9 @@
 
 The mean over a dyadic block is computed by two independent routes: the
 default convolves against the block kernel through the spectral
-factorization (fhat * Khat, no extra scaling with this package's
-normalization), and the verification route accumulates weighted partial
-sums term by term.
+factorization, synthesizing fhat times the kernel's closed-form
+multiplier (no extra scaling with this package's normalization), and
+the verification route accumulates weighted partial sums term by term.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SampledFunction
-from .walsh_system import Spectrum, fwht_forward, hadamard_transform
+from .walsh_system import fwht_forward, hadamard_transform
 from .weights import WeightScheme
-from .kernels import vp_kernel
+from .kernels import _block_multiplier
 
 PATH_CONVOLUTION = "convolution"
 PATH_PARTIAL_SUMS = "partial_sums"
@@ -74,8 +74,8 @@ def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -
         )
     block = (w.block_start, w.block_end)
     if path == PATH_CONVOLUTION:
-        kernel = vp_kernel(w, f.resolution, exact=False)
-        return MeanResult(dyadic_convolve(f, kernel), path, block)
+        coeffs = fwht_forward(f).coeffs * _block_multiplier(w.weights, f.resolution)
+        return MeanResult(SampledFunction(f.resolution, hadamard_transform(coeffs)), path, block)
     if path == PATH_PARTIAL_SUMS:
         result = general_vp_mean(f, w.weights, w.block_start, w.block_end)
         return MeanResult(result, path, block)

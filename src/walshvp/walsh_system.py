@@ -8,6 +8,8 @@ normalization; the inverse is unnormalized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dyadic import SampledFunction, check_resolution
@@ -42,9 +44,9 @@ class Spectrum:
 
 
 def bit_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of popcount, vectorized by xor-folding (indices < 2^32)."""
+    """Parity of popcount, vectorized by xor-folding (indices < 2^63)."""
     v = np.array(values, dtype=np.int64)
-    for shift in (16, 8, 4, 2, 1):
+    for shift in (32, 16, 8, 4, 2, 1):
         v ^= v >> shift
     return v & 1
 
@@ -85,9 +87,14 @@ def order_of(n: int) -> int:
 def hadamard_transform(values) -> np.ndarray:
     """Unnormalized Hadamard butterfly, y[n] = sum_j (-1)^popcount(n&j) x[j].
 
-    Self-inverse up to the factor 2^N; O(N 2^N) operations.
+    An int64 or object (Python int) array stays integer, so a known
+    integer spectrum synthesizes exact values; the caller picks object
+    when sum_j |x[j]| may pass the int64 range.  Anything else is
+    computed in float64.  Self-inverse up to the factor 2^N; O(N 2^N)
+    operations.
     """
-    a = np.array(values, dtype=np.float64)
+    integer = isinstance(values, np.ndarray) and values.dtype in (np.int64, object)
+    a = np.array(values, dtype=values.dtype if integer else np.float64)
     n = a.size
     if n & (n - 1):
         raise ValueError("length must be a power of two")
@@ -154,5 +161,8 @@ def read_spectrum(stream) -> Spectrum:
         row = stream.readline()
         if not row:
             raise ValueError("truncated coefficient list")
-        coeffs.append(float(row))
+        value = float(row)
+        if not math.isfinite(value):
+            raise ValueError(f"spectrum coefficient {len(coeffs)} is not finite: {value}")
+        coeffs.append(value)
     return Spectrum(resolution, coeffs)

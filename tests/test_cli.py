@@ -38,6 +38,14 @@ def test_transform_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
+def test_transform_inverse_rejects_nonfinite(tmp_path, capsys):
+    spec_path = tmp_path / "s.txt"
+    spec_path.write_text("SPECTRUM\nN=1\nnan\n0\n")
+    code, _, err = run(capsys, "transform", "--inverse", "--in", str(spec_path))
+    assert code == 2
+    assert "spectrum coefficient 0 is not finite" in err
+
+
 def test_kernel_norms_csv(capsys):
     code, out, _ = run(capsys, "kernel-norms", "--resolution", "4", "--nmax", "4")
     assert code == 0

@@ -78,7 +78,7 @@ class TestAbsValue:
 
 class TestIntegrate:
     def test_constant_one(self):
-        assert integrate(dyadic.constant(1.0, 6)) == 1.0
+        assert integrate(SampledFunction(6, np.ones(64))) == 1.0
 
     def test_rademacher_mean_zero(self):
         for n in (2, 5):
@@ -106,7 +106,7 @@ class TestLpNorm:
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
-            lp_norm(dyadic.constant(1.0, 2), 0.5)
+            lp_norm(SampledFunction(2, np.ones(4)), 0.5)
 
     @given(st.integers(0, 2**31), st.sampled_from([1.0, 2.0, INF]))
     @settings(max_examples=30, deadline=None)
@@ -201,11 +201,6 @@ class TestIntervalIndicator:
 
 
 class TestRoundingAndIO:
-    def test_delta_rounded_to_grid(self):
-        assert dyadic.round_delta_to_grid(1.0, 6) == 0
-        assert dyadic.round_delta_to_grid(0.3, 6) == 2
-        assert dyadic.round_delta_to_grid(1e-9, 6) == 6
-
     def test_text_roundtrip(self):
         f = rand_fn(7, 4)
         buf = io.StringIO()
@@ -236,6 +231,6 @@ class TestValidation:
             SampledFunction(3, [0.0] * 7)
 
     def test_immutability(self):
-        f = dyadic.constant(0.0, 2)
+        f = SampledFunction(2, np.zeros(4))
         with pytest.raises(AttributeError):
             f.resolution = 5

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,17 +8,15 @@ from hypothesis import strategies as st
 
 from walshvp.dyadic import integrate, interval_indicator
 from walshvp.kernels import (
-    abel_transform,
     decompose_vp_kernel,
     dirichlet,
     dirichlet_via_recursion,
     fejer,
-    fejer_norm_extremum,
     kernel_l1_norm,
     kernel_norm_sweep,
     vp_kernel,
 )
-from walshvp.walsh_system import walsh
+from walshvp.walsh_system import walsh, walsh_signs
 from walshvp.weights import WeightScheme, build_scheme
 from walshvp.experiments import SplitMix64, random_rational_scheme
 
@@ -27,6 +26,22 @@ def naive_vp_kernel(scheme, resolution):
     for k in range(scheme.block_start, scheme.block_end + 1):
         acc += scheme.weight(k) * dirichlet(k, resolution).values
     return acc
+
+
+def space_domain_vp_numerators(scheme, resolution):
+    """sum_k a_k D_k in Python ints, with t_k = a_k / L; returns (numerators, L).
+
+    D_k is the running sum of Walsh signs, independent of the spectral route.
+    """
+    denom = math.lcm(*(t.denominator for t in scheme.exact))
+    running = np.zeros(1 << resolution, dtype=np.int64)
+    acc = np.zeros(1 << resolution, dtype=object)
+    for k in range(1, scheme.block_end + 1):
+        running += walsh_signs(k - 1, resolution)
+        if k >= scheme.block_start:
+            t = scheme.exact_weight(k)
+            acc += t.numerator * (denom // t.denominator) * running.astype(object)
+    return acc, denom
 
 
 class TestDirichlet:
@@ -101,12 +116,6 @@ class TestFejer:
         assert peak <= 2
         assert peak <= Fraction(17, 15)
 
-    def test_extremum_reporting(self):
-        peak, argmax = fejer_norm_extremum(1 << 7, 8)
-        _, k_norms = kernel_norm_sweep(1 << 7, 8)
-        assert peak == max(k_norms)
-        assert k_norms[argmax - 1] == peak
-
 
 class TestVpKernel:
     def test_uniform_integrates_to_one(self):
@@ -173,28 +182,66 @@ class TestDecomposition:
 
 
 class TestAbelTransform:
-    def test_constant_sequence(self):
-        diffs, boundary = abel_transform([2.0, 2.0, 2.0])
-        assert diffs.tolist() == [0.0, 0.0, 2.0]
-        assert boundary == 2.0
-
-    def test_singleton(self):
-        diffs, boundary = abel_transform([1.5])
-        assert diffs.tolist() == [1.5] and boundary == 1.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            abel_transform([])
-
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=7))
     @settings(max_examples=25, deadline=None)
     def test_summation_by_parts_identity(self, seq):
         # sum_k a_k D_k == sum_k (a_k - a_{k+1}) k K_k with a padded zero
         N = 4
-        diffs, _ = abel_transform(seq)
+        padded = np.append(seq, 0.0)
+        diffs = padded[:-1] - padded[1:]
         direct = np.zeros(1 << N)
         parts = np.zeros(1 << N)
         for k, a_k in enumerate(seq, start=1):
             direct += a_k * dirichlet(k, N).values
             parts += diffs[k - 1] * k * fejer(k, N).values
         assert np.max(np.abs(direct - parts)) < 1e-10
+
+
+class TestSpaceDomainOracles:
+    """The spectral kernels against the accumulation of Walsh signs."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_dirichlet_and_fejer(self, data):
+        N = data.draw(st.integers(1, 10))
+        n = data.draw(st.integers(1, 1 << N))
+        running = np.zeros(1 << N, dtype=np.int64)
+        cumulative = np.zeros(1 << N, dtype=np.int64)
+        for k in range(n):
+            running += walsh_signs(k, N)  # running == D_{k+1}
+            cumulative += running
+        assert np.array_equal(dirichlet(n, N).exact_numer, running)
+        kernel = fejer(n, N)
+        assert kernel.exact_denom == n
+        assert np.array_equal(kernel.exact_numer, cumulative)
+
+    @given(st.integers(2, 10), st.integers(0, 2**63), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_vp_kernel(self, N, seed, data):
+        n = data.draw(st.integers(1, N - 1))
+        scheme = random_rational_scheme(n, SplitMix64(seed))
+        kernel = vp_kernel(scheme, N, exact=True)
+        numer, denom = space_domain_vp_numerators(scheme, N)
+        assert np.array_equal(kernel.exact_numer * denom, numer * kernel.exact_denom)
+
+
+class TestBigintExactPath:
+    """Weights whose numerators pass the int64 range switch to Python ints."""
+
+    def test_vp_kernel_cell_by_cell(self):
+        scheme = build_scheme("cesaro", 9, alpha=0.5)
+        kernel = vp_kernel(scheme, 10, exact=True)
+        assert kernel.exact_numer.dtype == object
+        numer, denom = space_domain_vp_numerators(scheme, 10)
+        for j in range(kernel.size):
+            expected = Fraction(numer[j], denom)
+            assert kernel.exact_value(j) == expected
+            assert kernel.values[j] == float(expected)
+
+    def test_decomposition_sums_exactly(self):
+        scheme = build_scheme("cesaro", 6, alpha=0.5)
+        parts = decompose_vp_kernel(scheme, 8, exact=True).components
+        kernel = vp_kernel(scheme, 8, exact=True)
+        assert all(part.exact_numer.dtype == object for part in parts)
+        for j in range(kernel.size):
+            assert sum(part.exact_value(j) for part in parts) == kernel.exact_value(j)

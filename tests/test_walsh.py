@@ -1,4 +1,5 @@
 import io
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from walshvp.dyadic import SampledFunction, integrate, lp_norm
 from walshvp.walsh_system import (
     Spectrum,
+    bit_parity,
     fourier_coefficients_naive,
     fwht_forward,
     fwht_inverse,
@@ -150,3 +152,17 @@ def test_spectrum_text_roundtrip():
 def test_spectrum_bad_header():
     with pytest.raises(ValueError):
         read_spectrum(io.StringIO("N=4\n"))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_spectrum_nonfinite_rejected(token):
+    with pytest.raises(ValueError, match="spectrum coefficient 1 is not finite"):
+        read_spectrum(io.StringIO(f"SPECTRUM\nN=1\n0.5\n{token}\n"))
+
+
+def test_bit_parity_folds_all_63_bits():
+    assert bit_parity(2**32).tolist() == 1
+    rng = random.Random(63)
+    values = [rng.getrandbits(63) for _ in range(200)]
+    expected = [bin(x).count("1") & 1 for x in values]
+    assert bit_parity(np.array(values, dtype=np.int64)).tolist() == expected
