@@ -21,11 +21,18 @@ _HEADER_PREFIX = "N="
 
 
 def max_resolution() -> int:
-    """Resolution cap; override with the WALSHVP_MAX_N environment variable."""
+    """Resolution cap; override with the WALSHVP_MAX_N environment variable,
+    an integer in [1, 63]: cell indices are 64-bit words."""
     env = os.environ.get("WALSHVP_MAX_N")
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_RESOLUTION
+    if env is None:
+        return DEFAULT_MAX_RESOLUTION
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if not 1 <= cap <= 63:
+        raise ValueError(f"WALSHVP_MAX_N must be an integer in [1, 63], got {env!r}")
+    return cap
 
 
 def check_resolution(resolution: int) -> int:

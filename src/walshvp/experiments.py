@@ -8,7 +8,7 @@ table is reproducible from its recorded seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -35,7 +35,7 @@ from .kernels import (
     vp_kernel,
 )
 from .weights import WeightScheme, build_scheme, validate
-from .means import PATH_CONVOLUTION, dyadic_convolve_naive, vp_mean
+from .means import PATH_CONVOLUTION, dyadic_convolve, vp_mean
 
 # Explicit constant for non-increasing block weights summing to one.
 CASE_B_BOUND = Fraction(47, 30)
@@ -58,6 +58,9 @@ STANDARD_SUITE_SPECS = (
 )
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -67,10 +70,10 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def randint(self, bound: int) -> int:
@@ -81,7 +84,15 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-52 - 1.0
 
     def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(count)])
+        """count uniform() draws at once.  The k-th state is seed + k * gamma
+        mod 2^64, mixed in uint64 arithmetic, which wraps like the mask."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + steps * np.uint64(_GAMMA)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * np.uint64(_MIX1)
+        z = (z ^ (z >> 27)) * np.uint64(_MIX2)
+        z ^= z >> 31
+        return (z >> 11).astype(np.float64) * 2.0**-52 - 1.0
 
 
 def random_bounded(seed: int, resolution: int) -> SampledFunction:
@@ -148,9 +159,7 @@ def random_rational_scheme(n: int, rng: SplitMix64, sort: Optional[str] = None) 
         raw.sort(reverse=True)
     elif sort == "nondecreasing":
         raw.sort()
-    total = sum(raw)
-    exact = tuple(Fraction(a, total) for a in raw)
-    return WeightScheme(n, [float(t) for t in exact], exact=exact, label="random")
+    return WeightScheme(n, numerators=raw, denominator=sum(raw), label="random")
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,8 @@ def verify_translate_difference_bound(
     f: SampledFunction, g: SampledFunction, n: int, p, slack: float = 1e-10
 ) -> Tuple[float, float, bool]:
     """Check || int r_n(t) g(t) (f(.+t) - f(.)) dmu(t) ||_p against
-    (1/2) ||g||_1 omega_p(f, 2^-n) by exact quadrature over all t.
+    (1/2) ||g||_1 omega_p(f, 2^-n).  The integral over all t is the
+    convolution f * (r_n g), taken on the spectral route.
 
     g must have its spectrum supported below 2^n.
     """
@@ -311,7 +321,7 @@ def verify_translate_difference_bound(
     r_n = 1.0 - 2.0 * ((idx >> n) & 1)
     rg = SampledFunction(f.resolution, r_n * g.values)
     mean_rg = _pairwise_total(rg.values) * 2.0**-f.resolution
-    inner = dyadic_convolve_naive(f, rg) - f * mean_rg
+    inner = dyadic_convolve(f, rg) - f * mean_rg
     lhs = lp_norm(inner, p)
     rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
     return lhs, rhs, lhs <= rhs + slack
@@ -448,8 +458,8 @@ def _fmt_p(p: float) -> str:
     return "inf" if p == INF else format(p, ".12g")
 
 
-APPROX_HEADER = "n,p,error,modulus,ratio,bound,bound_ok"
-LEMMA_HEADER = "lemma,instances,worst_margin,pass"
+APPROX_HEADER = "n,p,error,modulus,ratio,bound,bound_ok,flag"
+LEMMA_HEADER = "lemma,instances,worst_margin,pass,detail"
 
 
 def approx_csv_rows(records: Iterable[ApproxRecord]) -> List[str]:
@@ -465,6 +475,7 @@ def approx_csv_rows(records: Iterable[ApproxRecord]) -> List[str]:
                     _fmt(r.ratio),
                     _fmt(r.bound),
                     "true" if r.bound_ok else "false",
+                    r.flag,
                 ]
             )
         )
@@ -492,7 +503,13 @@ def lemma_csv_rows(results: Iterable[LemmaResult]) -> List[str]:
     for r in results:
         rows.append(
             ",".join(
-                [r.name, str(r.instances), _fmt(r.worst_margin), "true" if r.passed else "false"]
+                [
+                    r.name,
+                    str(r.instances),
+                    _fmt(r.worst_margin),
+                    "true" if r.passed else "false",
+                    r.detail,
+                ]
             )
         )
     return rows

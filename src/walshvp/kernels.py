@@ -10,7 +10,6 @@ three-part VP decomposition) can be checked with zero error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,12 +42,8 @@ class KernelFunction(SampledFunction):
         object.__setattr__(self, "exact_numer", exact_numer)
         object.__setattr__(self, "exact_denom", int(exact_denom))
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact_numer is not None
-
     def exact_value(self, j: int) -> Fraction:
-        if not self.is_exact:
+        if self.exact_numer is None:
             raise ValueError("kernel has no exact value path")
         return Fraction(int(self.exact_numer[j]), self.exact_denom)
 
@@ -126,13 +121,7 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     """D_n built by binary splitting: peel the top power of two with the
     closed form and recurse on the remainder behind a Rademacher sign."""
     n = _check_order(n, resolution)
-    numer = _dirichlet_rec_int(n, resolution)
-    return KernelFunction(
-        resolution,
-        numer.astype(np.float64),
-        kind=f"dirichlet-rec:{n}",
-        exact_numer=numer,
-    )
+    return _kernel(_dirichlet_rec_int(n, resolution), 1, resolution, f"dirichlet-rec:{n}")
 
 
 def fejer(n: int, resolution: int) -> KernelFunction:
@@ -194,15 +183,13 @@ def _block_weights(w: WeightScheme, exact: Optional[bool]):
     exact=None takes the exact path whenever the weights are rational.
     """
     if exact is None:
-        exact = w.exact is not None
+        exact = w.numerators is not None
     if not exact:
         return w.weights, 1
-    if w.exact is None:
+    if w.numerators is None:
         raise ValueError("exact kernel path requires rational weights")
-    denom = math.lcm(*(t.denominator for t in w.exact))
-    numer = [int(t * denom) for t in w.exact]
-    bound = max(numer) << (3 * w.block_exponent + 2)
-    return np.array(numer, dtype=_int_dtype(bound)), denom
+    bound = int(np.max(w.numerators)) << (3 * w.block_exponent + 2)
+    return w.numerators.astype(_int_dtype(bound)), w.denominator
 
 
 def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
@@ -247,8 +234,6 @@ def decompose_vp_kernel(
     _check_block(w, resolution)
     n = w.block_exponent
     size = 1 << resolution
-    if w.block_size < 2:
-        raise ValueError("decomposition needs a block of size >= 2")
     t, denom = _block_weights(w, exact)
     idx = np.arange(size, dtype=np.int64)
     r_n = 1 - 2 * ((idx >> n) & 1)

@@ -6,6 +6,7 @@ size O(1/(2^(n+1)-1)) (case a) or non-increasing (case b)."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,21 +30,33 @@ FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro", "custom")
 class WeightScheme:
     """Weights over the dyadic block [2^n, 2^(n+1)-1].
 
-    weights[i] is the weight of index k = 2^n + i.  When every weight is
-    an exact rational, `exact` carries the Fractions and enables the
-    exact kernel path downstream.
+    weights[i] is the weight of index k = 2^n + i.  A scheme is given
+    either float weights or exact rational ones, as integer numerators
+    over one positive denominator: t_k = numerators[i] / denominator.
+    The integers are reduced by their gcd and held as int64 while their
+    sum fits, as Python ints past it; the float weights are then their
+    correctly rounded quotients.  Rational weights enable the exact
+    kernel path downstream.
     """
 
     block_exponent: int
-    weights: np.ndarray
-    exact: Optional[tuple] = None
+    weights: Optional[np.ndarray] = None
+    numerators: Optional[np.ndarray] = None
+    denominator: int = 1
     label: str = ""
 
     def __post_init__(self):
         n = self.block_exponent
         if n < 1:
             raise ValueError(f"block exponent must be >= 1, got {n}")
-        arr = np.asarray(self.weights, dtype=np.float64)
+        if (self.weights is None) == (self.numerators is None):
+            raise ValueError("give either float weights or integer numerators")
+        if self.numerators is not None:
+            numer, denom, weights = _exact_form(self.numerators, self.denominator)
+            object.__setattr__(self, "numerators", numer)
+            object.__setattr__(self, "denominator", denom)
+            object.__setattr__(self, "weights", weights)
+        arr = np.array(self.weights, dtype=np.float64)
         if arr.shape != (1 << n,):
             raise ValueError(
                 f"expected {1 << n} weights for block exponent {n}, "
@@ -51,17 +64,15 @@ class WeightScheme:
             )
         if np.any(arr < 0):
             raise ValueError("weights must be non-negative")
+        arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-        if self.exact is not None:
-            ex = tuple(Fraction(t) for t in self.exact)
-            if len(ex) != arr.size:
-                raise ValueError("exact weights length mismatch")
-            for q, v in zip(ex, arr):
-                if q < 0:
-                    raise ValueError("weights must be non-negative")
-                if abs(float(q) - v) > 1e-14 * max(1.0, abs(v)):
-                    raise ValueError("exact and float weights disagree")
-            object.__setattr__(self, "exact", ex)
+
+    @property
+    def exact(self) -> Optional[tuple]:
+        """The rational weights as Fractions; None for float weights."""
+        if self.numerators is None:
+            return None
+        return tuple(Fraction(int(a), self.denominator) for a in self.numerators)
 
     @property
     def block_start(self) -> int:
@@ -75,20 +86,25 @@ class WeightScheme:
     def block_size(self) -> int:
         return 1 << self.block_exponent
 
-    def _offset(self, k: int) -> int:
-        if not self.block_start <= k <= self.block_end:
-            raise ValueError(
-                f"index {k} outside block [{self.block_start}, {self.block_end}]"
-            )
-        return k - self.block_start
 
-    def weight(self, k: int) -> float:
-        return float(self.weights[self._offset(k)])
-
-    def exact_weight(self, k: int) -> Fraction:
-        if self.exact is None:
-            raise ValueError("scheme has no exact rational weights")
-        return self.exact[self._offset(k)]
+def _exact_form(numerators, denominator) -> tuple:
+    """Numerators and denominator reduced by their gcd, and the correctly
+    rounded float quotients."""
+    ints = [operator.index(a) for a in numerators]
+    denom = operator.index(denominator)
+    if denom < 1:
+        raise ValueError(f"denominator must be positive, got {denom}")
+    if any(a < 0 for a in ints):
+        raise ValueError("weights must be non-negative")
+    g = math.gcd(denom, *ints)
+    ints = [a // g for a in ints]
+    denom //= g
+    numer = np.array(ints, dtype=np.int64 if sum(ints) < 1 << 63 else object)
+    numer.setflags(write=False)
+    if max(ints, default=0) < 1 << 53 and denom < 1 << 53:
+        # Both operands are exact floats, so one IEEE division rounds correctly.
+        return numer, denom, numer.astype(np.float64) / denom
+    return numer, denom, np.array([a / denom for a in ints])
 
 
 @dataclass(frozen=True)
@@ -103,12 +119,16 @@ class ValidationReport:
     case_b_ok: bool
 
 
-def _normalize_exact(raw: Sequence[Fraction], n: int, label: str) -> WeightScheme:
-    total = sum(raw)
+def _normalized(numerators: Sequence[int], n: int, label: str) -> WeightScheme:
+    total = sum(numerators)
     if total == 0:
         raise ValueError("weights sum to zero; cannot normalize")
-    exact = tuple(Fraction(t) / total for t in raw)
-    return WeightScheme(n, [float(t) for t in exact], exact=exact, label=label)
+    return WeightScheme(n, numerators=numerators, denominator=total, label=label)
+
+
+def _over_common_denominator(raw: Sequence[Fraction]) -> tuple:
+    denom = math.lcm(*(q.denominator for q in raw))
+    return [q.numerator * (denom // q.denominator) for q in raw], denom
 
 
 def _binomial_ratio_weights(alpha: Fraction, count: int) -> list:
@@ -138,13 +158,11 @@ def build_scheme(
         raise ValueError(f"block exponent must be >= 1, got {n}")
     count = 1 << n
     if family == "uniform":
-        return _normalize_exact([Fraction(1)] * count, n, "uniform")
+        return _normalized([1] * count, n, "uniform")
     if family == "linear_up":
-        return _normalize_exact([Fraction(i + 1) for i in range(count)], n, "linear_up")
+        return _normalized(range(1, count + 1), n, "linear_up")
     if family == "linear_down":
-        return _normalize_exact(
-            [Fraction(count - i) for i in range(count)], n, "linear_down"
-        )
+        return _normalized(range(count, 0, -1), n, "linear_down")
     if family == "cesaro":
         if alpha is None:
             raise ValueError("cesaro family requires alpha")
@@ -154,7 +172,7 @@ def build_scheme(
         raw = _binomial_ratio_weights(alpha_q, count)
         if any(t < 0 for t in raw):
             raise ValueError(f"cesaro alpha {alpha} produces negative weights")
-        return _normalize_exact(raw, n, f"cesaro:{alpha}")
+        return _normalized(_over_common_denominator(raw)[0], n, f"cesaro:{alpha}")
     if family == "custom":
         if path is None:
             raise ValueError("custom family requires a file path")
@@ -199,26 +217,17 @@ def load_weight_file(path: str, n: Optional[int] = None, normalize: bool = False
     missing = [start + i for i in range(count) if start + i not in rows]
     if missing or len(rows) != count:
         raise ValueError(f"weight file must cover [{start}, {start + count - 1}]")
-    raw = [rows[start + i] for i in range(count)]
-    if any(t < 0 for t in raw):
-        raise ValueError("weights must be non-negative")
+    numer, denom = _over_common_denominator([rows[start + i] for i in range(count)])
     if normalize:
-        return _normalize_exact(raw, inferred, f"custom:{path}")
-    return WeightScheme(
-        inferred, [float(t) for t in raw], exact=tuple(raw), label=f"custom:{path}"
-    )
+        return _normalized(numer, inferred, f"custom:{path}")
+    return WeightScheme(inferred, numerators=numer, denominator=denom, label=f"custom:{path}")
 
 
-def _monotonicity(w: WeightScheme) -> str:
-    if w.exact is not None:
-        diffs = [b - a for a, b in zip(w.exact, w.exact[1:])]
-        nondec = all(d >= 0 for d in diffs)
-        noninc = all(d <= 0 for d in diffs)
-    else:
-        diffs = np.diff(w.weights)
-        tol = _MONO_TOL * max(1.0, float(np.max(w.weights)))
-        nondec = bool(np.all(diffs >= -tol))
-        noninc = bool(np.all(diffs <= tol))
+def _monotonicity(t: np.ndarray, tol) -> str:
+    """Monotonicity class of t; steps within tol count as ties."""
+    diffs = np.diff(t)
+    nondec = bool(np.all(diffs >= -tol))
+    noninc = bool(np.all(diffs <= tol))
     if nondec and noninc:
         return BOTH
     if nondec:
@@ -235,16 +244,18 @@ def validate(w: WeightScheme, case_a_cap: float = DEFAULT_CASE_A_CAP) -> Validat
     Case a needs a non-decreasing sequence and c2 <= case_a_cap; case b
     needs non-increasing only.  Ties qualify for both classes.
     """
-    if w.exact is not None:
-        total_exact = sum(w.exact, Fraction(0))
-        total = float(total_exact)
-        sum_ok = total_exact == 1
-        c2 = float(w.exact[-1] * w.block_end)
+    if w.numerators is not None:
+        # The int64 sum cannot wrap: such numerators sum below 2^63.
+        total_numer = int(np.sum(w.numerators))
+        total = total_numer / w.denominator
+        sum_ok = total_numer == w.denominator
+        c2 = int(w.numerators[-1]) * w.block_end / w.denominator
+        mono = _monotonicity(w.numerators, 0)
     else:
         total = float(np.sum(w.weights))
         sum_ok = abs(total - 1.0) <= _SUM_TOL
         c2 = float(w.weights[-1]) * w.block_end
-    mono = _monotonicity(w)
+        mono = _monotonicity(w.weights, _MONO_TOL * max(1.0, float(np.max(w.weights))))
     case_a = mono in (NONDECREASING, BOTH) and c2 <= case_a_cap
     case_b = mono in (NONINCREASING, BOTH)
     return ValidationReport(
@@ -259,9 +270,9 @@ def validate(w: WeightScheme, case_a_cap: float = DEFAULT_CASE_A_CAP) -> Validat
 
 def delta(w: WeightScheme, k: int):
     """Forward difference t_k - t_(k+1), with t = 0 past the block end."""
-    off = w._offset(k)
-    if w.exact is not None:
-        nxt = w.exact[off + 1] if off + 1 < w.block_size else Fraction(0)
-        return w.exact[off] - nxt
-    nxt = float(w.weights[off + 1]) if off + 1 < w.block_size else 0.0
-    return float(w.weights[off]) - nxt
+    if not w.block_start <= k <= w.block_end:
+        raise ValueError(f"index {k} outside block [{w.block_start}, {w.block_end}]")
+    off = k - w.block_start
+    t = w.weights if w.numerators is None else w.numerators
+    d = t[off] - (t[off + 1] if off + 1 < w.block_size else 0)
+    return float(d) if w.numerators is None else Fraction(int(d), w.denominator)

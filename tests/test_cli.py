@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -68,8 +69,8 @@ def test_verify_lemmas_ok(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "lemma,instances,worst_margin,pass"
-    assert all(line.endswith(",true") for line in lines[1:])
+    assert lines[0] == "lemma,instances,worst_margin,pass,detail"
+    assert all(row["pass"] == "true" for row in csv.DictReader(lines))
 
 
 def test_verify_lemmas_json(capsys):
@@ -110,9 +111,9 @@ def test_approx_table(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "# seed=0"
-    assert lines[1] == "n,p,error,modulus,ratio,bound,bound_ok"
+    assert lines[1] == "n,p,error,modulus,ratio,bound,bound_ok,flag"
     assert len(lines) == 6
-    assert all(line.endswith(",true") for line in lines[2:])
+    assert all(row["bound_ok"] == "true" for row in csv.DictReader(lines[1:]))
 
 
 def test_approx_weight_file(tmp_path, capsys):
@@ -172,6 +173,23 @@ def test_modulus_table(capsys):
     assert lines[1] == "2,inf,0.25,0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-lemmas", "--resolution", "5", "--lemma5-count", "6", "--random-schemes", "2"),
+        ("approx", "--function", "indicator:2", "--weights", "uniform", "--p", "2,inf",
+         "--resolution", "6", "--nmax", "3"),
+    ],
+)
+def test_csv_header_matches_json_keys(capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    header = next(line for line in out.splitlines() if not line.startswith("#"))
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    rows = payload["records"] if isinstance(payload, dict) else payload
+    assert all(header.split(",") == list(row) for row in rows)
+
+
 def test_weights_validate(capsys):
     code, out, _ = run(capsys, "weights-validate", "--weights", "linear_down", "--n", "3")
     assert code == 0
@@ -221,3 +239,9 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     code, _, err = run(capsys, "approx", "--function", "bogus:1", "--weights", "uniform")
     assert code == 2 and "error:" in err
+
+
+def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WALSHVP_MAX_N", "abc")
+    code, _, err = run(capsys, "modulus", "--function", "indicator:2", "--resolution", "4")
+    assert code == 2 and "WALSHVP_MAX_N" in err

@@ -222,6 +222,14 @@ class TestValidation:
             dyadic.check_resolution(7)
         assert dyadic.check_resolution(6) == 6
 
+    @pytest.mark.parametrize("value", ["abc", "0", "64"])
+    def test_bad_resolution_cap_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("WALSHVP_MAX_N", value)
+        with pytest.raises(ValueError, match="WALSHVP_MAX_N"):
+            dyadic.max_resolution()
+        with pytest.raises(ValueError, match="WALSHVP_MAX_N"):
+            dyadic.check_resolution(4)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             SampledFunction(2, [1.0, math.nan, 0.0, 0.0])

@@ -1,11 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from walshvp import experiments as exp
-from walshvp.dyadic import INF, SampledFunction, abs_values
+from walshvp.dyadic import INF, SampledFunction, abs_values, lp_norm
 from walshvp.kernels import fejer
+from walshvp.means import dyadic_convolve_naive
 from walshvp.walsh_system import walsh
 from walshvp.weights import build_scheme
 
@@ -15,6 +17,15 @@ class TestGenerators:
         a = exp.SplitMix64(42)
         b = exp.SplitMix64(42)
         assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    def test_uniforms_match_scalar_draws(self, seed, count):
+        fast, slow = exp.SplitMix64(seed), exp.SplitMix64(seed)
+        vals = fast.uniforms(count)
+        assert vals.dtype == np.float64
+        assert vals.tobytes() == np.array([slow.uniform() for _ in range(count)]).tobytes()
+        assert fast.state == slow.state
 
     def test_uniform_range(self):
         rng = exp.SplitMix64(1)
@@ -135,6 +146,21 @@ class TestTranslateDifferenceBound:
                 )
                 assert ok
 
+    def test_lhs_matches_naive_convolution(self):
+        # The left side convolves f with r_n g on the spectral route; the
+        # naive O(4^N) quadrature over all translates is its oracle.
+        rng = exp.SplitMix64(17)
+        for resolution in range(2, 9):
+            idx = np.arange(1 << resolution)
+            for n in range(1, resolution):
+                f = SampledFunction(resolution, rng.uniforms(1 << resolution))
+                g = fejer(1 + rng.randint(1 << n), resolution)
+                rg = SampledFunction(resolution, (1 - 2 * ((idx >> n) & 1)) * g.values)
+                inner = dyadic_convolve_naive(f, rg) - f * float(np.mean(rg.values))
+                for p in (1.0, 2.0, INF):
+                    lhs, _, _ = exp.verify_translate_difference_bound(f, g, n, p)
+                    assert lhs == pytest.approx(lp_norm(inner, p), rel=1e-12, abs=1e-13)
+
     def test_rejects_wide_spectrum(self):
         f = exp.random_bounded(6, 6)
         with pytest.raises(ValueError):
@@ -152,13 +178,8 @@ class TestVerifyAllLemmas:
         # a scheme breaking the sum condition still satisfies the exact
         # kernel split; only the validator flags it
         from walshvp.weights import WeightScheme, validate
-        from fractions import Fraction
 
-        bad = WeightScheme(
-            2,
-            [0.25, 0.25, 0.25, 0.125],
-            exact=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 8)),
-        )
+        bad = WeightScheme(2, numerators=[2, 2, 2, 1], denominator=8)
         assert exp._decomposition_deviation(bad, 5) == 0
         assert not validate(bad).sum_ok
 
@@ -172,9 +193,9 @@ class TestSerialization:
         f = exp.abs_power(1.0, 8)
         recs = exp.ratio_sweep(f, "uniform", [2], (1.0, INF))
         rows = exp.approx_csv_rows(recs)
-        assert rows[0] == "n,p,error,modulus,ratio,bound,bound_ok"
+        assert rows[0] == "n,p,error,modulus,ratio,bound,bound_ok,flag"
         assert rows[1].startswith("2,1,") and rows[2].startswith("2,inf,")
-        assert rows[1].endswith(",true")
+        assert next(csv.DictReader(rows))["bound_ok"] == "true"
 
     def test_json_rows(self):
         f = exp.abs_power(1.0, 8)
@@ -185,6 +206,6 @@ class TestSerialization:
     def test_lemma_rows(self):
         results = [exp.LemmaResult("x", 3, 0.25, True)]
         assert exp.lemma_csv_rows(results) == [
-            "lemma,instances,worst_margin,pass",
-            "x,3,0.25,true",
+            "lemma,instances,worst_margin,pass,detail",
+            "x,3,0.25,true,",
         ]

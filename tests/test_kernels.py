@@ -24,7 +24,7 @@ from walshvp.experiments import SplitMix64, random_rational_scheme
 def naive_vp_kernel(scheme, resolution):
     acc = np.zeros(1 << resolution)
     for k in range(scheme.block_start, scheme.block_end + 1):
-        acc += scheme.weight(k) * dirichlet(k, resolution).values
+        acc += scheme.weights[k - scheme.block_start] * dirichlet(k, resolution).values
     return acc
 
 
@@ -33,13 +33,14 @@ def space_domain_vp_numerators(scheme, resolution):
 
     D_k is the running sum of Walsh signs, independent of the spectral route.
     """
-    denom = math.lcm(*(t.denominator for t in scheme.exact))
+    exact = scheme.exact
+    denom = math.lcm(*(t.denominator for t in exact))
     running = np.zeros(1 << resolution, dtype=np.int64)
     acc = np.zeros(1 << resolution, dtype=object)
     for k in range(1, scheme.block_end + 1):
         running += walsh_signs(k - 1, resolution)
         if k >= scheme.block_start:
-            t = scheme.exact_weight(k)
+            t = exact[k - scheme.block_start]
             acc += t.numerator * (denom // t.denominator) * running.astype(object)
     return acc, denom
 

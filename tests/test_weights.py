@@ -1,11 +1,19 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walshvp.kernels import _block_weights
 from walshvp.weights import (
     BOTH,
+    DEFAULT_CASE_A_CAP,
     NONDECREASING,
+    NONE,
     NONINCREASING,
+    ValidationReport,
     WeightScheme,
     build_scheme,
     delta,
@@ -49,6 +57,76 @@ class TestBuildScheme:
     def test_block_exponent_positive(self):
         with pytest.raises(ValueError):
             build_scheme("uniform", 0)
+
+
+class TestIntegerForm:
+    # Small and huge numerators, so that sums and kernel bounds fall on both
+    # sides of the int64 range.
+    _numerator = st.one_of(st.integers(0, 100), st.integers(2**62 - 5, 2**70))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        order=st.sampled_from([None, "up", "down"]),
+        normalize=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_fraction_oracle(self, n, order, normalize, data):
+        numer = data.draw(st.lists(self._numerator, min_size=1 << n, max_size=1 << n))
+        if order:
+            numer.sort(reverse=order == "down")
+        if not any(numer):
+            numer[-1] = 1
+        denom = sum(numer) if normalize else data.draw(st.integers(1, 2**70))
+        w = WeightScheme(n, numerators=numer, denominator=denom)
+
+        t = [Fraction(a, denom) for a in numer]
+        assert w.exact == tuple(t)
+        assert w.weights.tobytes() == np.array([float(q) for q in t]).tobytes()
+        reduced = [int(a) for a in w.numerators]
+        assert math.gcd(w.denominator, *reduced) == 1
+        assert (w.numerators.dtype == object) == (sum(reduced) >= 2**63)
+
+        steps = [b - a for a, b in zip(t, t[1:])]
+        nondec, noninc = all(d >= 0 for d in steps), all(d <= 0 for d in steps)
+        mono = {(1, 1): BOTH, (1, 0): NONDECREASING, (0, 1): NONINCREASING}.get(
+            (nondec, noninc), NONE
+        )
+        c2 = float(t[-1] * w.block_end)
+        assert validate(w) == ValidationReport(
+            total=float(sum(t)),
+            sum_ok=sum(t) == 1,
+            monotonicity=mono,
+            c2_constant=c2,
+            case_a_ok=nondec and c2 <= DEFAULT_CASE_A_CAP,
+            case_b_ok=noninc,
+        )
+        assert [delta(w, w.block_start + i) for i in range(w.block_size)] == [
+            t[i] - (t[i + 1] if i + 1 < len(t) else 0) for i in range(len(t))
+        ]
+
+        kernel_numer, kernel_denom = _block_weights(w, exact=True)
+        assert [Fraction(int(a), kernel_denom) for a in kernel_numer] == t
+        bound = max(reduced) << (3 * n + 2)
+        assert kernel_numer.dtype == (np.int64 if bound < 2**62 else object)
+
+    def test_one_form_per_scheme(self):
+        with pytest.raises(ValueError):
+            WeightScheme(1, [0.5, 0.5], numerators=[1, 1], denominator=2)
+        with pytest.raises(ValueError):
+            WeightScheme(1)
+        with pytest.raises(ValueError):
+            WeightScheme(1, numerators=[1, 1], denominator=0)
+        with pytest.raises(ValueError):
+            WeightScheme(1, numerators=[3, -1], denominator=2)
+        with pytest.raises(TypeError):
+            WeightScheme(1, numerators=[0.5, 0.5], denominator=1)
+
+    def test_weights_are_read_only(self):
+        w = build_scheme("uniform", 2)
+        for arr in (w.weights, w.numerators, WeightScheme(1, [0.5, 0.5]).weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestValidate:
