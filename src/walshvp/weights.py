@@ -49,7 +49,9 @@ class WeightScheme:
         n = self.block_exponent
         if n < 1:
             raise ValueError(f"block exponent must be >= 1, got {n}")
-        if (self.weights is None) == (self.numerators is None):
+        if (self.weights is None) == (self.numerators is None) or (
+            self.numerators is None and self.denominator != 1
+        ):
             raise ValueError("give either float weights or integer numerators")
         if self.numerators is not None:
             numer, denom, weights = _exact_form(self.numerators, self.denominator)
@@ -101,9 +103,6 @@ def _exact_form(numerators, denominator) -> tuple:
     denom //= g
     numer = np.array(ints, dtype=np.int64 if sum(ints) < 1 << 63 else object)
     numer.setflags(write=False)
-    if max(ints, default=0) < 1 << 53 and denom < 1 << 53:
-        # Both operands are exact floats, so one IEEE division rounds correctly.
-        return numer, denom, numer.astype(np.float64) / denom
     return numer, denom, np.array([a / denom for a in ints])
 
 
@@ -120,6 +119,8 @@ class ValidationReport:
 
 
 def _normalized(numerators: Sequence[int], n: int, label: str) -> WeightScheme:
+    if any(a < 0 for a in numerators):
+        raise ValueError("weights must be non-negative")
     total = sum(numerators)
     if total == 0:
         raise ValueError("weights sum to zero; cannot normalize")
@@ -183,8 +184,10 @@ def build_scheme(
 def _parse_weight_token(token: str) -> Fraction:
     token = token.strip()
     if "/" in token:
-        num, den = token.split("/")
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in token.split("/"))
+        if den == 0:
+            raise ValueError(f"weight {token!r} has a zero denominator")
+        return Fraction(num, den)
     return Fraction(token)
 
 

@@ -233,12 +233,16 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
     code, _, err = run(capsys, "approx", "--function", "bogus:1", "--weights", "uniform")
     assert code == 2 and "error:" in err
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n2,1\n3,1/0\n")
+    code, _, err = run(capsys, "weights-validate", "--weights", str(path))
+    assert code == 2 and "zero denominator" in err
 
 
 def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):

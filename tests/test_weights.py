@@ -116,6 +116,8 @@ class TestIntegerForm:
         with pytest.raises(ValueError):
             WeightScheme(1)
         with pytest.raises(ValueError):
+            WeightScheme(1, [0.5, 0.5], denominator=8)
+        with pytest.raises(ValueError):
             WeightScheme(1, numerators=[1, 1], denominator=0)
         with pytest.raises(ValueError):
             WeightScheme(1, numerators=[3, -1], denominator=2)
@@ -233,9 +235,12 @@ class TestWeightFiles:
 
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
-        path.write_text("k,t\n2,-1\n3,2\n")
-        with pytest.raises(ValueError):
-            load_weight_file(str(path))
+        # Positive, negative and zero sums: normalizing must not mask the sign.
+        for rows in ("2,-1\n3,2\n", "2,-2\n3,1\n", "2,-1\n3,1\n"):
+            path.write_text("k,t\n" + rows)
+            for normalize in (False, True):
+                with pytest.raises(ValueError, match="non-negative"):
+                    load_weight_file(str(path), normalize=normalize)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "w.csv"
