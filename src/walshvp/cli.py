@@ -225,10 +225,16 @@ def _cmd_verify_lemmas(args) -> int:
     return 0 if all(r.passed for r in results) else CHECK_FAILED
 
 
+def _check_block_range(n_min: int, n_max: int) -> None:
+    if n_min > n_max:
+        raise ValueError(f"empty block range: nmin={n_min} > nmax={n_max}")
+
+
 def _cmd_approx(args) -> int:
     n_max = args.nmax or args.resolution - 2
     if n_max + 1 > args.resolution:
         raise ValueError(f"nmax={n_max} needs resolution >= {n_max + 1}")
+    _check_block_range(args.nmin, n_max)
     f = experiments.make_function(args.function, args.resolution, args.seed)
     factory = _scheme_factory(args.weights)
     records = experiments.ratio_sweep(
@@ -248,6 +254,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_modulus(args) -> int:
     n_max = args.nmax or args.resolution
+    _check_block_range(args.nmin, n_max)
     f = experiments.make_function(args.function, args.resolution, args.seed)
     rows = []
     for n in range(args.nmin, n_max + 1):

@@ -163,15 +163,45 @@ def _check_exponent(p) -> float:
     return p
 
 
-def _lp_of_values(values: np.ndarray, p: float, resolution: int) -> float:
-    if p == INF:
-        return float(np.max(np.abs(values)))
-    total = _pairwise_total(np.abs(values) ** p) * 2.0**-resolution
-    return total ** (1.0 / p)
+# Largest |p log2(top)| + N at which top^p, and the sum of 2^N terms no
+# larger, stay far inside the normal float range (2^-1022 .. 2^1024).
+_UNSCALED_EXPONENT = 960
+
+
+def _power_scale(top: float, p: float, resolution: int) -> float:
+    """What to divide magnitudes up to `top` by before raising them to p.
+
+    1.0 while no power can over- or underflow, so the sum is the unscaled
+    one bit for bit; otherwise `top` itself, which makes the largest term 1
+    at any p.
+    """
+    if abs(p * math.log2(top)) + resolution <= _UNSCALED_EXPONENT:
+        return 1.0
+    return top
+
+
+def _lp_of_values(values: np.ndarray, p: float, resolution: int, top=None) -> float:
+    # `top` bounds |values| and sets the scale; callers comparing several
+    # arrays pass one shared bound.
+    if top is None:
+        top = float(np.max(np.abs(values)))
+    if p == INF or not 0.0 < top < INF:
+        return top
+    scale = _power_scale(top, p, resolution)
+    powers = np.abs(values)
+    if scale != 1.0:
+        powers /= scale
+    powers **= p
+    total = _pairwise_total(powers) * 2.0**-resolution
+    return scale * total ** (1.0 / p)
 
 
 def lp_norm(f: SampledFunction, p) -> float:
-    """L_p norm; p may be any real >= 1 or math.inf (sup norm)."""
+    """L_p norm; p may be any real >= 1 or math.inf (sup norm).
+
+    When a p-th power could over- or underflow, the magnitudes are first
+    divided by the largest of them, so a large p stays accurate.
+    """
     return _lp_of_values(f.values, _check_exponent(p), f.resolution)
 
 
@@ -208,6 +238,67 @@ def _modulus_l2(f: SampledFunction, n: int) -> float:
     return math.sqrt(max(worst, 0.0))
 
 
+def _coset_oscillation(values: np.ndarray, n: int) -> float:
+    # Column r of the (2^(N-n), 2^n) table is the coset {y : y mod 2^n = r},
+    # the orbit of a point under I_n.  Rounding is monotone, so the largest
+    # rounded difference in a coset is the rounded max - min.
+    cosets = values.reshape(-1, 1 << n)
+    return float(np.max(cosets.max(axis=0) - cosets.min(axis=0)))
+
+
+# Cells per block of translates in the finite-p modulus (512 KiB of float64).
+_BLOCK_CELLS = 1 << 16
+
+
+def _modulus_blocked(f: SampledFunction, n: int, p: float, top: float) -> float:
+    # Translating by k 2^n sends row r of the coset table to row r ^ k.  A
+    # block of translates is gathered, differenced and powered in work arrays
+    # allocated once, and each row is summed by the tree of _pairwise_total.
+    # The largest row sum gives the largest norm, since the root is monotone.
+    table = f.values.reshape(-1, 1 << n)
+    rows = table.shape[0]
+    block = max(1, min(rows, _BLOCK_CELLS // f.size))
+    shifts = np.arange(rows)
+    picks = np.empty((block, rows), dtype=np.intp)
+    work = np.empty((block, f.size))
+    spare = np.empty(block * f.size // 2)
+    scale = _power_scale(top, p, f.resolution)
+    best = 0.0
+    for first in range(0, rows, block):
+        k = shifts[first : first + block]
+        w, pick = work[: k.size], picks[: k.size]
+        cells = w.reshape(k.size, rows, -1)
+        np.bitwise_xor(k[:, None], shifts, out=pick)
+        np.take(table, pick, axis=0, out=cells, mode="clip")
+        np.subtract(cells, table, out=cells)
+        np.abs(w, out=w)
+        if scale != 1.0:
+            np.divide(w, scale, out=w)
+        if p != 1.0:  # x ** 1 is x
+            np.power(w, p, out=w)
+        # Rows have even length, so adjacent pairs of the flat block never
+        # straddle two rows, and each level leaves the rows contiguous.
+        level, other = w.reshape(-1), spare
+        while level.size > k.size:
+            half = level.size // 2
+            np.add(level[0::2], level[1::2], out=other[:half])
+            level, other = other[:half], level
+        best = max(best, float(np.max(level)))
+    return scale * (best * 2.0**-f.resolution) ** (1.0 / p)
+
+
+def _modulus_by_translates(f: SampledFunction, n: int, p: float) -> float:
+    # The oracle: one translate at a time.  A finite p divides by the scale
+    # the blocked route uses, which the p = inf loop here checks.
+    top = None if p == INF else _coset_oscillation(f.values, n)
+    idx = np.arange(f.size, dtype=np.int64)
+    best = 0.0
+    for t in range(0, f.size, 1 << n):
+        diff = f.values[idx ^ t] - f.values
+        best = max(best, _lp_of_values(diff, p, f.resolution, top))
+    return best
+
+
 def modulus_of_continuity(
     f: SampledFunction, n: int, p, brute_force: bool = False
 ) -> float:
@@ -215,21 +306,24 @@ def modulus_of_continuity(
 
     At finite resolution the ball {|t| < 2^-n} is exactly the interval
     I_n, i.e. the indices divisible by 2^n, so the supremum is a finite
-    maximum.  For p = 2 a spectral identity evaluates all translates at
-    once; pass brute_force=True to force the direct loop.
+    maximum.  Three routes evaluate every translate at once: for p = 2 a
+    spectral identity; for p = inf the largest oscillation of f over the
+    cosets of I_n, which the translates permute; for any other p the
+    translates in blocks of rows.  All but the spectral route match the
+    loop bit for bit.  brute_force=True runs the loop over translates,
+    the oracle.
     """
     p = _check_exponent(p)
     if not 0 <= n <= f.resolution:
         raise ValueError(f"modulus rank {n} out of range [0, {f.resolution}]")
-    if p == 2.0 and not brute_force:
+    if brute_force:
+        return _modulus_by_translates(f, n, p)
+    if p == 2.0:
         return _modulus_l2(f, n)
-    step = 1 << n
-    idx = np.arange(f.size, dtype=np.int64)
-    best = 0.0
-    for t in range(0, f.size, step):
-        diff = f.values[idx ^ t] - f.values
-        best = max(best, _lp_of_values(diff, p, f.resolution))
-    return best
+    top = _coset_oscillation(f.values, n)
+    if p == INF or not 0.0 < top < INF:
+        return top
+    return _modulus_blocked(f, n, p, top)
 
 
 def write_function(f: SampledFunction, stream) -> None:

@@ -177,6 +177,51 @@ class ApproxRecord:
     flag: str = ""
 
 
+def _block_records(
+    f: SampledFunction,
+    scheme: WeightScheme,
+    p_values: Sequence,
+    bound_constant: Union[str, float, None],
+    slack: float,
+) -> List[ApproxRecord]:
+    # One validation and one mean per block, shared by every p.
+    n = scheme.block_exponent
+    if bound_constant == "auto":
+        bound_constant = float(CASE_B_BOUND) if validate(scheme).case_b_ok else None
+    residual = vp_mean(f, scheme, PATH_CONVOLUTION).function - f
+    records = []
+    for p in p_values:
+        error = lp_norm(residual, p)
+        modulus = modulus_of_continuity(f, n, p)
+        flag = ""
+        if modulus < MODULUS_FLOOR:
+            # Zero modulus forces a block polynomial, where the mean must
+            # reproduce f; anything else is an inconsistency, not a ratio.
+            if error < ERROR_FLOOR:
+                ratio = 0.0
+                bound_ok = True
+            else:
+                ratio = math.inf
+                bound_ok = False
+                flag = FLAG_INCONSISTENT
+        else:
+            ratio = error / modulus
+            bound_ok = True if bound_constant is None else error <= bound_constant * modulus + slack
+        records.append(
+            ApproxRecord(
+                block_exponent=n,
+                p=float(p),
+                error=error,
+                modulus=modulus,
+                ratio=ratio,
+                bound=math.nan if bound_constant is None else float(bound_constant),
+                bound_ok=bound_ok,
+                flag=flag,
+            )
+        )
+    return records
+
+
 def approximation_error(
     f: SampledFunction,
     scheme: WeightScheme,
@@ -190,36 +235,7 @@ def approximation_error(
     when the scheme qualifies for the non-increasing case; a float
     asserts that constant; None asserts nothing.
     """
-    n = scheme.block_exponent
-    if bound_constant == "auto":
-        bound_constant = float(CASE_B_BOUND) if validate(scheme).case_b_ok else None
-    mean = vp_mean(f, scheme, PATH_CONVOLUTION).function
-    error = lp_norm(mean - f, p)
-    modulus = modulus_of_continuity(f, n, p)
-    flag = ""
-    if modulus < MODULUS_FLOOR:
-        # Zero modulus forces a block polynomial, where the mean must
-        # reproduce f; anything else is an inconsistency, not a ratio.
-        if error < ERROR_FLOOR:
-            ratio = 0.0
-            bound_ok = True
-        else:
-            ratio = math.inf
-            bound_ok = False
-            flag = FLAG_INCONSISTENT
-    else:
-        ratio = error / modulus
-        bound_ok = True if bound_constant is None else error <= bound_constant * modulus + slack
-    return ApproxRecord(
-        block_exponent=n,
-        p=float(p),
-        error=error,
-        modulus=modulus,
-        ratio=ratio,
-        bound=math.nan if bound_constant is None else float(bound_constant),
-        bound_ok=bound_ok,
-        flag=flag,
-    )
+    return _block_records(f, scheme, (p,), bound_constant, slack)[0]
 
 
 SchemeFactory = Union[str, Callable[[int], WeightScheme]]
@@ -240,14 +256,13 @@ def ratio_sweep(
     bound_constant: Union[str, float, None] = "auto",
     slack: float = DEFAULT_SLACK,
 ) -> List[ApproxRecord]:
-    """One ApproxRecord per (n, p), rebuilding the scheme at each block."""
+    """One ApproxRecord per (n, p): each block's scheme is built, validated
+    and applied once for all p."""
+    p_values = tuple(p_values)
     records = []
     for n in n_values:
         scheme = _scheme_for(scheme_factory, n, alpha)
-        for p in p_values:
-            records.append(
-                approximation_error(f, scheme, p, bound_constant=bound_constant, slack=slack)
-            )
+        records += _block_records(f, scheme, p_values, bound_constant, slack)
     return records
 
 

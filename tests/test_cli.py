@@ -243,6 +243,12 @@ def test_usage_errors(capsys, tmp_path):
     path.write_text("k,t\n2,1\n3,1/0\n")
     code, _, err = run(capsys, "weights-validate", "--weights", str(path))
     assert code == 2 and "zero denominator" in err
+    for command, extra in (("approx", ["--weights", "uniform"]), ("modulus", [])):
+        code, out, err = run(
+            capsys, command, "--function", "indicator:2", "--resolution", "8",
+            "--nmin", "5", "--nmax", "3", *extra,
+        )
+        assert code == 2 and out == "" and "empty block range: nmin=5 > nmax=3" in err
 
 
 def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):

@@ -108,6 +108,19 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(SampledFunction(2, np.ones(4)), 0.5)
 
+    @pytest.mark.parametrize("level", [10.0, 1e-3])
+    def test_large_exponent_of_a_constant(self, level):
+        # Unscaled, 10^400 overflows to inf and 10^-1200 underflows to 0.
+        f = SampledFunction(4, np.full(16, level))
+        assert lp_norm(f, 400) == pytest.approx(level, rel=1e-14)
+
+    def test_large_exponent_is_scale_invariant(self):
+        f = rand_fn(7, 6)
+        for p in (3.0, 400.0, 1e4):
+            base = lp_norm(f, p)
+            for factor in (2.0**-600, 2.0**600):
+                assert lp_norm(f * factor, p) == pytest.approx(base * factor, rel=1e-12)
+
     @given(st.integers(0, 2**31), st.sampled_from([1.0, 2.0, INF]))
     @settings(max_examples=30, deadline=None)
     def test_triangle_inequality(self, seed, p):
@@ -159,12 +172,38 @@ class TestModulus:
                 2.0**-n - 2.0**-N, abs=1e-15
             )
 
-    def test_l2_fast_path_matches_brute_force(self):
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    def test_fast_path_matches_brute_force(self, p):
         f = rand_fn(3, 7)
         for n in range(8):
-            fast = modulus_of_continuity(f, n, 2)
-            brute = modulus_of_continuity(f, n, 2, brute_force=True)
-            assert fast == pytest.approx(brute, abs=1e-12)
+            fast = modulus_of_continuity(f, n, p)
+            brute = modulus_of_continuity(f, n, p, brute_force=True)
+            if p == 2.0:  # the spectral route rounds differently
+                assert fast == pytest.approx(brute, abs=1e-12)
+            else:
+                assert fast == brute
+
+    @given(
+        st.integers(1, 10),
+        st.data(),
+        st.sampled_from([1.0, 1.25, 2.0, 3.0, 7.5, 400.0, INF]),
+        st.integers(0, 2**32 - 1),
+        st.integers(-200, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fast_matches_oracle_property(self, N, data, p, seed, exponent):
+        n = data.draw(st.integers(0, N))
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1, 1, 1 << N) * 2.0**exponent
+        values[rng.random(1 << N) < 0.3] = 0.0  # repeated values, flat cosets
+        f = SampledFunction(N, values)
+        fast = modulus_of_continuity(f, n, p)
+        brute = modulus_of_continuity(f, n, p, brute_force=True)
+        if p == 2.0:
+            assert fast == pytest.approx(brute, rel=1e-9, abs=1e-300)
+        else:
+            assert fast == brute
+        assert math.isfinite(fast) and (fast > 0) == (brute > 0)
 
     def test_vanishes_at_full_rank(self):
         f = rand_fn(4, 6)
@@ -181,6 +220,26 @@ class TestModulus:
         f = rand_fn(6, 6)
         for p in (1.0, 2.0, INF):
             assert modulus_of_continuity(f, 0, p) <= 2 * lp_norm(f, p) + 1e-12
+
+    def test_large_exponent_modulus_is_positive(self):
+        # Unscaled, the 400th powers of the differences underflowed to 0
+        # at n = 6..9.
+        N = 10
+        f = SampledFunction(N, abs_values(N) ** 0.5)
+        moduli = [modulus_of_continuity(f, n, 400) for n in range(N + 1)]
+        assert all(m > 0 for m in moduli[:N]) and moduli[N] == 0.0
+        assert all(a > b for a, b in zip(moduli, moduli[1:]))
+
+    def test_overflowing_differences(self):
+        # A difference of 2e308 is inf; scaling by it must not give nan.
+        f = SampledFunction(3, [1e308, -1e308, 0, 0, 1, 2, 3, 4])
+        for p in (1.0, 3.0, INF):
+            with np.errstate(over="ignore"):
+                assert modulus_of_continuity(f, 0, p) == math.inf
+                assert modulus_of_continuity(f, 0, p, brute_force=True) == math.inf
+            assert modulus_of_continuity(f, 1, p) == modulus_of_continuity(
+                f, 1, p, brute_force=True
+            ) < math.inf
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):

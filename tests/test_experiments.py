@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -107,6 +108,29 @@ class TestRatioSweep:
         f = exp.abs_power(1.0, 8)
         recs = exp.ratio_sweep(f, lambda n: build_scheme("cesaro", n, alpha=2), [2, 3], (1.0, INF))
         assert len(recs) == 4 and exp.sweep_ok(recs)
+
+    @pytest.mark.parametrize("spec, weights", [("step_mix", "linear_up"), ("indicator:2", "cesaro")])
+    def test_rows_equal_single_records(self, spec, weights):
+        # The sweep shares one mean per block across p; each row must be
+        # the record approximation_error computes alone, field for field.
+        f = exp.make_function(spec, 8, seed=5)
+        p_values = (1.0, 1.5, 2.0, INF)
+        recs = exp.ratio_sweep(f, weights, range(1, 7), iter(p_values), alpha=2)
+        assert len(recs) == 6 * len(p_values)
+        for rec in recs:
+            alone = exp.approximation_error(
+                f, build_scheme(weights, rec.block_exponent, alpha=2), rec.p
+            )
+            for field in dataclasses.fields(exp.ApproxRecord):
+                got, want = getattr(rec, field.name), getattr(alone, field.name)
+                assert got == want or (math.isnan(got) and math.isnan(want)), field.name
+
+    def test_large_exponent_rows(self):
+        # Unscaled, the error underflowed to 0 for n >= 4 and the modulus
+        # for n >= 6, so the rows passed with ratio 0.
+        recs = exp.ratio_sweep(exp.abs_power(0.5, 10), "uniform", range(1, 9), (400.0,))
+        assert all(r.error > 0 and r.modulus > 0 and not r.flag for r in recs)
+        assert all(0.3 < r.ratio < 0.7 for r in recs)
 
 
 class TestLipschitzRate:
