@@ -1,8 +1,8 @@
 """Walsh-Fourier analysis on the dyadic group at finite resolution.
 
 Provides the group model (dyadic), the Walsh-Paley system and fast
-transform (walsh), Dirichlet/Fejer/de la Vallee Poussin kernels with an
-exact rational path (kernels), block weight schemes (weights), matrix
+transform (walsh), Dirichlet/Fejer/de la Vallee Poussin kernels with exact
+rational samples (kernels), rational block weight schemes (weights), matrix
 transform means (means), and the numerical verification suite
 (experiments).
 """

@@ -2,8 +2,8 @@
 
 Subcommands: transform, kernel-norms, verify-lemmas, approx, modulus,
 weights-validate.  Exit codes: 0 success, 1 mathematical check failed,
-2 usage error.  A key=value config file (--config) supplies defaults;
-explicit flags override it.
+2 usage error.  A key=value config file (--config FILE or --config=FILE)
+supplies defaults; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -43,16 +43,20 @@ def _parse_p_list(text: str) -> List[float]:
     return out
 
 
-def _scheme_factory(spec: str, alpha_default=None):
-    """Weight spec: a family name, family:alpha, or a CSV file path."""
+def _scheme_factory(spec: str):
+    """Weight spec: a family name, family:alpha, or a CSV file path.
+
+    Returns the scheme for a block exponent n.  A file covers one block
+    exponent, which n=None selects; a family needs n.
+    """
     if os.path.exists(spec):
         fixed = load_weight_file(spec)
 
-        def from_file(n: int):
-            if n != fixed.block_exponent:
+        def from_file(n: Optional[int]):
+            if n not in (None, fixed.block_exponent):
                 raise ValueError(
                     f"weight file covers block exponent {fixed.block_exponent}, "
-                    f"cannot sweep n={n}"
+                    f"cannot use n={n}"
                 )
             return fixed
 
@@ -60,8 +64,14 @@ def _scheme_factory(spec: str, alpha_default=None):
     name, _, arg = spec.partition(":")
     if name not in FAMILIES or name == "custom":
         raise ValueError(f"unknown weight spec {spec!r}")
-    alpha = float(arg) if arg else alpha_default
-    return lambda n: build_scheme(name, n, alpha=alpha)
+    alpha = float(arg) if arg else None
+
+    def from_family(n: Optional[int]):
+        if n is None:
+            raise ValueError("family weight specs require --n")
+        return build_scheme(name, n, alpha=alpha)
+
+    return from_family
 
 
 def _open_out(path: str):
@@ -146,12 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(argv: List[str]) -> List[str]:
     """Inject config-file pairs as flags right after the subcommand, so
     explicit command-line flags still win."""
-    if "--config" not in argv:
+    for i, arg in enumerate(argv):
+        flag, inline, path = arg.partition("=")
+        if flag == "--config":
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config requires a path")
-    path = argv[i + 1]
+    if not inline:
+        if i + 1 >= len(argv):
+            raise ValueError("--config requires a path")
+        path = argv[i + 1]
     injected = []
     with open(path) as fh:
         for line in fh:
@@ -165,7 +179,7 @@ def _apply_config(argv: List[str]) -> List[str]:
                 injected.append(f"--{key}")
             else:
                 injected.extend([f"--{key}", value])
-    rest = argv[:i] + argv[i + 2 :]
+    rest = argv[:i] + argv[i + (1 if inline else 2) :]
     return rest[:1] + injected + rest[1:]
 
 
@@ -277,13 +291,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_weights_validate(args) -> int:
-    if os.path.exists(args.weights):
-        scheme = load_weight_file(args.weights, n=args.n or None)
-    else:
-        if not args.n:
-            raise ValueError("family weight specs require --n")
-        name, _, arg = args.weights.partition(":")
-        scheme = build_scheme(name, args.n, alpha=float(arg) if arg else None)
+    scheme = _scheme_factory(args.weights)(args.n or None)
     report = validate(scheme, case_a_cap=args.cmax)
     if args.format == "json":
         payload = {

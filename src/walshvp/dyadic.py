@@ -227,15 +227,20 @@ def interval_indicator(n: int, resolution: int) -> SampledFunction:
 def _modulus_l2(f: SampledFunction, n: int) -> float:
     # ||f(.+t) - f||_2^2 = 2 * (sum_m fhat(m)^2 - sum_m fhat(m)^2 w_m(t)),
     # so one unnormalized transform of the squared spectrum gives the
-    # distance for every t simultaneously.
+    # distance for every t simultaneously.  Every |fhat(m)| <= max |f|, so
+    # the coefficients are divided by the scale of that bound before squaring.
     from .walsh_system import fwht_forward, hadamard_transform
 
-    g = fwht_forward(f).coeffs ** 2
+    top = max(-float(np.min(f.values)), float(np.max(f.values)))
+    if top == 0.0:  # f = 0; samples are finite, so top < inf
+        return 0.0
+    scale = _power_scale(top, 2.0, f.resolution)
+    g = (fwht_forward(f).coeffs / scale) ** 2
     total = _pairwise_total(g)
     per_t = 2.0 * (total - hadamard_transform(g))
     step = 1 << n
     worst = float(np.max(per_t[::step]))
-    return math.sqrt(max(worst, 0.0))
+    return scale * math.sqrt(max(worst, 0.0))
 
 
 def _coset_oscillation(values: np.ndarray, n: int) -> float:

@@ -413,8 +413,8 @@ def _check_translate_difference(resolution: int, seed: int, count: int) -> Lemma
 
 
 def _decomposition_deviation(scheme: WeightScheme, resolution: int) -> Fraction:
-    kernel = vp_kernel(scheme, resolution, exact=True)
-    parts = decompose_vp_kernel(scheme, resolution, exact=True).components
+    kernel = vp_kernel(scheme, resolution)
+    parts = decompose_vp_kernel(scheme, resolution).components
     # The parts share the kernel's denominator: the weights' common one.
     total = sum(part.exact_numer for part in parts)
     return Fraction(int(np.max(np.abs(total - kernel.exact_numer))), kernel.exact_denom)

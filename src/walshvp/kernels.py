@@ -1,22 +1,21 @@
 """Dirichlet, Fejer, and matrix-transform de la Vallee Poussin kernels.
 
 Every kernel is synthesized from its known Walsh coefficients by one
-Hadamard butterfly.  Dirichlet kernels have exact integer samples; Fejer
-and VP kernels carry exact integer numerators over a common denominator
-whenever the weights are rational, so the kernel identities (the closed
-form of D at powers of two, the recursive splitting of D, and the
-three-part VP decomposition) can be checked with zero error.
+Hadamard butterfly run in integers.  Every kernel carries exact integer
+numerators over one denominator (1 for Dirichlet kernels, n for K_n, the
+weights' common denominator for VP kernels), so the kernel identities
+(the closed form of D at powers of two, the recursive splitting of D,
+and the three-part VP decomposition) can be checked with zero error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .dyadic import SampledFunction, check_resolution, _pairwise_total
+from .dyadic import SampledFunction, check_resolution
 from .walsh_system import hadamard_transform, walsh_signs
 from .weights import WeightScheme
 
@@ -25,26 +24,30 @@ _INT64_SAFE = 1 << 62
 
 
 class KernelFunction(SampledFunction):
-    """SampledFunction with a kind tag and an optional exact rational
-    value path (integer numerators over one positive denominator)."""
+    """SampledFunction with a kind tag whose samples are exact rationals:
+    integer numerators (int64 or Python ints) over one positive
+    denominator.  The float values are derived from them."""
 
     __slots__ = ("kind", "exact_numer", "exact_denom")
 
-    def __init__(self, resolution, values, kind="", exact_numer=None, exact_denom=1):
+    def __init__(self, resolution, exact_numer, exact_denom=1, kind=""):
+        exact_numer = np.asarray(exact_numer)
+        exact_denom = int(exact_denom)
+        if exact_denom < 1:
+            raise ValueError("exact denominator must be positive")
+        if exact_numer.dtype == object:
+            # int / int rounds once, also for numerators past the float range.
+            values = np.array([int(v) / exact_denom for v in exact_numer])
+        elif exact_numer.dtype.kind == "i":
+            values = exact_numer.astype(np.float64) / exact_denom
+        else:
+            raise TypeError(f"exact numerators must be integers, got {exact_numer.dtype}")
         super().__init__(resolution, values)
-        if exact_numer is not None:
-            exact_numer = np.asarray(exact_numer)
-            if exact_numer.shape != self.values.shape:
-                raise ValueError("exact numerators shape mismatch")
-            if exact_denom < 1:
-                raise ValueError("exact denominator must be positive")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exact_numer", exact_numer)
-        object.__setattr__(self, "exact_denom", int(exact_denom))
+        object.__setattr__(self, "exact_denom", exact_denom)
 
     def exact_value(self, j: int) -> Fraction:
-        if self.exact_numer is None:
-            raise ValueError("kernel has no exact value path")
         return Fraction(int(self.exact_numer[j]), self.exact_denom)
 
 
@@ -82,26 +85,13 @@ def _int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def _kernel(numer: np.ndarray, denom: int, resolution: int, kind: str) -> KernelFunction:
-    """Kernel from its samples: float64 values as they are, or integer
-    numerators over denom with the exact value path."""
-    if numer.dtype == np.float64:
-        return KernelFunction(resolution, numer, kind=kind)
-    if numer.dtype == object:
-        # int / int rounds once, also for numerators past the float range.
-        values = np.array([int(v) / denom for v in numer])
-    else:
-        values = numer.astype(np.float64) / denom
-    return KernelFunction(resolution, values, kind=kind, exact_numer=numer, exact_denom=denom)
-
-
 def dirichlet(n: int, resolution: int) -> KernelFunction:
     """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
     synthesized from its coefficients, 1 below n."""
     n = _check_order(n, resolution)
     coeffs = np.zeros(1 << resolution, dtype=_int_dtype(n))
     coeffs[:n] = 1
-    return _kernel(hadamard_transform(coeffs), 1, resolution, f"dirichlet:{n}")
+    return KernelFunction(resolution, hadamard_transform(coeffs), 1, f"dirichlet:{n}")
 
 
 def _dirichlet_rec_int(n: int, resolution: int) -> np.ndarray:
@@ -121,7 +111,7 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     """D_n built by binary splitting: peel the top power of two with the
     closed form and recurse on the remainder behind a Rademacher sign."""
     n = _check_order(n, resolution)
-    return _kernel(_dirichlet_rec_int(n, resolution), 1, resolution, f"dirichlet-rec:{n}")
+    return KernelFunction(resolution, _dirichlet_rec_int(n, resolution), 1, f"dirichlet-rec:{n}")
 
 
 def fejer(n: int, resolution: int) -> KernelFunction:
@@ -132,15 +122,13 @@ def fejer(n: int, resolution: int) -> KernelFunction:
         raise ValueError(f"Fejer kernel needs n >= 1, got {n}")
     coeffs = np.zeros(1 << resolution, dtype=_int_dtype(n * (n + 1) // 2))
     coeffs[:n] = np.arange(n, 0, -1)
-    return _kernel(hadamard_transform(coeffs), n, resolution, f"fejer:{n}")
+    return KernelFunction(resolution, hadamard_transform(coeffs), n, f"fejer:{n}")
 
 
-def kernel_l1_norm(kernel: KernelFunction):
-    """L1 norm; an exact Fraction when the exact value path is present."""
-    if getattr(kernel, "exact_numer", None) is not None:
-        total = int(np.sum(np.abs(kernel.exact_numer)))
-        return Fraction(total, kernel.exact_denom * kernel.size)
-    return _pairwise_total(np.abs(kernel.values)) * 2.0**-kernel.resolution
+def kernel_l1_norm(kernel: KernelFunction) -> Fraction:
+    """Exact L1 norm."""
+    total = int(np.sum(np.abs(kernel.exact_numer)))
+    return Fraction(total, kernel.exact_denom * kernel.size)
 
 
 def kernel_norm_sweep(n_max: int, resolution: int):
@@ -173,21 +161,12 @@ def _check_block(w: WeightScheme, resolution: int) -> None:
         )
 
 
-def _block_weights(w: WeightScheme, exact: Optional[bool]):
-    """The block weights in the arithmetic of the chosen path, with their
-    denominator: the float weights over 1, or the integer numerators a_k
-    over their common denominator L, t_k = a_k / L.  The numerators are
-    int64 while max(a) * 2^(3n+2), which bounds every sum the kernel and its
+def _block_weights(w: WeightScheme):
+    """The integer numerators a_k of the block weights over their common
+    denominator L, t_k = a_k / L, and L.  The numerators are int64 while
+    max(a) * 2^(3n+2), which bounds every sum the kernel and its
     decomposition form, stays below _INT64_SAFE, and Python ints past it.
-
-    exact=None takes the exact path whenever the weights are rational.
     """
-    if exact is None:
-        exact = w.numerators is not None
-    if not exact:
-        return w.weights, 1
-    if w.numerators is None:
-        raise ValueError("exact kernel path requires rational weights")
     bound = int(np.max(w.numerators)) << (3 * w.block_exponent + 2)
     return w.numerators.astype(_int_dtype(bound)), w.denominator
 
@@ -204,22 +183,18 @@ def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
     return coeffs
 
 
-def vp_kernel(w: WeightScheme, resolution: int, exact: Optional[bool] = None) -> KernelFunction:
+def vp_kernel(w: WeightScheme, resolution: int) -> KernelFunction:
     """Block de la Vallee Poussin kernel sum_k t_k D_k, k over
-    [2^n, 2^(n+1)-1], synthesized from its Walsh coefficients.
-
-    The exact path runs the same synthesis on the weights' integer
-    numerators; exact=None takes it whenever the weights are rational.
+    [2^n, 2^(n+1)-1], synthesized from its Walsh coefficients in the
+    integer numerators of the weights.
     """
     _check_block(w, resolution)
-    t, denom = _block_weights(w, exact)
+    t, denom = _block_weights(w)
     numer = hadamard_transform(_block_multiplier(t, resolution))
-    return _kernel(numer, denom, resolution, f"vp:{w.block_exponent}")
+    return KernelFunction(resolution, numer, denom, f"vp:{w.block_exponent}")
 
 
-def decompose_vp_kernel(
-    w: WeightScheme, resolution: int, exact: Optional[bool] = None
-) -> KernelDecomposition:
+def decompose_vp_kernel(w: WeightScheme, resolution: int) -> KernelDecomposition:
     """Split the block VP kernel into three parts whose sum reproduces it:
 
       part 1: (sum of the weights) * D_{2^n};
@@ -228,13 +203,13 @@ def decompose_vp_kernel(
 
     The identity follows from the Dirichlet splitting plus summation by
     parts, and holds exactly in rational arithmetic.  The parts are
-    accumulated term by term, in the arithmetic vp_kernel picks for the
-    same weights, so they check its spectral synthesis independently.
+    accumulated term by term, in the integers vp_kernel synthesizes from,
+    so they check its spectral synthesis independently.
     """
     _check_block(w, resolution)
     n = w.block_exponent
     size = 1 << resolution
-    t, denom = _block_weights(w, exact)
+    t, denom = _block_weights(w)
     idx = np.arange(size, dtype=np.int64)
     r_n = 1 - 2 * ((idx >> n) & 1)
     first = np.sum(t) * _paley_int(n, resolution).astype(t.dtype)
@@ -250,7 +225,7 @@ def decompose_vp_kernel(
     return KernelDecomposition(
         n,
         tuple(
-            _kernel(part, denom, resolution, f"vp-part{i}:{n}")
+            KernelFunction(resolution, part, denom, f"vp-part{i}:{n}")
             for i, part in enumerate(parts, start=1)
         ),
     )

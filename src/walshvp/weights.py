@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,60 +20,54 @@ NONE = "none"
 
 DEFAULT_CASE_A_CAP = 4.0
 
-_SUM_TOL = 1e-12
-_MONO_TOL = 1e-12
-
 FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro", "custom")
 
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Weights over the dyadic block [2^n, 2^(n+1)-1].
+    """Rational weights over the dyadic block [2^n, 2^(n+1)-1].
 
-    weights[i] is the weight of index k = 2^n + i.  A scheme is given
-    either float weights or exact rational ones, as integer numerators
-    over one positive denominator: t_k = numerators[i] / denominator.
-    The integers are reduced by their gcd and held as int64 while their
-    sum fits, as Python ints past it; the float weights are then their
-    correctly rounded quotients.  Rational weights enable the exact
-    kernel path downstream.
+    Index k = 2^n + i has weight t_k = numerators[i] / denominator, with
+    a positive denominator.  The integers are reduced by their gcd and
+    held as int64 while their sum fits, as Python ints past it.  weights
+    is derived: weights[i] is the correctly rounded float quotient.
     """
 
     block_exponent: int
-    weights: Optional[np.ndarray] = None
-    numerators: Optional[np.ndarray] = None
+    numerators: np.ndarray
     denominator: int = 1
     label: str = ""
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.block_exponent
         if n < 1:
             raise ValueError(f"block exponent must be >= 1, got {n}")
-        if (self.weights is None) == (self.numerators is None) or (
-            self.numerators is None and self.denominator != 1
-        ):
-            raise ValueError("give either float weights or integer numerators")
-        if self.numerators is not None:
-            numer, denom, weights = _exact_form(self.numerators, self.denominator)
-            object.__setattr__(self, "numerators", numer)
-            object.__setattr__(self, "denominator", denom)
-            object.__setattr__(self, "weights", weights)
-        arr = np.array(self.weights, dtype=np.float64)
-        if arr.shape != (1 << n,):
+        ints = [operator.index(a) for a in self.numerators]
+        denom = operator.index(self.denominator)
+        if denom < 1:
+            raise ValueError(f"denominator must be positive, got {denom}")
+        if any(a < 0 for a in ints):
+            raise ValueError("weights must be non-negative")
+        g = math.gcd(denom, *ints)
+        ints = [a // g for a in ints]
+        denom //= g
+        numer = np.array(ints, dtype=np.int64 if sum(ints) < 1 << 63 else object)
+        if numer.shape != (1 << n,):
             raise ValueError(
                 f"expected {1 << n} weights for block exponent {n}, "
-                f"got shape {arr.shape}"
+                f"got shape {numer.shape}"
             )
-        if np.any(arr < 0):
-            raise ValueError("weights must be non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
+        weights = np.array([a / denom for a in ints])
+        numer.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "numerators", numer)
+        object.__setattr__(self, "denominator", denom)
+        object.__setattr__(self, "weights", weights)
 
     @property
-    def exact(self) -> Optional[tuple]:
-        """The rational weights as Fractions; None for float weights."""
-        if self.numerators is None:
-            return None
+    def exact(self) -> tuple:
+        """The weights as Fractions."""
         return tuple(Fraction(int(a), self.denominator) for a in self.numerators)
 
     @property
@@ -87,23 +81,6 @@ class WeightScheme:
     @property
     def block_size(self) -> int:
         return 1 << self.block_exponent
-
-
-def _exact_form(numerators, denominator) -> tuple:
-    """Numerators and denominator reduced by their gcd, and the correctly
-    rounded float quotients."""
-    ints = [operator.index(a) for a in numerators]
-    denom = operator.index(denominator)
-    if denom < 1:
-        raise ValueError(f"denominator must be positive, got {denom}")
-    if any(a < 0 for a in ints):
-        raise ValueError("weights must be non-negative")
-    g = math.gcd(denom, *ints)
-    ints = [a // g for a in ints]
-    denom //= g
-    numer = np.array(ints, dtype=np.int64 if sum(ints) < 1 << 63 else object)
-    numer.setflags(write=False)
-    return numer, denom, np.array([a / denom for a in ints])
 
 
 @dataclass(frozen=True)
@@ -226,11 +203,11 @@ def load_weight_file(path: str, n: Optional[int] = None, normalize: bool = False
     return WeightScheme(inferred, numerators=numer, denominator=denom, label=f"custom:{path}")
 
 
-def _monotonicity(t: np.ndarray, tol) -> str:
-    """Monotonicity class of t; steps within tol count as ties."""
+def _monotonicity(t: np.ndarray) -> str:
+    """Monotonicity class of t; ties qualify for both classes."""
     diffs = np.diff(t)
-    nondec = bool(np.all(diffs >= -tol))
-    noninc = bool(np.all(diffs <= tol))
+    nondec = bool(np.all(diffs >= 0))
+    noninc = bool(np.all(diffs <= 0))
     if nondec and noninc:
         return BOTH
     if nondec:
@@ -247,35 +224,25 @@ def validate(w: WeightScheme, case_a_cap: float = DEFAULT_CASE_A_CAP) -> Validat
     Case a needs a non-decreasing sequence and c2 <= case_a_cap; case b
     needs non-increasing only.  Ties qualify for both classes.
     """
-    if w.numerators is not None:
-        # The int64 sum cannot wrap: such numerators sum below 2^63.
-        total_numer = int(np.sum(w.numerators))
-        total = total_numer / w.denominator
-        sum_ok = total_numer == w.denominator
-        c2 = int(w.numerators[-1]) * w.block_end / w.denominator
-        mono = _monotonicity(w.numerators, 0)
-    else:
-        total = float(np.sum(w.weights))
-        sum_ok = abs(total - 1.0) <= _SUM_TOL
-        c2 = float(w.weights[-1]) * w.block_end
-        mono = _monotonicity(w.weights, _MONO_TOL * max(1.0, float(np.max(w.weights))))
-    case_a = mono in (NONDECREASING, BOTH) and c2 <= case_a_cap
-    case_b = mono in (NONINCREASING, BOTH)
+    # The int64 sum cannot wrap: such numerators sum below 2^63.
+    total_numer = int(np.sum(w.numerators))
+    c2 = int(w.numerators[-1]) * w.block_end / w.denominator
+    mono = _monotonicity(w.numerators)
     return ValidationReport(
-        total=total,
-        sum_ok=sum_ok,
+        total=total_numer / w.denominator,
+        sum_ok=total_numer == w.denominator,
         monotonicity=mono,
         c2_constant=c2,
-        case_a_ok=case_a,
-        case_b_ok=case_b,
+        case_a_ok=mono in (NONDECREASING, BOTH) and c2 <= case_a_cap,
+        case_b_ok=mono in (NONINCREASING, BOTH),
     )
 
 
-def delta(w: WeightScheme, k: int):
+def delta(w: WeightScheme, k: int) -> Fraction:
     """Forward difference t_k - t_(k+1), with t = 0 past the block end."""
     if not w.block_start <= k <= w.block_end:
         raise ValueError(f"index {k} outside block [{w.block_start}, {w.block_end}]")
     off = k - w.block_start
-    t = w.weights if w.numerators is None else w.numerators
+    t = w.numerators
     d = t[off] - (t[off + 1] if off + 1 < w.block_size else 0)
-    return float(d) if w.numerators is None else Fraction(int(d), w.denominator)
+    return Fraction(int(d), w.denominator)

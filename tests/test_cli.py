@@ -190,7 +190,7 @@ def test_csv_header_matches_json_keys(capsys, argv):
     assert all(header.split(",") == list(row) for row in rows)
 
 
-def test_weights_validate(capsys):
+def test_weights_validate(capsys, tmp_path):
     code, out, _ = run(capsys, "weights-validate", "--weights", "linear_down", "--n", "3")
     assert code == 0
     lines = out.strip().splitlines()
@@ -198,6 +198,14 @@ def test_weights_validate(capsys):
     fields = lines[1].split(",")
     assert fields[0] == "3" and fields[2] == "true"
     assert fields[3] == "nonincreasing"
+    # a file sets its own block exponent; --n may only repeat it
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n4,1/4\n5,1/4\n6,1/4\n7,1/4\n")
+    for extra in ([], ["--n", "2"]):
+        code, out, _ = run(capsys, "weights-validate", "--weights", str(path), *extra)
+        assert code == 0 and out.splitlines()[1] == "2,1,true,both,1.75,true,true"
+    code, out, err = run(capsys, "weights-validate", "--weights", str(path), "--n", "3")
+    assert code == 2 and out == "" and "block exponent 2" in err
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
@@ -208,6 +216,10 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert ",2," in out.splitlines()[2]
     # explicit flag beats config value
     code, out, _ = run(capsys, "approx", "--config", str(cfg), "--p", "1")
+    assert code == 0
+    assert out.splitlines()[2].split(",")[1] == "1"
+    # the one-token form reads the same file
+    code, out, _ = run(capsys, "approx", f"--config={cfg}", "--p", "1")
     assert code == 0
     assert out.splitlines()[2].split(",")[1] == "1"
 
@@ -243,6 +255,14 @@ def test_usage_errors(capsys, tmp_path):
     path.write_text("k,t\n2,1\n3,1/0\n")
     code, _, err = run(capsys, "weights-validate", "--weights", str(path))
     assert code == 2 and "zero denominator" in err
+    # both commands read a weight spec alike
+    for argv in (
+        ["approx", "--function", "indicator:2"],
+        ["weights-validate"],
+        ["weights-validate", "--n", "2"],
+    ):
+        code, out, err = run(capsys, *argv, "--weights", "custom")
+        assert code == 2 and out == "" and "unknown weight spec 'custom'" in err
     for command, extra in (("approx", ["--weights", "uniform"]), ("modulus", [])):
         code, out, err = run(
             capsys, command, "--function", "indicator:2", "--resolution", "8",

@@ -33,3 +33,46 @@ def test_every_import_is_used(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import math\nimport os.path\nfrom typing import List\nos.sep\n")
     assert _unused_imports(tree) == ["List (line 3)", "math (line 1)"]
+
+
+def _dead_private_names(modules: dict):
+    """Module-level private names (functions, classes, constants) that no
+    other top-level statement of the given modules refers to."""
+    defined, refs = [], []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                targets = [stmt.target.id]
+            else:
+                targets = []
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            refs.append(names)
+            private = [t for t in targets if t.startswith("_") and not t.startswith("__")]
+            defined += [(module, t, len(refs) - 1) for t in private]
+    return sorted(
+        f"{module}.{name}"
+        for module, name, own in defined
+        if not any(name in names for i, names in enumerate(refs) if i != own)
+    )
+
+
+def test_every_private_name_is_used():
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _dead_private_names(modules) == []
+
+
+def test_dead_private_name_is_reported():
+    a = ast.parse("_LIMIT = 3\n_SPARE = 4\ndef _helper(n):\n    return _helper(n - 1)\n")
+    b = ast.parse("from .a import _LIMIT\n__all__ = []\n")
+    assert _dead_private_names({"a": a, "b": b}) == ["a._SPARE", "a._helper"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from walshvp.dyadic import integrate, interval_indicator
 from walshvp.kernels import (
+    KernelFunction,
     decompose_vp_kernel,
     dirichlet,
     dirichlet_via_recursion,
@@ -17,7 +18,7 @@ from walshvp.kernels import (
     vp_kernel,
 )
 from walshvp.walsh_system import walsh, walsh_signs
-from walshvp.weights import WeightScheme, build_scheme
+from walshvp.weights import build_scheme
 from walshvp.experiments import SplitMix64, random_rational_scheme
 
 
@@ -98,6 +99,14 @@ class TestFejer:
         assert k2.values.tolist() == [1.5, 0.5]
         assert k2.exact_value(0) == Fraction(3, 2)
 
+    def test_values_derive_from_integer_numerators(self):
+        kernel = KernelFunction(1, [3, 1], 2, "fejer:2")
+        assert kernel.values.tolist() == fejer(2, 1).values.tolist()
+        with pytest.raises(TypeError):
+            KernelFunction(1, [1.5, 0.5])  # float samples are not a form
+        with pytest.raises(ValueError):
+            KernelFunction(1, [3, 1], 0)
+
     def test_k2_l1_norm_is_one(self):
         assert kernel_l1_norm(fejer(2, 3)) == 1
 
@@ -127,7 +136,7 @@ class TestVpKernel:
     def test_single_pair_block(self):
         # n=1 block {2,3} with weights (1/2, 1/2) equals (D_2 + D_3)/2
         scheme = build_scheme("uniform", 1)
-        kernel = vp_kernel(scheme, 3, exact=True)
+        kernel = vp_kernel(scheme, 3)
         expected = (dirichlet(2, 3).values + dirichlet(3, 3).values) / 2
         assert np.array_equal(kernel.values, expected)
 
@@ -135,33 +144,22 @@ class TestVpKernel:
         rng = SplitMix64(5)
         for n in (1, 2, 3):
             scheme = random_rational_scheme(n, rng)
-            fast = vp_kernel(scheme, 6, exact=False)
+            fast = vp_kernel(scheme, 6)
             assert np.max(np.abs(fast.values - naive_vp_kernel(scheme, 6))) < 1e-11
-
-    def test_exact_matches_float(self):
-        scheme = build_scheme("linear_down", 3)
-        a = vp_kernel(scheme, 6, exact=True)
-        b = vp_kernel(scheme, 6, exact=False)
-        assert np.max(np.abs(a.values - b.values)) < 1e-11
 
     def test_block_exceeds_resolution(self):
         with pytest.raises(ValueError):
             vp_kernel(build_scheme("uniform", 4), 4)
 
-    def test_exact_requires_rationals(self):
-        scheme = WeightScheme(2, [0.3, 0.3, 0.2, 0.2])
-        with pytest.raises(ValueError):
-            vp_kernel(scheme, 5, exact=True)
-
 
 class TestDecomposition:
     def test_uniform_middle_component_vanishes(self):
-        dec = decompose_vp_kernel(build_scheme("uniform", 3), 6, exact=True)
+        dec = decompose_vp_kernel(build_scheme("uniform", 3), 6)
         assert np.all(dec.components[1].values == 0.0)
 
     def test_pair_block_identity(self):
-        dec = decompose_vp_kernel(build_scheme("uniform", 1), 3, exact=True)
-        kernel = vp_kernel(build_scheme("uniform", 1), 3, exact=True)
+        dec = decompose_vp_kernel(build_scheme("uniform", 1), 3)
+        kernel = vp_kernel(build_scheme("uniform", 1), 3)
         assert np.array_equal(dec.total().values, kernel.values)
 
     def test_random_schemes_exact_identity(self):
@@ -169,17 +167,11 @@ class TestDecomposition:
         for _ in range(10):
             n = 1 + rng.randint(3)
             scheme = random_rational_scheme(n, rng, sort="nonincreasing")
-            dec = decompose_vp_kernel(scheme, 6, exact=True)
-            kernel = vp_kernel(scheme, 6, exact=True)
+            dec = decompose_vp_kernel(scheme, 6)
+            kernel = vp_kernel(scheme, 6)
             for j in range(kernel.size):
                 total = sum(c.exact_value(j) for c in dec.components)
                 assert total == kernel.exact_value(j)
-
-    def test_float_weights_fall_back(self):
-        scheme = WeightScheme(2, [0.4, 0.3, 0.2, 0.1])
-        dec = decompose_vp_kernel(scheme, 5)
-        expected = naive_vp_kernel(scheme, 5)
-        assert np.max(np.abs(dec.total().values - expected)) < 1e-12
 
 
 class TestAbelTransform:
@@ -221,7 +213,7 @@ class TestSpaceDomainOracles:
     def test_vp_kernel(self, N, seed, data):
         n = data.draw(st.integers(1, N - 1))
         scheme = random_rational_scheme(n, SplitMix64(seed))
-        kernel = vp_kernel(scheme, N, exact=True)
+        kernel = vp_kernel(scheme, N)
         numer, denom = space_domain_vp_numerators(scheme, N)
         assert np.array_equal(kernel.exact_numer * denom, numer * kernel.exact_denom)
 
@@ -231,7 +223,7 @@ class TestBigintExactPath:
 
     def test_vp_kernel_cell_by_cell(self):
         scheme = build_scheme("cesaro", 9, alpha=0.5)
-        kernel = vp_kernel(scheme, 10, exact=True)
+        kernel = vp_kernel(scheme, 10)
         assert kernel.exact_numer.dtype == object
         numer, denom = space_domain_vp_numerators(scheme, 10)
         for j in range(kernel.size):
@@ -241,8 +233,8 @@ class TestBigintExactPath:
 
     def test_decomposition_sums_exactly(self):
         scheme = build_scheme("cesaro", 6, alpha=0.5)
-        parts = decompose_vp_kernel(scheme, 8, exact=True).components
-        kernel = vp_kernel(scheme, 8, exact=True)
+        parts = decompose_vp_kernel(scheme, 8).components
+        kernel = vp_kernel(scheme, 8)
         assert all(part.exact_numer.dtype == object for part in parts)
         for j in range(kernel.size):
             assert sum(part.exact_value(j) for part in parts) == kernel.exact_value(j)

@@ -105,28 +105,33 @@ class TestIntegerForm:
             t[i] - (t[i + 1] if i + 1 < len(t) else 0) for i in range(len(t))
         ]
 
-        kernel_numer, kernel_denom = _block_weights(w, exact=True)
+        kernel_numer, kernel_denom = _block_weights(w)
         assert [Fraction(int(a), kernel_denom) for a in kernel_numer] == t
         bound = max(reduced) << (3 * n + 2)
         assert kernel_numer.dtype == (np.int64 if bound < 2**62 else object)
 
     def test_one_form_per_scheme(self):
-        with pytest.raises(ValueError):
-            WeightScheme(1, [0.5, 0.5], numerators=[1, 1], denominator=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             WeightScheme(1)
-        with pytest.raises(ValueError):
-            WeightScheme(1, [0.5, 0.5], denominator=8)
+        with pytest.raises(TypeError):
+            WeightScheme(1, weights=[0.5, 0.5])
         with pytest.raises(ValueError):
             WeightScheme(1, numerators=[1, 1], denominator=0)
         with pytest.raises(ValueError):
             WeightScheme(1, numerators=[3, -1], denominator=2)
+        with pytest.raises(ValueError):
+            WeightScheme(1, numerators=[1, 1, 1], denominator=3)
+        # Float weights are not a form: they are rejected, positionally too.
         with pytest.raises(TypeError):
             WeightScheme(1, numerators=[0.5, 0.5], denominator=1)
+        with pytest.raises(TypeError):
+            WeightScheme(2, [0.3, 0.3, 0.2, 0.2])
+        with pytest.raises(TypeError):
+            WeightScheme(1, np.array([0.5, 0.5]))
 
     def test_weights_are_read_only(self):
         w = build_scheme("uniform", 2)
-        for arr in (w.weights, w.numerators, WeightScheme(1, [0.5, 0.5]).weights):
+        for arr in (w.weights, w.numerators):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -153,12 +158,12 @@ class TestValidate:
         report = validate(build_scheme("linear_up", 3), case_a_cap=1.0)
         assert not report.case_a_ok
 
-    def test_float_nonincreasing(self):
-        report = validate(WeightScheme(2, [0.7, 0.1, 0.1, 0.1]))
+    def test_nonincreasing_with_ties(self):
+        report = validate(WeightScheme(2, numerators=[7, 1, 1, 1], denominator=10))
         assert report.sum_ok and report.case_b_ok
 
     def test_sum_violation_detected(self):
-        report = validate(WeightScheme(2, [0.5, 0.2, 0.1, 0.1]))
+        report = validate(WeightScheme(2, numerators=[5, 2, 1, 1], denominator=10))
         assert not report.sum_ok
 
 
