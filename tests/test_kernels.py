@@ -18,7 +18,7 @@ from walshvp.kernels import (
     vp_kernel,
 )
 from walshvp.walsh_system import walsh, walsh_signs
-from walshvp.weights import build_scheme
+from walshvp.weights import WeightScheme, build_scheme
 from walshvp.experiments import SplitMix64, random_rational_scheme
 
 
@@ -150,6 +150,12 @@ class TestVpKernel:
     def test_block_exceeds_resolution(self):
         with pytest.raises(ValueError):
             vp_kernel(build_scheme("uniform", 4), 4)
+
+    def test_exact_requires_rationals(self):
+        # The kernel is exact only: float weights never reach it, the
+        # scheme that would carry them is refused.
+        with pytest.raises(TypeError):
+            vp_kernel(WeightScheme(2, [0.3, 0.3, 0.2, 0.2]), 5)
 
 
 class TestDecomposition:
