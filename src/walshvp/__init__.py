@@ -10,8 +10,6 @@ transform means (means), and the numerical verification suite
 from .dyadic import (
     INF,
     SampledFunction,
-    abs_value,
-    group_add,
     integrate,
     interval_indicator,
     lp_norm,
@@ -22,7 +20,6 @@ from .walsh_system import (
     Spectrum,
     fwht_forward,
     fwht_inverse,
-    order_of,
     partial_sum,
     rademacher,
     walsh,
@@ -49,8 +46,6 @@ __all__ = [
     "WeightScheme",
     "ValidationReport",
     "MeanResult",
-    "abs_value",
-    "group_add",
     "integrate",
     "interval_indicator",
     "lp_norm",
@@ -58,7 +53,6 @@ __all__ = [
     "translate",
     "fwht_forward",
     "fwht_inverse",
-    "order_of",
     "partial_sum",
     "rademacher",
     "walsh",

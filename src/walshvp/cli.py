@@ -9,7 +9,9 @@ supplies defaults; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -80,15 +82,48 @@ def _open_out(path: str):
     return open(path, "w"), True
 
 
-def _emit(lines_or_obj, fmt: str, out_path: str) -> None:
+def _csv_field(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _json_safe(payload):
+    if isinstance(payload, dict):
+        return {key: _json_safe(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_json_safe(value) for value in payload]
+    if isinstance(payload, float) and not math.isfinite(payload):
+        return None
+    return payload
+
+
+def _emit(payload, fmt: str, out_path: str) -> None:
+    """The one writer of CSV and JSON records.
+
+    payload is a list of flat records, one record, or an envelope
+    {**meta, "records": [...]}.  JSON keeps that shape, with non-finite
+    floats as null.  CSV writes each meta pair as a '# key=value' line,
+    then the record keys as the header and one row per record: bools as
+    true/false, floats as .12g, anything else with str.
+    """
     stream, close = _open_out(out_path)
     try:
         if fmt == "json":
-            json.dump(lines_or_obj, stream, indent=2)
+            json.dump(_json_safe(payload), stream, indent=2, allow_nan=False)
             stream.write("\n")
         else:
-            for line in lines_or_obj:
-                stream.write(line + "\n")
+            if isinstance(payload, list):
+                payload = {"records": payload}
+            elif "records" not in payload:
+                payload = {"records": [payload]}
+            records = payload["records"]
+            lines = [f"# {key}={value}" for key, value in payload.items() if key != "records"]
+            lines.append(",".join(records[0]))
+            lines += [",".join(_csv_field(v) for v in record.values()) for record in records]
+            stream.write("".join(line + "\n" for line in lines))
     finally:
         if close:
             stream.close()
@@ -107,24 +142,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Walsh-Fourier analysis and de la Vallee Poussin mean experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Abbreviations are off in every subparser: an abbreviated --config
+    # would parse but never reach _apply_config.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("transform", help="Walsh-Fourier transform of a sampled function")
+    p = add("transform", help="Walsh-Fourier transform of a sampled function")
     p.add_argument("--config")
     p.add_argument("--in", dest="infile", default="-", help="input path, '-' for stdin")
     p.add_argument("--out", default="-")
     p.add_argument("--inverse", action="store_true", help="synthesize from a spectrum")
 
-    p = sub.add_parser("kernel-norms", help="L1 norms of Dirichlet and Fejer kernels")
+    p = add("kernel-norms", help="L1 norms of Dirichlet and Fejer kernels")
     _add_common(p, resolution_default=10)
     p.add_argument("--nmax", type=int, default=0, help="default: 2^(N-1)")
 
-    p = sub.add_parser("verify-lemmas", help="run the kernel identity and bound checks")
+    p = add("verify-lemmas", help="run the kernel identity and bound checks")
     _add_common(p)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--lemma5-count", type=int, default=200, dest="lemma5_count")
     p.add_argument("--random-schemes", type=int, default=25, dest="random_schemes")
 
-    p = sub.add_parser("approx", help="approximation error vs modulus table")
+    p = add("approx", help="approximation error vs modulus table")
     _add_common(p, resolution_default=10)
     p.add_argument("--function", required=True)
     p.add_argument("--weights", required=True)
@@ -134,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cmax", type=float, default=DEFAULT_CASE_A_CAP)
 
-    p = sub.add_parser("modulus", help="modulus of continuity table")
+    p = add("modulus", help="modulus of continuity table")
     _add_common(p, resolution_default=10)
     p.add_argument("--function", required=True)
     p.add_argument("--p", default="inf")
@@ -142,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=0, help="default: N")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("weights-validate", help="validate a weight scheme")
+    p = add("weights-validate", help="validate a weight scheme")
     p.add_argument("--config")
     p.add_argument("--weights", required=True)
     p.add_argument("--n", type=int, default=0, help="block exponent for family specs")
@@ -211,17 +249,11 @@ def _cmd_transform(args) -> int:
 def _cmd_kernel_norms(args) -> int:
     n_max = args.nmax or 1 << (args.resolution - 1)
     d_norms, k_norms = kernel_norm_sweep(n_max, args.resolution)
-    if args.format == "json":
-        payload = [
-            {"n": n, "l1_dirichlet": float(d), "l1_fejer": float(k)}
-            for n, (d, k) in enumerate(zip(d_norms, k_norms), start=1)
-        ]
-        _emit(payload, "json", args.out)
-    else:
-        rows = ["n,l1_dirichlet,l1_fejer"]
-        for n, (d, k) in enumerate(zip(d_norms, k_norms), start=1):
-            rows.append(f"{n},{float(d):.12g},{float(k):.12g}")
-        _emit(rows, "csv", args.out)
+    records = [
+        {"n": n, "l1_dirichlet": float(d), "l1_fejer": float(k)}
+        for n, (d, k) in enumerate(zip(d_norms, k_norms), start=1)
+    ]
+    _emit(records, args.format, args.out)
     return 0
 
 
@@ -232,10 +264,17 @@ def _cmd_verify_lemmas(args) -> int:
         translate_count=args.lemma5_count,
         random_schemes=args.random_schemes,
     )
-    if args.format == "json":
-        _emit(experiments.lemma_json_rows(results), "json", args.out)
-    else:
-        _emit(experiments.lemma_csv_rows(results), "csv", args.out)
+    records = [
+        {
+            "lemma": r.name,
+            "instances": r.instances,
+            "worst_margin": r.worst_margin,
+            "pass": r.passed,
+            "detail": r.detail,
+        }
+        for r in results
+    ]
+    _emit(records, args.format, args.out)
     return 0 if all(r.passed for r in results) else CHECK_FAILED
 
 
@@ -257,12 +296,20 @@ def _cmd_approx(args) -> int:
         range(args.nmin, n_max + 1),
         _parse_p_list(args.p),
     )
-    if args.format == "json":
-        payload = {"seed": args.seed, "records": experiments.approx_json_rows(records)}
-        _emit(payload, "json", args.out)
-    else:
-        rows = [f"# seed={args.seed}"] + experiments.approx_csv_rows(records)
-        _emit(rows, "csv", args.out)
+    rows = [
+        {
+            "n": r.block_exponent,
+            "p": "inf" if r.p == INF else format(r.p, ".12g"),
+            "error": r.error,
+            "modulus": r.modulus,
+            "ratio": r.ratio,
+            "bound": r.bound,
+            "bound_ok": r.bound_ok,
+            "flag": r.flag,
+        }
+        for r in records
+    ]
+    _emit({"seed": args.seed, "records": rows}, args.format, args.out)
     return 0 if experiments.sweep_ok(records) else CHECK_FAILED
 
 
@@ -270,56 +317,33 @@ def _cmd_modulus(args) -> int:
     n_max = args.nmax or args.resolution
     _check_block_range(args.nmin, n_max)
     f = experiments.make_function(args.function, args.resolution, args.seed)
-    rows = []
-    for n in range(args.nmin, n_max + 1):
-        for p in _parse_p_list(args.p):
-            omega = modulus_of_continuity(f, n, p)
-            rows.append((n, p, 2.0**-n, omega))
-    if args.format == "json":
-        payload = [
-            {"n": n, "p": "inf" if p == INF else p, "delta": d, "omega": o}
-            for n, p, d, o in rows
-        ]
-        _emit(payload, "json", args.out)
-    else:
-        lines = ["n,p,delta,omega"]
-        for n, p, d, o in rows:
-            p_txt = "inf" if p == INF else format(p, ".12g")
-            lines.append(f"{n},{p_txt},{d:.12g},{o:.12g}")
-        _emit(lines, "csv", args.out)
+    records = [
+        {
+            "n": n,
+            "p": "inf" if p == INF else p,
+            "delta": 2.0**-n,
+            "omega": modulus_of_continuity(f, n, p),
+        }
+        for n in range(args.nmin, n_max + 1)
+        for p in _parse_p_list(args.p)
+    ]
+    _emit(records, args.format, args.out)
     return 0
 
 
 def _cmd_weights_validate(args) -> int:
     scheme = _scheme_factory(args.weights)(args.n or None)
     report = validate(scheme, case_a_cap=args.cmax)
-    if args.format == "json":
-        payload = {
-            "n": scheme.block_exponent,
-            "sum": report.total,
-            "sum_ok": report.sum_ok,
-            "monotonicity": report.monotonicity,
-            "c2_constant": report.c2_constant,
-            "case_a_ok": report.case_a_ok,
-            "case_b_ok": report.case_b_ok,
-        }
-        _emit(payload, "json", args.out)
-    else:
-        lines = [
-            "n,sum,sum_ok,monotonicity,c2_constant,case_a_ok,case_b_ok",
-            ",".join(
-                [
-                    str(scheme.block_exponent),
-                    format(report.total, ".12g"),
-                    "true" if report.sum_ok else "false",
-                    report.monotonicity,
-                    format(report.c2_constant, ".12g"),
-                    "true" if report.case_a_ok else "false",
-                    "true" if report.case_b_ok else "false",
-                ]
-            ),
-        ]
-        _emit(lines, "csv", args.out)
+    record = {
+        "n": scheme.block_exponent,
+        "sum": report.total,
+        "sum_ok": report.sum_ok,
+        "monotonicity": report.monotonicity,
+        "c2_constant": report.c2_constant,
+        "case_a_ok": report.case_a_ok,
+        "case_b_ok": report.case_b_ok,
+    }
+    _emit(record, args.format, args.out)
     return 0
 
 

@@ -116,23 +116,6 @@ class SampledFunction:
         return f"SampledFunction(N={self.resolution}, size={self.size})"
 
 
-def group_add(a: int, b: int, resolution: int) -> int:
-    """Group operation: coordinate-wise addition mod 2, i.e. XOR of indices."""
-    check_resolution(resolution)
-    return _check_point(a, resolution) ^ _check_point(b, resolution)
-
-
-def abs_value(a: int, resolution: int) -> float:
-    """|x| = sum_i x_i / 2^(i+1) truncated to the retained coordinates."""
-    check_resolution(resolution)
-    _check_point(a, resolution)
-    total = 0.0
-    for i in range(resolution):
-        if (a >> i) & 1:
-            total += 2.0 ** -(i + 1)
-    return total
-
-
 def abs_values(resolution: int) -> np.ndarray:
     """|x| for every point index at once."""
     check_resolution(resolution)

@@ -464,80 +464,3 @@ def verify_all_lemmas(
         _check_decomposition(resolution, seed + 1, random_schemes),
     ]
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def _fmt_p(p: float) -> str:
-    return "inf" if p == INF else format(p, ".12g")
-
-
-APPROX_HEADER = "n,p,error,modulus,ratio,bound,bound_ok,flag"
-LEMMA_HEADER = "lemma,instances,worst_margin,pass,detail"
-
-
-def approx_csv_rows(records: Iterable[ApproxRecord]) -> List[str]:
-    rows = [APPROX_HEADER]
-    for r in records:
-        rows.append(
-            ",".join(
-                [
-                    str(r.block_exponent),
-                    _fmt_p(r.p),
-                    _fmt(r.error),
-                    _fmt(r.modulus),
-                    _fmt(r.ratio),
-                    _fmt(r.bound),
-                    "true" if r.bound_ok else "false",
-                    r.flag,
-                ]
-            )
-        )
-    return rows
-
-
-def approx_json_rows(records: Iterable[ApproxRecord]) -> List[dict]:
-    return [
-        {
-            "n": r.block_exponent,
-            "p": _fmt_p(r.p),
-            "error": r.error,
-            "modulus": r.modulus,
-            "ratio": None if math.isinf(r.ratio) else r.ratio,
-            "bound": None if math.isnan(r.bound) else r.bound,
-            "bound_ok": r.bound_ok,
-            "flag": r.flag,
-        }
-        for r in records
-    ]
-
-
-def lemma_csv_rows(results: Iterable[LemmaResult]) -> List[str]:
-    rows = [LEMMA_HEADER]
-    for r in results:
-        rows.append(
-            ",".join(
-                [
-                    r.name,
-                    str(r.instances),
-                    _fmt(r.worst_margin),
-                    "true" if r.passed else "false",
-                    r.detail,
-                ]
-            )
-        )
-    return rows
-
-
-def lemma_json_rows(results: Iterable[LemmaResult]) -> List[dict]:
-    return [
-        {
-            "lemma": r.name,
-            "instances": r.instances,
-            "worst_margin": r.worst_margin,
-            "pass": r.passed,
-            "detail": r.detail,
-        }
-        for r in results
-    ]

@@ -47,9 +47,6 @@ class KernelFunction(SampledFunction):
         object.__setattr__(self, "exact_numer", exact_numer)
         object.__setattr__(self, "exact_denom", exact_denom)
 
-    def exact_value(self, j: int) -> Fraction:
-        return Fraction(int(self.exact_numer[j]), self.exact_denom)
-
 
 @dataclass(frozen=True)
 class KernelDecomposition:
@@ -59,10 +56,6 @@ class KernelDecomposition:
 
     block_exponent: int
     components: tuple
-
-    def total(self) -> SampledFunction:
-        first, second, third = self.components
-        return first + second + third
 
 
 def _check_order(n: int, resolution: int) -> int:

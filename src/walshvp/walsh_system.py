@@ -77,13 +77,6 @@ def walsh(n: int, resolution: int) -> SampledFunction:
     return SampledFunction(resolution, walsh_signs(n, resolution).astype(np.float64))
 
 
-def order_of(n: int) -> int:
-    """Order |n|: the position of the highest set binary digit."""
-    if n < 1:
-        raise ValueError(f"order is defined for n >= 1, got {n}")
-    return int(n).bit_length() - 1
-
-
 def hadamard_transform(values) -> np.ndarray:
     """Unnormalized Hadamard butterfly, y[n] = sum_j (-1)^popcount(n&j) x[j].
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from walshvp import experiments
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
@@ -179,15 +180,72 @@ def test_modulus_table(capsys):
         ("verify-lemmas", "--resolution", "5", "--lemma5-count", "6", "--random-schemes", "2"),
         ("approx", "--function", "indicator:2", "--weights", "uniform", "--p", "2,inf",
          "--resolution", "6", "--nmax", "3"),
+        ("kernel-norms", "--resolution", "5"),
+        ("modulus", "--function", "step_mix", "--p", "1,2,inf", "--resolution", "5"),
+        ("weights-validate", "--weights", "cesaro:2", "--n", "3"),
     ],
 )
 def test_csv_header_matches_json_keys(capsys, argv):
     _, out, _ = run(capsys, *argv)
-    header = next(line for line in out.splitlines() if not line.startswith("#"))
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
     _, out, _ = run(capsys, *argv, "--format", "json")
     payload = json.loads(out)
-    rows = payload["records"] if isinstance(payload, dict) else payload
-    assert all(header.split(",") == list(row) for row in rows)
+    if argv[0] == "approx":
+        rows = payload["records"]
+    elif argv[0] == "weights-validate":
+        rows = [payload]  # one object, not a list
+    else:
+        rows = payload
+    assert len(rows) == len(lines) - 1
+    assert all(lines[0].split(",") == list(row) for row in rows)
+
+
+def test_approx_fields(capsys):
+    argv = ("approx", "--function", "abs_power:1.0", "--weights", "uniform", "--p", "1,inf",
+            "--resolution", "8", "--nmin", "2", "--nmax", "2")
+    _, out, _ = run(capsys, *argv)
+    lines = out.splitlines()[1:]
+    assert lines[1].startswith("2,1,") and lines[2].startswith("2,inf,")
+    assert [row["bound_ok"] for row in csv.DictReader(lines)] == ["true", "true"]
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert [row["p"] for row in json.loads(out)["records"]] == ["1", "inf"]
+    # no constant is asserted for increasing weights
+    code, out, _ = run(capsys, "approx", "--function", "abs_power:1.0", "--weights",
+                       "linear_up", "--p", "2", "--resolution", "8", "--nmin", "2",
+                       "--nmax", "2", "--format", "json")
+    row = json.loads(out)["records"][0]
+    assert code == 0 and row["bound"] is None and row["bound_ok"] is True
+
+
+def test_lemma_fields(capsys, monkeypatch):
+    monkeypatch.setattr(
+        experiments, "verify_all_lemmas",
+        lambda *args, **kwargs: [experiments.LemmaResult("x", 3, 0.25, True)],
+    )
+    code, out, _ = run(capsys, "verify-lemmas")
+    assert code == 0
+    assert out.splitlines() == ["lemma,instances,worst_margin,pass,detail", "x,3,0.25,true,"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("verify-lemmas", "--resolution", "4", "--lemma5-count", "0"), "worst_margin"),
+        (("modulus", "--function", "walsh_poly:0,1e308", "--resolution", "3", "--p", "inf",
+          "--nmax", "1"), "omega"),
+    ],
+)
+def test_nonfinite_values_are_null_in_json(capsys, argv, key):
+    # an empty translate check has margin inf; 1e308 walsh swings overflow
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    rows = json.loads(out, parse_constant=_reject_constant)
+    assert None in [row[key] for row in rows]
+    _, out, _ = run(capsys, *argv)
+    assert "inf" in [row[key] for row in csv.DictReader(out.splitlines())]
 
 
 def test_weights_validate(capsys, tmp_path):
@@ -222,6 +280,12 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     code, out, _ = run(capsys, "approx", f"--config={cfg}", "--p", "1")
     assert code == 0
     assert out.splitlines()[2].split(",")[1] == "1"
+    # an abbreviation would parse and skip the file, so it is refused
+    flags = ["--function", "abs_power:1.0", "--weights", "uniform", "--nmax", "2"]
+    for argv in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["approx", *flags, *argv])
+        assert exc.value.code == 2
 
 
 def test_deterministic_output(capsys):

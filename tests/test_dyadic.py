@@ -10,9 +10,7 @@ from walshvp import dyadic
 from walshvp.dyadic import (
     INF,
     SampledFunction,
-    abs_value,
     abs_values,
-    group_add,
     integrate,
     interval_indicator,
     lp_norm,
@@ -29,51 +27,72 @@ def rand_fn(seed, resolution):
     return SampledFunction(resolution, rng.uniform(-1, 1, 1 << resolution))
 
 
+def _abs_value(a, resolution):
+    """Scalar oracle for abs_values: |x| = sum_i x_i / 2^(i+1)."""
+    total = 0.0
+    for i in range(resolution):
+        if (a >> i) & 1:
+            total += 2.0 ** -(i + 1)
+    return total
+
+
+def _add(a, b, resolution):
+    """a + b read off translate: the identity f(x) = x translated by b,
+    evaluated at a."""
+    ident = SampledFunction(resolution, np.arange(1 << resolution, dtype=np.float64))
+    return int(translate(ident, b).values[a])
+
+
 class TestGroup:
+    """The group operation, as translate applies it."""
+
     def test_null_element(self):
-        assert group_add(0, 5, 3) == 5
+        assert _add(0, 5, 3) == 5
 
     def test_self_inverse(self):
-        assert group_add(5, 5, 3) == 0
+        assert _add(5, 5, 3) == 0
 
     def test_xor(self):
-        assert group_add(3, 5, 3) == 6
+        assert _add(3, 5, 3) == 6
+        # translate by t permutes the cells by XOR with t
+        for t in range(16):
+            assert [_add(x, t, 4) for x in range(16)] == [x ^ t for x in range(16)]
 
     def test_group_axioms_exhaustive(self):
         # associativity/commutativity over the whole group at N=4
         size = 16
         for a in range(size):
             for b in range(size):
-                ab = group_add(a, b, 4)
-                assert ab == group_add(b, a, 4)
+                ab = _add(a, b, 4)
+                assert ab == _add(b, a, 4)
                 for c in range(0, size, 5):
-                    assert group_add(ab, c, 4) == group_add(a, group_add(b, c, 4), 4)
+                    assert _add(ab, c, 4) == _add(a, _add(b, c, 4), 4)
 
     def test_resolution_mismatch(self):
         with pytest.raises(ValueError):
-            group_add(9, 1, 3)
+            translate(rand_fn(0, 3), 9)
 
 
 class TestAbsValue:
     def test_zero(self):
-        assert abs_value(0, 4) == 0.0
+        assert abs_values(4)[0] == 0.0
 
     def test_first_coordinate(self):
-        assert abs_value(1, 4) == 0.5
+        assert abs_values(4)[1] == 0.5
 
     def test_all_ones_n3(self):
         # 1/2 + 1/4 + 1/8
-        assert abs_value(7, 3) == 0.875
+        assert abs_values(3)[7] == 0.875
 
     def test_range_and_involution(self):
+        vals = abs_values(4)
         for j in range(16):
-            v = abs_value(j, 4)
-            assert 0.0 <= v <= 1 - 2.0**-4
-            assert abs_value(group_add(j, j, 4), 4) == 0.0
+            assert 0.0 <= vals[j] <= 1 - 2.0**-4
+            assert vals[_add(j, j, 4)] == 0.0
 
     def test_vectorized_matches_scalar(self):
         vals = abs_values(5)
-        assert vals.tolist() == [abs_value(j, 5) for j in range(32)]
+        assert vals.tolist() == [_abs_value(j, 5) for j in range(32)]
 
 
 class TestIntegrate:

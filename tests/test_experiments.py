@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import math
 
@@ -211,25 +210,3 @@ class TestVerifyAllLemmas:
         with pytest.raises(ValueError):
             exp.verify_all_lemmas(3)
 
-
-class TestSerialization:
-    def test_csv_rows(self):
-        f = exp.abs_power(1.0, 8)
-        recs = exp.ratio_sweep(f, "uniform", [2], (1.0, INF))
-        rows = exp.approx_csv_rows(recs)
-        assert rows[0] == "n,p,error,modulus,ratio,bound,bound_ok,flag"
-        assert rows[1].startswith("2,1,") and rows[2].startswith("2,inf,")
-        assert next(csv.DictReader(rows))["bound_ok"] == "true"
-
-    def test_json_rows(self):
-        f = exp.abs_power(1.0, 8)
-        recs = exp.ratio_sweep(f, "linear_up", [2], (2.0,), bound_constant=None)
-        payload = exp.approx_json_rows(recs)
-        assert payload[0]["bound"] is None and payload[0]["bound_ok"]
-
-    def test_lemma_rows(self):
-        results = [exp.LemmaResult("x", 3, 0.25, True)]
-        assert exp.lemma_csv_rows(results) == [
-            "lemma,instances,worst_margin,pass,detail",
-            "x,3,0.25,true,",
-        ]

@@ -11,7 +11,6 @@ from walshvp.walsh_system import (
     fourier_coefficients_naive,
     fwht_forward,
     fwht_inverse,
-    order_of,
     partial_sum,
     rademacher,
     read_spectrum,
@@ -63,14 +62,6 @@ def test_walsh_multiplicativity_exhaustive():
         for n in range(1 << N):
             prod = walsh(m, N) * walsh(n, N)
             assert np.array_equal(prod.values, walsh(m ^ n, N).values)
-
-
-def test_order_of():
-    assert order_of(1) == 0
-    assert order_of(5) == 2
-    assert order_of(1 << 10) == 10
-    with pytest.raises(ValueError):
-        order_of(0)
 
 
 class TestTransform:
