@@ -200,23 +200,6 @@ def test_csv_header_matches_json_keys(capsys, argv):
     assert all(lines[0].split(",") == list(row) for row in rows)
 
 
-def test_approx_fields(capsys):
-    argv = ("approx", "--function", "abs_power:1.0", "--weights", "uniform", "--p", "1,inf",
-            "--resolution", "8", "--nmin", "2", "--nmax", "2")
-    _, out, _ = run(capsys, *argv)
-    lines = out.splitlines()[1:]
-    assert lines[1].startswith("2,1,") and lines[2].startswith("2,inf,")
-    assert [row["bound_ok"] for row in csv.DictReader(lines)] == ["true", "true"]
-    _, out, _ = run(capsys, *argv, "--format", "json")
-    assert [row["p"] for row in json.loads(out)["records"]] == ["1", "inf"]
-    # no constant is asserted for increasing weights
-    code, out, _ = run(capsys, "approx", "--function", "abs_power:1.0", "--weights",
-                       "linear_up", "--p", "2", "--resolution", "8", "--nmin", "2",
-                       "--nmax", "2", "--format", "json")
-    row = json.loads(out)["records"][0]
-    assert code == 0 and row["bound"] is None and row["bound_ok"] is True
-
-
 def test_lemma_fields(capsys, monkeypatch):
     monkeypatch.setattr(
         experiments, "verify_all_lemmas",

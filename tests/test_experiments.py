@@ -1,10 +1,13 @@
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from walshvp import experiments as exp
+from walshvp.cli import main
 from walshvp.dyadic import INF, SampledFunction, abs_values, lp_norm
 from walshvp.kernels import fejer
 from walshvp.means import dyadic_convolve_naive
@@ -210,3 +213,30 @@ class TestVerifyAllLemmas:
         with pytest.raises(ValueError):
             exp.verify_all_lemmas(3)
 
+
+def _approx(capsys, weights, p, fmt):
+    argv = ["approx", "--function", "abs_power:1.0", "--weights", weights, "--p", p,
+            "--resolution", "8", "--nmin", "2", "--nmax", "2", "--format", fmt]
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+class TestSerialization:
+    """Sweep records as the approx command's single record writer prints them."""
+
+    def test_csv_rows(self, capsys):
+        code, out = _approx(capsys, "uniform", "1,inf", "csv")
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert code == 0
+        assert rows[0] == "n,p,error,modulus,ratio,bound,bound_ok,flag"
+        assert rows[1].startswith("2,1,") and rows[2].startswith("2,inf,")
+        assert [row["bound_ok"] for row in csv.DictReader(rows)] == ["true", "true"]
+
+    def test_json_rows(self, capsys):
+        code, out = _approx(capsys, "uniform", "1,inf", "json")
+        assert code == 0
+        assert [row["p"] for row in json.loads(out)["records"]] == ["1", "inf"]
+        # no constant is asserted for increasing weights
+        code, out = _approx(capsys, "linear_up", "2", "json")
+        payload = json.loads(out)["records"]
+        assert code == 0 and payload[0]["bound"] is None and payload[0]["bound_ok"] is True
