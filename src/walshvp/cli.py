@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kernel-norms", help="L1 norms of Dirichlet and Fejer kernels")
     _add_common(p, resolution_default=10)
-    p.add_argument("--nmax", type=int, default=0, help="default: 2^(N-1)")
+    p.add_argument("--nmax", type=int, help="default: 2^(N-1)")
 
     p = add("verify-lemmas", help="run the kernel identity and bound checks")
     _add_common(p)
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--p", default="inf", help="comma list, e.g. 1,2,inf")
     p.add_argument("--nmin", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=0, help="default: N-2")
+    p.add_argument("--nmax", type=int, help="default: N-2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cmax", type=float, default=DEFAULT_CASE_A_CAP)
 
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--p", default="inf")
     p.add_argument("--nmin", type=int, default=0)
-    p.add_argument("--nmax", type=int, default=0, help="default: N")
+    p.add_argument("--nmax", type=int, help="default: N")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("weights-validate", help="validate a weight scheme")
@@ -247,7 +247,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_kernel_norms(args) -> int:
-    n_max = args.nmax or 1 << (args.resolution - 1)
+    n_max = 1 << (args.resolution - 1) if args.nmax is None else args.nmax
     d_norms, k_norms = kernel_norm_sweep(n_max, args.resolution)
     records = [
         {"n": n, "l1_dirichlet": float(d), "l1_fejer": float(k)}
@@ -284,7 +284,7 @@ def _check_block_range(n_min: int, n_max: int) -> None:
 
 
 def _cmd_approx(args) -> int:
-    n_max = args.nmax or args.resolution - 2
+    n_max = args.resolution - 2 if args.nmax is None else args.nmax
     if n_max + 1 > args.resolution:
         raise ValueError(f"nmax={n_max} needs resolution >= {n_max + 1}")
     _check_block_range(args.nmin, n_max)
@@ -314,7 +314,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    n_max = args.nmax or args.resolution
+    n_max = args.resolution if args.nmax is None else args.nmax
     _check_block_range(args.nmin, n_max)
     f = experiments.make_function(args.function, args.resolution, args.seed)
     records = [

@@ -56,10 +56,12 @@ class SampledFunction:
     """Real-valued function on the group, constant on rank-N cells.
 
     values[j] is the value on the cell of the point with index j.
-    Instances are treated as immutable; operations return new objects.
+    Instances are immutable, values is a read-only view, and operations
+    return new objects.  What depends only on the function (its spectrum,
+    its p = 2 moduli) is computed once and kept in the private slots.
     """
 
-    __slots__ = ("resolution", "values")
+    __slots__ = ("resolution", "values", "_spectrum", "_l2_moduli")
 
     def __init__(self, resolution: int, values) -> None:
         resolution = check_resolution(resolution)
@@ -71,8 +73,12 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
+        arr = arr.view()
+        arr.setflags(write=False)
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_l2_moduli", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampledFunction is immutable")
@@ -117,12 +123,15 @@ class SampledFunction:
 
 
 def abs_values(resolution: int) -> np.ndarray:
-    """|x| for every point index at once."""
+    """|x| for every point index at once.
+
+    Built by doubling: the indices with bit i set are those below 2^i plus
+    2^i, and gain 2^-(i+1).  Every value is an exact dyadic rational.
+    """
     check_resolution(resolution)
-    idx = np.arange(1 << resolution, dtype=np.int64)
-    total = np.zeros(idx.size)
+    total = np.zeros(1)
     for i in range(resolution):
-        total += ((idx >> i) & 1) * 2.0 ** -(i + 1)
+        total = np.concatenate((total, total + 2.0 ** -(i + 1)))
     return total
 
 
@@ -207,31 +216,47 @@ def interval_indicator(n: int, resolution: int) -> SampledFunction:
     return SampledFunction(resolution, values)
 
 
-def _modulus_l2(f: SampledFunction, n: int) -> float:
+def _l2_moduli(f: SampledFunction) -> tuple:
     # ||f(.+t) - f||_2^2 = 2 * (sum_m fhat(m)^2 - sum_m fhat(m)^2 w_m(t)),
     # so one unnormalized transform of the squared spectrum gives the
-    # distance for every t simultaneously.  Every |fhat(m)| <= max |f|, so
-    # the coefficients are divided by the scale of that bound before squaring.
-    from .walsh_system import fwht_forward, hadamard_transform
+    # distance for every t simultaneously, and omega_2(f, 2^-n) is its
+    # largest value over t = 0 mod 2^n: halving the stride n times.  Every
+    # |fhat(m)| <= max |f|, so the coefficients are divided by the scale of
+    # that bound before squaring.
+    from .walsh_system import _butterfly, fwht_forward
 
     top = max(-float(np.min(f.values)), float(np.max(f.values)))
     if top == 0.0:  # f = 0; samples are finite, so top < inf
-        return 0.0
+        return (0.0,) * (f.resolution + 1)
     scale = _power_scale(top, 2.0, f.resolution)
-    g = (fwht_forward(f).coeffs / scale) ** 2
+    g = fwht_forward(f).coeffs / scale
+    g **= 2
     total = _pairwise_total(g)
-    per_t = 2.0 * (total - hadamard_transform(g))
-    step = 1 << n
-    worst = float(np.max(per_t[::step]))
-    return scale * math.sqrt(max(worst, 0.0))
+    per_t = _butterfly(g)
+    np.subtract(total, per_t, out=per_t)
+    per_t *= 2.0
+    moduli = []
+    for _ in range(f.resolution + 1):
+        worst = float(np.max(per_t))
+        moduli.append(scale * math.sqrt(max(worst, 0.0)))
+        per_t = per_t[::2]
+    return tuple(moduli)
+
+
+def _modulus_l2(f: SampledFunction, n: int) -> float:
+    if f._l2_moduli is None:
+        object.__setattr__(f, "_l2_moduli", _l2_moduli(f))
+    return f._l2_moduli[n]
 
 
 def _coset_oscillation(values: np.ndarray, n: int) -> float:
     # Column r of the (2^(N-n), 2^n) table is the coset {y : y mod 2^n = r},
     # the orbit of a point under I_n.  Rounding is monotone, so the largest
-    # rounded difference in a coset is the rounded max - min.
+    # rounded difference in a coset is the rounded max - min; past the float
+    # range that is inf, which needs no warning.
     cosets = values.reshape(-1, 1 << n)
-    return float(np.max(cosets.max(axis=0) - cosets.min(axis=0)))
+    with np.errstate(over="ignore"):
+        return float(np.max(cosets.max(axis=0) - cosets.min(axis=0)))
 
 
 # Cells per block of translates in the finite-p modulus (512 KiB of float64).

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SampledFunction
-from .walsh_system import fwht_forward, hadamard_transform
+from .walsh_system import _butterfly, fwht_forward, hadamard_transform
 from .weights import WeightScheme
 from .kernels import _block_multiplier
 
@@ -74,8 +74,9 @@ def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -
         )
     block = (w.block_start, w.block_end)
     if path == PATH_CONVOLUTION:
-        coeffs = fwht_forward(f).coeffs * _block_multiplier(w.weights, f.resolution)
-        return MeanResult(SampledFunction(f.resolution, hadamard_transform(coeffs)), path, block)
+        coeffs = _block_multiplier(w.weights, f.resolution)
+        coeffs *= fwht_forward(f).coeffs
+        return MeanResult(SampledFunction(f.resolution, _butterfly(coeffs)), path, block)
     if path == PATH_PARTIAL_SUMS:
         result = general_vp_mean(f, w.weights, w.block_start, w.block_end)
         return MeanResult(result, path, block)

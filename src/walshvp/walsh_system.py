@@ -29,6 +29,8 @@ class Spectrum:
             raise ValueError(
                 f"expected {1 << resolution} coefficients, got shape {arr.shape}"
             )
+        arr = arr.view()
+        arr.setflags(write=False)
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "coeffs", arr)
 
@@ -77,6 +79,48 @@ def walsh(n: int, resolution: int) -> SampledFunction:
     return SampledFunction(resolution, walsh_signs(n, resolution).astype(np.float64))
 
 
+# Arrays of at least this many entries run two butterfly stages per pass;
+# below it the fixed cost of the extra views outweighs the saved pass over
+# memory (layer timings in BENCH_7.json).
+_RADIX4_MIN_SIZE = 1 << 12
+
+
+def _butterfly(a: np.ndarray) -> np.ndarray:
+    """The Hadamard butterfly in place on a contiguous 1-D array whose
+    size is a power of two; returns a.
+
+    A radix-4 pass fuses the stages of spans h and 2h on the quarters x0..x3
+    of each group of 4h entries: s0 = x0 + x1, d0 = x0 - x1, s1 = x2 + x3,
+    d1 = x2 - x3, then s0 + s1, d0 + d1, s0 - s1, d0 - d1.  Those are the
+    additions of the two radix-2 stages in the same order, so the result
+    is the same bit for bit.  An odd stage count ends on one radix-2 stage.
+    """
+    n = a.size
+    h = 1
+    if n >= _RADIX4_MIN_SIZE:
+        work = np.empty((4, n // 4), dtype=a.dtype)
+        while 4 * h <= n:
+            x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
+            s0, d0, s1, d1 = work.reshape(4, -1, h)
+            np.add(x0, x1, out=s0)
+            np.subtract(x0, x1, out=d0)
+            np.add(x2, x3, out=s1)
+            np.subtract(x2, x3, out=d1)
+            np.add(s0, s1, out=x0)
+            np.add(d0, d1, out=x1)
+            np.subtract(s0, s1, out=x2)
+            np.subtract(d0, d1, out=x3)
+            h *= 4
+    while h < n:
+        x = a.reshape(-1, 2 * h)
+        left = x[:, :h].copy()
+        right = x[:, h:].copy()
+        x[:, :h] = left + right
+        x[:, h:] = left - right
+        h *= 2
+    return a
+
+
 def hadamard_transform(values) -> np.ndarray:
     """Unnormalized Hadamard butterfly, y[n] = sum_j (-1)^popcount(n&j) x[j].
 
@@ -84,27 +128,27 @@ def hadamard_transform(values) -> np.ndarray:
     integer spectrum synthesizes exact values; the caller picks object
     when sum_j |x[j]| may pass the int64 range.  Anything else is
     computed in float64.  Self-inverse up to the factor 2^N; O(N 2^N)
-    operations.
+    operations.  The input is copied, never written.
     """
     integer = isinstance(values, np.ndarray) and values.dtype in (np.int64, object)
     a = np.array(values, dtype=values.dtype if integer else np.float64)
     n = a.size
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        right = a[:, h:].copy()
-        a[:, :h] = left + right
-        a[:, h:] = left - right
-        h *= 2
-    return a.reshape(n)
+    return _butterfly(a.reshape(n))
 
 
 def fwht_forward(f: SampledFunction) -> Spectrum:
-    """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu)."""
-    return Spectrum(f.resolution, hadamard_transform(f.values) * 2.0**-f.resolution)
+    """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu).
+
+    The spectrum is computed once per function and kept on it; both are
+    read-only, so every caller shares one transform.
+    """
+    if f._spectrum is None:
+        coeffs = hadamard_transform(f.values)
+        coeffs *= 2.0**-f.resolution
+        object.__setattr__(f, "_spectrum", Spectrum(f.resolution, coeffs))
+    return f._spectrum
 
 
 def fwht_inverse(s: Spectrum) -> SampledFunction:

@@ -109,14 +109,30 @@ def _over_common_denominator(raw: Sequence[Fraction]) -> tuple:
     return [q.numerator * (denom // q.denominator) for q in raw], denom
 
 
-def _binomial_ratio_weights(alpha: Fraction, count: int) -> list:
-    # A^(alpha-1)_m = binom(m + alpha - 1, m), assigned to the block
-    # index with m counting down from count-1 to 0.
-    coeffs = [Fraction(1)]
+def _binomial_ratio_numerators(alpha: Fraction, count: int) -> list:
+    # A^(alpha-1)_m = binom(m + alpha - 1, m) as integers with gcd 1,
+    # assigned to the block index with m counting down from count-1 to 0.
+    # A_m = A_{m-1} a_m / b_m, where a_m / b_m = (p + m q) / (m q) in lowest
+    # terms for alpha - 1 = p/q.  If e_0..e_{m-1} have gcd 1, scaling them by
+    # c_m = b_m / g_m, g_m = gcd(b_m, e_{m-1}), and appending
+    # e_m = e_{m-1} / g_m * a_m keeps the gcd at 1.  So numerator m is the
+    # prefix chain e_m times the suffix product of c_j over j > m, and
+    # every gcd taken has a small operand.
     beta = alpha - 1
+    p, q = beta.numerator, beta.denominator
+    chain, scales = [1], [1]
     for m in range(1, count):
-        coeffs.append(coeffs[-1] * (beta + m) / m)
-    return list(reversed(coeffs))
+        a, b = p + m * q, m * q
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        g = math.gcd(b, chain[-1])
+        chain.append(chain[-1] // g * a)
+        scales.append(b // g)
+    numerators, suffix = [], 1
+    for e, c in zip(reversed(chain), reversed(scales)):
+        numerators.append(e * suffix)
+        suffix *= c
+    return numerators
 
 
 def build_scheme(
@@ -147,10 +163,10 @@ def build_scheme(
         alpha_q = Fraction(alpha).limit_denominator(10**9)
         if alpha_q <= -1:
             raise ValueError(f"cesaro alpha must exceed -1, got {alpha}")
-        raw = _binomial_ratio_weights(alpha_q, count)
-        if any(t < 0 for t in raw):
+        numerators = _binomial_ratio_numerators(alpha_q, count)
+        if any(a < 0 for a in numerators):
             raise ValueError(f"cesaro alpha {alpha} produces negative weights")
-        return _normalized(_over_common_denominator(raw)[0], n, f"cesaro:{alpha}")
+        return _normalized(numerators, n, f"cesaro:{alpha}")
     if family == "custom":
         if path is None:
             raise ValueError("custom family requires a file path")

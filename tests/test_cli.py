@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from walshvp import experiments
+from walshvp import experiments, means, walsh_system
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
@@ -322,3 +323,46 @@ def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("WALSHVP_MAX_N", "abc")
     code, _, err = run(capsys, "modulus", "--function", "indicator:2", "--resolution", "4")
     assert code == 2 and "WALSHVP_MAX_N" in err
+
+
+def test_explicit_nmax_zero_is_honoured(capsys):
+    code, out, _ = run(capsys, "modulus", "--function", "step_mix", "--resolution", "4",
+                       "--nmin", "0", "--nmax", "0")
+    rows = out.splitlines()
+    assert code == 0 and len(rows) == 2 and rows[1].startswith("0,inf,1,")
+    code, out, err = run(capsys, "approx", "--function", "step_mix", "--weights", "uniform",
+                         "--resolution", "4", "--nmax", "0")
+    assert code == 2 and out == "" and "nmin=1 > nmax=0" in err
+    code, out, err = run(capsys, "kernel-norms", "--resolution", "4", "--nmax", "0")
+    assert code == 2 and out == "" and "n_max >= 1" in err
+
+
+def test_overflowing_oscillation_prints_no_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "modulus", "--function", "walsh_poly:0,1e308",
+                             "--resolution", "3", "--p", "inf", "--nmax", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "0,inf,1,inf"
+
+
+@pytest.mark.parametrize(
+    "argv, transforms",
+    [
+        # f once, one synthesis per block mean, one transform for every p = 2 modulus
+        (("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3"), 5),
+        (("modulus", "--nmin", "0", "--nmax", "2"), 2),
+    ],
+)
+def test_transforms_per_command(capsys, monkeypatch, argv, transforms):
+    sizes = []
+    butterfly = walsh_system._butterfly
+
+    def counted(a):
+        sizes.append(a.size)
+        return butterfly(a)
+
+    monkeypatch.setattr(walsh_system, "_butterfly", counted)
+    monkeypatch.setattr(means, "_butterfly", counted)
+    code, _, _ = run(capsys, *argv, "--function", "step_mix", "--resolution", "10", "--p", "2")
+    assert code == 0 and sizes == [1 << 10] * transforms

@@ -36,6 +36,15 @@ def _abs_value(a, resolution):
     return total
 
 
+def _abs_values_by_bits(resolution):
+    """The bitwise loop abs_values replaced: one pass per coordinate."""
+    idx = np.arange(1 << resolution, dtype=np.int64)
+    total = np.zeros(idx.size)
+    for i in range(resolution):
+        total += ((idx >> i) & 1) * 2.0 ** -(i + 1)
+    return total
+
+
 def _add(a, b, resolution):
     """a + b read off translate: the identity f(x) = x translated by b,
     evaluated at a."""
@@ -93,6 +102,10 @@ class TestAbsValue:
     def test_vectorized_matches_scalar(self):
         vals = abs_values(5)
         assert vals.tolist() == [_abs_value(j, 5) for j in range(32)]
+
+    def test_doubling_matches_bitwise_loop(self):
+        for N in range(1, 21):
+            assert abs_values(N).tobytes() == _abs_values_by_bits(N).tobytes()
 
 
 class TestIntegrate:
@@ -323,3 +336,10 @@ class TestValidation:
         f = SampledFunction(2, np.zeros(4))
         with pytest.raises(AttributeError):
             f.resolution = 5
+
+    def test_values_are_a_read_only_view(self):
+        source = np.zeros(4)
+        f = SampledFunction(2, source)
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+        source[0] = 1.0  # the caller's array stays writable

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from walshvp import walsh_system
 from walshvp.dyadic import SampledFunction, integrate, lp_norm
 from walshvp.walsh_system import (
     Spectrum,
@@ -11,6 +12,7 @@ from walshvp.walsh_system import (
     fourier_coefficients_naive,
     fwht_forward,
     fwht_inverse,
+    hadamard_transform,
     partial_sum,
     rademacher,
     read_spectrum,
@@ -94,6 +96,67 @@ class TestTransform:
             f = rand_fn(N, N)
             energy = float(np.sum(fwht_forward(f).coeffs ** 2))
             assert energy == pytest.approx(lp_norm(f, 2) ** 2, rel=1e-12)
+
+
+def _radix2_oracle(values):
+    """One radix-2 stage per pass over fresh copies: the butterfly the
+    radix-4 passes must reproduce bit for bit."""
+    integer = values.dtype in (np.int64, object)
+    a = np.array(values, dtype=values.dtype if integer else np.float64)
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2 * h)
+        left = a[:, :h].copy()
+        right = a[:, h:].copy()
+        a[:, :h] = left + right
+        a[:, h:] = left - right
+        h *= 2
+    return a.reshape(-1)
+
+
+def _same(a, b):
+    if a.dtype == object:
+        return b.dtype == object and a.tolist() == b.tolist()
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestButterfly:
+    @staticmethod
+    def _inputs(N):
+        rng = np.random.default_rng(N)
+        size = 1 << N
+        return (
+            rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size),
+            rng.integers(-(2**40), 2**40, size),
+            np.array([int(v) << 70 for v in rng.integers(-(2**40), 2**40, size)], dtype=object),
+        )
+
+    @pytest.mark.parametrize("N", range(1, 17))
+    def test_matches_radix2_oracle(self, N):
+        # Odd and even stage counts on both sides of the radix-4 cut-over.
+        for x in self._inputs(N):
+            expected = _radix2_oracle(x)
+            before = x.copy()
+            assert _same(hadamard_transform(x), expected)
+            assert _same(x, before)  # the input is copied, never written
+            a = x.copy()
+            assert walsh_system._butterfly(a) is a and _same(a, expected)
+
+    def test_matches_radix2_oracle_at_n20(self):
+        x = np.random.default_rng(20).standard_normal(1 << 20)
+        assert _same(hadamard_transform(x), _radix2_oracle(x))
+
+    def test_cut_over_is_inside_the_tested_sizes(self):
+        assert 2 <= walsh_system._RADIX4_MIN_SIZE <= 1 << 15
+
+    def test_spectrum_is_cached_and_read_only(self):
+        f = rand_fn(1, 5)
+        s = fwht_forward(f)
+        assert fwht_forward(f) is s
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 1.0
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
 
 
 class TestPartialSum:

@@ -22,6 +22,52 @@ from walshvp.weights import (
 )
 
 
+def _cesaro_oracle(alpha, n):
+    """The Fraction recurrence of the Cesaro weights, put over the lcm of
+    their denominators: the route the integer prefix and suffix products
+    replaced."""
+    beta = Fraction(alpha).limit_denominator(10**9) - 1
+    coeffs = [Fraction(1)]
+    for m in range(1, 1 << n):
+        coeffs.append(coeffs[-1] * (beta + m) / m)
+    raw = coeffs[::-1]
+    if any(t < 0 for t in raw):
+        raise ValueError("negative weights")
+    denom = math.lcm(*(q.denominator for q in raw))
+    numer = [q.numerator * (denom // q.denominator) for q in raw]
+    return WeightScheme(n, numerators=numer, denominator=sum(numer))
+
+
+def _assert_same_scheme(w, expected):
+    assert w.numerators.dtype == expected.numerators.dtype
+    assert [int(a) for a in w.numerators] == [int(a) for a in expected.numerators]
+    assert w.denominator == expected.denominator
+    assert w.weights.tobytes() == expected.weights.tobytes()
+
+
+class TestCesaroIntegers:
+    @pytest.mark.parametrize("alpha", [2, 0.5, 1 / 3])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_fraction_oracle(self, alpha, n):
+        _assert_same_scheme(build_scheme("cesaro", n, alpha=alpha), _cesaro_oracle(alpha, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(-2000, 2000), q=st.integers(1, 1000), n=st.integers(1, 10))
+    def test_matches_fraction_oracle_property(self, p, q, n):
+        alpha = Fraction(p, q)
+        if alpha <= -1:
+            with pytest.raises(ValueError):
+                build_scheme("cesaro", n, alpha=alpha)
+            return
+        try:
+            expected = _cesaro_oracle(alpha, n)
+        except ValueError:
+            with pytest.raises(ValueError, match="negative weights"):
+                build_scheme("cesaro", n, alpha=alpha)
+            return
+        _assert_same_scheme(build_scheme("cesaro", n, alpha=alpha), expected)
+
+
 class TestBuildScheme:
     def test_uniform(self):
         w = build_scheme("uniform", 3)
