@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("weights-validate", help="validate a weight scheme")
     p.add_argument("--config")
     p.add_argument("--weights", required=True)
-    p.add_argument("--n", type=int, default=0, help="block exponent for family specs")
+    p.add_argument("--n", type=int, default=None, help="block exponent for family specs")
     p.add_argument("--cmax", type=float, default=DEFAULT_CASE_A_CAP)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -332,7 +332,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_weights_validate(args) -> int:
-    scheme = _scheme_factory(args.weights)(args.n or None)
+    scheme = _scheme_factory(args.weights)(args.n)
     report = validate(scheme, case_a_cap=args.cmax)
     record = {
         "n": scheme.block_exponent,

@@ -8,7 +8,7 @@ table is reproducible from its recorded seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -450,12 +450,14 @@ def verify_all_lemmas(
     translate_count: int = 200,
     random_schemes: int = 25,
 ) -> List[LemmaResult]:
-    """Run every kernel-identity and kernel-bound check at one resolution."""
+    """Run every kernel-identity and kernel-bound check at one resolution.
+
+    A check with no instances fails with detail "no instances"."""
     check_resolution(resolution)
     if resolution < 4:
         raise ValueError("lemma verification needs resolution >= 4")
     uniform, sharp = _check_fejer_bounds(resolution)
-    return [
+    results = [
         _check_dirichlet_closed_form(resolution),
         _check_dirichlet_recursion(resolution),
         uniform,
@@ -463,4 +465,5 @@ def verify_all_lemmas(
         _check_translate_difference(resolution, seed, translate_count),
         _check_decomposition(resolution, seed + 1, random_schemes),
     ]
+    return [r if r.instances else replace(r, passed=False, detail="no instances") for r in results]
 

@@ -211,6 +211,21 @@ def test_lemma_fields(capsys, monkeypatch):
     assert out.splitlines() == ["lemma,instances,worst_margin,pass,detail", "x,3,0.25,true,"]
 
 
+def test_check_without_instances_fails(capsys):
+    code, out, _ = run(capsys, "verify-lemmas", "--resolution", "4", "--lemma5-count", "0")
+    rows = {row["lemma"]: row for row in csv.DictReader(out.splitlines())}
+    assert code == 1
+    assert rows["translate-difference-bound"] == {
+        "lemma": "translate-difference-bound",
+        "instances": "0",
+        "worst_margin": "inf",
+        "pass": "false",
+        "detail": "no instances",
+    }
+    assert all(row["pass"] == "true" for name, row in rows.items()
+               if name != "translate-difference-bound")
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
@@ -311,6 +326,9 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv, "--weights", "custom")
         assert code == 2 and out == "" and "unknown weight spec 'custom'" in err
+    # an explicit --n 0 is a bad block exponent, not a missing --n
+    code, out, err = run(capsys, "weights-validate", "--weights", "uniform", "--n", "0")
+    assert code == 2 and out == "" and "block exponent must be >= 1, got 0" in err
     for command, extra in (("approx", ["--weights", "uniform"]), ("modulus", [])):
         code, out, err = run(
             capsys, command, "--function", "indicator:2", "--resolution", "8",

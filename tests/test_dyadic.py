@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walshvp import dyadic
+from walshvp.cli import main
 from walshvp.dyadic import (
     INF,
     SampledFunction,
@@ -279,6 +280,93 @@ class TestModulus:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             modulus_of_continuity(rand_fn(0, 4), 5, 1)
+
+
+def _periodic_fn(seed, resolution, rank, exponent=0):
+    """A function of x mod 2^rank only, with repeated values."""
+    rng = np.random.default_rng(seed)
+    cells = rng.uniform(-1, 1, 1 << rank) * 2.0**exponent
+    cells[rng.random(1 << rank) < 0.3] = 0.0
+    return SampledFunction(resolution, np.tile(cells, 1 << (resolution - rank)))
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """(cells, n, p, scale) of every table of translate sums built."""
+    built = []
+    sums = dyadic._translate_sums
+
+    def counted(values, n, p, scale):
+        built.append((values.size, n, p, scale))
+        return sums(values, n, p, scale)
+
+    monkeypatch.setattr(dyadic, "_translate_sums", counted)
+    return built
+
+
+class TestRankAndSharedTable:
+    """The blocked route at the function's dyadic rank, with one table of
+    translate sums per (function, p), against the brute-force loop."""
+
+    @given(
+        st.integers(1, 10),
+        st.data(),
+        st.sampled_from([1.0, 1.25, 3.0, 7.5, 400.0]),
+        st.integers(0, 2**32 - 1),
+        st.integers(-600, 600),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_periodic_function_matches_oracle(self, N, data, p, seed, exponent):
+        rank = data.draw(st.integers(0, N))
+        n = data.draw(st.integers(0, N))
+        f = _periodic_fn(seed, N, rank, exponent)
+        fast = modulus_of_continuity(f, n, p)
+        assert fast == modulus_of_continuity(f, n, p, brute_force=True)
+        if n >= rank:
+            assert fast == 0.0
+
+    def test_rank_is_the_smallest_period(self):
+        for rank in range(7):
+            f = _periodic_fn(rank, 6, rank)
+            # seeds 0..6 give no period shorter than 2^rank
+            assert dyadic._dyadic_rank(f.values) == rank
+        assert dyadic._dyadic_rank(np.zeros(8)) == 0
+        # -0.0 and 0.0 are different samples to the rank test
+        assert dyadic._dyadic_rank(np.array([0.0, -0.0, 0.0, 0.0])) == 2
+
+    @pytest.mark.parametrize("rank", [3, 8])
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_any_order_of_n_gives_the_fresh_bits(self, rank, exponent, p):
+        # At 2^+-600 and p = 3 each scale is the coset oscillation of its
+        # own n, so a table is reused only where that oscillation repeats.
+        N = 8
+        orders = (range(N + 1), range(N, -1, -1), [4, 4, 2, 6, 2, 0, 7, 1, 1, 5, 3, 8])
+        fresh = {n: modulus_of_continuity(_periodic_fn(5, N, rank, exponent), n, p)
+                 for n in range(N + 1)}
+        assert fresh == {n: modulus_of_continuity(_periodic_fn(5, N, rank, exponent), n, p,
+                                                  brute_force=True) for n in range(N + 1)}
+        for order in orders:
+            f = _periodic_fn(5, N, rank, exponent)
+            assert [modulus_of_continuity(f, n, p) for n in order] == [fresh[n] for n in order]
+
+    def test_scaled_table_is_replaced_when_the_scale_changes(self, tables):
+        a = 2.0**400  # 3 * 400 > 960: the powers are scaled by the oscillation
+        f = SampledFunction(3, [a, -a, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        order = (0, 1, 2, 1, 0)
+        assert [modulus_of_continuity(f, n, 3.0) for n in order] == [
+            modulus_of_continuity(f, n, 3.0, brute_force=True) for n in order
+        ]
+        # The oscillation is 2a at n = 0 and a at n = 1, 2: n = 1 replaces
+        # the table, n = 2 and the second n = 1 reuse it, n = 0 rebuilds.
+        assert [(n, scale) for _, n, _, scale in tables] == [(0, 2 * a), (1, a), (0, 2 * a)]
+
+    def test_one_table_per_sweep(self, capsys, tables):
+        code = main(["approx", "--function", "step_mix", "--weights", "uniform",
+                     "--resolution", "10", "--p", "1", "--nmin", "1", "--nmax", "8"])
+        capsys.readouterr()
+        # step_mix depends on 4 bits: one table of 2^3 translates at rank 4
+        assert code == 0 and tables == [(1 << 4, 1, 1.0, 1.0)]
 
 
 class TestIntervalIndicator:

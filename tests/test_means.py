@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshvp.dyadic import SampledFunction, lp_norm
 from walshvp.kernels import dirichlet, kernel_l1_norm, vp_kernel
@@ -128,3 +130,25 @@ class TestGeneralMean:
             general_vp_mean(f, [0.5, 0.5], 15, 16)
         with pytest.raises(ValueError):
             general_vp_mean(f, [1.0, 1.0], 2, 4)
+
+
+class TestFastAgainstOracle:
+    """Hypothesis properties: each fast route against its oracle at N <= 10."""
+
+    @given(st.integers(2, 10), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_convolution_path_matches_partial_sums(self, N, data, seed):
+        n = data.draw(st.integers(1, N - 1))
+        scheme = random_rational_scheme(n, SplitMix64(seed))
+        f = rand_fn(seed, N)
+        fast = vp_mean(f, scheme, PATH_CONVOLUTION).function
+        slow = vp_mean(f, scheme, PATH_PARTIAL_SUMS).function
+        assert np.max(np.abs(fast.values - slow.values)) < 1e-10
+
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_dyadic_convolve_matches_naive(self, N, seed):
+        f, k = rand_fn(seed, N), rand_fn(seed + 1, N)
+        fast = dyadic_convolve(f, k)
+        slow = dyadic_convolve_naive(f, k)
+        assert np.max(np.abs(fast.values - slow.values)) < 1e-11
