@@ -19,6 +19,7 @@ from typing import List, Optional
 from . import experiments
 from .dyadic import (
     INF,
+    _check_exponent,
     modulus_of_continuity,
     read_function,
     write_function,
@@ -32,17 +33,7 @@ CHECK_FAILED = 1
 
 
 def _parse_p_list(text: str) -> List[float]:
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if token in ("inf", "infinity"):
-            out.append(INF)
-        else:
-            p = float(token)
-            if p < 1:
-                raise ValueError(f"L_p exponent must be >= 1 or inf, got {token}")
-            out.append(p)
-    return out
+    return [_check_exponent(token) for token in text.split(",")]
 
 
 def _scheme_factory(spec: str):
@@ -64,7 +55,7 @@ def _scheme_factory(spec: str):
 
         return from_file
     name, _, arg = spec.partition(":")
-    if name not in FAMILIES or name == "custom":
+    if name not in FAMILIES:
         raise ValueError(f"unknown weight spec {spec!r}")
     alpha = float(arg) if arg else None
 
@@ -170,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", type=int, default=1)
     p.add_argument("--nmax", type=int, help="default: N-2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cmax", type=float, default=DEFAULT_CASE_A_CAP)
 
     p = add("modulus", help="modulus of continuity table")
     _add_common(p, resolution_default=10)
@@ -289,10 +279,9 @@ def _cmd_approx(args) -> int:
         raise ValueError(f"nmax={n_max} needs resolution >= {n_max + 1}")
     _check_block_range(args.nmin, n_max)
     f = experiments.make_function(args.function, args.resolution, args.seed)
-    factory = _scheme_factory(args.weights)
     records = experiments.ratio_sweep(
         f,
-        factory,
+        _scheme_factory(args.weights),
         range(args.nmin, n_max + 1),
         _parse_p_list(args.p),
     )

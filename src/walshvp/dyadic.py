@@ -387,16 +387,32 @@ def write_function(f: SampledFunction, stream) -> None:
         stream.write(format(v, ".17g") + "\n")
 
 
-def read_function(stream) -> SampledFunction:
-    header = stream.readline().strip()
-    if not header.startswith(_HEADER_PREFIX):
-        raise ValueError(f"expected '{_HEADER_PREFIX}<int>' header, got {header!r}")
-    resolution = int(header[len(_HEADER_PREFIX):])
-    count = 1 << check_resolution(resolution)
+def _read_samples(stream, noun: str):
+    """The `N=<int>` line and the 2^N rows after it, one finite number
+    each, for read_function and read_spectrum.  A bad row is named by
+    its index; any non-blank row after the last is an error."""
+    line = stream.readline().strip()
+    if not line.startswith(_HEADER_PREFIX):
+        raise ValueError(f"expected '{_HEADER_PREFIX}<int>' line, got {line!r}")
+    resolution = check_resolution(int(line[len(_HEADER_PREFIX):]))
+    count = 1 << resolution
     values = []
-    for _ in range(count):
-        line = stream.readline()
-        if not line:
-            raise ValueError("truncated sample list")
-        values.append(float(line))
-    return SampledFunction(resolution, values)
+    for i in range(count):
+        row = stream.readline()
+        if not row:
+            raise ValueError(f"expected {count} {noun}s, got {i}")
+        try:
+            value = float(row)
+        except ValueError:
+            raise ValueError(f"{noun} {i} is not a number: {row.strip()!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{noun} {i} is not finite: {value}")
+        values.append(value)
+    for row in stream:
+        if row.strip():
+            raise ValueError(f"expected {count} {noun}s, got more: {row.strip()!r}")
+    return resolution, values
+
+
+def read_function(stream) -> SampledFunction:
+    return SampledFunction(*_read_samples(stream, "sample"))

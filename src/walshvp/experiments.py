@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,16 +178,13 @@ class ApproxRecord:
 
 
 def _block_records(
-    f: SampledFunction,
-    scheme: WeightScheme,
-    p_values: Sequence,
-    bound_constant: Union[str, float, None],
-    slack: float,
+    f: SampledFunction, scheme: WeightScheme, p_values: Sequence
 ) -> List[ApproxRecord]:
-    # One validation and one mean per block, shared by every p.
+    # One validation and one mean per block, shared by every p.  The 47/30
+    # bound is asserted exactly when the scheme is non-increasing (case b).
     n = scheme.block_exponent
-    if bound_constant == "auto":
-        bound_constant = float(CASE_B_BOUND) if validate(scheme).case_b_ok else None
+    case_b = validate(scheme).case_b_ok
+    bound = float(CASE_B_BOUND) if case_b else math.nan
     residual = vp_mean(f, scheme, PATH_CONVOLUTION).function - f
     records = []
     for p in p_values:
@@ -206,7 +203,7 @@ def _block_records(
                 flag = FLAG_INCONSISTENT
         else:
             ratio = error / modulus
-            bound_ok = True if bound_constant is None else error <= bound_constant * modulus + slack
+            bound_ok = not case_b or error <= bound * modulus + DEFAULT_SLACK
         records.append(
             ApproxRecord(
                 block_exponent=n,
@@ -214,7 +211,7 @@ def _block_records(
                 error=error,
                 modulus=modulus,
                 ratio=ratio,
-                bound=math.nan if bound_constant is None else float(bound_constant),
+                bound=bound,
                 bound_ok=bound_ok,
                 flag=flag,
             )
@@ -222,47 +219,29 @@ def _block_records(
     return records
 
 
-def approximation_error(
-    f: SampledFunction,
-    scheme: WeightScheme,
-    p,
-    bound_constant: Union[str, float, None] = "auto",
-    slack: float = DEFAULT_SLACK,
-) -> ApproxRecord:
+def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRecord:
     """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio.
 
-    With bound_constant="auto" the 47/30 constant is asserted exactly
-    when the scheme qualifies for the non-increasing case; a float
-    asserts that constant; None asserts nothing.
+    The 47/30 constant is asserted, with slack DEFAULT_SLACK, exactly
+    when the scheme is non-increasing (case b); otherwise bound is nan
+    and nothing is asserted.
     """
-    return _block_records(f, scheme, (p,), bound_constant, slack)[0]
-
-
-SchemeFactory = Union[str, Callable[[int], WeightScheme]]
-
-
-def _scheme_for(factory: SchemeFactory, n: int, alpha=None) -> WeightScheme:
-    if callable(factory):
-        return factory(n)
-    return build_scheme(factory, n, alpha=alpha)
+    return _block_records(f, scheme, (p,))[0]
 
 
 def ratio_sweep(
     f: SampledFunction,
-    scheme_factory: SchemeFactory,
+    scheme_for: Callable[[int], WeightScheme],
     n_values: Iterable[int],
     p_values: Iterable,
-    alpha=None,
-    bound_constant: Union[str, float, None] = "auto",
-    slack: float = DEFAULT_SLACK,
 ) -> List[ApproxRecord]:
-    """One ApproxRecord per (n, p): each block's scheme is built, validated
-    and applied once for all p."""
+    """One ApproxRecord per (n, p), as approximation_error gives it, with
+    scheme_for(n) the scheme of block n.  Each block's scheme is built,
+    validated and applied once for all p."""
     p_values = tuple(p_values)
     records = []
     for n in n_values:
-        scheme = _scheme_for(scheme_factory, n, alpha)
-        records += _block_records(f, scheme, p_values, bound_constant, slack)
+        records += _block_records(f, scheme_for(n), p_values)
     return records
 
 
@@ -282,20 +261,19 @@ class RateFit:
 
 def lipschitz_rate(
     f: SampledFunction,
-    scheme_factory: SchemeFactory,
+    scheme_for: Callable[[int], WeightScheme],
     p,
     n_values: Sequence[int],
-    alpha=None,
 ) -> RateFit:
-    """Estimate the approximation order: error ~ c * 2^(-n * alpha_hat).
+    """Estimate the approximation order: error ~ c * 2^(-n * alpha_hat),
+    with scheme_for(n) the scheme of block n.
 
     Zero-error blocks are excluded from the regression and reported; at
     least 3 usable points are required.
     """
     usable_n, logs, excluded = [], [], []
     for n in n_values:
-        scheme = _scheme_for(scheme_factory, n, alpha)
-        mean = vp_mean(f, scheme, PATH_CONVOLUTION).function
+        mean = vp_mean(f, scheme_for(n), PATH_CONVOLUTION).function
         error = lp_norm(mean - f, p)
         if error > MODULUS_FLOOR:
             usable_n.append(n)

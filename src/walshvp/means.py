@@ -16,7 +16,7 @@ import numpy as np
 from .dyadic import SampledFunction
 from .walsh_system import _butterfly, fwht_forward, hadamard_transform
 from .weights import WeightScheme
-from .kernels import _block_multiplier
+from .kernels import _block_multiplier, _check_block
 
 PATH_CONVOLUTION = "convolution"
 PATH_PARTIAL_SUMS = "partial_sums"
@@ -68,10 +68,7 @@ def general_vp_mean(f: SampledFunction, t, m: int, n: int) -> SampledFunction:
 
 def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -> MeanResult:
     """Block mean sum_k t_k S_k(f) over k in [2^n, 2^(n+1)-1]."""
-    if w.block_exponent + 1 > f.resolution:
-        raise ValueError(
-            f"block [{w.block_start}, {w.block_end}] exceeds resolution {f.resolution}"
-        )
+    _check_block(w, f.resolution)
     block = (w.block_start, w.block_end)
     if path == PATH_CONVOLUTION:
         coeffs = _block_multiplier(w.weights, f.resolution)

@@ -8,11 +8,9 @@ normalization; the inverse is unnormalized.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .dyadic import SampledFunction, check_resolution
+from .dyadic import SampledFunction, _read_samples, check_resolution
 
 _SPECTRUM_HEADER = "SPECTRUM"
 
@@ -189,17 +187,4 @@ def read_spectrum(stream) -> Spectrum:
     header = stream.readline().strip()
     if header != _SPECTRUM_HEADER:
         raise ValueError(f"expected '{_SPECTRUM_HEADER}' header, got {header!r}")
-    line = stream.readline().strip()
-    if not line.startswith("N="):
-        raise ValueError(f"expected 'N=<int>' line, got {line!r}")
-    resolution = check_resolution(int(line[2:]))
-    coeffs = []
-    for _ in range(1 << resolution):
-        row = stream.readline()
-        if not row:
-            raise ValueError("truncated coefficient list")
-        value = float(row)
-        if not math.isfinite(value):
-            raise ValueError(f"spectrum coefficient {len(coeffs)} is not finite: {value}")
-        coeffs.append(value)
-    return Spectrum(resolution, coeffs)
+    return Spectrum(*_read_samples(stream, "spectrum coefficient"))

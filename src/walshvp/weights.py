@@ -9,7 +9,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ NONE = "none"
 
 DEFAULT_CASE_A_CAP = 4.0
 
-FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro", "custom")
+FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro")
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,7 @@ class ValidationReport:
 
 
 def _normalized(numerators: Sequence[int], n: int, label: str) -> WeightScheme:
-    if any(a < 0 for a in numerators):
-        raise ValueError("weights must be non-negative")
-    total = sum(numerators)
-    if total == 0:
-        raise ValueError("weights sum to zero; cannot normalize")
-    return WeightScheme(n, numerators=numerators, denominator=total, label=label)
+    return WeightScheme(n, numerators=numerators, denominator=sum(numerators), label=label)
 
 
 def _over_common_denominator(raw: Sequence[Fraction]) -> tuple:
@@ -135,18 +130,12 @@ def _binomial_ratio_numerators(alpha: Fraction, count: int) -> list:
     return numerators
 
 
-def build_scheme(
-    family: str,
-    n: int,
-    alpha=None,
-    path: Optional[str] = None,
-    normalize: bool = True,
-) -> WeightScheme:
-    """Construct a weight scheme for block exponent n.
+def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
+    """The weights of a family on block exponent n, normalized to sum to one.
 
     Families: uniform, linear_up, linear_down, cesaro (requires alpha >
     -1; alpha = 1 reproduces uniform, alpha = 2 gives the decreasing
-    tail weights), custom (requires path to a `k,t` CSV file).
+    tail weights).  A weight file is read by load_weight_file.
     """
     if n < 1:
         raise ValueError(f"block exponent must be >= 1, got {n}")
@@ -167,10 +156,6 @@ def build_scheme(
         if any(a < 0 for a in numerators):
             raise ValueError(f"cesaro alpha {alpha} produces negative weights")
         return _normalized(numerators, n, f"cesaro:{alpha}")
-    if family == "custom":
-        if path is None:
-            raise ValueError("custom family requires a file path")
-        return load_weight_file(path, n=n, normalize=normalize)
     raise ValueError(f"unknown weight family {family!r}; choose from {FAMILIES}")
 
 
@@ -184,8 +169,13 @@ def _parse_weight_token(token: str) -> Fraction:
     return Fraction(token)
 
 
-def load_weight_file(path: str, n: Optional[int] = None, normalize: bool = False) -> WeightScheme:
-    """Read a `k,t` CSV; t tokens are decimals or p/q rationals."""
+def load_weight_file(path: str) -> WeightScheme:
+    """Read a `k,t` CSV; t tokens are decimals or p/q rationals.
+
+    The indices must cover one dyadic block, which sets the block
+    exponent.  The weights are taken as written, not normalized, so
+    validate reports whether they sum to one.
+    """
     rows = {}
     with open(path) as fh:
         header = fh.readline().strip()
@@ -204,18 +194,13 @@ def load_weight_file(path: str, n: Optional[int] = None, normalize: bool = False
         raise ValueError("weight file contains no rows")
     start = min(rows)
     inferred = start.bit_length() - 1
-    if start != 1 << inferred or n is not None and inferred != n:
-        raise ValueError(
-            f"weight indices must cover a dyadic block; file starts at {start}"
-            + (f", expected block exponent {n}" if n is not None else "")
-        )
+    if start != 1 << inferred:
+        raise ValueError(f"weight indices must cover a dyadic block; file starts at {start}")
     count = 1 << inferred
     missing = [start + i for i in range(count) if start + i not in rows]
     if missing or len(rows) != count:
         raise ValueError(f"weight file must cover [{start}, {start + count - 1}]")
     numer, denom = _over_common_denominator([rows[start + i] for i in range(count)])
-    if normalize:
-        return _normalized(numer, inferred, f"custom:{path}")
     return WeightScheme(inferred, numerators=numer, denominator=denom, label=f"custom:{path}")
 
 

@@ -2,6 +2,7 @@
 line with its measured margin.  Run with `pytest -s tests/test_acceptance.py`
 to see the report lines."""
 
+import functools
 import statistics
 import time
 from fractions import Fraction
@@ -104,7 +105,8 @@ def test_05_case_b_explicit_constant():
     bad = []
     for family, alpha in (("uniform", None), ("linear_down", None), ("cesaro", 2)):
         for name, f in suite:
-            records = exp.ratio_sweep(f, family, range(1, 11), (1.0, 2.0, INF), alpha=alpha)
+            scheme_for = functools.partial(build_scheme, family, alpha=alpha)
+            records = exp.ratio_sweep(f, scheme_for, range(1, 11), (1.0, 2.0, INF))
             bad.extend(
                 (family, name, r) for r in records if not r.bound_ok or r.flag
             )
@@ -122,11 +124,10 @@ def test_06_case_a_uniform_boundedness():
     suite = exp.standard_suite(12, seed=505)
     sup_ratio = 0.0
     blow_up = []
+    linear_up = functools.partial(build_scheme, "linear_up")
     for name, f in suite:
         for p in (1.0, 2.0, INF):
-            records = exp.ratio_sweep(
-                f, "linear_up", range(1, 11), (p,), bound_constant=None
-            )
+            records = exp.ratio_sweep(f, linear_up, range(1, 11), (p,))
             ratios = [r.ratio for r in records if r.modulus >= exp.MODULUS_FLOOR]
             if ratios:
                 sup_ratio = max(sup_ratio, max(ratios))
@@ -146,8 +147,9 @@ def test_06_case_a_uniform_boundedness():
 def test_07_lipschitz_rate_recovery():
     details = []
     ok = True
+    uniform = functools.partial(build_scheme, "uniform")
     for alpha in (0.5, 1.0):
-        fit = exp.lipschitz_rate(exp.abs_power(alpha, 12), "uniform", INF, range(2, 10))
+        fit = exp.lipschitz_rate(exp.abs_power(alpha, 12), uniform, INF, range(2, 10))
         details.append(f"alpha={alpha}: slope {fit.alpha_hat:.3f}")
         ok = ok and abs(fit.alpha_hat - alpha) <= 0.15
     report(7, "regression slope recovers the Lipschitz exponent within 0.15", ok, "; ".join(details))
@@ -209,7 +211,7 @@ def test_09_polynomial_reproduction():
 def test_10_performance_full_sweep():
     start = time.perf_counter()
     f = exp.abs_power(1.0, 16)
-    records = exp.ratio_sweep(f, "uniform", range(1, 15), (2.0,))
+    records = exp.ratio_sweep(f, functools.partial(build_scheme, "uniform"), range(1, 15), (2.0,))
     elapsed = time.perf_counter() - start
     ok = exp.sweep_ok(records) and elapsed < 10.0
     report(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from walshvp import experiments, means, walsh_system
+from walshvp import cli, experiments, means, walsh_system
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
@@ -47,6 +48,37 @@ def test_transform_inverse_rejects_nonfinite(tmp_path, capsys):
     code, _, err = run(capsys, "transform", "--inverse", "--in", str(spec_path))
     assert code == 2
     assert "spectrum coefficient 0 is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "inverse, head, noun",
+    [(False, "", "sample"), (True, "SPECTRUM\n", "spectrum coefficient")],
+    ids=["function", "spectrum"],
+)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0.5\n1\n2\n", "expected 4 {noun}s, got 3"),
+        ("0.5\n1\n2\n3\n4\n", "expected 4 {noun}s, got more: '4'"),
+        ("0.5\n1\n2\n3\n\n \n7\n", "expected 4 {noun}s, got more: '7'"),
+        ("0.5\nabc\n2\n3\n", "{noun} 1 is not a number: 'abc'"),
+        ("0.5\n1\n\n3\n", "{noun} 2 is not a number: ''"),
+        ("0.5\n1\nnan\n3\n", "{noun} 2 is not finite: nan"),
+        ("0.5\n1\n2\n-inf\n", "{noun} 3 is not finite: -inf"),
+        ("0.5\n1\n2\n3\n\n \n", None),
+    ],
+    ids=["short", "long", "long-after-blank", "word", "blank", "nan", "inf", "trailing-blank"],
+)
+def test_sample_files_are_read_alike(tmp_path, capsys, inverse, head, noun, rows, message):
+    # Both text formats go through one reader: 2^N finite rows, no more.
+    path = tmp_path / "in.txt"
+    path.write_text(f"{head}N=2\n{rows}")
+    argv = ["transform", "--in", str(path)] + (["--inverse"] if inverse else [])
+    code, out, err = run(capsys, *argv)
+    if message is None:
+        assert code == 0 and err == "" and len(out.splitlines()) == (5 if inverse else 6)
+    else:
+        assert code == 2 and out == "" and message.format(noun=noun) in err
 
 
 def test_kernel_norms_csv(capsys):
@@ -314,6 +346,12 @@ def test_usage_errors(capsys, tmp_path):
     assert exc.value.code == 2
     code, _, err = run(capsys, "approx", "--function", "bogus:1", "--weights", "uniform")
     assert code == 2 and "error:" in err
+    for p in ("0.5", "nan", "2,0.5"):
+        code, out, err = run(capsys, "modulus", "--function", "indicator:2", "--p", p)
+        assert code == 2 and out == "" and "L_p exponent must be >= 1 or inf" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", "--function", "indicator:2", "--weights", "uniform", "--cmax", "1"])
+    assert exc.value.code == 2
     path = tmp_path / "w.csv"
     path.write_text("k,t\n2,1\n3,1/0\n")
     code, _, err = run(capsys, "weights-validate", "--weights", str(path))
@@ -384,3 +422,36 @@ def test_transforms_per_command(capsys, monkeypatch, argv, transforms):
     monkeypatch.setattr(means, "_butterfly", counted)
     code, _, _ = run(capsys, *argv, "--function", "step_mix", "--resolution", "10", "--p", "2")
     assert code == 0 and sizes == [1 << 10] * transforms
+
+
+def test_every_option_is_read(capsys, tmp_path):
+    # Each parsed option must reach its command; --config is consumed
+    # before parsing and `command` selects the handler.
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    path = tmp_path / "f.txt"
+    path.write_text("N=1\n0.5\n-0.5\n")
+    argvs = {
+        "transform": ["--in", str(path)],
+        "kernel-norms": ["--resolution", "4"],
+        "verify-lemmas": ["--resolution", "4", "--lemma5-count", "3", "--random-schemes", "1"],
+        "approx": ["--function", "step_mix", "--weights", "uniform", "--resolution", "5"],
+        "modulus": ["--function", "step_mix", "--resolution", "4"],
+        "weights-validate": ["--weights", "uniform", "--n", "2"],
+    }
+    assert set(argvs) == set(cli._COMMANDS)
+    unread = {}
+    for command, argv in argvs.items():
+        args = cli.build_parser().parse_args([command, *argv], namespace=Recording())
+        dests = set(vars(args)) - {"command", "config"}
+        reads.clear()
+        assert cli._COMMANDS[command](args) == 0
+        if dests - reads:
+            unread[command] = sorted(dests - reads)
+    capsys.readouterr()
+    assert unread == {}

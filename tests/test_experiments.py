@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
 
@@ -13,6 +14,8 @@ from walshvp.kernels import fejer
 from walshvp.means import dyadic_convolve_naive
 from walshvp.walsh_system import walsh
 from walshvp.weights import build_scheme
+
+uniform = functools.partial(build_scheme, "uniform")
 
 
 class TestGenerators:
@@ -102,7 +105,7 @@ class TestApproximationError:
 class TestRatioSweep:
     def test_uniform_sweep_all_ok(self):
         f = exp.abs_power(0.5, 9)
-        recs = exp.ratio_sweep(f, "uniform", range(1, 6), (2.0,))
+        recs = exp.ratio_sweep(f, uniform, range(1, 6), (2.0,))
         assert len(recs) == 5
         assert exp.sweep_ok(recs)
 
@@ -117,12 +120,11 @@ class TestRatioSweep:
         # the record approximation_error computes alone, field for field.
         f = exp.make_function(spec, 8, seed=5)
         p_values = (1.0, 1.5, 2.0, INF)
-        recs = exp.ratio_sweep(f, weights, range(1, 7), iter(p_values), alpha=2)
+        scheme_for = functools.partial(build_scheme, weights, alpha=2)
+        recs = exp.ratio_sweep(f, scheme_for, range(1, 7), iter(p_values))
         assert len(recs) == 6 * len(p_values)
         for rec in recs:
-            alone = exp.approximation_error(
-                f, build_scheme(weights, rec.block_exponent, alpha=2), rec.p
-            )
+            alone = exp.approximation_error(f, scheme_for(rec.block_exponent), rec.p)
             for field in dataclasses.fields(exp.ApproxRecord):
                 got, want = getattr(rec, field.name), getattr(alone, field.name)
                 assert got == want or (math.isnan(got) and math.isnan(want)), field.name
@@ -130,24 +132,24 @@ class TestRatioSweep:
     def test_large_exponent_rows(self):
         # Unscaled, the error underflowed to 0 for n >= 4 and the modulus
         # for n >= 6, so the rows passed with ratio 0.
-        recs = exp.ratio_sweep(exp.abs_power(0.5, 10), "uniform", range(1, 9), (400.0,))
+        recs = exp.ratio_sweep(exp.abs_power(0.5, 10), uniform, range(1, 9), (400.0,))
         assert all(r.error > 0 and r.modulus > 0 and not r.flag for r in recs)
         assert all(0.3 < r.ratio < 0.7 for r in recs)
 
 
 class TestLipschitzRate:
     def test_slope_alpha_one(self):
-        fit = exp.lipschitz_rate(exp.abs_power(1.0, 11), "uniform", INF, range(2, 9))
+        fit = exp.lipschitz_rate(exp.abs_power(1.0, 11), uniform, INF, range(2, 9))
         assert 0.85 <= fit.alpha_hat <= 1.15
 
     def test_slope_alpha_half(self):
-        fit = exp.lipschitz_rate(exp.abs_power(0.5, 11), "uniform", INF, range(2, 9))
+        fit = exp.lipschitz_rate(exp.abs_power(0.5, 11), uniform, INF, range(2, 9))
         assert 0.35 <= fit.alpha_hat <= 0.65
 
     def test_degenerate_fit_reported(self):
         poly = exp.make_function("walsh_poly:1,0.5,0.25", 8)
         with pytest.raises(ValueError, match="degenerate"):
-            exp.lipschitz_rate(poly, "uniform", INF, range(2, 6))
+            exp.lipschitz_rate(poly, uniform, INF, range(2, 6))
 
 
 class TestTranslateDifferenceBound:

@@ -273,10 +273,12 @@ class TestWeightFiles:
         assert validate(w).sum_ok
 
     def test_decimal_tokens_with_normalize(self, tmp_path):
+        # A file is taken as written: validate, not the loader, reports the sum.
         path = tmp_path / "w.csv"
         path.write_text("k,t\n2,3\n3,1\n")
-        w = load_weight_file(str(path), normalize=True)
-        assert w.exact == (Fraction(3, 4), Fraction(1, 4))
+        w = load_weight_file(str(path))
+        assert w.exact == (Fraction(3), Fraction(1))
+        assert not validate(w).sum_ok
 
     def test_missing_row_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -286,12 +288,11 @@ class TestWeightFiles:
 
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
-        # Positive, negative and zero sums: normalizing must not mask the sign.
+        # Positive, negative and zero sums: the sum must not mask the sign.
         for rows in ("2,-1\n3,2\n", "2,-2\n3,1\n", "2,-1\n3,1\n"):
             path.write_text("k,t\n" + rows)
-            for normalize in (False, True):
-                with pytest.raises(ValueError, match="non-negative"):
-                    load_weight_file(str(path), normalize=normalize)
+            with pytest.raises(ValueError, match="non-negative"):
+                load_weight_file(str(path))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "w.csv"
