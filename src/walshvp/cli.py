@@ -31,6 +31,16 @@ from .weights import DEFAULT_CASE_A_CAP, FAMILIES, build_scheme, load_weight_fil
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
+# kernel-norms holds one pair of Fractions per row; past this many rows
+# the sweep would run for seconds and hold hundreds of MiB.
+KERNEL_NORMS_MAX_ROWS = 1 << 18
+
+_WEIGHTS_HELP = (
+    "a family (uniform, linear_up, linear_down, cesaro:ALPHA) or a k,t CSV "
+    "file; a spec whose name before ':' is a family is that family, even "
+    "if a file of that name exists"
+)
+
 
 def _parse_p_list(text: str) -> List[float]:
     return [_check_exponent(token) for token in text.split(",")]
@@ -40,9 +50,11 @@ def _scheme_factory(spec: str):
     """Weight spec: a family name, family:alpha, or a CSV file path.
 
     Returns the scheme for a block exponent n.  A file covers one block
-    exponent, which n=None selects; a family needs n.
+    exponent, which n=None selects; a family needs n.  A spec whose name
+    part is a family is that family, so a file cannot shadow it.
     """
-    if os.path.exists(spec):
+    name, _, arg = spec.partition(":")
+    if name not in FAMILIES and os.path.exists(spec):
         fixed = load_weight_file(spec)
 
         def from_file(n: Optional[int]):
@@ -54,7 +66,6 @@ def _scheme_factory(spec: str):
             return fixed
 
         return from_file
-    name, _, arg = spec.partition(":")
     if name not in FAMILIES:
         raise ValueError(f"unknown weight spec {spec!r}")
     alpha = float(arg) if arg else None
@@ -145,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kernel-norms", help="L1 norms of Dirichlet and Fejer kernels")
     _add_common(p, resolution_default=10)
-    p.add_argument("--nmax", type=int, help="default: 2^(N-1)")
+    p.add_argument("--nmax", type=int, help="default: 2^(N-1); at most 2^18 rows")
 
     p = add("verify-lemmas", help="run the kernel identity and bound checks")
     _add_common(p)
@@ -156,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("approx", help="approximation error vs modulus table")
     _add_common(p, resolution_default=10)
     p.add_argument("--function", required=True)
-    p.add_argument("--weights", required=True)
+    p.add_argument("--weights", required=True, help=_WEIGHTS_HELP)
     p.add_argument("--p", default="inf", help="comma list, e.g. 1,2,inf")
     p.add_argument("--nmin", type=int, default=1)
     p.add_argument("--nmax", type=int, help="default: N-2")
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("weights-validate", help="validate a weight scheme")
     p.add_argument("--config")
-    p.add_argument("--weights", required=True)
+    p.add_argument("--weights", required=True, help=_WEIGHTS_HELP)
     p.add_argument("--n", type=int, default=None, help="block exponent for family specs")
     p.add_argument("--cmax", type=float, default=DEFAULT_CASE_A_CAP)
     p.add_argument("--out", default="-")
@@ -238,6 +249,11 @@ def _cmd_transform(args) -> int:
 
 def _cmd_kernel_norms(args) -> int:
     n_max = 1 << (args.resolution - 1) if args.nmax is None else args.nmax
+    if n_max > KERNEL_NORMS_MAX_ROWS:
+        raise ValueError(
+            f"kernel-norms would write {n_max} rows, more than {KERNEL_NORMS_MAX_ROWS}; "
+            f"pass a smaller --nmax"
+        )
     d_norms, k_norms = kernel_norm_sweep(n_max, args.resolution)
     records = [
         {"n": n, "l1_dirichlet": float(d), "l1_fejer": float(k)}

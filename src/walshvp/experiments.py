@@ -49,6 +49,10 @@ DEFAULT_SLACK = 1e-9
 
 FLAG_INCONSISTENT = "inconsistent"
 
+# Above this resolution the Dirichlet recursion check samples its orders.
+RECURSION_EXHAUSTIVE_MAX_N = 10
+RECURSION_SAMPLES = (1 << RECURSION_EXHAUSTIVE_MAX_N) + 1
+
 STANDARD_SUITE_SPECS = (
     "abs_power:0.5",
     "abs_power:1.0",
@@ -181,9 +185,11 @@ def _block_records(
     f: SampledFunction, scheme: WeightScheme, p_values: Sequence
 ) -> List[ApproxRecord]:
     # One validation and one mean per block, shared by every p.  The 47/30
-    # bound is asserted exactly when the scheme is non-increasing (case b).
+    # bound is asserted exactly when the scheme sums to one and is
+    # non-increasing (case b): its proof needs both.
     n = scheme.block_exponent
-    case_b = validate(scheme).case_b_ok
+    report = validate(scheme)
+    case_b = report.sum_ok and report.case_b_ok
     bound = float(CASE_B_BOUND) if case_b else math.nan
     residual = vp_mean(f, scheme, PATH_CONVOLUTION).function - f
     records = []
@@ -223,8 +229,8 @@ def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRe
     """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio.
 
     The 47/30 constant is asserted, with slack DEFAULT_SLACK, exactly
-    when the scheme is non-increasing (case b); otherwise bound is nan
-    and nothing is asserted.
+    when the scheme sums to one and is non-increasing (case b); otherwise
+    bound is nan and nothing is asserted.
     """
     return _block_records(f, scheme, (p,))[0]
 
@@ -337,16 +343,33 @@ def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
     return LemmaResult("dirichlet-closed-form", resolution + 1, float(worst), worst == 0)
 
 
-def _check_dirichlet_recursion(resolution: int) -> LemmaResult:
+def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
+    """D_n by the doubling recursion against the Walsh sum.  Up to
+    RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is checked against a
+    running sum of Walsh signs.  Above it the 2^N + 1 recursions would
+    cost O(4^N), so n = 0, every power of two and orders drawn from the
+    seed, RECURSION_SAMPLES in all, are checked against the spectral
+    synthesis dirichlet(n, N)."""
     size = 1 << resolution
     worst = 0
-    running = np.zeros(size, dtype=np.int64)
-    for n in range(size + 1):
+    if resolution <= RECURSION_EXHAUSTIVE_MAX_N:
+        running = np.zeros(size, dtype=np.int64)
+        for n in range(size + 1):
+            rec = dirichlet_via_recursion(n, resolution).exact_numer
+            worst = max(worst, int(np.max(np.abs(rec - running))))
+            if n < size:
+                running = running + walsh_signs(n, resolution)
+        return LemmaResult("dirichlet-recursion", size + 1, float(worst), worst == 0)
+    orders = {0} | {1 << m for m in range(resolution + 1)}
+    rng = SplitMix64(seed)
+    while len(orders) < RECURSION_SAMPLES:
+        orders.add(rng.randint(size + 1))
+    for n in sorted(orders):
         rec = dirichlet_via_recursion(n, resolution).exact_numer
-        worst = max(worst, int(np.max(np.abs(rec - running))))
-        if n < size:
-            running = running + walsh_signs(n, resolution)
-    return LemmaResult("dirichlet-recursion", size + 1, float(worst), worst == 0)
+        worst = max(worst, int(np.max(np.abs(rec - dirichlet(n, resolution).exact_numer))))
+    return LemmaResult(
+        "dirichlet-recursion", len(orders), float(worst), worst == 0, "sampled"
+    )
 
 
 def _check_fejer_bounds(resolution: int) -> Tuple[LemmaResult, LemmaResult]:
@@ -437,7 +460,7 @@ def verify_all_lemmas(
     uniform, sharp = _check_fejer_bounds(resolution)
     results = [
         _check_dirichlet_closed_form(resolution),
-        _check_dirichlet_recursion(resolution),
+        _check_dirichlet_recursion(resolution, seed + 2),
         uniform,
         sharp,
         _check_translate_difference(resolution, seed, translate_count),

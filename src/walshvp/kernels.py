@@ -127,22 +127,50 @@ def kernel_l1_norm(kernel: KernelFunction) -> Fraction:
 def kernel_norm_sweep(n_max: int, resolution: int):
     """Exact L1 norms of D_n and K_n for n = 1..n_max in one pass.
 
-    Returns (dirichlet_norms, fejer_norms) as lists of Fractions.
-    Incremental integer accumulation keeps the sweep O(n_max 2^N).
+    Returns (dirichlet_norms, fejer_norms) as lists of Fractions.  With
+    d(n) = sum_x |D_n(x)| and l(n) = sum_x |n K_n(x)| over the 2^N cells,
+    ||D_n||_1 = d(n) / 2^N, ||K_n||_1 = l(n) / (n 2^N), d(1) = l(1) = 2^N.
+
+    For n = 2^m + j, 1 <= j <= 2^m, the Paley splitting gives
+    D_n = D_{2^m} + r_m D_j and n K_n = (2^m K_{2^m} + j D_{2^m}) + r_m j K_j,
+    where every term but r_m depends only on x_0..x_{m-1}.  Summing over
+    x_m with |a + b| + |a - b| = 2 max(|a|, |b|), and using that D_{2^m}
+    lives on I_m and 2^m K_{2^m} on I_m and the one-bit cells 2^t, t < m,
+    with the value 2^(m+t-1) at 2^t:
+
+      d(2^m + j) = 2^N + d(j) - 2^(N-m) j,
+      l(2^m + j) = l(j) + 2^(N-m) [2^(m-1) (2^m + 1) + 2^m j - j (j+1) / 2
+                   + sum_{t<m} max(0, 2^(m+t-1) - L_t(j))],
+
+    with L_t(j) = j K_j(2^t) = sum_{k<=j} min(k mod 2^(t+1), 2^(t+1) - k mod
+    2^(t+1)).  Each level m is one vector pass over j, so the sweep costs
+    O(N n_max) integer operations and never builds a 2^N-cell array.
     """
     _check_order(n_max, resolution)
     if n_max < 1:
         raise ValueError("sweep needs n_max >= 1")
     size = 1 << resolution
-    running = np.zeros(size, dtype=np.int64)
-    cumulative = np.zeros(size, dtype=np.int64)
-    d_norms = []
-    k_norms = []
-    for n in range(1, n_max + 1):
-        running += walsh_signs(n - 1, resolution)
-        cumulative += running
-        d_norms.append(Fraction(int(np.sum(np.abs(running))), size))
-        k_norms.append(Fraction(int(np.sum(np.abs(cumulative))), n * size))
+    dtype = _int_dtype(1 << (2 * resolution + 2))
+    d = np.zeros(n_max + 1, dtype=dtype)
+    ell = np.zeros(n_max + 1, dtype=dtype)
+    d[1] = ell[1] = size
+    m = 0
+    while (1 << m) < n_max:
+        half = 1 << m
+        count = min(half, n_max - half)
+        j = np.arange(1, count + 1).astype(dtype)
+        scale = size >> m
+        d[half + 1 : half + count + 1] = size + d[1 : count + 1] - scale * j
+        excess = half * (half + 1) // 2 + half * j - j * (j + 1) // 2
+        for t in range(m):
+            period = 2 << t
+            phase = j % period
+            cell = np.cumsum(np.minimum(phase, period - phase))  # L_t(j)
+            excess += np.maximum(0, (half << t) // 2 - cell)
+        ell[half + 1 : half + count + 1] = ell[1 : count + 1] + scale * excess
+        m += 1
+    d_norms = [Fraction(int(v), size) for v in d[1:]]
+    k_norms = [Fraction(int(v), n * size) for n, v in enumerate(ell[1:], start=1)]
     return d_norms, k_norms
 
 

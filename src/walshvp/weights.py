@@ -174,22 +174,35 @@ def load_weight_file(path: str) -> WeightScheme:
 
     The indices must cover one dyadic block, which sets the block
     exponent.  The weights are taken as written, not normalized, so
-    validate reports whether they sum to one.
+    validate reports whether they sum to one.  A malformed row (not two
+    fields, a token that is not a number, an index below 1 or repeated)
+    is an error naming its line.
     """
     rows = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "k,t":
             raise ValueError(f"weight file must start with 'k,t' header, got {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k_tok, t_tok = line.split(",")
-            k = int(k_tok)
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(
+                    f"line {lineno}: expected 2 fields 'k,t', got {len(fields)}: {line!r}"
+                )
+            k_tok, t_tok = fields
+            try:
+                k = int(k_tok)
+                t = _parse_weight_token(t_tok)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if k < 1:
+                raise ValueError(f"line {lineno}: weight index must be >= 1, got {k_tok.strip()!r}")
             if k in rows:
-                raise ValueError(f"duplicate weight index {k}")
-            rows[k] = _parse_weight_token(t_tok)
+                raise ValueError(f"line {lineno}: duplicate weight index {k}")
+            rows[k] = t
     if not rows:
         raise ValueError("weight file contains no rows")
     start = min(rows)

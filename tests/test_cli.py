@@ -90,6 +90,32 @@ def test_kernel_norms_csv(capsys):
     assert lines[1] == "1,1,1"
 
 
+def test_kernel_norms_row_cap(capsys):
+    # The default --nmax at N=20 asks for 2^19 rows: refused before any work.
+    code, out, err = run(capsys, "kernel-norms", "--resolution", "20")
+    assert code == 2 and out == ""
+    assert "--nmax" in err and f"{1 << 19} rows" in err
+    code, out, _ = run(
+        capsys, "kernel-norms", "--resolution", "20", "--nmax", "4", "--format", "json"
+    )
+    assert code == 0 and [r["n"] for r in json.loads(out)] == [1, 2, 3, 4]
+
+
+def test_verify_lemmas_samples_the_recursion_above_n10(capsys):
+    code, out, _ = run(
+        capsys, "verify-lemmas", "--resolution", "14",
+        "--lemma5-count", "4", "--random-schemes", "1", "--format", "json",
+    )
+    assert code == 0
+    rows = {row["lemma"]: row for row in json.loads(out)}
+    recursion = rows["dirichlet-recursion"]
+    assert recursion["instances"] == experiments.RECURSION_SAMPLES == 1025
+    assert recursion["detail"] == "sampled" and recursion["worst_margin"] == 0
+    code, out, _ = run(capsys, "verify-lemmas", "--resolution", "10", "--format", "json")
+    recursion = {row["lemma"]: row for row in json.loads(out)}["dirichlet-recursion"]
+    assert code == 0 and recursion["instances"] == (1 << 10) + 1 and recursion["detail"] == ""
+
+
 def test_verify_lemmas_ok(capsys):
     code, out, _ = run(
         capsys,
@@ -184,6 +210,38 @@ def test_approx_weight_file(tmp_path, capsys):
         "7",
     )
     assert code == 2 and "block exponent" in err
+
+
+def test_case_b_bound_needs_weights_summing_to_one(tmp_path, capsys):
+    # Non-increasing but summing to 6: 47/30 is not asserted.
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n4,3\n5,1\n6,1\n7,1\n")
+    argv = [
+        "approx", "--function", "abs_power:0.5", "--weights", str(path),
+        "--resolution", "8", "--nmin", "2", "--nmax", "2", "--p", "inf",
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert record["bound"] is None and record["bound_ok"] is True
+    code, out, _ = run(capsys, *argv)
+    row = next(csv.DictReader(out.splitlines()[1:]))
+    assert code == 0 and row["bound"] == "nan" and row["bound_ok"] == "true"
+
+
+def test_family_name_is_not_shadowed_by_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "uniform").write_text("k,t\n4,1\n")
+    code, out, err = run(capsys, "weights-validate", "--weights", "uniform", "--n", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "3,1,true,both,1.875,true,true"
+    code, _, err = run(capsys, "weights-validate", "--weights", "./uniform")
+    assert code == 2 and "weight file must cover [4, 7]" in err
+    code, _, _ = run(
+        capsys, "approx", "--function", "indicator:2", "--weights", "uniform",
+        "--resolution", "6", "--nmin", "3", "--nmax", "3",
+    )
+    assert code == 0
 
 
 def test_modulus_table(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import walshvp.kernels
+import walshvp.walsh_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +50,22 @@ def space_domain_vp_numerators(scheme, resolution):
             t = exact[k - scheme.block_start]
             acc += t.numerator * (denom // t.denominator) * running.astype(object)
     return acc, denom
+
+
+def kernel_norm_sweep_oracle(n_max, resolution):
+    """The per-n loop: D_n and n K_n accumulated from Walsh signs over all
+    2^N cells, O(n_max 2^N)."""
+    size = 1 << resolution
+    running = np.zeros(size, dtype=np.int64)
+    cumulative = np.zeros(size, dtype=np.int64)
+    d_norms = []
+    k_norms = []
+    for n in range(1, n_max + 1):
+        running += walsh_signs(n - 1, resolution)
+        cumulative += running
+        d_norms.append(Fraction(int(np.sum(np.abs(running))), size))
+        k_norms.append(Fraction(int(np.sum(np.abs(cumulative))), n * size))
+    return d_norms, k_norms
 
 
 class TestDirichlet:
@@ -129,6 +147,39 @@ class TestFejer:
         peak = max(k_norms)
         assert peak <= 2
         assert peak <= Fraction(17, 15)
+
+
+class TestNormSweep:
+    """The Paley recurrence of kernel_norm_sweep against the per-n loop."""
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_equals_oracle(self, N):
+        for n_max in sorted({1, 3, 1 << (N - 1), (1 << N) - 1, 1 << N}):
+            if n_max <= 1 << N:
+                assert kernel_norm_sweep(n_max, N) == kernel_norm_sweep_oracle(n_max, N)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_oracle_at_random_sizes(self, data):
+        N = data.draw(st.integers(1, 11))
+        n_max = data.draw(st.integers(1, 1 << N))
+        assert kernel_norm_sweep(n_max, N) == kernel_norm_sweep_oracle(n_max, N)
+
+    def test_builds_no_cell_array(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep must not touch the 2^N cells")
+
+        for module in (walshvp.kernels, walshvp.walsh_system):
+            monkeypatch.setattr(module, "walsh_signs", refuse)
+            monkeypatch.setattr(module, "hadamard_transform", refuse)
+        d_norms, k_norms = kernel_norm_sweep(1 << 9, 12)
+        assert d_norms[-1] == 1 and max(k_norms) <= Fraction(17, 15)
+
+    def test_bigint_path_matches_int64(self, monkeypatch):
+        # The norms do not depend on N once n <= 2^N.  At N = 30 the sums
+        # may pass the int64 range, so the sweep runs on Python ints.
+        monkeypatch.setenv("WALSHVP_MAX_N", "40")
+        assert kernel_norm_sweep(200, 30) == kernel_norm_sweep(200, 8)
 
 
 class TestVpKernel:

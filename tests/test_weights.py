@@ -294,6 +294,29 @@ class TestWeightFiles:
             with pytest.raises(ValueError, match="non-negative"):
                 load_weight_file(str(path))
 
+    def test_index_below_one_names_its_line(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("k,t\n# block n=0\n0,1\n")
+        with pytest.raises(ValueError, match="line 3: weight index must be >= 1, got '0'"):
+            load_weight_file(str(path))
+
+    def test_field_count_names_its_line(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("k,t\n2,1/2\n3,1/4,1/4\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 fields 'k,t', got 3: '3,1/4,1/4'"):
+            load_weight_file(str(path))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("x,1", "invalid literal for int"), ("3,abc", "Invalid literal for Fraction"),
+         ("3,1/0", "zero denominator"), ("2,1", "duplicate weight index 2")],
+    )
+    def test_bad_token_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "w.csv"
+        path.write_text(f"k,t\n2,1/2\n{row}\n")
+        with pytest.raises(ValueError, match=f"^line 3: .*{message}"):
+            load_weight_file(str(path))
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("index,weight\n2,1\n3,1\n")
