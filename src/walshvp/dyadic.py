@@ -57,11 +57,12 @@ class SampledFunction:
 
     values[j] is the value on the cell of the point with index j.
     Instances are immutable, values is a read-only view, and operations
-    return new objects.  What depends only on the function (its spectrum,
-    its moduli for each p) is computed once and kept in the private slots.
+    return new objects.  What depends only on the function (its dyadic
+    rank, its spectrum, its moduli for each p) is computed once and kept
+    in the private slots.
     """
 
-    __slots__ = ("resolution", "values", "_spectrum", "_moduli")
+    __slots__ = ("resolution", "values", "_rank", "_spectrum", "_moduli")
 
     def __init__(self, resolution: int, values) -> None:
         resolution = check_resolution(resolution)
@@ -77,6 +78,7 @@ class SampledFunction:
         arr.setflags(write=False)
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_moduli", {})
 
@@ -216,38 +218,46 @@ def interval_indicator(n: int, resolution: int) -> SampledFunction:
     return SampledFunction(resolution, values)
 
 
-def _l2_moduli(f: SampledFunction) -> tuple:
-    # ||f(.+t) - f||_2^2 = 2 * (sum_m fhat(m)^2 - sum_m fhat(m)^2 w_m(t)),
-    # so one unnormalized transform of the squared spectrum gives the
-    # distance for every t simultaneously, and omega_2(f, 2^-n) is its
-    # largest value over t = 0 mod 2^n: halving the stride n times.  Every
+def _l2_table(f: SampledFunction, n0: int) -> tuple:
+    # ||f(.+t) - f||_2^2 = 2 (sum_m fhat(m)^2 - sum_m fhat(m)^2 w_m(t)), so
+    # one unnormalized transform of the squared spectrum gives the distance
+    # for every t at once.  fhat vanishes from 2^r on, so the transform
+    # runs at rank r, and only t = 0 mod 2^n0 is needed, where w_m(t)
+    # reads only the bits of m from n0 on: the squares are first summed
+    # over the low n0 bits of m.  Both follow the butterfly's adjacent-pair
+    # order, so each entry is the full-size value bit for bit.  Every
     # |fhat(m)| <= max |f|, so the coefficients are divided by the scale of
-    # that bound before squaring.
+    # that bound before squaring.  Returns (n0, scale, rank, sums) with
+    # sums[k] the distance at t = k 2^n0 over scale^2, n0 capped at r.
     from .walsh_system import _butterfly, fwht_forward
 
+    rank = _rank_of(f)
     top = max(-float(np.min(f.values)), float(np.max(f.values)))
     if top == 0.0:  # f = 0; samples are finite, so top < inf
-        return (0.0,) * (f.resolution + 1)
+        return 0, 1.0, rank, np.zeros(1)
+    n0 = min(n0, rank)
     scale = _power_scale(top, 2.0, f.resolution)
-    g = fwht_forward(f).coeffs / scale
+    g = fwht_forward(f).coeffs[: 1 << rank] / scale
     g **= 2
     total = _pairwise_total(g)
-    per_t = _butterfly(g)
-    np.subtract(total, per_t, out=per_t)
-    per_t *= 2.0
-    moduli = []
-    for _ in range(f.resolution + 1):
-        worst = float(np.max(per_t))
-        moduli.append(scale * math.sqrt(max(worst, 0.0)))
-        per_t = per_t[::2]
-    return tuple(moduli)
+    low = g.reshape(-1, 1 << n0)
+    while low.shape[1] > 1:
+        low = low[:, 0::2] + low[:, 1::2]
+    sums = _butterfly(low.reshape(-1))
+    np.subtract(total, sums, out=sums)
+    sums *= 2.0
+    return n0, scale, rank, sums
 
 
 def _modulus_l2(f: SampledFunction, n: int) -> float:
-    moduli = f._moduli.get(2.0)
-    if moduli is None:
-        moduli = f._moduli[2.0] = _l2_moduli(f)
-    return moduli[n]
+    # omega_2(f, 2^-n) is the largest distance over t = 0 mod 2^n; one table
+    # per function serves every n >= n0 by stride.
+    entry = f._moduli.get(2.0)
+    if entry is None or entry[0] > n:
+        entry = f._moduli[2.0] = _l2_table(f, n)
+    n0, scale, _, sums = entry
+    worst = float(np.max(sums[:: 1 << (n - n0)]))
+    return scale * math.sqrt(max(worst, 0.0))
 
 
 def _coset_oscillation(values: np.ndarray, n: int) -> float:
@@ -271,6 +281,13 @@ def _dyadic_rank(values: np.ndarray) -> int:
             break
         bits = bits[:half]
     return bits.size.bit_length() - 1
+
+
+def _rank_of(f: SampledFunction) -> int:
+    # f's dyadic rank, computed once and kept on f.
+    if f._rank is None:
+        object.__setattr__(f, "_rank", _dyadic_rank(f.values))
+    return f._rank
 
 
 # Cells per block of translates in the finite-p modulus (512 KiB of float64).
@@ -327,7 +344,7 @@ def _modulus_blocked(f: SampledFunction, n: int, p: float, top: float) -> float:
     scale = _power_scale(top, p, f.resolution)
     entry = f._moduli.get(p)
     if entry is None or entry[0] > n or entry[1] != scale:
-        rank = _dyadic_rank(f.values)
+        rank = _rank_of(f)
         sums = _translate_sums(f.values[: 1 << rank], n, p, scale)
         entry = f._moduli[p] = (n, scale, rank, sums)
     n0, _, rank, sums = entry
@@ -361,11 +378,15 @@ def modulus_of_continuity(
     loop bit for bit.  brute_force=True runs the loop over translates,
     the oracle.
 
-    The blocked route runs at the function's dyadic rank r, the smallest
-    r for which f depends only on x mod 2^r, which costs 4^r / 2^n
-    instead of 4^N / 2^n.  Each function keeps, per p, its sums over the
-    translates in I_n0 for the smallest n0 asked so far, and serves every
-    n >= n0 from them by stride: a sweep over n costs one table.
+    The spectral and blocked routes run at the function's dyadic rank r,
+    the smallest r for which f depends only on x mod 2^r.  The spectral
+    route sums the squared coefficients over the low n0 bits and
+    transforms 2^(r-n0) sums: O(r 2^r + 2^N) with the transform of f,
+    and the full-size values bit for bit.  The blocked route costs
+    4^r / 2^n instead of 4^N / 2^n.  Each function keeps, per p, its
+    table over the translates in I_n0 for the smallest n0 asked so far,
+    and serves every n >= n0 from it by stride: a sweep over n costs one
+    table.
     """
     p = _check_exponent(p)
     if not 0 <= n <= f.resolution:

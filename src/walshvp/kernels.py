@@ -88,15 +88,17 @@ def dirichlet(n: int, resolution: int) -> KernelFunction:
 
 
 def _dirichlet_rec_int(n: int, resolution: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros(1 << resolution, dtype=np.int64)
-    m = n.bit_length() - 1
-    values = _paley_int(m, resolution)
-    j = n - (1 << m)
-    if j:
-        idx = np.arange(1 << resolution, dtype=np.int64)
-        r_m = 1 - 2 * ((idx >> m) & 1)
-        values = values + r_m * _dirichlet_rec_int(j, resolution)
+    # D_n = D_{2^m} + r_m D_j for the top bit m of n and j = n - 2^m,
+    # unrolled from the lowest bit of n up in one array: at each set bit m
+    # above a lower one, r_m negates the odd halves of the periods of
+    # length 2^(m+1); then the closed form adds 2^m on I_m.
+    values = np.zeros(1 << resolution, dtype=np.int64)
+    for m in range(n.bit_length()):
+        if n >> m & 1:
+            if n & ((1 << m) - 1):
+                odd = values.reshape(-1, 2, 1 << m)[:, 1]
+                np.negative(odd, out=odd)
+            values[:: 1 << m] += 1 << m
     return values
 
 

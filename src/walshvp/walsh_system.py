@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import SampledFunction, _read_samples, check_resolution
+from .dyadic import SampledFunction, _rank_of, _read_samples, check_resolution
 
 _SPECTRUM_HEADER = "SPECTRUM"
 
@@ -139,19 +139,40 @@ def hadamard_transform(values) -> np.ndarray:
 def fwht_forward(f: SampledFunction) -> Spectrum:
     """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu).
 
+    A function of x mod 2^r, r its dyadic rank, has no coefficient from
+    2^r on, so values[:2^r] are transformed, scaled by 2^-r, and the rest
+    is zero: O(r 2^r + 2^N).  That is the full-size transform bit for bit,
+    whose stages above 2^r only double the first 2^r sums exactly and set
+    the rest to x - x = +0.0, as long as those doubled sums stay finite.
     The spectrum is computed once per function and kept on it; both are
     read-only, so every caller shares one transform.
     """
     if f._spectrum is None:
-        coeffs = hadamard_transform(f.values)
-        coeffs *= 2.0**-f.resolution
+        rank = _rank_of(f)
+        coeffs = np.zeros(f.size)
+        coeffs[: 1 << rank] = hadamard_transform(f.values[: 1 << rank])
+        coeffs[: 1 << rank] *= 2.0**-rank
         object.__setattr__(f, "_spectrum", Spectrum(f.resolution, coeffs))
     return f._spectrum
 
 
 def fwht_inverse(s: Spectrum) -> SampledFunction:
-    """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward."""
-    return SampledFunction(s.resolution, hadamard_transform(s.coeffs))
+    """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.
+
+    Only the first 2^k coefficients are synthesized, the fewest that hold
+    every coefficient whose bits are not those of +0.0, and the result is
+    tiled: O(k 2^k + 2^N).  That is the full-size synthesis bit for bit.
+    Its stages above 2^k add and subtract blocks of +0.0: subtracting
+    leaves a value as it is and adding turns -0.0 into +0.0, and every
+    copy but the last is added to at least once, so 0.0 is added to those.
+    """
+    bits = s.coeffs.view(np.uint64)
+    size = s.size
+    while size > 1 and not bits[size // 2 : size].any():
+        size //= 2
+    values = np.tile(hadamard_transform(s.coeffs[:size]), s.size // size)
+    values[:-size] += 0.0
+    return SampledFunction(s.resolution, values)
 
 
 def fourier_coefficients_naive(f: SampledFunction) -> np.ndarray:

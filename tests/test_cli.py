@@ -460,26 +460,46 @@ def test_overflowing_oscillation_prints_no_warning(capsys):
     assert out.splitlines()[1] == "0,inf,1,inf"
 
 
+def test_constant_near_the_float_limit_is_not_doubled(capsys):
+    # A rank-0 function is transformed at size 1: no 2^N sum of its samples
+    # overflows, so the mean reproduces it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "approx", "--function", "walsh_poly:1e308",
+                             "--resolution", "3", "--weights", "uniform", "--nmin", "1",
+                             "--nmax", "1", "--p", "2,inf", "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["records"]
+    assert [(r["p"], r["error"], r["modulus"]) for r in rows] == [("2", 0.0, 0.0), ("inf", 0.0, 0.0)]
+
+
+APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")
+
+
 @pytest.mark.parametrize(
-    "argv, transforms",
+    "argv, function, sizes",
     [
-        # f once, one synthesis per block mean, one transform for every p = 2 modulus
-        (("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3"), 5),
-        (("modulus", "--nmin", "0", "--nmax", "2"), 2),
+        # step_mix has rank 4: f once at 2^4, one synthesis of 2^min(n+1, 4)
+        # per block mean, and one table of 2^(4-nmin) for every p = 2 modulus
+        (APPROX_1_3, "step_mix", [16, 4, 8, 8, 16]),
+        (("modulus", "--nmin", "0", "--nmax", "2"), "step_mix", [16, 16]),
+        # full rank: f once at 2^N, a table of 2^(N-nmin), 2^(n+1) per mean
+        (APPROX_1_3, "abs_power:0.5", [1024, 4, 512, 8, 16]),
     ],
+    ids=["approx-step_mix", "modulus-step_mix", "approx-abs_power"],
 )
-def test_transforms_per_command(capsys, monkeypatch, argv, transforms):
-    sizes = []
+def test_transforms_per_command(capsys, monkeypatch, argv, function, sizes):
+    counted_sizes = []
     butterfly = walsh_system._butterfly
 
     def counted(a):
-        sizes.append(a.size)
+        counted_sizes.append(a.size)
         return butterfly(a)
 
     monkeypatch.setattr(walsh_system, "_butterfly", counted)
     monkeypatch.setattr(means, "_butterfly", counted)
-    code, _, _ = run(capsys, *argv, "--function", "step_mix", "--resolution", "10", "--p", "2")
-    assert code == 0 and sizes == [1 << 10] * transforms
+    code, _, _ = run(capsys, *argv, "--function", function, "--resolution", "10", "--p", "2")
+    assert code == 0 and counted_sizes == sizes
 
 
 def test_every_option_is_read(capsys, tmp_path):

@@ -1,0 +1,122 @@
+"""The spectral routes sized by the rank of their data, against the
+full-size transforms they replace."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from walshvp.dyadic import SampledFunction, _pairwise_total, _power_scale, modulus_of_continuity
+from walshvp.experiments import SplitMix64, random_rational_scheme
+from walshvp.kernels import _block_multiplier
+from walshvp.means import dyadic_convolve, vp_mean
+from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse, hadamard_transform
+from walshvp.weights import build_scheme
+
+SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _forward_oracle(f):
+    return hadamard_transform(f.values) * 2.0**-f.resolution
+
+
+def _l2_distances_oracle(f):
+    """(scale, ||f(.+t) - f||_2^2 / scale^2 for every t) from one transform
+    of all 2^N squared coefficients."""
+    top = max(-float(np.min(f.values)), float(np.max(f.values)))
+    scale = _power_scale(top, 2.0, f.resolution)
+    g = (_forward_oracle(f) / scale) ** 2
+    return scale, 2.0 * (_pairwise_total(g) - hadamard_transform(g))
+
+
+def _l2_moduli_oracle(scale, per_t):
+    """omega_2(f, 2^-n) for n = 0..N: the largest distance at t = 0 mod 2^n."""
+    return [
+        scale * math.sqrt(max(float(np.max(per_t[:: 1 << n])), 0.0))
+        for n in range(per_t.size.bit_length())
+    ]
+
+
+def _mean_oracle(f, scheme):
+    return hadamard_transform(_block_multiplier(scheme.weights, f.resolution) * _forward_oracle(f))
+
+
+@st.composite
+def rank_functions(draw, min_resolution=1):
+    """(N, samples of x mod 2^r tiled to 2^N) for N <= 10 and any r <= N,
+    at a magnitude where the p = 2 table is scaled or not."""
+    N = draw(st.integers(min_resolution, 10))
+    r = draw(st.integers(0, N))
+    cells = draw(st.lists(SAMPLES, min_size=1 << r, max_size=1 << r))
+    magnitude = 2.0 ** draw(st.sampled_from([0, 600, -600]))
+    return N, np.tile(np.array(cells) * magnitude, 1 << (N - r))
+
+
+@given(rank_functions())
+@settings(max_examples=120, deadline=None)
+def test_forward_is_the_full_transform_bit_for_bit(case):
+    N, values = case
+    f = SampledFunction(N, values)
+    assert _bits(fwht_forward(f).coeffs) == _bits(_forward_oracle(f))
+
+
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=120, deadline=None)
+def test_inverse_is_the_full_synthesis_bit_for_bit(N, data):
+    k = data.draw(st.integers(0, N))
+    coeffs = np.zeros(1 << N)
+    coeffs[: 1 << k] = data.draw(st.lists(SAMPLES, min_size=1 << k, max_size=1 << k))
+    assert _bits(fwht_inverse(Spectrum(N, coeffs)).values) == _bits(hadamard_transform(coeffs))
+
+
+@given(rank_functions())
+@settings(max_examples=60, deadline=None)
+def test_l2_modulus_is_the_full_route_bit_for_bit_for_every_first_n(case):
+    N, values = case
+    f = SampledFunction(N, values)
+    if not np.any(values):  # f = 0 needs no table and has every modulus 0
+        assert [modulus_of_continuity(f, n, 2) for n in range(N + 1)] == [0.0] * (N + 1)
+        return
+    scale, per_t = _l2_distances_oracle(f)
+    expected = [m.hex() for m in _l2_moduli_oracle(scale, per_t)]
+    for first in range(N + 1):
+        f = SampledFunction(N, values)
+        modulus_of_continuity(f, first, 2)
+        n0, table_scale, _, sums = f._moduli[2.0]
+        # the table is the full one at t = 0 mod 2^n0, over one period
+        assert table_scale == scale and _bits(sums) == _bits(per_t[:: 1 << n0][: sums.size])
+        assert [modulus_of_continuity(f, n, 2).hex() for n in range(N + 1)] == expected
+
+
+@given(rank_functions(min_resolution=2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mean_equals_the_full_synthesis(case, data):
+    N, values = case
+    f = SampledFunction(N, values)
+    n = data.draw(st.integers(1, N - 1))
+    family = data.draw(st.sampled_from(["uniform", "linear_up", "cesaro", "random"]))
+    if family == "random":
+        scheme = random_rational_scheme(n, SplitMix64(data.draw(st.integers(0, 2**32))))
+    else:
+        scheme = build_scheme(family, n, alpha=0.5 if family == "cesaro" else None)
+    assert np.array_equal(vp_mean(f, scheme).function.values, _mean_oracle(f, scheme))
+
+
+@given(rank_functions(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_convolution_equals_the_full_synthesis(case, data):
+    N, values = case
+    r = data.draw(st.integers(0, N))
+    cells = data.draw(st.lists(SAMPLES, min_size=1 << r, max_size=1 << r))
+    f = SampledFunction(N, values)
+    kernel = SampledFunction(N, np.tile(cells, 1 << (N - r)))
+    expected = hadamard_transform(_forward_oracle(f) * _forward_oracle(kernel))
+    assert np.array_equal(dyadic_convolve(f, kernel).values, expected)
