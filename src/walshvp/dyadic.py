@@ -333,19 +333,111 @@ def _translate_sums(values: np.ndarray, n: int, p: float, scale: float) -> np.nd
     return sums
 
 
+# Translates per coset from which the p = 1 table is built by the sign
+# split.  The split is the faster route from about 2^9 translates on
+# (abs_power:0.5, best of 7 on a 2-vCPU Xeon: 2^10 translates at n = 0
+# took 5.9 ms blocked and 1.8 ms split, 2^8 at n = 2 took 0.9 and 1.1 ms),
+# but it matches the loop only to rounding.  From 2^11 on, every table at
+# N <= 10 keeps the blocked route and its bits, verify-lemmas at N <= 10
+# included.
+_SPLIT_MIN_TRANSLATES = 1 << 11
+
+# Smallest share of a sign-split table's largest sum that the largest sum
+# at t = 0 mod 2^n may have for the table to serve n.  Each entry is off by
+# about 1e-15 of the largest sum, so a served modulus stays within about
+# 1e-12 of its value, relative; a smaller stride is built again at n.
+_SPLIT_MIN_SHARE = 2.0**-10
+
+
+def _sign_split_sums(values: np.ndarray, n: int, scale: float) -> np.ndarray:
+    # The p = 1 table of _translate_sums, to rounding, in about
+    # 2^n m^1.5 sqrt(log m) operations for m = 2^-n values.size translates.
+    # Each coset of I_n (a column of the coset table) is sorted and cut into
+    # B buckets of equal size by rank.  For x in a higher bucket than y,
+    # |f(x) - f(y)| = f(x) - f(y), so the sum over such pairs with
+    # x ^ y = t is a difference of two dyadic correlations, the products
+    # of Walsh transforms: sum_j (f 1_j) * 1_{<j} - 1_j * (f 1_{<j}), with
+    # the transforms of 1_{<j} and f 1_{<j} kept as running sums.  Pairs
+    # inside one bucket are summed directly.  Each pair is counted once,
+    # and the table counts both orders.  Shifting a coset by its smallest
+    # value changes no difference and keeps the transforms, and so their
+    # rounding, at the size of the differences rather than of the values.
+    from .walsh_system import _butterfly
+
+    m = values.size >> n
+    cosets = (values / scale).reshape(m, -1).T
+    order = np.argsort(cosets, axis=1, kind="stable")
+    ranked = np.take_along_axis(cosets, order, axis=1)
+    ranked -= ranked[:, :1].copy()
+    buckets = 1 << round(math.log2(m / max(1.0, math.log2(m))) / 2)
+    size = m // buckets
+    columns = np.arange(ranked.shape[0])[:, None]
+    pair = np.empty((2,) + ranked.shape)  # f 1_j and 1_j, then transformed
+    below = np.zeros_like(pair)  # the same over the buckets below j
+    cross = np.zeros(ranked.shape)
+    for j in range(0, m, size):
+        pair.fill(0.0)
+        members = order[:, j : j + size]
+        pair[0][columns, members] = ranked[:, j : j + size]
+        pair[1][columns, members] = 1.0
+        _butterfly(pair.reshape(-1, m))
+        cross += pair[0] * below[1]
+        cross -= pair[1] * below[0]
+        below += pair
+    sums = _butterfly(cross.sum(axis=0)) / m
+    # Within a bucket, split each run of 2h ranks in halves: every pair
+    # across the halves is counted once, at the next level inside them.
+    h = size // 2
+    while h:
+        lo, hi = ranked.reshape(-1, 2, h).transpose(1, 0, 2)
+        lo_at, hi_at = order.reshape(-1, 2, h).transpose(1, 0, 2)
+        runs = max(1, _BLOCK_CELLS // (h * h))
+        step = min(h, _BLOCK_CELLS // h)
+        for first in range(0, lo.shape[0], runs):
+            part = slice(first, first + runs)
+            for low in range(0, h, step):
+                rows = slice(low, low + step)
+                diffs = hi[part, None, :] - lo[part, rows, None]
+                shifts = hi_at[part, None, :] ^ lo_at[part, rows, None]
+                sums += np.bincount(shifts.reshape(-1), diffs.reshape(-1), m)
+        h //= 2
+    sums *= 2.0
+    return sums
+
+
+def _takes_sign_split(p: float, translates: int) -> bool:
+    return p == 1.0 and translates >= _SPLIT_MIN_TRANSLATES
+
+
+def _serves(entry, n: int, p: float, scale: float) -> bool:
+    # A table serves every n >= n0 at its own scale.  A sign-split table is
+    # exact only to rounding of its largest sum, so it also needs the
+    # largest sum over t = 0 mod 2^n to be at least _SPLIT_MIN_SHARE of it.
+    if entry is None or entry[0] > n or entry[1] != scale:
+        return False
+    n0, _, _, sums = entry
+    if not _takes_sign_split(p, sums.size):
+        return True
+    return np.max(sums[:: 1 << (n - n0)]) >= _SPLIT_MIN_SHARE * np.max(sums)
+
+
 def _modulus_blocked(f: SampledFunction, n: int, p: float, top: float) -> float:
     # A function of rank r < N is run at resolution r on values[:2^r].  Its
     # |differences|^p are 2^r-periodic, so the tree at resolution N reaches
     # 2^(N-r) equal partial sums, and the rest of it only doubles them
     # exactly: sum_N 2^-N == sum_r 2^-r.  The scale stays the one of
     # resolution N.  The sums over t = 0 mod 2^n0 are kept on the function
-    # for p and serve every n >= n0 with the same scale; the largest row sum
+    # for p and serve every n >= n0 that _serves allows; the largest row sum
     # gives the largest norm, since the root is monotone.
     scale = _power_scale(top, p, f.resolution)
     entry = f._moduli.get(p)
-    if entry is None or entry[0] > n or entry[1] != scale:
+    if not _serves(entry, n, p, scale):
         rank = _rank_of(f)
-        sums = _translate_sums(f.values[: 1 << rank], n, p, scale)
+        values = f.values[: 1 << rank]
+        if _takes_sign_split(p, values.size >> n):
+            sums = _sign_split_sums(values, n, scale)
+        else:
+            sums = _translate_sums(values, n, p, scale)
         entry = f._moduli[p] = (n, scale, rank, sums)
     n0, _, rank, sums = entry
     best = float(np.max(sums[:: 1 << (n - n0)]))
@@ -371,22 +463,30 @@ def modulus_of_continuity(
 
     At finite resolution the ball {|t| < 2^-n} is exactly the interval
     I_n, i.e. the indices divisible by 2^n, so the supremum is a finite
-    maximum.  Three routes evaluate every translate at once: for p = 2 a
+    maximum.  Four routes evaluate every translate at once: for p = 2 a
     spectral identity; for p = inf the largest oscillation of f over the
-    cosets of I_n, which the translates permute; for any other p the
-    translates in blocks of rows.  All but the spectral route match the
-    loop bit for bit.  brute_force=True runs the loop over translates,
-    the oracle.
+    cosets of I_n, which the translates permute; for p = 1 with at least
+    2^11 translates per coset a sign split; for any other p the
+    translates in blocks of rows.  The coset and blocked routes match the
+    loop bit for bit, the spectral and sign-split routes to rounding.
+    brute_force=True runs the loop over translates, the oracle.
 
-    The spectral and blocked routes run at the function's dyadic rank r,
+    The spectral and table routes run at the function's dyadic rank r,
     the smallest r for which f depends only on x mod 2^r.  The spectral
     route sums the squared coefficients over the low n0 bits and
     transforms 2^(r-n0) sums: O(r 2^r + 2^N) with the transform of f,
     and the full-size values bit for bit.  The blocked route costs
-    4^r / 2^n instead of 4^N / 2^n.  Each function keeps, per p, its
+    4^r / 2^n instead of 4^N / 2^n.  The sign split sorts each coset of
+    I_n, cuts it into about sqrt(m / log m) buckets by rank, m = 2^(r-n),
+    sums the pairs across buckets, whose differences have a known sign,
+    as products of Walsh transforms, and the pairs inside a bucket
+    directly: about 2^n m^1.5 sqrt(log m) operations, each sum within
+    about 1e-15 of the table's largest.  Each function keeps, per p, its
     table over the translates in I_n0 for the smallest n0 asked so far,
     and serves every n >= n0 from it by stride: a sweep over n costs one
-    table.
+    table.  A sign-split table serves n only while the largest sum at n
+    is at least 2^-10 of its own, which keeps the modulus within about
+    1e-12 relative; below that it is built again at n.
     """
     p = _check_exponent(p)
     if not 0 <= n <= f.resolution:

@@ -115,8 +115,8 @@ def step_mix(seed: int, resolution: int, rank: int = 4) -> SampledFunction:
 
 def abs_power(alpha: float, resolution: int) -> SampledFunction:
     """f(x) = |x|^alpha with the dyadic absolute value."""
-    if alpha <= 0:
-        raise ValueError(f"abs_power needs alpha > 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"abs_power needs a finite alpha > 0, got {alpha}")
     return SampledFunction(resolution, abs_values(resolution) ** alpha)
 
 

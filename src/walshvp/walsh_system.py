@@ -84,8 +84,10 @@ _RADIX4_MIN_SIZE = 1 << 12
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
-    """The Hadamard butterfly in place on a contiguous 1-D array whose
-    size is a power of two; returns a.
+    """The Hadamard butterfly in place along the last axis of a contiguous
+    array whose last axis is a power of two long; returns a.  Each stage
+    pairs entries less than a row apart, so the rows of a 2-D array are
+    transformed as a batch, each as it would be on its own.
 
     A radix-4 pass fuses the stages of spans h and 2h on the quarters x0..x3
     of each group of 4h entries: s0 = x0 + x1, d0 = x0 - x1, s1 = x2 + x3,
@@ -93,10 +95,10 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     additions of the two radix-2 stages in the same order, so the result
     is the same bit for bit.  An odd stage count ends on one radix-2 stage.
     """
-    n = a.size
+    n = a.shape[-1]
     h = 1
-    if n >= _RADIX4_MIN_SIZE:
-        work = np.empty((4, n // 4), dtype=a.dtype)
+    if a.size >= _RADIX4_MIN_SIZE:
+        work = np.empty((4, a.size // 4), dtype=a.dtype)
         while 4 * h <= n:
             x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
             s0, d0, s1, d1 = work.reshape(4, -1, h)

@@ -433,6 +433,14 @@ def test_usage_errors(capsys, tmp_path):
         assert code == 2 and out == "" and "empty block range: nmin=5 > nmax=3" in err
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan", "-1"])
+def test_abs_power_needs_a_finite_positive_alpha(capsys, alpha):
+    # inf gave the zero function and nan failed late on the samples.
+    code, out, err = run(capsys, "modulus", "--function", f"abs_power:{alpha}",
+                         "--resolution", "4")
+    assert code == 2 and out == "" and "abs_power needs a finite alpha > 0" in err
+
+
 def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("WALSHVP_MAX_N", "abc")
     code, _, err = run(capsys, "modulus", "--function", "indicator:2", "--resolution", "4")

@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,6 +368,83 @@ class TestRankAndSharedTable:
         capsys.readouterr()
         # step_mix depends on 4 bits: one table of 2^3 translates at rank 4
         assert code == 0 and tables == [(1 << 4, 1, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("resolution, built", [(12, []), (10, [(1 << 10, 1, 1.0, 1.0)])])
+    def test_p1_route_follows_the_translates_per_coset(self, capsys, tables, resolution, built):
+        # abs_power has full rank, so n0 = 1 leaves 2^(N-1) translates per
+        # coset: 2^11 take the sign split, 2^9 the blocked route.
+        code = main(["approx", "--function", "abs_power:0.5", "--weights", "uniform",
+                     "--resolution", str(resolution), "--p", "1", "--nmin", "1"])
+        capsys.readouterr()
+        assert code == 0 and tables == built
+
+
+SPLIT_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def split_tables(draw):
+    """(N, r, n0, samples of x mod 2^r tiled to 2^N) for N <= 10, any r <= N
+    and n0 <= r.  The samples come from a pool of one, two or a few values
+    (constant, two-valued, heavy ties) or from any values, around 0 or 1e6,
+    at 1 or 2^+-600."""
+    N = draw(st.integers(1, 10))
+    r = draw(st.integers(0, N))
+    pool = draw(st.sampled_from([1, 2, 5, None]))
+    if pool is not None:
+        values = st.sampled_from(draw(st.lists(SPLIT_SAMPLES, min_size=1, max_size=pool)))
+    else:
+        values = SPLIT_SAMPLES
+    cells = np.array(draw(st.lists(values, min_size=1 << r, max_size=1 << r)))
+    if draw(st.booleans()):  # far from 0: the differences cancel the offset
+        cells += 1e6
+    cells *= 2.0 ** draw(st.sampled_from([0, 600, -600]))
+    return N, r, draw(st.integers(0, r)), np.tile(cells, 1 << (N - r))
+
+
+class TestSignSplit:
+    """The p = 1 table by the sign split, against the blocked table and the
+    brute-force loop."""
+
+    @given(split_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_split_table_matches_blocked_and_oracle(self, case):
+        N, r, n0, values = case
+        top = dyadic._coset_oscillation(values, n0)
+        scale = dyadic._power_scale(top, 1.0, N) if top > 0 else 1.0
+        cells = values[: 1 << r]
+        split = dyadic._sign_split_sums(cells, n0, scale)
+        blocked = dyadic._translate_sums(cells, n0, 1.0, scale)
+        assert np.all(np.abs(split - blocked) <= 1e-13 * np.max(blocked))
+        again = dyadic._sign_split_sums(cells.copy(), n0, scale)
+        assert split.tobytes() == again.tobytes()
+        # Every table of the sweep from n0 on is a split one: a served stride
+        # holds at least _SPLIT_MIN_SHARE of its table's largest sum.
+        f = SampledFunction(N, values)
+        with mock.patch.object(dyadic, "_SPLIT_MIN_TRANSLATES", 1):
+            fast = [modulus_of_continuity(f, n, 1) for n in range(n0, N + 1)]
+        brute = [modulus_of_continuity(f, n, 1, brute_force=True) for n in range(n0, N + 1)]
+        assert fast == pytest.approx(brute, rel=1e-13 / dyadic._SPLIT_MIN_SHARE, abs=0.0)
+        assert [m > 0 for m in fast] == [m > 0 for m in brute]
+
+    @pytest.mark.parametrize("kind", ["coarse_and_fine", "abs_power"])
+    def test_moduli_at_n12_match_the_oracle(self, kind):
+        # coarse_and_fine varies by about 1 on bits 0..5 and by 1e-15 on bits
+        # 6..11, so from n = 6 on its sums are 1e-15 of the largest sum of
+        # the table at n0 = 0; served from that table they were 26% off.
+        N = 12
+        if kind == "abs_power":
+            f = SampledFunction(N, abs_values(N) ** 0.5)
+        else:
+            idx = np.arange(1 << N)
+            coarse, fine = np.random.default_rng(0).uniform(0, 1, (2, 64))
+            f = SampledFunction(N, coarse[idx & 63] + 1e-15 * fine[idx >> 6])
+        fast = [modulus_of_continuity(f, n, 1) for n in range(N + 1)]
+        brute = [modulus_of_continuity(f, n, 1, brute_force=True) for n in range(N + 1)]
+        assert fast == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
 class TestIntervalIndicator:
