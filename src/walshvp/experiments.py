@@ -385,7 +385,7 @@ def _check_fejer_bounds(resolution: int) -> Tuple[LemmaResult, LemmaResult]:
         "fejer-l1-sharp-bound",
         n_max,
         float(FEJER_SHARP_BOUND - peak),
-        peak <= FEJER_SHARP_BOUND + Fraction(1, 10**9),
+        peak <= FEJER_SHARP_BOUND,
         detail,
     )
     return uniform, sharp

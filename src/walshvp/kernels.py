@@ -1,11 +1,11 @@
 """Dirichlet, Fejer, and matrix-transform de la Vallee Poussin kernels.
 
-Every kernel is synthesized from its known Walsh coefficients by one
-Hadamard butterfly run in integers.  Every kernel carries exact integer
-numerators over one denominator (1 for Dirichlet kernels, n for K_n, the
-weights' common denominator for VP kernels), so the kernel identities
-(the closed form of D at powers of two, the recursive splitting of D,
-and the three-part VP decomposition) can be checked with zero error.
+Each kernel is synthesized in integers by walsh_system._synthesis from its
+Walsh coefficients below n (D_n, K_n) or 2^(n+1) (block-n VP kernel), with
+exact integer numerators over one denominator (1 for Dirichlet kernels, n
+for K_n, the weights' common denominator for VP kernels), so the kernel
+identities (the closed form of D at powers of two, the recursive splitting
+of D, and the three-part VP decomposition) can be checked with zero error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import SampledFunction, check_resolution
-from .walsh_system import hadamard_transform, walsh_signs
+from .walsh_system import _synthesis, walsh_signs
 from .weights import WeightScheme
 
 # Exact sums switch to Python ints once their bound passes this.
@@ -82,9 +82,9 @@ def dirichlet(n: int, resolution: int) -> KernelFunction:
     """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
     synthesized from its coefficients, 1 below n."""
     n = _check_order(n, resolution)
-    coeffs = np.zeros(1 << resolution, dtype=_int_dtype(n))
+    coeffs = np.zeros(1 << max(n - 1, 0).bit_length(), dtype=_int_dtype(n))
     coeffs[:n] = 1
-    return KernelFunction(resolution, hadamard_transform(coeffs), 1, f"dirichlet:{n}")
+    return KernelFunction(resolution, _synthesis(coeffs, resolution), 1, f"dirichlet:{n}")
 
 
 def _dirichlet_rec_int(n: int, resolution: int) -> np.ndarray:
@@ -115,9 +115,9 @@ def fejer(n: int, resolution: int) -> KernelFunction:
     n = _check_order(n, resolution)
     if n < 1:
         raise ValueError(f"Fejer kernel needs n >= 1, got {n}")
-    coeffs = np.zeros(1 << resolution, dtype=_int_dtype(n * (n + 1) // 2))
+    coeffs = np.zeros(1 << (n - 1).bit_length(), dtype=_int_dtype(n * (n + 1) // 2))
     coeffs[:n] = np.arange(n, 0, -1)
-    return KernelFunction(resolution, hadamard_transform(coeffs), n, f"fejer:{n}")
+    return KernelFunction(resolution, _synthesis(coeffs, resolution), n, f"fejer:{n}")
 
 
 def kernel_l1_norm(kernel: KernelFunction) -> Fraction:
@@ -213,7 +213,7 @@ def vp_kernel(w: WeightScheme, resolution: int) -> KernelFunction:
     """
     _check_block(w, resolution)
     t, denom = _block_weights(w)
-    numer = hadamard_transform(_block_multiplier(t, resolution))
+    numer = _synthesis(_block_multiplier(t, w.block_exponent + 1), resolution)
     return KernelFunction(resolution, numer, denom, f"vp:{w.block_exponent}")
 
 

@@ -1,11 +1,10 @@
 """Matrix-transform de la Vallee Poussin means and dyadic convolution.
 
 The mean over a dyadic block is computed by two independent routes: the
-default convolves against the block kernel through the spectral
-factorization, synthesizing fhat times the kernel's closed-form
-multiplier (no extra scaling with this package's normalization) at the
-size of their common support, and the verification route accumulates
-weighted partial sums term by term.
+default multiplies fhat by the block kernel's closed-form multiplier (no
+extra scaling with this package's normalization) and synthesizes the
+products up to their common support with walsh_system._synthesis, and
+the verification route accumulates weighted partial sums term by term.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SampledFunction, _rank_of
-from .walsh_system import _butterfly, fwht_forward, hadamard_transform
+from .walsh_system import _synthesis, fwht_forward, hadamard_transform
 from .weights import WeightScheme
 from .kernels import _block_multiplier, _check_block
 
@@ -26,23 +25,20 @@ PATH_PARTIAL_SUMS = "partial_sums"
 @dataclass(frozen=True)
 class MeanResult:
     function: SampledFunction
-    path: str
-    block: tuple
 
 
 def dyadic_convolve(f: SampledFunction, kernel: SampledFunction) -> SampledFunction:
     """(f * K)(x) = integral of f(u) K(u + x) d(mu)(u).
 
     Spectral route: the coefficients of the convolution are the products
-    of the coefficients, so transform both, multiply, synthesize.  Both
-    spectra vanish from 2^r on, r the smaller dyadic rank, so the first
-    2^r products are synthesized and tiled; as in vp_mean, an exact zero
+    of the coefficients, which vanish from 2^r on, r the smaller dyadic
+    rank, so the first 2^r go to _synthesis; as in vp_mean, an exact zero
     may carry the other sign than in the full-size synthesis.
     """
     f._check_same(kernel)
     size = 1 << min(_rank_of(f), _rank_of(kernel))
     coeffs = fwht_forward(f).coeffs[:size] * fwht_forward(kernel).coeffs[:size]
-    return SampledFunction(f.resolution, np.tile(hadamard_transform(coeffs), f.size // size))
+    return SampledFunction(f.resolution, _synthesis(coeffs, f.resolution))
 
 
 def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> SampledFunction:
@@ -73,22 +69,18 @@ def general_vp_mean(f: SampledFunction, t, m: int, n: int) -> SampledFunction:
 def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -> MeanResult:
     """Block mean sum_k t_k S_k(f) over k in [2^n, 2^(n+1)-1].
 
-    The convolution route multiplies fhat by the block multiplier.  The
-    multiplier vanishes from 2^(n+1) on and fhat from 2^r on, r the
-    dyadic rank of f, so the first 2^min(n+1, r) products are synthesized
-    and tiled: O(r 2^r + 2^N) with the transform of f.  The samples equal
-    those of the full-size synthesis, except that an exact zero may carry
-    the other sign; no output reads that sign.
+    The convolution route multiplies fhat, zero from 2^r on (r the rank
+    of f), by the block multiplier, zero from 2^(n+1) on, and hands the
+    first 2^min(n+1, r) products to _synthesis.  An exact zero may carry
+    the other sign than in the full-size synthesis, since a product past
+    the support can be -0.0; no output reads that sign.
     """
     _check_block(w, f.resolution)
-    block = (w.block_start, w.block_end)
     if path == PATH_CONVOLUTION:
         size = 1 << min(w.block_exponent + 1, _rank_of(f))
         coeffs = _block_multiplier(w.weights, w.block_exponent + 1)[:size]
         coeffs *= fwht_forward(f).coeffs[:size]
-        values = np.tile(_butterfly(coeffs), f.size // size)
-        return MeanResult(SampledFunction(f.resolution, values), path, block)
+        return MeanResult(SampledFunction(f.resolution, _synthesis(coeffs, f.resolution)))
     if path == PATH_PARTIAL_SUMS:
-        result = general_vp_mean(f, w.weights, w.block_start, w.block_end)
-        return MeanResult(result, path, block)
+        return MeanResult(general_vp_mean(f, w.weights, w.block_start, w.block_end))
     raise ValueError(f"unknown path {path!r}")

@@ -8,6 +8,8 @@ normalization; the inverse is unnormalized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dyadic import SampledFunction, _rank_of, _read_samples, check_resolution
@@ -138,6 +140,18 @@ def hadamard_transform(values) -> np.ndarray:
     return _butterfly(a.reshape(n))
 
 
+def _synthesis(coeffs: np.ndarray, resolution: int) -> np.ndarray:
+    """Synthesis at 2^N cells of a spectrum that is +0.0 (or 0) past its
+    power-of-two prefix coeffs, bit for bit the full-size butterfly in
+    float64, int64 or object dtype.  Its stages past the prefix add and
+    subtract zeros: that tiles the prefix's synthesis and adds 0, turning
+    -0.0 into +0.0, to every copy but the last."""
+    synthesized = hadamard_transform(coeffs)
+    values = np.tile(synthesized + 0, (1 << resolution) // coeffs.size)
+    values[-coeffs.size :] = synthesized
+    return values
+
+
 def fwht_forward(f: SampledFunction) -> Spectrum:
     """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu).
 
@@ -146,35 +160,33 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
     is zero: O(r 2^r + 2^N).  That is the full-size transform bit for bit,
     whose stages above 2^r only double the first 2^r sums exactly and set
     the rest to x - x = +0.0, as long as those doubled sums stay finite.
+    Where 2^r max|f| is past the float range, the samples are scaled
+    before the butterfly instead, so no sum overflows.
     The spectrum is computed once per function and kept on it; both are
     read-only, so every caller shares one transform.
     """
     if f._spectrum is None:
         rank = _rank_of(f)
+        cells = f.values[: 1 << rank]
         coeffs = np.zeros(f.size)
-        coeffs[: 1 << rank] = hadamard_transform(f.values[: 1 << rank])
-        coeffs[: 1 << rank] *= 2.0**-rank
+        if math.isfinite(float(np.max(np.abs(cells))) * 2**rank):
+            coeffs[: 1 << rank] = hadamard_transform(cells)
+            coeffs[: 1 << rank] *= 2.0**-rank
+        else:
+            coeffs[: 1 << rank] = hadamard_transform(cells * 2.0**-rank)
         object.__setattr__(f, "_spectrum", Spectrum(f.resolution, coeffs))
     return f._spectrum
 
 
 def fwht_inverse(s: Spectrum) -> SampledFunction:
-    """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.
-
-    Only the first 2^k coefficients are synthesized, the fewest that hold
-    every coefficient whose bits are not those of +0.0, and the result is
-    tiled: O(k 2^k + 2^N).  That is the full-size synthesis bit for bit.
-    Its stages above 2^k add and subtract blocks of +0.0: subtracting
-    leaves a value as it is and adding turns -0.0 into +0.0, and every
-    copy but the last is added to at least once, so 0.0 is added to those.
-    """
+    """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.  _synthesis
+    gets the shortest power-of-two prefix past which every coefficient has
+    the bits of +0.0, so the result is the full-size synthesis bit for bit."""
     bits = s.coeffs.view(np.uint64)
     size = s.size
     while size > 1 and not bits[size // 2 : size].any():
         size //= 2
-    values = np.tile(hadamard_transform(s.coeffs[:size]), s.size // size)
-    values[:-size] += 0.0
-    return SampledFunction(s.resolution, values)
+    return SampledFunction(s.resolution, _synthesis(s.coeffs[:size], s.resolution))
 
 
 def fourier_coefficients_naive(f: SampledFunction) -> np.ndarray:

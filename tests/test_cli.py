@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from walshvp import cli, experiments, means, walsh_system
+from walshvp import cli, experiments, walsh_system
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
@@ -481,6 +481,26 @@ def test_constant_near_the_float_limit_is_not_doubled(capsys):
     assert [(r["p"], r["error"], r["modulus"]) for r in rows] == [("2", 0.0, 0.0), ("inf", 0.0, 0.0)]
 
 
+def test_full_rank_samples_near_the_float_limit_do_not_overflow(capsys, tmp_path):
+    # 2^N max|f| passes the float range, so the samples are scaled before
+    # the forward butterfly: fhat(3) = 1e308 and no sum overflows.
+    path = tmp_path / "f.txt"
+    path.write_text("N=2\n1e308\n-1e308\n-1e308\n1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "transform", "--in", str(path))
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["SPECTRUM", "N=2", "0", "0", "0", "1e+308"]
+        code, out, err = run(capsys, "approx", "--function", "walsh_poly:0,0,0,1e308",
+                             "--resolution", "3", "--weights", "uniform", "--nmin", "1",
+                             "--nmax", "1", "--p", "2,inf")
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert [(r["p"], r["error"], r["modulus"]) for r in rows] == [
+        ("2", "1e+308", "inf"), ("inf", "1e+308", "inf")
+    ]
+
+
 APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")
 
 
@@ -505,7 +525,6 @@ def test_transforms_per_command(capsys, monkeypatch, argv, function, sizes):
         return butterfly(a)
 
     monkeypatch.setattr(walsh_system, "_butterfly", counted)
-    monkeypatch.setattr(means, "_butterfly", counted)
     code, _, _ = run(capsys, *argv, "--function", function, "--resolution", "10", "--p", "2")
     assert code == 0 and counted_sizes == sizes
 

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from walshvp import experiments as exp
 from walshvp.cli import main
 from walshvp.dyadic import INF, SampledFunction, abs_values, lp_norm
-from walshvp.kernels import fejer
+from walshvp.kernels import fejer, kernel_norm_sweep
 from walshvp.means import dyadic_convolve_naive
 from walshvp.walsh_system import walsh
 from walshvp.weights import build_scheme
@@ -214,6 +215,13 @@ class TestVerifyAllLemmas:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             exp.verify_all_lemmas(3)
+
+    def test_sharp_fejer_bound_is_compared_exactly(self, monkeypatch):
+        # a bound 2^-40 below the peak norm must fail; no slack absorbs it
+        peak = max(kernel_norm_sweep(1 << 7, 8)[1])
+        monkeypatch.setattr(exp, "FEJER_SHARP_BOUND", peak - Fraction(1, 1 << 40))
+        _, sharp = exp._check_fejer_bounds(8)
+        assert not sharp.passed and sharp.worst_margin < 0
 
 
 def _approx(capsys, weights, p, fmt):

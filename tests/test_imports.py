@@ -76,3 +76,22 @@ def test_dead_private_name_is_reported():
     a = ast.parse("_LIMIT = 3\n_SPARE = 4\ndef _helper(n):\n    return _helper(n - 1)\n")
     b = ast.parse("from .a import _LIMIT\n__all__ = []\n")
     assert _dead_private_names({"a": a, "b": b}) == ["a._SPARE", "a._helper"]
+
+
+def _tile_calls(modules: dict):
+    """module.function for each call of np.tile, by top-level statement."""
+    found = []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr == "tile":
+                        found.append(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_the_synthesis_tiles():
+    # Every spectrum zero past a prefix is synthesized at 2^N cells by
+    # walsh_system._synthesis, so no other code tiles a prefix.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _tile_calls(modules) == ["walsh_system._synthesis"]

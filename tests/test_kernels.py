@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from walshvp.kernels import (
     kernel_norm_sweep,
     vp_kernel,
 )
-from walshvp.walsh_system import walsh, walsh_signs
+from walshvp.walsh_system import hadamard_transform, walsh, walsh_signs
 from walshvp.weights import WeightScheme, build_scheme
 from walshvp.experiments import SplitMix64, random_rational_scheme
 
@@ -171,7 +172,8 @@ class TestNormSweep:
 
         for module in (walshvp.kernels, walshvp.walsh_system):
             monkeypatch.setattr(module, "walsh_signs", refuse)
-            monkeypatch.setattr(module, "hadamard_transform", refuse)
+        monkeypatch.setattr(walshvp.kernels, "_synthesis", refuse)
+        monkeypatch.setattr(walshvp.walsh_system, "hadamard_transform", refuse)
         d_norms, k_norms = kernel_norm_sweep(1 << 9, 12)
         assert d_norms[-1] == 1 and max(k_norms) <= Fraction(17, 15)
 
@@ -300,3 +302,62 @@ class TestBigintExactPath:
         assert all(part.exact_numer.dtype == object for part in parts)
         for j in range(kernel.size):
             assert sum(exact_value(part, j) for part in parts) == exact_value(kernel, j)
+
+
+def full_size_numerators(coeffs, resolution):
+    """The oracle: the integer butterfly over all 2^N Walsh coefficients,
+    those given padded with zeros, in Python ints."""
+    full = np.zeros(1 << resolution, dtype=object)
+    full[: len(coeffs)] = coeffs
+    return hadamard_transform(full)
+
+
+def butterfly_sizes(build):
+    """(result of build(), sizes of the butterflies it ran)."""
+    sizes = []
+    butterfly = walshvp.walsh_system._butterfly
+
+    def counted(a):
+        sizes.append(a.size)
+        return butterfly(a)
+
+    with mock.patch.object(walshvp.walsh_system, "_butterfly", counted):
+        return build(), sizes
+
+
+class TestSynthesisAtSupport:
+    """Each kernel runs one butterfly at its support, whatever N is, and
+    equals the full-size integer butterfly."""
+
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dirichlet_and_fejer(self, N, data):
+        n = data.draw(st.integers(0, 1 << N))
+        support = 1 << max(n - 1, 0).bit_length()
+        kernel, sizes = butterfly_sizes(lambda: dirichlet(n, N))
+        assert sizes == [support] and kernel.exact_numer.dtype == np.int64
+        assert np.array_equal(kernel.exact_numer, full_size_numerators([1] * n, N))
+        if n >= 1:
+            kernel, sizes = butterfly_sizes(lambda: fejer(n, N))
+            assert sizes == [support] and kernel.exact_numer.dtype == np.int64
+            expected = full_size_numerators(list(range(n, 0, -1)), N)
+            assert kernel.exact_denom == n and np.array_equal(kernel.exact_numer, expected)
+
+    @given(st.integers(2, 10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vp_kernel(self, N, data):
+        n = data.draw(st.integers(1, N - 1))
+        if n == 2 and data.draw(st.booleans()):
+            # numerators near 2^58 pass the int64 bound of the kernel sums
+            numerators = data.draw(st.lists(st.integers(2**57, 2**58), min_size=4, max_size=4))
+            scheme, dtype = WeightScheme(2, numerators=numerators), object
+        else:
+            seed = data.draw(st.integers(0, 2**63))
+            scheme, dtype = random_rational_scheme(n, SplitMix64(seed)), np.int64
+        kernel, sizes = butterfly_sizes(lambda: vp_kernel(scheme, N))
+        assert sizes == [2 << n] and kernel.exact_numer.dtype == dtype
+        a = [int(v) for v in scheme.numerators]
+        # the coefficient at m is the weight mass above m: all of it below the block
+        coeffs = [sum(a[max(m + 1 - (1 << n), 0) :]) for m in range(2 << n)]
+        assert kernel.exact_denom == scheme.denominator
+        assert np.array_equal(kernel.exact_numer, full_size_numerators(coeffs, N))

@@ -120,3 +120,10 @@ def test_convolution_equals_the_full_synthesis(case, data):
     kernel = SampledFunction(N, np.tile(cells, 1 << (N - r)))
     expected = hadamard_transform(_forward_oracle(f) * _forward_oracle(kernel))
     assert np.array_equal(dyadic_convolve(f, kernel).values, expected)
+
+
+def test_forward_scales_after_the_butterfly_while_the_sums_stay_finite():
+    # Subnormal samples: scaling each by 2^-r first would round it; the sums
+    # are exact and rounded once when scaled after, as in the full transform.
+    f = SampledFunction(3, np.array([3.0, 1.0, 0.0, 1.0] * 2) * 5e-324)
+    assert _bits(fwht_forward(f).coeffs) == _bits(_forward_oracle(f))
