@@ -114,8 +114,8 @@ def _emit(payload, fmt: str, out_path: str) -> None:
     stream, close = _open_out(out_path)
     try:
         if fmt == "json":
-            json.dump(_json_safe(payload), stream, indent=2, allow_nan=False)
-            stream.write("\n")
+            # One write: json.dump writes each token on its own.
+            stream.write(json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
         else:
             if isinstance(payload, list):
                 payload = {"records": payload}

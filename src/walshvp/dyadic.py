@@ -273,8 +273,9 @@ def _coset_oscillation(values: np.ndarray, n: int) -> float:
 def _dyadic_rank(values: np.ndarray) -> int:
     # The smallest r for which the samples have period 2^r, so that f
     # depends only on x mod 2^r.  Period 2^r implies period 2^(r+1), so
-    # halving from the top finds it.  Halves are compared bit for bit.
-    bits = values.view(np.uint64)
+    # halving from the top finds it.  Halves of floats are compared bit for
+    # bit, of Python ints (object dtype) by value.
+    bits = values if values.dtype == object else values.view(np.uint64)
     while bits.size > 1:
         half = bits.size // 2
         if not np.array_equal(bits[:half], bits[half:]):
@@ -290,7 +291,8 @@ def _rank_of(f: SampledFunction) -> int:
     return f._rank
 
 
-# Cells per block of translates in the finite-p modulus (512 KiB of float64).
+# Cells per block of rows in an array pass, such as the translates of the
+# finite-p modulus (512 KiB of float64 or int64).
 _BLOCK_CELLS = 1 << 16
 
 

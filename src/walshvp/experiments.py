@@ -15,6 +15,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dyadic import (
+    _BLOCK_CELLS,
     INF,
     SampledFunction,
     _pairwise_total,
@@ -24,12 +25,12 @@ from .dyadic import (
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import Spectrum, fwht_forward, fwht_inverse, walsh_signs
+from .walsh_system import Spectrum, _walsh_rows, fwht_forward, fwht_inverse
 from .kernels import (
+    _dirichlet_rec_int,
     _paley_int,
     decompose_vp_kernel,
     dirichlet,
-    dirichlet_via_recursion,
     fejer,
     kernel_norm_sweep,
     vp_kernel,
@@ -344,29 +345,40 @@ def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
 
 
 def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
-    """D_n by the doubling recursion against the Walsh sum.  Up to
-    RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is checked against a
-    running sum of Walsh signs.  Above it the 2^N + 1 recursions would
-    cost O(4^N), so n = 0, every power of two and orders drawn from the
-    seed, RECURSION_SAMPLES in all, are checked against the spectral
-    synthesis dirichlet(n, N)."""
+    """D_n by the doubling recursion against the Walsh sum, the recursion
+    run by _dirichlet_rec_int on blocks of orders of at most _BLOCK_CELLS
+    cells (64 orders at N = 10).  Up to RECURSION_EXHAUSTIVE_MAX_N every n
+    in [0, 2^N] is checked against the definition D_n = sum_{k<n} w_k, in
+    blocks of consecutive orders: the running sums over the block's rows
+    w_{n-1}, plus D_n of the order before the block, carried from the
+    block before.  Above it the 2^N + 1 recursions would cost O(4^N), so
+    n = 0, every power of two and orders drawn from the seed,
+    RECURSION_SAMPLES in all, are checked against the spectral synthesis
+    dirichlet(n, N)."""
     size = 1 << resolution
+    step = max(1, _BLOCK_CELLS >> resolution)
     worst = 0
     if resolution <= RECURSION_EXHAUSTIVE_MAX_N:
-        running = np.zeros(size, dtype=np.int64)
-        for n in range(size + 1):
-            rec = dirichlet_via_recursion(n, resolution).exact_numer
-            worst = max(worst, int(np.max(np.abs(rec - running))))
-            if n < size:
-                running = running + walsh_signs(n, resolution)
+        carry = np.zeros(size, dtype=np.int64)  # D_n for the order before the block
+        for start in range(0, size + 1, step):
+            orders = np.arange(start, min(start + step, size + 1))
+            sums = _walsh_rows(orders - 1, resolution)
+            sums[orders == 0] = 0  # D_0, the empty sum
+            sums = carry + np.cumsum(sums, axis=0)
+            rec = _dirichlet_rec_int(orders, resolution)
+            worst = max(worst, int(np.max(np.abs(rec - sums))))
+            carry = sums[-1]
         return LemmaResult("dirichlet-recursion", size + 1, float(worst), worst == 0)
     orders = {0} | {1 << m for m in range(resolution + 1)}
     rng = SplitMix64(seed)
     while len(orders) < RECURSION_SAMPLES:
         orders.add(rng.randint(size + 1))
-    for n in sorted(orders):
-        rec = dirichlet_via_recursion(n, resolution).exact_numer
-        worst = max(worst, int(np.max(np.abs(rec - dirichlet(n, resolution).exact_numer))))
+    orders = sorted(orders)
+    for start in range(0, len(orders), step):
+        block = orders[start : start + step]
+        rec = _dirichlet_rec_int(block, resolution)
+        for n, row in zip(block, rec):
+            worst = max(worst, int(np.max(np.abs(row - dirichlet(n, resolution).exact_numer))))
     return LemmaResult(
         "dirichlet-recursion", len(orders), float(worst), worst == 0, "sampled"
     )

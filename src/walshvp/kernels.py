@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import SampledFunction, check_resolution
-from .walsh_system import _synthesis, walsh_signs
+from .dyadic import _BLOCK_CELLS, SampledFunction, _dyadic_rank, check_resolution
+from .walsh_system import _synthesis, _walsh_rows
 from .weights import WeightScheme
 
 # Exact sums switch to Python ints once their bound passes this.
@@ -37,7 +37,11 @@ class KernelFunction(SampledFunction):
             raise ValueError("exact denominator must be positive")
         if exact_numer.dtype == object:
             # int / int rounds once, also for numerators past the float range.
-            values = np.array([int(v) / exact_denom for v in exact_numer])
+            # A kernel synthesized at its support repeats one period of
+            # cells: that period is converted and gathered to the rest.
+            period = 1 << _dyadic_rank(exact_numer)
+            cells = np.array([int(v) / exact_denom for v in exact_numer[:period]])
+            values = cells[np.arange(exact_numer.size) & (period - 1)]
         elif exact_numer.dtype.kind == "i":
             values = exact_numer.astype(np.float64) / exact_denom
         else:
@@ -87,18 +91,23 @@ def dirichlet(n: int, resolution: int) -> KernelFunction:
     return KernelFunction(resolution, _synthesis(coeffs, resolution), 1, f"dirichlet:{n}")
 
 
-def _dirichlet_rec_int(n: int, resolution: int) -> np.ndarray:
-    # D_n = D_{2^m} + r_m D_j for the top bit m of n and j = n - 2^m,
-    # unrolled from the lowest bit of n up in one array: at each set bit m
-    # above a lower one, r_m negates the odd halves of the periods of
-    # length 2^(m+1); then the closed form adds 2^m on I_m.
-    values = np.zeros(1 << resolution, dtype=np.int64)
-    for m in range(n.bit_length()):
-        if n >> m & 1:
-            if n & ((1 << m) - 1):
-                odd = values.reshape(-1, 2, 1 << m)[:, 1]
-                np.negative(odd, out=odd)
-            values[:: 1 << m] += 1 << m
+def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
+    """D_n as an int64 row at the 2^N cells for each n of the array orders
+    (unchecked), by the splitting D_n = D_{2^m} + r_m D_j for the top bit m
+    of n and j = n - 2^m, unrolled from the lowest bit up on all rows at
+    once: at each bit m, the rows whose n has m set above a lower set bit
+    get the odd halves of their periods of length 2^(m+1) negated (r_m),
+    then every row whose n has m set gains the closed form 2^m on I_m.
+    Only the rows that flip are negated: a mask would pass over every row
+    at every bit."""
+    orders = np.asarray(orders, dtype=np.int64)
+    values = np.zeros((orders.size, 1 << resolution), dtype=np.int64)
+    for m in range(int(orders.max(initial=0)).bit_length()):
+        bit = orders >> m & 1
+        flip = np.flatnonzero(bit & (orders & ((1 << m) - 1) != 0))
+        if flip.size:
+            values.reshape(orders.size, -1, 2, 1 << m)[flip, :, 1] *= -1
+        values[:, :: 1 << m] += bit[:, None] << m
     return values
 
 
@@ -106,7 +115,8 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     """D_n built by binary splitting: peel the top power of two with the
     closed form and recurse on the remainder behind a Rademacher sign."""
     n = _check_order(n, resolution)
-    return KernelFunction(resolution, _dirichlet_rec_int(n, resolution), 1, f"dirichlet-rec:{n}")
+    values = _dirichlet_rec_int([n], resolution)[0]
+    return KernelFunction(resolution, values, 1, f"dirichlet-rec:{n}")
 
 
 def fejer(n: int, resolution: int) -> KernelFunction:
@@ -225,26 +235,35 @@ def decompose_vp_kernel(w: WeightScheme, resolution: int) -> KernelDecomposition
       part 3: r_n * t_last * (2^n - 1) * K_{2^n - 1}.
 
     The identity follows from the Dirichlet splitting plus summation by
-    parts, and holds exactly in rational arithmetic.  The parts are
-    accumulated term by term, in the integers vp_kernel synthesizes from,
-    so they check its spectral synthesis independently.
+    parts, and holds exactly in rational arithmetic.  The parts come from
+    no synthesis, so they check vp_kernel's independently.  For k < 2^n,
+    D_k and k K_k depend only on x mod 2^n: the Walsh rows w_0..w_{2^n-2}
+    at the 2^n cells (in blocks of at most _BLOCK_CELLS cells) give the
+    D_k as their running sums over rows and the k K_k as the running sums
+    of those; the sum of part 2 is the weight differences times those
+    rows, one integer product, and parts 2 and 3 are gathered to the 2^N
+    cells by x mod 2^n.
     """
     _check_block(w, resolution)
     n = w.block_exponent
-    size = 1 << resolution
     t, denom = _block_weights(w)
-    idx = np.arange(size, dtype=np.int64)
+    low = w.block_size
+    weight = np.zeros(low, dtype=t.dtype)  # weight[k] multiplies k K_k in part 2
+    weight[1:-1] = t[1:-1] - t[2:]
+    d_k = k_k = np.zeros(low, dtype=np.int64)
+    second = np.zeros(low, dtype=t.dtype)
+    step = max(1, _BLOCK_CELLS >> n)
+    for start in range(1, low, step):
+        orders = np.arange(start, min(start + step, low))
+        d_rows = d_k + np.cumsum(_walsh_rows(orders - 1, n), axis=0)  # D_k, k in orders
+        k_rows = k_k + np.cumsum(d_rows, axis=0)  # k K_k
+        second = second + weight[orders] @ k_rows
+        d_k, k_k = d_rows[-1], k_rows[-1]
+    idx = np.arange(1 << resolution, dtype=np.int64)
+    cell = idx & (low - 1)
     r_n = 1 - 2 * ((idx >> n) & 1)
     first = np.sum(t) * _paley_int(n, resolution).astype(t.dtype)
-    second = np.zeros(size, dtype=t.dtype)
-    running = np.zeros(size, dtype=t.dtype)
-    cumulative = np.zeros(size, dtype=t.dtype)
-    for k in range(1, w.block_size):
-        running += walsh_signs(k - 1, resolution)  # running == D_k
-        cumulative += running  # cumulative == k K_k
-        if k + 1 < w.block_size:
-            second += (t[k] - t[k + 1]) * cumulative
-    parts = (first, r_n * second, r_n * (t[-1] * cumulative))
+    parts = (first, r_n * second[cell], r_n * (t[-1] * k_k.astype(t.dtype))[cell])
     return KernelDecomposition(
         n,
         tuple(

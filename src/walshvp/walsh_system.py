@@ -69,8 +69,14 @@ def walsh_signs(n: int, resolution: int) -> np.ndarray:
         raise ValueError(
             f"Walsh index {n} not representable at resolution {resolution}"
         )
+    return _walsh_rows(n, resolution)
+
+
+def _walsh_rows(orders, resolution: int) -> np.ndarray:
+    """w_k as +-1 int64 rows at the 2^N cells, one row for each k of the
+    array orders (a single row for a scalar k); unchecked."""
     idx = np.arange(1 << resolution, dtype=np.int64)
-    return 1 - 2 * bit_parity(n & idx)
+    return 1 - 2 * bit_parity(np.asarray(orders, dtype=np.int64)[..., None] & idx)
 
 
 def walsh(n: int, resolution: int) -> SampledFunction:
@@ -181,12 +187,18 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
 def fwht_inverse(s: Spectrum) -> SampledFunction:
     """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.  _synthesis
     gets the shortest power-of-two prefix past which every coefficient has
-    the bits of +0.0, so the result is the full-size synthesis bit for bit."""
+    the bits of +0.0, so the result is the full-size synthesis bit for bit.
+    A synthesis that passes the float range is a ValueError."""
     bits = s.coeffs.view(np.uint64)
     size = s.size
     while size > 1 and not bits[size // 2 : size].any():
         size //= 2
-    return SampledFunction(s.resolution, _synthesis(s.coeffs[:size], s.resolution))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _synthesis(s.coeffs[:size], s.resolution)
+    # Every other copy is the last one plus 0.
+    if not np.isfinite(values[-size:]).all():
+        raise ValueError("the synthesis of the spectrum overflows the float range")
+    return SampledFunction(s.resolution, values)
 
 
 def fourier_coefficients_naive(f: SampledFunction) -> np.ndarray:

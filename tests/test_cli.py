@@ -337,6 +337,22 @@ def test_nonfinite_values_are_null_in_json(capsys, argv, key):
     assert "inf" in [row[key] for row in csv.DictReader(out.splitlines())]
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [{"n": 1, "l1": 1.0, "ok": True, "detail": ""}, {"n": 2, "l1": 0.1, "ok": False}],
+        {"seed": 3, "records": [{"omega": float("inf"), "p": "inf"}, {"omega": 1e-300}]},
+        [],
+    ],
+)
+def test_json_is_the_bytes_of_json_dump(tmp_path, payload):
+    path = tmp_path / "out.json"
+    cli._emit(payload, "json", str(path))
+    expected = io.StringIO()
+    json.dump(cli._json_safe(payload), expected, indent=2, allow_nan=False)
+    assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+
+
 def test_weights_validate(capsys, tmp_path):
     code, out, _ = run(capsys, "weights-validate", "--weights", "linear_down", "--n", "3")
     assert code == 0
@@ -466,6 +482,17 @@ def test_overflowing_oscillation_prints_no_warning(capsys):
                              "--resolution", "3", "--p", "inf", "--nmax", "1")
     assert code == 0 and err == ""
     assert out.splitlines()[1] == "0,inf,1,inf"
+
+
+def test_overflowing_inverse_transform_names_the_synthesis(capsys, tmp_path):
+    # The coefficients are finite, their sum at x = 0 is 3e308.
+    path = tmp_path / "s.txt"
+    path.write_text("SPECTRUM\nN=3\n" + "1e308\n" * 3 + "0\n" * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "transform", "--inverse", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: the synthesis of the spectrum overflows the float range\n"
 
 
 def test_constant_near_the_float_limit_is_not_doubled(capsys):

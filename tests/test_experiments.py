@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import walshvp.walsh_system
 from walshvp import experiments as exp
 from walshvp.cli import main
 from walshvp.dyadic import INF, SampledFunction, abs_values, lp_norm
-from walshvp.kernels import fejer, kernel_norm_sweep
+from walshvp.kernels import KernelFunction, fejer, kernel_norm_sweep
 from walshvp.means import dyadic_convolve_naive
 from walshvp.walsh_system import walsh
 from walshvp.weights import build_scheme
@@ -222,6 +223,65 @@ class TestVerifyAllLemmas:
         monkeypatch.setattr(exp, "FEJER_SHARP_BOUND", peak - Fraction(1, 1 << 40))
         _, sharp = exp._check_fejer_bounds(8)
         assert not sharp.passed and sharp.worst_margin < 0
+
+
+class TestBatchedChecks:
+    """The recursion and decomposition checks run in blocks of rows; an
+    error in any one row must still show."""
+
+    def _counted_recursion(self, monkeypatch, perturb_call=None):
+        calls = []
+        recursion = exp._dirichlet_rec_int
+
+        def counted(orders, resolution):
+            rows = recursion(orders, resolution)
+            calls.append(len(orders))
+            if len(calls) == perturb_call:
+                rows[len(orders) // 2, 3] += 1
+            return rows
+
+        monkeypatch.setattr(exp, "_dirichlet_rec_int", counted)
+        return calls
+
+    def test_one_wrong_cell_in_a_middle_block_fails(self, monkeypatch):
+        # The Walsh sums carry from block to block on their own, so a wrong
+        # row of the recursion cannot be masked by the carry.
+        calls = self._counted_recursion(monkeypatch, perturb_call=8)
+        result = exp._check_dirichlet_recursion(10, 0)
+        assert len(calls) > 8
+        assert not result.passed and result.worst_margin == 1
+
+    @pytest.mark.parametrize("N", [10, 11])
+    def test_recursion_runs_in_blocks(self, monkeypatch, N):
+        calls = self._counted_recursion(monkeypatch)
+        result = exp._check_dirichlet_recursion(N, 0)
+        assert result.passed and result.instances == 1025 == sum(calls)
+        rows = (1 << 16) >> N
+        assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
+
+    def test_decomposition_builds_no_walsh_signs_row(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            walshvp.walsh_system, "walsh_signs", lambda *args: calls.append(args)
+        )
+        assert exp._decomposition_deviation(build_scheme("cesaro", 6, alpha=2), 10) == 0
+        assert calls == []
+
+    def test_one_wrong_part_shows_a_deviation(self, monkeypatch):
+        decompose = exp.decompose_vp_kernel
+
+        def perturbed(w, resolution):
+            dec = decompose(w, resolution)
+            part = dec.components[1]
+            numer = part.exact_numer.copy()
+            numer[5] += 1
+            wrong = KernelFunction(resolution, numer, part.exact_denom, part.kind)
+            return dataclasses.replace(dec, components=(dec.components[0], wrong, dec.components[2]))
+
+        monkeypatch.setattr(exp, "decompose_vp_kernel", perturbed)
+        scheme = build_scheme("linear_down", 3)
+        assert exp._decomposition_deviation(scheme, 8) == Fraction(1, scheme.denominator)
+        assert not exp._check_decomposition(8, 0, 0).passed
 
 
 def _approx(capsys, weights, p, fmt):

@@ -112,6 +112,21 @@ class TestDirichletRecursion:
                 dirichlet(n, N).exact_numer,
             )
 
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_running_walsh_sums(self, N, data):
+        # One row per order, in the order given: unsorted, repeated, with
+        # the ends 0 and 2^N.
+        drawn = data.draw(st.lists(st.integers(0, 1 << N), max_size=20))
+        orders = data.draw(st.permutations(drawn + [0, 1 << N]))
+        sums = [np.zeros(1 << N, dtype=np.int64)]
+        for k in range(1 << N):
+            sums.append(sums[-1] + walsh_signs(k, N))  # sums[n] == D_n
+        rows = walshvp.kernels._dirichlet_rec_int(np.array(orders), N)
+        assert rows.shape == (len(orders), 1 << N) and rows.dtype == np.int64
+        for n, row in zip(orders, rows):
+            assert np.array_equal(row, sums[n])
+
 
 class TestFejer:
     def test_k1_is_constant_one(self):
@@ -171,7 +186,8 @@ class TestNormSweep:
             raise AssertionError("the sweep must not touch the 2^N cells")
 
         for module in (walshvp.kernels, walshvp.walsh_system):
-            monkeypatch.setattr(module, "walsh_signs", refuse)
+            monkeypatch.setattr(module, "_walsh_rows", refuse)
+        monkeypatch.setattr(walshvp.walsh_system, "walsh_signs", refuse)
         monkeypatch.setattr(walshvp.kernels, "_synthesis", refuse)
         monkeypatch.setattr(walshvp.walsh_system, "hadamard_transform", refuse)
         d_norms, k_norms = kernel_norm_sweep(1 << 9, 12)
@@ -294,6 +310,20 @@ class TestBigintExactPath:
             expected = Fraction(numer[j], denom)
             assert exact_value(kernel, j) == expected
             assert kernel.values[j] == float(expected)
+
+    @pytest.mark.parametrize("N", [10, 13])
+    def test_floats_of_one_period_equal_the_per_cell_conversion(self, N):
+        # The object numerators repeat one support period of 2^10 cells;
+        # the gathered floats are the correctly rounded quotient of each cell.
+        kernel = vp_kernel(build_scheme("cesaro", 9, alpha=0.5), N)
+        assert kernel.exact_numer.dtype == object
+        per_cell = np.array([int(v) / kernel.exact_denom for v in kernel.exact_numer])
+        assert np.array_equal(kernel.values.view(np.uint64), per_cell.view(np.uint64))
+        # Numerators of full period are converted cell by cell as they are.
+        numer = np.array([3**k * (-1) ** k for k in range(16)], dtype=object) << 1100
+        kernel = KernelFunction(4, numer, 7 << 1100)
+        expected = [float(Fraction(int(v), 7 << 1100)) for v in numer]
+        assert kernel.values.tolist() == expected
 
     def test_decomposition_sums_exactly(self):
         scheme = build_scheme("cesaro", 6, alpha=0.5)
