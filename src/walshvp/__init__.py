@@ -4,38 +4,22 @@ Provides the group model (dyadic), the Walsh-Paley system and fast
 transform (walsh), Dirichlet/Fejer/de la Vallee Poussin kernels with exact
 rational samples (kernels), rational block weight schemes (weights), matrix
 transform means (means), and the numerical verification suite
-(experiments).
+(experiments).  The package exports what the command line and the
+verification suite call, and the types those calls return.
 """
 
-from .dyadic import (
-    INF,
-    SampledFunction,
-    integrate,
-    interval_indicator,
-    lp_norm,
-    modulus_of_continuity,
-    translate,
-)
-from .walsh_system import (
-    Spectrum,
-    fwht_forward,
-    fwht_inverse,
-    partial_sum,
-    rademacher,
-    walsh,
-)
+from .dyadic import INF, SampledFunction, interval_indicator, lp_norm, modulus_of_continuity
+from .walsh_system import Spectrum, fwht_forward, fwht_inverse
 from .kernels import (
     KernelDecomposition,
     KernelFunction,
     decompose_vp_kernel,
     dirichlet,
-    dirichlet_via_recursion,
     fejer,
-    kernel_l1_norm,
     vp_kernel,
 )
-from .weights import ValidationReport, WeightScheme, build_scheme, delta, validate
-from .means import MeanResult, dyadic_convolve, general_vp_mean, vp_mean
+from .weights import ValidationReport, WeightScheme, build_scheme, validate
+from .means import MeanResult, dyadic_convolve, vp_mean
 
 __all__ = [
     "INF",
@@ -46,26 +30,17 @@ __all__ = [
     "WeightScheme",
     "ValidationReport",
     "MeanResult",
-    "integrate",
     "interval_indicator",
     "lp_norm",
     "modulus_of_continuity",
-    "translate",
     "fwht_forward",
     "fwht_inverse",
-    "partial_sum",
-    "rademacher",
-    "walsh",
     "decompose_vp_kernel",
     "dirichlet",
-    "dirichlet_via_recursion",
     "fejer",
-    "kernel_l1_norm",
     "vp_kernel",
     "build_scheme",
-    "delta",
     "validate",
     "dyadic_convolve",
-    "general_vp_mean",
     "vp_mean",
 ]

@@ -145,11 +145,6 @@ def _pairwise_total(values: np.ndarray) -> float:
     return float(a[0])
 
 
-def integrate(f: SampledFunction) -> float:
-    """Integral against the normalized Haar measure."""
-    return _pairwise_total(f.values) * 2.0**-f.resolution
-
-
 def _check_exponent(p) -> float:
     p = float(p)
     if not (p >= 1.0):

@@ -1,5 +1,5 @@
-"""Numerical verification suite: kernel lemma checks, approximation
-error vs modulus-of-continuity tables, and Lipschitz rate regression.
+"""Numerical verification suite: kernel lemma checks and approximation
+error vs modulus-of-continuity tables.
 
 All randomness flows through a splitmix-style 64-bit generator so every
 table is reproducible from its recorded seed.
@@ -126,6 +126,9 @@ def walsh_poly(coefficients: Sequence[float], resolution: int) -> SampledFunctio
     vals = np.asarray(coefficients, dtype=np.float64)
     if vals.size > coeffs.size:
         raise ValueError("polynomial order exceeds resolution")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"walsh_poly coefficient {bad[0]} is {vals[bad[0]]}, not finite")
     coeffs[: vals.size] = vals
     return fwht_inverse(Spectrum(resolution, coeffs))
 
@@ -254,51 +257,6 @@ def ratio_sweep(
 
 def sweep_ok(records: Iterable[ApproxRecord]) -> bool:
     return all(r.bound_ok and not r.flag for r in records)
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares fit of log2(error) against the block exponent."""
-
-    alpha_hat: float
-    c_hat: float
-    n_used: tuple
-    excluded: tuple
-
-
-def lipschitz_rate(
-    f: SampledFunction,
-    scheme_for: Callable[[int], WeightScheme],
-    p,
-    n_values: Sequence[int],
-) -> RateFit:
-    """Estimate the approximation order: error ~ c * 2^(-n * alpha_hat),
-    with scheme_for(n) the scheme of block n.
-
-    Zero-error blocks are excluded from the regression and reported; at
-    least 3 usable points are required.
-    """
-    usable_n, logs, excluded = [], [], []
-    for n in n_values:
-        mean = vp_mean(f, scheme_for(n), PATH_CONVOLUTION).function
-        error = lp_norm(mean - f, p)
-        if error > MODULUS_FLOOR:
-            usable_n.append(n)
-            logs.append(math.log2(error))
-        else:
-            excluded.append(n)
-    if len(usable_n) < 3:
-        raise ValueError(
-            f"degenerate fit: only {len(usable_n)} usable points "
-            f"(zero-error blocks: {excluded})"
-        )
-    slope, intercept = np.polyfit(usable_n, logs, 1)
-    return RateFit(
-        alpha_hat=-float(slope),
-        c_hat=2.0 ** float(intercept),
-        n_used=tuple(usable_n),
-        excluded=tuple(excluded),
-    )
 
 
 def verify_translate_difference_bound(
@@ -469,6 +427,11 @@ def verify_all_lemmas(
     check_resolution(resolution)
     if resolution < 4:
         raise ValueError("lemma verification needs resolution >= 4")
+    if translate_count < 0 or random_schemes < 0:
+        raise ValueError(
+            f"instance counts must be >= 0, got translate_count={translate_count}, "
+            f"random_schemes={random_schemes}"
+        )
     uniform, sharp = _check_fejer_bounds(resolution)
     results = [
         _check_dirichlet_closed_form(resolution),

@@ -4,7 +4,8 @@ The mean over a dyadic block is computed by two independent routes: the
 default multiplies fhat by the block kernel's closed-form multiplier (no
 extra scaling with this package's normalization) and synthesizes the
 products up to their common support with walsh_system._synthesis, and
-the verification route accumulates weighted partial sums term by term.
+the verification route is the definition, the weighted sum of the
+partial sums S_k(f) over the block.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SampledFunction, _rank_of
-from .walsh_system import _synthesis, fwht_forward, hadamard_transform
+from .walsh_system import _synthesis, fwht_forward, partial_sum
 from .weights import WeightScheme
 from .kernels import _block_multiplier, _check_block
 
@@ -49,23 +50,6 @@ def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> Sample
     return SampledFunction(f.resolution, table @ f.values * 2.0**-f.resolution)
 
 
-def general_vp_mean(f: SampledFunction, t, m: int, n: int) -> SampledFunction:
-    """sum_{k=m}^{n} t[k-m] S_k(f) for a general index range 1 <= m <= n."""
-    t = np.asarray(t, dtype=np.float64)
-    if not 1 <= m <= n < f.size:
-        raise ValueError(f"need 1 <= m <= n < {f.size}, got ({m}, {n})")
-    if t.shape != (n - m + 1,):
-        raise ValueError(f"expected {n - m + 1} weights, got shape {t.shape}")
-    coeffs = fwht_forward(f).coeffs
-    acc = np.zeros(f.size)
-    truncated = np.zeros(f.size)
-    for k in range(m, n + 1):
-        truncated[:] = 0.0
-        truncated[:k] = coeffs[:k]
-        acc += t[k - m] * hadamard_transform(truncated)
-    return SampledFunction(f.resolution, acc)
-
-
 def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -> MeanResult:
     """Block mean sum_k t_k S_k(f) over k in [2^n, 2^(n+1)-1].
 
@@ -82,5 +66,8 @@ def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -
         coeffs *= fwht_forward(f).coeffs[:size]
         return MeanResult(SampledFunction(f.resolution, _synthesis(coeffs, f.resolution)))
     if path == PATH_PARTIAL_SUMS:
-        return MeanResult(general_vp_mean(f, w.weights, w.block_start, w.block_end))
+        terms = zip(w.weights, range(w.block_start, w.block_end + 1))
+        return MeanResult(
+            SampledFunction(f.resolution, sum(t * partial_sum(f, k).values for t, k in terms))
+        )
     raise ValueError(f"unknown path {path!r}")

@@ -53,15 +53,6 @@ def bit_parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def rademacher(k: int, resolution: int) -> SampledFunction:
-    """r_k(x) = (-1)^x_k, the sign of coordinate k."""
-    check_resolution(resolution)
-    if not 0 <= k < resolution:
-        raise ValueError(f"Rademacher index {k} out of range [0, {resolution})")
-    idx = np.arange(1 << resolution, dtype=np.int64)
-    return SampledFunction(resolution, 1.0 - 2.0 * ((idx >> k) & 1))
-
-
 def walsh_signs(n: int, resolution: int) -> np.ndarray:
     """w_n as a +-1 integer vector."""
     check_resolution(resolution)

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dyadic import max_resolution
+
 NONDECREASING = "nondecreasing"
 NONINCREASING = "nonincreasing"
 BOTH = "both"
@@ -133,12 +135,18 @@ def _binomial_ratio_numerators(alpha: Fraction, count: int) -> list:
 def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
     """The weights of a family on block exponent n, normalized to sum to one.
 
-    Families: uniform, linear_up, linear_down, cesaro (requires alpha >
-    -1; alpha = 1 reproduces uniform, alpha = 2 gives the decreasing
-    tail weights).  A weight file is read by load_weight_file.
+    Families: uniform, linear_up, linear_down, cesaro (requires a finite
+    alpha > -1; alpha = 1 reproduces uniform, alpha = 2 gives the
+    decreasing tail weights).  A weight file is read by load_weight_file.
+    A block no resolution up to max_resolution() holds is refused before
+    its 2^n weights are built.
     """
     if n < 1:
         raise ValueError(f"block exponent must be >= 1, got {n}")
+    if n + 1 > max_resolution():
+        raise ValueError(
+            f"block exponent {n} needs resolution {n + 1}, above the cap {max_resolution()}"
+        )
     count = 1 << n
     if family == "uniform":
         return _normalized([1] * count, n, "uniform")
@@ -149,6 +157,8 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
     if family == "cesaro":
         if alpha is None:
             raise ValueError("cesaro family requires alpha")
+        if not math.isfinite(alpha):
+            raise ValueError(f"cesaro alpha must be finite, got {alpha}")
         alpha_q = Fraction(alpha).limit_denominator(10**9)
         if alpha_q <= -1:
             raise ValueError(f"cesaro alpha must exceed -1, got {alpha}")
@@ -250,13 +260,3 @@ def validate(w: WeightScheme, case_a_cap: float = DEFAULT_CASE_A_CAP) -> Validat
         case_a_ok=mono in (NONDECREASING, BOTH) and c2 <= case_a_cap,
         case_b_ok=mono in (NONINCREASING, BOTH),
     )
-
-
-def delta(w: WeightScheme, k: int) -> Fraction:
-    """Forward difference t_k - t_(k+1), with t = 0 past the block end."""
-    if not w.block_start <= k <= w.block_end:
-        raise ValueError(f"index {k} outside block [{w.block_start}, {w.block_end}]")
-    off = k - w.block_start
-    t = w.numerators
-    d = t[off] - (t[off + 1] if off + 1 < w.block_size else 0)
-    return Fraction(int(d), w.denominator)

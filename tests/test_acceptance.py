@@ -3,6 +3,7 @@ line with its measured margin.  Run with `pytest -s tests/test_acceptance.py`
 to see the report lines."""
 
 import functools
+import math
 import statistics
 import time
 from fractions import Fraction
@@ -149,9 +150,13 @@ def test_07_lipschitz_rate_recovery():
     ok = True
     uniform = functools.partial(build_scheme, "uniform")
     for alpha in (0.5, 1.0):
-        fit = exp.lipschitz_rate(exp.abs_power(alpha, 12), uniform, INF, range(2, 10))
-        details.append(f"alpha={alpha}: slope {fit.alpha_hat:.3f}")
-        ok = ok and abs(fit.alpha_hat - alpha) <= 0.15
+        # log2(error) against n: the error decays like 2^(-n alpha).
+        records = exp.ratio_sweep(exp.abs_power(alpha, 12), uniform, range(2, 10), (INF,))
+        slope, _ = np.polyfit(
+            [r.block_exponent for r in records], [math.log2(r.error) for r in records], 1
+        )
+        details.append(f"alpha={alpha}: slope {-slope:.3f}")
+        ok = ok and abs(-slope - alpha) <= 0.15
     report(7, "regression slope recovers the Lipschitz exponent within 0.15", ok, "; ".join(details))
 
 

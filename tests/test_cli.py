@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from walshvp import cli, experiments, walsh_system
+from walshvp import cli, dyadic, experiments, walsh_system
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
@@ -455,6 +455,45 @@ def test_abs_power_needs_a_finite_positive_alpha(capsys, alpha):
     code, out, err = run(capsys, "modulus", "--function", f"abs_power:{alpha}",
                          "--resolution", "4")
     assert code == 2 and out == "" and "abs_power needs a finite alpha > 0" in err
+
+
+@pytest.mark.parametrize("coeffs, index", [("1,nan", 1), ("inf,0", 0)])
+def test_walsh_poly_needs_finite_coefficients(capsys, coeffs, index):
+    # A NaN coefficient was reported as a synthesis overflowing the float range.
+    code, out, err = run(capsys, "modulus", "--function", f"walsh_poly:{coeffs}",
+                         "--resolution", "3")
+    assert code == 2 and out == ""
+    assert f"walsh_poly coefficient {index} is" in err and "overflow" not in err
+
+
+@pytest.mark.parametrize("flag", ["--lemma5-count", "--random-schemes"])
+def test_negative_lemma_counts_are_usage_errors(capsys, flag):
+    # A negative --lemma5-count passed as a check without instances that
+    # nonetheless held; a negative --random-schemes was read as 0.
+    code, out, err = run(capsys, "verify-lemmas", "--resolution", "6", flag, "-3")
+    assert code == 2 and out == "" and "instance counts must be >= 0" in err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("command, extra", [
+    ("weights-validate", ["--n", "2"]),
+    ("approx", ["--function", "indicator:2", "--resolution", "6"]),
+])
+def test_cesaro_needs_a_finite_alpha(capsys, alpha, command, extra):
+    # cesaro:inf died with an OverflowError traceback in Fraction(alpha).
+    code, out, err = run(capsys, command, "--weights", f"cesaro:{alpha}", *extra)
+    assert code == 2 and out == "" and "cesaro alpha must be finite" in err
+
+
+@pytest.mark.parametrize("n", [70, dyadic.DEFAULT_MAX_RESOLUTION])
+@pytest.mark.parametrize("weights", ["uniform", "cesaro:2"])
+def test_block_past_the_resolution_cap_is_refused(capsys, monkeypatch, n, weights):
+    # No resolution holds the block, so its 2^n weights are never built:
+    # n = 70 died in [1] * 2^70, and n = 30 would have built 2^30 of them.
+    monkeypatch.delenv("WALSHVP_MAX_N", raising=False)
+    code, out, err = run(capsys, "weights-validate", "--weights", weights, "--n", str(n))
+    assert code == 2 and out == ""
+    assert f"block exponent {n} needs resolution {n + 1}, above the cap" in err
 
 
 def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from walshvp.dyadic import (
     INF,
     SampledFunction,
     abs_values,
-    integrate,
     interval_indicator,
     lp_norm,
     modulus_of_continuity,
@@ -21,7 +20,7 @@ from walshvp.dyadic import (
     translate,
     write_function,
 )
-from walshvp.walsh_system import rademacher, walsh
+from walshvp.walsh_system import fwht_forward, walsh
 
 
 def rand_fn(seed, resolution):
@@ -111,18 +110,19 @@ class TestAbsValue:
 
 
 class TestIntegrate:
+    # The integral against the Haar measure is the coefficient fhat(0).
     def test_constant_one(self):
-        assert integrate(SampledFunction(6, np.ones(64))) == 1.0
+        assert fwht_forward(SampledFunction(6, np.ones(64))).coeffs[0] == 1.0
 
     def test_rademacher_mean_zero(self):
         for n in (2, 5):
-            assert integrate(rademacher(0, n)) == 0.0
+            assert fwht_forward(walsh(1, n)).coeffs[0] == 0.0
 
     def test_dirichlet_power_of_two(self):
         # D_4 at N=3: 4 on I_2 (two cells of measure 1/8 each)
         from walshvp.kernels import dirichlet
 
-        assert integrate(dirichlet(4, 3)) == 1.0
+        assert fwht_forward(dirichlet(4, 3)).coeffs[0] == 1.0
 
 
 class TestLpNorm:
@@ -131,7 +131,7 @@ class TestLpNorm:
             assert lp_norm(walsh(n, 3), 2) == pytest.approx(1.0, abs=1e-14)
 
     def test_rademacher_l1(self):
-        assert lp_norm(rademacher(0, 4), 1) == 1.0
+        assert lp_norm(walsh(1, 4), 1) == 1.0
 
     def test_dirichlet2_l1(self):
         from walshvp.kernels import dirichlet
@@ -190,11 +190,11 @@ class TestTranslate:
 
 class TestModulus:
     def test_rademacher_fine_scale(self):
-        assert modulus_of_continuity(rademacher(0, 4), 1, INF) == 0.0
+        assert modulus_of_continuity(walsh(1, 4), 1, INF) == 0.0
 
     def test_rademacher_coarse_scale(self):
         for p in (1.0, 2.0, INF):
-            assert modulus_of_continuity(rademacher(0, 4), 0, p) == pytest.approx(
+            assert modulus_of_continuity(walsh(1, 4), 0, p) == pytest.approx(
                 2.0, abs=1e-14
             )
 
@@ -457,7 +457,7 @@ class TestIntervalIndicator:
 
     def test_measure(self):
         for n in range(5):
-            assert integrate(interval_indicator(n, 4)) == 2.0**-n
+            assert fwht_forward(interval_indicator(n, 4)).coeffs[0] == 2.0**-n
 
 
 class TestRoundingAndIO:

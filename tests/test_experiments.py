@@ -139,21 +139,6 @@ class TestRatioSweep:
         assert all(0.3 < r.ratio < 0.7 for r in recs)
 
 
-class TestLipschitzRate:
-    def test_slope_alpha_one(self):
-        fit = exp.lipschitz_rate(exp.abs_power(1.0, 11), uniform, INF, range(2, 9))
-        assert 0.85 <= fit.alpha_hat <= 1.15
-
-    def test_slope_alpha_half(self):
-        fit = exp.lipschitz_rate(exp.abs_power(0.5, 11), uniform, INF, range(2, 9))
-        assert 0.35 <= fit.alpha_hat <= 0.65
-
-    def test_degenerate_fit_reported(self):
-        poly = exp.make_function("walsh_poly:1,0.5,0.25", 8)
-        with pytest.raises(ValueError, match="degenerate"):
-            exp.lipschitz_rate(poly, uniform, INF, range(2, 6))
-
-
 class TestTranslateDifferenceBound:
     def test_zero_polynomial(self):
         f = exp.random_bounded(1, 7)

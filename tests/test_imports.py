@@ -1,7 +1,10 @@
 import ast
+import inspect
 import pathlib
 
 import pytest
+
+import walshvp
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "walshvp").glob("*.py"))
 
@@ -95,3 +98,23 @@ def test_only_the_synthesis_tiles():
     # walsh_system._synthesis, so no other code tiles a prefix.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     assert _tile_calls(modules) == ["walsh_system._synthesis"]
+
+
+def test_every_public_function_serves_the_cli_or_the_checks():
+    # The package exports what the command line and the verification suite
+    # call, and the types they return; oracles and helpers stay in their
+    # modules.
+    referenced = set()
+    for path in SOURCES:
+        if path.stem in ("cli", "experiments"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    unused = [
+        name
+        for name in walshvp.__all__
+        if not inspect.isclass(getattr(walshvp, name)) and name not in referenced
+    ]
+    assert unused == []

@@ -10,11 +10,10 @@ from walshvp.means import (
     PATH_PARTIAL_SUMS,
     dyadic_convolve,
     dyadic_convolve_naive,
-    general_vp_mean,
     vp_mean,
 )
 from walshvp.walsh_system import partial_sum, walsh
-from walshvp.weights import build_scheme
+from walshvp.weights import WeightScheme, build_scheme
 from walshvp.experiments import SplitMix64, random_rational_scheme
 
 
@@ -104,32 +103,25 @@ class TestVpMean:
 
 
 class TestGeneralMean:
+    # The partial-sums route is the definition, sum_k t_k S_k(f).
+
     def test_single_term_is_partial_sum(self):
         f = rand_fn(7, 6)
-        for k in (1, 5, 12):
-            out = general_vp_mean(f, [1.0], k, k)
-            assert np.max(np.abs(out.values - partial_sum(f, k).values)) < 1e-12
-
-    def test_constant_reproduced(self):
-        f = walsh(0, 5)
-        out = general_vp_mean(f, np.full(6, 1 / 6), 3, 8)
-        assert np.max(np.abs(out.values - 1.0)) < 1e-13
+        for k in (2, 5, 12):
+            n = k.bit_length() - 1
+            scheme = WeightScheme(n, numerators=[int(i == k - (1 << n)) for i in range(1 << n)])
+            for path in (PATH_CONVOLUTION, PATH_PARTIAL_SUMS):
+                out = vp_mean(f, scheme, path).function
+                assert np.max(np.abs(out.values - partial_sum(f, k).values)) < 1e-12
 
     def test_agrees_with_block_mean(self):
+        # S_k(f) = f * D_k, so the mean is sum_k t_k (f * D_k).
         f = rand_fn(8, 7)
         scheme = build_scheme("linear_down", 2)
-        a = general_vp_mean(f, scheme.weights, scheme.block_start, scheme.block_end)
+        terms = zip(scheme.weights, range(scheme.block_start, scheme.block_end + 1))
+        expected = sum(t * dyadic_convolve(f, dirichlet(k, 7)).values for t, k in terms)
         b = vp_mean(f, scheme, PATH_PARTIAL_SUMS).function
-        assert np.array_equal(a.values, b.values)
-
-    def test_bounds_checked(self):
-        f = rand_fn(0, 4)
-        with pytest.raises(ValueError):
-            general_vp_mean(f, [1.0], 0, 0)
-        with pytest.raises(ValueError):
-            general_vp_mean(f, [0.5, 0.5], 15, 16)
-        with pytest.raises(ValueError):
-            general_vp_mean(f, [1.0, 1.0], 2, 4)
+        assert np.max(np.abs(b.values - expected)) < 1e-12
 
 
 class TestFastAgainstOracle:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from walshvp import walsh_system
-from walshvp.dyadic import SampledFunction, integrate, lp_norm
+from walshvp.dyadic import SampledFunction, lp_norm
 from walshvp.walsh_system import (
     Spectrum,
     bit_parity,
@@ -14,7 +14,6 @@ from walshvp.walsh_system import (
     fwht_inverse,
     hadamard_transform,
     partial_sum,
-    rademacher,
     read_spectrum,
     walsh,
     write_spectrum,
@@ -27,18 +26,14 @@ def rand_fn(seed, resolution):
 
 
 def test_rademacher_bit0():
-    assert rademacher(0, 2).values.tolist() == [1, -1, 1, -1]
+    # r_k = w_{2^k}, the sign of coordinate k
+    assert walsh(1, 2).values.tolist() == [1, -1, 1, -1]
 
 
 def test_rademacher_mean_and_square():
-    r = rademacher(2, 4)
-    assert integrate(r) == 0.0
+    r = walsh(1 << 2, 4)
+    assert fwht_forward(r).coeffs[0] == 0.0
     assert np.all((r * r).values == 1.0)
-
-
-def test_rademacher_out_of_range():
-    with pytest.raises(ValueError):
-        rademacher(4, 4)
 
 
 def test_walsh_zero_is_one():
@@ -54,7 +49,7 @@ def test_walsh_orthonormality_exhaustive():
     N = 4
     for m in range(1 << N):
         for n in range(1 << N):
-            inner = integrate(walsh(m, N) * walsh(n, N))
+            inner = fwht_forward(walsh(m, N) * walsh(n, N)).coeffs[0]
             assert inner == (1.0 if m == n else 0.0)
 
 

@@ -16,7 +16,6 @@ from walshvp.weights import (
     ValidationReport,
     WeightScheme,
     build_scheme,
-    delta,
     load_weight_file,
     validate,
 )
@@ -147,9 +146,6 @@ class TestIntegerForm:
             case_a_ok=nondec and c2 <= DEFAULT_CASE_A_CAP,
             case_b_ok=noninc,
         )
-        assert [delta(w, w.block_start + i) for i in range(w.block_size)] == [
-            t[i] - (t[i + 1] if i + 1 < len(t) else 0) for i in range(len(t))
-        ]
 
         kernel_numer, kernel_denom = _block_weights(w)
         assert [Fraction(int(a), kernel_denom) for a in kernel_numer] == t
@@ -213,38 +209,13 @@ class TestValidate:
         assert not report.sum_ok
 
 
-class TestDelta:
-    def test_uniform_interior_zero(self):
-        w = build_scheme("uniform", 3)
-        for k in range(8, 15):
-            assert delta(w, k) == 0
-
-    def test_uniform_edge_padding(self):
-        w = build_scheme("uniform", 3)
-        assert delta(w, 15) == Fraction(1, 8)
-
-    def test_linear_up_interior(self):
-        w = build_scheme("linear_up", 2)
-        assert delta(w, 4) == Fraction(-1, 10)
-
-    def test_out_of_block(self):
-        with pytest.raises(ValueError):
-            delta(build_scheme("uniform", 2), 3)
-
-    def test_telescoping(self):
-        for family in ("uniform", "linear_up", "linear_down"):
-            w = build_scheme(family, 3)
-            total = sum(delta(w, k) for k in range(w.block_start, w.block_end + 1))
-            assert total == w.exact[0]
-
-
 class TestCaseIdentities:
     # The signed difference sums that drive the two monotone cases.
 
     @staticmethod
     def _difference_sum(w):
-        start = w.block_start
-        return sum(abs(delta(w, start + k)) * k for k in range(1, w.block_size - 1))
+        t = w.exact
+        return sum(abs(t[k] - t[k + 1]) * k for k in range(1, w.block_size - 1))
 
     def test_nondecreasing_identity(self):
         for family in ("linear_up", "uniform"):
