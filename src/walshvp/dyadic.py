@@ -222,17 +222,15 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     # over the low n0 bits of m.  Both follow the butterfly's adjacent-pair
     # order, so each entry is the full-size value bit for bit.  Every
     # |fhat(m)| <= max |f|, so the coefficients are divided by the scale of
-    # that bound before squaring.  Returns (n0, scale, rank, sums) with
-    # sums[k] the distance at t = k 2^n0 over scale^2, n0 capped at r.
+    # that bound before squaring.  Returns (scale, sums) with sums[k] the
+    # distance at t = k 2^n0 over scale^2, for n0 <= r.
     from .walsh_system import _butterfly, fwht_forward
 
-    rank = _rank_of(f)
     top = max(-float(np.min(f.values)), float(np.max(f.values)))
     if top == 0.0:  # f = 0; samples are finite, so top < inf
-        return 0, 1.0, rank, np.zeros(1)
-    n0 = min(n0, rank)
+        return 1.0, np.zeros(1)
     scale = _power_scale(top, 2.0, f.resolution)
-    g = fwht_forward(f).coeffs[: 1 << rank] / scale
+    g = fwht_forward(f).coeffs[: 1 << _rank_of(f)] / scale
     g **= 2
     total = _pairwise_total(g)
     low = g.reshape(-1, 1 << n0)
@@ -241,18 +239,7 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     sums = _butterfly(low.reshape(-1))
     np.subtract(total, sums, out=sums)
     sums *= 2.0
-    return n0, scale, rank, sums
-
-
-def _modulus_l2(f: SampledFunction, n: int) -> float:
-    # omega_2(f, 2^-n) is the largest distance over t = 0 mod 2^n; one table
-    # per function serves every n >= n0 by stride.
-    entry = f._moduli.get(2.0)
-    if entry is None or entry[0] > n:
-        entry = f._moduli[2.0] = _l2_table(f, n)
-    n0, scale, _, sums = entry
-    worst = float(np.max(sums[:: 1 << (n - n0)]))
-    return scale * math.sqrt(max(worst, 0.0))
+    return scale, sums
 
 
 def _coset_oscillation(values: np.ndarray, n: int) -> float:
@@ -406,39 +393,35 @@ def _takes_sign_split(p: float, translates: int) -> bool:
     return p == 1.0 and translates >= _SPLIT_MIN_TRANSLATES
 
 
-def _serves(entry, n: int, p: float, scale: float) -> bool:
-    # A table serves every n >= n0 at its own scale.  A sign-split table is
-    # exact only to rounding of its largest sum, so it also needs the
-    # largest sum over t = 0 mod 2^n to be at least _SPLIT_MIN_SHARE of it.
-    if entry is None or entry[0] > n or entry[1] != scale:
-        return False
-    n0, _, _, sums = entry
-    if not _takes_sign_split(p, sums.size):
-        return True
-    return np.max(sums[:: 1 << (n - n0)]) >= _SPLIT_MIN_SHARE * np.max(sums)
-
-
-def _modulus_blocked(f: SampledFunction, n: int, p: float, top: float) -> float:
-    # A function of rank r < N is run at resolution r on values[:2^r].  Its
+def _modulus_table(f: SampledFunction, n: int, p: float, scale) -> tuple:
+    # The table of sums over t = 0 mod 2^n0 that serves omega_p(f, 2^-n),
+    # as (n0, scale, rank, sums): the one kept on f for p if it serves n,
+    # else one built at n0 = min(n, rank) that takes its place.  A table
+    # serves every n >= n0 at its own scale; `scale` is None for p = 2,
+    # whose scale depends only on f.  A sign-split table is exact only to
+    # rounding of its largest sum, so it also needs the largest sum over
+    # t = 0 mod 2^n to be at least _SPLIT_MIN_SHARE of it.  A function of
+    # rank r < N is run at resolution r on values[:2^r]: its
     # |differences|^p are 2^r-periodic, so the tree at resolution N reaches
-    # 2^(N-r) equal partial sums, and the rest of it only doubles them
-    # exactly: sum_N 2^-N == sum_r 2^-r.  The scale stays the one of
-    # resolution N.  The sums over t = 0 mod 2^n0 are kept on the function
-    # for p and serve every n >= n0 that _serves allows; the largest row sum
-    # gives the largest norm, since the root is monotone.
-    scale = _power_scale(top, p, f.resolution)
+    # 2^(N-r) equal partial sums and the rest of it only doubles them
+    # exactly, sum_N 2^-N == sum_r 2^-r.  The scale stays the one of N.
     entry = f._moduli.get(p)
-    if not _serves(entry, n, p, scale):
-        rank = _rank_of(f)
-        values = f.values[: 1 << rank]
-        if _takes_sign_split(p, values.size >> n):
-            sums = _sign_split_sums(values, n, scale)
-        else:
-            sums = _translate_sums(values, n, p, scale)
-        entry = f._moduli[p] = (n, scale, rank, sums)
-    n0, _, rank, sums = entry
-    best = float(np.max(sums[:: 1 << (n - n0)]))
-    return scale * (best * 2.0**-rank) ** (1.0 / p)
+    if entry is not None and entry[0] <= n and (scale is None or scale == entry[1]):
+        n0, _, _, sums = entry
+        if not _takes_sign_split(p, sums.size):
+            return entry
+        if np.max(sums[:: 1 << (n - n0)]) >= _SPLIT_MIN_SHARE * np.max(sums):
+            return entry
+    rank = _rank_of(f)
+    values = f.values[: 1 << rank]
+    if p == 2.0:
+        scale, sums = _l2_table(f, min(n, rank))
+    elif _takes_sign_split(p, values.size >> n):
+        sums = _sign_split_sums(values, n, scale)
+    else:
+        sums = _translate_sums(values, n, p, scale)
+    entry = f._moduli[p] = (min(n, rank), scale, rank, sums)
+    return entry
 
 
 def _modulus_by_translates(f: SampledFunction, n: int, p: float) -> float:
@@ -460,42 +443,38 @@ def modulus_of_continuity(
 
     At finite resolution the ball {|t| < 2^-n} is exactly the interval
     I_n, i.e. the indices divisible by 2^n, so the supremum is a finite
-    maximum.  Four routes evaluate every translate at once: for p = 2 a
-    spectral identity; for p = inf the largest oscillation of f over the
-    cosets of I_n, which the translates permute; for p = 1 with at least
-    2^11 translates per coset a sign split; for any other p the
-    translates in blocks of rows.  The coset and blocked routes match the
-    loop bit for bit, the spectral and sign-split routes to rounding.
-    brute_force=True runs the loop over translates, the oracle.
-
-    The spectral and table routes run at the function's dyadic rank r,
-    the smallest r for which f depends only on x mod 2^r.  The spectral
-    route sums the squared coefficients over the low n0 bits and
-    transforms 2^(r-n0) sums: O(r 2^r + 2^N) with the transform of f,
-    and the full-size values bit for bit.  The blocked route costs
-    4^r / 2^n instead of 4^N / 2^n.  The sign split sorts each coset of
-    I_n, cuts it into about sqrt(m / log m) buckets by rank, m = 2^(r-n),
-    sums the pairs across buckets, whose differences have a known sign,
-    as products of Walsh transforms, and the pairs inside a bucket
-    directly: about 2^n m^1.5 sqrt(log m) operations, each sum within
-    about 1e-15 of the table's largest.  Each function keeps, per p, its
-    table over the translates in I_n0 for the smallest n0 asked so far,
-    and serves every n >= n0 from it by stride: a sweep over n costs one
-    table.  A sign-split table serves n only while the largest sum at n
-    is at least 2^-10 of its own, which keeps the modulus within about
-    1e-12 relative; below that it is built again at n.
+    maximum.  brute_force=True runs the loop over translates, the oracle.
+    Four routes evaluate every translate at once: p = inf is the largest
+    oscillation of f over the cosets of I_n, which the translates
+    permute; a finite p is read from a table of one sum per translate in
+    I_n0, built at the function's dyadic rank r (the smallest r for which
+    f depends only on x mod 2^r) by a spectral identity for p = 2, by a
+    sign split for p = 1 with at least 2^11 translates per coset, and in
+    blocks of translates for any other p.  The coset and blocked routes
+    match the loop bit for bit, the spectral and sign-split routes to
+    rounding.  Each function keeps one table per p, for the smallest n0
+    asked so far, and serves every n >= n0 from it by stride: a sweep
+    over n costs one table.  A sign-split table serves n only while the
+    largest sum at n is at least 2^-10 of its own, which keeps the
+    modulus within about 1e-12 relative; below that it is built again.
     """
     p = _check_exponent(p)
     if not 0 <= n <= f.resolution:
         raise ValueError(f"modulus rank {n} out of range [0, {f.resolution}]")
     if brute_force:
         return _modulus_by_translates(f, n, p)
-    if p == 2.0:
-        return _modulus_l2(f, n)
-    top = _coset_oscillation(f.values, n)
-    if p == INF or not 0.0 < top < INF:
-        return top
-    return _modulus_blocked(f, n, p, top)
+    scale = None
+    if p != 2.0:
+        top = _coset_oscillation(f.values, n)
+        if p == INF or not 0.0 < top < INF:
+            return top
+        scale = _power_scale(top, p, f.resolution)
+    n0, scale, rank, sums = _modulus_table(f, n, p, scale)
+    # The root is monotone, so the largest sum gives the largest norm.
+    best = max(float(np.max(sums[:: 1 << (n - n0)])), 0.0)
+    if p == 2.0:  # squared norms; x ** 0.5 does not always round as sqrt(x)
+        return scale * math.sqrt(best)
+    return scale * (best * 2.0**-rank) ** (1.0 / p)
 
 
 def write_function(f: SampledFunction, stream) -> None:

@@ -18,7 +18,6 @@ from .dyadic import (
     _BLOCK_CELLS,
     INF,
     SampledFunction,
-    _pairwise_total,
     abs_values,
     check_resolution,
     interval_indicator,
@@ -278,8 +277,7 @@ def verify_translate_difference_bound(
     idx = np.arange(f.size, dtype=np.int64)
     r_n = 1.0 - 2.0 * ((idx >> n) & 1)
     rg = SampledFunction(f.resolution, r_n * g.values)
-    mean_rg = _pairwise_total(rg.values) * 2.0**-f.resolution
-    inner = dyadic_convolve(f, rg) - f * mean_rg
+    inner = dyadic_convolve(f, rg) - f * fwht_forward(rg).coeffs[0]
     lhs = lp_norm(inner, p)
     rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
     return lhs, rhs, lhs <= rhs + slack

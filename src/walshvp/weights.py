@@ -24,6 +24,13 @@ DEFAULT_CASE_A_CAP = 4.0
 
 FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro")
 
+# Most bits of exact numerators a cesaro scheme may hold.  For alpha = p/q
+# in lowest terms each of the 2^n numerators grows by about log2 q bits per
+# index, so the scheme holds about 4^n log2 q bits (1 to 2 times that,
+# measured): 2^26 bits keeps a build near a second (alpha = 0.5 at n = 13,
+# 0.3 at n = 12, 0.123456789 at n = 10).
+_CESARO_MAX_BITS = 1 << 26
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -138,8 +145,9 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
     Families: uniform, linear_up, linear_down, cesaro (requires a finite
     alpha > -1; alpha = 1 reproduces uniform, alpha = 2 gives the
     decreasing tail weights).  A weight file is read by load_weight_file.
-    A block no resolution up to max_resolution() holds is refused before
-    its 2^n weights are built.
+    A block no resolution up to max_resolution() holds, or a cesaro
+    scheme whose exact numerators would pass _CESARO_MAX_BITS, is refused
+    before its 2^n weights are built.
     """
     if n < 1:
         raise ValueError(f"block exponent must be >= 1, got {n}")
@@ -162,6 +170,12 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
         alpha_q = Fraction(alpha).limit_denominator(10**9)
         if alpha_q <= -1:
             raise ValueError(f"cesaro alpha must exceed -1, got {alpha}")
+        bits = 4**n * math.log2(alpha_q.denominator)
+        if bits > _CESARO_MAX_BITS:
+            raise ValueError(
+                f"cesaro alpha {alpha} at n={n} needs about {bits:.1e} bits of exact "
+                f"weights, above {_CESARO_MAX_BITS:.1e}; lower n or alpha's denominator"
+            )
         numerators = _binomial_ratio_numerators(alpha_q, count)
         if any(a < 0 for a in numerators):
             raise ValueError(f"cesaro alpha {alpha} produces negative weights")

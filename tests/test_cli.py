@@ -2,6 +2,8 @@ import argparse
 import csv
 import io
 import json
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -483,6 +485,20 @@ def test_cesaro_needs_a_finite_alpha(capsys, alpha, command, extra):
     # cesaro:inf died with an OverflowError traceback in Fraction(alpha).
     code, out, err = run(capsys, command, "--weights", f"cesaro:{alpha}", *extra)
     assert code == 2 and out == "" and "cesaro alpha must be finite" in err
+
+
+@pytest.mark.parametrize("alpha, n", [("0.5", 16), ("0.123456789", 12)])
+def test_cesaro_past_the_bit_budget_is_refused(capsys, alpha, n):
+    # About 4^n log2(q) bits for alpha = p/q: cesaro:0.5 at n = 16 did not
+    # finish in 100 s, and 0.123456789 took 4.1 s already at n = 11.
+    tracemalloc.start()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weights-validate", "--weights", f"cesaro:{alpha}", "--n", str(n))
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2 and out == "" and f"cesaro alpha {alpha} at n={n} needs about" in err
+    assert elapsed < 0.5 and peak < 1 << 20
 
 
 @pytest.mark.parametrize("n", [70, dyadic.DEFAULT_MAX_RESOLUTION])

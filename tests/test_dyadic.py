@@ -351,6 +351,36 @@ class TestRankAndSharedTable:
             f = _periodic_fn(5, N, rank, exponent)
             assert [modulus_of_continuity(f, n, p) for n in order] == [fresh[n] for n in order]
 
+    @pytest.mark.parametrize("rank", [3, 8])
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    def test_any_order_of_n_gives_the_fresh_bits_of_the_l2_table(self, rank, exponent):
+        # The p = 2 table at any n0 is the full one by stride, so a kept
+        # table gives the bits of a fresh function's own table.
+        N = 8
+        orders = (range(N + 1), range(N, -1, -1), [4, 4, 2, 6, 2, 0, 7, 1, 1, 5, 3, 8])
+        fresh = {n: modulus_of_continuity(_periodic_fn(5, N, rank, exponent), n, 2)
+                 for n in range(N + 1)}
+        for order in orders:
+            f = _periodic_fn(5, N, rank, exponent)
+            assert [modulus_of_continuity(f, n, 2) for n in order] == [fresh[n] for n in order]
+
+    def test_any_order_of_n_keeps_a_split_table_near_the_oracle(self, tables):
+        # A split table's bits depend on the n0 it was built at, so each
+        # modulus is only held to the bound of TestSignSplit.  Ascending
+        # from n = 0, the split table at n0 = 0 serves n = 1..10; at n = 11
+        # its largest sum is 6e-4 of the table's, so n = 11 is built again.
+        N = 12
+        orders = (range(N + 1), range(N, -1, -1), [5, 0, 9, 1, 11, 3, 10, 0, 12, 7])
+        brute = [modulus_of_continuity(SampledFunction(N, abs_values(N) ** 0.5), n, 1,
+                                       brute_force=True) for n in range(N + 1)]
+        for order in orders:
+            f = SampledFunction(N, abs_values(N) ** 0.5)
+            fast = [modulus_of_continuity(f, n, 1) for n in order]
+            assert fast == pytest.approx([brute[n] for n in order],
+                                         rel=1e-13 / dyadic._SPLIT_MIN_SHARE, abs=0.0)
+            if order is orders[0]:
+                assert tables == [(1 << N, 11, 1.0, 1.0)]
+
     def test_scaled_table_is_replaced_when_the_scale_changes(self, tables):
         a = 2.0**400  # 3 * 400 > 960: the powers are scaled by the oscillation
         f = SampledFunction(3, [a, -a, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])

@@ -100,6 +100,19 @@ def test_only_the_synthesis_tiles():
     assert _tile_calls(modules) == ["walsh_system._synthesis"]
 
 
+def test_one_function_owns_the_modulus_tables():
+    # Which kept table serves a modulus, and which route builds a new one,
+    # is decided in one place: no other code reads or writes f._moduli
+    # (SampledFunction.__init__ sets it by name, not as an attribute).
+    owners = set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and node.attr == "_moduli":
+                    owners.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert sorted(owners) == ["dyadic._modulus_table"]
+
+
 def test_every_public_function_serves_the_cli_or_the_checks():
     # The package exports what the command line and the verification suite
     # call, and the types they return; oracles and helpers stay in their
