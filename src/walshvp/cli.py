@@ -9,6 +9,7 @@ supplies defaults; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -78,10 +79,14 @@ def _scheme_factory(spec: str):
     return from_family
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _stream(path: str, mode: str):
+    """stdin or stdout, by mode, for '-'; otherwise the file, closed on exit."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        with open(path, mode) as fh:
+            yield fh
 
 
 def _csv_field(value) -> str:
@@ -111,8 +116,7 @@ def _emit(payload, fmt: str, out_path: str) -> None:
     then the record keys as the header and one row per record: bools as
     true/false, floats as .12g, anything else with str.
     """
-    stream, close = _open_out(out_path)
-    try:
+    with _stream(out_path, "w") as stream:
         if fmt == "json":
             # One write: json.dump writes each token on its own.
             stream.write(json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
@@ -126,9 +130,6 @@ def _emit(payload, fmt: str, out_path: str) -> None:
             lines.append(",".join(records[0]))
             lines += [",".join(_csv_field(v) for v in record.values()) for record in records]
             stream.write("".join(line + "\n" for line in lines))
-    finally:
-        if close:
-            stream.close()
 
 
 def _add_common(parser, resolution_default=8):
@@ -223,27 +224,16 @@ def _apply_config(argv: List[str]) -> List[str]:
 
 
 def _cmd_transform(args) -> int:
-    if args.infile == "-":
-        source = sys.stdin
-    else:
-        source = open(args.infile)
-    try:
+    with _stream(args.infile, "r") as source:
         if args.inverse:
             result = fwht_inverse(read_spectrum(source))
         else:
             result = fwht_forward(read_function(source))
-    finally:
-        if source is not sys.stdin:
-            source.close()
-    stream, close = _open_out(args.out)
-    try:
+    with _stream(args.out, "w") as stream:
         if args.inverse:
             write_function(result, stream)
         else:
             write_spectrum(result, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 

@@ -24,7 +24,7 @@ from .dyadic import (
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import Spectrum, _walsh_rows, fwht_forward, fwht_inverse
+from .walsh_system import Spectrum, _butterfly, fwht_forward, fwht_inverse
 from .kernels import (
     _dirichlet_rec_int,
     _paley_int,
@@ -46,6 +46,7 @@ FEJER_SHARP_BOUND = Fraction(17, 15)
 MODULUS_FLOOR = 1e-13
 ERROR_FLOOR = 1e-10
 DEFAULT_SLACK = 1e-9
+_TRANSLATE_SLACK = 1e-10  # DEFAULT_SLACK would loosen the translate-difference lemma
 
 FLAG_INCONSISTENT = "inconsistent"
 
@@ -259,7 +260,7 @@ def sweep_ok(records: Iterable[ApproxRecord]) -> bool:
 
 
 def verify_translate_difference_bound(
-    f: SampledFunction, g: SampledFunction, n: int, p, slack: float = 1e-10
+    f: SampledFunction, g: SampledFunction, n: int, p
 ) -> Tuple[float, float, bool]:
     """Check || int r_n(t) g(t) (f(.+t) - f(.)) dmu(t) ||_p against
     (1/2) ||g||_1 omega_p(f, 2^-n).  The integral over all t is the
@@ -280,7 +281,7 @@ def verify_translate_difference_bound(
     inner = dyadic_convolve(f, rg) - f * fwht_forward(rg).coeffs[0]
     lhs = lp_norm(inner, p)
     rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
-    return lhs, rhs, lhs <= rhs + slack
+    return lhs, rhs, lhs <= rhs + _TRANSLATE_SLACK
 
 
 @dataclass(frozen=True)
@@ -301,43 +302,29 @@ def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
 
 
 def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
-    """D_n by the doubling recursion against the Walsh sum, the recursion
-    run by _dirichlet_rec_int on blocks of orders of at most _BLOCK_CELLS
-    cells (64 orders at N = 10).  Up to RECURSION_EXHAUSTIVE_MAX_N every n
-    in [0, 2^N] is checked against the definition D_n = sum_{k<n} w_k, in
-    blocks of consecutive orders: the running sums over the block's rows
-    w_{n-1}, plus D_n of the order before the block, carried from the
-    block before.  Above it the 2^N + 1 recursions would cost O(4^N), so
-    n = 0, every power of two and orders drawn from the seed,
-    RECURSION_SAMPLES in all, are checked against the spectral synthesis
-    dirichlet(n, N)."""
+    """D_n by the doubling recursion (_dirichlet_rec_int) against the
+    definition D_n = sum_{k<n} w_k, the int64 rows 1_{k<n} synthesized in
+    one batched butterfly, in blocks of orders of at most _BLOCK_CELLS
+    cells.  Up to RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is
+    checked.  Above it the 2^N + 1 recursions would cost O(4^N), so n = 0,
+    every power of two and orders drawn from the seed, RECURSION_SAMPLES
+    in all, are checked, with detail sampled."""
     size = 1 << resolution
+    orders, detail = range(size + 1), ""
+    if resolution > RECURSION_EXHAUSTIVE_MAX_N:
+        sampled = {0} | {1 << m for m in range(resolution + 1)}
+        rng = SplitMix64(seed)
+        while len(sampled) < RECURSION_SAMPLES:
+            sampled.add(rng.randint(size + 1))
+        orders, detail = sorted(sampled), "sampled"
+    cells = np.arange(size, dtype=np.int64)
     step = max(1, _BLOCK_CELLS >> resolution)
     worst = 0
-    if resolution <= RECURSION_EXHAUSTIVE_MAX_N:
-        carry = np.zeros(size, dtype=np.int64)  # D_n for the order before the block
-        for start in range(0, size + 1, step):
-            orders = np.arange(start, min(start + step, size + 1))
-            sums = _walsh_rows(orders - 1, resolution)
-            sums[orders == 0] = 0  # D_0, the empty sum
-            sums = carry + np.cumsum(sums, axis=0)
-            rec = _dirichlet_rec_int(orders, resolution)
-            worst = max(worst, int(np.max(np.abs(rec - sums))))
-            carry = sums[-1]
-        return LemmaResult("dirichlet-recursion", size + 1, float(worst), worst == 0)
-    orders = {0} | {1 << m for m in range(resolution + 1)}
-    rng = SplitMix64(seed)
-    while len(orders) < RECURSION_SAMPLES:
-        orders.add(rng.randint(size + 1))
-    orders = sorted(orders)
     for start in range(0, len(orders), step):
-        block = orders[start : start + step]
-        rec = _dirichlet_rec_int(block, resolution)
-        for n, row in zip(block, rec):
-            worst = max(worst, int(np.max(np.abs(row - dirichlet(n, resolution).exact_numer))))
-    return LemmaResult(
-        "dirichlet-recursion", len(orders), float(worst), worst == 0, "sampled"
-    )
+        block = np.asarray(orders[start : start + step], dtype=np.int64)
+        sums = _butterfly((cells < block[:, None]).astype(np.int64))
+        worst = max(worst, int(np.max(np.abs(_dirichlet_rec_int(block, resolution) - sums))))
+    return LemmaResult("dirichlet-recursion", len(orders), float(worst), worst == 0, detail)
 
 
 def _check_fejer_bounds(resolution: int) -> Tuple[LemmaResult, LemmaResult]:

@@ -28,7 +28,9 @@ FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro")
 # in lowest terms each of the 2^n numerators grows by about log2 q bits per
 # index, so the scheme holds about 4^n log2 q bits (1 to 2 times that,
 # measured): 2^26 bits keeps a build near a second (alpha = 0.5 at n = 13,
-# 0.3 at n = 12, 0.123456789 at n = 10).
+# 0.3 at n = 12, 0.123456789 at n = 10).  For alpha > 1 each numerator also
+# holds about log2 binom(2^n + alpha - 1, 2^n) bits, which an integer alpha
+# (q = 1) still has: alpha = 1e6 is refused from n = 12.
 _CESARO_MAX_BITS = 1 << 26
 
 
@@ -171,10 +173,16 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
         if alpha_q <= -1:
             raise ValueError(f"cesaro alpha must exceed -1, got {alpha}")
         bits = 4**n * math.log2(alpha_q.denominator)
+        if alpha_q > 1:
+            # ln binom(count + b, count) by its entropy bound, finite for
+            # every finite alpha (lgamma overflows from alpha = 3e305).
+            b = float(alpha_q) - 1
+            nats = count * math.log1p(b / count) + b * math.log1p(count / b)
+            bits += count * nats / math.log(2)
         if bits > _CESARO_MAX_BITS:
             raise ValueError(
                 f"cesaro alpha {alpha} at n={n} needs about {bits:.1e} bits of exact "
-                f"weights, above {_CESARO_MAX_BITS:.1e}; lower n or alpha's denominator"
+                f"weights, above {_CESARO_MAX_BITS:.1e}; lower n, alpha or alpha's denominator"
             )
         numerators = _binomial_ratio_numerators(alpha_q, count)
         if any(a < 0 for a in numerators):

@@ -487,10 +487,14 @@ def test_cesaro_needs_a_finite_alpha(capsys, alpha, command, extra):
     assert code == 2 and out == "" and "cesaro alpha must be finite" in err
 
 
-@pytest.mark.parametrize("alpha, n", [("0.5", 16), ("0.123456789", 12)])
+@pytest.mark.parametrize(
+    "alpha, n", [("0.5", 16), ("0.123456789", 12), ("1000000.0", 16), ("1e+307", 16)]
+)
 def test_cesaro_past_the_bit_budget_is_refused(capsys, alpha, n):
     # About 4^n log2(q) bits for alpha = p/q: cesaro:0.5 at n = 16 did not
-    # finish in 100 s, and 0.123456789 took 4.1 s already at n = 11.
+    # finish in 100 s, and 0.123456789 took 4.1 s already at n = 11.  An
+    # integer alpha (q = 1) grows its numerators instead: 1e6 took 3.5 s at
+    # n = 13; an lgamma estimate would overflow at 1e307.
     tracemalloc.start()
     start = time.perf_counter()
     code, out, err = run(capsys, "weights-validate", "--weights", f"cesaro:{alpha}", "--n", str(n))

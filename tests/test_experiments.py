@@ -228,11 +228,12 @@ class TestBatchedChecks:
         monkeypatch.setattr(exp, "_dirichlet_rec_int", counted)
         return calls
 
-    def test_one_wrong_cell_in_a_middle_block_fails(self, monkeypatch):
-        # The Walsh sums carry from block to block on their own, so a wrong
-        # row of the recursion cannot be masked by the carry.
+    @pytest.mark.parametrize("N", [10, 11])
+    def test_one_wrong_cell_in_a_middle_block_fails(self, monkeypatch, N):
+        # Each block's Walsh sums are synthesized from its own orders, so a
+        # wrong row of the recursion is compared with its own definition.
         calls = self._counted_recursion(monkeypatch, perturb_call=8)
-        result = exp._check_dirichlet_recursion(10, 0)
+        result = exp._check_dirichlet_recursion(N, 0)
         assert len(calls) > 8
         assert not result.passed and result.worst_margin == 1
 
@@ -243,6 +244,13 @@ class TestBatchedChecks:
         assert result.passed and result.instances == 1025 == sum(calls)
         rows = (1 << 16) >> N
         assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
+
+    def test_sampled_recursion_builds_no_kernel(self, monkeypatch):
+        calls = []
+        dirichlet = exp.dirichlet
+        monkeypatch.setattr(exp, "dirichlet", lambda *args: calls.append(args) or dirichlet(*args))
+        assert exp._check_dirichlet_recursion(11, 0).passed
+        assert len(calls) == 0
 
     def test_decomposition_builds_no_walsh_signs_row(self, monkeypatch):
         calls = []
