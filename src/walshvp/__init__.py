@@ -11,7 +11,6 @@ verification suite call, and the types those calls return.
 from .dyadic import INF, SampledFunction, interval_indicator, lp_norm, modulus_of_continuity
 from .walsh_system import Spectrum, fwht_forward, fwht_inverse
 from .kernels import (
-    KernelDecomposition,
     KernelFunction,
     decompose_vp_kernel,
     dirichlet,
@@ -26,7 +25,6 @@ __all__ = [
     "SampledFunction",
     "Spectrum",
     "KernelFunction",
-    "KernelDecomposition",
     "WeightScheme",
     "ValidationReport",
     "MeanResult",

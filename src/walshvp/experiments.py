@@ -54,6 +54,12 @@ FLAG_INCONSISTENT = "inconsistent"
 RECURSION_EXHAUSTIVE_MAX_N = 10
 RECURSION_SAMPLES = (1 << RECURSION_EXHAUSTIVE_MAX_N) + 1
 
+# verify_all_lemmas refuses (translate_count + random_schemes) * 2^N cells
+# past this: the default 225 instances pass up to the default resolution
+# cap, N = 24, and 10^7 translate-difference instances at N = 12 (hours of
+# convolutions) do not.
+LEMMA_CELL_BUDGET = 1 << 32
+
 STANDARD_SUITE_SPECS = (
     "abs_power:0.5",
     "abs_power:1.0",
@@ -105,9 +111,9 @@ def random_bounded(seed: int, resolution: int) -> SampledFunction:
     return SampledFunction(resolution, rng.uniforms(1 << resolution))
 
 
-def step_mix(seed: int, resolution: int, rank: int = 4) -> SampledFunction:
-    """Random function constant on rank-`rank` cells."""
-    rank = min(rank, resolution)
+def step_mix(seed: int, resolution: int) -> SampledFunction:
+    """Random function constant on the cells of rank 4 (all cells below N = 4)."""
+    rank = min(4, resolution)
     rng = SplitMix64(seed)
     cells = rng.uniforms(1 << rank)
     idx = np.arange(1 << resolution, dtype=np.int64)
@@ -303,12 +309,13 @@ def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
 
 def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
     """D_n by the doubling recursion (_dirichlet_rec_int) against the
-    definition D_n = sum_{k<n} w_k, the int64 rows 1_{k<n} synthesized in
-    one batched butterfly, in blocks of orders of at most _BLOCK_CELLS
-    cells.  Up to RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is
-    checked.  Above it the 2^N + 1 recursions would cost O(4^N), so n = 0,
-    every power of two and orders drawn from the seed, RECURSION_SAMPLES
-    in all, are checked, with detail sampled."""
+    definition D_n = sum_{k<n} w_k, the rows 1_{k<n} synthesized in one
+    batched butterfly (int32 while 2^N fits it, int64 above), in blocks
+    of orders of at most _BLOCK_CELLS cells.  Up to
+    RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is checked.  Above it
+    the 2^N + 1 recursions would cost O(4^N), so n = 0, every power of two
+    and orders drawn from the seed, RECURSION_SAMPLES in all, are checked,
+    with detail sampled."""
     size = 1 << resolution
     orders, detail = range(size + 1), ""
     if resolution > RECURSION_EXHAUSTIVE_MAX_N:
@@ -318,11 +325,13 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
             sampled.add(rng.randint(size + 1))
         orders, detail = sorted(sampled), "sampled"
     cells = np.arange(size, dtype=np.int64)
+    # Every butterfly sum of the rows is at most 2^N in magnitude.
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     step = max(1, _BLOCK_CELLS >> resolution)
     worst = 0
     for start in range(0, len(orders), step):
         block = np.asarray(orders[start : start + step], dtype=np.int64)
-        sums = _butterfly((cells < block[:, None]).astype(np.int64))
+        sums = _butterfly((cells < block[:, None]).astype(dtype))
         worst = max(worst, int(np.max(np.abs(_dirichlet_rec_int(block, resolution) - sums))))
     return LemmaResult("dirichlet-recursion", len(orders), float(worst), worst == 0, detail)
 
@@ -370,7 +379,7 @@ def _check_translate_difference(resolution: int, seed: int, count: int) -> Lemma
 
 def _decomposition_deviation(scheme: WeightScheme, resolution: int) -> Fraction:
     kernel = vp_kernel(scheme, resolution)
-    parts = decompose_vp_kernel(scheme, resolution).components
+    parts = decompose_vp_kernel(scheme, resolution)
     # The parts share the kernel's denominator: the weights' common one.
     total = sum(part.exact_numer for part in parts)
     return Fraction(int(np.max(np.abs(total - kernel.exact_numer))), kernel.exact_denom)
@@ -408,7 +417,9 @@ def verify_all_lemmas(
 ) -> List[LemmaResult]:
     """Run every kernel-identity and kernel-bound check at one resolution.
 
-    A check with no instances fails with detail "no instances"."""
+    A check with no instances fails with detail "no instances".  A run
+    whose counted instances, translate_count + random_schemes, times the
+    2^N cells passes LEMMA_CELL_BUDGET is refused before any is built."""
     check_resolution(resolution)
     if resolution < 4:
         raise ValueError("lemma verification needs resolution >= 4")
@@ -416,6 +427,13 @@ def verify_all_lemmas(
         raise ValueError(
             f"instance counts must be >= 0, got translate_count={translate_count}, "
             f"random_schemes={random_schemes}"
+        )
+    cells = (translate_count + random_schemes) << resolution
+    if cells > LEMMA_CELL_BUDGET:
+        raise ValueError(
+            f"{translate_count} translate-difference and {random_schemes} decomposition "
+            f"instances at 2^{resolution} cells each pass the budget of "
+            f"{LEMMA_CELL_BUDGET} cells; lower --lemma5-count or --random-schemes"
         )
     uniform, sharp = _check_fejer_bounds(resolution)
     results = [

@@ -10,13 +10,12 @@ of D, and the three-part VP decomposition) can be checked with zero error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import _BLOCK_CELLS, SampledFunction, _dyadic_rank, check_resolution
-from .walsh_system import _synthesis, _walsh_rows
+from .dyadic import SampledFunction, _dyadic_rank, check_resolution
+from .walsh_system import _synthesis
 from .weights import WeightScheme
 
 # Exact sums switch to Python ints once their bound passes this.
@@ -24,13 +23,13 @@ _INT64_SAFE = 1 << 62
 
 
 class KernelFunction(SampledFunction):
-    """SampledFunction with a kind tag whose samples are exact rationals:
-    integer numerators (int64 or Python ints) over one positive
-    denominator.  The float values are derived from them."""
+    """SampledFunction whose samples are exact rationals: integer
+    numerators (int64 or Python ints) over one positive denominator.  The
+    float values are derived from them."""
 
-    __slots__ = ("kind", "exact_numer", "exact_denom")
+    __slots__ = ("exact_numer", "exact_denom")
 
-    def __init__(self, resolution, exact_numer, exact_denom=1, kind=""):
+    def __init__(self, resolution, exact_numer, exact_denom=1):
         exact_numer = np.asarray(exact_numer)
         exact_denom = int(exact_denom)
         if exact_denom < 1:
@@ -47,19 +46,8 @@ class KernelFunction(SampledFunction):
         else:
             raise TypeError(f"exact numerators must be integers, got {exact_numer.dtype}")
         super().__init__(resolution, values)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exact_numer", exact_numer)
         object.__setattr__(self, "exact_denom", exact_denom)
-
-
-@dataclass(frozen=True)
-class KernelDecomposition:
-    """Three-part split of a block VP kernel: a multiple of the
-    power-of-two Dirichlet kernel, a signed sum of weight differences
-    against Fejer kernels, and a signed boundary Fejer term."""
-
-    block_exponent: int
-    components: tuple
 
 
 def _check_order(n: int, resolution: int) -> int:
@@ -88,7 +76,7 @@ def dirichlet(n: int, resolution: int) -> KernelFunction:
     n = _check_order(n, resolution)
     coeffs = np.zeros(1 << max(n - 1, 0).bit_length(), dtype=_int_dtype(n))
     coeffs[:n] = 1
-    return KernelFunction(resolution, _synthesis(coeffs, resolution), 1, f"dirichlet:{n}")
+    return KernelFunction(resolution, _synthesis(coeffs, resolution))
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
@@ -116,7 +104,7 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     closed form and recurse on the remainder behind a Rademacher sign."""
     n = _check_order(n, resolution)
     values = _dirichlet_rec_int([n], resolution)[0]
-    return KernelFunction(resolution, values, 1, f"dirichlet-rec:{n}")
+    return KernelFunction(resolution, values)
 
 
 def fejer(n: int, resolution: int) -> KernelFunction:
@@ -127,7 +115,7 @@ def fejer(n: int, resolution: int) -> KernelFunction:
         raise ValueError(f"Fejer kernel needs n >= 1, got {n}")
     coeffs = np.zeros(1 << (n - 1).bit_length(), dtype=_int_dtype(n * (n + 1) // 2))
     coeffs[:n] = np.arange(n, 0, -1)
-    return KernelFunction(resolution, _synthesis(coeffs, resolution), n, f"fejer:{n}")
+    return KernelFunction(resolution, _synthesis(coeffs, resolution), n)
 
 
 def kernel_l1_norm(kernel: KernelFunction) -> Fraction:
@@ -204,6 +192,14 @@ def _block_weights(w: WeightScheme):
     return w.numerators.astype(_int_dtype(bound)), w.denominator
 
 
+def _above(x: np.ndarray) -> np.ndarray:
+    """sum_{i>m} x_i at each m, by one running sum from the top: zero at
+    the last entry.  Keeps the dtype of x."""
+    above = np.zeros_like(x)
+    above[:-1] = np.cumsum(x[:0:-1])[::-1]
+    return above
+
+
 def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
     """Walsh coefficients of sum_k t_k D_k over the block [2^n, 2^(n+1)-1]:
     the whole weight mass below the block, the weight mass strictly above
@@ -212,7 +208,7 @@ def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
     count = weights.size
     coeffs = np.zeros(1 << resolution, dtype=weights.dtype)
     coeffs[:count] = np.sum(weights)
-    coeffs[count : 2 * count - 1] = np.cumsum(weights[::-1])[::-1][1:]
+    coeffs[count : 2 * count] = _above(weights)
     return coeffs
 
 
@@ -224,50 +220,41 @@ def vp_kernel(w: WeightScheme, resolution: int) -> KernelFunction:
     _check_block(w, resolution)
     t, denom = _block_weights(w)
     numer = _synthesis(_block_multiplier(t, w.block_exponent + 1), resolution)
-    return KernelFunction(resolution, numer, denom, f"vp:{w.block_exponent}")
+    return KernelFunction(resolution, numer, denom)
 
 
-def decompose_vp_kernel(w: WeightScheme, resolution: int) -> KernelDecomposition:
-    """Split the block VP kernel into three parts whose sum reproduces it:
+def decompose_vp_kernel(
+    w: WeightScheme, resolution: int
+) -> tuple[KernelFunction, KernelFunction, KernelFunction]:
+    """Split the block VP kernel into three parts whose sum reproduces it,
+    each over the weights' common denominator:
 
       part 1: (sum of the weights) * D_{2^n};
       part 2: r_n * sum_{k=1}^{2^n - 2} (t_{2^n+k} - t_{2^n+k+1}) * k * K_k;
       part 3: r_n * t_last * (2^n - 1) * K_{2^n - 1}.
 
     The identity follows from the Dirichlet splitting plus summation by
-    parts, and holds exactly in rational arithmetic.  The parts come from
-    no synthesis, so they check vp_kernel's independently.  For k < 2^n,
-    D_k and k K_k depend only on x mod 2^n: the Walsh rows w_0..w_{2^n-2}
-    at the 2^n cells (in blocks of at most _BLOCK_CELLS cells) give the
-    D_k as their running sums over rows and the k K_k as the running sums
-    of those; the sum of part 2 is the weight differences times those
-    rows, one integer product, and parts 2 and 3 are gathered to the 2^N
-    cells by x mod 2^n.
+    parts, and holds exactly in rational arithmetic.  Part 1 is the closed
+    form of D_{2^n}.  Parts 2 and 3 are synthesized from their Walsh
+    coefficients in the integer numerators of the weights: k K_k has the
+    coefficient (k - m)_+ at m, and r_n w_m = w_{2^n+m} for m < 2^n.  With
+    d_k = t_{2^n+k} - t_{2^n+k+1} (and d_0 = d_{2^n-1} = 0), part 2 has
+    sum_{k>m} d_k (k - m) = _above(d + _above(d)) at 2^n + m, and part 3
+    has t_last (2^n - 1 - m) there.  vp_kernel takes its coefficients from
+    the weight mass above m instead, so the sum of the parts checks them
+    in exact integers.  The oracle of each part, built from running sums
+    of Walsh signs at the cells, is in tests/test_kernels.py.
     """
     _check_block(w, resolution)
-    n = w.block_exponent
     t, denom = _block_weights(w)
     low = w.block_size
-    weight = np.zeros(low, dtype=t.dtype)  # weight[k] multiplies k K_k in part 2
-    weight[1:-1] = t[1:-1] - t[2:]
-    d_k = k_k = np.zeros(low, dtype=np.int64)
-    second = np.zeros(low, dtype=t.dtype)
-    step = max(1, _BLOCK_CELLS >> n)
-    for start in range(1, low, step):
-        orders = np.arange(start, min(start + step, low))
-        d_rows = d_k + np.cumsum(_walsh_rows(orders - 1, n), axis=0)  # D_k, k in orders
-        k_rows = k_k + np.cumsum(d_rows, axis=0)  # k K_k
-        second = second + weight[orders] @ k_rows
-        d_k, k_k = d_rows[-1], k_rows[-1]
-    idx = np.arange(1 << resolution, dtype=np.int64)
-    cell = idx & (low - 1)
-    r_n = 1 - 2 * ((idx >> n) & 1)
-    first = np.sum(t) * _paley_int(n, resolution).astype(t.dtype)
-    parts = (first, r_n * second[cell], r_n * (t[-1] * k_k.astype(t.dtype))[cell])
-    return KernelDecomposition(
-        n,
-        tuple(
-            KernelFunction(resolution, part, denom, f"vp-part{i}:{n}")
-            for i, part in enumerate(parts, start=1)
-        ),
-    )
+    diff = np.zeros(low, dtype=t.dtype)
+    diff[1:-1] = t[1:-1] - t[2:]
+    second = _above(diff + _above(diff))
+    third = t[-1] * np.arange(low - 1, -1, -1).astype(t.dtype)
+    parts = [np.sum(t) * _paley_int(w.block_exponent, resolution).astype(t.dtype)]
+    for upper in (second, third):
+        coeffs = np.zeros(2 * low, dtype=t.dtype)
+        coeffs[low:] = upper
+        parts.append(_synthesis(coeffs, resolution))
+    return tuple(KernelFunction(resolution, part, denom) for part in parts)

@@ -54,20 +54,13 @@ def bit_parity(values: np.ndarray) -> np.ndarray:
 
 
 def walsh_signs(n: int, resolution: int) -> np.ndarray:
-    """w_n as a +-1 integer vector."""
+    """w_n as a +-1 int64 vector."""
     check_resolution(resolution)
     if not 0 <= n < (1 << resolution):
         raise ValueError(
             f"Walsh index {n} not representable at resolution {resolution}"
         )
-    return _walsh_rows(n, resolution)
-
-
-def _walsh_rows(orders, resolution: int) -> np.ndarray:
-    """w_k as +-1 int64 rows at the 2^N cells, one row for each k of the
-    array orders (a single row for a scalar k); unchecked."""
-    idx = np.arange(1 << resolution, dtype=np.int64)
-    return 1 - 2 * bit_parity(np.asarray(orders, dtype=np.int64)[..., None] & idx)
+    return 1 - 2 * bit_parity(n & np.arange(1 << resolution, dtype=np.int64))
 
 
 def walsh(n: int, resolution: int) -> SampledFunction:

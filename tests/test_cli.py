@@ -476,6 +476,14 @@ def test_negative_lemma_counts_are_usage_errors(capsys, flag):
     assert code == 2 and out == "" and "instance counts must be >= 0" in err
 
 
+def test_lemma_counts_past_the_work_budget_are_usage_errors(capsys):
+    # 10^7 translate-difference instances at N = 12 would run for hours.
+    code, out, err = run(capsys, "verify-lemmas", "--resolution", "12",
+                         "--lemma5-count", "10000000")
+    assert code == 2 and out == ""
+    assert "--lemma5-count" in err and "--random-schemes" in err
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
 @pytest.mark.parametrize("command, extra", [
     ("weights-validate", ["--n", "2"]),

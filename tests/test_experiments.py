@@ -202,6 +202,28 @@ class TestVerifyAllLemmas:
         with pytest.raises(ValueError):
             exp.verify_all_lemmas(3)
 
+    def test_work_past_the_budget_is_refused_before_any_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no check may start past the budget")
+
+        monkeypatch.setattr(exp, "_check_fejer_bounds", refuse)
+        with pytest.raises(ValueError, match="--lemma5-count or --random-schemes"):
+            exp.verify_all_lemmas(12, translate_count=10**7)
+        with pytest.raises(ValueError, match="budget"):
+            exp.verify_all_lemmas(12, translate_count=0, random_schemes=10**7)
+
+    def test_default_counts_pass_the_budget_up_to_the_cap(self, monkeypatch):
+        from walshvp.dyadic import DEFAULT_MAX_RESOLUTION
+
+        # Every check is stubbed: only the guard runs at each resolution.
+        result = exp.LemmaResult("stub", 1, 0.0, True)
+        monkeypatch.setattr(exp, "_check_fejer_bounds", lambda *args: (result, result))
+        for name in ("dirichlet_closed_form", "dirichlet_recursion",
+                     "translate_difference", "decomposition"):
+            monkeypatch.setattr(exp, f"_check_{name}", lambda *args: result)
+        for resolution in range(4, DEFAULT_MAX_RESOLUTION + 1):
+            assert all(r.passed for r in exp.verify_all_lemmas(resolution))
+
     def test_sharp_fejer_bound_is_compared_exactly(self, monkeypatch):
         # a bound 2^-40 below the peak norm must fail; no slack absorbs it
         peak = max(kernel_norm_sweep(1 << 7, 8)[1])
@@ -245,6 +267,15 @@ class TestBatchedChecks:
         rows = (1 << 16) >> N
         assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
 
+    def test_recursion_oracle_rows_are_int32(self, monkeypatch):
+        # Every butterfly sum of the rows 1_{k<n} is at most 2^N <= 2^30.
+        dtypes = set()
+        butterfly = exp._butterfly
+        monkeypatch.setattr(exp, "_butterfly", lambda a: dtypes.add(a.dtype) or butterfly(a))
+        result = exp._check_dirichlet_recursion(10, 0)
+        assert result.passed and result.instances == 1025 and result.worst_margin == 0
+        assert dtypes == {np.dtype(np.int32)}
+
     def test_sampled_recursion_builds_no_kernel(self, monkeypatch):
         calls = []
         dirichlet = exp.dirichlet
@@ -265,11 +296,11 @@ class TestBatchedChecks:
 
         def perturbed(w, resolution):
             dec = decompose(w, resolution)
-            part = dec.components[1]
+            part = dec[1]
             numer = part.exact_numer.copy()
             numer[5] += 1
-            wrong = KernelFunction(resolution, numer, part.exact_denom, part.kind)
-            return dataclasses.replace(dec, components=(dec.components[0], wrong, dec.components[2]))
+            wrong = KernelFunction(resolution, numer, part.exact_denom)
+            return (dec[0], wrong, dec[2])
 
         monkeypatch.setattr(exp, "decompose_vp_kernel", perturbed)
         scheme = build_scheme("linear_down", 3)

@@ -100,6 +100,27 @@ def test_only_the_synthesis_tiles():
     assert _tile_calls(modules) == ["walsh_system._synthesis"]
 
 
+def test_only_walsh_system_builds_walsh_signs():
+    # Walsh sign rows are the space-domain route; outside the tests' oracles
+    # only walsh_system builds them, and every other module synthesizes.
+    signs = {"bit_parity", "walsh_signs", "walsh", "_walsh_rows"}
+    found = set()
+    for path in SOURCES:
+        if path.stem == "walsh_system":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found |= {f"{path.stem}.{name}" for name in names & signs}
+    assert sorted(found) == []
+
+
 def test_one_function_owns_the_modulus_tables():
     # Which kept table serves a modulus, and which route builds a new one,
     # is decided in one place: no other code reads or writes f._moduli

@@ -53,6 +53,25 @@ def space_domain_vp_numerators(scheme, resolution):
     return acc, denom
 
 
+def space_domain_parts(scheme, resolution):
+    """The three parts of decompose_vp_kernel in Python ints over the
+    weights' denominator: D_k and k K_k for k <= 2^n as running sums of
+    Walsh signs, independent of the spectral route, and r_n = w_{2^n}."""
+    low = scheme.block_size
+    a = [int(v) for v in scheme.numerators]
+    d_k = np.zeros(1 << resolution, dtype=object)
+    k_k = np.zeros(1 << resolution, dtype=object)
+    second = np.zeros(1 << resolution, dtype=object)
+    for k in range(1, low):
+        d_k = d_k + walsh_signs(k - 1, resolution).astype(object)  # D_k
+        k_k = k_k + d_k  # k K_k
+        if k <= low - 2:
+            second = second + (a[k] - a[k + 1]) * k_k
+    d_low = d_k + walsh_signs(low - 1, resolution).astype(object)  # D_{2^n}
+    r_n = walsh_signs(low, resolution).astype(object)
+    return sum(a) * d_low, r_n * second, r_n * a[-1] * k_k
+
+
 def kernel_norm_sweep_oracle(n_max, resolution):
     """The per-n loop: D_n and n K_n accumulated from Walsh signs over all
     2^N cells, O(n_max 2^N)."""
@@ -138,7 +157,7 @@ class TestFejer:
         assert exact_value(k2, 0) == Fraction(3, 2)
 
     def test_values_derive_from_integer_numerators(self):
-        kernel = KernelFunction(1, [3, 1], 2, "fejer:2")
+        kernel = KernelFunction(1, [3, 1], 2)
         assert kernel.values.tolist() == fejer(2, 1).values.tolist()
         with pytest.raises(TypeError):
             KernelFunction(1, [1.5, 0.5])  # float samples are not a form
@@ -185,8 +204,6 @@ class TestNormSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep must not touch the 2^N cells")
 
-        for module in (walshvp.kernels, walshvp.walsh_system):
-            monkeypatch.setattr(module, "_walsh_rows", refuse)
         monkeypatch.setattr(walshvp.walsh_system, "walsh_signs", refuse)
         monkeypatch.setattr(walshvp.kernels, "_synthesis", refuse)
         monkeypatch.setattr(walshvp.walsh_system, "hadamard_transform", refuse)
@@ -234,12 +251,12 @@ class TestVpKernel:
 class TestDecomposition:
     def test_uniform_middle_component_vanishes(self):
         dec = decompose_vp_kernel(build_scheme("uniform", 3), 6)
-        assert np.all(dec.components[1].values == 0.0)
+        assert np.all(dec[1].values == 0.0)
 
     def test_pair_block_identity(self):
         dec = decompose_vp_kernel(build_scheme("uniform", 1), 3)
         kernel = vp_kernel(build_scheme("uniform", 1), 3)
-        first, second, third = dec.components
+        first, second, third = dec
         assert np.array_equal((first + second + third).values, kernel.values)
 
     def test_random_schemes_exact_identity(self):
@@ -250,7 +267,7 @@ class TestDecomposition:
             dec = decompose_vp_kernel(scheme, 6)
             kernel = vp_kernel(scheme, 6)
             for j in range(kernel.size):
-                total = sum(exact_value(c, j) for c in dec.components)
+                total = sum(exact_value(c, j) for c in dec)
                 assert total == exact_value(kernel, j)
 
 
@@ -298,6 +315,37 @@ class TestSpaceDomainOracles:
         assert np.array_equal(kernel.exact_numer * denom, numer * kernel.exact_denom)
 
 
+class TestDecompositionOracle:
+    """Each part of the VP decomposition against its space-domain oracle."""
+
+    @given(st.integers(2, 8), st.integers(0, 2**63), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_schemes(self, N, seed, data):
+        n = data.draw(st.integers(1, min(N - 1, 5)))
+        self._check(random_rational_scheme(n, SplitMix64(seed)), N)
+
+    @pytest.mark.parametrize("family, alpha", [
+        ("uniform", None), ("linear_up", None), ("linear_down", None), ("cesaro", 2),
+    ])
+    @pytest.mark.parametrize("n, N", [(1, 2), (3, 6), (5, 8)])
+    def test_families(self, family, alpha, n, N):
+        self._check(build_scheme(family, n, alpha=alpha), N)
+
+    def test_object_dtype_scheme(self):
+        scheme = build_scheme("cesaro", 5, alpha=0.5)
+        parts = self._check(scheme, 8)
+        assert all(part.exact_numer.dtype == object for part in parts)
+
+    @staticmethod
+    def _check(scheme, N):
+        parts = decompose_vp_kernel(scheme, N)
+        assert len(parts) == 3
+        for part, oracle in zip(parts, space_domain_parts(scheme, N)):
+            assert part.exact_denom == scheme.denominator
+            assert np.array_equal(part.exact_numer, oracle)
+        return parts
+
+
 class TestBigintExactPath:
     """Weights whose numerators pass the int64 range switch to Python ints."""
 
@@ -327,7 +375,7 @@ class TestBigintExactPath:
 
     def test_decomposition_sums_exactly(self):
         scheme = build_scheme("cesaro", 6, alpha=0.5)
-        parts = decompose_vp_kernel(scheme, 8).components
+        parts = decompose_vp_kernel(scheme, 8)
         kernel = vp_kernel(scheme, 8)
         assert all(part.exact_numer.dtype == object for part in parts)
         for j in range(kernel.size):
@@ -391,3 +439,29 @@ class TestSynthesisAtSupport:
         coeffs = [sum(a[max(m + 1 - (1 << n), 0) :]) for m in range(2 << n)]
         assert kernel.exact_denom == scheme.denominator
         assert np.array_equal(kernel.exact_numer, full_size_numerators(coeffs, N))
+
+    @given(st.integers(2, 10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decompose_vp_kernel(self, N, data):
+        n = data.draw(st.integers(1, N - 1))
+        if n == 2 and data.draw(st.booleans()):
+            numerators = data.draw(st.lists(st.integers(2**57, 2**58), min_size=4, max_size=4))
+            scheme, dtype = WeightScheme(2, numerators=numerators), object
+        else:
+            seed = data.draw(st.integers(0, 2**63))
+            scheme, dtype = random_rational_scheme(n, SplitMix64(seed)), np.int64
+        parts, sizes = butterfly_sizes(lambda: decompose_vp_kernel(scheme, N))
+        # part 1 is the closed form; parts 2 and 3 each run one butterfly
+        assert sizes == [2 << n, 2 << n]
+        assert all(part.exact_numer.dtype == dtype for part in parts)
+        a = [int(v) for v in scheme.numerators]
+        low = 1 << n
+        diff = [0] + [a[k] - a[k + 1] for k in range(1, low - 1)] + [0]
+        coeffs = (
+            [sum(a)] * low,
+            [0] * low + [sum(diff[k] * (k - m) for k in range(m + 1, low)) for m in range(low)],
+            [0] * low + [a[-1] * (low - 1 - m) for m in range(low)],
+        )
+        for part, c in zip(parts, coeffs):
+            assert part.exact_denom == scheme.denominator
+            assert np.array_equal(part.exact_numer, full_size_numerators(c, N))
