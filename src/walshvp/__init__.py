@@ -18,7 +18,7 @@ from .kernels import (
     vp_kernel,
 )
 from .weights import ValidationReport, WeightScheme, build_scheme, validate
-from .means import MeanResult, dyadic_convolve, vp_mean
+from .means import MeanResult, vp_mean
 
 __all__ = [
     "INF",
@@ -39,6 +39,5 @@ __all__ = [
     "vp_kernel",
     "build_scheme",
     "validate",
-    "dyadic_convolve",
     "vp_mean",
 ]

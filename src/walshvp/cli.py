@@ -21,6 +21,7 @@ from . import experiments
 from .dyadic import (
     INF,
     _check_exponent,
+    check_resolution,
     modulus_of_continuity,
     read_function,
     write_function,
@@ -47,36 +48,30 @@ def _parse_p_list(text: str) -> List[float]:
     return [_check_exponent(token) for token in text.split(",")]
 
 
-def _scheme_factory(spec: str):
-    """Weight spec: a family name, family:alpha, or a CSV file path.
+def _p_field(p: float) -> str:
+    return "inf" if p == INF else format(p, ".12g")
 
-    Returns the scheme for a block exponent n.  A file covers one block
-    exponent, which n=None selects; a family needs n.  A spec whose name
-    part is a family is that family, so a file cannot shadow it.
+
+def _scheme(spec: str, n: Optional[int]):
+    """The scheme of a weight spec, a family name, family:alpha, or a CSV
+    file path, for block exponent n.  A file covers one block exponent,
+    which n=None selects; a family needs n.  A spec whose name part is a
+    family is that family, so a file cannot shadow it.
     """
     name, _, arg = spec.partition(":")
-    if name not in FAMILIES and os.path.exists(spec):
-        fixed = load_weight_file(spec)
-
-        def from_file(n: Optional[int]):
-            if n not in (None, fixed.block_exponent):
-                raise ValueError(
-                    f"weight file covers block exponent {fixed.block_exponent}, "
-                    f"cannot use n={n}"
-                )
-            return fixed
-
-        return from_file
-    if name not in FAMILIES:
-        raise ValueError(f"unknown weight spec {spec!r}")
-    alpha = float(arg) if arg else None
-
-    def from_family(n: Optional[int]):
+    if name in FAMILIES:
+        alpha = float(arg) if arg else None
         if n is None:
             raise ValueError("family weight specs require --n")
         return build_scheme(name, n, alpha=alpha)
-
-    return from_family
+    if not os.path.exists(spec):
+        raise ValueError(f"unknown weight spec {spec!r}")
+    scheme = load_weight_file(spec)
+    if n not in (None, scheme.block_exponent):
+        raise ValueError(
+            f"weight file covers block exponent {scheme.block_exponent}, cannot use n={n}"
+        )
+    return scheme
 
 
 @contextlib.contextmanager
@@ -238,6 +233,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_kernel_norms(args) -> int:
+    check_resolution(args.resolution)
     n_max = 1 << (args.resolution - 1) if args.nmax is None else args.nmax
     if n_max > KERNEL_NORMS_MAX_ROWS:
         raise ValueError(
@@ -280,6 +276,7 @@ def _check_block_range(n_min: int, n_max: int) -> None:
 
 
 def _cmd_approx(args) -> int:
+    check_resolution(args.resolution)
     n_max = args.resolution - 2 if args.nmax is None else args.nmax
     if n_max + 1 > args.resolution:
         raise ValueError(f"nmax={n_max} needs resolution >= {n_max + 1}")
@@ -287,14 +284,14 @@ def _cmd_approx(args) -> int:
     f = experiments.make_function(args.function, args.resolution, args.seed)
     records = experiments.ratio_sweep(
         f,
-        _scheme_factory(args.weights),
+        lambda n: _scheme(args.weights, n),
         range(args.nmin, n_max + 1),
         _parse_p_list(args.p),
     )
     rows = [
         {
             "n": r.block_exponent,
-            "p": "inf" if r.p == INF else format(r.p, ".12g"),
+            "p": _p_field(r.p),
             "error": r.error,
             "modulus": r.modulus,
             "ratio": r.ratio,
@@ -309,13 +306,14 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
+    check_resolution(args.resolution)
     n_max = args.resolution if args.nmax is None else args.nmax
     _check_block_range(args.nmin, n_max)
     f = experiments.make_function(args.function, args.resolution, args.seed)
     records = [
         {
             "n": n,
-            "p": "inf" if p == INF else p,
+            "p": _p_field(p),
             "delta": 2.0**-n,
             "omega": modulus_of_continuity(f, n, p),
         }
@@ -327,7 +325,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_weights_validate(args) -> int:
-    scheme = _scheme_factory(args.weights)(args.n)
+    scheme = _scheme(args.weights, args.n)
     report = validate(scheme, case_a_cap=args.cmax)
     record = {
         "n": scheme.block_exponent,

@@ -18,13 +18,14 @@ from .dyadic import (
     _BLOCK_CELLS,
     INF,
     SampledFunction,
+    _rank_of,
     abs_values,
     check_resolution,
     interval_indicator,
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import Spectrum, _butterfly, fwht_forward, fwht_inverse
+from .walsh_system import Spectrum, _butterfly, _synthesis, fwht_forward, fwht_inverse
 from .kernels import (
     _dirichlet_rec_int,
     _paley_int,
@@ -35,7 +36,7 @@ from .kernels import (
     vp_kernel,
 )
 from .weights import WeightScheme, build_scheme, validate
-from .means import PATH_CONVOLUTION, dyadic_convolve, vp_mean
+from .means import PATH_CONVOLUTION, vp_mean
 
 # Explicit constant for non-increasing block weights summing to one.
 CASE_B_BOUND = Fraction(47, 30)
@@ -57,7 +58,7 @@ RECURSION_SAMPLES = (1 << RECURSION_EXHAUSTIVE_MAX_N) + 1
 # verify_all_lemmas refuses (translate_count + random_schemes) * 2^N cells
 # past this: the default 225 instances pass up to the default resolution
 # cap, N = 24, and 10^7 translate-difference instances at N = 12 (hours of
-# convolutions) do not.
+# syntheses and moduli) do not.
 LEMMA_CELL_BUDGET = 1 << 32
 
 STANDARD_SUITE_SPECS = (
@@ -173,7 +174,7 @@ def random_rational_scheme(n: int, rng: SplitMix64, sort: Optional[str] = None) 
         raw.sort(reverse=True)
     elif sort == "nondecreasing":
         raw.sort()
-    return WeightScheme(n, numerators=raw, denominator=sum(raw), label="random")
+    return WeightScheme(n, numerators=raw, denominator=sum(raw))
 
 
 @dataclass(frozen=True)
@@ -269,23 +270,22 @@ def verify_translate_difference_bound(
     f: SampledFunction, g: SampledFunction, n: int, p
 ) -> Tuple[float, float, bool]:
     """Check || int r_n(t) g(t) (f(.+t) - f(.)) dmu(t) ||_p against
-    (1/2) ||g||_1 omega_p(f, 2^-n).  The integral over all t is the
-    convolution f * (r_n g), taken on the spectral route.
+    (1/2) ||g||_1 omega_p(f, 2^-n).
 
-    g must have its spectrum supported below 2^n.
+    g must have dyadic rank at most n (depend only on x_0..x_{n-1}), which
+    holds exactly when its spectrum lies below 2^n; else ValueError.  Then
+    the integral is f * (r_n g), whose coefficient at 2^n + m is
+    fhat(2^n+m) ghat(m) by r_n w_m = w_{2^n+m}, and zero below 2^n.
     """
     f._check_same(g)
     if not 0 < n < f.resolution:
         raise ValueError(f"need 0 < n < {f.resolution}, got {n}")
-    gc = fwht_forward(g).coeffs
-    scale = max(1.0, float(np.max(np.abs(g.values))))
-    if np.max(np.abs(gc[1 << n :])) > 1e-12 * scale:
-        raise ValueError(f"g has spectral mass at or above 2^{n}")
-    idx = np.arange(f.size, dtype=np.int64)
-    r_n = 1.0 - 2.0 * ((idx >> n) & 1)
-    rg = SampledFunction(f.resolution, r_n * g.values)
-    inner = dyadic_convolve(f, rg) - f * fwht_forward(rg).coeffs[0]
-    lhs = lp_norm(inner, p)
+    if _rank_of(g) > n:
+        raise ValueError(f"g has dyadic rank {_rank_of(g)}, above n = {n}")
+    low = 1 << n
+    coeffs = np.zeros(2 * low)
+    coeffs[low:] = fwht_forward(f).coeffs[low : 2 * low] * fwht_forward(g).coeffs[:low]
+    lhs = lp_norm(SampledFunction(f.resolution, _synthesis(coeffs, f.resolution)), p)
     rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
     return lhs, rhs, lhs <= rhs + _TRANSLATE_SLACK
 
@@ -377,10 +377,12 @@ def _check_translate_difference(resolution: int, seed: int, count: int) -> Lemma
     return LemmaResult("translate-difference-bound", count, float(worst), passed)
 
 
-def _decomposition_deviation(scheme: WeightScheme, resolution: int) -> Fraction:
-    kernel = vp_kernel(scheme, resolution)
-    parts = decompose_vp_kernel(scheme, resolution)
-    # The parts share the kernel's denominator: the weights' common one.
+def _decomposition_deviation(scheme: WeightScheme) -> Fraction:
+    # At 2^(n+1) cells, the support of the kernel and its parts, which
+    # share the weights' common denominator.
+    support = scheme.block_exponent + 1
+    kernel = vp_kernel(scheme, support)
+    parts = decompose_vp_kernel(scheme, support)
     total = sum(part.exact_numer for part in parts)
     return Fraction(int(np.max(np.abs(total - kernel.exact_numer))), kernel.exact_denom)
 
@@ -397,14 +399,11 @@ def _check_decomposition(resolution: int, seed: int, random_schemes: int) -> Lem
             ("linear_down", None),
             ("cesaro", 2),
         ):
-            worst = max(
-                worst,
-                _decomposition_deviation(build_scheme(family, n, alpha=alpha), resolution),
-            )
+            worst = max(worst, _decomposition_deviation(build_scheme(family, n, alpha=alpha)))
             instances += 1
     for _ in range(random_schemes):
         n = 1 + rng.randint(n_cap)
-        worst = max(worst, _decomposition_deviation(random_rational_scheme(n, rng), resolution))
+        worst = max(worst, _decomposition_deviation(random_rational_scheme(n, rng)))
         instances += 1
     return LemmaResult("vp-kernel-decomposition", instances, float(worst), worst == 0)
 

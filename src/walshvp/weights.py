@@ -47,7 +47,6 @@ class WeightScheme:
     block_exponent: int
     numerators: np.ndarray
     denominator: int = 1
-    label: str = ""
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -106,8 +105,8 @@ class ValidationReport:
     case_b_ok: bool
 
 
-def _normalized(numerators: Sequence[int], n: int, label: str) -> WeightScheme:
-    return WeightScheme(n, numerators=numerators, denominator=sum(numerators), label=label)
+def _normalized(numerators: Sequence[int], n: int) -> WeightScheme:
+    return WeightScheme(n, numerators=numerators, denominator=sum(numerators))
 
 
 def _over_common_denominator(raw: Sequence[Fraction]) -> tuple:
@@ -159,11 +158,11 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
         )
     count = 1 << n
     if family == "uniform":
-        return _normalized([1] * count, n, "uniform")
+        return _normalized([1] * count, n)
     if family == "linear_up":
-        return _normalized(range(1, count + 1), n, "linear_up")
+        return _normalized(range(1, count + 1), n)
     if family == "linear_down":
-        return _normalized(range(count, 0, -1), n, "linear_down")
+        return _normalized(range(count, 0, -1), n)
     if family == "cesaro":
         if alpha is None:
             raise ValueError("cesaro family requires alpha")
@@ -187,7 +186,7 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
         numerators = _binomial_ratio_numerators(alpha_q, count)
         if any(a < 0 for a in numerators):
             raise ValueError(f"cesaro alpha {alpha} produces negative weights")
-        return _normalized(numerators, n, f"cesaro:{alpha}")
+        return _normalized(numerators, n)
     raise ValueError(f"unknown weight family {family!r}; choose from {FAMILIES}")
 
 
@@ -246,7 +245,7 @@ def load_weight_file(path: str) -> WeightScheme:
     if missing or len(rows) != count:
         raise ValueError(f"weight file must cover [{start}, {start + count - 1}]")
     numer, denom = _over_common_denominator([rows[start + i] for i in range(count)])
-    return WeightScheme(inferred, numerators=numer, denominator=denom, label=f"custom:{path}")
+    return WeightScheme(inferred, numerators=numer, denominator=denom)
 
 
 def _monotonicity(t: np.ndarray) -> str:

@@ -76,11 +76,11 @@ def test_03_kernel_decomposition_exact():
             ("cesaro", 2),
         ):
             scheme = build_scheme(family, n, alpha=alpha)
-            worst = max(worst, exp._decomposition_deviation(scheme, 8))
+            worst = max(worst, exp._decomposition_deviation(scheme))
             instances += 1
     for _ in range(100):
         n = 1 + rng.randint(6)
-        worst = max(worst, exp._decomposition_deviation(exp.random_rational_scheme(n, rng), 8))
+        worst = max(worst, exp._decomposition_deviation(exp.random_rational_scheme(n, rng)))
         instances += 1
     report(
         3,

@@ -371,6 +371,8 @@ def test_weights_validate(capsys, tmp_path):
         assert code == 0 and out.splitlines()[1] == "2,1,true,both,1.75,true,true"
     code, out, err = run(capsys, "weights-validate", "--weights", str(path), "--n", "3")
     assert code == 2 and out == "" and "block exponent 2" in err
+    code, out, err = run(capsys, "weights-validate", "--weights", "uniform")
+    assert code == 2 and out == "" and "family weight specs require --n" in err
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
@@ -522,6 +524,35 @@ def test_block_past_the_resolution_cap_is_refused(capsys, monkeypatch, n, weight
     code, out, err = run(capsys, "weights-validate", "--weights", weights, "--n", str(n))
     assert code == 2 and out == ""
     assert f"block exponent {n} needs resolution {n + 1}, above the cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, resolution",
+    [
+        (("kernel-norms",), "0"),
+        (("kernel-norms",), "100"),
+        (("approx", "--function", "indicator:2", "--weights", "uniform"), "0"),
+        (("modulus", "--function", "indicator:2"), "-3"),
+    ],
+)
+def test_resolution_is_checked_before_the_defaults_it_sets(capsys, monkeypatch, argv, resolution):
+    # The default --nmax, and the kernel-norms row count, derive from it.
+    monkeypatch.delenv("WALSHVP_MAX_N", raising=False)
+    code, out, err = run(capsys, *argv, "--resolution", resolution)
+    cap = dyadic.DEFAULT_MAX_RESOLUTION
+    assert code == 2 and out == ""
+    assert err == f"error: resolution must be in [1, {cap}], got {resolution}\n"
+
+
+def test_p_has_one_json_form_in_approx_and_modulus(capsys):
+    for command, extra in (("approx", ("--weights", "uniform", "--nmax", "1")), ("modulus", ())):
+        code, out, _ = run(
+            capsys, command, "--function", "step_mix", "--resolution", "4",
+            "--nmin", "1", "--p", "1,2.5,inf", "--format", "json", *extra,
+        )
+        payload = json.loads(out)
+        rows = payload["records"] if command == "approx" else payload
+        assert code == 0 and [r["p"] for r in rows[:3]] == ["1", "2.5", "inf"]
 
 
 def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):

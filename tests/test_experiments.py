@@ -7,14 +7,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walshvp.walsh_system
 from walshvp import experiments as exp
 from walshvp.cli import main
 from walshvp.dyadic import INF, SampledFunction, abs_values, lp_norm
-from walshvp.kernels import KernelFunction, fejer, kernel_norm_sweep
-from walshvp.means import dyadic_convolve_naive
-from walshvp.walsh_system import walsh
+from walshvp.kernels import (
+    KernelFunction,
+    decompose_vp_kernel,
+    fejer,
+    kernel_norm_sweep,
+    vp_kernel,
+)
+from walshvp.means import dyadic_convolve, dyadic_convolve_naive
+from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse, walsh
 from walshvp.weights import build_scheme
 
 uniform = functools.partial(build_scheme, "uniform")
@@ -177,9 +185,34 @@ class TestTranslateDifferenceBound:
                     assert lhs == pytest.approx(lp_norm(inner, p), rel=1e-12, abs=1e-13)
 
     def test_rejects_wide_spectrum(self):
+        # The hypothesis is the exact rank of g: a coefficient 2^-40 at 2^n,
+        # below the old tolerance of 1e-12 max|g|, still refuses it.
         f = exp.random_bounded(6, 6)
-        with pytest.raises(ValueError):
-            exp.verify_translate_difference_bound(f, walsh(8, 6), 2, 2)
+        for g in (walsh(8, 6), fejer(4, 6) + 2.0**-40 * walsh(4, 6)):
+            with pytest.raises(ValueError, match="dyadic rank [34], above n = 2"):
+                exp.verify_translate_difference_bound(f, g, 2, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 10), st.data())
+    def test_lhs_is_the_convolution_route_bit_for_bit(self, resolution, data):
+        # The route the left side replaced: convolve f with r_n g and
+        # subtract f times the mean of r_n g.
+        n = data.draw(st.integers(1, resolution - 1))
+        p = data.draw(st.sampled_from((1.0, 2.0, 3.0, INF)))
+        rng = exp.SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+        f = SampledFunction(resolution, rng.uniforms(1 << resolution))
+        if data.draw(st.booleans()):
+            coeffs = np.zeros(1 << resolution)
+            count = data.draw(st.integers(1, 1 << n))
+            coeffs[:count] = rng.uniforms(count)
+            g = fwht_inverse(Spectrum(resolution, coeffs))
+        else:
+            g = fejer(data.draw(st.integers(1, 1 << n)), resolution)
+        idx = np.arange(1 << resolution)
+        rg = SampledFunction(resolution, (1.0 - 2.0 * ((idx >> n) & 1)) * g.values)
+        inner = dyadic_convolve(f, rg) - f * fwht_forward(rg).coeffs[0]
+        lhs, _, _ = exp.verify_translate_difference_bound(f, g, n, p)
+        assert lhs == lp_norm(inner, p)
 
 
 class TestVerifyAllLemmas:
@@ -195,7 +228,7 @@ class TestVerifyAllLemmas:
         from walshvp.weights import WeightScheme, validate
 
         bad = WeightScheme(2, numerators=[2, 2, 2, 1], denominator=8)
-        assert exp._decomposition_deviation(bad, 5) == 0
+        assert exp._decomposition_deviation(bad) == 0
         assert not validate(bad).sum_ok
 
     def test_resolution_floor(self):
@@ -288,7 +321,7 @@ class TestBatchedChecks:
         monkeypatch.setattr(
             walshvp.walsh_system, "walsh_signs", lambda *args: calls.append(args)
         )
-        assert exp._decomposition_deviation(build_scheme("cesaro", 6, alpha=2), 10) == 0
+        assert exp._decomposition_deviation(build_scheme("cesaro", 6, alpha=2)) == 0
         assert calls == []
 
     def test_one_wrong_part_shows_a_deviation(self, monkeypatch):
@@ -298,14 +331,38 @@ class TestBatchedChecks:
             dec = decompose(w, resolution)
             part = dec[1]
             numer = part.exact_numer.copy()
-            numer[5] += 1
+            numer[3] += 1
             wrong = KernelFunction(resolution, numer, part.exact_denom)
             return (dec[0], wrong, dec[2])
 
         monkeypatch.setattr(exp, "decompose_vp_kernel", perturbed)
         scheme = build_scheme("linear_down", 3)
-        assert exp._decomposition_deviation(scheme, 8) == Fraction(1, scheme.denominator)
+        assert exp._decomposition_deviation(scheme) == Fraction(1, scheme.denominator)
         assert not exp._check_decomposition(8, 0, 0).passed
+
+    def test_deviation_at_the_support_is_the_deviation_at_every_cell(self):
+        # The kernel and its parts at 2^N cells repeat their values at the
+        # 2^(n+1) cells of their support.
+        rng = exp.SplitMix64(11)
+        schemes = [
+            build_scheme(family, n, alpha=alpha)
+            for n in (1, 3, 5)
+            for family, alpha in (
+                ("uniform", None), ("linear_up", None), ("linear_down", None), ("cesaro", 2)
+            )
+        ]
+        schemes += [exp.random_rational_scheme(1 + rng.randint(6), rng) for _ in range(8)]
+        for scheme in schemes:
+            support, resolution = scheme.block_exponent + 1, 9
+            kernel = vp_kernel(scheme, resolution)
+            parts = decompose_vp_kernel(scheme, resolution)
+            total = sum(part.exact_numer for part in parts)
+            deviation = int(np.max(np.abs(total - kernel.exact_numer)))
+            assert exp._decomposition_deviation(scheme) == Fraction(deviation, kernel.exact_denom)
+            at_support = [vp_kernel(scheme, support)] + list(decompose_vp_kernel(scheme, support))
+            for whole, short in zip([kernel] + list(parts), at_support):
+                tiled = np.tile(short.exact_numer, 1 << (resolution - support))
+                assert np.array_equal(whole.exact_numer, tiled)
 
 
 def _approx(capsys, weights, p, fmt):
