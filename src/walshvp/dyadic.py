@@ -127,13 +127,15 @@ class SampledFunction:
 def abs_values(resolution: int) -> np.ndarray:
     """|x| for every point index at once.
 
-    Built by doubling: the indices with bit i set are those below 2^i plus
-    2^i, and gain 2^-(i+1).  Every value is an exact dyadic rational.
+    Built by doubling in one array: the indices in [2^i, 2^(i+1)) are
+    those below 2^i plus 2^i, and gain 2^-(i+1).  Every value is an exact
+    dyadic rational.
     """
     check_resolution(resolution)
-    total = np.zeros(1)
+    total = np.zeros(1 << resolution)
     for i in range(resolution):
-        total = np.concatenate((total, total + 2.0 ** -(i + 1)))
+        half = 1 << i
+        np.add(total[:half], 2.0 ** -(i + 1), out=total[half : 2 * half])
     return total
 
 
@@ -226,11 +228,12 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     # distance at t = k 2^n0 over scale^2, for n0 <= r.
     from .walsh_system import _butterfly, fwht_forward
 
-    top = max(-float(np.min(f.values)), float(np.max(f.values)))
+    cells = f.values[: 1 << _rank_of(f)]
+    top = max(-float(np.min(cells)), float(np.max(cells)))
     if top == 0.0:  # f = 0; samples are finite, so top < inf
         return 1.0, np.zeros(1)
     scale = _power_scale(top, 2.0, f.resolution)
-    g = fwht_forward(f).coeffs[: 1 << _rank_of(f)] / scale
+    g = fwht_forward(f).coeffs[: cells.size] / scale
     g **= 2
     total = _pairwise_total(g)
     low = g.reshape(-1, 1 << n0)

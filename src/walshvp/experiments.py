@@ -18,6 +18,9 @@ from .dyadic import (
     _BLOCK_CELLS,
     INF,
     SampledFunction,
+    _dyadic_rank,
+    _pairwise_total,
+    _power_scale,
     _rank_of,
     abs_values,
     check_resolution,
@@ -27,6 +30,7 @@ from .dyadic import (
 )
 from .walsh_system import Spectrum, _butterfly, _synthesis, fwht_forward, fwht_inverse
 from .kernels import (
+    _block_multiplier,
     _dirichlet_rec_int,
     _paley_int,
     decompose_vp_kernel,
@@ -113,12 +117,13 @@ def random_bounded(seed: int, resolution: int) -> SampledFunction:
 
 
 def step_mix(seed: int, resolution: int) -> SampledFunction:
-    """Random function constant on the cells of rank 4 (all cells below N = 4)."""
+    """Random function constant on the cells of rank 4 (all cells below N = 4):
+    its 16 cells copied once to each period of the 2^N samples."""
     rank = min(4, resolution)
     rng = SplitMix64(seed)
     cells = rng.uniforms(1 << rank)
-    idx = np.arange(1 << resolution, dtype=np.int64)
-    return SampledFunction(resolution, cells[idx & ((1 << rank) - 1)])
+    periods = np.broadcast_to(cells, (1 << (resolution - rank), 1 << rank))
+    return SampledFunction(resolution, periods.reshape(-1))
 
 
 def abs_power(alpha: float, resolution: int) -> SampledFunction:
@@ -192,20 +197,53 @@ class ApproxRecord:
     flag: str = ""
 
 
+def _l2_error(f: SampledFunction, scheme: WeightScheme) -> float:
+    """||mean(f) - f||_2 by Parseval: sqrt(sum_m ((1 - mu_m) fhat_m)^2)
+    with mu the block multiplier.  fhat vanishes from 2^r on (r the rank
+    of f) and mu from 2^(n+1) on, so the terms are |fhat_m| on the first
+    2^r coefficients, times |1 - mu_m| on the first 2^min(n+1, r).  They
+    are divided by the largest of them before squaring when a square
+    could over- or underflow, as in lp_norm.  An error past the float
+    range is a ValueError."""
+    n, rank = scheme.block_exponent, _rank_of(f)
+    terms = np.abs(fwht_forward(f).coeffs[: 1 << rank])
+    mean_part = terms[: 1 << min(n + 1, rank)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_part *= np.abs(1.0 - _block_multiplier(scheme.weights, n + 1)[: mean_part.size])
+    error = float(np.max(terms))
+    if 0.0 < error < INF:
+        scale = _power_scale(error, 2.0, rank)
+        if scale != 1.0:
+            terms /= scale
+        terms **= 2
+        error = scale * math.sqrt(_pairwise_total(terms))
+    if not error < INF:
+        raise ValueError(f"the p = 2 error of block n = {n} passes the float range")
+    return error
+
+
 def _block_records(
     f: SampledFunction, scheme: WeightScheme, p_values: Sequence
 ) -> List[ApproxRecord]:
-    # One validation and one mean per block, shared by every p.  The 47/30
-    # bound is asserted exactly when the scheme sums to one and is
-    # non-increasing (case b): its proof needs both.
+    """The rows of one block, one per p.  The scheme is validated once.
+    The p = 2 error is read off the spectrum by Parseval (_l2_error); the
+    residual mean(f) - f is synthesized at 2^N cells only when another p
+    asks for it, and then once for all of them."""
+    # The 47/30 bound is asserted exactly when the scheme sums to one and
+    # is non-increasing (case b): its proof needs both.
     n = scheme.block_exponent
     report = validate(scheme)
     case_b = report.sum_ok and report.case_b_ok
     bound = float(CASE_B_BOUND) if case_b else math.nan
-    residual = vp_mean(f, scheme, PATH_CONVOLUTION).function - f
+    residual = None
     records = []
-    for p in p_values:
-        error = lp_norm(residual, p)
+    for p in map(float, p_values):
+        if p == 2.0:
+            error = _l2_error(f, scheme)
+        else:
+            if residual is None:
+                residual = vp_mean(f, scheme, PATH_CONVOLUTION).function - f
+            error = lp_norm(residual, p)
         modulus = modulus_of_continuity(f, n, p)
         flag = ""
         if modulus < MODULUS_FLOOR:
@@ -224,7 +262,7 @@ def _block_records(
         records.append(
             ApproxRecord(
                 block_exponent=n,
-                p=float(p),
+                p=p,
                 error=error,
                 modulus=modulus,
                 ratio=ratio,
@@ -239,9 +277,12 @@ def _block_records(
 def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRecord:
     """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio.
 
-    The 47/30 constant is asserted, with slack DEFAULT_SLACK, exactly
-    when the scheme sums to one and is non-increasing (case b); otherwise
-    bound is nan and nothing is asserted.
+    At p = 2 the error is sqrt(sum_m ((1 - mu_m) fhat_m)^2) by Parseval,
+    mu the mean's multiplier, summed over the 2^r coefficients of a
+    rank-r f; any other p synthesizes the mean at 2^N cells.  The 47/30
+    constant is asserted, with slack DEFAULT_SLACK, exactly when the
+    scheme sums to one and is non-increasing (case b); otherwise bound is
+    nan and nothing is asserted.
     """
     return _block_records(f, scheme, (p,))[0]
 
@@ -272,16 +313,20 @@ def verify_translate_difference_bound(
     """Check || int r_n(t) g(t) (f(.+t) - f(.)) dmu(t) ||_p against
     (1/2) ||g||_1 omega_p(f, 2^-n).
 
-    g must have dyadic rank at most n (depend only on x_0..x_{n-1}), which
-    holds exactly when its spectrum lies below 2^n; else ValueError.  Then
-    the integral is f * (r_n g), whose coefficient at 2^n + m is
-    fhat(2^n+m) ghat(m) by r_n w_m = w_{2^n+m}, and zero below 2^n.
+    g must have dyadic rank at most n (depend only on x_0..x_{n-1}, with
+    -0.0 and +0.0 equal), which holds exactly when its spectrum lies below
+    2^n; else ValueError.  Then the integral is f * (r_n g), whose
+    coefficient at 2^n + m is fhat(2^n+m) ghat(m) by r_n w_m = w_{2^n+m},
+    and zero below 2^n.
     """
     f._check_same(g)
     if not 0 < n < f.resolution:
         raise ValueError(f"need 0 < n < {f.resolution}, got {n}")
-    if _rank_of(g) > n:
-        raise ValueError(f"g has dyadic rank {_rank_of(g)}, above n = {n}")
+    # The rank by value: + 0.0 turns -0.0 into +0.0, which the bitwise
+    # _dyadic_rank would tell apart.
+    rank = _dyadic_rank(g.values + 0.0)
+    if rank > n:
+        raise ValueError(f"g has dyadic rank {rank}, above n = {n}")
     low = 1 << n
     coeffs = np.zeros(2 * low)
     coeffs[low:] = fwht_forward(f).coeffs[low : 2 * low] * fwht_forward(g).coeffs[:low]

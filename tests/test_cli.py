@@ -626,22 +626,45 @@ def test_full_rank_samples_near_the_float_limit_do_not_overflow(capsys, tmp_path
     ]
 
 
+@pytest.mark.parametrize(
+    "function",
+    [
+        "walsh_poly:4",  # (1 - 1e308) 4 is past the float range
+        "walsh_poly:1.5,1.5",  # each term is finite, their root sum of squares is not
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_l2_error_past_the_float_range_is_a_usage_error(capsys, tmp_path, function, fmt):
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n2,5e307\n3,5e307\n")  # the weights sum to 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "approx", "--function", function, "--resolution", "3",
+                             "--weights", str(path), "--nmin", "1", "--nmax", "1",
+                             "--p", "2", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: the p = 2 error of block n = 1 passes the float range\n"
+
+
 APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")
 
 
 @pytest.mark.parametrize(
-    "argv, function, sizes",
+    "argv, function, p, sizes",
     [
-        # step_mix has rank 4: f once at 2^4, one synthesis of 2^min(n+1, 4)
-        # per block mean, and one table of 2^(4-nmin) for every p = 2 modulus
-        (APPROX_1_3, "step_mix", [16, 4, 8, 8, 16]),
-        (("modulus", "--nmin", "0", "--nmax", "2"), "step_mix", [16, 16]),
-        # full rank: f once at 2^N, a table of 2^(N-nmin), 2^(n+1) per mean
-        (APPROX_1_3, "abs_power:0.5", [1024, 4, 512, 8, 16]),
+        # step_mix has rank 4: f once at 2^4, and one table of 2^(4-nmin)
+        # for every p = 2 modulus; the p = 2 error synthesizes no mean
+        (APPROX_1_3, "step_mix", "2", [16, 8]),
+        # p = 1 asks for the residual: one synthesis of 2^min(n+1, 4) per
+        # block, shared by no other p
+        (APPROX_1_3, "step_mix", "1,2", [16, 4, 8, 8, 16]),
+        (("modulus", "--nmin", "0", "--nmax", "2"), "step_mix", "2", [16, 16]),
+        # full rank: f once at 2^N, a table of 2^(N-nmin)
+        (APPROX_1_3, "abs_power:0.5", "2", [1024, 512]),
     ],
-    ids=["approx-step_mix", "modulus-step_mix", "approx-abs_power"],
+    ids=["approx-step_mix", "approx-step_mix-p1", "modulus-step_mix", "approx-abs_power"],
 )
-def test_transforms_per_command(capsys, monkeypatch, argv, function, sizes):
+def test_transforms_per_command(capsys, monkeypatch, argv, function, p, sizes):
     counted_sizes = []
     butterfly = walsh_system._butterfly
 
@@ -650,7 +673,7 @@ def test_transforms_per_command(capsys, monkeypatch, argv, function, sizes):
         return butterfly(a)
 
     monkeypatch.setattr(walsh_system, "_butterfly", counted)
-    code, _, _ = run(capsys, *argv, "--function", function, "--resolution", "10", "--p", "2")
+    code, _, _ = run(capsys, *argv, "--function", function, "--resolution", "10", "--p", p)
     assert code == 0 and counted_sizes == sizes
 
 

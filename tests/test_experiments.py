@@ -61,8 +61,11 @@ class TestGenerators:
         assert np.array_equal(r1.values, r2.values)
 
     def test_step_mix_constant_on_cells(self):
-        f = exp.step_mix(3, 7)
-        assert np.array_equal(f.values, f.values[np.arange(f.size) & 15])
+        # Bit for bit the gather of the seed's 2^min(4, N) cells by index.
+        for N in range(1, 15):
+            cells = exp.SplitMix64(3).uniforms(1 << min(4, N))
+            gathered = cells[np.arange(1 << N) & (cells.size - 1)]
+            assert exp.step_mix(3, N).values.tobytes() == gathered.tobytes()
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
@@ -191,6 +194,20 @@ class TestTranslateDifferenceBound:
         for g in (walsh(8, 6), fejer(4, 6) + 2.0**-40 * walsh(4, 6)):
             with pytest.raises(ValueError, match="dyadic rank [34], above n = 2"):
                 exp.verify_translate_difference_bound(f, g, 2, 2)
+
+    def test_signed_zeros_are_rank_zero(self):
+        # The synthesis of [-0, -0, 0, ...] holds -0.0 in its last copy only,
+        # so its samples differ bit for bit across x_2, but g is zero.
+        f = exp.random_bounded(4, 3)
+        g = fwht_inverse(Spectrum(3, [-0.0, -0.0, 0, 0, 0, 0, 0, 0]))
+        assert np.signbit(g.values).any() and not g.values.any()
+        assert exp.verify_translate_difference_bound(f, g, 1, 2) == (0.0, 0.0, True)
+
+    def test_signed_zeros_do_not_hide_a_dependence_on_x_n(self):
+        f = exp.random_bounded(4, 3)
+        g = SampledFunction(3, [-0.0, 0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="dyadic rank 2, above n = 1"):
+            exp.verify_translate_difference_bound(f, g, 1, 2)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 10), st.data())

@@ -7,12 +7,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshvp.dyadic import SampledFunction, _pairwise_total, _power_scale, modulus_of_continuity
-from walshvp.experiments import SplitMix64, random_rational_scheme
+from walshvp.dyadic import (
+    SampledFunction,
+    _pairwise_total,
+    _power_scale,
+    lp_norm,
+    modulus_of_continuity,
+)
+from walshvp.experiments import SplitMix64, approximation_error, random_rational_scheme
 from walshvp.kernels import _block_multiplier
 from walshvp.means import dyadic_convolve, vp_mean
 from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse, hadamard_transform
-from walshvp.weights import build_scheme
+from walshvp.weights import WeightScheme, build_scheme
 
 SAMPLES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -108,6 +114,26 @@ def test_mean_equals_the_full_synthesis(case, data):
     else:
         scheme = build_scheme(family, n, alpha=0.5 if family == "cesaro" else None)
     assert np.array_equal(vp_mean(f, scheme).function.values, _mean_oracle(f, scheme))
+
+
+@given(rank_functions(min_resolution=2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_l2_error_by_parseval_is_the_synthesized_residual(case, data):
+    # The oracle synthesizes the mean at 2^N cells and takes the L2 norm of
+    # the residual; its cancellation leaves an error of rounding size, which
+    # among subnormal samples is a few steps of 2^-1074.
+    N, values = case
+    f = SampledFunction(N, values)
+    n = data.draw(st.integers(1, N - 1))
+    scheme = random_rational_scheme(n, SplitMix64(data.draw(st.integers(0, 2**32))))
+    gain, loss = data.draw(st.sampled_from([(1, 1), (3, 1), (1, 7), (1000, 3)]))
+    scheme = WeightScheme(
+        n, [int(a) * gain for a in scheme.numerators], scheme.denominator * loss
+    )
+    error = approximation_error(f, scheme, 2).error
+    oracle = lp_norm(vp_mean(f, scheme).function - f, 2)
+    rounding = 1e-15 * float(np.max(np.abs(values))) + 2.0**-1070
+    assert abs(error - oracle) <= 1e-12 * oracle + rounding
 
 
 @given(rank_functions(), st.data())
