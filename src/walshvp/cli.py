@@ -22,7 +22,6 @@ from .dyadic import (
     INF,
     _check_exponent,
     check_resolution,
-    modulus_of_continuity,
     read_function,
     write_function,
 )
@@ -315,7 +314,7 @@ def _cmd_modulus(args) -> int:
             "n": n,
             "p": _p_field(p),
             "delta": 2.0**-n,
-            "omega": modulus_of_continuity(f, n, p),
+            "omega": experiments._finite_modulus(f, n, p),
         }
         for n in range(args.nmin, n_max + 1)
         for p in _parse_p_list(args.p)

@@ -9,38 +9,22 @@ samples.  All integrals use a deterministic pairwise-tree reduction.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 INF = math.inf
 
-DEFAULT_MAX_RESOLUTION = 24
+# One float64 array of 2^24 cells is 128 MiB.
+MAX_RESOLUTION = 24
 
 _HEADER_PREFIX = "N="
 
 
-def max_resolution() -> int:
-    """Resolution cap; override with the WALSHVP_MAX_N environment variable,
-    an integer in [1, 63]: cell indices are 64-bit words."""
-    env = os.environ.get("WALSHVP_MAX_N")
-    if env is None:
-        return DEFAULT_MAX_RESOLUTION
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if not 1 <= cap <= 63:
-        raise ValueError(f"WALSHVP_MAX_N must be an integer in [1, 63], got {env!r}")
-    return cap
-
-
 def check_resolution(resolution: int) -> int:
-    cap = max_resolution()
     if not isinstance(resolution, (int, np.integer)) or isinstance(resolution, bool):
         raise TypeError(f"resolution must be an integer, got {resolution!r}")
-    if not 1 <= resolution <= cap:
-        raise ValueError(f"resolution must be in [1, {cap}], got {resolution}")
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [1, {MAX_RESOLUTION}], got {resolution}")
     return int(resolution)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,9 +60,9 @@ RECURSION_EXHAUSTIVE_MAX_N = 10
 RECURSION_SAMPLES = (1 << RECURSION_EXHAUSTIVE_MAX_N) + 1
 
 # verify_all_lemmas refuses (translate_count + random_schemes) * 2^N cells
-# past this: the default 225 instances pass up to the default resolution
-# cap, N = 24, and 10^7 translate-difference instances at N = 12 (hours of
-# syntheses and moduli) do not.
+# past this: the default 225 instances pass up to the resolution cap,
+# N = MAX_RESOLUTION = 24, and 10^7 translate-difference instances at
+# N = 12 (hours of syntheses and moduli) do not.
 LEMMA_CELL_BUDGET = 1 << 32
 
 STANDARD_SUITE_SPECS = (
@@ -170,15 +170,11 @@ def standard_suite(resolution: int, seed: int = 0) -> List[Tuple[str, SampledFun
     return [(spec, make_function(spec, resolution, seed)) for spec in STANDARD_SUITE_SPECS]
 
 
-def random_rational_scheme(n: int, rng: SplitMix64, sort: Optional[str] = None) -> WeightScheme:
+def random_rational_scheme(n: int, rng: SplitMix64) -> WeightScheme:
     """Random non-negative rational weights on the block, summing to one."""
     raw = [rng.randint(100) for _ in range(1 << n)]
     if not any(raw):
         raw[0] = 1
-    if sort == "nonincreasing":
-        raw.sort(reverse=True)
-    elif sort == "nondecreasing":
-        raw.sort()
     return WeightScheme(n, numerators=raw, denominator=sum(raw))
 
 
@@ -222,13 +218,23 @@ def _l2_error(f: SampledFunction, scheme: WeightScheme) -> float:
     return error
 
 
+def _finite_modulus(f: SampledFunction, n: int, p: float) -> float:
+    """omega_p(f, 2^-n), or a ValueError when it passes the float range:
+    an infinite modulus bounds nothing."""
+    modulus = modulus_of_continuity(f, n, p)
+    if not modulus < INF:
+        raise ValueError(f"the p = {p:.12g} modulus at n = {n} passes the float range")
+    return modulus
+
+
 def _block_records(
     f: SampledFunction, scheme: WeightScheme, p_values: Sequence
 ) -> List[ApproxRecord]:
     """The rows of one block, one per p.  The scheme is validated once.
     The p = 2 error is read off the spectrum by Parseval (_l2_error); the
     residual mean(f) - f is synthesized at 2^N cells only when another p
-    asks for it, and then once for all of them."""
+    asks for it, and then once for all of them.  A modulus or a ratio past
+    the float range is a ValueError."""
     # The 47/30 bound is asserted exactly when the scheme sums to one and
     # is non-increasing (case b): its proof needs both.
     n = scheme.block_exponent
@@ -244,7 +250,7 @@ def _block_records(
             if residual is None:
                 residual = vp_mean(f, scheme, PATH_CONVOLUTION).function - f
             error = lp_norm(residual, p)
-        modulus = modulus_of_continuity(f, n, p)
+        modulus = _finite_modulus(f, n, p)
         flag = ""
         if modulus < MODULUS_FLOOR:
             # Zero modulus forces a block polynomial, where the mean must
@@ -258,6 +264,8 @@ def _block_records(
                 flag = FLAG_INCONSISTENT
         else:
             ratio = error / modulus
+            if not ratio < INF:
+                raise ValueError(f"the p = {p:.12g} ratio of block n = {n} passes the float range")
             bound_ok = not case_b or error <= bound * modulus + DEFAULT_SLACK
         records.append(
             ApproxRecord(
@@ -355,12 +363,11 @@ def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
 def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
     """D_n by the doubling recursion (_dirichlet_rec_int) against the
     definition D_n = sum_{k<n} w_k, the rows 1_{k<n} synthesized in one
-    batched butterfly (int32 while 2^N fits it, int64 above), in blocks
-    of orders of at most _BLOCK_CELLS cells.  Up to
-    RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is checked.  Above it
-    the 2^N + 1 recursions would cost O(4^N), so n = 0, every power of two
-    and orders drawn from the seed, RECURSION_SAMPLES in all, are checked,
-    with detail sampled."""
+    batched butterfly in int32, in blocks of orders of at most _BLOCK_CELLS
+    cells.  Up to RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is
+    checked.  Above it the 2^N + 1 recursions would cost O(4^N), so n = 0,
+    every power of two and orders drawn from the seed, RECURSION_SAMPLES in
+    all, are checked, with detail sampled."""
     size = 1 << resolution
     orders, detail = range(size + 1), ""
     if resolution > RECURSION_EXHAUSTIVE_MAX_N:
@@ -370,13 +377,12 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
             sampled.add(rng.randint(size + 1))
         orders, detail = sorted(sampled), "sampled"
     cells = np.arange(size, dtype=np.int64)
-    # Every butterfly sum of the rows is at most 2^N in magnitude.
-    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     step = max(1, _BLOCK_CELLS >> resolution)
     worst = 0
     for start in range(0, len(orders), step):
         block = np.asarray(orders[start : start + step], dtype=np.int64)
-        sums = _butterfly((cells < block[:, None]).astype(dtype))
+        # Every butterfly sum of the rows is at most 2^N <= 2^24 in magnitude.
+        sums = _butterfly((cells < block[:, None]).astype(np.int32))
         worst = max(worst, int(np.max(np.abs(_dirichlet_rec_int(block, resolution) - sums))))
     return LemmaResult("dirichlet-recursion", len(orders), float(worst), worst == 0, detail)
 

@@ -6,6 +6,8 @@ exact integer numerators over one denominator (1 for Dirichlet kernels, n
 for K_n, the weights' common denominator for VP kernels), so the kernel
 identities (the closed form of D at powers of two, the recursive splitting
 of D, and the three-part VP decomposition) can be checked with zero error.
+The numerators are int64, except that a VP kernel whose weights have large
+numerators is held in Python ints (_block_weights).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .dyadic import SampledFunction, _dyadic_rank, check_resolution
 from .walsh_system import _synthesis
 from .weights import WeightScheme
 
-# Exact sums switch to Python ints once their bound passes this.
+# VP kernel sums switch to Python ints once their bound passes this.  At
+# N <= MAX_RESOLUTION every Dirichlet and Fejer sum stays below it.
 _INT64_SAFE = 1 << 62
 
 
@@ -66,15 +69,11 @@ def _paley_int(m: int, resolution: int) -> np.ndarray:
     return values
 
 
-def _int_dtype(bound: int):
-    return np.int64 if bound < _INT64_SAFE else object
-
-
 def dirichlet(n: int, resolution: int) -> KernelFunction:
     """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
     synthesized from its coefficients, 1 below n."""
     n = _check_order(n, resolution)
-    coeffs = np.zeros(1 << max(n - 1, 0).bit_length(), dtype=_int_dtype(n))
+    coeffs = np.zeros(1 << max(n - 1, 0).bit_length(), dtype=np.int64)
     coeffs[:n] = 1
     return KernelFunction(resolution, _synthesis(coeffs, resolution))
 
@@ -113,7 +112,7 @@ def fejer(n: int, resolution: int) -> KernelFunction:
     n = _check_order(n, resolution)
     if n < 1:
         raise ValueError(f"Fejer kernel needs n >= 1, got {n}")
-    coeffs = np.zeros(1 << (n - 1).bit_length(), dtype=_int_dtype(n * (n + 1) // 2))
+    coeffs = np.zeros(1 << (n - 1).bit_length(), dtype=np.int64)
     coeffs[:n] = np.arange(n, 0, -1)
     return KernelFunction(resolution, _synthesis(coeffs, resolution), n)
 
@@ -150,15 +149,14 @@ def kernel_norm_sweep(n_max: int, resolution: int):
     if n_max < 1:
         raise ValueError("sweep needs n_max >= 1")
     size = 1 << resolution
-    dtype = _int_dtype(1 << (2 * resolution + 2))
-    d = np.zeros(n_max + 1, dtype=dtype)
-    ell = np.zeros(n_max + 1, dtype=dtype)
+    d = np.zeros(n_max + 1, dtype=np.int64)
+    ell = np.zeros(n_max + 1, dtype=np.int64)
     d[1] = ell[1] = size
     m = 0
     while (1 << m) < n_max:
         half = 1 << m
         count = min(half, n_max - half)
-        j = np.arange(1, count + 1).astype(dtype)
+        j = np.arange(1, count + 1, dtype=np.int64)
         scale = size >> m
         d[half + 1 : half + count + 1] = size + d[1 : count + 1] - scale * j
         excess = half * (half + 1) // 2 + half * j - j * (j + 1) // 2
@@ -189,7 +187,8 @@ def _block_weights(w: WeightScheme):
     decomposition form, stays below _INT64_SAFE, and Python ints past it.
     """
     bound = int(np.max(w.numerators)) << (3 * w.block_exponent + 2)
-    return w.numerators.astype(_int_dtype(bound)), w.denominator
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    return w.numerators.astype(dtype), w.denominator
 
 
 def _above(x: np.ndarray) -> np.ndarray:

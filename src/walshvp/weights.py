@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import max_resolution
+from .dyadic import MAX_RESOLUTION
 
 NONDECREASING = "nondecreasing"
 NONINCREASING = "nonincreasing"
@@ -146,15 +146,15 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
     Families: uniform, linear_up, linear_down, cesaro (requires a finite
     alpha > -1; alpha = 1 reproduces uniform, alpha = 2 gives the
     decreasing tail weights).  A weight file is read by load_weight_file.
-    A block no resolution up to max_resolution() holds, or a cesaro
+    A block no resolution up to MAX_RESOLUTION holds, or a cesaro
     scheme whose exact numerators would pass _CESARO_MAX_BITS, is refused
     before its 2^n weights are built.
     """
     if n < 1:
         raise ValueError(f"block exponent must be >= 1, got {n}")
-    if n + 1 > max_resolution():
+    if n + 1 > MAX_RESOLUTION:
         raise ValueError(
-            f"block exponent {n} needs resolution {n + 1}, above the cap {max_resolution()}"
+            f"block exponent {n} needs resolution {n + 1}, above the cap {MAX_RESOLUTION}"
         )
     count = 1 << n
     if family == "uniform":

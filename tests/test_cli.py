@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -326,17 +327,19 @@ def _reject_constant(token):
     "argv, key",
     [
         (("verify-lemmas", "--resolution", "4", "--lemma5-count", "0"), "worst_margin"),
-        (("modulus", "--function", "walsh_poly:0,1e308", "--resolution", "3", "--p", "inf",
-          "--nmax", "1"), "omega"),
+        (("approx", "--function", "step_mix", "--resolution", "4", "--weights", "linear_up",
+          "--nmin", "1", "--nmax", "1"), "bound"),
     ],
 )
 def test_nonfinite_values_are_null_in_json(capsys, argv, key):
-    # an empty translate check has margin inf; 1e308 walsh swings overflow
+    # an empty translate check has margin inf; a bound not asserted is nan
     _, out, _ = run(capsys, *argv, "--format", "json")
-    rows = json.loads(out, parse_constant=_reject_constant)
+    payload = json.loads(out, parse_constant=_reject_constant)
+    rows = payload["records"] if isinstance(payload, dict) else payload
     assert None in [row[key] for row in rows]
     _, out, _ = run(capsys, *argv)
-    assert "inf" in [row[key] for row in csv.DictReader(out.splitlines())]
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert not all(math.isfinite(float(row[key])) for row in csv.DictReader(lines))
 
 
 @pytest.mark.parametrize(
@@ -515,12 +518,11 @@ def test_cesaro_past_the_bit_budget_is_refused(capsys, alpha, n):
     assert elapsed < 0.5 and peak < 1 << 20
 
 
-@pytest.mark.parametrize("n", [70, dyadic.DEFAULT_MAX_RESOLUTION])
+@pytest.mark.parametrize("n", [70, dyadic.MAX_RESOLUTION])
 @pytest.mark.parametrize("weights", ["uniform", "cesaro:2"])
-def test_block_past_the_resolution_cap_is_refused(capsys, monkeypatch, n, weights):
+def test_block_past_the_resolution_cap_is_refused(capsys, n, weights):
     # No resolution holds the block, so its 2^n weights are never built:
     # n = 70 died in [1] * 2^70, and n = 30 would have built 2^30 of them.
-    monkeypatch.delenv("WALSHVP_MAX_N", raising=False)
     code, out, err = run(capsys, "weights-validate", "--weights", weights, "--n", str(n))
     assert code == 2 and out == ""
     assert f"block exponent {n} needs resolution {n + 1}, above the cap" in err
@@ -535,11 +537,10 @@ def test_block_past_the_resolution_cap_is_refused(capsys, monkeypatch, n, weight
         (("modulus", "--function", "indicator:2"), "-3"),
     ],
 )
-def test_resolution_is_checked_before_the_defaults_it_sets(capsys, monkeypatch, argv, resolution):
+def test_resolution_is_checked_before_the_defaults_it_sets(capsys, argv, resolution):
     # The default --nmax, and the kernel-norms row count, derive from it.
-    monkeypatch.delenv("WALSHVP_MAX_N", raising=False)
     code, out, err = run(capsys, *argv, "--resolution", resolution)
-    cap = dyadic.DEFAULT_MAX_RESOLUTION
+    cap = dyadic.MAX_RESOLUTION
     assert code == 2 and out == ""
     assert err == f"error: resolution must be in [1, {cap}], got {resolution}\n"
 
@@ -555,10 +556,24 @@ def test_p_has_one_json_form_in_approx_and_modulus(capsys):
         assert code == 0 and [r["p"] for r in rows[:3]] == ["1", "2.5", "inf"]
 
 
-def test_bad_resolution_cap_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("WALSHVP_MAX_N", "abc")
-    code, _, err = run(capsys, "modulus", "--function", "indicator:2", "--resolution", "4")
-    assert code == 2 and "WALSHVP_MAX_N" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-lemmas", "--lemma5-count", "0", "--random-schemes", "0"),
+        ("modulus", "--function", "abs_power:0.5", "--p", "2"),
+    ],
+)
+def test_resolution_past_the_cap_is_refused_whatever_the_environment(capsys, monkeypatch, argv):
+    # The cap is fixed: no environment variable raises it, so no 2^25-cell
+    # array is allocated before the refusal.
+    monkeypatch.setenv("WALSHVP_MAX_N", "40")
+    tracemalloc.start()
+    code, out, err = run(capsys, *argv, "--resolution", "25")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == "error: resolution must be in [1, 24], got 25\n"
+    assert peak < 1 << 20
 
 
 def test_explicit_nmax_zero_is_honoured(capsys):
@@ -574,12 +589,13 @@ def test_explicit_nmax_zero_is_honoured(capsys):
 
 
 def test_overflowing_oscillation_prints_no_warning(capsys):
+    # The oscillation 2e308 passes the float range: a usage error, no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "modulus", "--function", "walsh_poly:0,1e308",
                              "--resolution", "3", "--p", "inf", "--nmax", "1")
-    assert code == 0 and err == ""
-    assert out.splitlines()[1] == "0,inf,1,inf"
+    assert code == 2 and out == ""
+    assert err == "error: the p = inf modulus at n = 0 passes the float range\n"
 
 
 def test_overflowing_inverse_transform_names_the_synthesis(capsys, tmp_path):
@@ -616,13 +632,16 @@ def test_full_rank_samples_near_the_float_limit_do_not_overflow(capsys, tmp_path
         code, out, err = run(capsys, "transform", "--in", str(path))
         assert code == 0 and err == ""
         assert out.splitlines() == ["SPECTRUM", "N=2", "0", "0", "0", "1e+308"]
-        code, out, err = run(capsys, "approx", "--function", "walsh_poly:0,0,0,1e308",
+        # At 8e307 the samples are still scaled (2^N 8e307 passes the float
+        # range) and the modulus 1.6e308 stays finite; 1e308 would double to
+        # an infinite modulus, which is a usage error.
+        code, out, err = run(capsys, "approx", "--function", "walsh_poly:0,0,0,8e307",
                              "--resolution", "3", "--weights", "uniform", "--nmin", "1",
                              "--nmax", "1", "--p", "2,inf")
     assert code == 0 and err == ""
     rows = list(csv.DictReader(out.splitlines()[1:]))
     assert [(r["p"], r["error"], r["modulus"]) for r in rows] == [
-        ("2", "1e+308", "inf"), ("inf", "1e+308", "inf")
+        ("2", "8e+307", "1.6e+308"), ("inf", "8e+307", "1.6e+308")
     ]
 
 
@@ -644,6 +663,48 @@ def test_l2_error_past_the_float_range_is_a_usage_error(capsys, tmp_path, functi
                              "--p", "2", "--format", fmt)
     assert code == 2 and out == ""
     assert err == "error: the p = 2 error of block n = 1 passes the float range\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # f = 1e308 w_2 doubles under every translate that moves x_1
+        (("approx", "--function", "walsh_poly:0,0,1e308", "--resolution", "4",
+          "--weights", "uniform", "--nmin", "1", "--nmax", "1", "--p", "1,2,inf"),
+         "the p = 1 modulus at n = 1"),
+        (("approx", "--function", "walsh_poly:0,0,0,1e308", "--resolution", "3",
+          "--weights", "uniform", "--nmin", "1", "--nmax", "1", "--p", "2,inf"),
+         "the p = 2 modulus at n = 1"),
+        (("modulus", "--function", "walsh_poly:0,0,1e308", "--resolution", "4",
+          "--p", "1,2,inf"), "the p = 1 modulus at n = 0"),
+        (("modulus", "--function", "walsh_poly:0,0,1e308", "--resolution", "4",
+          "--nmin", "1", "--p", "inf"), "the p = inf modulus at n = 1"),
+    ],
+    ids=["approx-p1", "approx-p2", "modulus-p1", "modulus-inf"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_modulus_past_the_float_range_is_a_usage_error(capsys, argv, message, fmt):
+    # An infinite modulus would read as ratio 0 with bound_ok true.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"error: {message} passes the float range\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratio_past_the_float_range_is_a_usage_error(capsys, tmp_path, fmt):
+    # The error is about 1e308 and the modulus about 2e-10, so their ratio
+    # passes the float range in a row that no flag marks.
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n2,5e307\n3,5e307\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "approx", "--function", "walsh_poly:1,0,0,0,1e-10",
+                             "--resolution", "4", "--weights", str(path), "--nmin", "1",
+                             "--nmax", "1", "--p", "1", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: the p = 1 ratio of block n = 1 passes the float range\n"
 
 
 APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")

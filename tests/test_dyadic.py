@@ -506,19 +506,11 @@ class TestRoundingAndIO:
 
 
 class TestValidation:
-    def test_resolution_cap(self, monkeypatch):
-        monkeypatch.setenv("WALSHVP_MAX_N", "6")
-        with pytest.raises(ValueError):
-            dyadic.check_resolution(7)
-        assert dyadic.check_resolution(6) == 6
-
-    @pytest.mark.parametrize("value", ["abc", "0", "64"])
-    def test_bad_resolution_cap_names_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("WALSHVP_MAX_N", value)
-        with pytest.raises(ValueError, match="WALSHVP_MAX_N"):
-            dyadic.max_resolution()
-        with pytest.raises(ValueError, match="WALSHVP_MAX_N"):
-            dyadic.check_resolution(4)
+    def test_resolution_cap(self):
+        assert dyadic.MAX_RESOLUTION == 24
+        assert dyadic.check_resolution(24) == 24
+        with pytest.raises(ValueError, match=r"resolution must be in \[1, 24\], got 25"):
+            dyadic.check_resolution(25)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

@@ -263,7 +263,7 @@ class TestVerifyAllLemmas:
             exp.verify_all_lemmas(12, translate_count=0, random_schemes=10**7)
 
     def test_default_counts_pass_the_budget_up_to_the_cap(self, monkeypatch):
-        from walshvp.dyadic import DEFAULT_MAX_RESOLUTION
+        from walshvp.dyadic import MAX_RESOLUTION
 
         # Every check is stubbed: only the guard runs at each resolution.
         result = exp.LemmaResult("stub", 1, 0.0, True)
@@ -271,7 +271,7 @@ class TestVerifyAllLemmas:
         for name in ("dirichlet_closed_form", "dirichlet_recursion",
                      "translate_difference", "decomposition"):
             monkeypatch.setattr(exp, f"_check_{name}", lambda *args: result)
-        for resolution in range(4, DEFAULT_MAX_RESOLUTION + 1):
+        for resolution in range(4, MAX_RESOLUTION + 1):
             assert all(r.passed for r in exp.verify_all_lemmas(resolution))
 
     def test_sharp_fejer_bound_is_compared_exactly(self, monkeypatch):

@@ -38,6 +38,38 @@ def test_unused_import_is_reported():
     assert _unused_imports(tree) == ["List (line 3)", "math (line 1)"]
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module):
+    """Each read of the process environment: os.environ, os.getenv and
+    their bytes forms, as an attribute of any object or imported by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name in _ENVIRONMENT]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    # What a run computes is set by its arguments alone: the resolution cap
+    # is a constant, and no variable moves it.
+    assert _environment_reads(ast.parse(path.read_text())) == []
+
+
+def test_environment_read_is_reported():
+    tree = ast.parse(
+        "import os\nos.environ.get('A')\nfrom os import getenv, sep\nos.getenv('B')\nos.sep\n"
+    )
+    assert _environment_reads(tree) == ["environ (line 2)", "getenv (line 3)", "getenv (line 4)"]
+
+
 def _dead_private_names(modules: dict):
     """Module-level private names (functions, classes, constants) that no
     other top-level statement of the given modules refers to."""

@@ -9,7 +9,7 @@ import walshvp.walsh_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshvp.dyadic import interval_indicator
+from walshvp.dyadic import MAX_RESOLUTION, interval_indicator
 from walshvp.kernels import (
     KernelFunction,
     decompose_vp_kernel,
@@ -210,11 +210,10 @@ class TestNormSweep:
         d_norms, k_norms = kernel_norm_sweep(1 << 9, 12)
         assert d_norms[-1] == 1 and max(k_norms) <= Fraction(17, 15)
 
-    def test_bigint_path_matches_int64(self, monkeypatch):
-        # The norms do not depend on N once n <= 2^N.  At N = 30 the sums
-        # may pass the int64 range, so the sweep runs on Python ints.
-        monkeypatch.setenv("WALSHVP_MAX_N", "40")
-        assert kernel_norm_sweep(200, 30) == kernel_norm_sweep(200, 8)
+    def test_norms_at_the_cap_match_a_small_resolution(self):
+        # The norms do not depend on N once n <= 2^N.  At the cap the sums
+        # stay below 2^(2N+2) = 2^50, in int64.
+        assert kernel_norm_sweep(200, MAX_RESOLUTION) == kernel_norm_sweep(200, 8)
 
 
 class TestVpKernel:
@@ -263,7 +262,9 @@ class TestDecomposition:
         rng = SplitMix64(6)
         for _ in range(10):
             n = 1 + rng.randint(3)
-            scheme = random_rational_scheme(n, rng, sort="nonincreasing")
+            drawn = random_rational_scheme(n, rng)
+            numerators = sorted(drawn.numerators, reverse=True)
+            scheme = WeightScheme(n, numerators=numerators, denominator=drawn.denominator)
             dec = decompose_vp_kernel(scheme, 6)
             kernel = vp_kernel(scheme, 6)
             for j in range(kernel.size):
