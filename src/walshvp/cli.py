@@ -2,8 +2,8 @@
 
 Subcommands: transform, kernel-norms, verify-lemmas, approx, modulus,
 weights-validate.  Exit codes: 0 success, 1 mathematical check failed,
-2 usage error.  A key=value config file (--config FILE or --config=FILE)
-supplies defaults; explicit flags override it.
+2 usage error.  A key=value config file (one --config FILE or
+--config=FILE) supplies defaults; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -57,8 +57,10 @@ def _scheme(spec: str, n: Optional[int]):
     which n=None selects; a family needs n.  A spec whose name part is a
     family is that family, so a file cannot shadow it.
     """
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     if name in FAMILIES:
+        if colon and name != "cesaro":
+            raise ValueError(f"weight spec {spec!r} takes no argument")
         alpha = float(arg) if arg else None
         if n is None:
             raise ValueError("family weight specs require --n")
@@ -189,13 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: List[str]) -> List[str]:
     """Inject config-file pairs as flags right after the subcommand, so
-    explicit command-line flags still win."""
-    for i, arg in enumerate(argv):
-        flag, inline, path = arg.partition("=")
-        if flag == "--config":
-            break
-    else:
+    explicit command-line flags still win.  One --config at most."""
+    at = [i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"]
+    if not at:
         return argv
+    if len(at) > 1:
+        raise ValueError("--config may be given only once")
+    i = at[0]
+    _, inline, path = argv[i].partition("=")
     if not inline:
         if i + 1 >= len(argv):
             raise ValueError("--config requires a path")
@@ -269,23 +272,25 @@ def _cmd_verify_lemmas(args) -> int:
     return 0 if all(r.passed for r in results) else CHECK_FAILED
 
 
-def _check_block_range(n_min: int, n_max: int) -> None:
-    if n_min > n_max:
-        raise ValueError(f"empty block range: nmin={n_min} > nmax={n_max}")
+def _read_sweep(args, spare: int, default_gap: int):
+    """The function and the range of n of approx and modulus.  --resolution
+    is checked before the default nmax = N - default_gap derives from it,
+    and nmax + spare <= N before the function or any table is built."""
+    check_resolution(args.resolution)
+    n_max = args.resolution - default_gap if args.nmax is None else args.nmax
+    if n_max + spare > args.resolution:
+        raise ValueError(f"nmax={n_max} needs resolution >= {n_max + spare}")
+    if args.nmin > n_max:
+        raise ValueError(f"empty block range: nmin={args.nmin} > nmax={n_max}")
+    f = experiments.make_function(args.function, args.resolution, args.seed)
+    return f, range(args.nmin, n_max + 1)
 
 
 def _cmd_approx(args) -> int:
-    check_resolution(args.resolution)
-    n_max = args.resolution - 2 if args.nmax is None else args.nmax
-    if n_max + 1 > args.resolution:
-        raise ValueError(f"nmax={n_max} needs resolution >= {n_max + 1}")
-    _check_block_range(args.nmin, n_max)
-    f = experiments.make_function(args.function, args.resolution, args.seed)
+    # Block n of the mean needs resolution n + 1.
+    f, blocks = _read_sweep(args, spare=1, default_gap=2)
     records = experiments.ratio_sweep(
-        f,
-        lambda n: _scheme(args.weights, n),
-        range(args.nmin, n_max + 1),
-        _parse_p_list(args.p),
+        f, lambda n: _scheme(args.weights, n), blocks, _parse_p_list(args.p)
     )
     rows = [
         {
@@ -305,10 +310,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    check_resolution(args.resolution)
-    n_max = args.resolution if args.nmax is None else args.nmax
-    _check_block_range(args.nmin, n_max)
-    f = experiments.make_function(args.function, args.resolution, args.seed)
+    f, blocks = _read_sweep(args, spare=0, default_gap=0)
     records = [
         {
             "n": n,
@@ -316,7 +318,7 @@ def _cmd_modulus(args) -> int:
             "delta": 2.0**-n,
             "omega": experiments._finite_modulus(f, n, p),
         }
-        for n in range(args.nmin, n_max + 1)
+        for n in blocks
         for p in _parse_p_list(args.p)
     ]
     _emit(records, args.format, args.out)
@@ -352,13 +354,7 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(_apply_config(argv))
         return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

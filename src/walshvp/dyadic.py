@@ -9,6 +9,7 @@ samples.  All integrals use a deterministic pairwise-tree reduction.
 from __future__ import annotations
 
 import math
+from functools import partialmethod
 
 import numpy as np
 
@@ -36,7 +37,38 @@ def _check_point(index: int, resolution: int) -> int:
     return int(index)
 
 
-class SampledFunction:
+class _Samples:
+    """The immutable scaffold of SampledFunction and Spectrum: a resolution
+    and 2^resolution float64 entries, kept as a read-only view in the slot
+    that the subclass names in _field."""
+
+    __slots__ = ("resolution",)
+
+    def __init__(self, resolution: int, values) -> None:
+        resolution = check_resolution(resolution)
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.shape != (1 << resolution,):
+            raise ValueError(
+                f"expected {1 << resolution} {self._field} for resolution "
+                f"{resolution}, got shape {arr.shape}"
+            )
+        arr = arr.view()
+        arr.setflags(write=False)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, self._field, arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def size(self) -> int:
+        return 1 << self.resolution
+
+    def __repr__(self):
+        return f"{type(self).__name__}(N={self.resolution}, size={self.size})"
+
+
+class SampledFunction(_Samples):
     """Real-valued function on the group, constant on rank-N cells.
 
     values[j] is the value on the cell of the point with index j.
@@ -46,32 +78,16 @@ class SampledFunction:
     in the private slots.
     """
 
-    __slots__ = ("resolution", "values", "_rank", "_spectrum", "_moduli")
+    __slots__ = ("values", "_rank", "_spectrum", "_moduli")
+    _field = "values"
 
     def __init__(self, resolution: int, values) -> None:
-        resolution = check_resolution(resolution)
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != (1 << resolution,):
-            raise ValueError(
-                f"expected {1 << resolution} samples for resolution "
-                f"{resolution}, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
+        super().__init__(resolution, values)
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("samples must be finite")
-        arr = arr.view()
-        arr.setflags(write=False)
-        object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_moduli", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SampledFunction is immutable")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.resolution
 
     def _check_same(self, other: "SampledFunction") -> None:
         if self.resolution != other.resolution:
@@ -79,33 +95,19 @@ class SampledFunction:
                 f"resolution mismatch: {self.resolution} vs {other.resolution}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        # op of the samples and other's samples, or the scalar other.
         if isinstance(other, SampledFunction):
             self._check_same(other)
-            return SampledFunction(self.resolution, self.values + other.values)
-        return SampledFunction(self.resolution, self.values + float(other))
+            return SampledFunction(self.resolution, op(self.values, other.values))
+        return SampledFunction(self.resolution, op(self.values, float(other)))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same(other)
-            return SampledFunction(self.resolution, self.values - other.values)
-        return SampledFunction(self.resolution, self.values - float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same(other)
-            return SampledFunction(self.resolution, self.values * other.values)
-        return SampledFunction(self.resolution, self.values * float(other))
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = partialmethod(_combine, op=np.add)
+    __sub__ = partialmethod(_combine, op=np.subtract)
+    __mul__ = __rmul__ = partialmethod(_combine, op=np.multiply)
 
     def __neg__(self):
         return SampledFunction(self.resolution, -self.values)
-
-    def __repr__(self):
-        return f"SampledFunction(N={self.resolution}, size={self.size})"
 
 
 def abs_values(resolution: int) -> np.ndarray:
@@ -123,12 +125,14 @@ def abs_values(resolution: int) -> np.ndarray:
     return total
 
 
-def _pairwise_total(values: np.ndarray) -> float:
-    # Deterministic pairwise-tree reduction; length is always a power of 2.
+def _pairwise_total(values: np.ndarray):
+    # The one summation tree of every sum: adjacent pairs added level by
+    # level along the last axis, a power of 2 long.  A float for a 1-D
+    # array, else the row sums, which are the first levels of their total's.
     a = np.asarray(values, dtype=np.float64)
-    while a.size > 1:
-        a = a[0::2] + a[1::2]
-    return float(a[0])
+    while a.shape[-1] > 1:
+        a = a[..., 0::2] + a[..., 1::2]
+    return float(a[0]) if a.ndim == 1 else a[..., 0]
 
 
 def _check_exponent(p) -> float:
@@ -205,11 +209,13 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     # for every t at once.  fhat vanishes from 2^r on, so the transform
     # runs at rank r, and only t = 0 mod 2^n0 is needed, where w_m(t)
     # reads only the bits of m from n0 on: the squares are first summed
-    # over the low n0 bits of m.  Both follow the butterfly's adjacent-pair
-    # order, so each entry is the full-size value bit for bit.  Every
-    # |fhat(m)| <= max |f|, so the coefficients are divided by the scale of
-    # that bound before squaring.  Returns (scale, sums) with sums[k] the
-    # distance at t = k 2^n0 over scale^2, for n0 <= r.
+    # over the low n0 bits of m, as rows of 2^n0.  Those row sums are the
+    # first n0 levels of the tree of the total, and both follow the
+    # butterfly's adjacent-pair order, so each entry is the full-size value
+    # bit for bit.  Every |fhat(m)| <= max |f|, so the coefficients are
+    # divided by the scale of that bound before squaring.  Returns (scale,
+    # sums) with sums[k] the distance at t = k 2^n0 over scale^2, for
+    # n0 <= r.
     from .walsh_system import _butterfly, fwht_forward
 
     cells = f.values[: 1 << _rank_of(f)]
@@ -219,11 +225,9 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     scale = _power_scale(top, 2.0, f.resolution)
     g = fwht_forward(f).coeffs[: cells.size] / scale
     g **= 2
-    total = _pairwise_total(g)
-    low = g.reshape(-1, 1 << n0)
-    while low.shape[1] > 1:
-        low = low[:, 0::2] + low[:, 1::2]
-    sums = _butterfly(low.reshape(-1))
+    low = _pairwise_total(g.reshape(-1, 1 << n0))
+    total = _pairwise_total(low)
+    sums = _butterfly(low)
     np.subtract(total, sums, out=sums)
     sums *= 2.0
     return scale, sums
@@ -271,15 +275,14 @@ def _translate_sums(values: np.ndarray, n: int, p: float, scale: float) -> np.nd
     # A translate's sum does not depend on n; n only picks the translates.
     # Translating by k 2^n sends row r of the coset table to row r ^ k.  A
     # block of translates is gathered, differenced and powered in work
-    # arrays allocated once, and each row is summed by the tree of
-    # _pairwise_total.
+    # arrays allocated once, one translate per row, and _pairwise_total
+    # sums the rows.
     table = values.reshape(-1, 1 << n)
     rows = table.shape[0]
     block = max(1, min(rows, _BLOCK_CELLS // values.size))
     shifts = np.arange(rows)
     picks = np.empty((block, rows), dtype=np.intp)
     work = np.empty((block, values.size))
-    spare = np.empty(block * values.size // 2)
     sums = np.empty(rows)
     for first in range(0, rows, block):
         k = shifts[first : first + block]
@@ -293,14 +296,7 @@ def _translate_sums(values: np.ndarray, n: int, p: float, scale: float) -> np.nd
             np.divide(w, scale, out=w)
         if p != 1.0:  # x ** 1 is x
             np.power(w, p, out=w)
-        # Rows have even length, so adjacent pairs of the flat block never
-        # straddle two rows, and each level leaves the rows contiguous.
-        level, other = w.reshape(-1), spare
-        while level.size > k.size:
-            half = level.size // 2
-            np.add(level[0::2], level[1::2], out=other[:half])
-            level, other = other[:half], level
-        sums[first : first + k.size] = level
+        sums[first : first + k.size] = _pairwise_total(w)
     return sums
 
 

@@ -152,7 +152,11 @@ def make_function(spec: str, resolution: int, seed: int = 0) -> SampledFunction:
     random, step_mix.
     """
     check_resolution(resolution)
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
+    if name in ("abs_power", "indicator", "walsh_poly") and not arg:
+        raise ValueError(f"function spec {spec!r} needs an argument after ':'")
+    if name in ("random", "step_mix") and colon:
+        raise ValueError(f"function spec {spec!r} takes no argument")
     if name == "abs_power":
         return abs_power(float(arg), resolution)
     if name == "indicator":

@@ -12,37 +12,16 @@ import math
 
 import numpy as np
 
-from .dyadic import SampledFunction, _rank_of, _read_samples, check_resolution
+from .dyadic import SampledFunction, _rank_of, _read_samples, _Samples, check_resolution
 
 _SPECTRUM_HEADER = "SPECTRUM"
 
 
-class Spectrum:
+class Spectrum(_Samples):
     """Walsh-Fourier coefficients in Paley order; coeffs[n] = fhat(n)."""
 
-    __slots__ = ("resolution", "coeffs")
-
-    def __init__(self, resolution: int, coeffs) -> None:
-        resolution = check_resolution(resolution)
-        arr = np.asarray(coeffs, dtype=np.float64)
-        if arr.shape != (1 << resolution,):
-            raise ValueError(
-                f"expected {1 << resolution} coefficients, got shape {arr.shape}"
-            )
-        arr = arr.view()
-        arr.setflags(write=False)
-        object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Spectrum is immutable")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.resolution
-
-    def __repr__(self):
-        return f"Spectrum(N={self.resolution}, size={self.size})"
+    __slots__ = ("coeffs",)
+    _field = "coeffs"
 
 
 def bit_parity(values: np.ndarray) -> np.ndarray:

@@ -400,6 +400,22 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_second_config_is_refused(tmp_path, capsys):
+    # Only the first --config was read; argparse took the second and
+    # nothing applied it.
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("resolution=4\n")
+    second.write_text("resolution=5\n")
+    for configs in (
+        ["--config", str(first), "--config", str(second)],
+        [f"--config={first}", "--config", str(second)],
+        ["--config", str(first), f"--config={second}"],
+    ):
+        code, out, err = run(capsys, "modulus", "--function", "random", *configs)
+        assert code == 2 and out == ""
+        assert err == "error: --config may be given only once\n"
+
+
 def test_deterministic_output(capsys):
     args = (
         "approx",
@@ -454,6 +470,49 @@ def test_usage_errors(capsys, tmp_path):
             "--nmin", "5", "--nmax", "3", *extra,
         )
         assert code == 2 and out == "" and "empty block range: nmin=5 > nmax=3" in err
+
+
+_SWEEP = ("--resolution", "6", "--nmax", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("approx", "--function", "random:5", "--weights", "uniform", *_SWEEP),
+         "function spec 'random:5' takes no argument"),
+        (("approx", "--function", "step_mix:junk", "--weights", "uniform", *_SWEEP),
+         "function spec 'step_mix:junk' takes no argument"),
+        (("modulus", "--function", "abs_power", *_SWEEP),
+         "function spec 'abs_power' needs an argument after ':'"),
+        (("modulus", "--function", "indicator:", *_SWEEP),
+         "function spec 'indicator:' needs an argument after ':'"),
+        (("modulus", "--function", "walsh_poly", *_SWEEP),
+         "function spec 'walsh_poly' needs an argument after ':'"),
+        (("approx", "--function", "step_mix", "--weights", "linear_up:2", *_SWEEP),
+         "weight spec 'linear_up:2' takes no argument"),
+        (("weights-validate", "--weights", "uniform:3", "--n", "2"),
+         "weight spec 'uniform:3' takes no argument"),
+        (("weights-validate", "--weights", "linear_down:", "--n", "2"),
+         "weight spec 'linear_down:' takes no argument"),
+    ],
+    ids=["random", "step_mix", "abs_power", "indicator", "walsh_poly", "linear_up",
+         "uniform", "linear_down"],
+)
+def test_spec_arguments_are_checked(capsys, argv, message):
+    # The arguments were ignored, and a missing one failed in float('').
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_modulus_past_the_resolution_builds_no_table(capsys, monkeypatch):
+    # Every row up to N was computed before row N + 1 was refused.
+    built = []
+    monkeypatch.setattr(experiments, "make_function", lambda *a: built.append(a))
+    monkeypatch.setattr(dyadic, "_modulus_table", lambda *a: built.append(a))
+    code, out, err = run(capsys, "modulus", "--function", "random", "--resolution", "8",
+                         "--p", "1", "--nmin", "0", "--nmax", "9")
+    assert code == 2 and out == "" and built == []
+    assert err == "error: nmax=9 needs resolution >= 9\n"
 
 
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-1"])

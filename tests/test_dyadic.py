@@ -125,6 +125,35 @@ class TestIntegrate:
         assert fwht_forward(dirichlet(4, 3)).coeffs[0] == 1.0
 
 
+@st.composite
+def power_of_two_arrays(draw):
+    """A float array of 2^m entries, m <= 6, whose sums round."""
+    size = 1 << draw(st.integers(0, 6))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(values, min_size=size, max_size=size)))
+
+
+class TestPairwiseTotal:
+    # Every sum is the one tree of _pairwise_total, so a route that sums
+    # rows first, or only one period of a periodic array, keeps the bits of
+    # the full-size sum.
+    @given(power_of_two_arrays(), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_row_sums_are_the_first_levels_of_the_total(self, values, log_rows):
+        rows = values.reshape(1 << min(log_rows, values.size.bit_length() - 1), -1)
+        sums = dyadic._pairwise_total(rows)
+        assert sums.tobytes() == np.array([dyadic._pairwise_total(r) for r in rows]).tobytes()
+        assert dyadic._pairwise_total(sums) == dyadic._pairwise_total(values)
+
+    @given(power_of_two_arrays(), st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_a_tiling_sums_to_copies_times_its_period(self, period, log_copies):
+        # Past the period's levels the tree adds equal sums: each doubling
+        # is exact, as _modulus_table and fwht_forward assume.
+        total = dyadic._pairwise_total(np.tile(period, 1 << log_copies))
+        assert total == 2.0**log_copies * dyadic._pairwise_total(period)
+
+
 class TestLpNorm:
     def test_walsh_l2_unit(self):
         for n in (0, 3, 7):

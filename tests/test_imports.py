@@ -132,6 +132,35 @@ def test_only_the_synthesis_tiles():
     assert _tile_calls(modules) == ["walsh_system._synthesis"]
 
 
+def _adjacent_pair_slices(modules: dict):
+    """module.name of each top-level statement that slices the even or odd
+    entries ([0::2], [1::2], [::2]), the pairs a summation tree adds."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Slice) and ast.unparse(node) in ("0::2", "1::2", "::2"):
+                    found.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_the_pairwise_total_sums_pairs():
+    # Every sum is the one tree of dyadic._pairwise_total; a second copy
+    # of it could drift from the first, and the fast routes that match the
+    # full-size sums bit for bit would then no longer match.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _adjacent_pair_slices(modules) == ["dyadic._pairwise_total"]
+
+
+def test_adjacent_pair_slice_is_reported():
+    tree = ast.parse(
+        "def tree(a):\n    return a[0::2] + a[1::2]\n"
+        "def strided(a):\n    return a[::4] + a[2::2]\n"
+        "class Table:\n    def rows(self, a):\n        return a[:, ::2]\n"
+    )
+    assert _adjacent_pair_slices({"m": tree}) == ["m.Table", "m.tree"]
+
+
 def test_only_walsh_system_builds_walsh_signs():
     # Walsh sign rows are the space-domain route; outside the tests' oracles
     # only walsh_system builds them, and every other module synthesizes.
