@@ -61,7 +61,7 @@ def _scheme(spec: str, n: Optional[int]):
     if name in FAMILIES:
         if colon and name != "cesaro":
             raise ValueError(f"weight spec {spec!r} takes no argument")
-        alpha = float(arg) if arg else None
+        alpha = experiments._spec_number("weight", spec, arg) if arg else None
         if n is None:
             raise ValueError("family weight specs require --n")
         return build_scheme(name, n, alpha=alpha)
@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: List[str]) -> List[str]:
     """Inject config-file pairs as flags right after the subcommand, so
-    explicit command-line flags still win.  One --config at most."""
+    explicit command-line flags still win.  One --config at most, and the
+    file cannot name another."""
     at = [i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"]
     if not at:
         return argv
@@ -211,6 +212,8 @@ def _apply_config(argv: List[str]) -> List[str]:
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("_", "-")
+            if key == "config":
+                raise ValueError(f"config file {path!r} cannot set config")
             value = value.strip()
             if value.lower() == "true":
                 injected.append(f"--{key}")

@@ -145,6 +145,15 @@ def walsh_poly(coefficients: Sequence[float], resolution: int) -> SampledFunctio
     return fwht_inverse(Spectrum(resolution, coeffs))
 
 
+def _spec_number(kind: str, spec: str, token: str, convert=float):
+    """convert(token), or a ValueError that names the spec it came from."""
+    try:
+        return convert(token)
+    except ValueError:
+        noun = "an integer" if convert is int else "a number"
+        raise ValueError(f"{kind} spec {spec!r}: {token!r} is not {noun}") from None
+
+
 def make_function(spec: str, resolution: int, seed: int = 0) -> SampledFunction:
     """Build a library function from a spec string.
 
@@ -158,11 +167,12 @@ def make_function(spec: str, resolution: int, seed: int = 0) -> SampledFunction:
     if name in ("random", "step_mix") and colon:
         raise ValueError(f"function spec {spec!r} takes no argument")
     if name == "abs_power":
-        return abs_power(float(arg), resolution)
+        return abs_power(_spec_number("function", spec, arg), resolution)
     if name == "indicator":
-        return interval_indicator(int(arg), resolution)
+        return interval_indicator(_spec_number("function", spec, arg, int), resolution)
     if name == "walsh_poly":
-        return walsh_poly([float(c) for c in arg.split(",")], resolution)
+        coeffs = [_spec_number("function", spec, c) for c in arg.split(",")]
+        return walsh_poly(coeffs, resolution)
     if name == "random":
         return random_bounded(seed, resolution)
     if name == "step_mix":

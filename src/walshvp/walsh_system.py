@@ -53,24 +53,28 @@ def walsh(n: int, resolution: int) -> SampledFunction:
 # memory (layer timings in BENCH_7.json).
 _RADIX4_MIN_SIZE = 1 << 12
 
+# Rows longer than _CHUNK_SIZE = 2^16 entries (512 KiB of float64, a
+# quarter of a 2 MiB L2 cache) are transformed in chunks of that size, each
+# of which stays in cache while it is worked on (layer timings in
+# BENCH_23.json).
+_CHUNK_SIDE = 1 << 8
+_CHUNK_SIZE = _CHUNK_SIDE * _CHUNK_SIDE
 
-def _butterfly(a: np.ndarray) -> np.ndarray:
-    """The Hadamard butterfly in place along the last axis of a contiguous
-    array whose last axis is a power of two long; returns a.  Each stage
-    pairs entries less than a row apart, so the rows of a 2-D array are
-    transformed as a batch, each as it would be on its own.
 
-    A radix-4 pass fuses the stages of spans h and 2h on the quarters x0..x3
-    of each group of 4h entries: s0 = x0 + x1, d0 = x0 - x1, s1 = x2 + x3,
+def _stages(a: np.ndarray, h: int, stop: int, work) -> None:
+    """The butterfly stages of spans h, 2h, ... below stop, in place on the
+    contiguous a, whose size stop divides; every span is a power of two.
+
+    Given a work buffer of a.size entries, a radix-4 pass (Fino & Algazi,
+    1976) fuses the stages of spans h and 2h on the quarters x0..x3 of each
+    group of 4h entries: s0 = x0 + x1, d0 = x0 - x1, s1 = x2 + x3,
     d1 = x2 - x3, then s0 + s1, d0 + d1, s0 - s1, d0 - d1.  Those are the
     additions of the two radix-2 stages in the same order, so the result
-    is the same bit for bit.  An odd stage count ends on one radix-2 stage.
+    is the same bit for bit.  An odd stage count ends on one radix-2 stage;
+    without a work buffer every stage is radix-2.
     """
-    n = a.shape[-1]
-    h = 1
-    if a.size >= _RADIX4_MIN_SIZE:
-        work = np.empty((4, a.size // 4), dtype=a.dtype)
-        while 4 * h <= n:
+    if work is not None:
+        while 4 * h <= stop:
             x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
             s0, d0, s1, d1 = work.reshape(4, -1, h)
             np.add(x0, x1, out=s0)
@@ -82,13 +86,50 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
             np.subtract(s0, s1, out=x2)
             np.subtract(d0, d1, out=x3)
             h *= 4
-    while h < n:
+    while h < stop:
         x = a.reshape(-1, 2 * h)
         left = x[:, :h].copy()
         right = x[:, h:].copy()
         x[:, :h] = left + right
         x[:, h:] = left - right
         h *= 2
+
+
+def _butterfly(a: np.ndarray) -> np.ndarray:
+    """The Hadamard butterfly in place along the last axis of a contiguous
+    array whose last axis is a power of two long; returns a.  Each stage
+    pairs entries less than a row apart, so the rows of a 2-D array are
+    transformed as a batch, each as it would be on its own.
+
+    A row of 2^16 R entries, R > 1, is cache-blocked by
+    H = (H_R (x) I)(I (x) H_(2^16)): the 16 low stages run on each 2^16
+    chunk while it sits in cache, the 8 lowest between the rows of its
+    (2^8, 2^8) transpose; then the high stages run between the rows of
+    the (R, 2^16) view, on copies of its column blocks of 2^16 entries.
+    The stages keep their lowest-first order and a copy only moves
+    values, so the result is the same bit for bit.
+    """
+    n = a.shape[-1]
+    if n <= _CHUNK_SIZE:
+        work = np.empty(a.size, a.dtype) if a.size >= _RADIX4_MIN_SIZE else None
+        _stages(a, 1, n, work)
+        return a
+    work = np.empty(_CHUNK_SIZE, a.dtype)
+    turned = np.empty((_CHUNK_SIDE, _CHUNK_SIDE), a.dtype)
+    for chunk in a.reshape(-1, _CHUNK_SIZE):
+        square = chunk.reshape(_CHUNK_SIDE, _CHUNK_SIDE)
+        np.copyto(turned, square.T)
+        _stages(turned, _CHUNK_SIDE, _CHUNK_SIZE, work)
+        np.copyto(square, turned.T)
+        _stages(chunk, _CHUNK_SIDE, _CHUNK_SIZE, work)
+    rows = n // _CHUNK_SIZE
+    width = _CHUNK_SIZE // rows  # rows <= 2^8 under the resolution cap
+    block = np.empty((rows, width), a.dtype)
+    for high in a.reshape(-1, rows, _CHUNK_SIZE):
+        for c in range(0, _CHUNK_SIZE, width):
+            np.copyto(block, high[:, c : c + width])
+            _stages(block, width, _CHUNK_SIZE, work)
+            np.copyto(high[:, c : c + width], block)
     return a
 
 
@@ -125,10 +166,11 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
     """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu).
 
     A function of x mod 2^r, r its dyadic rank, has no coefficient from
-    2^r on, so values[:2^r] are transformed, scaled by 2^-r, and the rest
-    is zero: O(r 2^r + 2^N).  That is the full-size transform bit for bit,
-    whose stages above 2^r only double the first 2^r sums exactly and set
-    the rest to x - x = +0.0, as long as those doubled sums stay finite.
+    2^r on, so values[:2^r] are transformed in place in the coefficient
+    array, scaled by 2^-r, and the rest is zero: O(r 2^r + 2^N).  That is
+    the full-size transform bit for bit, whose stages above 2^r only
+    double the first 2^r sums exactly and set the rest to x - x = +0.0, as
+    long as those doubled sums stay finite.
     Where 2^r max|f| is past the float range, the samples are scaled
     before the butterfly instead, so no sum overflows.
     The spectrum is computed once per function and kept on it; both are
@@ -138,11 +180,14 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
         rank = _rank_of(f)
         cells = f.values[: 1 << rank]
         coeffs = np.zeros(f.size)
+        head = coeffs[: 1 << rank]
         if math.isfinite(float(np.max(np.abs(cells))) * 2**rank):
-            coeffs[: 1 << rank] = hadamard_transform(cells)
-            coeffs[: 1 << rank] *= 2.0**-rank
+            head[:] = cells
+            _butterfly(head)
+            head *= 2.0**-rank
         else:
-            coeffs[: 1 << rank] = hadamard_transform(cells * 2.0**-rank)
+            np.multiply(cells, 2.0**-rank, out=head)
+            _butterfly(head)
         object.__setattr__(f, "_spectrum", Spectrum(f.resolution, coeffs))
     return f._spectrum
 

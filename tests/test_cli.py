@@ -400,6 +400,17 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_nested_config_is_refused(tmp_path, capsys, monkeypatch):
+    # The nested line was injected as --config, which argparse accepted
+    # and nothing read: the N = 4 table printed without opening the file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nested.cfg").write_text("config=missing.cfg\nresolution=4\n")
+    code, out, err = run(capsys, "modulus", "--function", "step_mix", "--config", "nested.cfg",
+                         "--nmax", "1")
+    assert code == 2 and out == ""
+    assert err == "error: config file 'nested.cfg' cannot set config\n"
+
+
 def test_second_config_is_refused(tmp_path, capsys):
     # Only the first --config was read; argparse took the second and
     # nothing applied it.
@@ -500,6 +511,26 @@ _SWEEP = ("--resolution", "6", "--nmax", "2")
 )
 def test_spec_arguments_are_checked(capsys, argv, message):
     # The arguments were ignored, and a missing one failed in float('').
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("modulus", "--function", "abs_power:abc", "--resolution", "4"),
+         "function spec 'abs_power:abc': 'abc' is not a number"),
+        (("approx", "--function", "indicator:x", "--weights", "uniform", *_SWEEP),
+         "function spec 'indicator:x': 'x' is not an integer"),
+        (("approx", "--function", "walsh_poly:1,x", "--weights", "uniform", *_SWEEP),
+         "function spec 'walsh_poly:1,x': 'x' is not a number"),
+        (("approx", "--function", "step_mix", "--weights", "cesaro:x", *_SWEEP),
+         "weight spec 'cesaro:x': 'x' is not a number"),
+    ],
+    ids=["abs_power", "indicator", "walsh_poly", "cesaro"],
+)
+def test_malformed_spec_numbers_name_the_spec(capsys, argv, message):
+    # The bare float() or int() message did not say which spec failed.
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
@@ -795,6 +826,22 @@ def test_transforms_per_command(capsys, monkeypatch, argv, function, p, sizes):
     monkeypatch.setattr(walsh_system, "_butterfly", counted)
     code, _, _ = run(capsys, *argv, "--function", function, "--resolution", "10", "--p", p)
     assert code == 0 and counted_sizes == sizes
+
+
+def test_transforms_per_command_past_the_chunk(capsys, monkeypatch):
+    # At N = 18 both transforms take the chunked schedule, still one
+    # _butterfly call each: f at 2^18 and the table at 2^(18 - nmin).
+    counted_sizes = []
+    butterfly = walsh_system._butterfly
+
+    def counted(a):
+        counted_sizes.append(a.size)
+        return butterfly(a)
+
+    monkeypatch.setattr(walsh_system, "_butterfly", counted)
+    code, _, _ = run(capsys, *APPROX_1_3, "--function", "abs_power:0.5", "--resolution", "18",
+                     "--p", "2")
+    assert code == 0 and counted_sizes == [1 << 18, 1 << 17]
 
 
 def test_every_option_is_read(capsys, tmp_path):

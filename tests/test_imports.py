@@ -161,6 +161,44 @@ def test_adjacent_pair_slice_is_reported():
     assert _adjacent_pair_slices({"m": tree}) == ["m.Table", "m.tree"]
 
 
+def _radix4_views(modules: dict):
+    """module.name of each top-level statement that takes the radix-4 view
+    a.reshape(-1, 4, h), the four quarters a fused pair of butterfly stages
+    adds and subtracts."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "reshape"
+                    and len(node.args) == 3
+                    and [ast.unparse(arg) for arg in node.args[:2]] == ["-1", "4"]
+                ):
+                    found.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_the_stages_take_the_radix4_view():
+    # Every butterfly, chunked or not, runs its passes in walsh_system._stages;
+    # a forked copy of the pass body could drift from it, and the routes that
+    # match the radix-2 butterfly bit for bit would then no longer match.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _radix4_views(modules) == ["walsh_system._stages"]
+
+
+def test_radix4_view_is_reported():
+    tree = ast.parse(
+        "def fork(a, h):\n    return a.reshape(-1, 4, h).transpose(1, 0, 2)\n"
+        "def pairs(a, h):\n    return a.reshape(-1, 2, h)\n"
+        "def buffers(w, h):\n    return w.reshape(4, -1, h)\n"
+        "class Blocked:\n    def quarters(self, a):\n        return np.reshape(a, (-1, 4))\n"
+        "    def run(self, a, h):\n        x = a.reshape(-1, 4, 2 * h)\n"
+    )
+    assert _radix4_views({"m": tree}) == ["m.Blocked", "m.fork"]
+
+
 def test_only_walsh_system_builds_walsh_signs():
     # Walsh sign rows are the space-domain route; outside the tests' oracles
     # only walsh_system builds them, and every other module synthesizes.

@@ -144,6 +144,57 @@ class TestButterfly:
     def test_cut_over_is_inside_the_tested_sizes(self):
         assert 2 <= walsh_system._RADIX4_MIN_SIZE <= 1 << 15
 
+    @staticmethod
+    def _check_rows(x, expected):
+        """Each row of x through _butterfly, and a 1-D x through
+        hadamard_transform, equals its row of expected bit for bit, and x
+        is left unwritten."""
+        before = x.copy()
+        if x.ndim == 1:
+            assert _same(hadamard_transform(x), expected[0])
+        a = x.copy()
+        assert walsh_system._butterfly(a) is a
+        rows = a.reshape(-1, x.shape[-1])
+        assert len(rows) == len(expected)
+        assert all(_same(row, want) for row, want in zip(rows, expected))
+        assert _same(x, before)
+
+    @pytest.mark.parametrize("N", [17, 18, 20])
+    def test_chunked_rows_match_radix2_oracle(self, N):
+        # Past _CHUNK_SIZE the low stages run per chunk and the high stages
+        # per column block; an odd and an even count of high stages.
+        rng = np.random.default_rng(N)
+        size = 1 << N
+        for x in (
+            rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size),
+            rng.integers(-(2**40), 2**40, size),
+        ):
+            self._check_rows(x, [_radix2_oracle(x)])
+
+    def test_chunked_rows_match_radix2_oracle_in_python_ints(self):
+        x = self._inputs(17)[2]
+        self._check_rows(x, [_radix2_oracle(x)])
+
+    def test_chunked_batches_match_radix2_oracle(self):
+        N = 17
+        rng = np.random.default_rng(N)
+        # int32 rows 1_{k<n}, as the Dirichlet recursion check builds them
+        orders = np.array([0, 1, 5, (1 << 16) + 3, 1 << N])
+        rows = (np.arange(1 << N) < orders[:, None]).astype(np.int32)
+        expected = [_radix2_oracle(row.astype(np.int64)).astype(np.int32) for row in rows]
+        self._check_rows(rows, expected)
+        # f 1_j and 1_j for a bucket j of one coset, as the sign split builds them
+        pair = np.zeros((2, 1 << N))
+        members = rng.choice(1 << N, 1 << 10, replace=False)
+        pair[0][members] = rng.standard_normal(members.size)
+        pair[1][members] = 1.0
+        self._check_rows(pair, [_radix2_oracle(row) for row in pair])
+
+    def test_chunk_size_is_inside_the_tested_sizes(self):
+        # The tests above run 2^16 entries on the unchunked path and 2^17 on
+        # the chunked one.
+        assert 1 << 16 <= walsh_system._CHUNK_SIZE < 1 << 17
+
     def test_spectrum_is_cached_and_read_only(self):
         f = rand_fn(1, 5)
         s = fwht_forward(f)
