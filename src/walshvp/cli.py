@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 from . import experiments
@@ -103,6 +103,38 @@ def _json_safe(payload):
     return payload
 
 
+# The JSON text of each scalar type: the C routines json.dumps itself calls
+# for them, and its literals.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text json.dumps(value, indent=2) writes for a payload of dicts,
+    lists and finite scalars: the containers laid out here, each scalar
+    encoded by the C routine of its type, with no pure-Python encoder or
+    generator in between."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        brackets = "{}"
+    else:
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(payload, fmt: str, out_path: str) -> None:
     """The one writer of CSV and JSON records.
 
@@ -114,8 +146,7 @@ def _emit(payload, fmt: str, out_path: str) -> None:
     """
     with _stream(out_path, "w") as stream:
         if fmt == "json":
-            # One write: json.dump writes each token on its own.
-            stream.write(json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")
+            stream.write(_json_text(_json_safe(payload)) + "\n")
         else:
             if isinstance(payload, list):
                 payload = {"records": payload}

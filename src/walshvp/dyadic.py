@@ -2,8 +2,12 @@
 
 At resolution N the group is {0, ..., 2^N - 1} with XOR as the group
 operation; coordinate x_i of a point is bit i of its index (LSB first).
-Functions are constant on the rank-N dyadic cells and stored as 2^N
-samples.  All integrals use a deterministic pairwise-tree reduction.
+Functions are constant on the rank-N dyadic cells.  A function is held as
+a period of 2^k <= 2^N samples, its head, which the 2^N samples repeat:
+a function of dyadic rank r built by the library holds 2^r of them, so
+its memory and every pass over it are O(2^r), and the 2^N samples are
+built only when `values` is read.  All integrals use a deterministic
+pairwise-tree reduction.
 """
 
 from __future__ import annotations
@@ -39,23 +43,44 @@ def _check_point(index: int, resolution: int) -> int:
 
 class _Samples:
     """The immutable scaffold of SampledFunction and Spectrum: a resolution
-    and 2^resolution float64 entries, kept as a read-only view in the slot
-    that the subclass names in _field."""
+    N and a read-only head of 2^k <= 2^N float64 entries, from which the
+    subclass's _extend builds all 2^N.  The public constructor copies the
+    2^N entries it is given; the library's own builders hand a fresh head
+    over to _own, which keeps it as it is."""
 
-    __slots__ = ("resolution",)
+    __slots__ = ("resolution", "_head")
 
     def __init__(self, resolution: int, values) -> None:
         resolution = check_resolution(resolution)
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != (1 << resolution,):
+        head = np.array(values, dtype=np.float64)
+        if head.shape != (1 << resolution,):
             raise ValueError(
                 f"expected {1 << resolution} {self._field} for resolution "
-                f"{resolution}, got shape {arr.shape}"
+                f"{resolution}, got shape {head.shape}"
             )
-        arr = arr.view()
-        arr.setflags(write=False)
+        self._hold(resolution, head)
+
+    @classmethod
+    def _own(cls, resolution: int, head: np.ndarray):
+        # An instance on `head`, a float64 array of 2^k <= 2^N entries that
+        # nothing else refers to, without a copy.
+        self = object.__new__(cls)
+        self._hold(resolution, head)
+        return self
+
+    def _hold(self, resolution: int, head: np.ndarray) -> None:
+        head.setflags(write=False)
         object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, self._field, arr)
+        object.__setattr__(self, "_head", head)
+
+    def _full(self) -> np.ndarray:
+        # All 2^N entries, read-only: the head, or a new array built from it.
+        head = self._head
+        if head.size == self.size:
+            return head
+        full = self._extend(head, self.size)
+        full.setflags(write=False)
+        return full
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -68,26 +93,40 @@ class _Samples:
         return f"{type(self).__name__}(N={self.resolution}, size={self.size})"
 
 
+def _periods(head: np.ndarray, size: int) -> np.ndarray:
+    # head repeated to `size` entries, a multiple of its length.
+    if head.size == size:
+        return head
+    return np.broadcast_to(head, (size // head.size, head.size)).reshape(size)
+
+
 class SampledFunction(_Samples):
     """Real-valued function on the group, constant on rank-N cells.
 
-    values[j] is the value on the cell of the point with index j.
-    Instances are immutable, values is a read-only view, and operations
-    return new objects.  What depends only on the function (its dyadic
-    rank, its spectrum, its moduli for each p) is computed once and kept
-    in the private slots.
+    values[j] is the value on the cell of the point with index j.  The
+    function is held as its head, a period of 2^k samples that values
+    repeats; values is read-only and, for a head shorter than 2^N, built
+    anew on each read.  Instances are immutable and operations return new
+    objects.  What depends only on the function (its dyadic rank, its
+    spectrum, its moduli for each p) is computed once and kept in the
+    private slots.
     """
 
-    __slots__ = ("values", "_rank", "_spectrum", "_moduli")
+    __slots__ = ("_rank", "_spectrum", "_moduli")
     _field = "values"
+    _extend = staticmethod(_periods)
 
-    def __init__(self, resolution: int, values) -> None:
-        super().__init__(resolution, values)
-        if not np.all(np.isfinite(self.values)):
+    def _hold(self, resolution: int, head: np.ndarray) -> None:
+        if not np.all(np.isfinite(head)):
             raise ValueError("samples must be finite")
+        super()._hold(resolution, head)
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_moduli", {})
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._full()
 
     def _check_same(self, other: "SampledFunction") -> None:
         if self.resolution != other.resolution:
@@ -96,18 +135,22 @@ class SampledFunction(_Samples):
             )
 
     def _combine(self, other, op):
-        # op of the samples and other's samples, or the scalar other.
+        # op of the samples and other's samples, or the scalar other, on
+        # the longer head: the ops of the periods are a period of the op.
         if isinstance(other, SampledFunction):
             self._check_same(other)
-            return SampledFunction(self.resolution, op(self.values, other.values))
-        return SampledFunction(self.resolution, op(self.values, float(other)))
+            size = max(self._head.size, other._head.size)
+            head = op(_periods(self._head, size), _periods(other._head, size))
+        else:
+            head = op(self._head, float(other))
+        return SampledFunction._own(self.resolution, head)
 
     __add__ = __radd__ = partialmethod(_combine, op=np.add)
     __sub__ = partialmethod(_combine, op=np.subtract)
     __mul__ = __rmul__ = partialmethod(_combine, op=np.multiply)
 
     def __neg__(self):
-        return SampledFunction(self.resolution, -self.values)
+        return SampledFunction._own(self.resolution, -self._head)
 
 
 def abs_values(resolution: int) -> np.ndarray:
@@ -160,8 +203,12 @@ def _power_scale(top: float, p: float, resolution: int) -> float:
 
 
 def _lp_of_values(values: np.ndarray, p: float, resolution: int, top=None) -> float:
-    # `top` bounds |values| and sets the scale; callers comparing several
-    # arrays pass one shared bound.
+    # The L_p norm at resolution N of the function that repeats `values`,
+    # 2^k <= 2^N of them.  The tree at N reaches 2^(N-k) equal sums of one
+    # period and then only doubles them exactly, so the sum over `values`
+    # times 2^-k is the one over 2^N cells times 2^-N bit for bit; the
+    # scale is the one of N.  `top` bounds |values| and sets the scale;
+    # callers comparing several arrays pass one shared bound.
     if top is None:
         top = float(np.max(np.abs(values)))
     if p == INF or not 0.0 < top < INF:
@@ -171,7 +218,7 @@ def _lp_of_values(values: np.ndarray, p: float, resolution: int, top=None) -> fl
     if scale != 1.0:
         powers /= scale
     powers **= p
-    total = _pairwise_total(powers) * 2.0**-resolution
+    total = _pairwise_total(powers) / values.size
     return scale * total ** (1.0 / p)
 
 
@@ -179,18 +226,21 @@ def lp_norm(f: SampledFunction, p) -> float:
     """L_p norm; p may be any real >= 1 or math.inf (sup norm).
 
     When a p-th power could over- or underflow, the magnitudes are first
-    divided by the largest of them, so a large p stays accurate.
+    divided by the largest of them, so a large p stays accurate.  The sum
+    runs over the head of f, one period of its samples.
     """
-    return _lp_of_values(f.values, _check_exponent(p), f.resolution)
+    return _lp_of_values(f._head, _check_exponent(p), f.resolution)
 
 
 def translate(f: SampledFunction, t: int) -> SampledFunction:
-    """f(. + t); a permutation of the samples since + is XOR."""
+    """f(. + t); a permutation of the samples since + is XOR.  A period
+    2^k of f is one of f(. + t), and the low k bits of t permute it."""
     _check_point(t, f.resolution)
     if t == 0:
         return f
-    idx = np.arange(f.size, dtype=np.int64)
-    return SampledFunction(f.resolution, f.values[idx ^ t])
+    head = f._head
+    idx = np.arange(head.size, dtype=np.int64)
+    return SampledFunction._own(f.resolution, head[idx ^ (t & (head.size - 1))])
 
 
 def interval_indicator(n: int, resolution: int) -> SampledFunction:
@@ -198,33 +248,37 @@ def interval_indicator(n: int, resolution: int) -> SampledFunction:
     check_resolution(resolution)
     if not 0 <= n <= resolution:
         raise ValueError(f"interval rank {n} out of range [0, {resolution}]")
-    values = np.zeros(1 << resolution)
-    values[:: 1 << n] = 1.0
-    return SampledFunction(resolution, values)
+    head = np.zeros(1 << n)  # one period: I_n holds the multiples of 2^n
+    head[0] = 1.0
+    return SampledFunction._own(resolution, head)
 
 
 def _l2_table(f: SampledFunction, n0: int) -> tuple:
     # ||f(.+t) - f||_2^2 = 2 (sum_m fhat(m)^2 - sum_m fhat(m)^2 w_m(t)), so
     # one unnormalized transform of the squared spectrum gives the distance
-    # for every t at once.  fhat vanishes from 2^r on, so the transform
-    # runs at rank r, and only t = 0 mod 2^n0 is needed, where w_m(t)
-    # reads only the bits of m from n0 on: the squares are first summed
-    # over the low n0 bits of m, as rows of 2^n0.  Those row sums are the
-    # first n0 levels of the tree of the total, and both follow the
-    # butterfly's adjacent-pair order, so each entry is the full-size value
-    # bit for bit.  Every |fhat(m)| <= max |f|, so the coefficients are
-    # divided by the scale of that bound before squaring.  Returns (scale,
-    # sums) with sums[k] the distance at t = k 2^n0 over scale^2, for
-    # n0 <= r.
+    # for every t at once.  The term m = 0 has w_0 = 1 at every t, so it
+    # cancels exactly and is left out: a large mean would only round the
+    # difference away.  fhat vanishes from 2^r on, so the transform runs
+    # at rank r, and only t = 0 mod 2^n0 is needed, where w_m(t) reads only
+    # the bits of m from n0 on: the squares are first summed over the low
+    # n0 bits of m, as rows of 2^n0.  Those row sums are the first n0
+    # levels of the tree of the total, and both follow the butterfly's
+    # adjacent-pair order, so each entry is the full-size value bit for
+    # bit, and a table built at n0 holds at the multiples of 2^(n-n0) the
+    # bits of the table built at n.  Every |fhat(m)| <= max |f|, so the
+    # coefficients are divided by the scale of that bound before squaring.
+    # Returns (scale, sums) with sums[k] the distance at t = k 2^n0 over
+    # scale^2, for n0 <= r.
     from .walsh_system import _butterfly, fwht_forward
 
-    cells = f.values[: 1 << _rank_of(f)]
+    cells = _cells(f)
     top = max(-float(np.min(cells)), float(np.max(cells)))
     if top == 0.0:  # f = 0; samples are finite, so top < inf
         return 1.0, np.zeros(1)
     scale = _power_scale(top, 2.0, f.resolution)
-    g = fwht_forward(f).coeffs[: cells.size] / scale
+    g = fwht_forward(f)._prefix(cells.size) / scale
     g **= 2
+    g[0] = 0.0
     low = _pairwise_total(g.reshape(-1, 1 << n0))
     total = _pairwise_total(low)
     sums = _butterfly(low)
@@ -237,7 +291,10 @@ def _coset_oscillation(values: np.ndarray, n: int) -> float:
     # Column r of the (2^(N-n), 2^n) table is the coset {y : y mod 2^n = r},
     # the orbit of a point under I_n.  Rounding is monotone, so the largest
     # rounded difference in a coset is the rounded max - min; past the float
-    # range that is inf, which needs no warning.
+    # range that is inf, which needs no warning.  Samples of period 2^n or
+    # less are constant on each coset.
+    if values.size <= 1 << n:
+        return 0.0
     cosets = values.reshape(-1, 1 << n)
     with np.errstate(over="ignore"):
         return float(np.max(cosets.max(axis=0) - cosets.min(axis=0)))
@@ -258,10 +315,16 @@ def _dyadic_rank(values: np.ndarray) -> int:
 
 
 def _rank_of(f: SampledFunction) -> int:
-    # f's dyadic rank, computed once and kept on f.
+    # f's dyadic rank, computed once and kept on f.  The head is a period
+    # of f, so f's rank is the head's.
     if f._rank is None:
-        object.__setattr__(f, "_rank", _dyadic_rank(f.values))
+        object.__setattr__(f, "_rank", _dyadic_rank(f._head))
     return f._rank
+
+
+def _cells(f: SampledFunction) -> np.ndarray:
+    # The 2^r samples of one period at f's dyadic rank r.
+    return f._head[: 1 << _rank_of(f)]
 
 
 # Cells per block of rows in an array pass, such as the translates of the
@@ -384,7 +447,7 @@ def _modulus_table(f: SampledFunction, n: int, p: float, scale) -> tuple:
     # whose scale depends only on f.  A sign-split table is exact only to
     # rounding of its largest sum, so it also needs the largest sum over
     # t = 0 mod 2^n to be at least _SPLIT_MIN_SHARE of it.  A function of
-    # rank r < N is run at resolution r on values[:2^r]: its
+    # rank r < N is run at resolution r on its 2^r cells: its
     # |differences|^p are 2^r-periodic, so the tree at resolution N reaches
     # 2^(N-r) equal partial sums and the rest of it only doubles them
     # exactly, sum_N 2^-N == sum_r 2^-r.  The scale stays the one of N.
@@ -395,8 +458,8 @@ def _modulus_table(f: SampledFunction, n: int, p: float, scale) -> tuple:
             return entry
         if np.max(sums[:: 1 << (n - n0)]) >= _SPLIT_MIN_SHARE * np.max(sums):
             return entry
-    rank = _rank_of(f)
-    values = f.values[: 1 << rank]
+    values = _cells(f)
+    rank = values.size.bit_length() - 1
     if p == 2.0:
         scale, sums = _l2_table(f, min(n, rank))
     elif _takes_sign_split(p, values.size >> n):
@@ -410,11 +473,12 @@ def _modulus_table(f: SampledFunction, n: int, p: float, scale) -> tuple:
 def _modulus_by_translates(f: SampledFunction, n: int, p: float) -> float:
     # The oracle: one translate at a time.  A finite p divides by the scale
     # the blocked route uses, which the p = inf loop here checks.
-    top = None if p == INF else _coset_oscillation(f.values, n)
+    values = f.values
+    top = None if p == INF else _coset_oscillation(values, n)
     idx = np.arange(f.size, dtype=np.int64)
     best = 0.0
     for t in range(0, f.size, 1 << n):
-        diff = f.values[idx ^ t] - f.values
+        diff = values[idx ^ t] - values
         best = max(best, _lp_of_values(diff, p, f.resolution, top))
     return best
 
@@ -427,13 +491,14 @@ def modulus_of_continuity(
     At finite resolution the ball {|t| < 2^-n} is exactly the interval
     I_n, i.e. the indices divisible by 2^n, so the supremum is a finite
     maximum.  brute_force=True runs the loop over translates, the oracle.
-    Four routes evaluate every translate at once: p = inf is the largest
-    oscillation of f over the cosets of I_n, which the translates
-    permute; a finite p is read from a table of one sum per translate in
-    I_n0, built at the function's dyadic rank r (the smallest r for which
-    f depends only on x mod 2^r) by a spectral identity for p = 2, by a
-    sign split for p = 1 with at least 2^11 translates per coset, and in
-    blocks of translates for any other p.  The coset and blocked routes
+    Four routes evaluate every translate at once, on the 2^r cells of one
+    period at the function's dyadic rank r (the smallest r for which f
+    depends only on x mod 2^r): p = inf is the largest oscillation of f
+    over the cosets of I_n, which the translates permute, and 0 for
+    n >= r; a finite p is read from a table of one sum per translate in
+    I_n0, built by a spectral identity for p = 2, by a sign split for
+    p = 1 with at least 2^11 translates per coset, and in blocks of
+    translates for any other p.  The coset and blocked routes
     match the loop bit for bit, the spectral and sign-split routes to
     rounding.  Each function keeps one table per p, for the smallest n0
     asked so far, and serves every n >= n0 from it by stride: a sweep
@@ -448,7 +513,7 @@ def modulus_of_continuity(
         return _modulus_by_translates(f, n, p)
     scale = None
     if p != 2.0:
-        top = _coset_oscillation(f.values, n)
+        top = _coset_oscillation(_cells(f), n)
         if p == INF or not 0.0 < top < INF:
             return top
         scale = _power_scale(top, p, f.resolution)

@@ -28,7 +28,7 @@ from .dyadic import (
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import Spectrum, _butterfly, _synthesis, fwht_forward, fwht_inverse
+from .walsh_system import Spectrum, _butterfly, _period_synthesis, fwht_forward, fwht_inverse
 from .kernels import (
     _block_multiplier,
     _dirichlet_rec_int,
@@ -113,36 +113,35 @@ class SplitMix64:
 
 def random_bounded(seed: int, resolution: int) -> SampledFunction:
     rng = SplitMix64(seed)
-    return SampledFunction(resolution, rng.uniforms(1 << resolution))
+    return SampledFunction._own(resolution, rng.uniforms(1 << resolution))
 
 
 def step_mix(seed: int, resolution: int) -> SampledFunction:
     """Random function constant on the cells of rank 4 (all cells below N = 4):
-    its 16 cells copied once to each period of the 2^N samples."""
-    rank = min(4, resolution)
+    its 16 cells are its period."""
     rng = SplitMix64(seed)
-    cells = rng.uniforms(1 << rank)
-    periods = np.broadcast_to(cells, (1 << (resolution - rank), 1 << rank))
-    return SampledFunction(resolution, periods.reshape(-1))
+    return SampledFunction._own(resolution, rng.uniforms(1 << min(4, resolution)))
 
 
 def abs_power(alpha: float, resolution: int) -> SampledFunction:
     """f(x) = |x|^alpha with the dyadic absolute value."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"abs_power needs a finite alpha > 0, got {alpha}")
-    return SampledFunction(resolution, abs_values(resolution) ** alpha)
+    return SampledFunction._own(resolution, abs_values(resolution) ** alpha)
 
 
 def walsh_poly(coefficients: Sequence[float], resolution: int) -> SampledFunction:
-    coeffs = np.zeros(1 << resolution)
+    """sum_m c_m w_m, synthesized from the coefficients up to the next
+    power of two."""
     vals = np.asarray(coefficients, dtype=np.float64)
-    if vals.size > coeffs.size:
+    if vals.size > 1 << resolution:
         raise ValueError("polynomial order exceeds resolution")
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"walsh_poly coefficient {bad[0]} is {vals[bad[0]]}, not finite")
+    coeffs = np.zeros(1 << max(vals.size - 1, 0).bit_length())
     coeffs[: vals.size] = vals
-    return fwht_inverse(Spectrum(resolution, coeffs))
+    return fwht_inverse(Spectrum._own(resolution, coeffs))
 
 
 def _spec_number(kind: str, spec: str, token: str, convert=float):
@@ -216,7 +215,7 @@ def _l2_error(f: SampledFunction, scheme: WeightScheme) -> float:
     could over- or underflow, as in lp_norm.  An error past the float
     range is a ValueError."""
     n, rank = scheme.block_exponent, _rank_of(f)
-    terms = np.abs(fwht_forward(f).coeffs[: 1 << rank])
+    terms = np.abs(fwht_forward(f)._prefix(1 << rank))
     mean_part = terms[: 1 << min(n + 1, rank)]
     with np.errstate(over="ignore", invalid="ignore"):
         mean_part *= np.abs(1.0 - _block_multiplier(scheme.weights, n + 1)[: mean_part.size])
@@ -345,14 +344,14 @@ def verify_translate_difference_bound(
     if not 0 < n < f.resolution:
         raise ValueError(f"need 0 < n < {f.resolution}, got {n}")
     # The rank by value: + 0.0 turns -0.0 into +0.0, which the bitwise
-    # _dyadic_rank would tell apart.
-    rank = _dyadic_rank(g.values + 0.0)
+    # _dyadic_rank would tell apart.  The head is a period of g.
+    rank = _dyadic_rank(g._head + 0.0)
     if rank > n:
         raise ValueError(f"g has dyadic rank {rank}, above n = {n}")
     low = 1 << n
     coeffs = np.zeros(2 * low)
-    coeffs[low:] = fwht_forward(f).coeffs[low : 2 * low] * fwht_forward(g).coeffs[:low]
-    lhs = lp_norm(SampledFunction(f.resolution, _synthesis(coeffs, f.resolution)), p)
+    coeffs[low:] = fwht_forward(f)._prefix(2 * low)[low:] * fwht_forward(g)._prefix(low)
+    lhs = lp_norm(SampledFunction._own(f.resolution, _period_synthesis(coeffs, f.resolution)), p)
     rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
     return lhs, rhs, lhs <= rhs + _TRANSLATE_SLACK
 
@@ -428,11 +427,9 @@ def _check_translate_difference(resolution: int, seed: int, count: int) -> Lemma
     for i in range(count):
         n = 1 + rng.randint(resolution - 1)
         p = p_cycle[i % 3]
-        f = SampledFunction(resolution, rng.uniforms(1 << resolution))
+        f = SampledFunction._own(resolution, rng.uniforms(1 << resolution))
         if i % 2 == 0:
-            coeffs = np.zeros(1 << resolution)
-            coeffs[: 1 << n] = rng.uniforms(1 << n)
-            g = fwht_inverse(Spectrum(resolution, coeffs))
+            g = fwht_inverse(Spectrum._own(resolution, rng.uniforms(1 << n)))
         else:
             k = 1 + rng.randint(1 << n)
             g = fejer(k, resolution)

@@ -33,22 +33,27 @@ class KernelFunction(SampledFunction):
     __slots__ = ("exact_numer", "exact_denom")
 
     def __init__(self, resolution, exact_numer, exact_denom=1):
+        resolution = check_resolution(resolution)
         exact_numer = np.asarray(exact_numer)
         exact_denom = int(exact_denom)
         if exact_denom < 1:
             raise ValueError("exact denominator must be positive")
+        if exact_numer.shape != (1 << resolution,):
+            raise ValueError(
+                f"expected {1 << resolution} numerators for resolution {resolution}, "
+                f"got shape {exact_numer.shape}"
+            )
         if exact_numer.dtype == object:
             # int / int rounds once, also for numerators past the float range.
             # A kernel synthesized at its support repeats one period of
-            # cells: that period is converted and gathered to the rest.
+            # cells: that period is converted and held as the head.
             period = 1 << _dyadic_rank(exact_numer)
-            cells = np.array([int(v) / exact_denom for v in exact_numer[:period]])
-            values = cells[np.arange(exact_numer.size) & (period - 1)]
+            values = np.array([int(v) / exact_denom for v in exact_numer[:period]])
         elif exact_numer.dtype.kind == "i":
             values = exact_numer.astype(np.float64) / exact_denom
         else:
             raise TypeError(f"exact numerators must be integers, got {exact_numer.dtype}")
-        super().__init__(resolution, values)
+        self._hold(resolution, values)
         object.__setattr__(self, "exact_numer", exact_numer)
         object.__setattr__(self, "exact_denom", exact_denom)
 

@@ -3,9 +3,9 @@
 The mean over a dyadic block is computed by two independent routes: the
 default multiplies fhat by the block kernel's closed-form multiplier (no
 extra scaling with this package's normalization) and synthesizes the
-products up to their common support with walsh_system._synthesis, and
-the verification route is the definition, the weighted sum of the
-partial sums S_k(f) over the block.
+products up to their common support with walsh_system._period_synthesis,
+which the mean keeps as its period, and the verification route is the
+definition, the weighted sum of the partial sums S_k(f) over the block.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SampledFunction, _rank_of
-from .walsh_system import _synthesis, fwht_forward, partial_sum
+from .walsh_system import _period_synthesis, fwht_forward, partial_sum
 from .weights import WeightScheme
 from .kernels import _block_multiplier, _check_block
 
@@ -33,13 +33,13 @@ def dyadic_convolve(f: SampledFunction, kernel: SampledFunction) -> SampledFunct
 
     Spectral route: the coefficients of the convolution are the products
     of the coefficients, which vanish from 2^r on, r the smaller dyadic
-    rank, so the first 2^r go to _synthesis; as in vp_mean, an exact zero
-    may carry the other sign than in the full-size synthesis.
+    rank, so the first 2^r go to _period_synthesis; as in vp_mean, an
+    exact zero may carry the other sign than in the full-size synthesis.
     """
     f._check_same(kernel)
     size = 1 << min(_rank_of(f), _rank_of(kernel))
-    coeffs = fwht_forward(f).coeffs[:size] * fwht_forward(kernel).coeffs[:size]
-    return SampledFunction(f.resolution, _synthesis(coeffs, f.resolution))
+    coeffs = fwht_forward(f)._prefix(size) * fwht_forward(kernel)._prefix(size)
+    return SampledFunction._own(f.resolution, _period_synthesis(coeffs, f.resolution))
 
 
 def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> SampledFunction:
@@ -47,7 +47,7 @@ def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> Sample
     f._check_same(kernel)
     idx = np.arange(f.size, dtype=np.int64)
     table = kernel.values[idx[:, None] ^ idx[None, :]]
-    return SampledFunction(f.resolution, table @ f.values * 2.0**-f.resolution)
+    return SampledFunction._own(f.resolution, table @ f.values * 2.0**-f.resolution)
 
 
 def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -> MeanResult:
@@ -55,19 +55,22 @@ def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -
 
     The convolution route multiplies fhat, zero from 2^r on (r the rank
     of f), by the block multiplier, zero from 2^(n+1) on, and hands the
-    first 2^min(n+1, r) products to _synthesis.  An exact zero may carry
-    the other sign than in the full-size synthesis, since a product past
-    the support can be -0.0; no output reads that sign.
+    first 2^min(n+1, r) products to _period_synthesis, so the mean holds
+    at most 2^r samples.  An exact zero may carry the other sign than in
+    the full-size synthesis, since a product past the support can be
+    -0.0; no output reads that sign.
     """
     _check_block(w, f.resolution)
     if path == PATH_CONVOLUTION:
         size = 1 << min(w.block_exponent + 1, _rank_of(f))
         coeffs = _block_multiplier(w.weights, w.block_exponent + 1)[:size]
-        coeffs *= fwht_forward(f).coeffs[:size]
-        return MeanResult(SampledFunction(f.resolution, _synthesis(coeffs, f.resolution)))
+        coeffs *= fwht_forward(f)._prefix(size)
+        return MeanResult(
+            SampledFunction._own(f.resolution, _period_synthesis(coeffs, f.resolution))
+        )
     if path == PATH_PARTIAL_SUMS:
         terms = zip(w.weights, range(w.block_start, w.block_end + 1))
         return MeanResult(
-            SampledFunction(f.resolution, sum(t * partial_sum(f, k).values for t, k in terms))
+            SampledFunction._own(f.resolution, sum(t * partial_sum(f, k).values for t, k in terms))
         )
     raise ValueError(f"unknown path {path!r}")

@@ -12,16 +12,38 @@ import math
 
 import numpy as np
 
-from .dyadic import SampledFunction, _rank_of, _read_samples, _Samples, check_resolution
+from .dyadic import SampledFunction, _cells, _read_samples, _Samples, check_resolution
 
 _SPECTRUM_HEADER = "SPECTRUM"
 
 
-class Spectrum(_Samples):
-    """Walsh-Fourier coefficients in Paley order; coeffs[n] = fhat(n)."""
+def _zero_padded(head: np.ndarray, size: int) -> np.ndarray:
+    # head followed by +0.0 up to `size` entries.
+    full = np.zeros(size)
+    full[: head.size] = head
+    return full
 
-    __slots__ = ("coeffs",)
+
+class Spectrum(_Samples):
+    """Walsh-Fourier coefficients in Paley order; coeffs[n] = fhat(n).
+
+    Held as its head, a prefix of 2^k coefficients, with +0.0 from 2^k
+    on; coeffs is read-only and, for a head shorter than 2^N, built anew
+    on each read."""
+
+    __slots__ = ()
     _field = "coeffs"
+    _extend = staticmethod(_zero_padded)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._full()
+
+    def _prefix(self, size: int) -> np.ndarray:
+        # The first `size` coefficients: a view of the head, or a new array
+        # when the head is shorter.
+        head = self._head
+        return head[:size] if size <= head.size else _zero_padded(head, size)
 
 
 def bit_parity(values: np.ndarray) -> np.ndarray:
@@ -45,7 +67,7 @@ def walsh_signs(n: int, resolution: int) -> np.ndarray:
 def walsh(n: int, resolution: int) -> SampledFunction:
     """Walsh-Paley function w_n, the product of Rademacher functions
     selected by the binary digits of n."""
-    return SampledFunction(resolution, walsh_signs(n, resolution).astype(np.float64))
+    return SampledFunction._own(resolution, walsh_signs(n, resolution).astype(np.float64))
 
 
 # Arrays of at least this many entries run two butterfly stages per pass;
@@ -162,51 +184,69 @@ def _synthesis(coeffs: np.ndarray, resolution: int) -> np.ndarray:
     return values
 
 
+# The bits of -0.0.
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
+
+
+def _period_synthesis(coeffs: np.ndarray, resolution: int) -> np.ndarray:
+    """The head of a SampledFunction that is the full-size synthesis of a
+    float64 spectrum +0.0 past its power-of-two prefix coeffs: the
+    prefix's synthesis, of which the 2^N samples are copies, unless it is
+    shorter than 2^N and holds a -0.0, which the full-size butterfly turns
+    into +0.0 in every copy but the last; then all 2^N samples, which
+    _synthesis builds again from coeffs."""
+    synthesized = hadamard_transform(coeffs)
+    if coeffs.size < 1 << resolution and np.any(
+        synthesized.view(np.uint64) == _NEGATIVE_ZERO
+    ):
+        return _synthesis(coeffs, resolution)
+    return synthesized
+
+
 def fwht_forward(f: SampledFunction) -> Spectrum:
     """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu).
 
     A function of x mod 2^r, r its dyadic rank, has no coefficient from
-    2^r on, so values[:2^r] are transformed in place in the coefficient
-    array, scaled by 2^-r, and the rest is zero: O(r 2^r + 2^N).  That is
-    the full-size transform bit for bit, whose stages above 2^r only
-    double the first 2^r sums exactly and set the rest to x - x = +0.0, as
-    long as those doubled sums stay finite.
+    2^r on, so its 2^r cells are transformed, scaled by 2^-r, into the
+    head of the spectrum, and the rest is +0.0: O(r 2^r + 2^k) for a head
+    of 2^k samples, with 2^k the rank scan.  That is the full-size
+    transform bit for bit, whose stages above 2^r only double the first
+    2^r sums exactly and set the rest to x - x = +0.0, as long as those
+    doubled sums stay finite.
     Where 2^r max|f| is past the float range, the samples are scaled
     before the butterfly instead, so no sum overflows.
     The spectrum is computed once per function and kept on it; both are
     read-only, so every caller shares one transform.
     """
     if f._spectrum is None:
-        rank = _rank_of(f)
-        cells = f.values[: 1 << rank]
-        coeffs = np.zeros(f.size)
-        head = coeffs[: 1 << rank]
+        cells = _cells(f)
+        rank = cells.size.bit_length() - 1
         if math.isfinite(float(np.max(np.abs(cells))) * 2**rank):
-            head[:] = cells
-            _butterfly(head)
+            head = _butterfly(cells.copy())
             head *= 2.0**-rank
         else:
-            np.multiply(cells, 2.0**-rank, out=head)
-            _butterfly(head)
-        object.__setattr__(f, "_spectrum", Spectrum(f.resolution, coeffs))
+            head = _butterfly(cells * 2.0**-rank)
+        object.__setattr__(f, "_spectrum", Spectrum._own(f.resolution, head))
     return f._spectrum
 
 
 def fwht_inverse(s: Spectrum) -> SampledFunction:
-    """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.  _synthesis
-    gets the shortest power-of-two prefix past which every coefficient has
-    the bits of +0.0, so the result is the full-size synthesis bit for bit.
-    A synthesis that passes the float range is a ValueError."""
-    bits = s.coeffs.view(np.uint64)
-    size = s.size
+    """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.
+    _period_synthesis gets the shortest power-of-two prefix past which
+    every coefficient has the bits of +0.0, so the result is the full-size
+    synthesis bit for bit, held as one period where that is exact.  A
+    synthesis that passes the float range is a ValueError."""
+    head = s._head
+    bits = head.view(np.uint64)
+    size = head.size
     while size > 1 and not bits[size // 2 : size].any():
         size //= 2
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _synthesis(s.coeffs[:size], s.resolution)
+        values = _period_synthesis(head[:size], s.resolution)
     # Every other copy is the last one plus 0.
     if not np.isfinite(values[-size:]).all():
         raise ValueError("the synthesis of the spectrum overflows the float range")
-    return SampledFunction(s.resolution, values)
+    return SampledFunction._own(s.resolution, values)
 
 
 def fourier_coefficients_naive(f: SampledFunction) -> np.ndarray:
@@ -223,10 +263,9 @@ def partial_sum(f: SampledFunction, n: int) -> SampledFunction:
         raise ValueError(
             f"partial sum order {n} exceeds representable range [0, {f.size}]"
         )
-    spec = fwht_forward(f)
-    truncated = np.zeros(f.size)
-    truncated[:n] = spec.coeffs[:n]
-    return fwht_inverse(Spectrum(f.resolution, truncated))
+    truncated = np.zeros(1 << max(n - 1, 0).bit_length())
+    truncated[:n] = fwht_forward(f)._prefix(n)
+    return fwht_inverse(Spectrum._own(f.resolution, truncated))
 
 
 def write_spectrum(s: Spectrum, stream) -> None:

@@ -1,0 +1,109 @@
+"""Golden bytes: the sha256 of (exit code, stdout) of fixed CLI calls.
+
+The digests were recorded before the function storage and the JSON writer
+were rewritten; any change to the bytes a command prints fails here.  The
+calls leave out p = 2, whose moduli moved in their last bits when the p = 2
+table stopped summing the terms that cancel exactly.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from walshvp import cli
+
+WALSH_POLY = "walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625"
+SPECS = ("abs_power:0.5", "indicator:2", "step_mix", "random", WALSH_POLY)
+FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro:2", "cesaro:0.5")
+
+
+def _calls():
+    calls = {}
+    for fmt in ("csv", "json"):
+        for spec, weights, N in zip(SPECS, FAMILIES, (12, 10, 12, 10, 11)):
+            common = ["--function", spec, "--resolution", str(N), "--p", "1,inf",
+                      "--seed", "3", "--format", fmt]
+            calls[f"approx {spec} {fmt}"] = ["approx", "--weights", weights] + common
+            calls[f"modulus {spec} {fmt}"] = ["modulus"] + common
+        calls[f"kernel-norms {fmt}"] = ["kernel-norms", "--resolution", "10", "--format", fmt]
+        for family in FAMILIES:
+            calls[f"weights-validate {family} {fmt}"] = [
+                "weights-validate", "--weights", family, "--n", "5", "--format", fmt
+            ]
+    return calls
+
+
+CALLS = _calls()
+
+DIGESTS = {
+    "approx abs_power:0.5 csv": "0f3d27fa61bac5e4e901218d2e360080a24db67ec0b64bd9077adcc7ba2a7b57",
+    "approx abs_power:0.5 json": "4402e7faf6532e39c55183deb1455c929d8690917f19567d5934e27ad4af72cf",
+    "approx indicator:2 csv": "fc7f07b168cd471ce27f8ea8e8a5860f8b5c95093d147f94d8d8602177b42e37",
+    "approx indicator:2 json": "273e76358787470c67e0fa7290073b18e50309a7b669f5ca1d18e79fd5b009b7",
+    "approx random csv": "de389728e3344acfcdc7a1e7bda92a46fe65c25319b03be73afcc5bb13d2f508",
+    "approx random json": "f2e6cfaad34ad730e687bb591ddd7928a2c6fb0ada5061c99a3db7970380299a",
+    "approx step_mix csv": "ccf18336ad6de0d53037653db909ee4479a32738eaf588276d2604da788d0389",
+    "approx step_mix json": "43028fca8af8d2212a23dd3cec86ceed761a1de2ac193793ff56b7a2d4d7b4c1",
+    "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 csv": "5e3ce11059edc63bcf1cade8fcb4fbfdbd17fa0782384d5d8f72900a36765231",
+    "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 json": "a3cd5ae28dc7808cbaa186017479d723fd79bd1c86febd4b0710d9533cd2833b",
+    "kernel-norms csv": "9ecd3ae72486afc211f95bfdf7771d5294cc8bf34fe5834dce2aba54b3a79aaa",
+    "kernel-norms json": "4b8843af5626522f582eec88cc0525b30444f7812ed9a512cbef77fe4ad07d12",
+    "modulus abs_power:0.5 csv": "9dd3471de5104a5ba631a859406688eb60d2cb7c00bd6d5c4325a082a1c463aa",
+    "modulus abs_power:0.5 json": "0979e170f92c086e4396fda7a78ff2c1878fc0733462d25be5278cb2ae1b1da7",
+    "modulus indicator:2 csv": "84cf3d16e99b88dbd53bd9d09d7e6e954b4bfc874175f45155ed41a7bb4e21a5",
+    "modulus indicator:2 json": "7b171d06dabbcf8a3f883971459bba6ef797cb6bb4c5c7e92a0946ee5761d490",
+    "modulus random csv": "e27eb5d5cd55b2ee06b70de57949afe81d4e0b11d0d57e66aecbcbe2b3d89d01",
+    "modulus random json": "a513837dff5d8d9d39768a5f94802bbab0b8448c9f764865cfee39ed0ebe3d5d",
+    "modulus step_mix csv": "5aecedaf33e30e9f180bf4612155e5977f3a43dd9a7d403da3874edf8ce0d690",
+    "modulus step_mix json": "fc1376c02565116ad09dedbbb09f4a775efa6938171ae2c4aa1ccda0e3bc4118",
+    "modulus walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 csv": "49c66380efa113075b471913c0efebee648dce9a10c14a14f404070802363ee2",
+    "modulus walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 json": "b53d5f1f74888c537faf18e98d758a4fe412a7bf9d77225e9918e254639997c9",
+    "transform forward": "cb8ced6439eeeb59fa94c8a8ae567798886f4956be83b9a9cd93ccb6831aefe6",
+    "transform inverse": "2fb8e3edc8e49299e7609aeed14a307374aea962a95aa5e85dc2e9d744b74768",
+    "weights-validate cesaro:0.5 csv": "564fa6715279e1459dd3d40ec6a4566933a7a14992469788fbdabe65af2fad1a",
+    "weights-validate cesaro:0.5 json": "bcf1de8b6d0d25d4399be6641019588671ffbbcfb05462d4316f333a8aaa7376",
+    "weights-validate cesaro:2 csv": "553db1a642af896b7d81a5d9272200a78b24b3b3cbb4b491daca6e306d5585f9",
+    "weights-validate cesaro:2 json": "f8f5e51bcd4bd5434ef7bf9ee74030f88bfecc5257f1ef07c3a22644e8f110ea",
+    "weights-validate linear_down csv": "553db1a642af896b7d81a5d9272200a78b24b3b3cbb4b491daca6e306d5585f9",
+    "weights-validate linear_down json": "f8f5e51bcd4bd5434ef7bf9ee74030f88bfecc5257f1ef07c3a22644e8f110ea",
+    "weights-validate linear_up csv": "5edb74074ad418d7603670b042c2ac1273ba9d9d5c9800633419aae072e994a4",
+    "weights-validate linear_up json": "ebaa0ab0bdbe04bcd89b28d6d9ec8982dd9c072aa6f1e69e2d196a329c21381f",
+    "weights-validate uniform csv": "1138ad5072549007b4ba99c1d1ca44870f86db08a1cd04a1ed08d6a037326760",
+    "weights-validate uniform json": "ae999950b0e019237d8b3d7e996d2f0a5e002e6ab980e672a7f3da59757f41e4",
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _digest(code, out):
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+def transform_outputs(tmp_path):
+    """(exit code, stdout) of a forward transform of a fixed function at
+    N = 6, and of the inverse transform of that spectrum."""
+    source = tmp_path / "f.txt"
+    samples = [((7 * j) % 11 - 5) / 8 for j in range(64)]
+    source.write_text("N=6\n" + "".join(f"{v!r}\n" for v in samples))
+    forward = _run(["transform", "--in", str(source)])
+    spectrum = tmp_path / "s.txt"
+    spectrum.write_text(forward[1])
+    return {"transform forward": forward,
+            "transform inverse": _run(["transform", "--inverse", "--in", str(spectrum)])}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_cli_bytes(name):
+    assert _digest(*_run(CALLS[name])) == DIGESTS[name]
+
+
+def test_transform_round_trip_bytes(tmp_path):
+    for name, (code, out) in transform_outputs(tmp_path).items():
+        assert _digest(code, out) == DIGESTS[name]

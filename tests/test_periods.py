@@ -1,0 +1,146 @@
+"""A function held as its 2^r period and a spectrum as its prefix: the 2^N
+entries read back, the copies of the public constructors, and the low-rank
+commands that never build 2^N entries."""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from walshvp import cli, dyadic
+from walshvp.dyadic import (
+    SampledFunction,
+    interval_indicator,
+    lp_norm,
+    modulus_of_continuity,
+    translate,
+)
+from walshvp.experiments import make_function, step_mix, walsh_poly
+from walshvp.means import vp_mean
+from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse
+from walshvp.weights import build_scheme
+
+
+def _run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+class TestHeldPeriod:
+    def test_builders_hold_one_period(self):
+        assert step_mix(3, 20)._head.size == 16
+        assert interval_indicator(5, 20)._head.size == 32
+        assert walsh_poly([1.0, 0.0, 0.5], 20)._head.size == 4
+        f = step_mix(3, 20)
+        assert fwht_forward(f)._head.size == 16
+        mean = vp_mean(f, build_scheme("uniform", 2)).function
+        assert mean._head.size == 8 and (mean - f)._head.size == 16
+
+    def test_values_repeat_the_head_and_coeffs_pad_it_with_zeros(self):
+        f = step_mix(7, 10)
+        assert f.values.shape == (1 << 10,)
+        assert np.array_equal(f.values, np.tile(f._head, 1 << 6))
+        coeffs = fwht_forward(f).coeffs
+        assert coeffs.shape == (1 << 10,) and not coeffs[16:].view(np.uint64).any()
+        for full in (f.values, coeffs):
+            with pytest.raises(ValueError):
+                full[0] = 1.0
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_on_periods_are_the_operations_on_the_samples(self, N, data):
+        ra, rb = data.draw(st.integers(0, N)), data.draw(st.integers(0, N))
+        floats = st.floats(-4, 4, allow_nan=False)
+        a = SampledFunction._own(N, np.array(data.draw(st.lists(floats, min_size=1 << ra,
+                                                                max_size=1 << ra))))
+        b = SampledFunction._own(N, np.array(data.draw(st.lists(floats, min_size=1 << rb,
+                                                                max_size=1 << rb))))
+        t = data.draw(st.integers(0, (1 << N) - 1))
+        idx = np.arange(1 << N)
+        bits = {
+            "sum": ((a + b).values, a.values + b.values),
+            "difference": ((a - b).values, a.values - b.values),
+            "product": ((a * b).values, a.values * b.values),
+            "scaled": ((a * 3.0).values, a.values * 3.0),
+            "negation": ((-a).values, -a.values),
+            "translate": (translate(a, t).values, a.values[idx ^ t]),
+        }
+        for name, (held, full) in bits.items():
+            assert held.tobytes() == full.tobytes(), name
+        full_a = SampledFunction(N, a.values)
+        for p in (1.0, 2.0, 3.5, float("inf")):
+            assert lp_norm(a, p) == lp_norm(full_a, p)
+            for n in range(N + 1):
+                assert modulus_of_continuity(a, n, p) == modulus_of_continuity(full_a, n, p)
+
+
+class TestPublicConstructorsCopy:
+    def test_a_later_write_to_the_caller_array_changes_nothing(self):
+        # Before the copy, f saw the write: its kept table still gave 0.0
+        # while the brute-force loop over its samples gave 0.5.
+        a = np.zeros(8)
+        f = SampledFunction(3, a)
+        assert modulus_of_continuity(f, 0, 2) == 0.0
+        a[3] = 1.0
+        assert not f.values.any()
+        assert modulus_of_continuity(f, 0, 2) == modulus_of_continuity(f, 0, 2, brute_force=True)
+        assert modulus_of_continuity(f, 0, 2, brute_force=True) == 0.0
+        g = SampledFunction(3, a)
+        assert modulus_of_continuity(g, 0, 2) == modulus_of_continuity(g, 0, 2, brute_force=True)
+        assert modulus_of_continuity(g, 0, 2, brute_force=True) == 0.5
+
+    def test_spectrum_keeps_its_own_coefficients(self):
+        c = np.zeros(8)
+        c[0] = 1.0
+        s = Spectrum(3, c)
+        c[5] = 2.0
+        assert not s.coeffs[1:].any()
+        assert np.array_equal(fwht_inverse(s).values, np.ones(8))
+
+
+def test_p2_modulus_keeps_a_term_that_the_mean_dwarfs():
+    # The mean's square, 1, would round the 1e-20 of w_4 away in the
+    # difference of the p = 2 table; it cancels exactly and is left out.
+    code, out = _run("approx", "--function", "walsh_poly:1,0,0,0,1e-10", "--resolution", "4",
+                     "--weights", "uniform", "--nmin", "1", "--nmax", "1", "--p", "1,2,inf")
+    assert code == 0 and "inconsistent" not in out
+    row = [line for line in out.splitlines() if line.startswith("1,2,")][0].split(",")
+    f = make_function("walsh_poly:1,0,0,0,1e-10", 4)
+    oracle = modulus_of_continuity(f, 1, 2, brute_force=True)
+    modulus = modulus_of_continuity(f, 1, 2)
+    assert abs(modulus - oracle) <= 1e-12 * oracle
+    assert float(row[3]) == pytest.approx(oracle, rel=1e-11)
+
+
+class TestLowRankCommandsStayAtTheirRank:
+    """A rank-4 function at N = 20..24 never builds its 2^N samples."""
+
+    def test_no_full_array_is_read(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a 2^N array was built")
+
+        monkeypatch.setattr(dyadic._Samples, "_full", refuse)
+        for argv in (
+            ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "8", "--p", "1,2,inf"),
+            ("modulus", "--nmin", "0", "--nmax", "20", "--p", "1,2,3,inf"),
+        ):
+            for function in ("step_mix", "indicator:3", "walsh_poly:1,0.5,0,-0.25"):
+                code, _ = _run(*argv, "--function", function, "--resolution", "20")
+                assert code == 0, (argv, function)
+
+    def test_rank4_approx_at_n24_peaks_below_50_mib(self):
+        tracemalloc.start()
+        try:
+            code, out = _run("approx", "--function", "step_mix", "--resolution", "24",
+                             "--weights", "uniform", "--p", "1,2,inf", "--nmin", "8", "--nmax", "8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.count("\n8,") == 3
+        assert peak < 50 << 20

@@ -36,10 +36,12 @@ def _forward_oracle(f):
 
 def _l2_distances_oracle(f):
     """(scale, ||f(.+t) - f||_2^2 / scale^2 for every t) from one transform
-    of all 2^N squared coefficients."""
+    of all 2^N squared coefficients but the one at m = 0, which w_0 = 1
+    cancels at every t."""
     top = max(-float(np.min(f.values)), float(np.max(f.values)))
     scale = _power_scale(top, 2.0, f.resolution)
     g = (_forward_oracle(f) / scale) ** 2
+    g[0] = 0.0
     return scale, 2.0 * (_pairwise_total(g) - hadamard_transform(g))
 
 
