@@ -166,7 +166,11 @@ def _add_common(parser, resolution_default=8):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built once per process: main
+    reuses it on every call.  Parsing leaves it unchanged, so no call sees
+    another's arguments; only its own arguments reach a command."""
     parser = argparse.ArgumentParser(
         prog="walshvp",
         description="Walsh-Fourier analysis and de la Vallee Poussin mean experiments",
@@ -360,6 +364,8 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_weights_validate(args) -> int:
+    if not (math.isfinite(args.cmax) and args.cmax >= 0):
+        raise ValueError(f"--cmax must be finite and >= 0, got {args.cmax}")
     scheme = _scheme(args.weights, args.n)
     report = validate(scheme, case_a_cap=args.cmax)
     record = {

@@ -53,22 +53,34 @@ class WeightScheme:
         n = self.block_exponent
         if n < 1:
             raise ValueError(f"block exponent must be >= 1, got {n}")
-        ints = [operator.index(a) for a in self.numerators]
+        numer = _integers(self.numerators)
         denom = operator.index(self.denominator)
         if denom < 1:
             raise ValueError(f"denominator must be positive, got {denom}")
-        if any(a < 0 for a in ints):
+        if np.any(numer < 0):
             raise ValueError("weights must be non-negative")
-        g = math.gcd(denom, *ints)
-        ints = [a // g for a in ints]
+        # g divides the numerators' gcd, so it fits their dtype; that gcd
+        # is 0 only when every numerator is, and then none needs dividing.
+        # On Python ints math.gcd stops at the first gcd of 1, which
+        # np.gcd.reduce does not.
+        common = math.gcd(*numer) if numer.dtype == object else int(np.gcd.reduce(numer))
+        g = math.gcd(common, denom)
+        if common and g > 1:
+            numer = numer // g
         denom //= g
-        numer = np.array(ints, dtype=np.int64 if sum(ints) < 1 << 63 else object)
+        # A fixed-width sum cannot wrap while top * count stays below 2^63.
+        top = int(numer.max(initial=0))
+        total = int(numer.sum(dtype=object if top * numer.size >= 1 << 63 else None))
+        numer = numer.astype(np.int64 if total < 1 << 63 else object)
         if numer.shape != (1 << n,):
             raise ValueError(
                 f"expected {1 << n} weights for block exponent {n}, "
                 f"got shape {numer.shape}"
             )
-        weights = np.array([a / denom for a in ints])
+        # A float64 quotient of operands exact in float64 is correctly
+        # rounded; past 2^53 Python's int / int divides exactly, then rounds.
+        exact = numer if max(top, denom) <= 1 << 53 else numer.astype(object)
+        weights = np.asarray(exact / denom, dtype=np.float64)
         numer.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "numerators", numer)
@@ -105,8 +117,16 @@ class ValidationReport:
     case_b_ok: bool
 
 
-def _normalized(numerators: Sequence[int], n: int) -> WeightScheme:
-    return WeightScheme(n, numerators=numerators, denominator=sum(numerators))
+_INDEX = np.frompyfunc(operator.index, 1, 1)
+
+
+def _integers(values) -> np.ndarray:
+    """values as one array of integers: a 1-d integer array as it is,
+    anything else through operator.index into an object array of Python
+    ints, which raises its TypeError on a value that is not an integer."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 1:
+        return values
+    return _INDEX(np.fromiter(values, dtype=object))
 
 
 def _over_common_denominator(raw: Sequence[Fraction]) -> tuple:
@@ -145,7 +165,10 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
 
     Families: uniform, linear_up, linear_down, cesaro (requires a finite
     alpha > -1; alpha = 1 reproduces uniform, alpha = 2 gives the
-    decreasing tail weights).  A weight file is read by load_weight_file.
+    decreasing tail weights).  An alpha is read as the nearest fraction
+    with a denominator up to 10^9, and refused if that fraction is more
+    than 1e-9 relative away from it.  A weight file is read by
+    load_weight_file.
     A block no resolution up to MAX_RESOLUTION holds, or a cesaro
     scheme whose exact numerators would pass _CESARO_MAX_BITS, is refused
     before its 2^n weights are built.
@@ -158,17 +181,23 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
         )
     count = 1 << n
     if family == "uniform":
-        return _normalized([1] * count, n)
-    if family == "linear_up":
-        return _normalized(range(1, count + 1), n)
-    if family == "linear_down":
-        return _normalized(range(count, 0, -1), n)
+        return WeightScheme(n, np.ones(count, dtype=np.int64), count)
+    if family in ("linear_up", "linear_down"):
+        ramp = np.arange(1, count + 1, dtype=np.int64)
+        return WeightScheme(
+            n, ramp if family == "linear_up" else ramp[::-1], count * (count + 1) // 2
+        )
     if family == "cesaro":
         if alpha is None:
             raise ValueError("cesaro family requires alpha")
         if not math.isfinite(alpha):
             raise ValueError(f"cesaro alpha must be finite, got {alpha}")
         alpha_q = Fraction(alpha).limit_denominator(10**9)
+        if abs(alpha_q - Fraction(alpha)) > abs(Fraction(alpha)) / 10**9:
+            raise ValueError(
+                f"cesaro alpha {alpha} has no fraction with a denominator up to 1e9 "
+                f"within 1e-9 relative of it; the nearest is {alpha_q}"
+            )
         if alpha_q <= -1:
             raise ValueError(f"cesaro alpha must exceed -1, got {alpha}")
         bits = 4**n * math.log2(alpha_q.denominator)
@@ -184,9 +213,9 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
                 f"weights, above {_CESARO_MAX_BITS:.1e}; lower n, alpha or alpha's denominator"
             )
         numerators = _binomial_ratio_numerators(alpha_q, count)
-        if any(a < 0 for a in numerators):
+        if min(numerators) < 0:
             raise ValueError(f"cesaro alpha {alpha} produces negative weights")
-        return _normalized(numerators, n)
+        return WeightScheme(n, numerators, sum(numerators))
     raise ValueError(f"unknown weight family {family!r}; choose from {FAMILIES}")
 
 

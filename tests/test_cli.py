@@ -608,6 +608,52 @@ def test_cesaro_past_the_bit_budget_is_refused(capsys, alpha, n):
     assert elapsed < 0.5 and peak < 1 << 20
 
 
+@pytest.mark.parametrize("alpha", ["1e-10", "1e-12", "-3e-11"])
+def test_cesaro_alpha_without_a_near_fraction_is_refused(capsys, alpha):
+    # cesaro:1e-10 was rounded to the fraction 0 and ran as cesaro:0, exit 0.
+    code, out, err = run(capsys, "weights-validate", "--weights", f"cesaro:{alpha}", "--n", "3")
+    assert code == 2 and out == ""
+    assert f"cesaro alpha {float(alpha)} has no fraction" in err
+
+
+@pytest.mark.parametrize("alpha", ["2", "0.5", "0.3", "0.123456789"])
+def test_cesaro_alpha_with_a_near_fraction_is_kept(capsys, alpha):
+    code, out, _ = run(capsys, "weights-validate", "--weights", f"cesaro:{alpha}", "--n", "3")
+    assert code == 0 and out.splitlines()[1].split(",")[2] == "true"
+
+
+@pytest.mark.parametrize("cmax", ["nan", "inf", "-inf", "-1"])
+def test_cmax_must_be_finite_and_non_negative(capsys, cmax):
+    # nan and -1 read case_a_ok as false without a word, inf as vacuously true.
+    code, out, err = run(capsys, "weights-validate", "--weights", "linear_up", "--n", "3",
+                         f"--cmax={cmax}")
+    assert code == 2 and out == ""
+    assert err == f"error: --cmax must be finite and >= 0, got {float(cmax)}\n"
+
+
+def test_cmax_zero_is_a_cap(capsys):
+    code, out, _ = run(capsys, "weights-validate", "--weights", "uniform", "--n", "3",
+                       "--cmax", "0")
+    assert code == 0 and out.splitlines()[1].split(",")[5] == "false"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # Every call built the whole tree of 7 parsers, about 1.5 ms of argparse
+    # set-up per call.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(25):
+        assert run(capsys, "weights-validate", "--weights", "uniform", "--n", "2")[0] == 0
+        assert run(capsys, "kernel-norms", "--resolution", "3")[0] == 0
+    assert len(built) <= 7
+
+
 @pytest.mark.parametrize("n", [70, dyadic.MAX_RESOLUTION])
 @pytest.mark.parametrize("weights", ["uniform", "cesaro:2"])
 def test_block_past_the_resolution_cap_is_refused(capsys, n, weights):

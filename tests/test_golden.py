@@ -6,9 +6,11 @@ calls leave out p = 2, whose moduli moved in their last bits when the p = 2
 table stopped summing the terms that cancel exactly.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -107,3 +109,59 @@ def test_cli_bytes(name):
 def test_transform_round_trip_bytes(tmp_path):
     for name, (code, out) in transform_outputs(tmp_path).items():
         assert _digest(code, out) == DIGESTS[name]
+
+
+def _exit_code(argv):
+    """The exit code of a call that argparse may refuse with SystemExit."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _run(argv)[0]
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_calls_leave_no_state(tmp_path):
+    # main reuses one parser per process, so no call may see what an
+    # earlier one parsed: each golden call runs twice, in a shuffled order,
+    # among refused arguments, config files and parses into a namespace
+    # of the caller's.
+    config = tmp_path / "run.cfg"
+    config.write_text("resolution=6\nnmax=2\nseed=9\nformat=json\np=1,2\n")
+
+    class Preset(argparse.Namespace):
+        pass
+
+    def golden(name):
+        assert _digest(*_run(CALLS[name])) == DIGESTS[name]
+
+    def transforms(i):
+        folder = tmp_path / f"transform{i}"
+        folder.mkdir()
+        for name, (code, out) in transform_outputs(folder).items():
+            assert _digest(code, out) == DIGESTS[name]
+
+    def refused():
+        assert _exit_code(["approx", "--function", "step_mix", "--weights"]) == 2
+
+    def unknown():
+        assert _exit_code(["no-such-command", "--resolution", "5"]) == 2
+
+    def configured():
+        code, out = _run(["modulus", "--function", "random", "--config", str(config)])
+        assert code == 0 and out.startswith("[") and out.count('"n":') == 6
+
+    def namespace():
+        preset = Preset(seed=99, nmax=2, verbose=True)
+        args = cli.build_parser().parse_args(
+            ["approx", "--function", "step_mix", "--weights", "uniform", "--resolution", "5"],
+            namespace=preset,
+        )
+        assert args is preset and args.verbose
+        assert (args.function, args.resolution, args.nmin, args.p) == ("step_mix", 5, 1, "inf")
+
+    steps = [lambda name=name: golden(name) for name in CALLS]
+    steps += [refused, unknown, configured, namespace]
+    steps = 2 * steps + [lambda: transforms(1), lambda: transforms(2)]
+    random.Random(25).shuffle(steps)
+    for step in steps:
+        step()

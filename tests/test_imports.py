@@ -199,6 +199,41 @@ def test_radix4_view_is_reported():
     assert _radix4_views({"m": tree}) == ["m.Blocked", "m.fork"]
 
 
+_PARSER_MAKERS = {"ArgumentParser", "add_parser", "add_subparsers"}
+
+
+def _parser_builders(modules: dict):
+    """module.name of each top-level statement that names a maker of
+    argparse parsers (ArgumentParser, add_parser, add_subparsers), called
+    or passed on."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in _PARSER_MAKERS:
+                    found.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_build_parser_builds_a_parser():
+    # main reuses the one parser that the cached build_parser makes; a parser
+    # built anywhere else would be rebuilt on every call.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _parser_builders(modules) == ["cli.build_parser"]
+
+
+def test_parser_builder_is_reported():
+    tree = ast.parse(
+        "import argparse\nfrom argparse import ArgumentParser\n"
+        "def main(argv):\n    return argparse.ArgumentParser().parse_args(argv)\n"
+        "def sub(parser):\n    add = parser.add_subparsers().add_parser\n"
+        "class Cli:\n    def parse(self, argv):\n        return self.parser.parse_args(argv)\n"
+        "PARSER = ArgumentParser(prog='m')\n"
+    )
+    assert _parser_builders({"m": tree}) == ["m.<module>", "m.main", "m.sub"]
+
+
 def test_only_walsh_system_builds_walsh_signs():
     # Walsh sign rows are the space-domain route; outside the tests' oracles
     # only walsh_system builds them, and every other module synthesizes.

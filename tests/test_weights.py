@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,8 @@ from walshvp.weights import (
     NONINCREASING,
     ValidationReport,
     WeightScheme,
+    _binomial_ratio_numerators,
+    _over_common_denominator,
     build_scheme,
     load_weight_file,
     validate,
@@ -293,3 +297,129 @@ class TestWeightFiles:
         path.write_text("index,weight\n2,1\n3,1\n")
         with pytest.raises(ValueError):
             load_weight_file(str(path))
+
+
+def _list_pass(n, numerators, denominator):
+    """The scheme constructor before it ran on arrays, one Python pass per
+    step: the oracle of the array constructor's numerators, denominator,
+    float weights and error messages."""
+    if n < 1:
+        raise ValueError(f"block exponent must be >= 1, got {n}")
+    ints = [operator.index(a) for a in numerators]
+    denom = operator.index(denominator)
+    if denom < 1:
+        raise ValueError(f"denominator must be positive, got {denom}")
+    if any(a < 0 for a in ints):
+        raise ValueError("weights must be non-negative")
+    g = math.gcd(denom, *ints)
+    ints = [a // g for a in ints]
+    denom //= g
+    numer = np.array(ints, dtype=np.int64 if sum(ints) < 1 << 63 else object)
+    if numer.shape != (1 << n,):
+        raise ValueError(
+            f"expected {1 << n} weights for block exponent {n}, "
+            f"got shape {numer.shape}"
+        )
+    return numer, denom, np.array([a / denom for a in ints])
+
+
+def _outcome(make):
+    """dtype, numerators, denominator and weight bits of what make returns,
+    or the type and message of what it raises."""
+    try:
+        made = make()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(made, WeightScheme):
+        made = made.numerators, made.denominator, made.weights
+    numer, denom, weights = made
+    return numer.dtype, [int(a) for a in numer], denom, weights.tobytes()
+
+
+class TestArrayConstructor:
+    # The family builders' numerators and sums before they passed arrays.
+    _LISTS = {
+        "uniform": lambda count, alpha: [1] * count,
+        "linear_up": lambda count, alpha: list(range(1, count + 1)),
+        "linear_down": lambda count, alpha: list(range(count, 0, -1)),
+        "cesaro": lambda count, alpha: _binomial_ratio_numerators(
+            Fraction(alpha).limit_denominator(10**9), count
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "family, alpha",
+        [("uniform", None), ("linear_up", None), ("linear_down", None),
+         ("cesaro", 2), ("cesaro", 0.5), ("cesaro", 0.3), ("cesaro", 1 / 3), ("cesaro", 3.5)],
+    )
+    def test_families_match_the_list_pass(self, family, alpha):
+        for n in range(1, 13):
+            numer = self._LISTS[family](1 << n, alpha)
+            expected = _outcome(lambda: _list_pass(n, numer, sum(numer)))
+            assert _outcome(lambda: build_scheme(family, n, alpha=alpha)) == expected
+
+    @staticmethod
+    def _random_file(seed):
+        """The block exponent and weight tokens of a random weight file, of
+        one of three kinds: digits; p/q over one q past 2^53; p/q with p up
+        to 2^70 and q up to 2^40, whose numerators over the common
+        denominator sum past 2^63."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        kind = seed % 3
+        if kind == 0:
+            return n, [str(rng.randint(0, 9)) for _ in range(1 << n)]
+        if kind == 1:
+            q = rng.randint(1 << 54, 1 << 60)
+            return n, [f"{rng.randint(0, 1000)}/{q}" for _ in range(1 << n)]
+        return n, [f"{rng.randint(0, 1 << 70)}/{rng.randint(1, 1 << 40)}" for _ in range(1 << n)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_weight_files_match_the_list_pass(self, tmp_path, seed):
+        n, tokens = self._random_file(seed)
+        path = tmp_path / "w.csv"
+        path.write_text("k,t\n" + "".join(f"{(1 << n) + i},{t}\n" for i, t in enumerate(tokens)))
+        numer, denom = _over_common_denominator([Fraction(t) for t in tokens])
+        expected = _outcome(lambda: _list_pass(n, numer, denom))
+        assert _outcome(lambda: load_weight_file(str(path))) == expected
+
+    def test_random_files_reach_both_dtypes_and_wide_denominators(self):
+        reached = set()
+        for seed in range(12):
+            numer, denom = _over_common_denominator(
+                [Fraction(t) for t in self._random_file(seed)[1]]
+            )
+            reached.add((sum(numer) >= 1 << 63, denom >= 1 << 53))
+        assert reached == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize(
+        "n, numerators, denominator",
+        [
+            (2, [1, -1, 2, 3], 5),
+            (2, [0, 0, 0, 0], 0),
+            (2, [0, 0, 0, 0], 2**70),
+            (1, [2**70, 0], 2**71),
+            (2, [1, 2, 3], 6),
+            (2, [], 1),
+            (1, [3, -1, 2], 4),
+            (1, [1, 1], -3),
+            (0, [1], 1),
+            (1, [0.5, 0.5], 1),
+            (1, np.array([0.5, 0.5]), 1),
+            (1, np.array([[1, 2], [3, 4]]), 1),
+            (1, [1, 1], 1.0),
+            (2, np.array([2**64 - 1, 1, 1, 1], dtype=np.uint64), 2**64 + 2),
+            (2, np.array([4, 8, 12, 16], dtype=np.int8), 40),
+            (3, np.arange(8, dtype=np.int64) * 2**59, 2**64),
+        ],
+    )
+    def test_edge_inputs_match_the_list_pass(self, n, numerators, denominator):
+        assert _outcome(lambda: WeightScheme(n, numerators, denominator)) == _outcome(
+            lambda: _list_pass(n, numerators, denominator)
+        )
+
+    def test_caller_arrays_are_left_writable(self):
+        numer = np.arange(1, 5, dtype=np.int64)
+        w = WeightScheme(2, numer, 10)
+        numer[0] = 7
+        assert numer.flags.writeable and w.numerators[0] == 1
