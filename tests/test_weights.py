@@ -398,6 +398,7 @@ class TestArrayConstructor:
             (2, [1, -1, 2, 3], 5),
             (2, [0, 0, 0, 0], 0),
             (2, [0, 0, 0, 0], 2**70),
+            (2, np.zeros(4, dtype=np.int64), 2**70),
             (1, [2**70, 0], 2**71),
             (2, [1, 2, 3], 6),
             (2, [], 1),
