@@ -49,23 +49,24 @@ class _Samples:
     over to _own, which keeps it as it is."""
 
     __slots__ = ("resolution", "_head")
+    _dtype = np.float64
 
-    def __init__(self, resolution: int, values) -> None:
+    def __init__(self, resolution: int, values, *rest) -> None:
         resolution = check_resolution(resolution)
-        head = np.array(values, dtype=np.float64)
+        head = np.array(values, dtype=self._dtype)
         if head.shape != (1 << resolution,):
             raise ValueError(
                 f"expected {1 << resolution} {self._field} for resolution "
                 f"{resolution}, got shape {head.shape}"
             )
-        self._hold(resolution, head)
+        self._hold(resolution, head, *rest)
 
     @classmethod
-    def _own(cls, resolution: int, head: np.ndarray):
-        # An instance on `head`, a float64 array of 2^k <= 2^N entries that
-        # nothing else refers to, without a copy.
+    def _own(cls, resolution: int, head: np.ndarray, *rest):
+        # An instance on `head`, an array of 2^k <= 2^N entries that nothing
+        # else refers to, without a copy; `rest` goes on to _hold.
         self = object.__new__(cls)
-        self._hold(resolution, head)
+        self._hold(resolution, head, *rest)
         return self
 
     def _hold(self, resolution: int, head: np.ndarray) -> None:
@@ -73,9 +74,8 @@ class _Samples:
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "_head", head)
 
-    def _full(self) -> np.ndarray:
-        # All 2^N entries, read-only: the head, or a new array built from it.
-        head = self._head
+    def _full(self, head: np.ndarray) -> np.ndarray:
+        # All 2^N entries of a head of self, read-only: head or a new array.
         if head.size == self.size:
             return head
         full = self._extend(head, self.size)
@@ -94,10 +94,11 @@ class _Samples:
 
 
 def _periods(head: np.ndarray, size: int) -> np.ndarray:
-    # head repeated to `size` entries, a multiple of its length.
+    # head repeated to `size` entries, a multiple of its length: head, or a
+    # new array (a broadcast of one entry is a stride-0 view, no buffer).
     if head.size == size:
         return head
-    return np.broadcast_to(head, (size // head.size, head.size)).reshape(size)
+    return np.tile(head, size // head.size)
 
 
 class SampledFunction(_Samples):
@@ -126,7 +127,7 @@ class SampledFunction(_Samples):
 
     @property
     def values(self) -> np.ndarray:
-        return self._full()
+        return self._full(self._head)
 
     def _check_same(self, other: "SampledFunction") -> None:
         if self.resolution != other.resolution:

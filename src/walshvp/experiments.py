@@ -368,8 +368,9 @@ class LemmaResult:
 def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
     worst = 0
     for m in range(resolution + 1):
-        direct = dirichlet(1 << m, resolution).exact_numer
-        worst = max(worst, int(np.max(np.abs(direct - _paley_int(m, resolution)))))
+        # Both are held as their period of 2^m cells.
+        direct = dirichlet(1 << m, resolution)._exact_head
+        worst = max(worst, int(np.max(np.abs(direct - _paley_int(m)))))
     return LemmaResult("dirichlet-closed-form", resolution + 1, float(worst), worst == 0)
 
 

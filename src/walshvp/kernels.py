@@ -1,13 +1,14 @@
 """Dirichlet, Fejer, and matrix-transform de la Vallee Poussin kernels.
 
-Each kernel is synthesized in integers by walsh_system._synthesis from its
-Walsh coefficients below n (D_n, K_n) or 2^(n+1) (block-n VP kernel), with
-exact integer numerators over one denominator (1 for Dirichlet kernels, n
-for K_n, the weights' common denominator for VP kernels), so the kernel
-identities (the closed form of D at powers of two, the recursive splitting
-of D, and the three-part VP decomposition) can be checked with zero error.
-The numerators are int64, except that a VP kernel whose weights have large
-numerators is held in Python ints (_block_weights).
+D_n and K_n for n <= 2^m depend only on x_0..x_(m-1), the block-n VP
+kernel only on x_0..x_n, so each is held as that period of integer
+numerators over one denominator (1 for D_n, n for K_n, the weights'
+common one for VP kernels), built by hadamard_transform of its Walsh
+coefficients or, for D, by its recursion or closed form.  The kernel
+identities (the closed form of D at powers of two, the recursive
+splitting of D, the three-part VP decomposition) are then checked with
+zero error.  The numerators are int64, or Python ints for a VP kernel
+whose weights have large numerators (_block_weights).
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import SampledFunction, _dyadic_rank, check_resolution
-from .walsh_system import _synthesis
-from .weights import WeightScheme
+from .dyadic import SampledFunction, check_resolution
+from .walsh_system import hadamard_transform
+from .weights import WeightScheme, _quotients
 
 # VP kernel sums switch to Python ints once their bound passes this.  At
 # N <= MAX_RESOLUTION every Dirichlet and Fejer sum stays below it.
@@ -27,35 +28,35 @@ _INT64_SAFE = 1 << 62
 
 class KernelFunction(SampledFunction):
     """SampledFunction whose samples are exact rationals: integer
-    numerators (int64 or Python ints) over one positive denominator.  The
-    float values are derived from them."""
+    numerators (int64 or Python ints) over one positive denominator.
 
-    __slots__ = ("exact_numer", "exact_denom")
+    Held as the numerators of one period, its exact head, whose correctly
+    rounded quotients are its float head; exact_numer, like values, is
+    read-only and, for a head shorter than 2^N, built anew on each read.
+    The public constructor copies the 2^N numerators it is given; the
+    builders hand their period over to _own with its denominator."""
+
+    __slots__ = ("_exact_head", "exact_denom")
+    _field = "numerators"
+    _dtype = None  # int64 or Python ints, as given
 
     def __init__(self, resolution, exact_numer, exact_denom=1):
-        resolution = check_resolution(resolution)
-        exact_numer = np.asarray(exact_numer)
-        exact_denom = int(exact_denom)
-        if exact_denom < 1:
+        super().__init__(resolution, exact_numer, exact_denom)
+
+    def _hold(self, resolution: int, numer: np.ndarray, denom=1) -> None:
+        denom = int(denom)
+        if denom < 1:
             raise ValueError("exact denominator must be positive")
-        if exact_numer.shape != (1 << resolution,):
-            raise ValueError(
-                f"expected {1 << resolution} numerators for resolution {resolution}, "
-                f"got shape {exact_numer.shape}"
-            )
-        if exact_numer.dtype == object:
-            # int / int rounds once, also for numerators past the float range.
-            # A kernel synthesized at its support repeats one period of
-            # cells: that period is converted and held as the head.
-            period = 1 << _dyadic_rank(exact_numer)
-            values = np.array([int(v) / exact_denom for v in exact_numer[:period]])
-        elif exact_numer.dtype.kind == "i":
-            values = exact_numer.astype(np.float64) / exact_denom
-        else:
-            raise TypeError(f"exact numerators must be integers, got {exact_numer.dtype}")
-        self._hold(resolution, values)
-        object.__setattr__(self, "exact_numer", exact_numer)
-        object.__setattr__(self, "exact_denom", exact_denom)
+        if numer.dtype != object and numer.dtype.kind != "i":
+            raise TypeError(f"exact numerators must be integers, got {numer.dtype}")
+        numer.setflags(write=False)
+        super()._hold(resolution, _quotients(numer, denom))
+        object.__setattr__(self, "_exact_head", numer)
+        object.__setattr__(self, "exact_denom", denom)
+
+    @property
+    def exact_numer(self) -> np.ndarray:
+        return self._full(self._exact_head)
 
 
 def _check_order(n: int, resolution: int) -> int:
@@ -67,10 +68,10 @@ def _check_order(n: int, resolution: int) -> int:
     return int(n)
 
 
-def _paley_int(m: int, resolution: int) -> np.ndarray:
-    # Closed form at powers of two: 2^m on I_m, zero elsewhere.
-    values = np.zeros(1 << resolution, dtype=np.int64)
-    values[:: 1 << m] = 1 << m
+def _paley_int(m: int) -> np.ndarray:
+    # Closed form at powers of two, one period: 2^m on I_m, zero elsewhere.
+    values = np.zeros(1 << m, dtype=np.int64)
+    values[0] = 1 << m
     return values
 
 
@@ -80,18 +81,18 @@ def dirichlet(n: int, resolution: int) -> KernelFunction:
     n = _check_order(n, resolution)
     coeffs = np.zeros(1 << max(n - 1, 0).bit_length(), dtype=np.int64)
     coeffs[:n] = 1
-    return KernelFunction(resolution, _synthesis(coeffs, resolution))
+    return KernelFunction._own(resolution, hadamard_transform(coeffs))
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
-    """D_n as an int64 row at the 2^N cells for each n of the array orders
-    (unchecked), by the splitting D_n = D_{2^m} + r_m D_j for the top bit m
-    of n and j = n - 2^m, unrolled from the lowest bit up on all rows at
-    once: at each bit m, the rows whose n has m set above a lower set bit
-    get the odd halves of their periods of length 2^(m+1) negated (r_m),
-    then every row whose n has m set gains the closed form 2^m on I_m.
-    Only the rows that flip are negated: a mask would pass over every row
-    at every bit."""
+    """D_n as an int64 row at the 2^N cells, N >= 0, for each n <= 2^N of
+    the array orders (unchecked), by the splitting D_n = D_{2^m} + r_m D_j
+    for the top bit m of n and j = n - 2^m, unrolled from the lowest bit
+    up on all rows at once: at each bit m, the rows whose n has m set
+    above a lower set bit get the odd halves of their periods of length
+    2^(m+1) negated (r_m), then every row whose n has m set gains the
+    closed form 2^m on I_m.  Only the rows that flip are negated: a mask
+    would pass over every row at every bit."""
     orders = np.asarray(orders, dtype=np.int64)
     values = np.zeros((orders.size, 1 << resolution), dtype=np.int64)
     for m in range(int(orders.max(initial=0)).bit_length()):
@@ -107,8 +108,8 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     """D_n built by binary splitting: peel the top power of two with the
     closed form and recurse on the remainder behind a Rademacher sign."""
     n = _check_order(n, resolution)
-    values = _dirichlet_rec_int([n], resolution)[0]
-    return KernelFunction(resolution, values)
+    support = max(n - 1, 0).bit_length()
+    return KernelFunction._own(resolution, _dirichlet_rec_int([n], support)[0])
 
 
 def fejer(n: int, resolution: int) -> KernelFunction:
@@ -119,13 +120,13 @@ def fejer(n: int, resolution: int) -> KernelFunction:
         raise ValueError(f"Fejer kernel needs n >= 1, got {n}")
     coeffs = np.zeros(1 << (n - 1).bit_length(), dtype=np.int64)
     coeffs[:n] = np.arange(n, 0, -1)
-    return KernelFunction(resolution, _synthesis(coeffs, resolution), n)
+    return KernelFunction._own(resolution, hadamard_transform(coeffs), n)
 
 
 def kernel_l1_norm(kernel: KernelFunction) -> Fraction:
-    """Exact L1 norm."""
-    total = int(np.sum(np.abs(kernel.exact_numer)))
-    return Fraction(total, kernel.exact_denom * kernel.size)
+    """Exact L1 norm, summed over one period."""
+    head = kernel._exact_head
+    return Fraction(int(np.sum(np.abs(head))), kernel.exact_denom * head.size)
 
 
 def kernel_norm_sweep(n_max: int, resolution: int):
@@ -223,8 +224,8 @@ def vp_kernel(w: WeightScheme, resolution: int) -> KernelFunction:
     """
     _check_block(w, resolution)
     t, denom = _block_weights(w)
-    numer = _synthesis(_block_multiplier(t, w.block_exponent + 1), resolution)
-    return KernelFunction(resolution, numer, denom)
+    numer = hadamard_transform(_block_multiplier(t, w.block_exponent + 1))
+    return KernelFunction._own(resolution, numer, denom)
 
 
 def decompose_vp_kernel(
@@ -256,9 +257,9 @@ def decompose_vp_kernel(
     diff[1:-1] = t[1:-1] - t[2:]
     second = _above(diff + _above(diff))
     third = t[-1] * np.arange(low - 1, -1, -1).astype(t.dtype)
-    parts = [np.sum(t) * _paley_int(w.block_exponent, resolution).astype(t.dtype)]
+    parts = [np.sum(t) * _paley_int(w.block_exponent).astype(t.dtype)]
     for upper in (second, third):
         coeffs = np.zeros(2 * low, dtype=t.dtype)
         coeffs[low:] = upper
-        parts.append(_synthesis(coeffs, resolution))
-    return tuple(KernelFunction(resolution, part, denom) for part in parts)
+        parts.append(hadamard_transform(coeffs))
+    return tuple(KernelFunction._own(resolution, part, denom) for part in parts)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .dyadic import SampledFunction, _cells, _read_samples, _Samples, check_resolution
+from .dyadic import SampledFunction, _cells, _periods, _read_samples, _Samples, check_resolution
 
 _SPECTRUM_HEADER = "SPECTRUM"
 
@@ -37,7 +37,7 @@ class Spectrum(_Samples):
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self._full()
+        return self._full(self._head)
 
     def _prefix(self, size: int) -> np.ndarray:
         # The first `size` coefficients: a view of the head, or a new array
@@ -172,18 +172,6 @@ def hadamard_transform(values) -> np.ndarray:
     return _butterfly(a.reshape(n))
 
 
-def _synthesis(coeffs: np.ndarray, resolution: int) -> np.ndarray:
-    """Synthesis at 2^N cells of a spectrum that is +0.0 (or 0) past its
-    power-of-two prefix coeffs, bit for bit the full-size butterfly in
-    float64, int64 or object dtype.  Its stages past the prefix add and
-    subtract zeros: that tiles the prefix's synthesis and adds 0, turning
-    -0.0 into +0.0, to every copy but the last."""
-    synthesized = hadamard_transform(coeffs)
-    values = np.tile(synthesized + 0, (1 << resolution) // coeffs.size)
-    values[-coeffs.size :] = synthesized
-    return values
-
-
 # The bits of -0.0.
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
 
@@ -191,15 +179,17 @@ _NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
 def _period_synthesis(coeffs: np.ndarray, resolution: int) -> np.ndarray:
     """The head of a SampledFunction that is the full-size synthesis of a
     float64 spectrum +0.0 past its power-of-two prefix coeffs: the
-    prefix's synthesis, of which the 2^N samples are copies, unless it is
-    shorter than 2^N and holds a -0.0, which the full-size butterfly turns
-    into +0.0 in every copy but the last; then all 2^N samples, which
-    _synthesis builds again from coeffs."""
+    prefix's synthesis, of which the 2^N samples are copies.  The
+    full-size butterfly's stages past the prefix tile it and add 0,
+    turning -0.0 into +0.0, to every copy but the last, so a synthesis
+    shorter than 2^N that holds a -0.0 is returned as all 2^N, so tiled."""
     synthesized = hadamard_transform(coeffs)
     if coeffs.size < 1 << resolution and np.any(
         synthesized.view(np.uint64) == _NEGATIVE_ZERO
     ):
-        return _synthesis(coeffs, resolution)
+        values = _periods(synthesized + 0, 1 << resolution)
+        values[-coeffs.size :] = synthesized
+        return values
     return synthesized
 
 

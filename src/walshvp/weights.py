@@ -78,10 +78,7 @@ class WeightScheme:
                 f"expected {1 << n} weights for block exponent {n}, "
                 f"got shape {numer.shape}"
             )
-        # A float64 quotient of operands exact in float64 is correctly
-        # rounded; past 2^53 Python's int / int divides exactly, then rounds.
-        exact = numer if max(top, denom) <= 1 << 53 else numer.astype(object)
-        weights = np.asarray(exact / denom, dtype=np.float64)
+        weights = _quotients(numer, denom)
         numer.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "numerators", numer)
@@ -116,6 +113,15 @@ class ValidationReport:
     c2_constant: float
     case_a_ok: bool
     case_b_ok: bool
+
+
+def _quotients(numer: np.ndarray, denom: int) -> np.ndarray:
+    """The float64 quotients of integers (int64 or Python ints) by denom,
+    each correctly rounded: in float64 while every operand is exact in it,
+    else by Python's int / int, which divides exactly, then rounds."""
+    top = int(np.max(np.abs(numer), initial=0))
+    exact = numer if max(top, denom) <= 1 << 53 else numer.astype(object)
+    return np.asarray(exact / denom, dtype=np.float64)
 
 
 _INDEX = np.frompyfunc(operator.index, 1, 1)

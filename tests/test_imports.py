@@ -126,10 +126,10 @@ def _tile_calls(modules: dict):
 
 
 def test_only_the_synthesis_tiles():
-    # Every spectrum zero past a prefix is synthesized at 2^N cells by
-    # walsh_system._synthesis, so no other code tiles a prefix.
+    # Every period, of samples or of kernel numerators, is repeated to the
+    # 2^N cells by dyadic._periods, so no other code tiles a period.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    assert _tile_calls(modules) == ["walsh_system._synthesis"]
+    assert _tile_calls(modules) == ["dyadic._periods"]
 
 
 def _adjacent_pair_slices(modules: dict):

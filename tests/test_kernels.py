@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -205,7 +206,7 @@ class TestNormSweep:
             raise AssertionError("the sweep must not touch the 2^N cells")
 
         monkeypatch.setattr(walshvp.walsh_system, "walsh_signs", refuse)
-        monkeypatch.setattr(walshvp.kernels, "_synthesis", refuse)
+        monkeypatch.setattr(walshvp.kernels, "hadamard_transform", refuse)
         monkeypatch.setattr(walshvp.walsh_system, "hadamard_transform", refuse)
         d_norms, k_norms = kernel_norm_sweep(1 << 9, 12)
         assert d_norms[-1] == 1 and max(k_norms) <= Fraction(17, 15)
@@ -466,3 +467,71 @@ class TestSynthesisAtSupport:
         for part, c in zip(parts, coeffs):
             assert part.exact_denom == scheme.denominator
             assert np.array_equal(part.exact_numer, full_size_numerators(c, N))
+
+
+class TestHeldAsItsPeriod:
+    """Each kernel holds the integer numerators of one period: 2^m for D_n
+    and K_n with n <= 2^m, 2^(n+1) for the block-n VP kernel."""
+
+    def test_builders_hold_their_period(self):
+        scheme = build_scheme("uniform", 3)
+        for kernel, period in (
+            (dirichlet(5, 20), 8),
+            (fejer(5, 20), 8),
+            (dirichlet_via_recursion(5, 20), 8),
+            (dirichlet(0, 20), 1),
+            (fejer(1, 20), 1),
+            (vp_kernel(scheme, 20), 16),
+        ):
+            head = kernel._exact_head
+            assert head.size == period and kernel._head.size == period
+            assert np.array_equal(kernel.exact_numer, np.tile(head, (1 << 20) // period))
+        parts = decompose_vp_kernel(scheme, 20)
+        assert [part._exact_head.size for part in parts] == [8, 16, 16]
+
+    def test_builders_allocate_no_cells_at_the_cap(self):
+        # A 2^24-cell int64 array alone is 128 MiB.
+        scheme = build_scheme("uniform", 3)
+        for build in (
+            lambda: dirichlet(5, MAX_RESOLUTION),
+            lambda: fejer(5, MAX_RESOLUTION),
+            lambda: dirichlet_via_recursion(5, MAX_RESOLUTION),
+            lambda: vp_kernel(scheme, MAX_RESOLUTION),
+            lambda: decompose_vp_kernel(scheme, MAX_RESOLUTION),
+        ):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 10
+
+    def test_constructor_copies_its_numerators(self):
+        # Before the copy the kernel kept the caller's array: the write
+        # moved its L1 norm from 1 to 13 but not its float samples.
+        a = np.array([3, 1, 1, 3])
+        kernel = KernelFunction(2, a, 2)
+        a[0] = -99
+        assert kernel_l1_norm(kernel) == 1
+        assert kernel.values.tolist() == [1.5, 0.5, 0.5, 1.5]
+        assert kernel.exact_numer.tolist() == [3, 1, 1, 3]
+        assert not kernel.exact_numer.flags.writeable
+
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_float_samples_are_the_correctly_rounded_quotients(self, n, big, data):
+        # With int64 numerators, a denominator past 2^53 was rounded to
+        # float64 before the division, and so the quotient twice.
+        count = 1 << n
+        if big:  # 2^58 and odd numerators, gcd 1: the kernel sums in Python ints
+            odd = st.integers(2**56, 2**57).map(lambda v: 2 * v + 1)
+            numerators = [2**58] + data.draw(st.lists(odd, min_size=count - 1, max_size=count - 1))
+        else:
+            numerators = data.draw(st.lists(st.integers(0, 999), min_size=count, max_size=count))
+        denom = data.draw(st.integers(2**53, 2**60)) | 1
+        scheme = WeightScheme(n, numerators, denom)
+        kernel = vp_kernel(scheme, n + 1)
+        assert kernel.exact_numer.dtype == (object if big else np.int64)
+        for k in (kernel, *decompose_vp_kernel(scheme, n + 1)):
+            assert k.values.tolist() == [int(a) / k.exact_denom for a in k.exact_numer]

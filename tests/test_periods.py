@@ -3,6 +3,7 @@ entries read back, the copies of the public constructors, and the low-rank
 commands that never build 2^N entries."""
 
 import contextlib
+import hashlib
 import io
 import tracemalloc
 
@@ -19,7 +20,8 @@ from walshvp.dyadic import (
     modulus_of_continuity,
     translate,
 )
-from walshvp.experiments import make_function, step_mix, walsh_poly
+from walshvp.experiments import STANDARD_SUITE_SPECS, make_function, step_mix, walsh_poly
+from walshvp.kernels import decompose_vp_kernel, dirichlet, fejer, vp_kernel
 from walshvp.means import vp_mean
 from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse
 from walshvp.weights import build_scheme
@@ -78,6 +80,28 @@ class TestHeldPeriod:
             assert lp_norm(a, p) == lp_norm(full_a, p)
             for n in range(N + 1):
                 assert modulus_of_continuity(a, n, p) == modulus_of_continuity(full_a, n, p)
+
+
+class TestFullArraysExportTheirBuffer:
+    """values, coeffs and exact_numer are read-only and C-contiguous, so a
+    caller can hash their buffer.  A one-sample head was repeated by a
+    stride-0 view, whose memoryview raised BufferError."""
+
+    @pytest.mark.parametrize("N", [4, 6])
+    def test_every_builder(self, N):
+        specs = STANDARD_SUITE_SPECS + ("indicator:0", "walsh_poly:3")
+        functions = [make_function(spec, N) for spec in specs]
+        scheme = build_scheme("uniform", 1)
+        kernels = [dirichlet(0, N), dirichlet(1, N), fejer(1, N), fejer(3, N),
+                   vp_kernel(scheme, N), *decompose_vp_kernel(scheme, N)]
+        arrays = [f.values for f in functions + kernels]
+        arrays += [fwht_forward(f).coeffs for f in functions]
+        arrays += [k.exact_numer for k in kernels]
+        for full in arrays:
+            assert full.shape == (1 << N,)
+            assert full.flags.c_contiguous and not full.flags.writeable
+            hashlib.sha1(memoryview(full))
+        assert not any(k._exact_head.flags.writeable for k in kernels)
 
 
 class TestPublicConstructorsCopy:
