@@ -17,6 +17,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
+import numpy as np
+
 from . import experiments
 from .dyadic import (
     INF,
@@ -32,8 +34,10 @@ from .weights import DEFAULT_CASE_A_CAP, FAMILIES, build_scheme, load_weight_fil
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# kernel-norms holds one pair of Fractions per row; past this many rows
-# the sweep would run for seconds and hold hundreds of MiB.
+# kernel-norms writes one row per order.  At this many rows, at N = 24, it
+# takes 1.4-1.9 s and 210 MiB peak to write 26 MB of JSON (1.4 s, 180 MiB
+# and 9 MB as CSV) on a 2-vCPU Xeon; time, memory and output grow with the
+# rows, up to 2^24 at the resolution cap.
 KERNEL_NORMS_MAX_ROWS = 1 << 18
 
 _WEIGHTS_HELP = (
@@ -93,46 +97,60 @@ def _csv_field(value) -> str:
     return str(value)
 
 
-def _json_safe(payload):
-    if isinstance(payload, dict):
-        return {key: _json_safe(value) for key, value in payload.items()}
-    if isinstance(payload, list):
-        return [_json_safe(value) for value in payload]
-    if isinstance(payload, float) and not math.isfinite(payload):
-        return None
-    return payload
+def _float_text(value: float) -> str:
+    # json.dump with allow_nan=False refuses nan and inf; a record writes null.
+    return float.__repr__(value) if math.isfinite(value) else "null"
 
 
 # The JSON text of each scalar type: the C routines json.dumps itself calls
-# for them, and its literals.
+# for them, and its literals; a non-finite float is null.
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
-    float: float.__repr__,
+    float: _float_text,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
 
 
-def _json_text(value, indent: str = "") -> str:
-    """The text json.dumps(value, indent=2) writes for a payload of dicts,
-    lists and finite scalars: the containers laid out here, each scalar
-    encoded by the C routine of its type, with no pure-Python encoder or
-    generator in between."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
+def _row_template(keys, indent: str) -> str:
+    """The text json.dumps(indent=2) writes at indent for a flat dict with
+    these keys, with a %s for each value."""
+    if not keys:
+        return "{}"
     inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                 for key, item in value.items()]
-        brackets = "{}"
-    else:
-        items = [_json_text(item, inner) for item in value]
-        brackets = "[]"
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+    fields = [f"{inner}{encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys]
+    return "{\n" + ",\n".join(fields) + f"\n{indent}}}"
+
+
+def _json_records(records, indent: str) -> str:
+    """The text json.dumps(indent=2) writes at indent for a list of flat
+    records: each filled into the row template of its key tuple, built
+    once per tuple, with one encoder call per value."""
+    if not records:
+        return "[]"
+    inner = indent + "  "
+    templates = {}
+    rows = []
+    for record in records:
+        keys = tuple(record)
+        template = templates.get(keys)
+        if template is None:
+            template = templates[keys] = _row_template(keys, inner)
+        rows.append(template % tuple([_JSON_SCALARS[type(v)](v) for v in record.values()]))
+    return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]"
+
+
+def _json_text(payload) -> str:
+    """The text json.dumps(payload, indent=2) writes for the payload shapes
+    of _emit, non-finite floats as null."""
+    if isinstance(payload, list):
+        return _json_records(payload, "")
+    values = [
+        _json_records(v, "  ") if isinstance(v, list) else _JSON_SCALARS[type(v)](v)
+        for v in payload.values()
+    ]
+    return _row_template(tuple(payload), "") % tuple(values)
 
 
 def _emit(payload, fmt: str, out_path: str) -> None:
@@ -140,13 +158,14 @@ def _emit(payload, fmt: str, out_path: str) -> None:
 
     payload is a list of flat records, one record, or an envelope
     {**meta, "records": [...]}.  JSON keeps that shape, with non-finite
-    floats as null.  CSV writes each meta pair as a '# key=value' line,
-    then the record keys as the header and one row per record: bools as
+    floats as null, and fills each record into the row template of its
+    keys.  CSV writes each meta pair as a '# key=value' line, then the
+    record keys as the header and one row per record: bools as
     true/false, floats as .12g, anything else with str.
     """
     with _stream(out_path, "w") as stream:
         if fmt == "json":
-            stream.write(_json_text(_json_safe(payload)) + "\n")
+            stream.write(_json_text(payload) + "\n")
         else:
             if isinstance(payload, list):
                 payload = {"records": payload}
@@ -280,10 +299,16 @@ def _cmd_kernel_norms(args) -> int:
             f"kernel-norms would write {n_max} rows, more than {KERNEL_NORMS_MAX_ROWS}; "
             f"pass a smaller --nmax"
         )
-    d_norms, k_norms = kernel_norm_sweep(n_max, args.resolution)
+    d, ell = kernel_norm_sweep(n_max, args.resolution)
+    # ||D_n||_1 = d(n) / 2^N and ||K_n||_1 = l(n) / (n 2^N).  Every operand
+    # is exact in float64 (n 2^N <= 2^42), so each quotient is the
+    # correctly rounded norm.
+    orders = np.arange(1, n_max + 1)
+    l1_dirichlet = (d[1:] / (1 << args.resolution)).tolist()
+    l1_fejer = (ell[1:] / (orders << args.resolution)).tolist()
     records = [
-        {"n": n, "l1_dirichlet": float(d), "l1_fejer": float(k)}
-        for n, (d, k) in enumerate(zip(d_norms, k_norms), start=1)
+        {"n": n, "l1_dirichlet": a, "l1_fejer": b}
+        for n, a, b in zip(range(1, n_max + 1), l1_dirichlet, l1_fejer)
     ]
     _emit(records, args.format, args.out)
     return 0

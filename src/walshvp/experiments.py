@@ -403,10 +403,15 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
 
 def _check_fejer_bounds(resolution: int) -> Tuple[LemmaResult, LemmaResult]:
     n_max = 1 << (resolution - 1)
-    _, k_norms = kernel_norm_sweep(n_max, resolution)
-    best_i = max(range(len(k_norms)), key=lambda i: k_norms[i])
-    peak = k_norms[best_i]
-    detail = f"max={float(peak):.12g}@n={best_i + 1}"
+    _, ell = kernel_norm_sweep(n_max, resolution)
+    # ||K_n||_1 = l(n) / (n 2^N).  Rounding keeps order, so the exact peak
+    # is among the n whose float l(n) / n ties the largest; only those are
+    # compared as Fractions, the first of equal ones winning.
+    ratios = ell[1:] / np.arange(1, n_max + 1)
+    tied = np.flatnonzero(ratios == ratios.max()) + 1
+    best = max(tied.tolist(), key=lambda n: Fraction(int(ell[n]), n))
+    peak = Fraction(int(ell[best]), best << resolution)
+    detail = f"max={float(peak):.12g}@n={best}"
     uniform = LemmaResult(
         "fejer-l1-uniform-bound", n_max, float(2 - peak), peak <= 2, detail
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import SampledFunction, check_resolution
 from .walsh_system import hadamard_transform
-from .weights import WeightScheme, _quotients
+from .weights import WeightScheme, _integers, _quotients
 
 # VP kernel sums switch to Python ints once their bound passes this.  At
 # N <= MAX_RESOLUTION every Dirichlet and Fejer sum stays below it.
@@ -47,7 +47,9 @@ class KernelFunction(SampledFunction):
         denom = int(denom)
         if denom < 1:
             raise ValueError("exact denominator must be positive")
-        if numer.dtype != object and numer.dtype.kind != "i":
+        if numer.dtype == object:
+            numer = _integers(numer)  # refuses a float, which int() would truncate
+        elif numer.dtype.kind != "i":
             raise TypeError(f"exact numerators must be integers, got {numer.dtype}")
         numer.setflags(write=False)
         super()._hold(resolution, _quotients(numer, denom))
@@ -130,11 +132,14 @@ def kernel_l1_norm(kernel: KernelFunction) -> Fraction:
 
 
 def kernel_norm_sweep(n_max: int, resolution: int):
-    """Exact L1 norms of D_n and K_n for n = 1..n_max in one pass.
+    """Exact L1 norms of D_n and K_n for n = 1..n_max in one pass, as
+    integer sums.
 
-    Returns (dirichlet_norms, fejer_norms) as lists of Fractions.  With
+    Returns (d, ell), two int64 arrays of length n_max + 1 whose entry n is
     d(n) = sum_x |D_n(x)| and l(n) = sum_x |n K_n(x)| over the 2^N cells,
-    ||D_n||_1 = d(n) / 2^N, ||K_n||_1 = l(n) / (n 2^N), d(1) = l(1) = 2^N.
+    so ||D_n||_1 = d(n) / 2^N and ||K_n||_1 = l(n) / (n 2^N); entry 0 is
+    zero and d(1) = l(1) = 2^N.  Both stay below 2^(2N+2) <= 2^50, and the
+    caller divides.
 
     For n = 2^m + j, 1 <= j <= 2^m, the Paley splitting gives
     D_n = D_{2^m} + r_m D_j and n K_n = (2^m K_{2^m} + j D_{2^m}) + r_m j K_j,
@@ -173,9 +178,7 @@ def kernel_norm_sweep(n_max: int, resolution: int):
             excess += np.maximum(0, (half << t) // 2 - cell)
         ell[half + 1 : half + count + 1] = ell[1 : count + 1] + scale * excess
         m += 1
-    d_norms = [Fraction(int(v), size) for v in d[1:]]
-    k_norms = [Fraction(int(v), n * size) for n, v in enumerate(ell[1:], start=1)]
-    return d_norms, k_norms
+    return d, ell
 
 
 def _check_block(w: WeightScheme, resolution: int) -> None:

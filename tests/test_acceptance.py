@@ -47,8 +47,9 @@ def test_01_exact_kernel_identities():
 
 def test_02_fejer_norm_bounds():
     start = time.perf_counter()
-    _, k_norms = kernel_norm_sweep(1 << 12, 13)
+    _, ell = kernel_norm_sweep(1 << 12, 13)
     elapsed = time.perf_counter() - start
+    k_norms = [Fraction(int(v), n << 13) for n, v in enumerate(ell[1:], start=1)]
     best = max(range(len(k_norms)), key=lambda i: k_norms[i])
     peak = k_norms[best]
     ok = (

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -6,11 +7,14 @@ import math
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walshvp import cli, dyadic, experiments, walsh_system
+from walshvp import cli, dyadic, experiments, kernels, walsh_system
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
@@ -354,8 +358,94 @@ def test_json_is_the_bytes_of_json_dump(tmp_path, payload):
     path = tmp_path / "out.json"
     cli._emit(payload, "json", str(path))
     expected = io.StringIO()
-    json.dump(cli._json_safe(payload), expected, indent=2, allow_nan=False)
+    json.dump(_null_mapped(payload), expected, indent=2, allow_nan=False)
     assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+
+
+def _null_mapped(payload):
+    """payload with nan and +-inf as None, as _emit writes them in JSON."""
+    if isinstance(payload, dict):
+        return {key: _null_mapped(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_null_mapped(value) for value in payload]
+    if isinstance(payload, float) and not math.isfinite(payload):
+        return None
+    return payload
+
+
+def _csv_lines(payload):
+    """The CSV lines of a payload by the rule _emit documents."""
+    if isinstance(payload, list):
+        meta, records = {}, payload
+    elif "records" in payload:
+        meta = {key: value for key, value in payload.items() if key != "records"}
+        records = payload["records"]
+    else:
+        meta, records = {}, [payload]
+
+    def field(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, ".12g") if isinstance(value, float) else str(value)
+
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    lines.append(",".join(records[0]))
+    return lines + [",".join(field(value) for value in record.values()) for record in records]
+
+
+_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
+    st.integers(-(1 << 70), 1 << 70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+)
+# A small pool makes records share key tuples, in and out of order; the
+# free text brings in '%', quotes, escapes and non-ASCII keys.
+_KEYS = st.one_of(st.sampled_from(["n", "p", "l1", "%s", "\u00e9", 'a"b']), st.text(max_size=4))
+_RECORD = st.dictionaries(_KEYS, _SCALARS, max_size=5)
+_RECORDS = st.lists(_RECORD, max_size=6)
+_META = st.dictionaries(_KEYS.filter(lambda key: key != "records"), _SCALARS, max_size=3)
+_PAYLOADS = st.one_of(
+    _RECORDS,
+    _RECORD.filter(lambda record: "records" not in record),
+    st.builds(lambda meta, records: {**meta, "records": records}, _META, _RECORDS),
+)
+
+
+def _emitted(payload, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload, fmt, "-")
+    return out.getvalue()
+
+
+@given(_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_emit_writes_the_text_of_json_dump_and_the_csv_rule(payload):
+    expected = json.dumps(_null_mapped(payload), indent=2, allow_nan=False) + "\n"
+    assert _emitted(payload, "json").encode() == expected.encode()
+    records = payload if isinstance(payload, list) else payload.get("records", [payload])
+    if records:  # the CSV header is the keys of the first record
+        expected = "".join(line + "\n" for line in _csv_lines(payload))
+        assert _emitted(payload, "csv") == expected
+
+
+def test_kernel_norms_builds_no_fraction(capsys, monkeypatch):
+    # The norms stay integer sums up to one float64 division per column;
+    # the sweep once built two Fractions per row.
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    for module in (cli, experiments, kernels):
+        monkeypatch.setattr(module, "Fraction", counted, raising=False)
+    code, out, _ = run(capsys, "kernel-norms", "--resolution", "16")
+    assert code == 0 and len(out.splitlines()) == 1 + (1 << 15)
+    assert made == []
 
 
 def test_weights_validate(capsys, tmp_path):

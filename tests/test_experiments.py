@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walshvp.kernels
 import walshvp.walsh_system
 from walshvp import experiments as exp
 from walshvp.cli import main
@@ -276,10 +277,44 @@ class TestVerifyAllLemmas:
 
     def test_sharp_fejer_bound_is_compared_exactly(self, monkeypatch):
         # a bound 2^-40 below the peak norm must fail; no slack absorbs it
-        peak = max(kernel_norm_sweep(1 << 7, 8)[1])
+        _, ell = kernel_norm_sweep(1 << 7, 8)
+        peak = max(Fraction(int(v), n << 8) for n, v in enumerate(ell[1:], start=1))
         monkeypatch.setattr(exp, "FEJER_SHARP_BOUND", peak - Fraction(1, 1 << 40))
         _, sharp = exp._check_fejer_bounds(8)
         assert not sharp.passed and sharp.worst_margin < 0
+
+    @pytest.mark.parametrize("N", range(4, 12))
+    def test_fejer_peak_is_the_first_exact_maximum(self, N):
+        _, ell = kernel_norm_sweep(1 << (N - 1), N)
+        norms = [Fraction(int(v), n << N) for n, v in enumerate(ell[1:], start=1)]
+        best = max(range(len(norms)), key=norms.__getitem__)
+        uniform, sharp = exp._check_fejer_bounds(N)
+        assert uniform.detail == sharp.detail == f"max={float(norms[best]):.12g}@n={best + 1}"
+        assert uniform.worst_margin == float(2 - norms[best])
+        assert sharp.worst_margin == float(exp.FEJER_SHARP_BOUND - norms[best])
+
+    def test_equal_fejer_peaks_keep_the_first(self, monkeypatch):
+        # l(2) / 2 = l(4) / 4 exactly: the lower order is the peak.
+        ell = np.array([0, 16, 40, 30, 80, 16, 16, 16, 16])
+        monkeypatch.setattr(exp, "kernel_norm_sweep", lambda n_max, N: (None, ell))
+        _, sharp = exp._check_fejer_bounds(4)
+        assert sharp.detail == "max=1.25@n=2"
+
+    def test_fejer_peak_builds_few_fractions(self, monkeypatch):
+        # Only the orders whose float l(n) / n ties the largest are compared
+        # as Fractions; the check once built one for each of the 2^(N-1).
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(exp, "Fraction", counted)
+        monkeypatch.setattr(walshvp.kernels, "Fraction", counted)
+        uniform, sharp = exp._check_fejer_bounds(10)
+        assert uniform.passed and sharp.passed
+        assert sharp.detail == "max=1.1292269978@n=341"
+        assert len(made) <= 4
 
 
 class TestBatchedChecks:

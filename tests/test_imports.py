@@ -286,3 +286,87 @@ def test_every_public_function_serves_the_cli_or_the_checks():
         if not inspect.isclass(getattr(walshvp, name)) and name not in referenced
     ]
     assert unused == []
+
+
+_TEXT_ENCODERS = {"json", "csv", "encode_basestring", "encode_basestring_ascii"}
+
+
+def _record_text_builders(modules: dict):
+    """module.name of each top-level statement that builds JSON or CSV
+    text: that names the json or csv module or json's string encoders, or
+    names such a statement in turn.  Names of _emit, the writer's one entry,
+    are not followed, so its callers are not builders."""
+    statements = {}
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                elif isinstance(node, ast.ImportFrom):
+                    names.update((node.module or "").split("."))
+            own = getattr(stmt, "name", "<module>")
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+                own = stmt.targets[0].id
+            statements.setdefault(f"{module}.{own}", set()).update(names)
+    found = {key for key, names in statements.items() if names & _TEXT_ENCODERS}
+    while True:
+        reached = {key.rpartition(".")[2] for key in found} - {"_emit", "<module>"}
+        grown = found | {key for key, names in statements.items() if names & reached}
+        if grown == found:
+            return sorted(found)
+        found = grown
+
+
+def _json_dump_calls(modules: dict):
+    """module.name of each top-level statement that calls json.dump or
+    json.dumps, as attributes or imported by name."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+                    hit = isinstance(node.value, ast.Name) and node.value.id == "json"
+                elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                    hit = any(alias.name in ("dump", "dumps") for alias in node.names)
+                else:
+                    hit = False
+                if hit:
+                    found.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_emit_builds_record_text():
+    # Every CSV and JSON record goes out through cli._emit and the helpers
+    # it alone calls; a second writer could drift from its bytes, its null
+    # for non-finite floats, or its one pass over the records.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _record_text_builders(modules) == [
+        "cli.<module>", "cli._JSON_SCALARS", "cli._emit", "cli._json_records",
+        "cli._json_text", "cli._row_template",
+    ]
+    assert _json_dump_calls(modules) == []
+
+
+def test_second_record_writer_is_reported():
+    writer = ast.parse(
+        "from json.encoder import encode_basestring_ascii\n"
+        "def _quote(key):\n    return encode_basestring_ascii(key)\n"
+        "def _emit(rows):\n    return [_quote(k) for row in rows for k in row]\n"
+        "def command(rows):\n    return _emit(rows)\n"
+    )
+    other = ast.parse(
+        "import json\nfrom json import dumps as text\n"
+        "def report(rows):\n    return json.dumps(rows, indent=2)\n"
+        "def table(rows):\n    return report(rows) + text(rows)\n"
+        "def total(rows):\n    return len(rows)\n"
+    )
+    modules = {"a": writer, "b": other}
+    assert _record_text_builders(modules) == [
+        "a.<module>", "a._emit", "a._quote", "b.<module>", "b.report", "b.table",
+    ]
+    assert _json_dump_calls(modules) == ["b.<module>", "b.report"]

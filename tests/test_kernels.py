@@ -73,6 +73,16 @@ def space_domain_parts(scheme, resolution):
     return sum(a) * d_low, r_n * second, r_n * a[-1] * k_k
 
 
+def sweep_norms(n_max, resolution):
+    """The Fraction norms that kernel_norm_sweep's integer sums define:
+    ||D_n||_1 = d(n) / 2^N and ||K_n||_1 = l(n) / (n 2^N), n = 1..n_max."""
+    d, ell = kernel_norm_sweep(n_max, resolution)
+    size = 1 << resolution
+    d_norms = [Fraction(int(v), size) for v in d[1:]]
+    k_norms = [Fraction(int(v), n * size) for n, v in enumerate(ell[1:], start=1)]
+    return d_norms, k_norms
+
+
 def kernel_norm_sweep_oracle(n_max, resolution):
     """The per-n loop: D_n and n K_n accumulated from Walsh signs over all
     2^N cells, O(n_max 2^N)."""
@@ -173,13 +183,13 @@ class TestFejer:
             assert fwht_forward(fejer(n, 4)).coeffs[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_norm_sweep_matches_individual(self):
-        d_norms, k_norms = kernel_norm_sweep(12, 4)
+        d_norms, k_norms = sweep_norms(12, 4)
         for n in range(1, 13):
             assert k_norms[n - 1] == kernel_l1_norm(fejer(n, 4))
             assert d_norms[n - 1] == kernel_l1_norm(dirichlet(n, 4))
 
     def test_norm_bounds_small_sweep(self):
-        _, k_norms = kernel_norm_sweep(1 << 7, 8)
+        _, k_norms = sweep_norms(1 << 7, 8)
         peak = max(k_norms)
         assert peak <= 2
         assert peak <= Fraction(17, 15)
@@ -192,14 +202,14 @@ class TestNormSweep:
     def test_equals_oracle(self, N):
         for n_max in sorted({1, 3, 1 << (N - 1), (1 << N) - 1, 1 << N}):
             if n_max <= 1 << N:
-                assert kernel_norm_sweep(n_max, N) == kernel_norm_sweep_oracle(n_max, N)
+                assert sweep_norms(n_max, N) == kernel_norm_sweep_oracle(n_max, N)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_equals_oracle_at_random_sizes(self, data):
         N = data.draw(st.integers(1, 11))
         n_max = data.draw(st.integers(1, 1 << N))
-        assert kernel_norm_sweep(n_max, N) == kernel_norm_sweep_oracle(n_max, N)
+        assert sweep_norms(n_max, N) == kernel_norm_sweep_oracle(n_max, N)
 
     def test_builds_no_cell_array(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -208,13 +218,22 @@ class TestNormSweep:
         monkeypatch.setattr(walshvp.walsh_system, "walsh_signs", refuse)
         monkeypatch.setattr(walshvp.kernels, "hadamard_transform", refuse)
         monkeypatch.setattr(walshvp.walsh_system, "hadamard_transform", refuse)
-        d_norms, k_norms = kernel_norm_sweep(1 << 9, 12)
+        d_norms, k_norms = sweep_norms(1 << 9, 12)
         assert d_norms[-1] == 1 and max(k_norms) <= Fraction(17, 15)
 
     def test_norms_at_the_cap_match_a_small_resolution(self):
         # The norms do not depend on N once n <= 2^N.  At the cap the sums
         # stay below 2^(2N+2) = 2^50, in int64.
-        assert kernel_norm_sweep(200, MAX_RESOLUTION) == kernel_norm_sweep(200, 8)
+        assert sweep_norms(200, MAX_RESOLUTION) == sweep_norms(200, 8)
+
+    def test_returns_the_int64_sums(self):
+        # Entry n of each array is the sum over the 2^N cells; entry 0 is 0.
+        d, ell = kernel_norm_sweep(5, 3)
+        assert d.dtype == ell.dtype == np.int64
+        for n in range(1, 6):
+            assert d[n] == np.sum(np.abs(dirichlet(n, 3).exact_numer))
+            assert ell[n] == np.sum(np.abs(fejer(n, 3).exact_numer))  # n K_n
+        assert d[0] == ell[0] == 0
 
 
 class TestVpKernel:
@@ -517,6 +536,17 @@ class TestHeldAsItsPeriod:
         assert kernel.values.tolist() == [1.5, 0.5, 0.5, 1.5]
         assert kernel.exact_numer.tolist() == [3, 1, 1, 3]
         assert not kernel.exact_numer.flags.writeable
+
+    def test_non_integer_numerators_are_refused(self):
+        # An object array of floats was taken as exact numerators: the L1
+        # norm of [1.5, 0.7] / 1 read int(2.2) / 2 = 1, not 1.1.
+        for numer in ([1.5, 0.7], [1, 0.5]):
+            with pytest.raises(TypeError):
+                KernelFunction(1, np.array(numer, dtype=object))
+        # Integer objects of any width are still exact numerators.
+        kernel = KernelFunction(1, np.array([np.int64(3), 1 << 70], dtype=object), 2)
+        assert kernel.exact_numer.tolist() == [3, 1 << 70]
+        assert kernel_l1_norm(kernel) == Fraction(3 + (1 << 70), 4)
 
     @given(st.integers(1, 4), st.booleans(), st.data())
     @settings(max_examples=80, deadline=None)
