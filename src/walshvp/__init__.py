@@ -10,13 +10,7 @@ verification suite call, and the types those calls return.
 
 from .dyadic import INF, SampledFunction, interval_indicator, lp_norm, modulus_of_continuity
 from .walsh_system import Spectrum, fwht_forward, fwht_inverse
-from .kernels import (
-    KernelFunction,
-    decompose_vp_kernel,
-    dirichlet,
-    fejer,
-    vp_kernel,
-)
+from .kernels import KernelFunction, dirichlet, fejer
 from .weights import ValidationReport, WeightScheme, build_scheme, validate
 from .means import MeanResult, vp_mean
 
@@ -33,10 +27,8 @@ __all__ = [
     "modulus_of_continuity",
     "fwht_forward",
     "fwht_inverse",
-    "decompose_vp_kernel",
     "dirichlet",
     "fejer",
-    "vp_kernel",
     "build_scheme",
     "validate",
     "vp_mean",

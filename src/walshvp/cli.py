@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
@@ -97,9 +98,14 @@ def _csv_field(value) -> str:
     return str(value)
 
 
+# Bound once: looking float.__repr__ up is a measurable share of writing
+# kernel-norms, two floats a row.
+_FLOAT_REPR = float.__repr__
+
+
 def _float_text(value: float) -> str:
     # json.dump with allow_nan=False refuses nan and inf; a record writes null.
-    return float.__repr__(value) if math.isfinite(value) else "null"
+    return _FLOAT_REPR(value) if math.isfinite(value) else "null"
 
 
 # The JSON text of each scalar type: the C routines json.dumps itself calls
@@ -123,59 +129,97 @@ def _row_template(keys, indent: str) -> str:
     return "{\n" + ",\n".join(fields) + f"\n{indent}}}"
 
 
-def _json_records(records, indent: str) -> str:
-    """The text json.dumps(indent=2) writes at indent for a list of flat
-    records: each filled into the row template of its key tuple, built
-    once per tuple, with one encoder call per value."""
-    if not records:
-        return "[]"
+# Records per write of _emit, so that a long output is never held whole:
+# the 2^(N-1) rows of kernel-norms up to N = 13 make one write.
+_EMIT_ROWS = 4096
+
+
+def _chunks(records):
+    """Lists of up to _EMIT_ROWS records of an iterable, drawn as needed."""
+    records = iter(records)
+    while chunk := list(itertools.islice(records, _EMIT_ROWS)):
+        yield chunk
+
+
+def _json_records(records, indent: str):
+    """The text json.dumps(indent=2) writes at indent for an iterable of
+    flat records, in one piece per _EMIT_ROWS records, the brackets joined
+    to the first and the last: each record filled into the row template
+    of its key tuple, built once per tuple, with one encoder call per
+    value."""
     inner = indent + "  "
+    separator = ",\n" + inner
     templates = {}
-    rows = []
-    for record in records:
-        keys = tuple(record)
-        template = templates.get(keys)
-        if template is None:
-            template = templates[keys] = _row_template(keys, inner)
-        rows.append(template % tuple([_JSON_SCALARS[type(v)](v) for v in record.values()]))
-    return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}]"
+    text = None
+    for chunk in _chunks(records):
+        rows = []
+        for record in chunk:
+            keys = tuple(record)
+            template = templates.get(keys)
+            if template is None:
+                template = templates[keys] = _row_template(keys, inner)
+            rows.append(template % tuple([_JSON_SCALARS[type(v)](v) for v in record.values()]))
+        if text is not None:
+            yield text
+        text = ("[\n" + inner if text is None else separator) + separator.join(rows)
+    yield "[]" if text is None else f"{text}\n{indent}]"
 
 
-def _json_text(payload) -> str:
+def _json_text(payload):
     """The text json.dumps(payload, indent=2) writes for the payload shapes
-    of _emit, non-finite floats as null."""
-    if isinstance(payload, list):
-        return _json_records(payload, "")
-    values = [
-        _json_records(v, "  ") if isinstance(v, list) else _JSON_SCALARS[type(v)](v)
-        for v in payload.values()
-    ]
-    return _row_template(tuple(payload), "") % tuple(values)
+    of _emit, non-finite floats as null, in the pieces of _json_records."""
+    if not isinstance(payload, dict):
+        yield from _json_records(payload, "")
+        return
+    text, separator = "{", "\n"
+    for key, value in payload.items():
+        text += f"{separator}  {encode_basestring_ascii(key)}: "
+        if isinstance(value, list):
+            for piece in _json_records(value, "  "):
+                yield text + piece
+                text = ""
+        else:
+            text += _JSON_SCALARS[type(value)](value)
+        separator = ",\n"
+    yield text + "\n}" if payload else "{}"
+
+
+def _csv_text(payload):
+    """The CSV lines of _emit, in one piece per _EMIT_ROWS records: each
+    meta pair as a '# key=value' line and the header of the first
+    record's keys go with the first."""
+    if isinstance(payload, dict) and "records" in payload:
+        head = "".join(f"# {key}={value}\n" for key, value in payload.items() if key != "records")
+        records = payload["records"]
+    else:
+        head, records = "", [payload] if isinstance(payload, dict) else payload
+    first = True
+    for chunk in _chunks(records):
+        rows = "\n".join([",".join([_csv_field(v) for v in record.values()]) for record in chunk])
+        yield f"{head}{','.join(chunk[0])}\n{rows}\n" if first else rows + "\n"
+        first = False
 
 
 def _emit(payload, fmt: str, out_path: str) -> None:
     """The one writer of CSV and JSON records.
 
-    payload is a list of flat records, one record, or an envelope
-    {**meta, "records": [...]}.  JSON keeps that shape, with non-finite
-    floats as null, and fills each record into the row template of its
-    keys.  CSV writes each meta pair as a '# key=value' line, then the
-    record keys as the header and one row per record: bools as
-    true/false, floats as .12g, anything else with str.
+    payload is a list (or any iterable) of flat records, one record, or an
+    envelope {**meta, "records": [...]}.  JSON keeps that shape, with
+    non-finite floats as null, and fills each record into the row template
+    of its keys.  CSV writes each meta pair as a '# key=value' line, then
+    the record keys as the header and one row per record: bools as
+    true/false, floats as .12g, anything else with str.  The records are
+    drawn, filled and written _EMIT_ROWS at a time.
     """
+    pieces = _json_text(payload) if fmt == "json" else _csv_text(payload)
     with _stream(out_path, "w") as stream:
-        if fmt == "json":
-            stream.write(_json_text(payload) + "\n")
-        else:
-            if isinstance(payload, list):
-                payload = {"records": payload}
-            elif "records" not in payload:
-                payload = {"records": [payload]}
-            records = payload["records"]
-            lines = [f"# {key}={value}" for key, value in payload.items() if key != "records"]
-            lines.append(",".join(records[0]))
-            lines += [",".join(_csv_field(v) for v in record.values()) for record in records]
-            stream.write("".join(line + "\n" for line in lines))
+        # A piece is written once the next is drawn, so the last one takes
+        # JSON's final newline in the same write.
+        text = next(pieces, "")
+        for piece in pieces:
+            stream.write(text)
+            text = piece
+        stream.write(text + "\n" if fmt == "json" else text)
 
 
 def _add_common(parser, resolution_default=8):
@@ -304,12 +348,20 @@ def _cmd_kernel_norms(args) -> int:
     # is exact in float64 (n 2^N <= 2^42), so each quotient is the
     # correctly rounded norm.
     orders = np.arange(1, n_max + 1)
-    l1_dirichlet = (d[1:] / (1 << args.resolution)).tolist()
-    l1_fejer = (ell[1:] / (orders << args.resolution)).tolist()
-    records = [
-        {"n": n, "l1_dirichlet": a, "l1_fejer": b}
-        for n, a, b in zip(range(1, n_max + 1), l1_dirichlet, l1_fejer)
-    ]
+    l1_dirichlet = d[1:] / (1 << args.resolution)
+    l1_fejer = ell[1:] / (orders << args.resolution)
+    # The records are built one write of _emit at a time, as it draws them.
+    records = itertools.chain.from_iterable(
+        [
+            {"n": n, "l1_dirichlet": a, "l1_fejer": b}
+            for n, a, b in zip(
+                range(start + 1, n_max + 1),
+                l1_dirichlet[start : start + _EMIT_ROWS].tolist(),
+                l1_fejer[start : start + _EMIT_ROWS].tolist(),
+            )
+        ]
+        for start in range(0, n_max, _EMIT_ROWS)
+    )
     _emit(records, args.format, args.out)
     return 0
 

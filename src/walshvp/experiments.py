@@ -20,6 +20,7 @@ from .dyadic import (
     SampledFunction,
     _dyadic_rank,
     _pairwise_total,
+    _periods,
     _power_scale,
     _rank_of,
     abs_values,
@@ -28,16 +29,17 @@ from .dyadic import (
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import Spectrum, _butterfly, _period_synthesis, fwht_forward, fwht_inverse
+from .walsh_system import Spectrum, _butterfly, _with_spectra, fwht_forward, fwht_inverse
 from .kernels import (
     _block_multiplier,
+    _block_weights,
     _dirichlet_rec_int,
     _paley_int,
-    decompose_vp_kernel,
+    _vp_numerators,
+    _vp_part_numerators,
     dirichlet,
     fejer,
     kernel_norm_sweep,
-    vp_kernel,
 )
 from .weights import WeightScheme, build_scheme, validate
 from .means import PATH_CONVOLUTION, vp_mean
@@ -99,16 +101,36 @@ class SplitMix64:
         """Uniform in [-1, 1)."""
         return (self.next_u64() >> 11) * 2.0**-52 - 1.0
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """count uniform() draws at once.  The k-th state is seed + k * gamma
-        mod 2^64, mixed in uint64 arithmetic, which wraps like the mask."""
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + steps * np.uint64(_GAMMA)
+    def skip(self, count: int) -> None:
+        """Advance past count draws without making them."""
         self.state = (self.state + count * _GAMMA) & _MASK64
-        z = (z ^ (z >> 30)) * np.uint64(_MIX1)
-        z = (z ^ (z >> 27)) * np.uint64(_MIX2)
+
+    @staticmethod
+    def uniform_rows(states: Sequence[int], count: int) -> np.ndarray:
+        """Row i holds the count uniform() draws of a generator at states[i],
+        all rows at once.  The k-th state of a row is its start + k * gamma
+        mod 2^64, mixed in place in uint64 arithmetic, which wraps like the
+        mask, so at most two arrays of the draws' size are live at once."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)
+        z = np.asarray(states, dtype=np.uint64).reshape(-1, 1) + steps
+        del steps
+        z ^= z >> 30
+        z *= np.uint64(_MIX1)
+        z ^= z >> 27
+        z *= np.uint64(_MIX2)
         z ^= z >> 31
-        return (z >> 11).astype(np.float64) * 2.0**-52 - 1.0
+        z >>= 11
+        draws = z.astype(np.float64)
+        draws *= 2.0**-52
+        draws -= 1.0
+        return draws
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """count uniform() draws at once: uniform_rows of this state."""
+        draws = self.uniform_rows([self.state], count)[0]
+        self.skip(count)
+        return draws
 
 
 def random_bounded(seed: int, resolution: int) -> SampledFunction:
@@ -328,6 +350,39 @@ def sweep_ok(records: Iterable[ApproxRecord]) -> bool:
     return all(r.bound_ok and not r.flag for r in records)
 
 
+def _translate_differences(
+    fs: Sequence[SampledFunction], gs: Sequence[SampledFunction], n: int, ps: Sequence
+) -> List[Tuple[float, float, bool]]:
+    """(lhs, rhs, ok) of verify_translate_difference_bound for each
+    (f, g, p) of a batch at one n, which the caller has checked against
+    the common resolution.  The rank of every g is checked; then the
+    coefficients fhat(2^n+m) ghat(m) of all left sides are synthesized in
+    one batched butterfly.  A left side held at its 2^(n+1) cells has the
+    norms of its full-size synthesis, whose copies only tile it (up to the
+    sign of a zero).  Each f's modulus is modulus_of_continuity's, by the
+    route it picks for that f."""
+    for g in gs:
+        # The rank by value: + 0.0 turns -0.0 into +0.0, which the bitwise
+        # _dyadic_rank would tell apart.  The head is a period of g.
+        rank = _dyadic_rank(g._head + 0.0)
+        if rank > n:
+            raise ValueError(f"g has dyadic rank {rank}, above n = {n}")
+    resolution = fs[0].resolution
+    low = 1 << n
+    coeffs = np.zeros((len(fs), 2 * low))
+    for row, f, g in zip(coeffs, fs, gs):
+        np.multiply(
+            fwht_forward(f)._prefix(2 * low)[low:], fwht_forward(g)._prefix(low), out=row[low:]
+        )
+    _butterfly(coeffs)
+    results = []
+    for row, f, g, p in zip(coeffs, fs, gs, ps):
+        lhs = lp_norm(SampledFunction._own(resolution, row), p)
+        rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
+        results.append((lhs, rhs, lhs <= rhs + _TRANSLATE_SLACK))
+    return results
+
+
 def verify_translate_difference_bound(
     f: SampledFunction, g: SampledFunction, n: int, p
 ) -> Tuple[float, float, bool]:
@@ -338,22 +393,13 @@ def verify_translate_difference_bound(
     -0.0 and +0.0 equal), which holds exactly when its spectrum lies below
     2^n; else ValueError.  Then the integral is f * (r_n g), whose
     coefficient at 2^n + m is fhat(2^n+m) ghat(m) by r_n w_m = w_{2^n+m},
-    and zero below 2^n.
+    and zero below 2^n.  This is the batch of one of
+    _translate_differences, the core that verify-lemmas runs in batches.
     """
     f._check_same(g)
     if not 0 < n < f.resolution:
         raise ValueError(f"need 0 < n < {f.resolution}, got {n}")
-    # The rank by value: + 0.0 turns -0.0 into +0.0, which the bitwise
-    # _dyadic_rank would tell apart.  The head is a period of g.
-    rank = _dyadic_rank(g._head + 0.0)
-    if rank > n:
-        raise ValueError(f"g has dyadic rank {rank}, above n = {n}")
-    low = 1 << n
-    coeffs = np.zeros(2 * low)
-    coeffs[low:] = fwht_forward(f)._prefix(2 * low)[low:] * fwht_forward(g)._prefix(low)
-    lhs = lp_norm(SampledFunction._own(f.resolution, _period_synthesis(coeffs, f.resolution)), p)
-    rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
-    return lhs, rhs, lhs <= rhs + _TRANSLATE_SLACK
+    return _translate_differences([f], [g], n, [p])[0]
 
 
 @dataclass(frozen=True)
@@ -425,55 +471,102 @@ def _check_fejer_bounds(resolution: int) -> Tuple[LemmaResult, LemmaResult]:
     return uniform, sharp
 
 
-def _check_translate_difference(resolution: int, seed: int, count: int) -> LemmaResult:
+def _translate_instances(resolution: int, seed: int, count: int) -> list:
+    """The draws of the translate-difference check as one generator makes
+    them in turn, without the uniforms: for each instance (n, p, f_state,
+    g_state, k), where f's 2^N samples are the draws of a generator at
+    f_state, and g is either the synthesis of the 2^n draws at g_state
+    (even instances, k None) or the Fejer kernel K_k (odd instances,
+    g_state None)."""
     rng = SplitMix64(seed)
     p_cycle = (1.0, 2.0, INF)
-    worst = math.inf
-    passed = True
+    instances = []
     for i in range(count):
         n = 1 + rng.randint(resolution - 1)
-        p = p_cycle[i % 3]
-        f = SampledFunction._own(resolution, rng.uniforms(1 << resolution))
+        f_state = rng.state
+        rng.skip(1 << resolution)
         if i % 2 == 0:
-            g = fwht_inverse(Spectrum._own(resolution, rng.uniforms(1 << n)))
+            instances.append((n, p_cycle[i % 3], f_state, rng.state, None))
+            rng.skip(1 << n)
         else:
-            k = 1 + rng.randint(1 << n)
-            g = fejer(k, resolution)
-        lhs, rhs, ok = verify_translate_difference_bound(f, g, n, p)
-        worst = min(worst, rhs - lhs)
-        passed = passed and ok
+            instances.append((n, p_cycle[i % 3], f_state, None, 1 + rng.randint(1 << n)))
+    return instances
+
+
+def _check_translate_difference(resolution: int, seed: int, count: int) -> LemmaResult:
+    """verify_translate_difference_bound on count seeded instances, those
+    of each n in batches of at most _BLOCK_CELLS cells of f (one instance
+    per batch from N = 16 on).  A batch draws all its f rows and spectral
+    g rows from their generator states at once and synthesizes the
+    spectral g rows in one batched butterfly; a Fejer g is its period
+    tiled to 2^n.  _with_spectra transforms the f rows and the g rows in
+    one batched butterfly each, and _translate_differences does the rest."""
+    instances = _translate_instances(resolution, seed, count)
+    step = max(1, _BLOCK_CELLS >> resolution)
+    worst = math.inf
+    passed = True
+    for n in sorted({instance[0] for instance in instances}):
+        same_n = [instance for instance in instances if instance[0] == n]
+        for first in range(0, len(same_n), step):
+            _, ps, f_states, g_states, orders = zip(*same_n[first : first + step])
+            f_rows = SplitMix64.uniform_rows(f_states, 1 << resolution)
+            g_rows = np.empty((len(ps), 1 << n))
+            spectral = [j for j, k in enumerate(orders) if k is None]
+            if spectral:
+                draws = SplitMix64.uniform_rows([g_states[j] for j in spectral], 1 << n)
+                g_rows[spectral] = _butterfly(draws)
+            for row, k in zip(g_rows, orders):
+                if k is not None:
+                    row[:] = _periods(fejer(k, resolution)._head, 1 << n)
+            fs = _with_spectra(f_rows, resolution)
+            gs = _with_spectra(g_rows, resolution)
+            for lhs, rhs, ok in _translate_differences(fs, gs, n, ps):
+                worst = min(worst, rhs - lhs)
+                passed = passed and ok
     return LemmaResult("translate-difference-bound", count, float(worst), passed)
 
 
-def _decomposition_deviation(scheme: WeightScheme) -> Fraction:
-    # At 2^(n+1) cells, the support of the kernel and its parts, which
-    # share the weights' common denominator.
-    support = scheme.block_exponent + 1
-    kernel = vp_kernel(scheme, support)
-    parts = decompose_vp_kernel(scheme, support)
-    total = sum(part.exact_numer for part in parts)
-    return Fraction(int(np.max(np.abs(total - kernel.exact_numer))), kernel.exact_denom)
+def _decomposition_deviation(*schemes: WeightScheme) -> Fraction:
+    """The largest deviation of the sum of the three parts of
+    decompose_vp_kernel from vp_kernel, over the weights' common
+    denominator, among schemes of one block exponent and numerator dtype,
+    run as one batch of rows of _vp_numerators and _vp_part_numerators at
+    the 2^(n+1) cells of the support, where part 1's period of 2^n cells
+    repeats twice.  One scheme is the batch of one."""
+    weights = [_block_weights(scheme) for scheme in schemes]
+    t = np.stack([numerators for numerators, _ in weights])
+    first, second, third = _vp_part_numerators(t)
+    total = second + third
+    total.reshape(t.shape[:-1] + (2, -1))[...] += first[..., None, :]
+    deviations = np.max(np.abs(total - _vp_numerators(t)), axis=-1)
+    return max(Fraction(int(d), denom) for d, (_, denom) in zip(deviations, weights))
 
 
 def _check_decomposition(resolution: int, seed: int, random_schemes: int) -> LemmaResult:
+    """_decomposition_deviation of the family schemes at n = 1..min(6, N-1)
+    and of seeded random ones, the schemes of one (n, numerator dtype) in
+    batches of at most _BLOCK_CELLS cells of their 2^(n+1)-cell support."""
     rng = SplitMix64(seed)
     n_cap = min(6, resolution - 1)
-    instances = 0
-    worst = Fraction(0)
-    for n in range(1, n_cap + 1):
-        for family, alpha in (
-            ("uniform", None),
-            ("linear_up", None),
-            ("linear_down", None),
-            ("cesaro", 2),
-        ):
-            worst = max(worst, _decomposition_deviation(build_scheme(family, n, alpha=alpha)))
-            instances += 1
+    families = (("uniform", None), ("linear_up", None), ("linear_down", None), ("cesaro", 2))
+    schemes = [
+        build_scheme(family, n, alpha=alpha)
+        for n in range(1, n_cap + 1)
+        for family, alpha in families
+    ]
     for _ in range(random_schemes):
         n = 1 + rng.randint(n_cap)
-        worst = max(worst, _decomposition_deviation(random_rational_scheme(n, rng)))
-        instances += 1
-    return LemmaResult("vp-kernel-decomposition", instances, float(worst), worst == 0)
+        schemes.append(random_rational_scheme(n, rng))
+    groups = {}
+    for scheme in schemes:
+        key = (scheme.block_exponent, _block_weights(scheme)[0].dtype)
+        groups.setdefault(key, []).append(scheme)
+    worst = Fraction(0)
+    for (n, _), members in groups.items():
+        step = max(1, _BLOCK_CELLS >> (n + 1))
+        for first in range(0, len(members), step):
+            worst = max(worst, _decomposition_deviation(*members[first : first + step]))
+    return LemmaResult("vp-kernel-decomposition", len(schemes), float(worst), worst == 0)
 
 
 def verify_all_lemmas(

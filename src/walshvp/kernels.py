@@ -3,12 +3,13 @@
 D_n and K_n for n <= 2^m depend only on x_0..x_(m-1), the block-n VP
 kernel only on x_0..x_n, so each is held as that period of integer
 numerators over one denominator (1 for D_n, n for K_n, the weights'
-common one for VP kernels), built by hadamard_transform of its Walsh
+common one for VP kernels), built by the integer butterfly of its Walsh
 coefficients or, for D, by its recursion or closed form.  The kernel
 identities (the closed form of D at powers of two, the recursive
 splitting of D, the three-part VP decomposition) are then checked with
 zero error.  The numerators are int64, or Python ints for a VP kernel
-whose weights have large numerators (_block_weights).
+whose weights have large numerators (_block_weights); the VP cores run
+on a stack of weight rows, so a check can build many kernels in one pass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import SampledFunction, check_resolution
-from .walsh_system import hadamard_transform
+from .walsh_system import _butterfly, hadamard_transform
 from .weights import WeightScheme, _integers, _quotients
 
 # VP kernel sums switch to Python ints once their bound passes this.  At
@@ -87,16 +88,17 @@ def dirichlet(n: int, resolution: int) -> KernelFunction:
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
-    """D_n as an int64 row at the 2^N cells, N >= 0, for each n <= 2^N of
+    """D_n as an int32 row at the 2^N cells, N >= 0, for each n <= 2^N of
     the array orders (unchecked), by the splitting D_n = D_{2^m} + r_m D_j
     for the top bit m of n and j = n - 2^m, unrolled from the lowest bit
     up on all rows at once: at each bit m, the rows whose n has m set
     above a lower set bit get the odd halves of their periods of length
     2^(m+1) negated (r_m), then every row whose n has m set gains the
     closed form 2^m on I_m.  Only the rows that flip are negated: a mask
-    would pass over every row at every bit."""
-    orders = np.asarray(orders, dtype=np.int64)
-    values = np.zeros((orders.size, 1 << resolution), dtype=np.int64)
+    would pass over every row at every bit.  |D_n| <= n <= 2^N <= 2^24
+    under the resolution cap, so int32 holds every row exactly."""
+    orders = np.asarray(orders, dtype=np.int32)
+    values = np.zeros((orders.size, 1 << resolution), dtype=np.int32)
     for m in range(int(orders.max(initial=0)).bit_length()):
         bit = orders >> m & 1
         flip = np.flatnonzero(bit & (orders & ((1 << m) - 1) != 0))
@@ -111,7 +113,8 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     closed form and recurse on the remainder behind a Rademacher sign."""
     n = _check_order(n, resolution)
     support = max(n - 1, 0).bit_length()
-    return KernelFunction._own(resolution, _dirichlet_rec_int([n], support)[0])
+    numer = _dirichlet_rec_int([n], support)[0].astype(np.int64)
+    return KernelFunction._own(resolution, numer)
 
 
 def fejer(n: int, resolution: int) -> KernelFunction:
@@ -201,34 +204,57 @@ def _block_weights(w: WeightScheme):
 
 
 def _above(x: np.ndarray) -> np.ndarray:
-    """sum_{i>m} x_i at each m, by one running sum from the top: zero at
-    the last entry.  Keeps the dtype of x."""
+    """sum_{i>m} x_i at each m along the last axis, by one running sum
+    from the top: zero at the last entry.  Keeps the dtype of x."""
     above = np.zeros_like(x)
-    above[:-1] = np.cumsum(x[:0:-1])[::-1]
+    above[..., :-1] = x[..., :0:-1].cumsum(axis=-1)[..., ::-1]
     return above
 
 
 def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
-    """Walsh coefficients of sum_k t_k D_k over the block [2^n, 2^(n+1)-1]:
-    the whole weight mass below the block, the weight mass strictly above
-    m at frequency m inside it, and zero from the block end on.  Keeps the
-    dtype of the weights."""
-    count = weights.size
-    coeffs = np.zeros(1 << resolution, dtype=weights.dtype)
-    coeffs[:count] = np.sum(weights)
-    coeffs[count : 2 * count] = _above(weights)
+    """Walsh coefficients of sum_k t_k D_k over the block [2^n, 2^(n+1)-1]
+    for each row of weights along the last axis: the whole weight mass
+    below the block, the weight mass strictly above m at frequency m inside
+    it, and zero from the block end on.  Keeps the dtype of the weights."""
+    count = weights.shape[-1]
+    coeffs = np.zeros(weights.shape[:-1] + (1 << resolution,), dtype=weights.dtype)
+    coeffs[..., :count] = weights.sum(axis=-1, keepdims=True)
+    coeffs[..., count : 2 * count] = _above(weights)
     return coeffs
+
+
+def _vp_numerators(t: np.ndarray) -> np.ndarray:
+    """The numerators of the block VP kernel at the 2^(n+1) cells of its
+    support, for each row of integer weight numerators t (2^n along the
+    last axis): the butterfly of _block_multiplier, in the dtype of t."""
+    return _butterfly(_block_multiplier(t, t.shape[-1].bit_length()))
+
+
+def _vp_part_numerators(t: np.ndarray) -> tuple:
+    """The numerators of the three parts of decompose_vp_kernel for each
+    row of integer weight numerators t (2^n along the last axis): part 1
+    at its period of 2^n cells, parts 2 and 3 at the 2^(n+1) of the
+    support, in the dtype of t."""
+    low = t.shape[-1]
+    diff = np.zeros_like(t)
+    diff[..., 1:-1] = t[..., 1:-1] - t[..., 2:]
+    first = np.zeros_like(t)
+    first[..., 0] = np.sum(t, axis=-1) * low  # the closed form of D_{2^n}
+    coeffs = np.zeros((2,) + t.shape[:-1] + (2 * low,), dtype=t.dtype)
+    coeffs[0, ..., low:] = _above(diff + _above(diff))
+    coeffs[1, ..., low:] = t[..., -1:] * np.arange(low - 1, -1, -1).astype(t.dtype)
+    second, third = _butterfly(coeffs)
+    return first, second, third
 
 
 def vp_kernel(w: WeightScheme, resolution: int) -> KernelFunction:
     """Block de la Vallee Poussin kernel sum_k t_k D_k, k over
     [2^n, 2^(n+1)-1], synthesized from its Walsh coefficients in the
-    integer numerators of the weights.
+    integer numerators of the weights: _vp_numerators on one row.
     """
     _check_block(w, resolution)
     t, denom = _block_weights(w)
-    numer = hadamard_transform(_block_multiplier(t, w.block_exponent + 1))
-    return KernelFunction._own(resolution, numer, denom)
+    return KernelFunction._own(resolution, _vp_numerators(t), denom)
 
 
 def decompose_vp_kernel(
@@ -250,19 +276,10 @@ def decompose_vp_kernel(
     sum_{k>m} d_k (k - m) = _above(d + _above(d)) at 2^n + m, and part 3
     has t_last (2^n - 1 - m) there.  vp_kernel takes its coefficients from
     the weight mass above m instead, so the sum of the parts checks them
-    in exact integers.  The oracle of each part, built from running sums
-    of Walsh signs at the cells, is in tests/test_kernels.py.
+    in exact integers.  The numerators are _vp_part_numerators on one row.
+    The oracle of each part, built from running sums of Walsh signs at the
+    cells, is in tests/test_kernels.py.
     """
     _check_block(w, resolution)
     t, denom = _block_weights(w)
-    low = w.block_size
-    diff = np.zeros(low, dtype=t.dtype)
-    diff[1:-1] = t[1:-1] - t[2:]
-    second = _above(diff + _above(diff))
-    third = t[-1] * np.arange(low - 1, -1, -1).astype(t.dtype)
-    parts = [np.sum(t) * _paley_int(w.block_exponent).astype(t.dtype)]
-    for upper in (second, third):
-        coeffs = np.zeros(2 * low, dtype=t.dtype)
-        coeffs[low:] = upper
-        parts.append(hadamard_transform(coeffs))
-    return tuple(KernelFunction._own(resolution, part, denom) for part in parts)
+    return tuple(KernelFunction._own(resolution, part, denom) for part in _vp_part_numerators(t))

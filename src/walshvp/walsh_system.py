@@ -8,8 +8,6 @@ normalization; the inverse is unnormalized.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .dyadic import SampledFunction, _cells, _periods, _read_samples, _Samples, check_resolution
@@ -172,6 +170,8 @@ def hadamard_transform(values) -> np.ndarray:
     return _butterfly(a.reshape(n))
 
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 # The bits of -0.0.
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
 
@@ -193,6 +193,38 @@ def _period_synthesis(coeffs: np.ndarray, resolution: int) -> np.ndarray:
     return synthesized
 
 
+def _spectra(cells: np.ndarray) -> np.ndarray:
+    """The spectra of the rows of a 2-D array, each row the 2^r cells of
+    one period, as a new array: each row butterflied, then scaled by 2^-r,
+    in one batched butterfly.  A row of 2^r max|row| past the float range
+    is scaled before the butterfly instead, so no sum overflows."""
+    scale = 2.0 ** -(cells.shape[-1].bit_length() - 1)
+    # x 2^r is finite exactly when x <= max_float 2^-r, both exact.
+    early = np.abs(cells).max(axis=-1, keepdims=True) > _FLOAT_MAX * scale
+    if not early.any():
+        head = _butterfly(cells.copy())
+        head *= scale
+        return head
+    # x * 1.0 is x, so each row is scaled once, before or after.
+    head = _butterfly(cells * np.where(early, scale, 1.0))
+    head *= np.where(early, 1.0, scale)
+    return head
+
+
+def _with_spectra(rows: np.ndarray, resolution: int) -> list:
+    """A SampledFunction at resolution N on each row of a C-contiguous 2-D
+    array that nothing else refers to, each row a period of 2^k <= 2^N
+    samples, with its spectrum kept: _spectra of all rows at once.  For a
+    row of rank r < k that is fwht_forward's rank-r spectrum bit for bit,
+    padded with +0.0, while 2^k max|row| stays in the float range."""
+    functions = []
+    for row, head in zip(rows, _spectra(rows)):
+        f = SampledFunction._own(resolution, row)
+        object.__setattr__(f, "_spectrum", Spectrum._own(resolution, head))
+        functions.append(f)
+    return functions
+
+
 def fwht_forward(f: SampledFunction) -> Spectrum:
     """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu).
 
@@ -204,18 +236,12 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
     2^r sums exactly and set the rest to x - x = +0.0, as long as those
     doubled sums stay finite.
     Where 2^r max|f| is past the float range, the samples are scaled
-    before the butterfly instead, so no sum overflows.
+    before the butterfly instead, so no sum overflows (_spectra of one row).
     The spectrum is computed once per function and kept on it; both are
     read-only, so every caller shares one transform.
     """
     if f._spectrum is None:
-        cells = _cells(f)
-        rank = cells.size.bit_length() - 1
-        if math.isfinite(float(np.max(np.abs(cells))) * 2**rank):
-            head = _butterfly(cells.copy())
-            head *= 2.0**-rank
-        else:
-            head = _butterfly(cells * 2.0**-rank)
+        head = _spectra(_cells(f)[None])[0]
         object.__setattr__(f, "_spectrum", Spectrum._own(f.resolution, head))
     return f._spectrum
 

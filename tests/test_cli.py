@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -446,6 +447,35 @@ def test_kernel_norms_builds_no_fraction(capsys, monkeypatch):
     code, out, _ = run(capsys, "kernel-norms", "--resolution", "16")
     assert code == 0 and len(out.splitlines()) == 1 + (1 << 15)
     assert made == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_writes_in_chunks_of_rows(monkeypatch, fmt):
+    # kernel-norms up to N = 13 writes once; past it, one write per 4096
+    # rows, drawn lazily, with the bytes of a single write.
+    writes = []
+
+    class Counted(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    texts = []
+    for N in (13, 15):
+        out = Counted()
+        monkeypatch.setattr(sys, "stdout", out)
+        writes.clear()
+        assert cli.main(["kernel-norms", "--resolution", str(N), "--format", fmt]) == 0
+        texts.append(out.getvalue())
+        assert len(writes) == max(1, (1 << (N - 1)) // 4096)
+    if fmt == "json":
+        rows = json.loads(texts[1])
+        assert texts[1] == json.dumps(rows, indent=2) + "\n"
+    else:
+        rows = list(csv.DictReader(texts[1].splitlines()))
+        assert all(len(row) == 3 and None not in row.values() for row in rows)
+    assert len(rows) == 1 << 14
+    assert [str(row["n"]) for row in rows[4095:4097]] == ["4096", "4097"]
 
 
 def test_weights_validate(capsys, tmp_path):

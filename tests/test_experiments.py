@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walshvp.dyadic
 import walshvp.kernels
 import walshvp.walsh_system
 from walshvp import experiments as exp
 from walshvp.cli import main
 from walshvp.dyadic import INF, SampledFunction, abs_values, lp_norm
 from walshvp.kernels import (
-    KernelFunction,
     decompose_vp_kernel,
+    dirichlet_via_recursion,
     fejer,
     kernel_norm_sweep,
     vp_kernel,
@@ -318,8 +319,8 @@ class TestVerifyAllLemmas:
 
 
 class TestBatchedChecks:
-    """The recursion and decomposition checks run in blocks of rows; an
-    error in any one row must still show."""
+    """The recursion, translate-difference and decomposition checks run in
+    blocks of rows; an error in any one row must still show."""
 
     def _counted_recursion(self, monkeypatch, perturb_call=None):
         calls = []
@@ -376,21 +377,88 @@ class TestBatchedChecks:
         assert exp._decomposition_deviation(build_scheme("cesaro", 6, alpha=2)) == 0
         assert calls == []
 
+    def test_recursion_rows_are_int32_and_its_kernel_int64(self):
+        # |D_n| <= 2^N <= 2^24 under the cap, so int32 holds the rows; the
+        # kernel built from one still hands int64 numerators over.
+        assert exp._dirichlet_rec_int(np.array([0, 5, 1 << 10]), 10).dtype == np.int32
+        assert dirichlet_via_recursion(5, 10).exact_numer.dtype == np.int64
+
+    def _perturbed_parts(self, monkeypatch, perturb_call):
+        # One wrong cell of part 2, in the middle row of the given call of
+        # the batched integer core; returns the weight rows of each call.
+        calls = []
+        parts = exp._vp_part_numerators
+
+        def perturbed(t):
+            first, second, third = parts(t)
+            calls.append(t)
+            if perturb_call in (None, len(calls)):
+                second[len(t) // 2, 3] += 1
+            return first, second, third
+
+        monkeypatch.setattr(exp, "_vp_part_numerators", perturbed)
+        return calls
+
     def test_one_wrong_part_shows_a_deviation(self, monkeypatch):
-        decompose = exp.decompose_vp_kernel
-
-        def perturbed(w, resolution):
-            dec = decompose(w, resolution)
-            part = dec[1]
-            numer = part.exact_numer.copy()
-            numer[3] += 1
-            wrong = KernelFunction(resolution, numer, part.exact_denom)
-            return (dec[0], wrong, dec[2])
-
-        monkeypatch.setattr(exp, "decompose_vp_kernel", perturbed)
+        self._perturbed_parts(monkeypatch, None)
         scheme = build_scheme("linear_down", 3)
         assert exp._decomposition_deviation(scheme) == Fraction(1, scheme.denominator)
         assert not exp._check_decomposition(8, 0, 0).passed
+
+    def test_one_wrong_cell_in_a_middle_batch_fails(self, monkeypatch):
+        # Every scheme of the check sums to one, so its denominator L is the
+        # sum of its numerators, and the wrong cell deviates by 1/L.
+        calls = self._perturbed_parts(monkeypatch, 3)
+        result = exp._check_decomposition(8, 0, 25)
+        assert len(calls) > 3 and len(calls[2]) > 1
+        wrong = calls[2][len(calls[2]) // 2]
+        assert not result.passed
+        assert result.worst_margin == float(Fraction(1, int(np.sum(wrong))))
+
+    def test_one_wrong_left_side_fails_with_its_margin(self, monkeypatch):
+        # The middle row of the third batch gets a kept spectrum 2^20 times
+        # too large: its left side grows, its modulus (read off the
+        # samples) does not.  Its margin is the one that row has alone.
+        sizes, alone = [], []
+        core = exp._translate_differences
+
+        def perturbed(fs, gs, n, ps):
+            sizes.append(len(fs))
+            if len(sizes) == 3:
+                j = len(fs) // 2
+                f = fs[j]
+                wrong = SampledFunction(f.resolution, f.values)
+                spectrum = Spectrum(f.resolution, fwht_forward(f).coeffs * 2.0**20)
+                object.__setattr__(wrong, "_spectrum", spectrum)
+                fs = fs[:j] + [wrong] + fs[j + 1 :]
+                alone.append(core([wrong], [gs[j]], n, [ps[j]])[0])
+            return core(fs, gs, n, ps)
+
+        monkeypatch.setattr(exp, "_translate_differences", perturbed)
+        result = exp._check_translate_difference(8, 0, 40)
+        lhs, rhs, ok = alone[0]
+        assert len(sizes) > 3 and not ok and lhs > rhs
+        assert not result.passed and result.worst_margin == rhs - lhs
+
+    @pytest.mark.parametrize("N, count", [(8, 40), (12, 40), (16, 3)])
+    def test_translate_difference_runs_in_blocks(self, monkeypatch, N, count):
+        # A batch holds at most 2^16 cells of f: one instance from N = 16 on.
+        sizes = []
+        core = exp._translate_differences
+        monkeypatch.setattr(
+            exp, "_translate_differences",
+            lambda fs, gs, n, ps: sizes.append(len(fs)) or core(fs, gs, n, ps),
+        )
+        result = exp._check_translate_difference(N, 0, count)
+        assert result.passed and result.instances == count == sum(sizes)
+        assert max(sizes) << N <= 1 << 16
+        assert N < 16 or sizes == [1] * count
+
+    def test_decomposition_runs_in_blocks(self, monkeypatch):
+        calls = self._perturbed_parts(monkeypatch, 0)
+        result = exp._check_decomposition(10, 0, 200)
+        assert result.passed and result.instances == 224 == sum(map(len, calls))
+        assert max(t.size << 1 for t in calls) <= 1 << 16
 
     def test_deviation_at_the_support_is_the_deviation_at_every_cell(self):
         # The kernel and its parts at 2^N cells repeat their values at the
@@ -415,6 +483,72 @@ class TestBatchedChecks:
             for whole, short in zip([kernel] + list(parts), at_support):
                 tiled = np.tile(short.exact_numer, 1 << (resolution - support))
                 assert np.array_equal(whole.exact_numer, tiled)
+
+
+def _batched(resolution, instances):
+    """_translate_differences over instances (f row, g row, n, p), the
+    instances of each n in one batch, as the lemma check batches them."""
+    results = [None] * len(instances)
+    by_n = {}
+    for i, (_, _, n, _) in enumerate(instances):
+        by_n.setdefault(n, []).append(i)
+    for n, members in by_n.items():
+        rows = [np.stack([instances[i][k] for i in members]) for k in (0, 1)]
+        fs, gs = (walshvp.walsh_system._with_spectra(r, resolution) for r in rows)
+        ps = [instances[i][3] for i in members]
+        for i, result in zip(members, exp._translate_differences(fs, gs, n, ps)):
+            results[i] = result
+    return results
+
+
+class TestTranslateDifferenceBatches:
+    """A batch of translate-difference instances gives each instance the
+    (lhs, rhs, ok) of verify_translate_difference_bound alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_batch_equals_one_at_a_time(self, resolution, data):
+        rng = exp.SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+        batch, alone = [], []
+        for _ in range(data.draw(st.integers(1, 6))):
+            n = data.draw(st.integers(1, resolution - 1))
+            p = data.draw(st.sampled_from((1.0, 2.0, 3.0, INF)))
+            f = rng.uniforms(1 << resolution)
+            rank = data.draw(st.integers(0, resolution))  # below N for a rank < N row
+            f = np.tile(f[: 1 << rank], 1 << (resolution - rank))
+            kind = data.draw(st.sampled_from(("spectral", "fejer", "fejer(1)")))
+            if kind == "spectral":
+                draws = rng.uniforms(1 << n)
+                g_row = walshvp.walsh_system.hadamard_transform(draws)
+                padded = np.pad(draws, (0, (1 << resolution) - draws.size))
+                g = fwht_inverse(Spectrum(resolution, padded))
+            else:
+                k = 1 if kind == "fejer(1)" else data.draw(st.integers(1, 1 << n))
+                g = fejer(k, resolution)
+                g_row = np.tile(g._head, (1 << n) // g._head.size)
+            batch.append((f, g_row, n, p))
+            f_alone = SampledFunction(resolution, f)
+            alone.append(exp.verify_translate_difference_bound(f_alone, g, n, p))
+        assert _batched(resolution, batch) == alone
+
+    def test_the_sign_split_row_equals_one_at_a_time(self, monkeypatch):
+        # At N = 12 and n = 1 each coset has 2^11 translates, from which the
+        # p = 1 table is built by the sign split.
+        split = []
+        sums = walshvp.dyadic._sign_split_sums
+        monkeypatch.setattr(
+            walshvp.dyadic, "_sign_split_sums", lambda *a: split.append(a[1]) or sums(*a)
+        )
+        rng = exp.SplitMix64(12)
+        batch, alone = [], []
+        for k in (1, 2):
+            f = rng.uniforms(1 << 12)
+            g = fejer(k, 12)
+            batch.append((f, np.tile(g._head, 2 // g._head.size), 1, 1.0))
+            alone.append(exp.verify_translate_difference_bound(SampledFunction(12, f), g, 1, 1))
+        assert split == [1, 1]
+        assert _batched(12, batch) == alone and split == [1, 1, 1, 1]
+        assert all(ok for _, _, ok in alone)
 
 
 def _approx(capsys, weights, p, fmt):

@@ -3,7 +3,8 @@
 The digests were recorded before the function storage and the JSON writer
 were rewritten; any change to the bytes a command prints fails here.  The
 calls leave out p = 2, whose moduli moved in their last bits when the p = 2
-table stopped summing the terms that cancel exactly.
+table stopped summing the terms that cancel exactly.  The verify-lemmas
+digests were recorded before its checks ran their instances in batches.
 """
 
 import argparse
@@ -34,6 +35,13 @@ def _calls():
             calls[f"weights-validate {family} {fmt}"] = [
                 "weights-validate", "--weights", family, "--n", "5", "--format", fmt
             ]
+        lemmas = ["verify-lemmas", "--seed", "2", "--format", fmt]
+        for N in (8, 10, 12):
+            calls[f"verify-lemmas N={N} 40/6 {fmt}"] = lemmas + [
+                "--resolution", str(N), "--lemma5-count", "40", "--random-schemes", "6"
+            ]
+        # The default counts at N = 12 reach the p = 1 sign split at n = 1.
+        calls[f"verify-lemmas N=12 {fmt}"] = lemmas + ["--resolution", "12"]
     return calls
 
 
@@ -74,6 +82,14 @@ DIGESTS = {
     "weights-validate linear_up json": "ebaa0ab0bdbe04bcd89b28d6d9ec8982dd9c072aa6f1e69e2d196a329c21381f",
     "weights-validate uniform csv": "1138ad5072549007b4ba99c1d1ca44870f86db08a1cd04a1ed08d6a037326760",
     "weights-validate uniform json": "ae999950b0e019237d8b3d7e996d2f0a5e002e6ab980e672a7f3da59757f41e4",
+    "verify-lemmas N=8 40/6 csv": "99b6a661271c9775e890d662e1d1a285388a9a4b2a828c9f2f67213ec7006250",
+    "verify-lemmas N=8 40/6 json": "ba68d200bd274ce32db9822be827a67bc8a7d0e1850a823e6e5140891e7550ae",
+    "verify-lemmas N=10 40/6 csv": "56ddf034e0d56848aad56c1df6a3684d12939893becf9e680889979ddf424d30",
+    "verify-lemmas N=10 40/6 json": "97de799f52bf34b94929330b6d341746258bbe5b19e6cf15e4872dfaff7a9a1d",
+    "verify-lemmas N=12 40/6 csv": "7c402316d96e29c655e4dbe75fbc55052ef0ee60ed15e02a9ba0ce25a8e2da56",
+    "verify-lemmas N=12 40/6 json": "66b0e9b1528fd745e712cd055b79d590ad2cb52c9eecf67b7f18c7837a6f5607",
+    "verify-lemmas N=12 csv": "5826a639188585cafc4b5e5d9af4ade88a1bb4b72d4e13c48d26b664079e4802",
+    "verify-lemmas N=12 json": "de36b31ba28ee97b9ff4cc8c3a950524c122144a9984d01d679b759411a09f37",
 }
 
 

@@ -266,3 +266,20 @@ def test_bit_parity_folds_all_63_bits():
     values = [rng.getrandbits(63) for _ in range(200)]
     expected = [bin(x).count("1") & 1 for x in values]
     assert bit_parity(np.array(values, dtype=np.int64)).tolist() == expected
+
+
+def test_batched_spectra_scale_each_row_as_it_would_alone():
+    # A row whose 2^r max|row| passes the float range is scaled before the
+    # butterfly, the others after it, each as fwht_forward does it alone.
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(-1, 1, (4, 8))
+    rows[1] *= 1e308
+    rows[2, 3] = 1e308
+    for head, row in zip(walsh_system._spectra(rows), rows):
+        alone = walsh_system.fwht_forward(SampledFunction(3, row)).coeffs
+        assert np.isfinite(head).all() and head.tobytes() == alone.tobytes()
+    functions = walsh_system._with_spectra(rows.copy(), 5)
+    for f, row in zip(functions, rows):
+        alone = walsh_system.fwht_forward(SampledFunction(5, np.tile(row, 4))).coeffs
+        assert f.values.flags.c_contiguous and f.values.tobytes() == np.tile(row, 4).tobytes()
+        assert walsh_system.fwht_forward(f).coeffs.tobytes() == alone.tobytes()
