@@ -5,14 +5,14 @@ transform (walsh), Dirichlet/Fejer/de la Vallee Poussin kernels with exact
 rational samples (kernels), rational block weight schemes (weights), matrix
 transform means (means), and the numerical verification suite
 (experiments).  The package exports what the command line and the
-verification suite call, and the types those calls return.
+verification suite call, and the types those calls return; the mean of
+one block, vp_mean, is imported from walshvp.means.
 """
 
 from .dyadic import INF, SampledFunction, interval_indicator, lp_norm, modulus_of_continuity
 from .walsh_system import Spectrum, fwht_forward, fwht_inverse
 from .kernels import KernelFunction, dirichlet, fejer
 from .weights import ValidationReport, WeightScheme, build_scheme, validate
-from .means import MeanResult, vp_mean
 
 __all__ = [
     "INF",
@@ -21,7 +21,6 @@ __all__ = [
     "KernelFunction",
     "WeightScheme",
     "ValidationReport",
-    "MeanResult",
     "interval_indicator",
     "lp_norm",
     "modulus_of_continuity",
@@ -31,5 +30,4 @@ __all__ = [
     "fejer",
     "build_scheme",
     "validate",
-    "vp_mean",
 ]

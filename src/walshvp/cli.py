@@ -25,6 +25,7 @@ from .dyadic import (
     INF,
     _check_exponent,
     check_resolution,
+    modulus_of_continuity,
     read_function,
     write_function,
 )
@@ -431,7 +432,7 @@ def _cmd_modulus(args) -> int:
             "n": n,
             "p": _p_field(p),
             "delta": 2.0**-n,
-            "omega": experiments._finite_modulus(f, n, p),
+            "omega": experiments._finite_modulus(modulus_of_continuity(f, n, p), n, p),
         }
         for n in blocks
         for p in _parse_p_list(args.p)

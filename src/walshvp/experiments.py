@@ -18,7 +18,10 @@ from .dyadic import (
     _BLOCK_CELLS,
     INF,
     SampledFunction,
+    _cells,
+    _check_exponent,
     _dyadic_rank,
+    _lp_of_values,
     _pairwise_total,
     _periods,
     _power_scale,
@@ -33,6 +36,7 @@ from .walsh_system import Spectrum, _butterfly, _with_spectra, fwht_forward, fwh
 from .kernels import (
     _block_multiplier,
     _block_weights,
+    _check_block,
     _dirichlet_rec_int,
     _paley_int,
     _vp_numerators,
@@ -42,7 +46,7 @@ from .kernels import (
     kernel_norm_sweep,
 )
 from .weights import WeightScheme, build_scheme, validate
-from .means import PATH_CONVOLUTION, vp_mean
+from .means import _mean_overflow, _mean_rows
 
 # Explicit constant for non-increasing block weights summing to one.
 CASE_B_BOUND = Fraction(47, 30)
@@ -228,19 +232,19 @@ class ApproxRecord:
     flag: str = ""
 
 
-def _l2_error(f: SampledFunction, scheme: WeightScheme) -> float:
+def _l2_error(f: SampledFunction, multiplier: np.ndarray) -> float:
     """||mean(f) - f||_2 by Parseval: sqrt(sum_m ((1 - mu_m) fhat_m)^2)
-    with mu the block multiplier.  fhat vanishes from 2^r on (r the rank
-    of f) and mu from 2^(n+1) on, so the terms are |fhat_m| on the first
-    2^r coefficients, times |1 - mu_m| on the first 2^min(n+1, r).  They
-    are divided by the largest of them before squaring when a square
-    could over- or underflow, as in lp_norm.  An error past the float
-    range is a ValueError."""
-    n, rank = scheme.block_exponent, _rank_of(f)
+    with mu the block multiplier, given on its first 2^min(n+1, r)
+    coefficients.  fhat vanishes from 2^r on (r the rank of f) and mu from
+    2^(n+1) on, so the terms are |fhat_m| on the first 2^r coefficients,
+    times |1 - mu_m| on the first 2^min(n+1, r).  They are divided by the
+    largest of them before squaring when a square could over- or
+    underflow, as in lp_norm.  An error past the float range is inf."""
+    rank = _rank_of(f)
     terms = np.abs(fwht_forward(f)._prefix(1 << rank))
-    mean_part = terms[: 1 << min(n + 1, rank)]
+    mean_part = terms[: multiplier.size]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_part *= np.abs(1.0 - _block_multiplier(scheme.weights, n + 1)[: mean_part.size])
+        mean_part *= np.abs(1.0 - multiplier)
     error = float(np.max(terms))
     if 0.0 < error < INF:
         scale = _power_scale(error, 2.0, rank)
@@ -248,86 +252,95 @@ def _l2_error(f: SampledFunction, scheme: WeightScheme) -> float:
             terms /= scale
         terms **= 2
         error = scale * math.sqrt(_pairwise_total(terms))
-    if not error < INF:
-        raise ValueError(f"the p = 2 error of block n = {n} passes the float range")
     return error
 
 
-def _finite_modulus(f: SampledFunction, n: int, p: float) -> float:
-    """omega_p(f, 2^-n), or a ValueError when it passes the float range:
-    an infinite modulus bounds nothing."""
-    modulus = modulus_of_continuity(f, n, p)
+def _finite_modulus(modulus: float, n: int, p: float) -> float:
+    """A modulus omega_p(f, 2^-n), or a ValueError when it passes the float
+    range: an infinite modulus bounds nothing."""
     if not modulus < INF:
         raise ValueError(f"the p = {p:.12g} modulus at n = {n} passes the float range")
     return modulus
 
 
-def _block_records(
-    f: SampledFunction, scheme: WeightScheme, p_values: Sequence
-) -> List[ApproxRecord]:
-    """The rows of one block, one per p.  The scheme is validated once.
-    The p = 2 error is read off the spectrum by Parseval (_l2_error); the
-    residual mean(f) - f is synthesized at 2^N cells only when another p
-    asks for it, and then once for all of them.  A modulus or a ratio past
-    the float range is a ValueError."""
-    # The 47/30 bound is asserted exactly when the scheme sums to one and
-    # is non-increasing (case b): its proof needs both.
-    n = scheme.block_exponent
-    report = validate(scheme)
-    case_b = report.sum_ok and report.case_b_ok
-    bound = float(CASE_B_BOUND) if case_b else math.nan
-    residual = None
+def _residual_rows(f: SampledFunction, multipliers: np.ndarray) -> tuple:
+    """The residuals mean - f, one row of the 2^r cells of one period of f
+    (r its rank) for each row of a stack of block multipliers of one width
+    2^m, 2^m <= 2^r, whose means _mean_rows synthesizes at once, and
+    whether each mean is finite.  Cell x of a row is the mean at x mod 2^m
+    minus f at x; past the float range it is inf or nan, with no warning."""
+    means = _mean_rows(f, multipliers)
+    cells = _cells(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = means[:, None, :] - cells.reshape(-1, means.shape[-1])
+    return rows.reshape(len(means), cells.size), np.isfinite(means).all(axis=-1)
+
+
+def _finish_blocks(f: SampledFunction, blocks: list, residuals: bool) -> List[ApproxRecord]:
+    """The records of ratio_sweep's blocks (n, multiplier, bound, values),
+    values holding (p, error, modulus) with the error None for p != 2.
+    Those errors are the L^p norms of the _residual_rows of all blocks,
+    which the caller stacks only while their multipliers share one width.
+    Each record's error, modulus and ratio are checked in that order, a
+    value past the float range being a ValueError; a mean past it is one
+    at its block's first p != 2."""
+    if residuals and blocks:
+        rows, finite = _residual_rows(f, np.stack([block[1] for block in blocks]))
     records = []
-    for p in map(float, p_values):
-        if p == 2.0:
-            error = _l2_error(f, scheme)
-        else:
-            if residual is None:
-                residual = vp_mean(f, scheme, PATH_CONVOLUTION).function - f
-            error = lp_norm(residual, p)
-        modulus = _finite_modulus(f, n, p)
-        flag = ""
-        if modulus < MODULUS_FLOOR:
-            # Zero modulus forces a block polynomial, where the mean must
-            # reproduce f; anything else is an inconsistency, not a ratio.
-            if error < ERROR_FLOOR:
-                ratio = 0.0
-                bound_ok = True
+    for i, (n, _, bound, values) in enumerate(blocks):
+        for p, error, modulus in values:
+            if error is None:
+                if not finite[i]:
+                    raise _mean_overflow(n)
+                error = _lp_of_values(rows[i], p, f.resolution)
+            if not error < INF:
+                raise ValueError(f"the p = {p:.12g} error of block n = {n} passes the float range")
+            _finite_modulus(modulus, n, p)
+            flag = ""
+            if modulus < MODULUS_FLOOR:
+                # Zero modulus forces a block polynomial, where the mean must
+                # reproduce f; anything else is an inconsistency, not a ratio.
+                if error < ERROR_FLOOR:
+                    ratio = 0.0
+                    bound_ok = True
+                else:
+                    ratio = math.inf
+                    bound_ok = False
+                    flag = FLAG_INCONSISTENT
             else:
-                ratio = math.inf
-                bound_ok = False
-                flag = FLAG_INCONSISTENT
-        else:
-            ratio = error / modulus
-            if not ratio < INF:
-                raise ValueError(f"the p = {p:.12g} ratio of block n = {n} passes the float range")
-            bound_ok = not case_b or error <= bound * modulus + DEFAULT_SLACK
-        records.append(
-            ApproxRecord(
-                block_exponent=n,
-                p=p,
-                error=error,
-                modulus=modulus,
-                ratio=ratio,
-                bound=bound,
-                bound_ok=bound_ok,
-                flag=flag,
+                ratio = error / modulus
+                if not ratio < INF:
+                    raise ValueError(
+                        f"the p = {p:.12g} ratio of block n = {n} passes the float range"
+                    )
+                bound_ok = math.isnan(bound) or error <= bound * modulus + DEFAULT_SLACK
+            records.append(
+                ApproxRecord(
+                    block_exponent=n,
+                    p=p,
+                    error=error,
+                    modulus=modulus,
+                    ratio=ratio,
+                    bound=bound,
+                    bound_ok=bound_ok,
+                    flag=flag,
+                )
             )
-        )
     return records
 
 
 def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRecord:
-    """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio.
+    """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio: the
+    sweep of one block and one p (ratio_sweep).
 
     At p = 2 the error is sqrt(sum_m ((1 - mu_m) fhat_m)^2) by Parseval,
     mu the mean's multiplier, summed over the 2^r coefficients of a
-    rank-r f; any other p synthesizes the mean at 2^N cells.  The 47/30
-    constant is asserted, with slack DEFAULT_SLACK, exactly when the
-    scheme sums to one and is non-increasing (case b); otherwise bound is
-    nan and nothing is asserted.
+    rank-r f; any other p is the L^p norm of mean - f at the 2^r cells of
+    one period.  The 47/30 constant is asserted, with slack DEFAULT_SLACK,
+    exactly when the scheme sums to one and is non-increasing (case b);
+    otherwise bound is nan and nothing is asserted.
     """
-    return _block_records(f, scheme, (p,))[0]
+    return ratio_sweep(f, lambda n: scheme, [scheme.block_exponent], [p])[0]
 
 
 def ratio_sweep(
@@ -337,13 +350,48 @@ def ratio_sweep(
     p_values: Iterable,
 ) -> List[ApproxRecord]:
     """One ApproxRecord per (n, p), as approximation_error gives it, with
-    scheme_for(n) the scheme of block n.  Each block's scheme is built,
-    validated and applied once for all p."""
-    p_values = tuple(p_values)
-    records = []
+    scheme_for(n) the scheme of block n, built, validated and applied once
+    for all p.
+
+    The schemes are built in block order.  Blocks whose means share the
+    period 2^min(n+1, r) (r the rank of f) run as one batch of at most
+    _BLOCK_CELLS residual cells, one block from r = 16 on: one stacked
+    synthesis gives their means, and the p != 2 errors are read off its
+    rows.  The p = 2 error and the moduli are taken as each scheme is
+    built, and one past the float range ends the batch there.  The first
+    failure is raised as one block at a time would raise it: by block,
+    then by the order of p_values, then error, modulus, ratio."""
+    p_values = tuple(map(_check_exponent, p_values))
+    residuals = any(p != 2.0 for p in p_values)
+    rank = _rank_of(f)
+    records, batch = [], []
     for n in n_values:
-        records += _block_records(f, scheme_for(n), p_values)
-    return records
+        width = 1 << min(n + 1, rank)
+        if batch and (batch[-1][1].size != width or (len(batch) + 1) << rank > _BLOCK_CELLS):
+            records += _finish_blocks(f, batch, residuals)
+            batch = []
+        try:
+            scheme = scheme_for(n)
+            if scheme.block_exponent != n:
+                raise ValueError(f"the scheme of block n = {n} covers n = {scheme.block_exponent}")
+            _check_block(scheme, f.resolution)
+        except Exception:
+            _finish_blocks(f, batch, residuals)  # a failing earlier block comes first
+            raise
+        # The 47/30 bound is asserted exactly when the scheme sums to one and
+        # is non-increasing (case b): its proof needs both.
+        report = validate(scheme)
+        bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
+        multiplier = _block_multiplier(scheme.weights, min(n + 1, rank))
+        values = [
+            (p, _l2_error(f, multiplier) if p == 2.0 else None, modulus_of_continuity(f, n, p))
+            for p in p_values
+        ]
+        batch.append((n, multiplier, bound, values))
+        if not all(m < INF and (e is None or e < INF) for _, e, m in values):
+            records += _finish_blocks(f, batch, residuals)  # raises the first failure
+            batch = []
+    return records + _finish_blocks(f, batch, residuals)
 
 
 def sweep_ok(records: Iterable[ApproxRecord]) -> bool:

@@ -212,14 +212,16 @@ def _above(x: np.ndarray) -> np.ndarray:
 
 
 def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
-    """Walsh coefficients of sum_k t_k D_k over the block [2^n, 2^(n+1)-1]
-    for each row of weights along the last axis: the whole weight mass
-    below the block, the weight mass strictly above m at frequency m inside
-    it, and zero from the block end on.  Keeps the dtype of the weights."""
-    count = weights.shape[-1]
-    coeffs = np.zeros(weights.shape[:-1] + (1 << resolution,), dtype=weights.dtype)
+    """The first 2^resolution Walsh coefficients of sum_k t_k D_k over the
+    block [2^n, 2^(n+1)-1] for each row of weights along the last axis:
+    the whole weight mass below the block, the weight mass strictly above m
+    at frequency m inside it, and zero from the block end on.  Only the
+    coefficients asked for are built.  Keeps the dtype of the weights."""
+    count, width = weights.shape[-1], 1 << resolution
+    coeffs = np.zeros(weights.shape[:-1] + (width,), dtype=weights.dtype)
     coeffs[..., :count] = weights.sum(axis=-1, keepdims=True)
-    coeffs[..., count : 2 * count] = _above(weights)
+    if width > count:
+        coeffs[..., count : 2 * count] = _above(weights)[..., : width - count]
     return coeffs
 
 

@@ -3,9 +3,9 @@
 The mean over a dyadic block is computed by two independent routes: the
 default multiplies fhat by the block kernel's closed-form multiplier (no
 extra scaling with this package's normalization) and synthesizes the
-products up to their common support with walsh_system._period_synthesis,
-which the mean keeps as its period, and the verification route is the
-definition, the weighted sum of the partial sums S_k(f) over the block.
+products up to their common support (_mean_rows, for a stack of blocks at
+once), which the mean keeps as its period, and the verification route is
+the definition, the weighted sum of the partial sums S_k(f) over the block.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SampledFunction, _rank_of
-from .walsh_system import _period_synthesis, fwht_forward, partial_sum
+from .walsh_system import _butterfly, _period_head, fwht_forward, hadamard_transform, partial_sum
 from .weights import WeightScheme
 from .kernels import _block_multiplier, _check_block
 
@@ -33,13 +33,14 @@ def dyadic_convolve(f: SampledFunction, kernel: SampledFunction) -> SampledFunct
 
     Spectral route: the coefficients of the convolution are the products
     of the coefficients, which vanish from 2^r on, r the smaller dyadic
-    rank, so the first 2^r go to _period_synthesis; as in vp_mean, an
-    exact zero may carry the other sign than in the full-size synthesis.
+    rank, so the first 2^r are synthesized (_period_head); as in vp_mean,
+    an exact zero may carry the other sign than in the full-size synthesis.
     """
     f._check_same(kernel)
     size = 1 << min(_rank_of(f), _rank_of(kernel))
     coeffs = fwht_forward(f)._prefix(size) * fwht_forward(kernel)._prefix(size)
-    return SampledFunction._own(f.resolution, _period_synthesis(coeffs, f.resolution))
+    head = _period_head(hadamard_transform(coeffs), f.resolution)
+    return SampledFunction._own(f.resolution, head)
 
 
 def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> SampledFunction:
@@ -50,24 +51,42 @@ def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> Sample
     return SampledFunction._own(f.resolution, table @ f.values * 2.0**-f.resolution)
 
 
+def _mean_rows(f: SampledFunction, multipliers: np.ndarray) -> np.ndarray:
+    """The periods of the block means of f for a C-contiguous stack of
+    block multiplier rows that share one width 2^min(n+1, r), r the rank
+    of f: fhat is zero from 2^r on and each multiplier from 2^(n+1) on, so
+    the rows hold every product that is not zero.  The rows are multiplied
+    by fhat and synthesized in place in one batched butterfly, each row as
+    it would be alone.  A row past the float range holds inf or nan, with
+    no warning; the caller checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        multipliers *= fwht_forward(f)._prefix(multipliers.shape[-1])
+        return _butterfly(multipliers)
+
+
+def _mean_overflow(n: int) -> ValueError:
+    return ValueError(f"the mean of block n = {n} passes the float range")
+
+
 def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -> MeanResult:
     """Block mean sum_k t_k S_k(f) over k in [2^n, 2^(n+1)-1].
 
-    The convolution route multiplies fhat, zero from 2^r on (r the rank
-    of f), by the block multiplier, zero from 2^(n+1) on, and hands the
-    first 2^min(n+1, r) products to _period_synthesis, so the mean holds
-    at most 2^r samples.  An exact zero may carry the other sign than in
-    the full-size synthesis, since a product past the support can be
-    -0.0; no output reads that sign.
+    The convolution route is the batch of one of _mean_rows: the block
+    multiplier, built at its first 2^min(n+1, r) coefficients (r the rank
+    of f), times fhat, synthesized there, so the mean holds at most 2^r
+    samples (_period_head).  An exact zero may carry the other sign than
+    in the full-size synthesis, since a product past the support can be
+    -0.0; no output reads that sign.  A mean past the float range is a
+    ValueError.
     """
     _check_block(w, f.resolution)
+    n = w.block_exponent
     if path == PATH_CONVOLUTION:
-        size = 1 << min(w.block_exponent + 1, _rank_of(f))
-        coeffs = _block_multiplier(w.weights, w.block_exponent + 1)[:size]
-        coeffs *= fwht_forward(f)._prefix(size)
-        return MeanResult(
-            SampledFunction._own(f.resolution, _period_synthesis(coeffs, f.resolution))
-        )
+        multiplier = _block_multiplier(w.weights, min(n + 1, _rank_of(f)))
+        mean = _mean_rows(f, multiplier[None])[0]
+        if not np.isfinite(mean).all():
+            raise _mean_overflow(n)
+        return MeanResult(SampledFunction._own(f.resolution, _period_head(mean, f.resolution)))
     if path == PATH_PARTIAL_SUMS:
         terms = zip(w.weights, range(w.block_start, w.block_end + 1))
         return MeanResult(

@@ -176,19 +176,17 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 _NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
 
 
-def _period_synthesis(coeffs: np.ndarray, resolution: int) -> np.ndarray:
-    """The head of a SampledFunction that is the full-size synthesis of a
-    float64 spectrum +0.0 past its power-of-two prefix coeffs: the
-    prefix's synthesis, of which the 2^N samples are copies.  The
-    full-size butterfly's stages past the prefix tile it and add 0,
-    turning -0.0 into +0.0, to every copy but the last, so a synthesis
-    shorter than 2^N that holds a -0.0 is returned as all 2^N, so tiled."""
-    synthesized = hadamard_transform(coeffs)
-    if coeffs.size < 1 << resolution and np.any(
-        synthesized.view(np.uint64) == _NEGATIVE_ZERO
-    ):
+def _period_head(synthesized: np.ndarray, resolution: int) -> np.ndarray:
+    """The head of the full-size synthesis of a spectrum +0.0 past a
+    power-of-two prefix, given the prefix's synthesis, of which the 2^N
+    samples are copies.  The full-size butterfly's stages past the prefix
+    tile it and add 0, turning -0.0 into +0.0, to every copy but the last,
+    so a synthesis shorter than 2^N that holds a -0.0 is returned as all
+    2^N, so tiled; any other is returned as it is."""
+    size = synthesized.size
+    if size < 1 << resolution and np.any(synthesized.view(np.uint64) == _NEGATIVE_ZERO):
         values = _periods(synthesized + 0, 1 << resolution)
-        values[-coeffs.size :] = synthesized
+        values[-size:] = synthesized
         return values
     return synthesized
 
@@ -248,17 +246,17 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
 
 def fwht_inverse(s: Spectrum) -> SampledFunction:
     """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.
-    _period_synthesis gets the shortest power-of-two prefix past which
-    every coefficient has the bits of +0.0, so the result is the full-size
-    synthesis bit for bit, held as one period where that is exact.  A
-    synthesis that passes the float range is a ValueError."""
+    The shortest power-of-two prefix past which every coefficient has the
+    bits of +0.0 is synthesized (_period_head), so the result is the
+    full-size synthesis bit for bit, held as one period where that is
+    exact.  A synthesis that passes the float range is a ValueError."""
     head = s._head
     bits = head.view(np.uint64)
     size = head.size
     while size > 1 and not bits[size // 2 : size].any():
         size //= 2
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _period_synthesis(head[:size], s.resolution)
+        values = _period_head(hadamard_transform(head[:size]), s.resolution)
     # Every other copy is the last one plus 0.
     if not np.isfinite(values[-size:]).all():
         raise ValueError("the synthesis of the spectrum overflows the float range")

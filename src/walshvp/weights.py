@@ -72,12 +72,26 @@ class WeightScheme:
         # A fixed-width sum cannot wrap while top * count stays below 2^63.
         top = int(numer.max(initial=0))
         total = int(numer.sum(dtype=object if top * numer.size >= 1 << 63 else None))
-        numer = numer.astype(np.int64 if total < 1 << 63 else object)
         if numer.shape != (1 << n,):
             raise ValueError(
                 f"expected {1 << n} weights for block exponent {n}, "
                 f"got shape {numer.shape}"
             )
+        self._hold(numer, denom, total, copy=True)
+
+    @classmethod
+    def _own(cls, n: int, numer: np.ndarray, denom: int) -> "WeightScheme":
+        # A scheme on the 2^n non-negative integers of `numer`, with gcd 1,
+        # that sum to denom: a family's numerators, which nothing else
+        # refers to, held without the constructor's checks and gcd pass.
+        self = object.__new__(cls)
+        object.__setattr__(self, "block_exponent", n)
+        self._hold(numer, denom, denom, copy=False)
+        return self
+
+    def _hold(self, numer: np.ndarray, denom: int, total: int, copy: bool) -> None:
+        # int64 while the sum fits, else Python ints; read-only.
+        numer = numer.astype(np.int64 if total < 1 << 63 else object, copy=copy)
         weights = _quotients(numer, denom)
         numer.setflags(write=False)
         weights.setflags(write=False)
@@ -141,30 +155,30 @@ def _over_common_denominator(raw: Sequence[Fraction]) -> tuple:
     return [q.numerator * (denom // q.denominator) for q in raw], denom
 
 
-def _binomial_ratio_numerators(alpha: Fraction, count: int) -> list:
+def _binomial_ratio_numerators(alpha: Fraction, count: int) -> np.ndarray:
     # A^(alpha-1)_m = binom(m + alpha - 1, m) as integers with gcd 1,
     # assigned to the block index with m counting down from count-1 to 0.
     # A_m = A_{m-1} a_m / b_m, where a_m / b_m = (p + m q) / (m q) in lowest
-    # terms for alpha - 1 = p/q.  If e_0..e_{m-1} have gcd 1, scaling them by
-    # c_m = b_m / g_m, g_m = gcd(b_m, e_{m-1}), and appending
+    # terms for alpha - 1 = p/q, reduced for every m in one array pass
+    # (int64 while p + m q fits).  If e_0..e_{m-1} have gcd 1, scaling them
+    # by c_m = b_m / g_m, g_m = gcd(b_m, e_{m-1}), and appending
     # e_m = e_{m-1} / g_m * a_m keeps the gcd at 1.  So numerator m is the
     # prefix chain e_m times the suffix product of c_j over j > m, and
-    # every gcd taken has a small operand.
+    # every gcd taken has a small operand.  The chain is one loop; the
+    # suffix products and the final products are object-array passes.
     beta = alpha - 1
     p, q = beta.numerator, beta.denominator
-    chain, scales = [1], [1]
-    for m in range(1, count):
-        a, b = p + m * q, m * q
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        g = math.gcd(b, chain[-1])
-        chain.append(chain[-1] // g * a)
-        scales.append(b // g)
-    numerators, suffix = [], 1
-    for e, c in zip(reversed(chain), reversed(scales)):
-        numerators.append(e * suffix)
-        suffix *= c
-    return numerators
+    m = np.arange(1, count, dtype=np.int64 if abs(p) + count * q < 1 << 63 else object)
+    a, b = p + m * q, m * q
+    g = np.gcd(a, b)
+    chain, scales, e = [1], [], 1
+    for a_m, b_m in zip((a // g).tolist(), (b // g).tolist()):
+        g_m = math.gcd(b_m, e)
+        e = e // g_m * a_m
+        chain.append(e)
+        scales.append(b_m // g_m)
+    suffix = np.multiply.accumulate(np.array([1] + scales[::-1], dtype=object))
+    return np.array(chain[::-1], dtype=object) * suffix
 
 
 def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
@@ -188,12 +202,12 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
         )
     count = 1 << n
     if family == "uniform":
-        return WeightScheme(n, np.ones(count, dtype=np.int64), count)
+        return WeightScheme._own(n, np.ones(count, dtype=np.int64), count)
     if family in ("linear_up", "linear_down"):
         ramp = np.arange(1, count + 1, dtype=np.int64)
-        return WeightScheme(
-            n, ramp if family == "linear_up" else ramp[::-1], count * (count + 1) // 2
-        )
+        if family == "linear_down":
+            ramp = ramp[::-1].copy()
+        return WeightScheme._own(n, ramp, count * (count + 1) // 2)
     if family == "cesaro":
         if alpha is None:
             raise ValueError("cesaro family requires alpha")
@@ -220,9 +234,9 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
                 f"weights, above {_CESARO_MAX_BITS:.1e}; lower n, alpha or alpha's denominator"
             )
         numerators = _binomial_ratio_numerators(alpha_q, count)
-        if min(numerators) < 0:
+        if numerators.min() < 0:
             raise ValueError(f"cesaro alpha {alpha} produces negative weights")
-        return WeightScheme(n, numerators, sum(numerators))
+        return WeightScheme._own(n, numerators, int(numerators.sum()))
     raise ValueError(f"unknown weight family {family!r}; choose from {FAMILIES}")
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshvp import cli, dyadic, experiments, kernels, walsh_system
+from walshvp import cli, dyadic, experiments, kernels, means, walsh_system
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
@@ -922,6 +922,88 @@ def test_l2_error_past_the_float_range_is_a_usage_error(capsys, tmp_path, functi
 
 
 @pytest.mark.parametrize(
+    "function, p",
+    [
+        ("walsh_poly:4", "1"),  # 4 times the weights' sum 1e308 is past the float range
+        ("walsh_poly:1.5,1.5", "inf"),  # each product is finite, their sum is not
+        ("walsh_poly:4", "1,2"),  # the mean's error comes before the p = 2 error
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mean_past_the_float_range_is_a_usage_error(capsys, tmp_path, function, p, fmt):
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n2,5e307\n3,5e307\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "approx", "--function", function, "--resolution", "3",
+                             "--weights", str(path), "--nmin", "1", "--nmax", "1",
+                             "--p", p, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: the mean of block n = 1 passes the float range\n"
+
+
+@pytest.mark.parametrize("p, message", [("1", "p = 1 error"), ("inf,2", "p = inf error")])
+def test_residual_past_the_float_range_is_a_usage_error(capsys, tmp_path, p, message):
+    # The mean 1.5e308 is finite; f = 0.5e308 + 1.2e308 w_3 moves the
+    # residual 1e308 - 1.2e308 w_3 past the float range.
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n2,1.5\n3,1.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "approx", "--function", "walsh_poly:0.5e308,0,0,1.2e308",
+                             "--resolution", "3", "--weights", str(path), "--nmin", "1",
+                             "--nmax", "1", "--p", p)
+    assert code == 2 and out == ""
+    assert err == f"error: the {message} of block n = 1 passes the float range\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The p = 1 modulus of block 1 fails before any later scheme is
+        # built, though cesaro:0.3 is refused at n = 13 and every block
+        # shares one mean period.
+        (("--function", "walsh_poly:0,0,1e308", "--resolution", "14", "--weights",
+          "cesaro:0.3", "--nmin", "1", "--nmax", "13", "--p", "1,2,inf"),
+         "the p = 1 modulus at n = 1 passes the float range"),
+        # Block 1's ratio fails before block 2's scheme, which the file
+        # cannot give.
+        (("--function", "walsh_poly:1,0,0,0,1e-10", "--resolution", "4", "--weights", "W",
+          "--nmin", "1", "--nmax", "2", "--p", "inf,1"),
+         "the p = inf ratio of block n = 1 passes the float range"),
+        # The first p given fails first.
+        (("--function", "walsh_poly:4", "--resolution", "3", "--weights", "W", "--nmin", "1",
+          "--nmax", "1", "--p", "1,2"), "the mean of block n = 1 passes the float range"),
+        (("--function", "walsh_poly:4", "--resolution", "3", "--weights", "W", "--nmin", "1",
+          "--nmax", "1", "--p", "2,1"), "the p = 2 error of block n = 1 passes the float range"),
+        # Both blocks of the constant f share one mean period; block 1's
+        # mean fails before block 2's scheme, which the file cannot give.
+        (("--function", "walsh_poly:4", "--resolution", "4", "--weights", "W", "--nmin", "1",
+          "--nmax", "2", "--p", "1"), "the mean of block n = 1 passes the float range"),
+    ],
+    ids=["cesaro-at-13", "file-at-2", "p1-first", "p2-first", "shared-period"],
+)
+def test_the_first_failing_block_and_p_is_reported(capsys, monkeypatch, tmp_path, argv, message):
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n2,5e307\n3,5e307\n")
+    argv = [str(path) if a == "W" else a for a in argv]
+    built = []
+    build_scheme = cli.build_scheme
+
+    def counted(family, n, alpha=None):
+        built.append(n)
+        return build_scheme(family, n, alpha=alpha)
+
+    monkeypatch.setattr(cli, "build_scheme", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "approx", *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+    # No family scheme past the failing block is built.
+    assert built == ([1] if "cesaro:0.3" in argv else [])
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         # f = 1e308 w_2 doubles under every translate that moves x_1
@@ -972,9 +1054,10 @@ APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")
         # step_mix has rank 4: f once at 2^4, and one table of 2^(4-nmin)
         # for every p = 2 modulus; the p = 2 error synthesizes no mean
         (APPROX_1_3, "step_mix", "2", [16, 8]),
-        # p = 1 asks for the residual: one synthesis of 2^min(n+1, 4) per
-        # block, shared by no other p
-        (APPROX_1_3, "step_mix", "1,2", [16, 4, 8, 8, 16]),
+        # p = 1 asks for the residuals: one stacked synthesis per shared
+        # mean period 2^min(n+1, 4), after the tables of the block that
+        # starts it; blocks 3..5 share 2^4, so their three rows are one
+        (APPROX_1_3[:-1] + ("5",), "step_mix", "1,2", [16, 8, 4, 8, 48]),
         (("modulus", "--nmin", "0", "--nmax", "2"), "step_mix", "2", [16, 16]),
         # full rank: f once at 2^N, a table of 2^(N-nmin)
         (APPROX_1_3, "abs_power:0.5", "2", [1024, 512]),
@@ -990,6 +1073,7 @@ def test_transforms_per_command(capsys, monkeypatch, argv, function, p, sizes):
         return butterfly(a)
 
     monkeypatch.setattr(walsh_system, "_butterfly", counted)
+    monkeypatch.setattr(means, "_butterfly", counted)  # the means' synthesis
     code, _, _ = run(capsys, *argv, "--function", function, "--resolution", "10", "--p", p)
     assert code == 0 and counted_sizes == sizes
 

@@ -370,3 +370,46 @@ def test_second_record_writer_is_reported():
         "a.<module>", "a._emit", "a._quote", "b.<module>", "b.report", "b.table",
     ]
     assert _json_dump_calls(modules) == ["b.<module>", "b.report"]
+
+
+def _calls_by_function(modules: dict):
+    """module.name -> the names each top-level function calls, by name or
+    as an attribute."""
+    calls = {}
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                funcs = [node.func for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+                calls[f"{module}.{stmt.name}"] = {
+                    func.id if isinstance(func, ast.Name) else func.attr
+                    for func in funcs
+                    if isinstance(func, (ast.Name, ast.Attribute))
+                }
+    return calls
+
+
+def test_means_and_records_are_batches_of_one_core():
+    # A mean has one route: vp_mean is _mean_rows on one row, the sweep reads
+    # its means off _mean_rows for a stack of blocks, and approximation_error
+    # is the sweep of one block; no per-block record builder or second
+    # synthesis of a mean is left beside them.
+    calls = _calls_by_function({path.stem: ast.parse(path.read_text()) for path in SOURCES})
+    assert "experiments._block_records" not in calls
+    assert "_mean_rows" in calls["means.vp_mean"]
+    assert not calls["means.vp_mean"] & {"_butterfly", "hadamard_transform"}
+    assert "ratio_sweep" in calls["experiments.approximation_error"]
+    assert sorted(name for name, called in calls.items() if "_mean_rows" in called) == [
+        "experiments._residual_rows", "means.vp_mean",
+    ]
+    assert sorted(name for name, called in calls.items() if "vp_mean" in called) == []
+
+
+def test_calls_by_function_are_reported():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def mean(f):\n    return _rows(f)[0] + np.abs(f.head)\n"
+        "def sweep(f):\n    return [mean(g) for g in f]\n"
+        "class Table:\n    def rows(self):\n        return _rows(self)\n"
+        "VALUE = _rows(1)\n"
+    )
+    assert _calls_by_function({"m": tree}) == {"m.mean": {"_rows", "abs"}, "m.sweep": {"mean"}}

@@ -8,13 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walshvp.dyadic import (
+    INF,
     SampledFunction,
+    _lp_of_values,
     _pairwise_total,
     _power_scale,
+    _rank_of,
     lp_norm,
     modulus_of_continuity,
 )
-from walshvp.experiments import SplitMix64, approximation_error, random_rational_scheme
+from walshvp.experiments import (
+    SplitMix64,
+    _residual_rows,
+    approximation_error,
+    random_rational_scheme,
+)
 from walshvp.kernels import _block_multiplier
 from walshvp.means import dyadic_convolve, vp_mean
 from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse, hadamard_transform
@@ -136,6 +144,35 @@ def test_l2_error_by_parseval_is_the_synthesized_residual(case, data):
     oracle = lp_norm(vp_mean(f, scheme).function - f, 2)
     rounding = 1e-15 * float(np.max(np.abs(values))) + 2.0**-1070
     assert abs(error - oracle) <= 1e-12 * oracle + rounding
+
+
+@given(rank_functions(min_resolution=2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_residual_rows_are_the_residuals_of_one_mean_each(case, data):
+    # Blocks n >= r - 1 share the mean period 2^r, a lower block has its
+    # own; the rows of one stacked synthesis are mean - f of each block
+    # alone, up to the sign of a zero, and have its L^p norms bit for bit.
+    N, values = case
+    f = SampledFunction(N, values)
+    rank = _rank_of(f)
+    first = data.draw(st.integers(1, N - 1))
+    if first + 1 < rank:
+        blocks = [first]
+    else:
+        shared = st.integers(max(1, rank - 1), N - 1)
+        blocks = data.draw(st.lists(shared, min_size=1, max_size=4))
+    rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+    schemes = [random_rational_scheme(n, rng) for n in blocks]
+    width = min(blocks[0] + 1, rank)
+    rows, finite = _residual_rows(
+        f, np.stack([_block_multiplier(w.weights, width) for w in schemes])
+    )
+    assert finite.all() and rows.shape == (len(blocks), 1 << rank)
+    for row, scheme in zip(rows, schemes):
+        residual = vp_mean(f, scheme).function - f
+        assert np.array_equal(np.tile(row, 1 << (N - rank)), residual.values)
+        for p in (1.0, 3.5, INF):
+            assert _lp_of_values(row, p, N).hex() == lp_norm(residual, p).hex()
 
 
 @given(rank_functions(), st.data())

@@ -71,6 +71,29 @@ class TestCesaroIntegers:
         _assert_same_scheme(build_scheme("cesaro", n, alpha=alpha), expected)
 
 
+class TestOwn:
+    # The family builders hand their numerators, already reduced, to
+    # WeightScheme._own, which skips the constructor's checks and gcd pass.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [("uniform", None), ("linear_up", None), ("linear_down", None)]
+            + [("cesaro", a) for a in (2, 0.5, 0.3, 1 / 3, 3.5, 1, 0, 7, 1e6)]
+        ),
+        n=st.integers(1, 10),
+        k=st.integers(1, 2**70),
+    )
+    def test_family_schemes_are_the_reducing_constructor(self, case, n, k):
+        family, alpha = case
+        own = build_scheme(family, n, alpha=alpha)
+        # k times the integers, which the constructor reduces by their gcd
+        reduced = WeightScheme(n, [k * int(a) for a in own.numerators], k * own.denominator)
+        assert own.block_exponent == reduced.block_exponent == n
+        _assert_same_scheme(own, reduced)
+        assert own.numerators.flags.c_contiguous
+        assert not (own.numerators.flags.writeable or own.weights.flags.writeable)
+
+
 class TestBuildScheme:
     def test_uniform(self):
         w = build_scheme("uniform", 3)
