@@ -31,7 +31,7 @@ from .dyadic import (
 )
 from .kernels import kernel_norm_sweep
 from .walsh_system import fwht_forward, fwht_inverse, read_spectrum, write_spectrum
-from .weights import DEFAULT_CASE_A_CAP, FAMILIES, build_scheme, load_weight_file, validate
+from .weights import DEFAULT_CASE_A_CAP, FAMILIES, _FamilySchemes, load_weight_file, validate
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -57,27 +57,39 @@ def _p_field(p: float) -> str:
     return "inf" if p == INF else format(p, ".12g")
 
 
-def _scheme(spec: str, n: Optional[int]):
+def _schemes(spec: str):
     """The scheme of a weight spec, a family name, family:alpha, or a CSV
-    file path, for block exponent n.  A file covers one block exponent,
-    which n=None selects; a family needs n.  A spec whose name part is a
-    family is that family, so a file cannot shadow it.
+    file path, as a function of the block exponent n.  A family builds
+    block after block on one builder, which needs n; a file covers one
+    block exponent, which n=None selects.  A spec whose name part is a
+    family is that family, so a file cannot shadow it.  The spec is read
+    here, and the file loaded; the family's alpha is checked at its first
+    block.
     """
     name, colon, arg = spec.partition(":")
     if name in FAMILIES:
         if colon and name != "cesaro":
             raise ValueError(f"weight spec {spec!r} takes no argument")
         alpha = experiments._spec_number("weight", spec, arg) if arg else None
-        if n is None:
-            raise ValueError("family weight specs require --n")
-        return build_scheme(name, n, alpha=alpha)
+        family = _FamilySchemes(name, alpha)
+
+        def scheme(n: Optional[int]):
+            if n is None:
+                raise ValueError("family weight specs require --n")
+            return family(n)
+
+        return scheme
     if not os.path.exists(spec):
         raise ValueError(f"unknown weight spec {spec!r}")
-    scheme = load_weight_file(spec)
-    if n not in (None, scheme.block_exponent):
-        raise ValueError(
-            f"weight file covers block exponent {scheme.block_exponent}, cannot use n={n}"
-        )
+    loaded = load_weight_file(spec)
+
+    def scheme(n: Optional[int]):
+        if n not in (None, loaded.block_exponent):
+            raise ValueError(
+                f"weight file covers block exponent {loaded.block_exponent}, cannot use n={n}"
+            )
+        return loaded
+
     return scheme
 
 
@@ -405,9 +417,8 @@ def _read_sweep(args, spare: int, default_gap: int):
 def _cmd_approx(args) -> int:
     # Block n of the mean needs resolution n + 1.
     f, blocks = _read_sweep(args, spare=1, default_gap=2)
-    records = experiments.ratio_sweep(
-        f, lambda n: _scheme(args.weights, n), blocks, _parse_p_list(args.p)
-    )
+    p_values = _parse_p_list(args.p)  # before the weight spec is read
+    records = experiments.ratio_sweep(f, _schemes(args.weights), blocks, p_values)
     rows = [
         {
             "n": r.block_exponent,
@@ -444,7 +455,7 @@ def _cmd_modulus(args) -> int:
 def _cmd_weights_validate(args) -> int:
     if not (math.isfinite(args.cmax) and args.cmax >= 0):
         raise ValueError(f"--cmax must be finite and >= 0, got {args.cmax}")
-    scheme = _scheme(args.weights, args.n)
+    scheme = _schemes(args.weights)(args.n)
     report = validate(scheme, case_a_cap=args.cmax)
     record = {
         "n": scheme.block_exponent,

@@ -375,12 +375,12 @@ def ratio_sweep(
             if scheme.block_exponent != n:
                 raise ValueError(f"the scheme of block n = {n} covers n = {scheme.block_exponent}")
             _check_block(scheme, f.resolution)
+            report = validate(scheme)
         except Exception:
             _finish_blocks(f, batch, residuals)  # a failing earlier block comes first
             raise
         # The 47/30 bound is asserted exactly when the scheme sums to one and
         # is non-increasing (case b): its proof needs both.
-        report = validate(scheme)
         bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
         multiplier = _block_multiplier(scheme.weights, min(n + 1, rank))
         values = [

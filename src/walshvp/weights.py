@@ -27,11 +27,22 @@ FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro")
 # Most bits of exact numerators a cesaro scheme may hold.  For alpha = p/q
 # in lowest terms each of the 2^n numerators grows by about log2 q bits per
 # index, so the scheme holds about 4^n log2 q bits (1 to 2 times that,
-# measured): 2^26 bits keeps a build near a second (alpha = 0.5 at n = 13,
-# 0.3 at n = 12, 0.123456789 at n = 10).  For alpha > 1 each numerator also
-# holds about log2 binom(2^n + alpha - 1, 2^n) bits, which an integer alpha
-# (q = 1) still has: alpha = 1e6 is refused from n = 12.
+# measured).  At 2^26 bits the largest schemes it admits (alpha = 0.5 at
+# n = 13, 0.3 at n = 12, 0.123456789 at n = 10) take 0.23-0.38 s and
+# 34-48 MiB as a whole weights-validate process on a 2-vCPU Xeon.  For
+# alpha > 1 each numerator also holds about log2 binom(2^n + alpha - 1, 2^n)
+# bits, which an integer alpha (q = 1) still has: alpha = 1e6 is refused
+# from n = 12.
 _CESARO_MAX_BITS = 1 << 26
+
+# A cesaro chain that still fits int64 grows to this length at once, so the
+# small blocks of a sweep share one growth.  Otherwise a growth at most
+# doubles the chain, so a chain that passes int64 takes its exact Python-int
+# steps on no more entries than it had.
+_FIRST_GROWTH = 64
+# Steps of the cesaro chain a run takes on a residue of e, once e passes
+# int64; 32 was the fastest of 8 to 64 at n = 10 and n = 13.
+_RUN = 32
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,7 @@ class WeightScheme:
     def _hold(self, numer: np.ndarray, denom: int, total: int, copy: bool) -> None:
         # int64 while the sum fits, else Python ints; read-only.
         numer = numer.astype(np.int64 if total < 1 << 63 else object, copy=copy)
-        weights = _quotients(numer, denom)
+        weights = _quotients(numer, denom, top=total)
         numer.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "numerators", numer)
@@ -129,12 +140,14 @@ class ValidationReport:
     case_b_ok: bool
 
 
-def _quotients(numer: np.ndarray, denom: int) -> np.ndarray:
+def _quotients(numer: np.ndarray, denom: int, top=None) -> np.ndarray:
     """The float64 quotients of integers (int64 or Python ints) by denom,
     each correctly rounded: in float64 while every operand is exact in it,
-    else by Python's int / int, which divides exactly, then rounds."""
-    top = int(np.max(np.abs(numer), initial=0))
-    exact = numer if max(top, denom) <= 1 << 53 else numer.astype(object)
+    else by Python's int / int, which divides exactly, then rounds.  top,
+    if given, bounds every |numerator|."""
+    if top is None:
+        top = int(np.max(np.abs(numer), initial=0))
+    exact = numer if max(top, denom) <= 1 << 53 else numer.astype(object, copy=False)
     return np.asarray(exact / denom, dtype=np.float64)
 
 
@@ -155,60 +168,27 @@ def _over_common_denominator(raw: Sequence[Fraction]) -> tuple:
     return [q.numerator * (denom // q.denominator) for q in raw], denom
 
 
-def _binomial_ratio_numerators(alpha: Fraction, count: int) -> np.ndarray:
-    # A^(alpha-1)_m = binom(m + alpha - 1, m) as integers with gcd 1,
-    # assigned to the block index with m counting down from count-1 to 0.
-    # A_m = A_{m-1} a_m / b_m, where a_m / b_m = (p + m q) / (m q) in lowest
-    # terms for alpha - 1 = p/q, reduced for every m in one array pass
-    # (int64 while p + m q fits).  If e_0..e_{m-1} have gcd 1, scaling them
-    # by c_m = b_m / g_m, g_m = gcd(b_m, e_{m-1}), and appending
-    # e_m = e_{m-1} / g_m * a_m keeps the gcd at 1.  So numerator m is the
-    # prefix chain e_m times the suffix product of c_j over j > m, and
-    # every gcd taken has a small operand.  The chain is one loop; the
-    # suffix products and the final products are object-array passes.
-    beta = alpha - 1
-    p, q = beta.numerator, beta.denominator
-    m = np.arange(1, count, dtype=np.int64 if abs(p) + count * q < 1 << 63 else object)
-    a, b = p + m * q, m * q
-    g = np.gcd(a, b)
-    chain, scales, e = [1], [], 1
-    for a_m, b_m in zip((a // g).tolist(), (b // g).tolist()):
-        g_m = math.gcd(b_m, e)
-        e = e // g_m * a_m
-        chain.append(e)
-        scales.append(b_m // g_m)
-    suffix = np.multiply.accumulate(np.array([1] + scales[::-1], dtype=object))
-    return np.array(chain[::-1], dtype=object) * suffix
+class _CesaroChain:
+    """The cesaro numerators of one alpha, for block after block.
 
+    A_m = binom(m + alpha - 1, m), and block n holds A_m for m < 2^n, m
+    counting down along the block, as integers with gcd 1.  A_m = A_(m-1)
+    a_m / b_m, where a_m / b_m = (p + m q) / (m q) in lowest terms for
+    alpha - 1 = p/q, reduced in array passes (int64 while p + m q fits).
+    If e_0..e_(m-1) have gcd 1, scaling them by s_m = b_m / g_m, with
+    g_m = gcd(b_m, e_(m-1)), and appending e_m = e_(m-1) / g_m a_m keeps
+    the gcd at 1.  So block n's numerator of A_m is e_m times the suffix
+    product of s_j over m < j < 2^n, and the first is N_0 = prod(s_j).
 
-def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
-    """The weights of a family on block exponent n, normalized to sum to one.
-
-    Families: uniform, linear_up, linear_down, cesaro (requires a finite
-    alpha > -1; alpha = 1 reproduces uniform, alpha = 2 gives the
-    decreasing tail weights).  An alpha is read as the nearest fraction
-    with a denominator up to 10^9, and refused if that fraction is more
-    than 1e-9 relative away from it.  A weight file is read by
-    load_weight_file.
-    A block no resolution up to MAX_RESOLUTION holds, or a cesaro
-    scheme whose exact numerators would pass _CESARO_MAX_BITS, is refused
-    before its 2^n weights are built.
+    The chain is one loop over m that a sweep extends block by block,
+    keeping every s_m, and every e_m while they fit int64.  A block that
+    a bound keeps in int64 takes its suffix products and numerators in
+    int64 array passes; past the bound it walks up from N_0 by N_m =
+    N_(m-1) / b_m a_m, exact, with small operands.  alpha is parsed and
+    checked once.
     """
-    if n < 1:
-        raise ValueError(f"block exponent must be >= 1, got {n}")
-    if n + 1 > MAX_RESOLUTION:
-        raise ValueError(
-            f"block exponent {n} needs resolution {n + 1}, above the cap {MAX_RESOLUTION}"
-        )
-    count = 1 << n
-    if family == "uniform":
-        return WeightScheme._own(n, np.ones(count, dtype=np.int64), count)
-    if family in ("linear_up", "linear_down"):
-        ramp = np.arange(1, count + 1, dtype=np.int64)
-        if family == "linear_down":
-            ramp = ramp[::-1].copy()
-        return WeightScheme._own(n, ramp, count * (count + 1) // 2)
-    if family == "cesaro":
+
+    def __init__(self, alpha):
         if alpha is None:
             raise ValueError("cesaro family requires alpha")
         if not math.isfinite(alpha):
@@ -221,23 +201,164 @@ def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
             )
         if alpha_q <= -1:
             raise ValueError(f"cesaro alpha must exceed -1, got {alpha}")
-        bits = 4**n * math.log2(alpha_q.denominator)
-        if alpha_q > 1:
+        self.alpha = alpha
+        self._log2_q = math.log2(alpha_q.denominator)
+        self._growth = float(alpha_q) - 1 if alpha_q > 1 else None
+        self._negative = alpha_q < 0
+        beta = alpha_q - 1
+        self._p, self._q = beta.numerator, beta.denominator
+        # s_m (s_0 = 1) for every m of the chain, e_m up to the first that
+        # passes int64, and the last e_m.
+        self._scales = self._e64 = np.ones(1, dtype=np.int64)
+        self._e = 1
+
+    def _check(self, n: int) -> None:
+        count = 1 << n
+        bits = 4**n * self._log2_q
+        if self._growth is not None:
             # ln binom(count + b, count) by its entropy bound, finite for
             # every finite alpha (lgamma overflows from alpha = 3e305).
-            b = float(alpha_q) - 1
+            b = self._growth
             nats = count * math.log1p(b / count) + b * math.log1p(count / b)
             bits += count * nats / math.log(2)
         if bits > _CESARO_MAX_BITS:
             raise ValueError(
-                f"cesaro alpha {alpha} at n={n} needs about {bits:.1e} bits of exact "
+                f"cesaro alpha {self.alpha} at n={n} needs about {bits:.1e} bits of exact "
                 f"weights, above {_CESARO_MAX_BITS:.1e}; lower n, alpha or alpha's denominator"
             )
-        numerators = _binomial_ratio_numerators(alpha_q, count)
-        if numerators.min() < 0:
-            raise ValueError(f"cesaro alpha {alpha} produces negative weights")
-        return WeightScheme._own(n, numerators, int(numerators.sum()))
-    raise ValueError(f"unknown weight family {family!r}; choose from {FAMILIES}")
+        # A_1 = alpha, and every later A_m has its sign.
+        if self._negative:
+            raise ValueError(f"cesaro alpha {self.alpha} produces negative weights")
+
+    def _ratios(self, start: int, stop: int) -> tuple:
+        """a_m and b_m in lowest terms for start <= m < stop; b_m <= m q
+        fits int64 even where p + m q does not."""
+        p, q = self._p, self._q
+        m = np.arange(start, stop, dtype=np.int64 if abs(p) + stop * q < 1 << 63 else object)
+        b = m * q
+        a = b + p
+        if abs(p) != 1:
+            # gcd(p + m q, m q) = gcd(p, m), since gcd(p, q) = 1
+            g = np.gcd(m, p)
+            a //= g
+            b //= g
+        return a, b.astype(np.int64, copy=False)
+
+    def _grow(self, stop: int) -> None:
+        # Extends the chain from m = len(scales) to stop.
+        start = len(self._scales)
+        a, b = self._ratios(start, stop)
+        gcd, e = math.gcd, self._e
+        if len(self._e64) == start:
+            chain = [e := e // gcd(b_m, e) * a_m for a_m, b_m in zip(a.tolist(), b.tolist())]
+            wide = max(chain) >> 63
+            values = np.array([self._e] + chain, dtype=object if wide else np.int64)
+            if not wide:
+                self._e64 = np.concatenate((self._e64, values[1:]))
+            scales = b // np.gcd(b, values[:-1])
+        else:
+            # gcd(b_m, e) reads e only modulo b_m, so a run of steps goes
+            # through on e modulo the product of its b_m, which is small,
+            # and e itself moves once a run.
+            scales, a, b_list = [], a.tolist(), b.tolist()
+            for i in range(0, stop - start, _RUN):
+                a_run, b_run = a[i : i + _RUN], b_list[i : i + _RUN]
+                y, run = e % math.prod(b_run), []
+                for a_m, b_m in zip(a_run, b_run):
+                    run.append(g := gcd(b_m, y))
+                    y = y // g * a_m
+                e = e * math.prod(a_run) // math.prod(run)
+                scales += run
+            scales = b // np.array(scales, dtype=np.int64)
+        self._scales = np.concatenate((self._scales, scales.astype(np.int64, copy=False)))
+        self._e = e
+
+    def numerators(self, n: int) -> np.ndarray:
+        """Block n's numerators, gcd 1, in block order; n is checked
+        against the bit budget and alpha's sign first."""
+        self._check(n)
+        count = 1 << n
+        while len(self._scales) < count:
+            self._grow(min(count, 2 * len(self._scales)))
+            if len(self._e64) == len(self._scales) < _FIRST_GROWTH:
+                self._grow(_FIRST_GROWTH)
+        if count <= len(self._e64):
+            e, scales = self._e64[:count], self._scales[:count]
+            # N_m = e_m times scales up to N_0 = prod(scales): the block
+            # sums below count max(e) N_0, which fits with a bit to spare.
+            if math.log2(count * int(e.max())) + float(np.log2(scales).sum()) < 62:
+                numer = e[::-1].copy()
+                numer[1:] *= np.multiply.accumulate(scales[:0:-1])
+                return numer
+        # b_m divides N_(m-1), as a_m / b_m is in lowest terms, and no a_m
+        # is a divisor: alpha = 0 (a_1 = 0) walks too.
+        a, b = self._ratios(1, count)
+        top = math.prod(self._scales[1:count].tolist())
+        walk = [top] + [top := top // b_m * a_m for a_m, b_m in zip(a.tolist(), b.tolist())]
+        walk.reverse()
+        return np.array(walk, dtype=object)
+
+
+class _FamilySchemes:
+    """The schemes of one family, and alpha for cesaro, by block
+    exponent: the builder a command keeps for the blocks of its sweep,
+    which asks for them in increasing order (any order gives the same
+    schemes).  Only a cesaro builder keeps state, its chain, which each
+    block extends; the chain is made at the first block, after that
+    block's checks, so an alpha is refused as build_scheme refuses it."""
+
+    def __init__(self, family: str, alpha=None):
+        self.family, self.alpha = family, alpha
+        self._cesaro = None
+
+    def __call__(self, n: int) -> WeightScheme:
+        if n < 1:
+            raise ValueError(f"block exponent must be >= 1, got {n}")
+        if n + 1 > MAX_RESOLUTION:
+            raise ValueError(
+                f"block exponent {n} needs resolution {n + 1}, above the cap {MAX_RESOLUTION}"
+            )
+        count = 1 << n
+        family = self.family
+        if family == "uniform":
+            return WeightScheme._own(n, np.ones(count, dtype=np.int64), count)
+        if family in ("linear_up", "linear_down"):
+            ramp = np.arange(1, count + 1, dtype=np.int64)
+            if family == "linear_down":
+                ramp = ramp[::-1].copy()
+            return WeightScheme._own(n, ramp, count * (count + 1) // 2)
+        if family == "cesaro":
+            if self._cesaro is None:
+                self._cesaro = _CesaroChain(self.alpha)
+            numerators = self._cesaro.numerators(n)
+            return WeightScheme._own(n, numerators, int(numerators.sum()))
+        raise ValueError(f"unknown weight family {family!r}; choose from {FAMILIES}")
+
+
+def build_scheme(family: str, n: int, alpha=None) -> WeightScheme:
+    """The weights of a family on block exponent n, normalized to sum to one.
+
+    Families: uniform, linear_up, linear_down, cesaro (requires a finite
+    alpha >= 0, since alpha in (-1, 0) gives a negative weight; alpha = 1
+    reproduces uniform, alpha = 2 gives the decreasing tail weights).  An
+    alpha is read as the nearest fraction with a denominator up to 10^9,
+    and refused if that fraction is more than 1e-9 relative away from it.
+    A weight file is read by load_weight_file.
+    A block no resolution up to MAX_RESOLUTION holds, or a cesaro
+    scheme whose exact numerators would pass _CESARO_MAX_BITS, is refused
+    before its 2^n weights are built.  The batch of one of the builder
+    a sweep keeps.
+    """
+    return _FamilySchemes(family, alpha)(n)
+
+
+def _finite_quotient(numer: int, denom: int, quantity: str) -> float:
+    """numer / denom, correctly rounded; past the float range a ValueError
+    that names the quantity."""
+    try:
+        return numer / denom
+    except OverflowError:
+        raise ValueError(f"{quantity} passes the float range") from None
 
 
 def _parse_weight_token(token: str) -> Fraction:
@@ -246,8 +367,11 @@ def _parse_weight_token(token: str) -> Fraction:
         num, den = (int(part) for part in token.split("/"))
         if den == 0:
             raise ValueError(f"weight {token!r} has a zero denominator")
-        return Fraction(num, den)
-    return Fraction(token)
+        value = Fraction(num, den)
+    else:
+        value = Fraction(token)
+    _finite_quotient(value.numerator, value.denominator, f"weight {token!r}")
+    return value
 
 
 def load_weight_file(path: str) -> WeightScheme:
@@ -300,9 +424,8 @@ def load_weight_file(path: str) -> WeightScheme:
 
 def _monotonicity(t: np.ndarray) -> str:
     """Monotonicity class of t; ties qualify for both classes."""
-    diffs = np.diff(t)
-    nondec = bool(np.all(diffs >= 0))
-    noninc = bool(np.all(diffs <= 0))
+    nondec = bool((t[1:] >= t[:-1]).all())
+    noninc = bool((t[1:] <= t[:-1]).all())
     if nondec and noninc:
         return BOTH
     if nondec:
@@ -321,10 +444,14 @@ def validate(w: WeightScheme, case_a_cap: float = DEFAULT_CASE_A_CAP) -> Validat
     """
     # The int64 sum cannot wrap: such numerators sum below 2^63.
     total_numer = int(np.sum(w.numerators))
-    c2 = int(w.numerators[-1]) * w.block_end / w.denominator
+    block = f"block n = {w.block_exponent}"
+    total = _finite_quotient(total_numer, w.denominator, f"the sum of the weights of {block}")
+    c2 = _finite_quotient(
+        int(w.numerators[-1]) * w.block_end, w.denominator, f"the c2 constant of {block}"
+    )
     mono = _monotonicity(w.numerators)
     return ValidationReport(
-        total=total_numer / w.denominator,
+        total=total,
         sum_ok=total_numer == w.denominator,
         monotonicity=mono,
         c2_constant=c2,

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from walshvp import cli, dyadic, experiments, kernels, means, walsh_system
 from walshvp.cli import main
 from walshvp.dyadic import SampledFunction, write_function
 from walshvp.walsh_system import read_spectrum
+from walshvp.weights import _FamilySchemes
 
 
 def run(capsys, *argv):
@@ -728,6 +731,69 @@ def test_cesaro_past_the_bit_budget_is_refused(capsys, alpha, n):
     assert elapsed < 0.5 and peak < 1 << 20
 
 
+@pytest.mark.parametrize("alpha, n", [("-0.5", 13), ("-0.999999999", 10), ("-0.25", 1)])
+def test_cesaro_negative_alpha_is_refused_before_the_chain(capsys, alpha, n):
+    # A_1 = alpha < 0 at every n: cesaro:-0.5 at n = 13 built its whole
+    # chain first (0.20 s, 64 MiB) to find the negative weight.
+    tracemalloc.start()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weights-validate", "--weights", f"cesaro:{alpha}", "--n", str(n))
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: cesaro alpha {float(alpha)} produces negative weights\n"
+    assert elapsed < 0.1 and peak < 1 << 20
+
+
+def test_cesaro_bit_budget_comes_before_the_sign(capsys):
+    code, out, err = run(capsys, "weights-validate", "--weights", "cesaro:-0.5", "--n", "14")
+    assert code == 2 and out == "" and "cesaro alpha -0.5 at n=14 needs about" in err
+
+
+@pytest.mark.parametrize(
+    "command, rows, message",
+    [
+        # The sum 3.1e308 of condition (1) passes the float range.
+        ("weights-validate", "4,1e308\n5,1e308\n6,1e308\n7,1e307\n",
+         "the sum of the weights of block n = 2"),
+        # c2 = t_3 (2^2 - 1) = 3e308
+        ("weights-validate", "2,1\n3,1e308\n", "the c2 constant of block n = 1"),
+        ("approx", "2,1\n3,1e308\n", "the c2 constant of block n = 1"),
+        ("weights-validate", "2,1e309\n3,0\n", "line 2: weight '1e309'"),
+    ],
+    ids=["sum", "c2", "c2-approx", "token"],
+)
+def test_weights_past_the_float_range_are_usage_errors(capsys, tmp_path, command, rows, message):
+    # Each died with an OverflowError traceback, exit 1.
+    path = tmp_path / "w.csv"
+    path.write_text("k,t\n" + rows)
+    extra = ["--function", "step_mix", "--resolution", "4", "--nmin", "1", "--nmax", "1"]
+    code, out, err = run(capsys, command, "--weights", str(path), *(extra if command == "approx" else []))
+    assert code == 2 and out == ""
+    assert err == f"error: {message} passes the float range\n"
+
+
+def test_main_calls_share_no_weight_builder(capsys, monkeypatch):
+    # Each command makes its own builder, and nothing keeps it past the
+    # call: the chain of one call is never the start of the next.
+    made = []
+    init = _FamilySchemes.__init__
+
+    def recorded(self, family, alpha=None):
+        init(self, family, alpha)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(_FamilySchemes, "__init__", recorded)
+    argv = ["approx", "--function", "step_mix", "--resolution", "8", "--weights", "cesaro:0.5",
+            "--nmin", "3", "--nmax", "5", "--p", "2"]
+    first = run(capsys, *argv)
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    second = run(capsys, *argv)
+    assert first == second and first[0] == 0 and len(made) == 2
+
+
 @pytest.mark.parametrize("alpha", ["1e-10", "1e-12", "-3e-11"])
 def test_cesaro_alpha_without_a_near_fraction_is_refused(capsys, alpha):
     # cesaro:1e-10 was rounded to the fraction 0 and ran as cesaro:0, exit 0.
@@ -988,13 +1054,13 @@ def test_the_first_failing_block_and_p_is_reported(capsys, monkeypatch, tmp_path
     path.write_text("k,t\n2,5e307\n3,5e307\n")
     argv = [str(path) if a == "W" else a for a in argv]
     built = []
-    build_scheme = cli.build_scheme
+    call = _FamilySchemes.__call__
 
-    def counted(family, n, alpha=None):
+    def counted(self, n):
         built.append(n)
-        return build_scheme(family, n, alpha=alpha)
+        return call(self, n)
 
-    monkeypatch.setattr(cli, "build_scheme", counted)
+    monkeypatch.setattr(_FamilySchemes, "__call__", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "approx", *argv)

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import random
@@ -17,7 +18,8 @@ from walshvp.weights import (
     NONINCREASING,
     ValidationReport,
     WeightScheme,
-    _binomial_ratio_numerators,
+    _CesaroChain,
+    _FamilySchemes,
     _over_common_denominator,
     build_scheme,
     load_weight_file,
@@ -69,6 +71,53 @@ class TestCesaroIntegers:
                 build_scheme("cesaro", n, alpha=alpha)
             return
         _assert_same_scheme(build_scheme("cesaro", n, alpha=alpha), expected)
+
+
+@functools.lru_cache(maxsize=None)
+def _separate_outcome(alpha, n):
+    """What a fresh build_scheme call gives for block n, checked once
+    against the Fraction oracle."""
+    scheme = build_scheme("cesaro", n, alpha=alpha)
+    _assert_same_scheme(scheme, _cesaro_oracle(alpha, n))
+    return _outcome(lambda: scheme)
+
+
+class TestBuilder:
+    # One builder serves every block of a sweep and extends one chain; the
+    # alphas cross from int64 to Python-int numerators as n grows (7 at
+    # n = 11, 1e6 at n = 3, 0.5 at n = 6), or never do (2, 1, 0).
+    ALPHAS = (2, 0.5, 1 / 3, 0.3, 3.5, 1, 0, 7, 1e6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.sampled_from(ALPHAS), ns=st.sets(st.integers(1, 11), min_size=1, max_size=5))
+    def test_increasing_blocks_are_the_separate_builds(self, alpha, ns):
+        builder = _FamilySchemes("cesaro", alpha)
+        for n in sorted(ns):
+            assert _outcome(lambda: builder(n)) == _separate_outcome(alpha, n)
+
+    @pytest.mark.parametrize("alpha", [0.5, 7, 1e6])
+    def test_blocks_in_any_order_are_the_separate_builds(self, alpha):
+        builder = _FamilySchemes("cesaro", alpha)
+        for n in (9, 2, 11, 6, 1):
+            assert _outcome(lambda: builder(n)) == _separate_outcome(alpha, n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_alpha_zero_puts_every_weight_last(self, n):
+        # A_m = 0 from m = 1 on (a_1 = 0), so no walk may divide by a_m.
+        builder = _FamilySchemes("cesaro", 0)
+        builder(max(1, n - 1))
+        w = builder(n)
+        assert w.numerators.dtype == np.int64 and w.denominator == 1
+        assert w.numerators.tolist() == [0] * ((1 << n) - 1) + [1]
+
+    def test_alpha_is_refused_at_the_first_block_and_again_after(self):
+        # Checks of n come first, as in build_scheme; nothing is kept.
+        builder = _FamilySchemes("cesaro", math.inf)
+        with pytest.raises(ValueError, match="block exponent must be >= 1"):
+            builder(0)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="cesaro alpha must be finite"):
+                builder(n)
 
 
 class TestOwn:
@@ -365,9 +414,7 @@ class TestArrayConstructor:
         "uniform": lambda count, alpha: [1] * count,
         "linear_up": lambda count, alpha: list(range(1, count + 1)),
         "linear_down": lambda count, alpha: list(range(count, 0, -1)),
-        "cesaro": lambda count, alpha: _binomial_ratio_numerators(
-            Fraction(alpha).limit_denominator(10**9), count
-        ),
+        "cesaro": lambda count, alpha: _CesaroChain(alpha).numerators(count.bit_length() - 1),
     }
 
     @pytest.mark.parametrize(
