@@ -5,14 +5,14 @@ transform (walsh), Dirichlet/Fejer/de la Vallee Poussin kernels with exact
 rational samples (kernels), rational block weight schemes (weights), matrix
 transform means (means), and the numerical verification suite
 (experiments).  The package exports what the command line and the
-verification suite call, and the types those calls return; the mean of
-one block, vp_mean, is imported from walshvp.means.
+verification suite call, and the types those calls return; vp_mean and
+build_scheme, a block's mean and scheme, stay in means and weights.
 """
 
 from .dyadic import INF, SampledFunction, interval_indicator, lp_norm, modulus_of_continuity
 from .walsh_system import Spectrum, fwht_forward, fwht_inverse
 from .kernels import KernelFunction, dirichlet, fejer
-from .weights import ValidationReport, WeightScheme, build_scheme, validate
+from .weights import ValidationReport, WeightScheme, validate
 
 __all__ = [
     "INF",
@@ -28,6 +28,5 @@ __all__ = [
     "fwht_inverse",
     "dirichlet",
     "fejer",
-    "build_scheme",
     "validate",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import partialmethod
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -328,9 +329,22 @@ def _cells(f: SampledFunction) -> np.ndarray:
     return f._head[: 1 << _rank_of(f)]
 
 
-# Cells per block of rows in an array pass, such as the translates of the
-# finite-p modulus (512 KiB of float64 or int64).
+# Cells per block of rows in an array pass (512 KiB of float64 or int64),
+# such as the translates of the finite-p modulus; read by _rows_per_block.
 _BLOCK_CELLS = 1 << 16
+
+
+def _rows_per_block(cells: int) -> int:
+    return max(1, _BLOCK_CELLS // cells)
+
+
+def _batches(items, key):
+    """The batch driver: consecutive runs of items that share key(item) =
+    (group, cells), each at most _rows_per_block(cells) long, yielded once
+    full or once the item that changes the key has been drawn."""
+    for (_, cells), run in groupby(items, key):
+        while batch := list(islice(run, _rows_per_block(cells))):
+            yield batch
 
 
 def _translate_sums(values: np.ndarray, n: int, p: float, scale: float) -> np.ndarray:
@@ -343,7 +357,7 @@ def _translate_sums(values: np.ndarray, n: int, p: float, scale: float) -> np.nd
     # sums the rows.
     table = values.reshape(-1, 1 << n)
     rows = table.shape[0]
-    block = max(1, min(rows, _BLOCK_CELLS // values.size))
+    block = min(rows, _rows_per_block(values.size))
     shifts = np.arange(rows)
     picks = np.empty((block, rows), dtype=np.intp)
     work = np.empty((block, values.size))
@@ -422,8 +436,8 @@ def _sign_split_sums(values: np.ndarray, n: int, scale: float) -> np.ndarray:
     while h:
         lo, hi = ranked.reshape(-1, 2, h).transpose(1, 0, 2)
         lo_at, hi_at = order.reshape(-1, 2, h).transpose(1, 0, 2)
-        runs = max(1, _BLOCK_CELLS // (h * h))
-        step = min(h, _BLOCK_CELLS // h)
+        runs = _rows_per_block(h * h)
+        step = min(h, _rows_per_block(h))
         for first in range(0, lo.shape[0], runs):
             part = slice(first, first + runs)
             for low in range(0, h, step):

@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .dyadic import (
-    _BLOCK_CELLS,
     INF,
     SampledFunction,
+    _batches,
     _cells,
     _check_exponent,
     _dyadic_rank,
@@ -45,7 +45,7 @@ from .kernels import (
     fejer,
     kernel_norm_sweep,
 )
-from .weights import WeightScheme, build_scheme, validate
+from .weights import WeightScheme, _FamilySchemes, validate
 from .means import _mean_overflow, _mean_rows
 
 # Explicit constant for non-increasing block weights summing to one.
@@ -277,14 +277,11 @@ def _residual_rows(f: SampledFunction, multipliers: np.ndarray) -> tuple:
 
 
 def _finish_blocks(f: SampledFunction, blocks: list, residuals: bool) -> List[ApproxRecord]:
-    """The records of ratio_sweep's blocks (n, multiplier, bound, values),
-    values holding (p, error, modulus) with the error None for p != 2.
-    Those errors are the L^p norms of the _residual_rows of all blocks,
-    which the caller stacks only while their multipliers share one width.
-    Each record's error, modulus and ratio are checked in that order, a
-    value past the float range being a ValueError; a mean past it is one
-    at its block's first p != 2."""
-    if residuals and blocks:
+    """The records of a batch of _sweep_blocks, whose multipliers share one
+    width, the p != 2 errors the L^p norms of its _residual_rows.  Each
+    record's error, modulus and ratio are checked in that order; one past
+    the float range raises, as does a mean past it at its first p != 2."""
+    if residuals:
         rows, finite = _residual_rows(f, np.stack([block[1] for block in blocks]))
     records = []
     for i, (n, _, bound, values) in enumerate(blocks):
@@ -343,42 +340,21 @@ def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRe
     return ratio_sweep(f, lambda n: scheme, [scheme.block_exponent], [p])[0]
 
 
-def ratio_sweep(
-    f: SampledFunction,
-    scheme_for: Callable[[int], WeightScheme],
-    n_values: Iterable[int],
-    p_values: Iterable,
-) -> List[ApproxRecord]:
-    """One ApproxRecord per (n, p), as approximation_error gives it, with
-    scheme_for(n) the scheme of block n, built, validated and applied once
-    for all p.
-
-    The schemes are built in block order.  Blocks whose means share the
-    period 2^min(n+1, r) (r the rank of f) run as one batch of at most
-    _BLOCK_CELLS residual cells, one block from r = 16 on: one stacked
-    synthesis gives their means, and the p != 2 errors are read off its
-    rows.  The p = 2 error and the moduli are taken as each scheme is
-    built, and one past the float range ends the batch there.  The first
-    failure is raised as one block at a time would raise it: by block,
-    then by the order of p_values, then error, modulus, ratio."""
-    p_values = tuple(map(_check_exponent, p_values))
-    residuals = any(p != 2.0 for p in p_values)
+def _sweep_blocks(f: SampledFunction, scheme_for, n_values, p_values) -> Iterator:
+    """ratio_sweep's (n, multiplier, bound, values) by block, values holding
+    (p, error, modulus) with the error None for p != 2; a failing scheme ends
+    them as its exception, a value past the float range after its block."""
     rank = _rank_of(f)
-    records, batch = [], []
     for n in n_values:
-        width = 1 << min(n + 1, rank)
-        if batch and (batch[-1][1].size != width or (len(batch) + 1) << rank > _BLOCK_CELLS):
-            records += _finish_blocks(f, batch, residuals)
-            batch = []
         try:
             scheme = scheme_for(n)
             if scheme.block_exponent != n:
                 raise ValueError(f"the scheme of block n = {n} covers n = {scheme.block_exponent}")
             _check_block(scheme, f.resolution)
             report = validate(scheme)
-        except Exception:
-            _finish_blocks(f, batch, residuals)  # a failing earlier block comes first
-            raise
+        except Exception as error:
+            yield error
+            return
         # The 47/30 bound is asserted exactly when the scheme sums to one and
         # is non-increasing (case b): its proof needs both.
         bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
@@ -387,11 +363,35 @@ def ratio_sweep(
             (p, _l2_error(f, multiplier) if p == 2.0 else None, modulus_of_continuity(f, n, p))
             for p in p_values
         ]
-        batch.append((n, multiplier, bound, values))
+        yield n, multiplier, bound, values
         if not all(m < INF and (e is None or e < INF) for _, e, m in values):
-            records += _finish_blocks(f, batch, residuals)  # raises the first failure
-            batch = []
-    return records + _finish_blocks(f, batch, residuals)
+            return
+
+
+def ratio_sweep(
+    f: SampledFunction,
+    scheme_for: Callable[[int], WeightScheme],
+    n_values: Iterable[int],
+    p_values: Iterable,
+) -> List[ApproxRecord]:
+    """One ApproxRecord per (n, p), as approximation_error gives it, with
+    scheme_for(n) the scheme of block n, built, validated and applied once
+    for all p, in block order.  _batches runs the blocks whose means share
+    the period 2^min(n+1, r) (r the rank of f), 2^r residual cells each, as
+    one synthesis, a failing scheme alone, so a sweep raises the failure
+    one block at a time would: by block, p_values order, error, modulus, ratio."""
+    p_values = tuple(map(_check_exponent, p_values))
+    residuals = any(p != 2.0 for p in p_values)
+
+    def key(block):  # (the mean's period, the residual cells of the block)
+        return (None if isinstance(block, Exception) else block[1].size), _cells(f).size
+
+    records = []
+    for batch in _batches(_sweep_blocks(f, scheme_for, n_values, p_values), key):
+        if isinstance(batch[0], Exception):
+            raise batch[0]
+        records += _finish_blocks(f, batch, residuals)
+    return records
 
 
 def sweep_ok(records: Iterable[ApproxRecord]) -> bool:
@@ -469,13 +469,12 @@ def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
 
 
 def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
-    """D_n by the doubling recursion (_dirichlet_rec_int) against the
-    definition D_n = sum_{k<n} w_k, the rows 1_{k<n} synthesized in one
-    batched butterfly in int32, in blocks of orders of at most _BLOCK_CELLS
-    cells.  Up to RECURSION_EXHAUSTIVE_MAX_N every n in [0, 2^N] is
-    checked.  Above it the 2^N + 1 recursions would cost O(4^N), so n = 0,
-    every power of two and orders drawn from the seed, RECURSION_SAMPLES in
-    all, are checked, with detail sampled."""
+    """D_n by the doubling recursion (_dirichlet_rec_int) against D_n =
+    sum_{k<n} w_k, the rows 1_{k<n} of each of the _batches of orders
+    synthesized in one butterfly in int32: every n in [0, 2^N] up to
+    RECURSION_EXHAUSTIVE_MAX_N; above it, where the 2^N + 1 recursions
+    would cost O(4^N), n = 0, every power of two and orders drawn from the
+    seed, RECURSION_SAMPLES in all, with detail sampled."""
     size = 1 << resolution
     orders, detail = range(size + 1), ""
     if resolution > RECURSION_EXHAUSTIVE_MAX_N:
@@ -485,10 +484,9 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
             sampled.add(rng.randint(size + 1))
         orders, detail = sorted(sampled), "sampled"
     cells = np.arange(size, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS >> resolution)
     worst = 0
-    for start in range(0, len(orders), step):
-        block = np.asarray(orders[start : start + step], dtype=np.int64)
+    for batch in _batches(orders, lambda n: (None, size)):
+        block = np.asarray(batch, dtype=np.int64)
         # Every butterfly sum of the rows is at most 2^N <= 2^24 in magnitude.
         sums = _butterfly((cells < block[:, None]).astype(np.int32))
         worst = max(worst, int(np.max(np.abs(_dirichlet_rec_int(block, resolution) - sums))))
@@ -542,45 +540,38 @@ def _translate_instances(resolution: int, seed: int, count: int) -> list:
 
 
 def _check_translate_difference(resolution: int, seed: int, count: int) -> LemmaResult:
-    """verify_translate_difference_bound on count seeded instances, those
-    of each n in batches of at most _BLOCK_CELLS cells of f (one instance
-    per batch from N = 16 on).  A batch draws all its f rows and spectral
-    g rows from their generator states at once and synthesizes the
-    spectral g rows in one batched butterfly; a Fejer g is its period
-    tiled to 2^n.  _with_spectra transforms the f rows and the g rows in
-    one batched butterfly each, and _translate_differences does the rest."""
-    instances = _translate_instances(resolution, seed, count)
-    step = max(1, _BLOCK_CELLS >> resolution)
+    """verify_translate_difference_bound on count seeded instances, in the
+    _batches of one n: a batch draws its f and spectral g rows from their
+    generator states at once, synthesizes those g in one butterfly, tiles
+    each Fejer g's period to 2^n, and passes the rows to _with_spectra."""
+    instances = sorted(_translate_instances(resolution, seed, count), key=lambda i: i[0])
     worst = math.inf
     passed = True
-    for n in sorted({instance[0] for instance in instances}):
-        same_n = [instance for instance in instances if instance[0] == n]
-        for first in range(0, len(same_n), step):
-            _, ps, f_states, g_states, orders = zip(*same_n[first : first + step])
-            f_rows = SplitMix64.uniform_rows(f_states, 1 << resolution)
-            g_rows = np.empty((len(ps), 1 << n))
-            spectral = [j for j, k in enumerate(orders) if k is None]
-            if spectral:
-                draws = SplitMix64.uniform_rows([g_states[j] for j in spectral], 1 << n)
-                g_rows[spectral] = _butterfly(draws)
-            for row, k in zip(g_rows, orders):
-                if k is not None:
-                    row[:] = _periods(fejer(k, resolution)._head, 1 << n)
-            fs = _with_spectra(f_rows, resolution)
-            gs = _with_spectra(g_rows, resolution)
-            for lhs, rhs, ok in _translate_differences(fs, gs, n, ps):
-                worst = min(worst, rhs - lhs)
-                passed = passed and ok
+    for batch in _batches(instances, lambda instance: (instance[0], 1 << resolution)):
+        (n, *_), ps, f_states, g_states, orders = zip(*batch)
+        f_rows = SplitMix64.uniform_rows(f_states, 1 << resolution)
+        g_rows = np.empty((len(ps), 1 << n))
+        spectral = [j for j, k in enumerate(orders) if k is None]
+        if spectral:
+            draws = SplitMix64.uniform_rows([g_states[j] for j in spectral], 1 << n)
+            g_rows[spectral] = _butterfly(draws)
+        for row, k in zip(g_rows, orders):
+            if k is not None:
+                row[:] = _periods(fejer(k, resolution)._head, 1 << n)
+        fs = _with_spectra(f_rows, resolution)
+        gs = _with_spectra(g_rows, resolution)
+        for lhs, rhs, ok in _translate_differences(fs, gs, n, ps):
+            worst = min(worst, rhs - lhs)
+            passed = passed and ok
     return LemmaResult("translate-difference-bound", count, float(worst), passed)
 
 
 def _decomposition_deviation(*schemes: WeightScheme) -> Fraction:
     """The largest deviation of the sum of the three parts of
     decompose_vp_kernel from vp_kernel, over the weights' common
-    denominator, among schemes of one block exponent and numerator dtype,
-    run as one batch of rows of _vp_numerators and _vp_part_numerators at
-    the 2^(n+1) cells of the support, where part 1's period of 2^n cells
-    repeats twice.  One scheme is the batch of one."""
+    denominator, for a batch of schemes of one block exponent and numerator
+    dtype: rows of _vp_numerators and _vp_part_numerators at the 2^(n+1)
+    cells of the support, where part 1's period of 2^n cells repeats twice."""
     weights = [_block_weights(scheme) for scheme in schemes]
     t = np.stack([numerators for numerators, _ in weights])
     first, second, third = _vp_part_numerators(t)
@@ -591,29 +582,25 @@ def _decomposition_deviation(*schemes: WeightScheme) -> Fraction:
 
 
 def _check_decomposition(resolution: int, seed: int, random_schemes: int) -> LemmaResult:
-    """_decomposition_deviation of the family schemes at n = 1..min(6, N-1)
-    and of seeded random ones, the schemes of one (n, numerator dtype) in
-    batches of at most _BLOCK_CELLS cells of their 2^(n+1)-cell support."""
+    """_decomposition_deviation of the family schemes at n = 1..min(6, N-1),
+    one builder a family, and of seeded random ones, in the _batches of one
+    (n, numerator dtype) at the 2^(n+1) cells of their support."""
     rng = SplitMix64(seed)
     n_cap = min(6, resolution - 1)
     families = (("uniform", None), ("linear_up", None), ("linear_down", None), ("cesaro", 2))
-    schemes = [
-        build_scheme(family, n, alpha=alpha)
-        for n in range(1, n_cap + 1)
-        for family, alpha in families
-    ]
+    builders = [_FamilySchemes(family, alpha) for family, alpha in families]
+    schemes = [build(n) for n in range(1, n_cap + 1) for build in builders]
     for _ in range(random_schemes):
         n = 1 + rng.randint(n_cap)
         schemes.append(random_rational_scheme(n, rng))
-    groups = {}
-    for scheme in schemes:
-        key = (scheme.block_exponent, _block_weights(scheme)[0].dtype)
-        groups.setdefault(key, []).append(scheme)
+
+    def key(scheme):
+        n = scheme.block_exponent
+        return (n, _block_weights(scheme)[0].dtype == object), 2 << n
+
     worst = Fraction(0)
-    for (n, _), members in groups.items():
-        step = max(1, _BLOCK_CELLS >> (n + 1))
-        for first in range(0, len(members), step):
-            worst = max(worst, _decomposition_deviation(*members[first : first + step]))
+    for batch in _batches(sorted(schemes, key=key), key):
+        worst = max(worst, _decomposition_deviation(*batch))
     return LemmaResult("vp-kernel-decomposition", len(schemes), float(worst), worst == 0)
 
 

@@ -301,8 +301,8 @@ class _CesaroChain:
 
 class _FamilySchemes:
     """The schemes of one family, and alpha for cesaro, by block
-    exponent: the builder a command keeps for the blocks of its sweep,
-    which asks for them in increasing order (any order gives the same
+    exponent: the builder a command or check keeps for its blocks, which
+    it asks for in increasing order (any order gives the same
     schemes).  Only a cesaro builder keeps state, its chain, which each
     block extends; the chain is made at the first block, after that
     block's checks, so an alpha is refused as build_scheme refuses it."""

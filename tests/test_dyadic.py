@@ -506,6 +506,42 @@ class TestSignSplit:
         assert fast == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
+class TestBatches:
+    """dyadic._batches, the one batch driver of the lemma checks and the
+    approx sweep."""
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, 2, 4, 8, 16]))))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_cover_the_items_in_order_and_fill_up(self, keys):
+        drawn = []
+
+        def items():
+            for i, key in enumerate(keys):
+                drawn.append(i)
+                yield i, key
+
+        def key(item):
+            return item[1]
+
+        runs, drawn_at = [], []
+        with mock.patch.object(dyadic, "_BLOCK_CELLS", 8):  # 8, 4, 2, 1 and 1 rows
+            for run in dyadic._batches(items(), key):
+                runs.append(run)
+                drawn_at.append(len(drawn))
+            rows = [dyadic._rows_per_block(key(run[0])[1]) for run in runs]
+        assert [item for run in runs for item in run] == list(enumerate(keys))
+        for run, limit, seen in zip(runs, rows, drawn_at):
+            assert {key(item) for item in run} == {key(run[0])}
+            assert 1 <= len(run) <= limit
+            # A full run is yielded before the next item is drawn, any other
+            # run just after the item that ends it.
+            last = run[-1][0]
+            assert seen == last + 1 if len(run) == limit else seen == min(last + 2, len(keys))
+        # A run ends short only where the key changes.
+        for run, limit, after in zip(runs, rows, runs[1:]):
+            assert len(run) == limit or key(after[0]) != key(run[0])
+
+
 class TestIntervalIndicator:
     def test_rank_zero_is_constant_one(self):
         assert np.all(interval_indicator(0, 4).values == 1.0)

@@ -485,6 +485,45 @@ class TestBatchedChecks:
                 assert np.array_equal(whole.exact_numer, tiled)
 
 
+_BUDGET_OPS = [["verify-lemmas", "--resolution", str(N)] for N in (8, 9, 10)] + [
+    ["approx", "--resolution", "10", "--function", function, "--weights", weights,
+     "--p", "1,2,3,inf"]
+    for function in ("abs_power:0.5", "random", "step_mix", "walsh_poly:1,0.5,0,-0.25")
+    for weights in ("uniform", "linear_up", "cesaro:2", "cesaro:0.5")
+]
+
+
+def test_every_batch_budget_prints_the_same_bytes(capsys, monkeypatch):
+    # The budget sizes every batch of the lemma checks, the approx sweep and
+    # the blocked modulus tables through dyadic._rows_per_block, and no
+    # batch changes a printed bit.  2^6 cells is one row per batch of 2^6
+    # cells or more, the batches every check takes from N = 16 on.  Up to
+    # N = 10 the sign split, whose bincount chunks order its sums, is not
+    # taken.
+    batches = exp._batches
+    counts = []
+
+    def counted(items, key):
+        for batch in batches(items, key):
+            counts[-1] += 1
+            yield batch
+
+    monkeypatch.setattr(exp, "_batches", counted)
+    outputs = []
+    for budget in (walshvp.dyadic._BLOCK_CELLS, 1 << 6, 1 << 11, 1 << 20):
+        monkeypatch.setattr(walshvp.dyadic, "_BLOCK_CELLS", budget)
+        counts.append(0)
+        printed = []
+        for argv in _BUDGET_OPS:
+            code = main(argv)
+            captured = capsys.readouterr()
+            printed.append((code, captured.out, captured.err))
+        outputs.append(printed)
+    assert all(code == 0 for code, _, _ in outputs[0])
+    assert all(printed == outputs[0] for printed in outputs[1:])
+    assert len(set(counts)) == len(counts)  # each budget batches differently
+
+
 def _batched(resolution, instances):
     """_translate_differences over instances (f row, g row, n, p), the
     instances of each n in one batch, as the lemma check batches them."""

@@ -413,3 +413,55 @@ def test_calls_by_function_are_reported():
         "VALUE = _rows(1)\n"
     )
     assert _calls_by_function({"m": tree}) == {"m.mean": {"_rows", "abs"}, "m.sweep": {"mean"}}
+
+
+def _budget_readers(modules: dict):
+    """module.name of each top-level statement that reads _BLOCK_CELLS: by
+    name, as an attribute of any object, or by importing it."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    hit = node.id == "_BLOCK_CELLS" and isinstance(node.ctx, ast.Load)
+                elif isinstance(node, ast.Attribute):
+                    hit = node.attr == "_BLOCK_CELLS"
+                elif isinstance(node, ast.ImportFrom):
+                    hit = any(alias.name == "_BLOCK_CELLS" for alias in node.names)
+                else:
+                    hit = False
+                if hit:
+                    found.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_one_function_reads_the_batch_budget():
+    # The block budget has one meaning: every batch is sized through
+    # dyadic._rows_per_block, the four batchers of the checks and the sweep
+    # through the one driver dyadic._batches, so a change of the budget
+    # reaches all of them.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _budget_readers(modules) == ["dyadic._rows_per_block"]
+    calls = _calls_by_function(modules)
+    assert "_rows_per_block" in calls["dyadic._batches"]
+    for batcher in (
+        "experiments._check_dirichlet_recursion", "experiments._check_translate_difference",
+        "experiments._check_decomposition", "experiments.ratio_sweep",
+    ):
+        assert "_batches" in calls[batcher], batcher
+    for table in ("dyadic._translate_sums", "dyadic._sign_split_sums"):
+        assert "_rows_per_block" in calls[table], table
+
+
+def test_budget_reader_is_reported():
+    a = ast.parse(
+        "_BLOCK_CELLS = 4\n"
+        "def _rows(cells):\n    return max(1, _BLOCK_CELLS // cells)\n"
+        "def step(n):\n    return _BLOCK_CELLS >> n\n"
+        "class Table:\n    def rows(self):\n        return _rows(8)\n"
+    )
+    b = ast.parse("from .a import _BLOCK_CELLS, _rows\n")
+    c = ast.parse("from . import a\ndef size():\n    return a._BLOCK_CELLS\n")
+    assert _budget_readers({"a": a, "b": b, "c": c}) == [
+        "a._rows", "a.step", "b.<module>", "c.size",
+    ]
