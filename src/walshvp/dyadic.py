@@ -2,11 +2,11 @@
 
 At resolution N the group is {0, ..., 2^N - 1} with XOR as the group
 operation; coordinate x_i of a point is bit i of its index (LSB first).
-Functions are constant on the rank-N dyadic cells.  A function is held as
-a period of 2^k <= 2^N samples, its head, which the 2^N samples repeat:
-a function of dyadic rank r built by the library holds 2^r of them, so
-its memory and every pass over it are O(2^r), and the 2^N samples are
-built only when `values` is read.  All integrals use a deterministic
+Functions are constant on the rank-N dyadic cells.  A function of dyadic
+rank r (the smallest r for which it depends only on x mod 2^r) is held as
+its 2^r samples, its head, which the 2^N samples repeat, however it was
+built: its memory and every pass over it are O(2^r), and the 2^N samples
+are built only when `values` is read.  All integrals use a deterministic
 pairwise-tree reduction.
 """
 
@@ -47,7 +47,8 @@ class _Samples:
     N and a read-only head of 2^k <= 2^N float64 entries, from which the
     subclass's _extend builds all 2^N.  The public constructor copies the
     2^N entries it is given; the library's own builders hand a fresh head
-    over to _own, which keeps it as it is."""
+    over to _own, which keeps it without a copy.  Either way the
+    subclass's _hold decides what is kept."""
 
     __slots__ = ("resolution", "_head")
     _dtype = np.float64
@@ -105,24 +106,29 @@ def _periods(head: np.ndarray, size: int) -> np.ndarray:
 class SampledFunction(_Samples):
     """Real-valued function on the group, constant on rank-N cells.
 
-    values[j] is the value on the cell of the point with index j.  The
-    function is held as its head, a period of 2^k samples that values
-    repeats; values is read-only and, for a head shorter than 2^N, built
-    anew on each read.  Instances are immutable and operations return new
-    objects.  What depends only on the function (its dyadic rank, its
-    spectrum, its moduli for each p) is computed once and kept in the
-    private slots.
+    values[j] is the value on the cell of the point with index j.  A
+    function of dyadic rank r is held at its rank: its head is its 2^r
+    samples, one period that values repeats, whatever period it was built
+    from.  values is read-only and, for a head shorter than 2^N, built anew
+    on each read.  Instances are immutable and operations return new
+    objects.  What depends only on the function (its spectrum, its moduli
+    for each p) is computed once and kept in the private slots.
     """
 
-    __slots__ = ("_rank", "_spectrum", "_moduli")
+    __slots__ = ("_spectrum", "_moduli")
     _field = "values"
     _extend = staticmethod(_periods)
 
     def _hold(self, resolution: int, head: np.ndarray) -> None:
+        # A period of 2^k samples is cut to the 2^r of the rank, by a copy,
+        # so that no longer buffer stays referenced; the samples are finite
+        # when those 2^r are.
+        period = 1 << _dyadic_rank(head)
+        if period < head.size:
+            head = head[:period].copy()
         if not np.all(np.isfinite(head)):
             raise ValueError("samples must be finite")
         super()._hold(resolution, head)
-        object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_moduli", {})
 
@@ -229,7 +235,7 @@ def lp_norm(f: SampledFunction, p) -> float:
 
     When a p-th power could over- or underflow, the magnitudes are first
     divided by the largest of them, so a large p stays accurate.  The sum
-    runs over the head of f, one period of its samples.
+    runs over the head of f, its 2^r samples at its rank r.
     """
     return _lp_of_values(f._head, _check_exponent(p), f.resolution)
 
@@ -273,7 +279,7 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     # scale^2, for n0 <= r.
     from .walsh_system import _butterfly, fwht_forward
 
-    cells = _cells(f)
+    cells = f._head
     top = max(-float(np.min(cells)), float(np.max(cells)))
     if top == 0.0:  # f = 0; samples are finite, so top < inf
         return 1.0, np.zeros(1)
@@ -305,9 +311,8 @@ def _coset_oscillation(values: np.ndarray, n: int) -> float:
 def _dyadic_rank(values: np.ndarray) -> int:
     # The smallest r for which the samples have period 2^r, so that f
     # depends only on x mod 2^r.  Period 2^r implies period 2^(r+1), so
-    # halving from the top finds it.  Halves of floats are compared bit for
-    # bit, of Python ints (object dtype) by value.
-    bits = values if values.dtype == object else values.view(np.uint64)
+    # halving from the top finds it.  Halves are compared bit for bit.
+    bits = values.view(np.uint64)
     while bits.size > 1:
         half = bits.size // 2
         if not np.array_equal(bits[:half], bits[half:]):
@@ -317,16 +322,8 @@ def _dyadic_rank(values: np.ndarray) -> int:
 
 
 def _rank_of(f: SampledFunction) -> int:
-    # f's dyadic rank, computed once and kept on f.  The head is a period
-    # of f, so f's rank is the head's.
-    if f._rank is None:
-        object.__setattr__(f, "_rank", _dyadic_rank(f._head))
-    return f._rank
-
-
-def _cells(f: SampledFunction) -> np.ndarray:
-    # The 2^r samples of one period at f's dyadic rank r.
-    return f._head[: 1 << _rank_of(f)]
+    # f's dyadic rank r: f is held as its 2^r samples.
+    return f._head.size.bit_length() - 1
 
 
 # Cells per block of rows in an array pass (512 KiB of float64 or int64),
@@ -456,32 +453,32 @@ def _takes_sign_split(p: float, translates: int) -> bool:
 
 def _modulus_table(f: SampledFunction, n: int, p: float, scale) -> tuple:
     # The table of sums over t = 0 mod 2^n0 that serves omega_p(f, 2^-n),
-    # as (n0, scale, rank, sums): the one kept on f for p if it serves n,
-    # else one built at n0 = min(n, rank) that takes its place.  A table
-    # serves every n >= n0 at its own scale; `scale` is None for p = 2,
-    # whose scale depends only on f.  A sign-split table is exact only to
-    # rounding of its largest sum, so it also needs the largest sum over
-    # t = 0 mod 2^n to be at least _SPLIT_MIN_SHARE of it.  A function of
-    # rank r < N is run at resolution r on its 2^r cells: its
+    # as (n0, scale, sums): the one kept on f for p if it serves n, else
+    # one built at n0 = min(n, r) that takes its place, r the rank of f.
+    # A table serves every n >= n0 at its own scale; `scale` is None for
+    # p = 2, whose scale depends only on f.  A sign-split table is exact
+    # only to rounding of its largest sum, so it also needs the largest sum
+    # over t = 0 mod 2^n to be at least _SPLIT_MIN_SHARE of it.  f is run
+    # at resolution r on the 2^r samples it is held as: its
     # |differences|^p are 2^r-periodic, so the tree at resolution N reaches
     # 2^(N-r) equal partial sums and the rest of it only doubles them
     # exactly, sum_N 2^-N == sum_r 2^-r.  The scale stays the one of N.
     entry = f._moduli.get(p)
     if entry is not None and entry[0] <= n and (scale is None or scale == entry[1]):
-        n0, _, _, sums = entry
+        n0, _, sums = entry
         if not _takes_sign_split(p, sums.size):
             return entry
         if np.max(sums[:: 1 << (n - n0)]) >= _SPLIT_MIN_SHARE * np.max(sums):
             return entry
-    values = _cells(f)
-    rank = values.size.bit_length() - 1
+    values = f._head
+    n0 = min(n, _rank_of(f))
     if p == 2.0:
-        scale, sums = _l2_table(f, min(n, rank))
+        scale, sums = _l2_table(f, n0)
     elif _takes_sign_split(p, values.size >> n):
         sums = _sign_split_sums(values, n, scale)
     else:
         sums = _translate_sums(values, n, p, scale)
-    entry = f._moduli[p] = (min(n, rank), scale, rank, sums)
+    entry = f._moduli[p] = (n0, scale, sums)
     return entry
 
 
@@ -506,9 +503,8 @@ def modulus_of_continuity(
     At finite resolution the ball {|t| < 2^-n} is exactly the interval
     I_n, i.e. the indices divisible by 2^n, so the supremum is a finite
     maximum.  brute_force=True runs the loop over translates, the oracle.
-    Four routes evaluate every translate at once, on the 2^r cells of one
-    period at the function's dyadic rank r (the smallest r for which f
-    depends only on x mod 2^r): p = inf is the largest oscillation of f
+    Four routes evaluate every translate at once, on the 2^r samples that
+    f is held as at its dyadic rank r: p = inf is the largest oscillation of f
     over the cosets of I_n, which the translates permute, and 0 for
     n >= r; a finite p is read from a table of one sum per translate in
     I_n0, built by a spectral identity for p = 2, by a sign split for
@@ -528,16 +524,16 @@ def modulus_of_continuity(
         return _modulus_by_translates(f, n, p)
     scale = None
     if p != 2.0:
-        top = _coset_oscillation(_cells(f), n)
+        top = _coset_oscillation(f._head, n)
         if p == INF or not 0.0 < top < INF:
             return top
         scale = _power_scale(top, p, f.resolution)
-    n0, scale, rank, sums = _modulus_table(f, n, p, scale)
+    n0, scale, sums = _modulus_table(f, n, p, scale)
     # The root is monotone, so the largest sum gives the largest norm.
     best = max(float(np.max(sums[:: 1 << (n - n0)])), 0.0)
     if p == 2.0:  # squared norms; x ** 0.5 does not always round as sqrt(x)
         return scale * math.sqrt(best)
-    return scale * (best * 2.0**-rank) ** (1.0 / p)
+    return scale * (best * 2.0**-_rank_of(f)) ** (1.0 / p)
 
 
 def write_function(f: SampledFunction, stream) -> None:

@@ -18,12 +18,10 @@ from .dyadic import (
     INF,
     SampledFunction,
     _batches,
-    _cells,
     _check_exponent,
     _dyadic_rank,
     _lp_of_values,
     _pairwise_total,
-    _periods,
     _power_scale,
     _rank_of,
     abs_values,
@@ -32,7 +30,7 @@ from .dyadic import (
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import Spectrum, _butterfly, _with_spectra, fwht_forward, fwht_inverse
+from .walsh_system import Spectrum, _butterfly, _keep_spectra, fwht_forward, fwht_inverse
 from .kernels import (
     _block_multiplier,
     _block_weights,
@@ -270,7 +268,7 @@ def _residual_rows(f: SampledFunction, multipliers: np.ndarray) -> tuple:
     whether each mean is finite.  Cell x of a row is the mean at x mod 2^m
     minus f at x; past the float range it is inf or nan, with no warning."""
     means = _mean_rows(f, multipliers)
-    cells = _cells(f)
+    cells = f._head
     with np.errstate(over="ignore", invalid="ignore"):
         rows = means[:, None, :] - cells.reshape(-1, means.shape[-1])
     return rows.reshape(len(means), cells.size), np.isfinite(means).all(axis=-1)
@@ -384,7 +382,7 @@ def ratio_sweep(
     residuals = any(p != 2.0 for p in p_values)
 
     def key(block):  # (the mean's period, the residual cells of the block)
-        return (None if isinstance(block, Exception) else block[1].size), _cells(f).size
+        return (None if isinstance(block, Exception) else block[1].size), f._head.size
 
     records = []
     for batch in _batches(_sweep_blocks(f, scheme_for, n_values, p_values), key):
@@ -403,29 +401,34 @@ def _translate_differences(
 ) -> List[Tuple[float, float, bool]]:
     """(lhs, rhs, ok) of verify_translate_difference_bound for each
     (f, g, p) of a batch at one n, which the caller has checked against
-    the common resolution.  The rank of every g is checked; then the
-    coefficients fhat(2^n+m) ghat(m) of all left sides are synthesized in
-    one batched butterfly.  A left side held at its 2^(n+1) cells has the
-    norms of its full-size synthesis, whose copies only tile it (up to the
-    sign of a zero).  Each f's modulus is modulus_of_continuity's, by the
-    route it picks for that f."""
+    the common resolution.  The rank of every g is checked; the spectra
+    of the fs and gs come from _keep_spectra, and the coefficients
+    fhat(2^n+m) ghat(m) of all left sides are synthesized in one batched
+    butterfly.  A left side's 2^(n+1) cells have the norms of its
+    full-size synthesis, whose copies only tile them (up to the sign of a
+    zero).  Each f's modulus is modulus_of_continuity's, by the route it
+    picks for that f."""
     for g in gs:
         # The rank by value: + 0.0 turns -0.0 into +0.0, which the bitwise
         # _dyadic_rank would tell apart.  The head is a period of g.
         rank = _dyadic_rank(g._head + 0.0)
         if rank > n:
             raise ValueError(f"g has dyadic rank {rank}, above n = {n}")
+    _keep_spectra([*fs, *gs])
     resolution = fs[0].resolution
     low = 1 << n
     coeffs = np.zeros((len(fs), 2 * low))
-    for row, f, g in zip(coeffs, fs, gs):
-        np.multiply(
-            fwht_forward(f)._prefix(2 * low)[low:], fwht_forward(g)._prefix(low), out=row[low:]
-        )
-    _butterfly(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, f, g in zip(coeffs, fs, gs):
+            np.multiply(
+                fwht_forward(f)._prefix(2 * low)[low:], fwht_forward(g)._prefix(low), out=row[low:]
+            )
+        _butterfly(coeffs)
+    if not np.isfinite(coeffs).all():  # an inf left side would pass any bound
+        raise ValueError(f"a left side at n = {n} passes the float range")
     results = []
     for row, f, g, p in zip(coeffs, fs, gs, ps):
-        lhs = lp_norm(SampledFunction._own(resolution, row), p)
+        lhs = _lp_of_values(row, _check_exponent(p), resolution)
         rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
         results.append((lhs, rhs, lhs <= rhs + _TRANSLATE_SLACK))
     return results
@@ -441,8 +444,9 @@ def verify_translate_difference_bound(
     -0.0 and +0.0 equal), which holds exactly when its spectrum lies below
     2^n; else ValueError.  Then the integral is f * (r_n g), whose
     coefficient at 2^n + m is fhat(2^n+m) ghat(m) by r_n w_m = w_{2^n+m},
-    and zero below 2^n.  This is the batch of one of
-    _translate_differences, the core that verify-lemmas runs in batches.
+    and zero below 2^n.  A left side past the float range is a
+    ValueError.  This is the batch of one of _translate_differences, the
+    core that verify-lemmas runs in batches.
     """
     f._check_same(g)
     if not 0 < n < f.resolution:
@@ -542,24 +546,22 @@ def _translate_instances(resolution: int, seed: int, count: int) -> list:
 def _check_translate_difference(resolution: int, seed: int, count: int) -> LemmaResult:
     """verify_translate_difference_bound on count seeded instances, in the
     _batches of one n: a batch draws its f and spectral g rows from their
-    generator states at once, synthesizes those g in one butterfly, tiles
-    each Fejer g's period to 2^n, and passes the rows to _with_spectra."""
+    generator states at once, synthesizes those g in one butterfly, and
+    passes the rows, held as functions, and each Fejer g to
+    _translate_differences."""
     instances = sorted(_translate_instances(resolution, seed, count), key=lambda i: i[0])
     worst = math.inf
     passed = True
     for batch in _batches(instances, lambda instance: (instance[0], 1 << resolution)):
         (n, *_), ps, f_states, g_states, orders = zip(*batch)
         f_rows = SplitMix64.uniform_rows(f_states, 1 << resolution)
-        g_rows = np.empty((len(ps), 1 << n))
+        fs = [SampledFunction._own(resolution, row) for row in f_rows]
+        gs = [None if k is None else fejer(k, resolution) for k in orders]
         spectral = [j for j, k in enumerate(orders) if k is None]
         if spectral:
             draws = SplitMix64.uniform_rows([g_states[j] for j in spectral], 1 << n)
-            g_rows[spectral] = _butterfly(draws)
-        for row, k in zip(g_rows, orders):
-            if k is not None:
-                row[:] = _periods(fejer(k, resolution)._head, 1 << n)
-        fs = _with_spectra(f_rows, resolution)
-        gs = _with_spectra(g_rows, resolution)
+            for j, row in zip(spectral, _butterfly(draws)):
+                gs[j] = SampledFunction._own(resolution, row)
         for lhs, rhs, ok in _translate_differences(fs, gs, n, ps):
             worst = min(worst, rhs - lhs)
             passed = passed and ok

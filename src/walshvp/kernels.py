@@ -35,7 +35,11 @@ class KernelFunction(SampledFunction):
     rounded quotients are its float head; exact_numer, like values, is
     read-only and, for a head shorter than 2^N, built anew on each read.
     The public constructor copies the 2^N numerators it is given; the
-    builders hand their period over to _own with its denominator."""
+    builders hand their period over to _own with its denominator.  The
+    exact head stays at the period it was built on, while the float head,
+    like any function's, is held at its dyadic rank.  That rank is lower
+    only where distinct numerators round to one float: the numerators
+    2^60 and 2^60 + 1 over 1 are a float head of one sample."""
 
     __slots__ = ("_exact_head", "exact_denom")
     _field = "numerators"

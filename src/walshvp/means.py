@@ -37,7 +37,7 @@ def dyadic_convolve(f: SampledFunction, kernel: SampledFunction) -> SampledFunct
     an exact zero may carry the other sign than in the full-size synthesis.
     """
     f._check_same(kernel)
-    size = 1 << min(_rank_of(f), _rank_of(kernel))
+    size = min(f._head.size, kernel._head.size)
     coeffs = fwht_forward(f)._prefix(size) * fwht_forward(kernel)._prefix(size)
     head = _period_head(hadamard_transform(coeffs), f.resolution)
     return SampledFunction._own(f.resolution, head)

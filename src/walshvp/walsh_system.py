@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import SampledFunction, _cells, _periods, _read_samples, _Samples, check_resolution
+from .dyadic import SampledFunction, _periods, _read_samples, _Samples, check_resolution
 
 _SPECTRUM_HEADER = "SPECTRUM"
 
@@ -191,56 +191,51 @@ def _period_head(synthesized: np.ndarray, resolution: int) -> np.ndarray:
     return synthesized
 
 
-def _spectra(cells: np.ndarray) -> np.ndarray:
-    """The spectra of the rows of a 2-D array, each row the 2^r cells of
-    one period, as a new array: each row butterflied, then scaled by 2^-r,
-    in one batched butterfly.  A row of 2^r max|row| past the float range
-    is scaled before the butterfly instead, so no sum overflows."""
-    scale = 2.0 ** -(cells.shape[-1].bit_length() - 1)
-    # x 2^r is finite exactly when x <= max_float 2^-r, both exact.
-    early = np.abs(cells).max(axis=-1, keepdims=True) > _FLOAT_MAX * scale
-    if not early.any():
-        head = _butterfly(cells.copy())
-        head *= scale
-        return head
-    # x * 1.0 is x, so each row is scaled once, before or after.
-    head = _butterfly(cells * np.where(early, scale, 1.0))
-    head *= np.where(early, 1.0, scale)
-    return head
-
-
-def _with_spectra(rows: np.ndarray, resolution: int) -> list:
-    """A SampledFunction at resolution N on each row of a C-contiguous 2-D
-    array that nothing else refers to, each row a period of 2^k <= 2^N
-    samples, with its spectrum kept: _spectra of all rows at once.  For a
-    row of rank r < k that is fwht_forward's rank-r spectrum bit for bit,
-    padded with +0.0, while 2^k max|row| stays in the float range."""
-    functions = []
-    for row, head in zip(rows, _spectra(rows)):
-        f = SampledFunction._own(resolution, row)
-        object.__setattr__(f, "_spectrum", Spectrum._own(resolution, head))
-        functions.append(f)
-    return functions
+def _keep_spectra(functions) -> None:
+    """Keep on each of the functions that lacks one its spectrum.  A
+    function of rank r is held as its 2^r samples and has no coefficient
+    from 2^r on, so its samples are butterflied and scaled by 2^-r into the
+    head of its spectrum.  The heads of one size are stacked into one
+    batched butterfly, each row as it would be alone.  A row of
+    2^r max|row| past the float range is scaled before the butterfly
+    instead, so no sum overflows."""
+    groups = {}
+    for f in functions:
+        if f._spectrum is None:
+            groups.setdefault(f._head.size, []).append(f)
+    for size, group in groups.items():
+        heads = np.concatenate([f._head for f in group]).reshape(-1, size)
+        scale = 2.0 ** -(size.bit_length() - 1)
+        # x 2^r is finite exactly when x <= max_float 2^-r, both exact.
+        early = np.abs(heads).max(axis=-1, keepdims=True) > _FLOAT_MAX * scale
+        if early.any():
+            # x * 1.0 is x, so each row is scaled once, before or after.
+            heads *= np.where(early, scale, 1.0)
+            _butterfly(heads)
+            heads *= np.where(early, 1.0, scale)
+        else:
+            _butterfly(heads)
+            heads *= scale
+        for f, head in zip(group, heads):
+            object.__setattr__(f, "_spectrum", Spectrum._own(f.resolution, head))
 
 
 def fwht_forward(f: SampledFunction) -> Spectrum:
     """Walsh-Fourier coefficients fhat(n) = integral of f w_n d(mu).
 
     A function of x mod 2^r, r its dyadic rank, has no coefficient from
-    2^r on, so its 2^r cells are transformed, scaled by 2^-r, into the
-    head of the spectrum, and the rest is +0.0: O(r 2^r + 2^k) for a head
-    of 2^k samples, with 2^k the rank scan.  That is the full-size
-    transform bit for bit, whose stages above 2^r only double the first
-    2^r sums exactly and set the rest to x - x = +0.0, as long as those
-    doubled sums stay finite.
-    Where 2^r max|f| is past the float range, the samples are scaled
-    before the butterfly instead, so no sum overflows (_spectra of one row).
-    The spectrum is computed once per function and kept on it; both are
-    read-only, so every caller shares one transform.
+    2^r on, so the 2^r samples it is held as are transformed, scaled by
+    2^-r, into the head of the spectrum, and the rest is +0.0: O(r 2^r).
+    That is the full-size transform bit for bit, whose stages above 2^r
+    only double the first 2^r sums exactly and set the rest to
+    x - x = +0.0, as long as those doubled sums stay finite.  Where
+    2^r max|f| is past the float range, the samples are scaled before the
+    butterfly instead, so no sum overflows.  This is _keep_spectra of one
+    function: the spectrum is computed once per function and kept on it;
+    both are read-only, so every caller shares one transform.
     """
     if f._spectrum is None:
-        head = _spectra(_cells(f)[None])[0]
-        object.__setattr__(f, "_spectrum", Spectrum._own(f.resolution, head))
+        _keep_spectra([f])
     return f._spectrum
 
 

@@ -211,6 +211,14 @@ class TestTranslateDifferenceBound:
         with pytest.raises(ValueError, match="dyadic rank 2, above n = 1"):
             exp.verify_translate_difference_bound(f, g, 1, 2)
 
+    def test_a_left_side_past_the_float_range_is_refused(self):
+        # fhat(4) ghat(0) = 1e308 * 1e308 passes the float range: an inf left
+        # side would pass any bound, inf <= inf, so it is refused.
+        f = walsh(4, 4) * 1e308
+        g = SampledFunction(4, np.full(16, 1e308))
+        with pytest.raises(ValueError, match="left side at n = 2 passes the float range"):
+            exp.verify_translate_difference_bound(f, g, 2, 1)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 10), st.data())
     def test_lhs_is_the_convolution_route_bit_for_bit(self, resolution, data):
@@ -526,14 +534,19 @@ def test_every_batch_budget_prints_the_same_bytes(capsys, monkeypatch):
 
 def _batched(resolution, instances):
     """_translate_differences over instances (f row, g row, n, p), the
-    instances of each n in one batch, as the lemma check batches them."""
+    instances of each n in one batch, as the lemma check batches them:
+    each row held as a function, which cuts a tiled Fejer period to the
+    Fejer kernel's own head, and their spectra kept by the one
+    _keep_spectra call of the batch."""
     results = [None] * len(instances)
     by_n = {}
     for i, (_, _, n, _) in enumerate(instances):
         by_n.setdefault(n, []).append(i)
     for n, members in by_n.items():
-        rows = [np.stack([instances[i][k] for i in members]) for k in (0, 1)]
-        fs, gs = (walshvp.walsh_system._with_spectra(r, resolution) for r in rows)
+        fs, gs = (
+            [SampledFunction._own(resolution, instances[i][k].copy()) for i in members]
+            for k in (0, 1)
+        )
         ps = [instances[i][3] for i in members]
         for i, result in zip(members, exp._translate_differences(fs, gs, n, ps)):
             results[i] = result

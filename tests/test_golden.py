@@ -2,9 +2,13 @@
 
 The digests were recorded before the function storage and the JSON writer
 were rewritten; any change to the bytes a command prints fails here.  The
-calls leave out p = 2, whose moduli moved in their last bits when the p = 2
-table stopped summing the terms that cancel exactly.  The verify-lemmas
-digests were recorded before its checks ran their instances in batches.
+verify-lemmas digests were recorded before its checks ran their instances
+in batches.  The p = 2,3 calls and the rank-4 transform, whose input file
+holds all 2^10 samples, were recorded before every function was held at
+its dyadic rank.  They pin p = 2 again, after its moduli moved in their
+last bits when the p = 2 table stopped summing the terms that cancel
+exactly: a change that moves p = 2 on purpose (ROADMAP item 2) lists each
+digest it moves.
 """
 
 import argparse
@@ -30,6 +34,11 @@ def _calls():
                       "--seed", "3", "--format", fmt]
             calls[f"approx {spec} {fmt}"] = ["approx", "--weights", weights] + common
             calls[f"modulus {spec} {fmt}"] = ["modulus"] + common
+            # p = 2 takes the spectral table and the Parseval error, p = 3
+            # the blocked table and the residual rows.
+            common[5] = "2,3"
+            calls[f"approx {spec} p=2,3 {fmt}"] = ["approx", "--weights", weights] + common
+            calls[f"modulus {spec} p=2,3 {fmt}"] = ["modulus"] + common
         calls[f"kernel-norms {fmt}"] = ["kernel-norms", "--resolution", "10", "--format", fmt]
         for family in FAMILIES:
             calls[f"weights-validate {family} {fmt}"] = [
@@ -50,28 +59,58 @@ CALLS = _calls()
 DIGESTS = {
     "approx abs_power:0.5 csv": "0f3d27fa61bac5e4e901218d2e360080a24db67ec0b64bd9077adcc7ba2a7b57",
     "approx abs_power:0.5 json": "4402e7faf6532e39c55183deb1455c929d8690917f19567d5934e27ad4af72cf",
+    "approx abs_power:0.5 p=2,3 csv": "d6e802b231f3b1b9c7b08515ec5f486ee5c058f986ddd95282f335cbb5f5b549",
+    "approx abs_power:0.5 p=2,3 json": "90ebcdd008d3637855959cb084eae8f4f2bfcec140cd982cc7e22d48e63d6acb",
     "approx indicator:2 csv": "fc7f07b168cd471ce27f8ea8e8a5860f8b5c95093d147f94d8d8602177b42e37",
     "approx indicator:2 json": "273e76358787470c67e0fa7290073b18e50309a7b669f5ca1d18e79fd5b009b7",
+    "approx indicator:2 p=2,3 csv": "6097762aa6fd358cdc4553c34a2bc09fdf84c50a9a6244b1f2e0b5219201f965",
+    "approx indicator:2 p=2,3 json": "d9402dfb8b956fd2bf432631808642b8c665433079414516b542bfd8078ff6fc",
     "approx random csv": "de389728e3344acfcdc7a1e7bda92a46fe65c25319b03be73afcc5bb13d2f508",
     "approx random json": "f2e6cfaad34ad730e687bb591ddd7928a2c6fb0ada5061c99a3db7970380299a",
+    "approx random p=2,3 csv": "70b2efc007df8df9621c40822c4ac145e8acd7f7c4c4c4270b2464a6866c2166",
+    "approx random p=2,3 json": "c5cee34de004725377721b532d9b8cdfa6f8456e23ba44516179ae5fc4412cce",
     "approx step_mix csv": "ccf18336ad6de0d53037653db909ee4479a32738eaf588276d2604da788d0389",
     "approx step_mix json": "43028fca8af8d2212a23dd3cec86ceed761a1de2ac193793ff56b7a2d4d7b4c1",
+    "approx step_mix p=2,3 csv": "c19805cc8532d0002646d2ae65f93ea38ae8a8b42f044a9cba02ba2d49198cfb",
+    "approx step_mix p=2,3 json": "6d65f300b20cd77157e2a1fd9243087d38a03f19f498f100f74830816b357291",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 csv": "5e3ce11059edc63bcf1cade8fcb4fbfdbd17fa0782384d5d8f72900a36765231",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 json": "a3cd5ae28dc7808cbaa186017479d723fd79bd1c86febd4b0710d9533cd2833b",
+    "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 csv": "f23034fc83668cf2b102cac6dce5f43fa1398b9eeaaf85c06f3c157181dc2a54",
+    "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 json": "383b5b15b07b83ee9eccca84d1cdfac199adf827b673e9808839c3416a9ae0fc",
     "kernel-norms csv": "9ecd3ae72486afc211f95bfdf7771d5294cc8bf34fe5834dce2aba54b3a79aaa",
     "kernel-norms json": "4b8843af5626522f582eec88cc0525b30444f7812ed9a512cbef77fe4ad07d12",
     "modulus abs_power:0.5 csv": "9dd3471de5104a5ba631a859406688eb60d2cb7c00bd6d5c4325a082a1c463aa",
     "modulus abs_power:0.5 json": "0979e170f92c086e4396fda7a78ff2c1878fc0733462d25be5278cb2ae1b1da7",
+    "modulus abs_power:0.5 p=2,3 csv": "08b03c93dd2ad7fb0690578080b6b35f9c6f75397e583e304d07429b93a9f6e0",
+    "modulus abs_power:0.5 p=2,3 json": "262b836be21c56c64cf350ea614ad7dc0c3952b35f15958fc51a70b12d4b169c",
     "modulus indicator:2 csv": "84cf3d16e99b88dbd53bd9d09d7e6e954b4bfc874175f45155ed41a7bb4e21a5",
     "modulus indicator:2 json": "7b171d06dabbcf8a3f883971459bba6ef797cb6bb4c5c7e92a0946ee5761d490",
+    "modulus indicator:2 p=2,3 csv": "ce658ca4ad751e7858c8ec4258f7fb32d82cdf24014d488de5b051dc93f8da01",
+    "modulus indicator:2 p=2,3 json": "08d7823928768d77835981371422ff0013ee9227ef17f8850b022cae7818c3d1",
     "modulus random csv": "e27eb5d5cd55b2ee06b70de57949afe81d4e0b11d0d57e66aecbcbe2b3d89d01",
     "modulus random json": "a513837dff5d8d9d39768a5f94802bbab0b8448c9f764865cfee39ed0ebe3d5d",
+    "modulus random p=2,3 csv": "652d8312df54bf28b5b7359d6b37e724aa2ca2054ab0734d00cab62da135b900",
+    "modulus random p=2,3 json": "96098c3fc3cc1b845634ef0c4b050bd5cb2ea2895ce858e4e46d09f15553059f",
     "modulus step_mix csv": "5aecedaf33e30e9f180bf4612155e5977f3a43dd9a7d403da3874edf8ce0d690",
     "modulus step_mix json": "fc1376c02565116ad09dedbbb09f4a775efa6938171ae2c4aa1ccda0e3bc4118",
+    "modulus step_mix p=2,3 csv": "41f80e46a1625e5698212ef8d010a772801dfda46573d039de925476f1ea9494",
+    "modulus step_mix p=2,3 json": "20d0c67047d1b50bee976774cfee3119229756617f4e8c4f86ed6b5b9a93f52c",
     "modulus walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 csv": "49c66380efa113075b471913c0efebee648dce9a10c14a14f404070802363ee2",
     "modulus walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 json": "b53d5f1f74888c537faf18e98d758a4fe412a7bf9d77225e9918e254639997c9",
+    "modulus walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 csv": "1d099251b5c6ec3d8305c375654e7688fce5e57f40c7b57a122aaf2f2c32b09b",
+    "modulus walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 json": "821258a2bfd83884a469d5fd7b22c19370c97f47ca6e4c84cb0fa084a0e59588",
     "transform forward": "cb8ced6439eeeb59fa94c8a8ae567798886f4956be83b9a9cd93ccb6831aefe6",
+    "transform forward rank-4": "49171354b98aa92487ffed9567b2b957ff245f58d4c40176c5719ebe4f2aab00",
     "transform inverse": "2fb8e3edc8e49299e7609aeed14a307374aea962a95aa5e85dc2e9d744b74768",
+    "transform inverse rank-4": "838ba50228309a02cd647bef0fb449312a003d7e49b158da39c5f8459ea83228",
+    "verify-lemmas N=10 40/6 csv": "56ddf034e0d56848aad56c1df6a3684d12939893becf9e680889979ddf424d30",
+    "verify-lemmas N=10 40/6 json": "97de799f52bf34b94929330b6d341746258bbe5b19e6cf15e4872dfaff7a9a1d",
+    "verify-lemmas N=12 40/6 csv": "7c402316d96e29c655e4dbe75fbc55052ef0ee60ed15e02a9ba0ce25a8e2da56",
+    "verify-lemmas N=12 40/6 json": "66b0e9b1528fd745e712cd055b79d590ad2cb52c9eecf67b7f18c7837a6f5607",
+    "verify-lemmas N=12 csv": "5826a639188585cafc4b5e5d9af4ade88a1bb4b72d4e13c48d26b664079e4802",
+    "verify-lemmas N=12 json": "de36b31ba28ee97b9ff4cc8c3a950524c122144a9984d01d679b759411a09f37",
+    "verify-lemmas N=8 40/6 csv": "99b6a661271c9775e890d662e1d1a285388a9a4b2a828c9f2f67213ec7006250",
+    "verify-lemmas N=8 40/6 json": "ba68d200bd274ce32db9822be827a67bc8a7d0e1850a823e6e5140891e7550ae",
     "weights-validate cesaro:0.5 csv": "564fa6715279e1459dd3d40ec6a4566933a7a14992469788fbdabe65af2fad1a",
     "weights-validate cesaro:0.5 json": "bcf1de8b6d0d25d4399be6641019588671ffbbcfb05462d4316f333a8aaa7376",
     "weights-validate cesaro:2 csv": "553db1a642af896b7d81a5d9272200a78b24b3b3cbb4b491daca6e306d5585f9",
@@ -82,14 +121,6 @@ DIGESTS = {
     "weights-validate linear_up json": "ebaa0ab0bdbe04bcd89b28d6d9ec8982dd9c072aa6f1e69e2d196a329c21381f",
     "weights-validate uniform csv": "1138ad5072549007b4ba99c1d1ca44870f86db08a1cd04a1ed08d6a037326760",
     "weights-validate uniform json": "ae999950b0e019237d8b3d7e996d2f0a5e002e6ab980e672a7f3da59757f41e4",
-    "verify-lemmas N=8 40/6 csv": "99b6a661271c9775e890d662e1d1a285388a9a4b2a828c9f2f67213ec7006250",
-    "verify-lemmas N=8 40/6 json": "ba68d200bd274ce32db9822be827a67bc8a7d0e1850a823e6e5140891e7550ae",
-    "verify-lemmas N=10 40/6 csv": "56ddf034e0d56848aad56c1df6a3684d12939893becf9e680889979ddf424d30",
-    "verify-lemmas N=10 40/6 json": "97de799f52bf34b94929330b6d341746258bbe5b19e6cf15e4872dfaff7a9a1d",
-    "verify-lemmas N=12 40/6 csv": "7c402316d96e29c655e4dbe75fbc55052ef0ee60ed15e02a9ba0ce25a8e2da56",
-    "verify-lemmas N=12 40/6 json": "66b0e9b1528fd745e712cd055b79d590ad2cb52c9eecf67b7f18c7837a6f5607",
-    "verify-lemmas N=12 csv": "5826a639188585cafc4b5e5d9af4ade88a1bb4b72d4e13c48d26b664079e4802",
-    "verify-lemmas N=12 json": "de36b31ba28ee97b9ff4cc8c3a950524c122144a9984d01d679b759411a09f37",
 }
 
 
@@ -106,15 +137,21 @@ def _digest(code, out):
 
 def transform_outputs(tmp_path):
     """(exit code, stdout) of a forward transform of a fixed function at
-    N = 6, and of the inverse transform of that spectrum."""
-    source = tmp_path / "f.txt"
-    samples = [((7 * j) % 11 - 5) / 8 for j in range(64)]
-    source.write_text("N=6\n" + "".join(f"{v!r}\n" for v in samples))
-    forward = _run(["transform", "--in", str(source)])
-    spectrum = tmp_path / "s.txt"
-    spectrum.write_text(forward[1])
-    return {"transform forward": forward,
-            "transform inverse": _run(["transform", "--inverse", "--in", str(spectrum)])}
+    N = 6, and of a rank-4 one at N = 10 that the input file gives as all
+    2^10 samples, and of the inverse transform of each spectrum."""
+    outputs = {}
+    for suffix, N, period in (("", 6, 64), (" rank-4", 10, 16)):
+        source = tmp_path / f"f{N}.txt"
+        samples = [((7 * j) % 11 - 5) / 8 for j in range(period)] * ((1 << N) // period)
+        source.write_text(f"N={N}\n" + "".join(f"{v!r}\n" for v in samples))
+        forward = _run(["transform", "--in", str(source)])
+        spectrum = tmp_path / f"s{N}.txt"
+        spectrum.write_text(forward[1])
+        outputs[f"transform forward{suffix}"] = forward
+        outputs[f"transform inverse{suffix}"] = _run(
+            ["transform", "--inverse", "--in", str(spectrum)]
+        )
+    return outputs
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

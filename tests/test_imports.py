@@ -268,6 +268,88 @@ def test_one_function_owns_the_modulus_tables():
     assert sorted(owners) == ["dyadic._modulus_table"]
 
 
+def _spectrum_users(modules: dict):
+    """module.qualname of each innermost function or class that names the
+    _spectrum slot: as an attribute, or as the name string passed to
+    object.__setattr__."""
+    found = set()
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(module, child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute):
+                hit = child.attr == "_spectrum"
+            elif isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__":
+                hit = [ast.unparse(arg) for arg in child.args[1:2]] == ["'_spectrum'"]
+            else:
+                hit = False
+            if hit:
+                found.add(".".join([module] + (scope or ["<module>"])))
+            visit(module, child, scope)
+
+    for module, tree in modules.items():
+        visit(module, tree, [])
+    return sorted(found)
+
+
+def _rank_slots_and_cells(modules: dict):
+    """Each definition, import or read of _cells, and each _rank slot: an
+    attribute _rank, or the string "_rank" as a slot name or attribute
+    name, by module and line."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                hit = node.name == "_cells"
+            elif isinstance(node, ast.Name):
+                hit = node.id == "_cells"
+            elif isinstance(node, ast.alias):
+                hit = node.name == "_cells"
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr in ("_cells", "_rank")
+            elif isinstance(node, ast.Constant):
+                hit = node.value == "_rank"
+            else:
+                hit = False
+            if hit:
+                found.append(f"{module} (line {node.lineno})")
+    return found
+
+
+def test_one_entry_makes_every_spectrum():
+    # Every function is held at its rank, so its head is the one size of it
+    # that any route reads: no slot caches a rank and no helper cuts a head
+    # to it.  A spectrum is kept only by walsh_system._keep_spectra, of
+    # which fwht_forward is the batch of one; SampledFunction._hold starts
+    # every function without one.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _spectrum_users(modules) == [
+        "dyadic.SampledFunction._hold", "walsh_system._keep_spectra", "walsh_system.fwht_forward",
+    ]
+    assert _rank_slots_and_cells(modules) == []
+
+
+def test_second_spectrum_entry_and_rank_slot_are_reported():
+    a = ast.parse(
+        "class Held:\n"
+        "    __slots__ = ('_rank', '_spectrum')\n"
+        "    def _hold(self):\n        object.__setattr__(self, '_spectrum', None)\n"
+        "def _cells(f):\n    return f._head[: 1 << f._rank]\n"
+        "def _with_spectra(fs):\n"
+        "    for f in fs:\n        object.__setattr__(f, '_spectrum', _spectra(f))\n"
+        "def forward(f):\n    return f._spectrum\n"
+        "SPARE = object.__setattr__(Held, '_moduli', None)\n"
+    )
+    b = ast.parse("from .a import _cells\ndef rows(f):\n    return _cells(f)\n")
+    modules = {"a": a, "b": b}
+    assert _spectrum_users(modules) == ["a.Held._hold", "a._with_spectra", "a.forward"]
+    assert _rank_slots_and_cells(modules) == [
+        "a (line 5)", "a (line 2)", "a (line 6)", "b (line 1)", "b (line 3)",
+    ]
+
+
 def test_every_public_function_serves_the_cli_or_the_checks():
     # The package exports what the command line and the verification suite
     # call, and the types they return; oracles and helpers stay in their

@@ -175,6 +175,16 @@ class TestFejer:
         with pytest.raises(ValueError):
             KernelFunction(1, [3, 1], 0)
 
+    def test_float_head_is_held_at_its_own_rank(self):
+        # 2^60 and 2^60 + 1 round to one float: the float head is one sample,
+        # the exact head keeps both numerators, and the exact values and
+        # norm are read from them.
+        kernel = KernelFunction(1, np.array([2**60, 2**60 + 1], dtype=object))
+        assert kernel._head.tolist() == [2.0**60] and kernel._exact_head.size == 2
+        assert kernel.values.tolist() == [2.0**60, 2.0**60]
+        assert kernel.exact_numer.tolist() == [2**60, 2**60 + 1]
+        assert kernel_l1_norm(kernel) == Fraction(2**61 + 1, 2)
+
     def test_k2_l1_norm_is_one(self):
         assert kernel_l1_norm(fejer(2, 3)) == 1
 

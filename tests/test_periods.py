@@ -22,7 +22,7 @@ from walshvp.dyadic import (
 )
 from walshvp.experiments import STANDARD_SUITE_SPECS, make_function, step_mix, walsh_poly
 from walshvp.kernels import decompose_vp_kernel, dirichlet, fejer, vp_kernel
-from walshvp.means import vp_mean
+from walshvp.means import dyadic_convolve, vp_mean
 from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse
 from walshvp.weights import build_scheme
 
@@ -58,9 +58,10 @@ class TestHeldPeriod:
     @settings(max_examples=60, deadline=None)
     def test_operations_on_periods_are_the_operations_on_the_samples(self, N, data):
         ra, rb = data.draw(st.integers(0, N)), data.draw(st.integers(0, N))
+        ka = data.draw(st.integers(ra, N))  # a is handed over as 2^(ka - ra) periods
         floats = st.floats(-4, 4, allow_nan=False)
-        a = SampledFunction._own(N, np.array(data.draw(st.lists(floats, min_size=1 << ra,
-                                                                max_size=1 << ra))))
+        period = np.array(data.draw(st.lists(floats, min_size=1 << ra, max_size=1 << ra)))
+        a = SampledFunction._own(N, np.tile(period, 1 << (ka - ra)))
         b = SampledFunction._own(N, np.array(data.draw(st.lists(floats, min_size=1 << rb,
                                                                 max_size=1 << rb))))
         t = data.draw(st.integers(0, (1 << N) - 1))
@@ -80,6 +81,19 @@ class TestHeldPeriod:
             assert lp_norm(a, p) == lp_norm(full_a, p)
             for n in range(N + 1):
                 assert modulus_of_continuity(a, n, p) == modulus_of_continuity(full_a, n, p)
+        # Every function is held at its rank, whatever period it was built on.
+        assert a._head.size == full_a._head.size <= period.size
+        assert fwht_forward(full_a).coeffs.tobytes() == fwht_forward(a).coeffs.tobytes()
+        k = data.draw(st.integers(1, 1 << N))
+        held = [a, b, a + b, a - b, a * b, a * 3.0, -a, translate(a, t), full_a,
+                fwht_inverse(fwht_forward(a)), dyadic_convolve(a, b),
+                dirichlet(k, N), dirichlet(k - 1, N), fejer(k, N)]
+        if N > 1:
+            scheme = build_scheme("linear_up", data.draw(st.integers(1, N - 1)))
+            held += [vp_mean(a, scheme).function, vp_kernel(scheme, N),
+                     *decompose_vp_kernel(scheme, N)]
+        for f in held:
+            assert f._head.size == 1 << dyadic._dyadic_rank(f._head)
 
 
 class TestFullArraysExportTheirBuffer:
@@ -118,6 +132,23 @@ class TestPublicConstructorsCopy:
         g = SampledFunction(3, a)
         assert modulus_of_continuity(g, 0, 2) == modulus_of_continuity(g, 0, 2, brute_force=True)
         assert modulus_of_continuity(g, 0, 2, brute_force=True) == 0.5
+
+    def test_a_full_array_is_held_at_its_rank(self):
+        # 2^22 samples that repeat 16 draws keep the 16, and their norm and
+        # modulus pass over those alone; a head of all 2^22 samples held
+        # 32 MiB, and the L^3 norm alone allocated as much again.
+        draws = np.random.default_rng(22).uniform(-1, 1, 16)
+        f = SampledFunction(22, np.tile(draws, 1 << 18))
+        assert f._head.size == 16 and f._head.tobytes() == draws.tobytes()
+        tracemalloc.start()
+        try:
+            norm, modulus = lp_norm(f, 3), modulus_of_continuity(f, 1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        period = SampledFunction._own(22, draws.copy())
+        assert (norm, modulus) == (lp_norm(period, 3), modulus_of_continuity(period, 1, 3))
 
     def test_spectrum_keeps_its_own_coefficients(self):
         c = np.zeros(8)

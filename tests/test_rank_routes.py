@@ -106,7 +106,7 @@ def test_l2_modulus_is_the_full_route_bit_for_bit_for_every_first_n(case):
     for first in range(N + 1):
         f = SampledFunction(N, values)
         modulus_of_continuity(f, first, 2)
-        n0, table_scale, _, sums = f._moduli[2.0]
+        n0, table_scale, sums = f._moduli[2.0]
         # the table is the full one at t = 0 mod 2^n0, over one period
         assert table_scale == scale and _bits(sums) == _bits(per_t[:: 1 << n0][: sums.size])
         assert [modulus_of_continuity(f, n, 2).hex() for n in range(N + 1)] == expected

@@ -271,15 +271,19 @@ def test_bit_parity_folds_all_63_bits():
 def test_batched_spectra_scale_each_row_as_it_would_alone():
     # A row whose 2^r max|row| passes the float range is scaled before the
     # butterfly, the others after it, each as fwht_forward does it alone.
+    # The heads of one size share a butterfly; a head of another size, and
+    # a function whose spectrum is already kept, change no row.
     rng = np.random.default_rng(5)
     rows = rng.uniform(-1, 1, (4, 8))
     rows[1] *= 1e308
     rows[2, 3] = 1e308
-    for head, row in zip(walsh_system._spectra(rows), rows):
-        alone = walsh_system.fwht_forward(SampledFunction(3, row)).coeffs
-        assert np.isfinite(head).all() and head.tobytes() == alone.tobytes()
-    functions = walsh_system._with_spectra(rows.copy(), 5)
-    for f, row in zip(functions, rows):
-        alone = walsh_system.fwht_forward(SampledFunction(5, np.tile(row, 4))).coeffs
-        assert f.values.flags.c_contiguous and f.values.tobytes() == np.tile(row, 4).tobytes()
+    batch = [SampledFunction(5, np.tile(row, 4)) for row in rows]
+    batch.insert(2, SampledFunction(5, np.tile(rows[1, :4], 8)))
+    kept = walsh_system.fwht_forward(batch[0])
+    walsh_system._keep_spectra(batch)
+    assert walsh_system.fwht_forward(batch[0]) is kept
+    assert [f._head.size for f in batch] == [8, 8, 4, 8, 8]
+    for f in batch:
+        alone = walsh_system.fwht_forward(SampledFunction(5, f.values)).coeffs
+        assert np.isfinite(alone).all()
         assert walsh_system.fwht_forward(f).coeffs.tobytes() == alone.tobytes()
