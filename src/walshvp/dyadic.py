@@ -45,23 +45,28 @@ def _check_point(index: int, resolution: int) -> int:
 class _Samples:
     """The immutable scaffold of SampledFunction and Spectrum: a resolution
     N and a read-only head of 2^k <= 2^N float64 entries, from which the
-    subclass's _extend builds all 2^N.  The public constructor copies the
-    2^N entries it is given; the library's own builders hand a fresh head
-    over to _own, which keeps it without a copy.  Either way the
-    subclass's _hold decides what is kept."""
+    subclass's _extend builds all 2^N.  The public constructor reads the
+    2^N entries it is given in place and copies only the prefix the
+    subclass's _kept picks from them; the library's own builders hand a
+    fresh head over to _own, which keeps it without a copy.  Either way
+    the subclass's _hold decides what is kept."""
 
     __slots__ = ("resolution", "_head")
     _dtype = np.float64
 
     def __init__(self, resolution: int, values, *rest) -> None:
         resolution = check_resolution(resolution)
-        head = np.array(values, dtype=self._dtype)
-        if head.shape != (1 << resolution,):
+        given = np.asarray(values, dtype=self._dtype)
+        if given.shape != (1 << resolution,):
             raise ValueError(
                 f"expected {1 << resolution} {self._field} for resolution "
-                f"{resolution}, got shape {head.shape}"
+                f"{resolution}, got shape {given.shape}"
             )
-        self._hold(resolution, head, *rest)
+        self._hold(resolution, self._kept(given).copy(), *rest)
+
+    def _kept(self, given: np.ndarray) -> np.ndarray:
+        # The prefix of a caller's 2^N entries that _hold keeps: all of them.
+        return given
 
     @classmethod
     def _own(cls, resolution: int, head: np.ndarray, *rest):
@@ -118,6 +123,11 @@ class SampledFunction(_Samples):
     __slots__ = ("_spectrum", "_moduli")
     _field = "values"
     _extend = staticmethod(_periods)
+
+    def _kept(self, given: np.ndarray) -> np.ndarray:
+        # One period, found on the caller's samples: _hold would cut the
+        # rest, so the public constructor does not copy it.
+        return given[: 1 << _dyadic_rank(given)]
 
     def _hold(self, resolution: int, head: np.ndarray) -> None:
         # A period of 2^k samples is cut to the 2^r of the rank, by a copy,
@@ -391,6 +401,13 @@ _SPLIT_MIN_TRANSLATES = 1 << 11
 _SPLIT_MIN_SHARE = 2.0**-10
 
 
+# Pair differences per np.bincount chunk of the sign split's in-bucket
+# sums (512 KiB of float64).  The chunks fix the order in which the sums
+# are added, and so their last bits, so their size is the route's own and
+# not the batch budget's.
+_SPLIT_CHUNK_CELLS = 1 << 16
+
+
 def _sign_split_sums(values: np.ndarray, n: int, scale: float) -> np.ndarray:
     # The p = 1 table of _translate_sums, to rounding, in about
     # 2^n m^1.5 sqrt(log m) operations for m = 2^-n values.size translates.
@@ -433,8 +450,8 @@ def _sign_split_sums(values: np.ndarray, n: int, scale: float) -> np.ndarray:
     while h:
         lo, hi = ranked.reshape(-1, 2, h).transpose(1, 0, 2)
         lo_at, hi_at = order.reshape(-1, 2, h).transpose(1, 0, 2)
-        runs = _rows_per_block(h * h)
-        step = min(h, _rows_per_block(h))
+        runs = max(1, _SPLIT_CHUNK_CELLS // (h * h))
+        step = min(h, max(1, _SPLIT_CHUNK_CELLS // h))
         for first in range(0, lo.shape[0], runs):
             part = slice(first, first + runs)
             for low in range(0, h, step):

@@ -30,7 +30,15 @@ from .dyadic import (
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import Spectrum, _butterfly, _keep_spectra, fwht_forward, fwht_inverse
+from .walsh_system import (
+    Spectrum,
+    _butterfly,
+    _butterfly_columns,
+    _keep_spectra,
+    _run_cells,
+    fwht_forward,
+    fwht_inverse,
+)
 from .kernels import (
     _block_multiplier,
     _block_weights,
@@ -472,13 +480,29 @@ def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
     return LemmaResult("dirichlet-closed-form", resolution + 1, float(worst), worst == 0)
 
 
+def _walsh_sum_columns(orders, resolution: int) -> np.ndarray:
+    """D_n = sum_{k<n} w_k as column b of a C-contiguous (2^N, B) int32
+    block for each n = orders[b] <= 2^N: the columns 1_{k<n}, built in runs
+    of _run_cells(B, 2^N) cells, synthesized by _butterfly_columns.  Every
+    butterfly sum is at most 2^N <= 2^24 in magnitude."""
+    block = np.asarray(orders, dtype=np.int32)
+    size = 1 << resolution
+    runs = _run_cells(block.size, size)
+    # Cell c r + i of column b is 1 when c r < n_b - i, for i < r = runs.
+    ones = np.arange(0, size, runs)[:, None] < (block - np.arange(runs)[:, None]).reshape(-1)
+    return _butterfly_columns(ones.astype(np.int32).reshape(size, -1))
+
+
 def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
     """D_n by the doubling recursion (_dirichlet_rec_int) against D_n =
-    sum_{k<n} w_k, the rows 1_{k<n} of each of the _batches of orders
-    synthesized in one butterfly in int32: every n in [0, 2^N] up to
+    sum_{k<n} w_k (_walsh_sum_columns) for every n in [0, 2^N] up to
     RECURSION_EXHAUSTIVE_MAX_N; above it, where the 2^N + 1 recursions
     would cost O(4^N), n = 0, every power of two and orders drawn from the
-    seed, RECURSION_SAMPLES in all, with detail sampled."""
+    seed, RECURSION_SAMPLES in all, with detail sampled.  Each of the
+    _batches of B orders is held as two C-contiguous (2^N, B) int32
+    blocks, the orders on the fast axis, whatever B is; the recursion's is
+    subtracted from the sums' in place, and its max and min are the worst
+    error."""
     size = 1 << resolution
     orders, detail = range(size + 1), ""
     if resolution > RECURSION_EXHAUSTIVE_MAX_N:
@@ -487,13 +511,12 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
         while len(sampled) < RECURSION_SAMPLES:
             sampled.add(rng.randint(size + 1))
         orders, detail = sorted(sampled), "sampled"
-    cells = np.arange(size, dtype=np.int64)
     worst = 0
     for batch in _batches(orders, lambda n: (None, size)):
-        block = np.asarray(batch, dtype=np.int64)
-        # Every butterfly sum of the rows is at most 2^N <= 2^24 in magnitude.
-        sums = _butterfly((cells < block[:, None]).astype(np.int32))
-        worst = max(worst, int(np.max(np.abs(_dirichlet_rec_int(block, resolution) - sums))))
+        block = np.asarray(batch, dtype=np.int32)
+        sums = _walsh_sum_columns(block, resolution)
+        diffs = np.subtract(_dirichlet_rec_int(block, resolution), sums, out=sums)
+        worst = max(worst, int(diffs.max()), -int(diffs.min()))
     return LemmaResult("dirichlet-recursion", len(orders), float(worst), worst == 0, detail)
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import SampledFunction, check_resolution
-from .walsh_system import _butterfly, hadamard_transform
+from .dyadic import SampledFunction, _periods, _Samples, check_resolution
+from .walsh_system import _butterfly, _run_cells, hadamard_transform
 from .weights import WeightScheme, _integers, _quotients
 
 # VP kernel sums switch to Python ints once their bound passes this.  At
@@ -44,6 +44,9 @@ class KernelFunction(SampledFunction):
     __slots__ = ("_exact_head", "exact_denom")
     _field = "numerators"
     _dtype = None  # int64 or Python ints, as given
+
+    # Every numerator given is kept: the exact head is not cut to the rank.
+    _kept = _Samples._kept
 
     def __init__(self, resolution, exact_numer, exact_denom=1):
         super().__init__(resolution, exact_numer, exact_denom)
@@ -92,23 +95,34 @@ def dirichlet(n: int, resolution: int) -> KernelFunction:
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
-    """D_n as an int32 row at the 2^N cells, N >= 0, for each n <= 2^N of
-    the array orders (unchecked), by the splitting D_n = D_{2^m} + r_m D_j
-    for the top bit m of n and j = n - 2^m, unrolled from the lowest bit
-    up on all rows at once: at each bit m, the rows whose n has m set
-    above a lower set bit get the odd halves of their periods of length
-    2^(m+1) negated (r_m), then every row whose n has m set gains the
-    closed form 2^m on I_m.  Only the rows that flip are negated: a mask
-    would pass over every row at every bit.  |D_n| <= n <= 2^N <= 2^24
-    under the resolution cap, so int32 holds every row exactly."""
+    """D_n as column b of a C-contiguous (2^N, B) int32 block, N >= 0, for
+    each n = orders[b] <= 2^N (unchecked), by the splitting
+    D_n = D_{2^m} + r_m D_j for the top bit m of n and j = n - 2^m,
+    unrolled from the lowest bit up on all columns at once.  Before bit m
+    each column is D_(n mod 2^m), a function of x_0..x_(m-1), so only its
+    first 2^m cells are built: bit m copies them to the next 2^m, negated
+    (r_m) in the columns whose n has m set (where j = 0 the copy is 0),
+    and those columns gain the closed form 2^m at the cells 0 and 2^m of
+    I_m; the order 2^N gains 2^N at cell 0.  Each bit is one contiguous
+    pass over B 2^m entries, multiplied in runs of up to
+    _run_cells(B, 2^N) cells by the signs of the orders repeated over the
+    run, so a narrow block runs no pass on runs of B entries.
+    |D_n| <= n <= 2^N <= 2^24 under the resolution cap, so int32 holds
+    every column exactly."""
     orders = np.asarray(orders, dtype=np.int32)
-    values = np.zeros((orders.size, 1 << resolution), dtype=np.int32)
-    for m in range(int(orders.max(initial=0)).bit_length()):
-        bit = orders >> m & 1
-        flip = np.flatnonzero(bit & (orders & ((1 << m) - 1) != 0))
-        if flip.size:
-            values.reshape(orders.size, -1, 2, 1 << m)[flip, :, 1] *= -1
-        values[:, :: 1 << m] += bit[:, None] << m
+    size, width = 1 << resolution, orders.size
+    # The orders repeated over the cells of the longest run.
+    tiled = _periods(orders, _run_cells(width, size) * width)
+    values = np.zeros((size, width), dtype=np.int32)
+    for m in range(resolution):
+        half = 1 << m
+        run = min(half * width, tiled.size)
+        low, high = values[:half].reshape(-1, run), values[half : 2 * half].reshape(-1, run)
+        np.multiply(low, 1 - 2 * (tiled[:run] >> m & 1), out=high)
+        gain = orders & half
+        values[0] += gain
+        values[half] += gain
+    values[0] += orders & size
     return values
 
 
@@ -117,7 +131,7 @@ def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     closed form and recurse on the remainder behind a Rademacher sign."""
     n = _check_order(n, resolution)
     support = max(n - 1, 0).bit_length()
-    numer = _dirichlet_rec_int([n], support)[0].astype(np.int64)
+    numer = _dirichlet_rec_int([n], support).reshape(-1).astype(np.int64)
     return KernelFunction._own(resolution, numer)
 
 

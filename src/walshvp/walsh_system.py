@@ -153,6 +153,54 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Entries per contiguous run, at least, of a pass over a column block
+# (below): numpy's per-run loop cost is then small beside the run's work.
+# With one cell per run, the 2-column blocks of the recursion check at
+# N = 15 ran their low-cell passes on runs of 2 entries, and the check
+# took 25% longer than in the row layout; with this rule it takes 30% less
+# (4 and 6 alternating pairs of processes on a 2-vCPU host).
+_MIN_RUN = 1 << 8
+
+
+def _run_cells(width: int, cells: int) -> int:
+    """The low cells that a pass over a C-contiguous (cells, width) column
+    block takes as one contiguous run, cells a power of two: the fewest, a
+    power of two, whose run holds at least _MIN_RUN entries, capped at all
+    cells.  The rule reads the width alone: 1 cell from 256 columns on,
+    4 at 64 columns (N = 10), 64 at 4 (N = 14), 128 at 2 (N = 15)."""
+    return min(cells, 1 << (-(-_MIN_RUN // width) - 1).bit_length())
+
+
+def _butterfly_columns(a: np.ndarray) -> np.ndarray:
+    """The Hadamard butterfly in place down each column of a C-contiguous
+    (2^N, B) block; returns a.  Cells 2^s apart in a column are B 2^s
+    apart in the flat block, so its stages of spans B, 2B, ... are the
+    stages of every column at once, run by _stages.  With L =
+    _run_cells(B, 2^N) > 1, the stages of the L low cells, whose runs
+    would be shorter than _MIN_RUN, run first between the rows of the
+    transpose of the (2^N / L, L B) view, on runs of B 2^N / L entries or
+    more (as _butterfly's chunks run their 8 low stages); then the stages
+    of spans L B and up run on the block.  In a batch of 2^16 cells every
+    pass thus runs on runs of 2^8 entries or more.  The stages keep their
+    lowest-first order and a copy only moves values, so every column is
+    _butterfly of it alone, bit for bit.  A one-column block longer than
+    _CHUNK_SIZE is one row and keeps _butterfly's cache blocking."""
+    cells, width = a.shape
+    if width == 1 and cells > _CHUNK_SIZE:
+        _butterfly(a.reshape(cells))
+        return a
+    work = np.empty(a.size, a.dtype) if a.size >= _RADIX4_MIN_SIZE else None
+    low = _run_cells(width, cells)
+    flat = a.reshape(-1)
+    if low > 1:
+        view = flat.reshape(-1, low * width)
+        turned = np.ascontiguousarray(view.T)
+        _stages(turned.reshape(-1), view.shape[0] * width, a.size, work)
+        np.copyto(view, turned.T)
+    _stages(flat, low * width, a.size, work)
+    return a
+
+
 def hadamard_transform(values) -> np.ndarray:
     """Unnormalized Hadamard butterfly, y[n] = sum_j (-1)^popcount(n&j) x[j].
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshvp.dyadic
@@ -335,11 +335,12 @@ class TestBatchedChecks:
         recursion = exp._dirichlet_rec_int
 
         def counted(orders, resolution):
-            rows = recursion(orders, resolution)
+            columns = recursion(orders, resolution)
+            assert columns.shape == (1 << resolution, len(orders))
             calls.append(len(orders))
             if len(calls) == perturb_call:
-                rows[len(orders) // 2, 3] += 1
-            return rows
+                columns[3, len(orders) // 2] += 1  # cell 3 of the middle order
+            return columns
 
         monkeypatch.setattr(exp, "_dirichlet_rec_int", counted)
         return calls
@@ -347,7 +348,7 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("N", [10, 11])
     def test_one_wrong_cell_in_a_middle_block_fails(self, monkeypatch, N):
         # Each block's Walsh sums are synthesized from its own orders, so a
-        # wrong row of the recursion is compared with its own definition.
+        # wrong column of the recursion is compared with its own definition.
         calls = self._counted_recursion(monkeypatch, perturb_call=8)
         result = exp._check_dirichlet_recursion(N, 0)
         assert len(calls) > 8
@@ -362,13 +363,22 @@ class TestBatchedChecks:
         assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
 
     def test_recursion_oracle_rows_are_int32(self, monkeypatch):
-        # Every butterfly sum of the rows 1_{k<n} is at most 2^N <= 2^30.
-        dtypes = set()
-        butterfly = exp._butterfly
-        monkeypatch.setattr(exp, "_butterfly", lambda a: dtypes.add(a.dtype) or butterfly(a))
+        # Every butterfly sum of the columns 1_{k<n} is at most 2^N <= 2^24;
+        # each batch of 64 orders at N = 10 is one (2^10, 64) block, the
+        # last order (2^10) a block of one.
+        blocks = []
+        butterfly = exp._butterfly_columns
+
+        def spied(a):
+            blocks.append((a.dtype, a.shape, a.flags.c_contiguous))
+            return butterfly(a)
+
+        monkeypatch.setattr(exp, "_butterfly_columns", spied)
         result = exp._check_dirichlet_recursion(10, 0)
         assert result.passed and result.instances == 1025 and result.worst_margin == 0
-        assert dtypes == {np.dtype(np.int32)}
+        assert set(blocks) == {(np.dtype(np.int32), (1 << 10, 64), True),
+                               (np.dtype(np.int32), (1 << 10, 1), True)}
+        assert len(blocks) == 17
 
     def test_sampled_recursion_builds_no_kernel(self, monkeypatch):
         calls = []
@@ -493,11 +503,104 @@ class TestBatchedChecks:
                 assert np.array_equal(whole.exact_numer, tiled)
 
 
-_BUDGET_OPS = [["verify-lemmas", "--resolution", str(N)] for N in (8, 9, 10)] + [
+def _row_recursion(orders, resolution):
+    """The row-major recursion the column layout replaced: one int32 row per
+    order, each bit a strided pass over its 2^m-long halves (a reference)."""
+    orders = np.asarray(orders, dtype=np.int32)
+    values = np.zeros((orders.size, 1 << resolution), dtype=np.int32)
+    for m in range(int(orders.max(initial=0)).bit_length()):
+        bit = orders >> m & 1
+        flip = np.flatnonzero(bit & (orders & ((1 << m) - 1) != 0))
+        if flip.size:
+            values.reshape(orders.size, -1, 2, 1 << m)[flip, :, 1] *= -1
+        values[:, :: 1 << m] += bit[:, None] << m
+    return values
+
+
+_DTYPES = {
+    "int32": lambda rng, shape: rng.integers(-(1 << 12), 1 << 12, shape).astype(np.int32),
+    "int64": lambda rng, shape: rng.integers(-(1 << 40), 1 << 40, shape),
+    "object": lambda rng, shape: (rng.integers(-(1 << 40), 1 << 40, shape) << 30).astype(object),
+    "float64": lambda rng, shape: rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape),
+}
+
+
+class TestColumnLayout:
+    """The recursion check holds a batch of B orders as (2^N, B) blocks, the
+    orders on the fast axis; each column is, bit for bit, the row the
+    row-major _butterfly and recursion make of its order alone."""
+
+    @given(st.integers(0, 12), st.integers(1, 80), st.sampled_from(sorted(_DTYPES)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(12, 2, "int32", 1)  # the narrow batches: low cells blocked
+    @example(12, 3, "float64", 2)
+    @example(12, 16, "int64", 3)
+    @example(12, 80, "float64", 4)
+    @example(12, 1, "float64", 5)  # one order, its low cells turned
+    @example(6, 64, "object", 6)
+    def test_columns_are_the_row_butterflies(self, N, width, dtype, seed):
+        if dtype == "object":
+            width = min(width, max(1, (1 << 12) >> N))  # Python ints are slow
+        rows = _DTYPES[dtype](np.random.default_rng(seed), (width, 1 << N))
+        expected = walshvp.walsh_system._butterfly(rows.copy())
+        block = np.ascontiguousarray(rows.T)
+        assert exp._butterfly_columns(block) is block
+        assert block.dtype == expected.dtype
+        if dtype == "object":
+            assert block.T.tolist() == expected.tolist()
+        else:
+            assert np.ascontiguousarray(block.T).tobytes() == expected.tobytes()
+
+    @given(st.integers(0, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_and_recursion_columns_are_the_rows(self, N, data):
+        orders = np.array(data.draw(st.lists(st.integers(0, 1 << N), min_size=1, max_size=80)))
+        ones = (np.arange(1 << N) < orders[:, None]).astype(np.int32)
+        rows = walshvp.walsh_system._butterfly(ones)
+        assert np.array_equal(_row_recursion(orders, N), rows)
+        for columns in (exp._walsh_sum_columns(orders, N), exp._dirichlet_rec_int(orders, N)):
+            assert columns.dtype == np.int32 and columns.flags.c_contiguous
+            assert columns.shape == (1 << N, orders.size)
+            assert np.array_equal(columns, rows.T)
+
+    def test_a_one_order_block_past_the_chunk_takes_the_chunked_butterfly(self, monkeypatch):
+        N, n = 17, 92_681
+        passes = []
+        stages = walshvp.walsh_system._stages
+
+        def counted(a, h, stop, work):
+            passes.append(a.size)
+            stages(a, h, stop, work)
+
+        monkeypatch.setattr(walshvp.walsh_system, "_stages", counted)
+        row = walshvp.walsh_system._butterfly((np.arange(1 << N) < n).astype(np.int32)[None])
+        assert max(passes) == 1 << 16  # _butterfly's chunks
+        passes.clear()
+        for columns in (exp._walsh_sum_columns([n], N), exp._dirichlet_rec_int([n], N)):
+            assert columns.shape == (1 << N, 1) and np.array_equal(columns, row.T)
+        assert np.array_equal(_row_recursion([n], N), row)
+        assert passes and max(passes) == 1 << 16
+        values = np.random.default_rng(5).standard_normal(1 << N)
+        block = exp._butterfly_columns(values.reshape(-1, 1).copy())
+        assert block.tobytes() == walshvp.walsh_system._butterfly(values.copy()).tobytes()
+
+
+# JSON prints every bit of a float, where CSV rounds to 12 digits.
+_BUDGET_OPS = [
+    ["verify-lemmas", "--resolution", str(N), "--format", "json"] for N in (8, 9, 10)
+] + [
     ["approx", "--resolution", "10", "--function", function, "--weights", weights,
-     "--p", "1,2,3,inf"]
+     "--p", "1,2,3,inf", "--format", "json"]
     for function in ("abs_power:0.5", "random", "step_mix", "walsh_poly:1,0.5,0,-0.25")
     for weights in ("uniform", "linear_up", "cesaro:2", "cesaro:0.5")
+] + [
+    # 2^12 translates at n = 0 take the p = 1 sign split.
+    ["modulus", "--function", "random", "--resolution", "12", "--p", "1", "--nmin", "0",
+     "--nmax", "0", "--seed", "1", "--format", "json"],
+    # Its recursion check runs blocks of 16 orders, and of 1 at a budget of
+    # 2^6 cells, and its translate-difference check takes the sign split.
+    ["verify-lemmas", "--resolution", "12", "--format", "json"],
 ]
 
 
@@ -505,9 +608,9 @@ def test_every_batch_budget_prints_the_same_bytes(capsys, monkeypatch):
     # The budget sizes every batch of the lemma checks, the approx sweep and
     # the blocked modulus tables through dyadic._rows_per_block, and no
     # batch changes a printed bit.  2^6 cells is one row per batch of 2^6
-    # cells or more, the batches every check takes from N = 16 on.  Up to
-    # N = 10 the sign split, whose bincount chunks order its sums, is not
-    # taken.
+    # cells or more, the batches every check takes from N = 16 on.  The
+    # sign split's bincount chunks, which order its sums, have a size of
+    # their own, so its tables at N = 12 keep their bits too.
     batches = exp._batches
     counts = []
 

@@ -188,6 +188,45 @@ def test_only_the_stages_take_the_radix4_view():
     assert _radix4_views(modules) == ["walsh_system._stages"]
 
 
+def _callers(modules: dict, name: str):
+    """module.name of each top-level statement that calls name, by name or
+    as an attribute."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == name:
+                        found.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_the_two_butterflies_run_stages():
+    # The row butterfly and the column butterfly of the recursion check are
+    # the two layouts that run _stages; the check has one call site of the
+    # column one, so a third layout would show here before it grew a pass
+    # body of its own.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _callers(modules, "_stages") == [
+        "walsh_system._butterfly", "walsh_system._butterfly_columns",
+    ]
+    assert _callers(modules, "_butterfly_columns") == ["experiments._walsh_sum_columns"]
+
+
+def test_callers_are_reported():
+    tree = ast.parse(
+        "from . import w\n"
+        "def rows(a):\n    return _stages(a, 1, a.size, None)\n"
+        "def columns(a):\n    w._stages(a.reshape(-1), 2, a.size, None)\n"
+        "def other(a):\n    return _stagesx(a) + stages(a)\n"
+        "class Blocked:\n    def run(self, a):\n        _stages(a, 4, 16, None)\n"
+        "STAGED = _stages\n"
+    )
+    assert _callers({"m": tree}, "_stages") == ["m.Blocked", "m.columns", "m.rows"]
+
+
 def test_radix4_view_is_reported():
     tree = ast.parse(
         "def fork(a, h):\n    return a.reshape(-1, 4, h).transpose(1, 0, 2)\n"
@@ -531,8 +570,15 @@ def test_one_function_reads_the_batch_budget():
         "experiments._check_decomposition", "experiments.ratio_sweep",
     ):
         assert "_batches" in calls[batcher], batcher
-    for table in ("dyadic._translate_sums", "dyadic._sign_split_sums"):
-        assert "_rows_per_block" in calls[table], table
+    assert "_rows_per_block" in calls["dyadic._translate_sums"]
+    # The sign split's bincount chunks order its sums, so they take their
+    # size from the route's own constant, not from the budget.
+    split = next(
+        stmt for stmt in modules["dyadic"].body
+        if getattr(stmt, "name", None) == "_sign_split_sums"
+    )
+    names = {node.id for node in ast.walk(split) if isinstance(node, ast.Name)}
+    assert "_SPLIT_CHUNK_CELLS" in names and "_rows_per_block" not in names
 
 
 def test_budget_reader_is_reported():

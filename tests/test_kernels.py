@@ -145,17 +145,18 @@ class TestDirichletRecursion:
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_running_walsh_sums(self, N, data):
-        # One row per order, in the order given: unsorted, repeated, with
-        # the ends 0 and 2^N.
+        # One column per order, in the order given: unsorted, repeated, with
+        # the ends 0 and 2^N; the orders are the fast axis.
         drawn = data.draw(st.lists(st.integers(0, 1 << N), max_size=20))
         orders = data.draw(st.permutations(drawn + [0, 1 << N]))
         sums = [np.zeros(1 << N, dtype=np.int64)]
         for k in range(1 << N):
             sums.append(sums[-1] + walsh_signs(k, N))  # sums[n] == D_n
-        rows = walshvp.kernels._dirichlet_rec_int(np.array(orders), N)
-        assert rows.shape == (len(orders), 1 << N) and rows.dtype == np.int32
-        for n, row in zip(orders, rows):
-            assert np.array_equal(row, sums[n])
+        columns = walshvp.kernels._dirichlet_rec_int(np.array(orders), N)
+        assert columns.shape == (1 << N, len(orders)) and columns.dtype == np.int32
+        assert columns.flags.c_contiguous
+        for n, column in zip(orders, columns.T):
+            assert np.array_equal(column, sums[n])
 
 
 class TestFejer:

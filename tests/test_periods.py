@@ -150,6 +150,27 @@ class TestPublicConstructorsCopy:
         period = SampledFunction._own(22, draws.copy())
         assert (norm, modulus) == (lp_norm(period, 3), modulus_of_continuity(period, 1, 3))
 
+    def test_the_public_constructor_copies_only_the_period(self):
+        # The rank is found on the caller's array in place and only its 16
+        # samples are copied; copying all 2^22 first peaked at 34 MiB.  A
+        # later write to the caller's array does not reach f.
+        draws = np.random.default_rng(23).uniform(-1, 1, 16)
+        given = np.tile(draws, 1 << 18)
+        tracemalloc.start()
+        try:
+            f = SampledFunction(22, given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert f._head.size == 16 and not np.shares_memory(f._head, given)
+        given[:16] = 0.0
+        assert f._head.tobytes() == draws.tobytes()
+        full = np.random.default_rng(24).uniform(-1, 1, 1 << 10)  # rank N: all copied
+        g = SampledFunction(10, full)
+        full[0] = 2.0
+        assert g._head.size == 1 << 10 and g.values[0] != 2.0
+
     def test_spectrum_keeps_its_own_coefficients(self):
         c = np.zeros(8)
         c[0] = 1.0
