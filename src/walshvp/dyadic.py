@@ -47,7 +47,7 @@ class _Samples:
     N and a read-only head of 2^k <= 2^N float64 entries, from which the
     subclass's _extend builds all 2^N.  The public constructor reads the
     2^N entries it is given in place and copies only the prefix the
-    subclass's _kept picks from them; the library's own builders hand a
+    subclass's _take picks from them; the library's own builders hand a
     fresh head over to _own, which keeps it without a copy.  Either way
     the subclass's _hold decides what is kept."""
 
@@ -62,11 +62,11 @@ class _Samples:
                 f"expected {1 << resolution} {self._field} for resolution "
                 f"{resolution}, got shape {given.shape}"
             )
-        self._hold(resolution, self._kept(given).copy(), *rest)
+        self._take(resolution, given, *rest)
 
-    def _kept(self, given: np.ndarray) -> np.ndarray:
-        # The prefix of a caller's 2^N entries that _hold keeps: all of them.
-        return given
+    def _take(self, resolution: int, given: np.ndarray, *rest) -> None:
+        # Hold a copy of the caller's 2^N entries, all of them.
+        self._hold(resolution, given.copy(), *rest)
 
     @classmethod
     def _own(cls, resolution: int, head: np.ndarray, *rest):
@@ -124,16 +124,19 @@ class SampledFunction(_Samples):
     _field = "values"
     _extend = staticmethod(_periods)
 
-    def _kept(self, given: np.ndarray) -> np.ndarray:
+    def _take(self, resolution: int, given: np.ndarray) -> None:
         # One period, found on the caller's samples: _hold would cut the
-        # rest, so the public constructor does not copy it.
-        return given[: 1 << _dyadic_rank(given)]
+        # rest, so the public constructor does not copy it, and the period
+        # is handed on, so _hold does not look for it again.
+        period = 1 << _dyadic_rank(given)
+        self._hold(resolution, given[:period].copy(), period)
 
-    def _hold(self, resolution: int, head: np.ndarray) -> None:
+    def _hold(self, resolution: int, head: np.ndarray, period=None) -> None:
         # A period of 2^k samples is cut to the 2^r of the rank, by a copy,
         # so that no longer buffer stays referenced; the samples are finite
-        # when those 2^r are.
-        period = 1 << _dyadic_rank(head)
+        # when those 2^r are.  `period` is 2^r where the caller knows it.
+        if period is None:
+            period = 1 << _dyadic_rank(head)
         if period < head.size:
             head = head[:period].copy()
         if not np.all(np.isfinite(head)):

@@ -46,7 +46,7 @@ class KernelFunction(SampledFunction):
     _dtype = None  # int64 or Python ints, as given
 
     # Every numerator given is kept: the exact head is not cut to the rank.
-    _kept = _Samples._kept
+    _take = _Samples._take
 
     def __init__(self, resolution, exact_numer, exact_denom=1):
         super().__init__(resolution, exact_numer, exact_denom)

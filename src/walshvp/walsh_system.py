@@ -8,6 +8,10 @@ normalization; the inverse is unnormalized.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+
 import numpy as np
 
 from .dyadic import SampledFunction, _periods, _read_samples, _Samples, check_resolution
@@ -90,8 +94,9 @@ def _stages(a: np.ndarray, h: int, stop: int, work) -> None:
     group of 4h entries: s0 = x0 + x1, d0 = x0 - x1, s1 = x2 + x3,
     d1 = x2 - x3, then s0 + s1, d0 + d1, s0 - s1, d0 - d1.  Those are the
     additions of the two radix-2 stages in the same order, so the result
-    is the same bit for bit.  An odd stage count ends on one radix-2 stage;
-    without a work buffer every stage is radix-2.
+    is the same bit for bit.  An odd stage count ends on one radix-2 stage,
+    whose copies go to the work buffer, so a pass given one allocates
+    nothing; without a work buffer every stage is radix-2.
     """
     if work is not None:
         while 4 * h <= stop:
@@ -108,11 +113,79 @@ def _stages(a: np.ndarray, h: int, stop: int, work) -> None:
             h *= 4
     while h < stop:
         x = a.reshape(-1, 2 * h)
-        left = x[:, :h].copy()
-        right = x[:, h:].copy()
-        x[:, :h] = left + right
-        x[:, h:] = left - right
+        if work is None:
+            left = x[:, :h].copy()
+            right = x[:, h:].copy()
+            x[:, :h] = left + right
+            x[:, h:] = left - right
+        else:
+            left, right = work.reshape(2, -1, h)
+            np.copyto(left, x[:, :h])
+            np.copyto(right, x[:, h:])
+            np.add(left, right, out=x[:, :h])
+            np.subtract(left, right, out=x[:, h:])
         h *= 2
+
+
+# The CPUs this process may run on, the most shares the chunked butterfly
+# below splits its pieces into; every CPU where there is no affinity mask.
+if hasattr(os, "sched_getaffinity"):
+    _CPUS = len(os.sched_getaffinity(0))
+else:
+    _CPUS = os.cpu_count() or 1
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    # The process-wide pool, created at the first split, never at import
+    # (nor is concurrent.futures, whose import takes about 7 ms and pulls in
+    # logging); _CPUS - 1 threads at most, the calling thread being the
+    # other.  Its threads start as tasks arrive and exit with the
+    # interpreter.
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="walshvp-butterfly")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads, so the pool it
+    # inherits would never run a task: the child makes its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_shares(task, pieces: int, buffers: np.ndarray) -> None:
+    """task(part, buffers[s]) for each share s of range(pieces), cut into
+    len(buffers) contiguous parts as even as can be: share 0 on the
+    calling thread, the others on the pool.  Each runs in a copy of the
+    caller's context, which holds numpy's errstate, so an overflow warns,
+    raises or passes as it would serially.  Every task has returned before
+    this does, and then the first exception, in share order, is raised."""
+    shares = len(buffers)
+    cuts = [s * pieces // shares for s in range(shares + 1)]
+    futures = [
+        _executor().submit(
+            contextvars.copy_context().run, task, range(cuts[s], cuts[s + 1]), buffers[s]
+        )
+        for s in range(1, shares)
+    ]
+    try:
+        task(range(cuts[0], cuts[1]), buffers[0])
+    finally:
+        for future in futures:
+            future.exception()  # returns once the task has, raised or not
+    for future in futures:
+        future.result()
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
@@ -127,29 +200,51 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     (2^8, 2^8) transpose; then the high stages run between the rows of
     the (R, 2^16) view, on copies of its column blocks of 2^16 entries.
     The stages keep their lowest-first order and a copy only moves
-    values, so the result is the same bit for bit.
+    values, so the result is the same bit for bit.  The chunks, and then
+    the column blocks, are independent pieces: they run in
+    min(_CPUS, pieces) shares at once (_in_shares), one for Python ints,
+    each with its own work buffers, with every chunk done before any
+    column block starts.  Every piece runs the same additions in the same
+    order whatever the share it falls in, so the bits do not depend on
+    the thread count.
     """
     n = a.shape[-1]
     if n <= _CHUNK_SIZE:
         work = np.empty(a.size, a.dtype) if a.size >= _RADIX4_MIN_SIZE else None
         _stages(a, 1, n, work)
         return a
-    work = np.empty(_CHUNK_SIZE, a.dtype)
-    turned = np.empty((_CHUNK_SIDE, _CHUNK_SIDE), a.dtype)
-    for chunk in a.reshape(-1, _CHUNK_SIZE):
-        square = chunk.reshape(_CHUNK_SIDE, _CHUNK_SIDE)
-        np.copyto(turned, square.T)
-        _stages(turned, _CHUNK_SIDE, _CHUNK_SIZE, work)
-        np.copyto(square, turned.T)
-        _stages(chunk, _CHUNK_SIDE, _CHUNK_SIZE, work)
+    chunks = a.reshape(-1, _CHUNK_SIZE)
+    pieces = len(chunks)
     rows = n // _CHUNK_SIZE
     width = _CHUNK_SIZE // rows  # rows <= 2^8 under the resolution cap
-    block = np.empty((rows, width), a.dtype)
-    for high in a.reshape(-1, rows, _CHUNK_SIZE):
-        for c in range(0, _CHUNK_SIZE, width):
-            np.copyto(block, high[:, c : c + width])
+    # Column block k is columns[k // rows, :, k % rows], (rows, width).
+    columns = a.reshape(-1, rows, rows, width)
+    # An addition of Python ints holds the GIL, so a second share would only
+    # wait for it: object rows of 2^18 took 20% longer in two shares.
+    shares = 1 if a.dtype == object else min(_CPUS, pieces)
+    buffers = np.empty((shares, 2, _CHUNK_SIZE), a.dtype)
+
+    def low_stages(part, buffer):
+        work, turned = buffer
+        turned = turned.reshape(_CHUNK_SIDE, _CHUNK_SIDE)
+        for chunk in chunks[part.start : part.stop]:
+            square = chunk.reshape(_CHUNK_SIDE, _CHUNK_SIDE)
+            np.copyto(turned, square.T)
+            _stages(turned, _CHUNK_SIDE, _CHUNK_SIZE, work)
+            np.copyto(square, turned.T)
+            _stages(chunk, _CHUNK_SIDE, _CHUNK_SIZE, work)
+
+    def high_stages(part, buffer):
+        work, block = buffer
+        block = block.reshape(rows, width)
+        for k in part:
+            column = columns[k // rows, :, k % rows]
+            np.copyto(block, column)
             _stages(block, width, _CHUNK_SIZE, work)
-            np.copyto(high[:, c : c + width], block)
+            np.copyto(column, block)
+
+    _in_shares(low_stages, pieces, buffers)
+    _in_shares(high_stages, pieces, buffers)
     return a
 
 
@@ -254,8 +349,10 @@ def _keep_spectra(functions) -> None:
     for size, group in groups.items():
         heads = np.concatenate([f._head for f in group]).reshape(-1, size)
         scale = 2.0 ** -(size.bit_length() - 1)
-        # x 2^r is finite exactly when x <= max_float 2^-r, both exact.
-        early = np.abs(heads).max(axis=-1, keepdims=True) > _FLOAT_MAX * scale
+        # x 2^r is finite exactly when x <= max_float 2^-r, both exact; the
+        # row's max |x| is read off its max and min, with no |x| temporary.
+        top = np.maximum(heads.max(axis=-1, keepdims=True), -heads.min(axis=-1, keepdims=True))
+        early = top > _FLOAT_MAX * scale
         if early.any():
             # x * 1.0 is x, so each row is scaled once, before or after.
             heads *= np.where(early, scale, 1.0)

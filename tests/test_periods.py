@@ -171,6 +171,22 @@ class TestPublicConstructorsCopy:
         full[0] = 2.0
         assert g._head.size == 1 << 10 and g.values[0] != 2.0
 
+    def test_the_public_constructor_finds_the_rank_once(self, monkeypatch):
+        # The period found on the caller's array is handed on to _hold; a
+        # second search on the copy cost a second half-array compare at
+        # full rank.  A builder's head, whose rank is not known, is searched.
+        calls = []
+        rank = dyadic._dyadic_rank
+        monkeypatch.setattr(dyadic, "_dyadic_rank", lambda v: calls.append(v.size) or rank(v))
+        draws = np.random.default_rng(25).uniform(-1, 1, 1 << 10)
+        for given, size in ((draws, 1 << 10), (np.tile(draws[:8], 1 << 7), 8)):
+            calls.clear()
+            assert SampledFunction(10, given)._head.size == size
+            assert calls == [1 << 10]
+        calls.clear()
+        assert SampledFunction._own(10, np.tile(draws[:8], 4))._head.size == 8
+        assert calls == [32]
+
     def test_spectrum_keeps_its_own_coefficients(self):
         c = np.zeros(8)
         c[0] = 1.0

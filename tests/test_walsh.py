@@ -1,5 +1,12 @@
 import io
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +122,11 @@ def _same(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# Worker counts forced on the chunked butterfly, so that a host of any CPU
+# count runs the one-share schedule and the splits of 2 to 4 shares.
+_WORKERS = (1, 2, 3, 4)
+
+
 class TestButterfly:
     @staticmethod
     def _inputs(N):
@@ -160,35 +172,159 @@ class TestButterfly:
         assert _same(x, before)
 
     @pytest.mark.parametrize("N", [17, 18, 20])
-    def test_chunked_rows_match_radix2_oracle(self, N):
+    def test_chunked_rows_match_radix2_oracle(self, N, monkeypatch):
         # Past _CHUNK_SIZE the low stages run per chunk and the high stages
-        # per column block; an odd and an even count of high stages.
+        # per column block, an odd and an even count of them, in the shares
+        # of 1 to 4 threads whatever the host's CPU count.  The Python ints
+        # are the int64 row times 2^70, so their oracle is the int64 one
+        # times 2^70, with sums past 2^63; they run in one share whatever
+        # the count, so they run once.
         rng = np.random.default_rng(N)
         size = 1 << N
-        for x in (
-            rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size),
-            rng.integers(-(2**40), 2**40, size),
-        ):
-            self._check_rows(x, [_radix2_oracle(x)])
+        ints = rng.integers(-(2**40), 2**40, size)
+        for x in (rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size), ints):
+            expected = [_radix2_oracle(x)]
+            for workers in _WORKERS:
+                monkeypatch.setattr(walsh_system, "_CPUS", workers)
+                self._check_rows(x, expected)
+        big = np.array([int(v) << 70 for v in ints], dtype=object)
+        expected = np.array([int(v) << 70 for v in _radix2_oracle(ints)], dtype=object)
+        assert _same(walsh_system._butterfly(big), expected)
 
     def test_chunked_rows_match_radix2_oracle_in_python_ints(self):
         x = self._inputs(17)[2]
         self._check_rows(x, [_radix2_oracle(x)])
 
-    def test_chunked_batches_match_radix2_oracle(self):
+    def test_chunked_batches_match_radix2_oracle(self, monkeypatch):
         N = 17
         rng = np.random.default_rng(N)
         # int32 rows 1_{k<n}, as the Dirichlet recursion check builds them
         orders = np.array([0, 1, 5, (1 << 16) + 3, 1 << N])
         rows = (np.arange(1 << N) < orders[:, None]).astype(np.int32)
-        expected = [_radix2_oracle(row.astype(np.int64)).astype(np.int32) for row in rows]
-        self._check_rows(rows, expected)
         # f 1_j and 1_j for a bucket j of one coset, as the sign split builds them
         pair = np.zeros((2, 1 << N))
         members = rng.choice(1 << N, 1 << 10, replace=False)
         pair[0][members] = rng.standard_normal(members.size)
         pair[1][members] = 1.0
-        self._check_rows(pair, [_radix2_oracle(row) for row in pair])
+        # 6 pieces, which 4 shares split unevenly
+        three = rng.standard_normal((3, 1 << N))
+        batches = [
+            (rows, [_radix2_oracle(row.astype(np.int64)).astype(np.int32) for row in rows]),
+            (pair, [_radix2_oracle(row) for row in pair]),
+            (three, [_radix2_oracle(row) for row in three]),
+        ]
+        for workers in _WORKERS:
+            monkeypatch.setattr(walsh_system, "_CPUS", workers)
+            for x, expected in batches:
+                self._check_rows(x, expected)
+
+    def test_shares_are_capped_at_the_cpus_and_the_pieces(self, monkeypatch):
+        # The share count of each phase; Python ints, which hold the GIL in
+        # every addition, run as one share.
+        counts = []
+        split = walsh_system._in_shares
+        monkeypatch.setattr(
+            walsh_system,
+            "_in_shares",
+            lambda task, pieces, buffers: counts.append(len(buffers)) or split(task, pieces, buffers),
+        )
+        monkeypatch.setattr(walsh_system, "_CPUS", 4)
+        for x, shares in (
+            (np.zeros(1 << 17), 2),
+            (np.zeros((3, 1 << 17)), 4),
+            (np.zeros(1 << 17, dtype=object), 1),
+        ):
+            counts.clear()
+            walsh_system._butterfly(x)
+            assert counts == [shares, shares]
+        walsh_system._butterfly(np.zeros((8, 1 << 16)))
+        assert counts == [1, 1]
+
+    @staticmethod
+    def _overflowing(chunk):
+        """2^17 zeros but for two float maxima that one butterfly stage of
+        the given chunk adds: only that chunk overflows, and no inf - inf
+        follows."""
+        x = np.zeros(1 << 17)
+        x[chunk << 16 : (chunk << 16) + 2] = np.finfo(np.float64).max
+        return x
+
+    @pytest.mark.parametrize("workers", _WORKERS[1:])
+    def test_every_share_keeps_the_callers_errstate(self, workers, monkeypatch):
+        # The second chunk's share runs on the pool; it warns, raises or
+        # passes as the caller's errstate says, not as a new thread's.
+        monkeypatch.setattr(walsh_system, "_CPUS", workers)
+        x = self._overflowing(1)
+        with np.errstate(over="ignore"):
+            expected = _radix2_oracle(x)
+        assert np.isinf(expected).any() and not np.isnan(expected).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert _same(walsh_system._butterfly(x.copy()), expected)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            walsh_system._butterfly(x.copy())
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            walsh_system._butterfly(x.copy())
+
+    @pytest.mark.parametrize("workers", _WORKERS[1:])
+    def test_an_error_is_raised_once_every_share_has_returned(self, workers, monkeypatch):
+        # The calling thread's share overflows at once; the others, slowed
+        # down, must all have returned before the error reaches the caller,
+        # so that no thread still writes the array.
+        monkeypatch.setattr(walsh_system, "_CPUS", workers)
+        lock, running, done = threading.Lock(), [0], []
+        stages = walsh_system._stages
+
+        def slow_off_the_calling_thread(*args):
+            with lock:
+                running[0] += 1
+            try:
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(0.02)
+                stages(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+                    done.append(threading.current_thread() is threading.main_thread())
+
+        monkeypatch.setattr(walsh_system, "_stages", slow_off_the_calling_thread)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            walsh_system._butterfly(self._overflowing(0))
+        assert running == [0] and False in done
+
+    def test_no_thread_starts_at_import_or_below_the_chunk_size(self):
+        # In a fresh interpreter: importing the CLI starts no thread, nor
+        # does a butterfly of rows of 2^16 entries or fewer; a 2^17 row
+        # starts min(_CPUS, 2) - 1 pool threads beside the calling one.  A
+        # child forked after that has none of them and makes its own pool.
+        src = pathlib.Path(walsh_system.__file__).resolve().parents[1]
+        code = (
+            "import os, signal, threading\n"
+            "import numpy as np\n"
+            "import walshvp.cli\n"
+            "from walshvp import walsh_system\n"
+            "counts = [threading.active_count()]\n"
+            "walsh_system._butterfly(np.ones(1 << 16))\n"
+            "walsh_system._butterfly(np.ones((4, 1 << 16)))\n"
+            "walsh_system.hadamard_transform(np.ones(1 << 16))\n"
+            "counts.append(threading.active_count())\n"
+            "walsh_system._butterfly(np.ones(1 << 17))\n"
+            "counts.append(threading.active_count() - min(walsh_system._CPUS, 2))\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(10)\n"
+            "    walsh_system._butterfly(np.ones(1 << 17))\n"
+            "    os._exit(0)\n"
+            "counts.append(os.waitpid(pid, 0)[1])\n"
+            "print(counts)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[1, 1, 0, 0]"
 
     def test_chunk_size_is_inside_the_tested_sizes(self):
         # The tests above run 2^16 entries on the unchunked path and 2^17 on
