@@ -89,42 +89,51 @@ def _stages(a: np.ndarray, h: int, stop: int, work) -> None:
     """The butterfly stages of spans h, 2h, ... below stop, in place on the
     contiguous a, whose size stop divides; every span is a power of two.
 
+    Without a work buffer, for arrays under _RADIX4_MIN_SIZE entries,
+    every stage is radix-2 and its ufuncs allocate their results: there
+    numpy's fixed cost per call dominates, and a ufunc given out= costs
+    more than one that allocates (butterflies of 2^1..2^11 entries took
+    1.1-1.4x as long with out=, and lemmas' op_p50_ms read +12% in 9 of 10
+    benchmark pairs; BENCH_35.json).
+
     Given a work buffer of a.size entries, a radix-4 pass (Fino & Algazi,
     1976) fuses the stages of spans h and 2h on the quarters x0..x3 of each
     group of 4h entries: s0 = x0 + x1, d0 = x0 - x1, s1 = x2 + x3,
     d1 = x2 - x3, then s0 + s1, d0 + d1, s0 - s1, d0 - d1.  Those are the
     additions of the two radix-2 stages in the same order, so the result
-    is the same bit for bit.  An odd stage count ends on one radix-2 stage,
-    whose copies go to the work buffer, so a pass given one allocates
-    nothing; without a work buffer every stage is radix-2.
+    is the same bit for bit.  An odd stage count ends on one radix-2 stage
+    whose copies go to the work buffer, so the pass allocates nothing,
+    on a pool thread or elsewhere (a stage of 2^16 entries that allocated
+    its copies took 4.8-6.1x as long).
     """
-    if work is not None:
-        while 4 * h <= stop:
-            x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
-            s0, d0, s1, d1 = work.reshape(4, -1, h)
-            np.add(x0, x1, out=s0)
-            np.subtract(x0, x1, out=d0)
-            np.add(x2, x3, out=s1)
-            np.subtract(x2, x3, out=d1)
-            np.add(s0, s1, out=x0)
-            np.add(d0, d1, out=x1)
-            np.subtract(s0, s1, out=x2)
-            np.subtract(d0, d1, out=x3)
-            h *= 4
-    while h < stop:
-        x = a.reshape(-1, 2 * h)
-        if work is None:
+    if work is None:
+        while h < stop:
+            x = a.reshape(-1, 2 * h)
             left = x[:, :h].copy()
             right = x[:, h:].copy()
             x[:, :h] = left + right
             x[:, h:] = left - right
-        else:
-            left, right = work.reshape(2, -1, h)
-            np.copyto(left, x[:, :h])
-            np.copyto(right, x[:, h:])
-            np.add(left, right, out=x[:, :h])
-            np.subtract(left, right, out=x[:, h:])
-        h *= 2
+            h *= 2
+        return
+    while 4 * h <= stop:
+        x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
+        s0, d0, s1, d1 = work.reshape(4, -1, h)
+        np.add(x0, x1, out=s0)
+        np.subtract(x0, x1, out=d0)
+        np.add(x2, x3, out=s1)
+        np.subtract(x2, x3, out=d1)
+        np.add(s0, s1, out=x0)
+        np.add(d0, d1, out=x1)
+        np.subtract(s0, s1, out=x2)
+        np.subtract(d0, d1, out=x3)
+        h *= 4
+    if h < stop:
+        x = a.reshape(-1, 2 * h)
+        left, right = work.reshape(2, -1, h)
+        np.copyto(left, x[:, :h])
+        np.copyto(right, x[:, h:])
+        np.add(left, right, out=x[:, :h])
+        np.subtract(left, right, out=x[:, h:])
 
 
 # The CPUs this process may run on, the most shares the chunked butterfly

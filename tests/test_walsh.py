@@ -295,9 +295,12 @@ class TestButterfly:
 
     def test_no_thread_starts_at_import_or_below_the_chunk_size(self):
         # In a fresh interpreter: importing the CLI starts no thread, nor
-        # does a butterfly of rows of 2^16 entries or fewer; a 2^17 row
-        # starts min(_CPUS, 2) - 1 pool threads beside the calling one.  A
-        # child forked after that has none of them and makes its own pool.
+        # does a butterfly of rows of 2^16 entries or fewer; after a 2^17
+        # row every other thread is a pool thread, of which there is at
+        # least one beside the calling thread where there are two CPUs and
+        # at most _CPUS - 1 (the pool may start a second thread before the
+        # first has marked itself idle).  A child forked after that has
+        # none of them and makes its own pool.
         src = pathlib.Path(walsh_system.__file__).resolve().parents[1]
         code = (
             "import os, signal, threading\n"
@@ -310,7 +313,9 @@ class TestButterfly:
             "walsh_system.hadamard_transform(np.ones(1 << 16))\n"
             "counts.append(threading.active_count())\n"
             "walsh_system._butterfly(np.ones(1 << 17))\n"
-            "counts.append(threading.active_count() - min(walsh_system._CPUS, 2))\n"
+            "pool = [t for t in threading.enumerate() if t.name.startswith('walshvp-butterfly')]\n"
+            "counts.append(threading.active_count() - len(pool))\n"
+            "counts.append(min(1, walsh_system._CPUS - 1) <= len(pool) <= walsh_system._CPUS - 1)\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(10)\n"
@@ -324,7 +329,7 @@ class TestButterfly:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[1, 1, 0, 0]"
+        assert out.stdout.strip() == "[1, 1, 1, True, 0]"
 
     def test_chunk_size_is_inside_the_tested_sizes(self):
         # The tests above run 2^16 entries on the unchunked path and 2^17 on
