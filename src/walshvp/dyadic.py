@@ -349,9 +349,10 @@ def _rows_per_block(cells: int) -> int:
 
 
 def _batches(items, key):
-    """The batch driver: consecutive runs of items that share key(item) =
-    (group, cells), each at most _rows_per_block(cells) long, yielded once
-    full or once the item that changes the key has been drawn."""
+    """The batch driver of the three batched lemma checks: consecutive
+    runs of items that share key(item) = (group, cells), each at most
+    _rows_per_block(cells) long, yielded once full or once the item that
+    changes the key has been drawn."""
     for (_, cells), run in groupby(items, key):
         while batch := list(islice(run, _rows_per_block(cells))):
             yield batch

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .kernels import (
     kernel_norm_sweep,
 )
 from .weights import WeightScheme, _FamilySchemes, validate
-from .means import _mean_overflow, _mean_rows
+from .means import _mean_period
 
 # Explicit constant for non-increasing block weights summing to one.
 CASE_B_BOUND = Fraction(47, 30)
@@ -269,33 +269,63 @@ def _finite_modulus(modulus: float, n: int, p: float) -> float:
     return modulus
 
 
-def _residual_rows(f: SampledFunction, multipliers: np.ndarray) -> tuple:
-    """The residuals mean - f, one row of the 2^r cells of one period of f
-    (r its rank) for each row of a stack of block multipliers of one width
-    2^m, 2^m <= 2^r, whose means _mean_rows synthesizes at once, and
-    whether each mean is finite.  Cell x of a row is the mean at x mod 2^m
-    minus f at x; past the float range it is inf or nan, with no warning."""
-    means = _mean_rows(f, multipliers)
-    cells = f._head
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = means[:, None, :] - cells.reshape(-1, means.shape[-1])
-    return rows.reshape(len(means), cells.size), np.isfinite(means).all(axis=-1)
+def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRecord:
+    """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio: the
+    sweep of one block and one p (ratio_sweep).
+
+    At p = 2 the error is sqrt(sum_m ((1 - mu_m) fhat_m)^2) by Parseval,
+    mu the mean's multiplier, summed over the 2^r coefficients of a
+    rank-r f; any other p is the L^p norm of mean - f at the 2^r cells of
+    one period, the mean synthesized by _mean_period as in vp_mean, so it
+    is lp_norm(vp_mean(f, scheme).function - f, p) bit for bit.  The 47/30
+    constant is asserted, with slack DEFAULT_SLACK, exactly when the
+    scheme sums to one and is non-increasing (case b); otherwise bound is
+    nan and nothing is asserted.
+    """
+    return ratio_sweep(f, lambda n: scheme, [scheme.block_exponent], [p])[0]
 
 
-def _finish_blocks(f: SampledFunction, blocks: list, residuals: bool) -> List[ApproxRecord]:
-    """The records of a batch of _sweep_blocks, whose multipliers share one
-    width, the p != 2 errors the L^p norms of its _residual_rows.  Each
-    record's error, modulus and ratio are checked in that order; one past
-    the float range raises, as does a mean past it at its first p != 2."""
-    if residuals:
-        rows, finite = _residual_rows(f, np.stack([block[1] for block in blocks]))
+def ratio_sweep(
+    f: SampledFunction,
+    scheme_for: Callable[[int], WeightScheme],
+    n_values: Iterable[int],
+    p_values: Iterable,
+) -> List[ApproxRecord]:
+    """One ApproxRecord per (n, p), as approximation_error gives it, block
+    after block.  For each n, scheme_for(n), the scheme of block n, is
+    built, checked, validated and applied once for all p; then every p = 2
+    error and every modulus is taken; then the block's records are checked
+    in p_values order: error, modulus, ratio.  The mean is synthesized
+    (_mean_period) at the first p != 2, and the residual mean - f is taken
+    at the 2^r cells of one period of f, r its rank.  A failure raises
+    before the next scheme is built."""
+    p_values = tuple(map(_check_exponent, p_values))
+    rank = _rank_of(f)
     records = []
-    for i, (n, _, bound, values) in enumerate(blocks):
+    for n in n_values:
+        scheme = scheme_for(n)
+        if scheme.block_exponent != n:
+            raise ValueError(f"the scheme of block n = {n} covers n = {scheme.block_exponent}")
+        _check_block(scheme, f.resolution)
+        report = validate(scheme)
+        # The 47/30 bound is asserted exactly when the scheme sums to one and
+        # is non-increasing (case b): its proof needs both.
+        bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
+        multiplier = _block_multiplier(scheme.weights, min(n + 1, rank))
+        # The mean is synthesized in the multiplier's place, so every p = 2
+        # error reads the multiplier first.
+        values = [
+            (p, _l2_error(f, multiplier) if p == 2.0 else None, modulus_of_continuity(f, n, p))
+            for p in p_values
+        ]
+        residual = None
         for p, error, modulus in values:
             if error is None:
-                if not finite[i]:
-                    raise _mean_overflow(n)
-                error = _lp_of_values(rows[i], p, f.resolution)
+                if residual is None:
+                    mean = _mean_period(f, multiplier, n)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        residual = (mean - f._head.reshape(-1, mean.size)).reshape(-1)
+                error = _lp_of_values(residual, p, f.resolution)
             if not error < INF:
                 raise ValueError(f"the p = {p:.12g} error of block n = {n} passes the float range")
             _finite_modulus(modulus, n, p)
@@ -329,74 +359,6 @@ def _finish_blocks(f: SampledFunction, blocks: list, residuals: bool) -> List[Ap
                     flag=flag,
                 )
             )
-    return records
-
-
-def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRecord:
-    """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio: the
-    sweep of one block and one p (ratio_sweep).
-
-    At p = 2 the error is sqrt(sum_m ((1 - mu_m) fhat_m)^2) by Parseval,
-    mu the mean's multiplier, summed over the 2^r coefficients of a
-    rank-r f; any other p is the L^p norm of mean - f at the 2^r cells of
-    one period.  The 47/30 constant is asserted, with slack DEFAULT_SLACK,
-    exactly when the scheme sums to one and is non-increasing (case b);
-    otherwise bound is nan and nothing is asserted.
-    """
-    return ratio_sweep(f, lambda n: scheme, [scheme.block_exponent], [p])[0]
-
-
-def _sweep_blocks(f: SampledFunction, scheme_for, n_values, p_values) -> Iterator:
-    """ratio_sweep's (n, multiplier, bound, values) by block, values holding
-    (p, error, modulus) with the error None for p != 2; a failing scheme ends
-    them as its exception, a value past the float range after its block."""
-    rank = _rank_of(f)
-    for n in n_values:
-        try:
-            scheme = scheme_for(n)
-            if scheme.block_exponent != n:
-                raise ValueError(f"the scheme of block n = {n} covers n = {scheme.block_exponent}")
-            _check_block(scheme, f.resolution)
-            report = validate(scheme)
-        except Exception as error:
-            yield error
-            return
-        # The 47/30 bound is asserted exactly when the scheme sums to one and
-        # is non-increasing (case b): its proof needs both.
-        bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
-        multiplier = _block_multiplier(scheme.weights, min(n + 1, rank))
-        values = [
-            (p, _l2_error(f, multiplier) if p == 2.0 else None, modulus_of_continuity(f, n, p))
-            for p in p_values
-        ]
-        yield n, multiplier, bound, values
-        if not all(m < INF and (e is None or e < INF) for _, e, m in values):
-            return
-
-
-def ratio_sweep(
-    f: SampledFunction,
-    scheme_for: Callable[[int], WeightScheme],
-    n_values: Iterable[int],
-    p_values: Iterable,
-) -> List[ApproxRecord]:
-    """One ApproxRecord per (n, p), as approximation_error gives it, with
-    scheme_for(n) the scheme of block n, built, validated and applied once
-    for all p, in block order.  _batches runs the blocks whose means share
-    the period 2^min(n+1, r) (r the rank of f), 2^r residual cells each, as
-    one synthesis, a failing scheme alone, so a sweep raises the failure
-    one block at a time would: by block, p_values order, error, modulus, ratio."""
-    p_values = tuple(map(_check_exponent, p_values))
-    residuals = any(p != 2.0 for p in p_values)
-
-    def key(block):  # (the mean's period, the residual cells of the block)
-        return (None if isinstance(block, Exception) else block[1].size), f._head.size
-
-    records = []
-    for batch in _batches(_sweep_blocks(f, scheme_for, n_values, p_values), key):
-        if isinstance(batch[0], Exception):
-            raise batch[0]
-        records += _finish_blocks(f, batch, residuals)
     return records
 
 

@@ -3,9 +3,10 @@
 The mean over a dyadic block is computed by two independent routes: the
 default multiplies fhat by the block kernel's closed-form multiplier (no
 extra scaling with this package's normalization) and synthesizes the
-products up to their common support (_mean_rows, for a stack of blocks at
-once), which the mean keeps as its period, and the verification route is
-the definition, the weighted sum of the partial sums S_k(f) over the block.
+products up to their common support (_mean_period, which vp_mean and the
+approx sweep share), which the mean keeps as its period, and the
+verification route is the definition, the weighted sum of the partial sums
+S_k(f) over the block.
 """
 
 from __future__ import annotations
@@ -51,41 +52,34 @@ def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> Sample
     return SampledFunction._own(f.resolution, table @ f.values * 2.0**-f.resolution)
 
 
-def _mean_rows(f: SampledFunction, multipliers: np.ndarray) -> np.ndarray:
-    """The periods of the block means of f for a C-contiguous stack of
-    block multiplier rows that share one width 2^min(n+1, r), r the rank
-    of f: fhat is zero from 2^r on and each multiplier from 2^(n+1) on, so
-    the rows hold every product that is not zero.  The rows are multiplied
-    by fhat and synthesized in place in one batched butterfly, each row as
-    it would be alone.  A row past the float range holds inf or nan, with
-    no warning; the caller checks."""
+def _mean_period(f: SampledFunction, multiplier: np.ndarray, n: int) -> np.ndarray:
+    """The period of the block-n mean of f, given the block multiplier at
+    its first 2^min(n+1, r) coefficients, r the rank of f: fhat is zero
+    from 2^r on and the multiplier from 2^(n+1) on, so these hold every
+    product that is not zero.  The multiplier is multiplied by fhat and
+    synthesized in place.  A mean past the float range is a ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        multipliers *= fwht_forward(f)._prefix(multipliers.shape[-1])
-        return _butterfly(multipliers)
-
-
-def _mean_overflow(n: int) -> ValueError:
-    return ValueError(f"the mean of block n = {n} passes the float range")
+        multiplier *= fwht_forward(f)._prefix(multiplier.size)
+        mean = _butterfly(multiplier)
+    if not np.isfinite(mean).all():
+        raise ValueError(f"the mean of block n = {n} passes the float range")
+    return mean
 
 
 def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -> MeanResult:
     """Block mean sum_k t_k S_k(f) over k in [2^n, 2^(n+1)-1].
 
-    The convolution route is the batch of one of _mean_rows: the block
-    multiplier, built at its first 2^min(n+1, r) coefficients (r the rank
-    of f), times fhat, synthesized there, so the mean holds at most 2^r
-    samples (_period_head).  An exact zero may carry the other sign than
-    in the full-size synthesis, since a product past the support can be
-    -0.0; no output reads that sign.  A mean past the float range is a
-    ValueError.
+    The convolution route is _mean_period: the block multiplier, built at
+    its first 2^min(n+1, r) coefficients (r the rank of f), times fhat,
+    synthesized there, so the mean holds at most 2^r samples
+    (_period_head).  An exact zero may carry the other sign than in the
+    full-size synthesis, since a product past the support can be -0.0; no
+    output reads that sign.  A mean past the float range is a ValueError.
     """
     _check_block(w, f.resolution)
     n = w.block_exponent
     if path == PATH_CONVOLUTION:
-        multiplier = _block_multiplier(w.weights, min(n + 1, _rank_of(f)))
-        mean = _mean_rows(f, multiplier[None])[0]
-        if not np.isfinite(mean).all():
-            raise _mean_overflow(n)
+        mean = _mean_period(f, _block_multiplier(w.weights, min(n + 1, _rank_of(f))), n)
         return MeanResult(SampledFunction._own(f.resolution, _period_head(mean, f.resolution)))
     if path == PATH_PARTIAL_SUMS:
         terms = zip(w.weights, range(w.block_start, w.block_end + 1))

@@ -1120,10 +1120,9 @@ APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")
         # step_mix has rank 4: f once at 2^4, and one table of 2^(4-nmin)
         # for every p = 2 modulus; the p = 2 error synthesizes no mean
         (APPROX_1_3, "step_mix", "2", [16, 8]),
-        # p = 1 asks for the residuals: one stacked synthesis per shared
-        # mean period 2^min(n+1, 4), after the tables of the block that
-        # starts it; blocks 3..5 share 2^4, so their three rows are one
-        (APPROX_1_3[:-1] + ("5",), "step_mix", "1,2", [16, 8, 4, 8, 48]),
+        # p = 1 asks for the residuals: one synthesis per block, of its
+        # mean period 2^min(n+1, 4), after the tables of its block
+        (APPROX_1_3[:-1] + ("5",), "step_mix", "1,2", [16, 8, 4, 8, 16, 16, 16]),
         (("modulus", "--nmin", "0", "--nmax", "2"), "step_mix", "2", [16, 16]),
         # full rank: f once at 2^N, a table of 2^(N-nmin)
         (APPROX_1_3, "abs_power:0.5", "2", [1024, 512]),

@@ -25,7 +25,7 @@ from walshvp.kernels import (
 )
 from walshvp.means import dyadic_convolve, dyadic_convolve_naive
 from walshvp.walsh_system import Spectrum, fwht_forward, fwht_inverse, walsh
-from walshvp.weights import build_scheme
+from walshvp.weights import WeightScheme, build_scheme
 
 uniform = functools.partial(build_scheme, "uniform")
 
@@ -150,6 +150,20 @@ class TestRatioSweep:
         recs = exp.ratio_sweep(exp.abs_power(0.5, 10), uniform, range(1, 9), (400.0,))
         assert all(r.error > 0 and r.modulus > 0 and not r.flag for r in recs)
         assert all(0.3 < r.ratio < 0.7 for r in recs)
+
+    def test_failing_block_raises_before_the_next_scheme_is_built(self):
+        # f = 1e308 has rank 0, so every block's mean has period 1; weights
+        # of 3 send block 1's mean past the float range at its first p != 2.
+        f = SampledFunction(8, np.full(256, 1e308))
+        built = []
+
+        def scheme_for(n):
+            built.append(n)
+            return WeightScheme(n, [3] * (1 << n))
+
+        with pytest.raises(ValueError, match="the mean of block n = 1 passes the float range"):
+            exp.ratio_sweep(f, scheme_for, range(1, 7), (1.0,))
+        assert built == [1]
 
 
 class TestTranslateDifferenceBound:
@@ -605,12 +619,13 @@ _BUDGET_OPS = [
 
 
 def test_every_batch_budget_prints_the_same_bytes(capsys, monkeypatch):
-    # The budget sizes every batch of the lemma checks, the approx sweep and
-    # the blocked modulus tables through dyadic._rows_per_block, and no
-    # batch changes a printed bit.  2^6 cells is one row per batch of 2^6
-    # cells or more, the batches every check takes from N = 16 on.  The
-    # sign split's bincount chunks, which order its sums, have a size of
-    # their own, so its tables at N = 12 keep their bits too.
+    # The budget sizes every batch of the lemma checks and the blocks of
+    # translates of the modulus tables (the approx sweep's among them)
+    # through dyadic._rows_per_block, and no batch changes a printed bit.
+    # 2^6 cells is one row per batch of 2^6 cells or more, the batches
+    # every check takes from N = 16 on.  The sign split's bincount chunks,
+    # which order its sums, have a size of their own, so its tables at
+    # N = 12 keep their bits too.
     batches = exp._batches
     counts = []
 

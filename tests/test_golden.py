@@ -8,14 +8,21 @@ holds all 2^10 samples, were recorded before every function was held at
 its dyadic rank.  They pin p = 2 again, after its moduli moved in their
 last bits when the p = 2 table stopped summing the terms that cancel
 exactly: a change that moves p = 2 on purpose (ROADMAP item 2) lists each
-digest it moves.
+digest it moves.  The N = 18 call, the first whose butterflies split into
+shares, was recorded when it was added, with the same bytes on the tree
+before the approx sweep ran block by block.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +58,12 @@ def _calls():
             ]
         # The default counts at N = 12 reach the p = 1 sign split at n = 1.
         calls[f"verify-lemmas N=12 {fmt}"] = lemmas + ["--resolution", "12"]
+    # Rows past 2^16 entries, four pieces at N = 18, whose butterflies run
+    # in as many shares as there are CPUs, up to the piece count.
+    calls["approx abs_power:0.5 N=18 p=2 json"] = [
+        "approx", "--weights", "uniform", "--function", "abs_power:0.5", "--resolution", "18",
+        "--p", "2", "--nmin", "1", "--nmax", "3", "--format", "json",
+    ]
     return calls
 
 
@@ -59,6 +72,7 @@ CALLS = _calls()
 DIGESTS = {
     "approx abs_power:0.5 csv": "0f3d27fa61bac5e4e901218d2e360080a24db67ec0b64bd9077adcc7ba2a7b57",
     "approx abs_power:0.5 json": "4402e7faf6532e39c55183deb1455c929d8690917f19567d5934e27ad4af72cf",
+    "approx abs_power:0.5 N=18 p=2 json": "e3e49f0ca975613b757c1e1015e56cd34183aff08e6579b79de8c7296e355247",
     "approx abs_power:0.5 p=2,3 csv": "d6e802b231f3b1b9c7b08515ec5f486ee5c058f986ddd95282f335cbb5f5b549",
     "approx abs_power:0.5 p=2,3 json": "90ebcdd008d3637855959cb084eae8f4f2bfcec140cd982cc7e22d48e63d6acb",
     "approx indicator:2 csv": "fc7f07b168cd471ce27f8ea8e8a5860f8b5c95093d147f94d8d8602177b42e37",
@@ -218,3 +232,80 @@ def test_calls_leave_no_state(tmp_path):
     random.Random(25).shuffle(steps)
     for step in steps:
         step()
+
+
+# One call of each command, and the call that splits its butterflies.
+HOST_CALLS = (
+    "approx abs_power:0.5 N=18 p=2 json",
+    "approx random p=2,3 json",
+    "modulus abs_power:0.5 json",  # the p = 1 sign split at n = 1
+    "kernel-norms json",
+    "weights-validate cesaro:0.5 json",
+    "verify-lemmas N=10 40/6 json",
+)
+
+# A child process that prints the digests of HOST_CALLS and of the
+# transform round trip as JSON.  With --cpus it sets the share count after
+# import; with --one-cpu it cuts its affinity to one CPU before the import,
+# where the share count is read.  It also prints the numpy dispatch targets
+# above the baseline that are enabled.
+_HOST_CHILD = """
+import json, os, pathlib, sys
+mode, tmp = sys.argv[1], pathlib.Path(sys.argv[2])
+if mode == "--one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from numpy._core import _multiarray_umath as umath
+from walshvp import walsh_system
+if mode == "--cpus":
+    walsh_system._CPUS = int(sys.argv[3])
+import test_golden as golden
+digests = {name: golden._digest(*golden._run(golden.CALLS[name])) for name in golden.HOST_CALLS}
+for name, (code, out) in golden.transform_outputs(tmp).items():
+    digests[name] = golden._digest(code, out)
+dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+print(json.dumps([walsh_system._CPUS, dispatched, digests]))
+"""
+
+
+def _host_run(tmp_path, *args, env=None):
+    """(_CPUS, enabled dispatch targets, digests) of one child."""
+    here = pathlib.Path(__file__).resolve().parent
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    out = subprocess.run(
+        [sys.executable, "-c", _HOST_CHILD, args[0], str(tmp_path), *args[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def _check_digests(digests):
+    assert len(digests) == len(HOST_CALLS) + 4
+    assert {name: DIGESTS[name] for name in digests} == digests
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 4])
+def test_bytes_do_not_depend_on_the_share_count(tmp_path, cpus):
+    shares, _, digests = _host_run(tmp_path, "--cpus", str(cpus))
+    assert shares == cpus
+    _check_digests(digests)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_bytes_do_not_depend_on_the_affinity(tmp_path):
+    shares, _, digests = _host_run(tmp_path, "--one-cpu")
+    assert shares == 1
+    _check_digests(digests)
+
+
+def test_bytes_do_not_depend_on_numpy_dispatch(tmp_path):
+    from numpy._core import _multiarray_umath as umath
+
+    if not umath.__cpu_baseline__:
+        pytest.skip("numpy has no baseline to limit its dispatch to")
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(umath.__cpu_baseline__))
+    _, dispatched, digests = _host_run(tmp_path, "--default", env=env)
+    if dispatched:
+        pytest.skip(f"numpy kept {dispatched} enabled")
+    _check_digests(digests)

@@ -509,18 +509,20 @@ def _calls_by_function(modules: dict):
     return calls
 
 
-def test_means_and_records_are_batches_of_one_core():
-    # A mean has one route: vp_mean is _mean_rows on one row, the sweep reads
-    # its means off _mean_rows for a stack of blocks, and approximation_error
-    # is the sweep of one block; no per-block record builder or second
-    # synthesis of a mean is left beside them.
+def test_means_and_records_share_one_core():
+    # A mean has one route: vp_mean and the sweep both synthesize it by
+    # _mean_period, one block at a time, and approximation_error is the
+    # sweep of one block; no batch layer, per-block record builder or
+    # second synthesis of a mean is left beside them.
     calls = _calls_by_function({path.stem: ast.parse(path.read_text()) for path in SOURCES})
-    assert "experiments._block_records" not in calls
-    assert "_mean_rows" in calls["means.vp_mean"]
+    for gone in ("_block_records", "_sweep_blocks", "_finish_blocks", "_residual_rows"):
+        assert f"experiments.{gone}" not in calls, gone
+    assert "means._mean_rows" not in calls
+    assert "_mean_period" in calls["means.vp_mean"]
     assert not calls["means.vp_mean"] & {"_butterfly", "hadamard_transform"}
     assert "ratio_sweep" in calls["experiments.approximation_error"]
-    assert sorted(name for name, called in calls.items() if "_mean_rows" in called) == [
-        "experiments._residual_rows", "means.vp_mean",
+    assert sorted(name for name, called in calls.items() if "_mean_period" in called) == [
+        "experiments.ratio_sweep", "means.vp_mean",
     ]
     assert sorted(name for name, called in calls.items() if "vp_mean" in called) == []
 
@@ -558,18 +560,19 @@ def _budget_readers(modules: dict):
 
 def test_one_function_reads_the_batch_budget():
     # The block budget has one meaning: every batch is sized through
-    # dyadic._rows_per_block, the four batchers of the checks and the sweep
-    # through the one driver dyadic._batches, so a change of the budget
-    # reaches all of them.
+    # dyadic._rows_per_block, the three batchers of the lemma checks through
+    # the one driver dyadic._batches, so a change of the budget reaches all
+    # of them.  The approx sweep runs block after block and batches nothing.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     assert _budget_readers(modules) == ["dyadic._rows_per_block"]
     calls = _calls_by_function(modules)
     assert "_rows_per_block" in calls["dyadic._batches"]
     for batcher in (
         "experiments._check_dirichlet_recursion", "experiments._check_translate_difference",
-        "experiments._check_decomposition", "experiments.ratio_sweep",
+        "experiments._check_decomposition",
     ):
         assert "_batches" in calls[batcher], batcher
+    assert "_batches" not in calls["experiments.ratio_sweep"]
     assert "_rows_per_block" in calls["dyadic._translate_sums"]
     # The sign split's bincount chunks order its sums, so they take their
     # size from the route's own constant, not from the budget.

@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from walshvp.dyadic import (
     INF,
     SampledFunction,
-    _lp_of_values,
     _pairwise_total,
     _power_scale,
-    _rank_of,
     lp_norm,
     modulus_of_continuity,
 )
 from walshvp.experiments import (
     SplitMix64,
-    _residual_rows,
     approximation_error,
     random_rational_scheme,
+    ratio_sweep,
 )
 from walshvp.kernels import _block_multiplier
 from walshvp.means import dyadic_convolve, vp_mean
@@ -148,31 +146,23 @@ def test_l2_error_by_parseval_is_the_synthesized_residual(case, data):
 
 @given(rank_functions(min_resolution=2), st.data())
 @settings(max_examples=80, deadline=None)
-def test_batched_residual_rows_are_the_residuals_of_one_mean_each(case, data):
-    # Blocks n >= r - 1 share the mean period 2^r, a lower block has its
-    # own; the rows of one stacked synthesis are mean - f of each block
-    # alone, up to the sign of a zero, and have its L^p norms bit for bit.
+def test_sweep_errors_are_the_norms_of_the_mean_residuals(case, data):
+    # A sweep takes each p != 2 error off the residual of its block's mean
+    # at the 2^r cells of one period of f; that is the L^p norm of
+    # vp_mean(f) - f at 2^N cells bit for bit, whichever blocks the sweep
+    # runs and in whatever order.
     N, values = case
     f = SampledFunction(N, values)
-    rank = _rank_of(f)
-    first = data.draw(st.integers(1, N - 1))
-    if first + 1 < rank:
-        blocks = [first]
-    else:
-        shared = st.integers(max(1, rank - 1), N - 1)
-        blocks = data.draw(st.lists(shared, min_size=1, max_size=4))
+    blocks = data.draw(st.lists(st.integers(1, N - 1), min_size=1, max_size=4))
     rng = SplitMix64(data.draw(st.integers(0, 2**32)))
     schemes = [random_rational_scheme(n, rng) for n in blocks]
-    width = min(blocks[0] + 1, rank)
-    rows, finite = _residual_rows(
-        f, np.stack([_block_multiplier(w.weights, width) for w in schemes])
-    )
-    assert finite.all() and rows.shape == (len(blocks), 1 << rank)
-    for row, scheme in zip(rows, schemes):
-        residual = vp_mean(f, scheme).function - f
-        assert np.array_equal(np.tile(row, 1 << (N - rank)), residual.values)
-        for p in (1.0, 3.5, INF):
-            assert _lp_of_values(row, p, N).hex() == lp_norm(residual, p).hex()
+    built = iter(schemes)
+    p_values = (1.0, 3.5, INF)
+    records = ratio_sweep(f, lambda n: next(built), blocks, p_values)
+    assert [r.block_exponent for r in records] == [n for n in blocks for _ in p_values]
+    for i, record in enumerate(records):
+        residual = vp_mean(f, schemes[i // len(p_values)]).function - f
+        assert record.error.hex() == lp_norm(residual, record.p).hex()
 
 
 @given(rank_functions(), st.data())

@@ -21,6 +21,9 @@ OPS = {
     "kernel-norms": ["kernel-norms", "--resolution", "6"],
     # A one-sample function: its fwht_forward hook hashes its 2^N samples.
     "modulus": ["modulus", "--function", "indicator:0", "--p", "1,2,inf"],
+    "approx": ["approx", "--function", "step_mix", "--weights", "cesaro:0.5", "--resolution",
+               "8", "--p", "1,2,inf", "--nmin", "1", "--nmax", "6"],
+    "weights-validate": ["weights-validate", "--weights", "linear_down", "--n", "4"],
 }
 
 
@@ -38,3 +41,10 @@ def test_traced_op_completes(name):
     assert not sum(tracer.errors.values())
     metrics, _ = tracer.pass_metrics([1.0])
     assert metrics["cli.main.calls"] == 1
+
+
+def test_every_benchmark_command_is_traced():
+    import workloads
+
+    commands = {op.command for name in workloads.BUILDERS for op in workloads.build(name, 1).ops}
+    assert commands == set(OPS)
