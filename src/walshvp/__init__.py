@@ -6,12 +6,13 @@ rational samples (kernels), rational block weight schemes (weights), matrix
 transform means (means), and the numerical verification suite
 (experiments).  The package exports what the command line and the
 verification suite call, and the types those calls return; vp_mean and
-build_scheme, a block's mean and scheme, stay in means and weights.
+build_scheme, a block's mean and scheme, stay in means and weights, and
+the kernels dirichlet and fejer in kernels, as no command builds one.
 """
 
 from .dyadic import INF, SampledFunction, interval_indicator, lp_norm, modulus_of_continuity
 from .walsh_system import Spectrum, fwht_forward, fwht_inverse
-from .kernels import KernelFunction, dirichlet, fejer
+from .kernels import KernelFunction
 from .weights import ValidationReport, WeightScheme, validate
 
 __all__ = [
@@ -26,7 +27,5 @@ __all__ = [
     "modulus_of_continuity",
     "fwht_forward",
     "fwht_inverse",
-    "dirichlet",
-    "fejer",
     "validate",
 ]

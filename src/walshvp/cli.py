@@ -438,6 +438,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_modulus(args) -> int:
     f, blocks = _read_sweep(args, spare=0, default_gap=0)
+    p_values = _parse_p_list(args.p)
     records = [
         {
             "n": n,
@@ -446,7 +447,7 @@ def _cmd_modulus(args) -> int:
             "omega": experiments._finite_modulus(modulus_of_continuity(f, n, p), n, p),
         }
         for n in blocks
-        for p in _parse_p_list(args.p)
+        for p in p_values
     ]
     _emit(records, args.format, args.out)
     return 0

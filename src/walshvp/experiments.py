@@ -30,25 +30,15 @@ from .dyadic import (
     lp_norm,
     modulus_of_continuity,
 )
-from .walsh_system import (
-    Spectrum,
-    _butterfly,
-    _butterfly_columns,
-    _keep_spectra,
-    _run_cells,
-    fwht_forward,
-    fwht_inverse,
-)
+from .walsh_system import Spectrum, _butterfly, _keep_spectra, fwht_forward, fwht_inverse
 from .kernels import (
     _block_multiplier,
     _block_weights,
     _check_block,
     _dirichlet_rec_int,
-    _paley_int,
+    _fejer_numerators,
     _vp_numerators,
-    _vp_part_numerators,
-    dirichlet,
-    fejer,
+    _walsh_sum_columns,
     kernel_norm_sweep,
 )
 from .weights import WeightScheme, _FamilySchemes, validate
@@ -433,38 +423,17 @@ class LemmaResult:
     detail: str = ""
 
 
-def _check_dirichlet_closed_form(resolution: int) -> LemmaResult:
-    worst = 0
-    for m in range(resolution + 1):
-        # Both are held as their period of 2^m cells.
-        direct = dirichlet(1 << m, resolution)._exact_head
-        worst = max(worst, int(np.max(np.abs(direct - _paley_int(m)))))
-    return LemmaResult("dirichlet-closed-form", resolution + 1, float(worst), worst == 0)
-
-
-def _walsh_sum_columns(orders, resolution: int) -> np.ndarray:
-    """D_n = sum_{k<n} w_k as column b of a C-contiguous (2^N, B) int32
-    block for each n = orders[b] <= 2^N: the columns 1_{k<n}, built in runs
-    of _run_cells(B, 2^N) cells, synthesized by _butterfly_columns.  Every
-    butterfly sum is at most 2^N <= 2^24 in magnitude."""
-    block = np.asarray(orders, dtype=np.int32)
-    size = 1 << resolution
-    runs = _run_cells(block.size, size)
-    # Cell c r + i of column b is 1 when c r < n_b - i, for i < r = runs.
-    ones = np.arange(0, size, runs)[:, None] < (block - np.arange(runs)[:, None]).reshape(-1)
-    return _butterfly_columns(ones.astype(np.int32).reshape(size, -1))
-
-
-def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
-    """D_n by the doubling recursion (_dirichlet_rec_int) against D_n =
-    sum_{k<n} w_k (_walsh_sum_columns) for every n in [0, 2^N] up to
-    RECURSION_EXHAUSTIVE_MAX_N; above it, where the 2^N + 1 recursions
-    would cost O(4^N), n = 0, every power of two and orders drawn from the
-    seed, RECURSION_SAMPLES in all, with detail sampled.  Each of the
-    _batches of B orders is held as two C-contiguous (2^N, B) int32
-    blocks, the orders on the fast axis, whatever B is; the recursion's is
-    subtracted from the sums' in place, and its max and min are the worst
-    error."""
+def _check_dirichlet_recursion(resolution: int, seed: int) -> Tuple[LemmaResult, LemmaResult]:
+    """The closed-form and recursion rows: D_n by the doubling recursion
+    (_dirichlet_rec_int) against D_n = sum_{k<n} w_k (_walsh_sum_columns)
+    for every n in [0, 2^N] up to RECURSION_EXHAUSTIVE_MAX_N; above it,
+    where the 2^N + 1 recursions would cost O(4^N), n = 0, every power of
+    two and orders drawn from the seed, RECURSION_SAMPLES in all, with
+    detail sampled.  Each of the _batches of B orders is held as two
+    C-contiguous (2^N, B) int32 blocks, the orders on the fast axis; the
+    recursion's is subtracted from the sums' in place.  The recursion
+    builds D_{2^m} as its closed form, 2^m on I_m, so the error at the
+    N + 1 powers of two is the closed-form row's."""
     size = 1 << resolution
     orders, detail = range(size + 1), ""
     if resolution > RECURSION_EXHAUSTIVE_MAX_N:
@@ -473,13 +442,19 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> LemmaResult:
         while len(sampled) < RECURSION_SAMPLES:
             sampled.add(rng.randint(size + 1))
         orders, detail = sorted(sampled), "sampled"
-    worst = 0
+    worst = closed = powers = 0
     for batch in _batches(orders, lambda n: (None, size)):
         block = np.asarray(batch, dtype=np.int32)
         sums = _walsh_sum_columns(block, resolution)
         diffs = np.subtract(_dirichlet_rec_int(block, resolution), sums, out=sums)
         worst = max(worst, int(diffs.max()), -int(diffs.min()))
-    return LemmaResult("dirichlet-recursion", len(orders), float(worst), worst == 0, detail)
+        power = np.flatnonzero((block > 0) & ((block & (block - 1)) == 0))
+        closed = max(closed, int(np.abs(diffs[:, power]).max(initial=0)))
+        powers += power.size
+    return (
+        LemmaResult("dirichlet-closed-form", powers, float(closed), closed == 0),
+        LemmaResult("dirichlet-recursion", len(orders), float(worst), worst == 0, detail),
+    )
 
 
 def _check_fejer_bounds(resolution: int) -> Tuple[LemmaResult, LemmaResult]:
@@ -531,9 +506,9 @@ def _translate_instances(resolution: int, seed: int, count: int) -> list:
 def _check_translate_difference(resolution: int, seed: int, count: int) -> LemmaResult:
     """verify_translate_difference_bound on count seeded instances, in the
     _batches of one n: a batch draws its f and spectral g rows from their
-    generator states at once, synthesizes those g in one butterfly, and
-    passes the rows, held as functions, and each Fejer g to
-    _translate_differences."""
+    generator states at once, synthesizes those g in one butterfly and its
+    Fejer g in one _fejer_numerators call (rows / k), and passes all rows,
+    held as functions, to _translate_differences."""
     instances = sorted(_translate_instances(resolution, seed, count), key=lambda i: i[0])
     worst = math.inf
     passed = True
@@ -541,12 +516,16 @@ def _check_translate_difference(resolution: int, seed: int, count: int) -> Lemma
         (n, *_), ps, f_states, g_states, orders = zip(*batch)
         f_rows = SplitMix64.uniform_rows(f_states, 1 << resolution)
         fs = [SampledFunction._own(resolution, row) for row in f_rows]
-        gs = [None if k is None else fejer(k, resolution) for k in orders]
         spectral = [j for j, k in enumerate(orders) if k is None]
+        kernels = [j for j, k in enumerate(orders) if k is not None]
+        g_rows = {}
         if spectral:
             draws = SplitMix64.uniform_rows([g_states[j] for j in spectral], 1 << n)
-            for j, row in zip(spectral, _butterfly(draws)):
-                gs[j] = SampledFunction._own(resolution, row)
+            g_rows.update(zip(spectral, _butterfly(draws)))
+        if kernels:
+            ks = np.array([orders[j] for j in kernels])[:, None]
+            g_rows.update(zip(kernels, _fejer_numerators(ks, 1 << n) / ks))
+        gs = [SampledFunction._own(resolution, g_rows[j]) for j in range(len(batch))]
         for lhs, rhs, ok in _translate_differences(fs, gs, n, ps):
             worst = min(worst, rhs - lhs)
             passed = passed and ok
@@ -557,14 +536,14 @@ def _decomposition_deviation(*schemes: WeightScheme) -> Fraction:
     """The largest deviation of the sum of the three parts of
     decompose_vp_kernel from vp_kernel, over the weights' common
     denominator, for a batch of schemes of one block exponent and numerator
-    dtype: rows of _vp_numerators and _vp_part_numerators at the 2^(n+1)
-    cells of the support, where part 1's period of 2^n cells repeats twice."""
+    dtype: the rows of one _vp_numerators call at the 2^(n+1) cells of the
+    support, where part 1's period of 2^n cells repeats twice."""
     weights = [_block_weights(scheme) for scheme in schemes]
     t = np.stack([numerators for numerators, _ in weights])
-    first, second, third = _vp_part_numerators(t)
+    kernel, first, second, third = _vp_numerators(t)
     total = second + third
     total.reshape(t.shape[:-1] + (2, -1))[...] += first[..., None, :]
-    deviations = np.max(np.abs(total - _vp_numerators(t)), axis=-1)
+    deviations = np.max(np.abs(total - kernel), axis=-1)
     return max(Fraction(int(d), denom) for d, (_, denom) in zip(deviations, weights))
 
 
@@ -617,12 +596,9 @@ def verify_all_lemmas(
             f"instances at 2^{resolution} cells each pass the budget of "
             f"{LEMMA_CELL_BUDGET} cells; lower --lemma5-count or --random-schemes"
         )
-    uniform, sharp = _check_fejer_bounds(resolution)
     results = [
-        _check_dirichlet_closed_form(resolution),
-        _check_dirichlet_recursion(resolution, seed + 2),
-        uniform,
-        sharp,
+        *_check_dirichlet_recursion(resolution, seed + 2),
+        *_check_fejer_bounds(resolution),
         _check_translate_difference(resolution, seed, translate_count),
         _check_decomposition(resolution, seed + 1, random_schemes),
     ]

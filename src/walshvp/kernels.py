@@ -4,12 +4,15 @@ D_n and K_n for n <= 2^m depend only on x_0..x_(m-1), the block-n VP
 kernel only on x_0..x_n, so each is held as that period of integer
 numerators over one denominator (1 for D_n, n for K_n, the weights'
 common one for VP kernels), built by the integer butterfly of its Walsh
-coefficients or, for D, by its recursion or closed form.  The kernel
-identities (the closed form of D at powers of two, the recursive
-splitting of D, the three-part VP decomposition) are then checked with
-zero error.  The numerators are int64, or Python ints for a VP kernel
-whose weights have large numerators (_block_weights); the VP cores run
-on a stack of weight rows, so a check can build many kernels in one pass.
+coefficients or, for D, also by its recursion.  Each has one builder of
+many orders or weight rows in one block (_walsh_sum_columns,
+_dirichlet_rec_int, _fejer_numerators, _vp_numerators with the three VP
+parts), whose batches of one are the public builders, none of them in
+the package's __all__.  The kernel identities (the closed form of D at
+powers of two, the recursive splitting of D, the three-part VP
+decomposition) are then checked with zero error.  The numerators are
+int64, int32 in the D columns, or Python ints for a VP kernel whose
+weights have large numerators (_block_weights).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyadic import SampledFunction, _periods, _Samples, check_resolution
-from .walsh_system import _butterfly, _run_cells, hadamard_transform
+from .walsh_system import _butterfly, _butterfly_columns, _run_cells
 from .weights import WeightScheme, _integers, _quotients
 
 # VP kernel sums switch to Python ints once their bound passes this.  At
@@ -78,20 +81,18 @@ def _check_order(n: int, resolution: int) -> int:
     return int(n)
 
 
-def _paley_int(m: int) -> np.ndarray:
-    # Closed form at powers of two, one period: 2^m on I_m, zero elsewhere.
-    values = np.zeros(1 << m, dtype=np.int64)
-    values[0] = 1 << m
-    return values
-
-
-def dirichlet(n: int, resolution: int) -> KernelFunction:
-    """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
-    synthesized from its coefficients, 1 below n."""
-    n = _check_order(n, resolution)
-    coeffs = np.zeros(1 << max(n - 1, 0).bit_length(), dtype=np.int64)
-    coeffs[:n] = 1
-    return KernelFunction._own(resolution, hadamard_transform(coeffs))
+def _walsh_sum_columns(orders, resolution: int) -> np.ndarray:
+    """D_n = sum_{k<n} w_k as column b of a C-contiguous (2^N, B) int32
+    block for each n = orders[b] <= 2^N (unchecked): the columns 1_{k<n},
+    built in runs of _run_cells(B, 2^N) cells, synthesized by
+    _butterfly_columns.  Every butterfly sum is at most 2^N <= 2^24 in
+    magnitude."""
+    block = np.asarray(orders, dtype=np.int32)
+    size = 1 << resolution
+    runs = _run_cells(block.size, size)
+    # Cell c r + i of column b is 1 when c r < n_b - i, for i < r = runs.
+    ones = np.arange(0, size, runs)[:, None] < (block - np.arange(runs)[:, None]).reshape(-1)
+    return _butterfly_columns(ones.astype(np.int32).reshape(size, -1))
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
@@ -126,24 +127,43 @@ def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
     return values
 
 
-def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
-    """D_n built by binary splitting: peel the top power of two with the
-    closed form and recurse on the remainder behind a Rademacher sign."""
+def _one_column(columns, n: int, resolution: int) -> KernelFunction:
+    # D_n as the batch of one of a column builder, at its period.
     n = _check_order(n, resolution)
-    support = max(n - 1, 0).bit_length()
-    numer = _dirichlet_rec_int([n], support).reshape(-1).astype(np.int64)
+    numer = columns([n], max(n - 1, 0).bit_length()).reshape(-1).astype(np.int64)
     return KernelFunction._own(resolution, numer)
 
 
+def dirichlet(n: int, resolution: int) -> KernelFunction:
+    """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
+    synthesized from its coefficients, 1 below n: _walsh_sum_columns of
+    the one order."""
+    return _one_column(_walsh_sum_columns, n, resolution)
+
+
+def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
+    """D_n built by binary splitting: peel the top power of two with the
+    closed form and recurse on the remainder behind a Rademacher sign
+    (_dirichlet_rec_int of the one order)."""
+    return _one_column(_dirichlet_rec_int, n, resolution)
+
+
+def _fejer_numerators(orders, cells: int) -> np.ndarray:
+    """n K_n at the first `cells` cells, a power of two, as row b of an
+    int64 (B, cells) block for each n = orders[b] <= cells (unchecked):
+    the coefficients (n - m)_+ of n K_n, synthesized by one butterfly of
+    all rows.  |n K_n| <= n (n + 1) / 2 <= 2^47 under the resolution cap."""
+    orders = np.asarray(orders, dtype=np.int64).reshape(-1, 1)
+    return _butterfly(np.maximum(orders - np.arange(cells, dtype=np.int64), 0))
+
+
 def fejer(n: int, resolution: int) -> KernelFunction:
-    """K_n = (1/n) sum_{k=1}^{n} D_k; exact numerators over denominator n,
-    synthesized from the coefficients (n - m)_+ of n K_n."""
+    """K_n = (1/n) sum_{k=1}^{n} D_k; exact numerators over denominator n:
+    _fejer_numerators of the one order at its period."""
     n = _check_order(n, resolution)
     if n < 1:
         raise ValueError(f"Fejer kernel needs n >= 1, got {n}")
-    coeffs = np.zeros(1 << (n - 1).bit_length(), dtype=np.int64)
-    coeffs[:n] = np.arange(n, 0, -1)
-    return KernelFunction._own(resolution, hadamard_transform(coeffs), n)
+    return KernelFunction._own(resolution, _fejer_numerators([n], 1 << (n - 1).bit_length())[0], n)
 
 
 def kernel_l1_norm(kernel: KernelFunction) -> Fraction:
@@ -243,28 +263,24 @@ def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
     return coeffs
 
 
-def _vp_numerators(t: np.ndarray) -> np.ndarray:
-    """The numerators of the block VP kernel at the 2^(n+1) cells of its
-    support, for each row of integer weight numerators t (2^n along the
-    last axis): the butterfly of _block_multiplier, in the dtype of t."""
-    return _butterfly(_block_multiplier(t, t.shape[-1].bit_length()))
-
-
-def _vp_part_numerators(t: np.ndarray) -> tuple:
-    """The numerators of the three parts of decompose_vp_kernel for each
-    row of integer weight numerators t (2^n along the last axis): part 1
-    at its period of 2^n cells, parts 2 and 3 at the 2^(n+1) of the
-    support, in the dtype of t."""
+def _vp_numerators(t: np.ndarray) -> tuple:
+    """The numerators of the block VP kernel and of the three parts of
+    decompose_vp_kernel, for each row of integer weight numerators t (2^n
+    along the last axis), in the dtype of t: the kernel (the coefficients
+    of _block_multiplier) and parts 2 and 3 at the 2^(n+1) cells of the
+    support, as three rows of one butterfly, and part 1, the closed form
+    of D_{2^n} times the weight sum, at its period of 2^n cells."""
     low = t.shape[-1]
     diff = np.zeros_like(t)
     diff[..., 1:-1] = t[..., 1:-1] - t[..., 2:]
     first = np.zeros_like(t)
     first[..., 0] = np.sum(t, axis=-1) * low  # the closed form of D_{2^n}
-    coeffs = np.zeros((2,) + t.shape[:-1] + (2 * low,), dtype=t.dtype)
-    coeffs[0, ..., low:] = _above(diff + _above(diff))
-    coeffs[1, ..., low:] = t[..., -1:] * np.arange(low - 1, -1, -1).astype(t.dtype)
-    second, third = _butterfly(coeffs)
-    return first, second, third
+    coeffs = np.zeros((3,) + t.shape[:-1] + (2 * low,), dtype=t.dtype)
+    coeffs[0] = _block_multiplier(t, low.bit_length())
+    coeffs[1, ..., low:] = _above(diff + _above(diff))
+    coeffs[2, ..., low:] = t[..., -1:] * np.arange(low - 1, -1, -1).astype(t.dtype)
+    kernel, second, third = _butterfly(coeffs)
+    return kernel, first, second, third
 
 
 def vp_kernel(w: WeightScheme, resolution: int) -> KernelFunction:
@@ -274,7 +290,7 @@ def vp_kernel(w: WeightScheme, resolution: int) -> KernelFunction:
     """
     _check_block(w, resolution)
     t, denom = _block_weights(w)
-    return KernelFunction._own(resolution, _vp_numerators(t), denom)
+    return KernelFunction._own(resolution, _vp_numerators(t)[0], denom)
 
 
 def decompose_vp_kernel(
@@ -296,10 +312,10 @@ def decompose_vp_kernel(
     sum_{k>m} d_k (k - m) = _above(d + _above(d)) at 2^n + m, and part 3
     has t_last (2^n - 1 - m) there.  vp_kernel takes its coefficients from
     the weight mass above m instead, so the sum of the parts checks them
-    in exact integers.  The numerators are _vp_part_numerators on one row.
-    The oracle of each part, built from running sums of Walsh signs at the
+    in exact integers.  The numerators are _vp_numerators on one row.  The
+    oracle of each part, built from running sums of Walsh signs at the
     cells, is in tests/test_kernels.py.
     """
     _check_block(w, resolution)
     t, denom = _block_weights(w)
-    return tuple(KernelFunction._own(resolution, part, denom) for part in _vp_part_numerators(t))
+    return tuple(KernelFunction._own(resolution, part, denom) for part in _vp_numerators(t)[1:])

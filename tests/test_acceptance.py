@@ -33,8 +33,7 @@ def report(number, description, ok, detail=""):
 
 def test_01_exact_kernel_identities():
     start = time.perf_counter()
-    closed = exp._check_dirichlet_closed_form(8)
-    recursion = exp._check_dirichlet_recursion(8, 0)
+    closed, recursion = exp._check_dirichlet_recursion(8, 0)
     elapsed = time.perf_counter() - start
     ok = closed.passed and recursion.passed and elapsed < 5.0
     report(

@@ -669,6 +669,22 @@ def test_modulus_past_the_resolution_builds_no_table(capsys, monkeypatch):
     assert err == "error: nmax=9 needs resolution >= 9\n"
 
 
+def test_modulus_parses_its_p_list_once(capsys, monkeypatch):
+    # The list was parsed again for every n of the sweep: 13 times here.
+    parses = []
+    parse = cli._parse_p_list
+    monkeypatch.setattr(cli, "_parse_p_list", lambda text: parses.append(text) or parse(text))
+    sweep = ("modulus", "--function", "step_mix", "--resolution", "12", "--nmin", "0")
+    code, out, _ = run(capsys, *sweep, "--nmax", "12", "--p", "1,2,inf")
+    assert code == 0 and parses == ["1,2,inf"] and len(out.splitlines()) == 1 + 13 * 3
+    # A bad token is still refused with the same message, and after the
+    # block range is checked.
+    code, out, err = run(capsys, *sweep, "--nmax", "12", "--p", "2,0.5")
+    assert code == 2 and out == "" and err == "error: L_p exponent must be >= 1 or inf, got 0.5\n"
+    code, out, err = run(capsys, *sweep, "--nmax", "-1", "--p", "0.5")
+    assert code == 2 and out == "" and err == "error: empty block range: nmin=0 > nmax=-1\n"
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-1"])
 def test_abs_power_needs_a_finite_positive_alpha(capsys, alpha):
     # inf gave the zero function and nan failed late on the samples.

@@ -280,7 +280,8 @@ class TestVerifyAllLemmas:
         def refuse(*args):
             raise AssertionError("no check may start past the budget")
 
-        monkeypatch.setattr(exp, "_check_fejer_bounds", refuse)
+        for name in ("dirichlet_recursion", "fejer_bounds"):
+            monkeypatch.setattr(exp, f"_check_{name}", refuse)
         with pytest.raises(ValueError, match="--lemma5-count or --random-schemes"):
             exp.verify_all_lemmas(12, translate_count=10**7)
         with pytest.raises(ValueError, match="budget"):
@@ -291,9 +292,9 @@ class TestVerifyAllLemmas:
 
         # Every check is stubbed: only the guard runs at each resolution.
         result = exp.LemmaResult("stub", 1, 0.0, True)
-        monkeypatch.setattr(exp, "_check_fejer_bounds", lambda *args: (result, result))
-        for name in ("dirichlet_closed_form", "dirichlet_recursion",
-                     "translate_difference", "decomposition"):
+        for name in ("dirichlet_recursion", "fejer_bounds"):
+            monkeypatch.setattr(exp, f"_check_{name}", lambda *args: (result, result))
+        for name in ("translate_difference", "decomposition"):
             monkeypatch.setattr(exp, f"_check_{name}", lambda *args: result)
         for resolution in range(4, MAX_RESOLUTION + 1):
             assert all(r.passed for r in exp.verify_all_lemmas(resolution))
@@ -364,15 +365,50 @@ class TestBatchedChecks:
         # Each block's Walsh sums are synthesized from its own orders, so a
         # wrong column of the recursion is compared with its own definition.
         calls = self._counted_recursion(monkeypatch, perturb_call=8)
-        result = exp._check_dirichlet_recursion(N, 0)
+        _, result = exp._check_dirichlet_recursion(N, 0)
         assert len(calls) > 8
         assert not result.passed and result.worst_margin == 1
+
+    @pytest.mark.parametrize("N", [10, 12, 16])
+    @pytest.mark.parametrize("power", [True, False])
+    def test_a_wrong_cell_fails_the_rows_of_its_column(self, monkeypatch, N, power):
+        # The closed-form row reads the columns of the N + 1 powers of two,
+        # the recursion row every column: a wrong cell of the recursion at
+        # the order 2^(N-1), or at the first order above it, fails the rows
+        # that read its column.  N = 10 checks every order, N = 12 samples
+        # them, and N = 16 runs one order per batch.
+        recursion, widths, wrong = exp._dirichlet_rec_int, [], []
+
+        def perturbed(orders, resolution):
+            columns = recursion(orders, resolution)
+            widths.append(len(orders))
+            for b, n in enumerate(orders.tolist()):
+                if not wrong and (n == 1 << (N - 1) if power else n > 1 << (N - 1)):
+                    columns[3, b] += 1  # D_n is 0 at cell 3 for both kinds of n
+                    wrong.append(n)
+            return columns
+
+        monkeypatch.setattr(exp, "_dirichlet_rec_int", perturbed)
+        closed, result = exp._check_dirichlet_recursion(N, 0)
+        assert len(wrong) == 1 and (wrong[0] & (wrong[0] - 1) == 0) == power
+        assert closed.instances == N + 1 and result.instances == 1025
+        assert not result.passed and result.worst_margin == 1
+        assert closed.passed != power and closed.worst_margin == int(power)
+        assert N < 16 or set(widths) == {1}
+
+    @pytest.mark.parametrize("N", [1, 4, 10, 16])
+    def test_the_recursion_builds_powers_of_two_as_their_closed_form(self, N):
+        for m in range(N + 1):
+            closed = np.zeros((1 << N, 1), dtype=np.int32)
+            closed[:: 1 << m] = 1 << m  # 2^m on I_m, the cells whose m low bits are 0
+            assert np.array_equal(exp._dirichlet_rec_int([1 << m], N), closed)
 
     @pytest.mark.parametrize("N", [10, 11])
     def test_recursion_runs_in_blocks(self, monkeypatch, N):
         calls = self._counted_recursion(monkeypatch)
-        result = exp._check_dirichlet_recursion(N, 0)
+        closed, result = exp._check_dirichlet_recursion(N, 0)
         assert result.passed and result.instances == 1025 == sum(calls)
+        assert closed.passed and closed.instances == N + 1 and closed.worst_margin == 0
         rows = (1 << 16) >> N
         assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
 
@@ -381,25 +417,30 @@ class TestBatchedChecks:
         # each batch of 64 orders at N = 10 is one (2^10, 64) block, the
         # last order (2^10) a block of one.
         blocks = []
-        butterfly = exp._butterfly_columns
+        butterfly = walshvp.walsh_system._butterfly_columns
 
         def spied(a):
             blocks.append((a.dtype, a.shape, a.flags.c_contiguous))
             return butterfly(a)
 
-        monkeypatch.setattr(exp, "_butterfly_columns", spied)
-        result = exp._check_dirichlet_recursion(10, 0)
+        monkeypatch.setattr(walshvp.kernels, "_butterfly_columns", spied)
+        _, result = exp._check_dirichlet_recursion(10, 0)
         assert result.passed and result.instances == 1025 and result.worst_margin == 0
         assert set(blocks) == {(np.dtype(np.int32), (1 << 10, 64), True),
                                (np.dtype(np.int32), (1 << 10, 1), True)}
         assert len(blocks) == 17
 
-    def test_sampled_recursion_builds_no_kernel(self, monkeypatch):
+    def test_the_lemma_checks_build_no_kernel_function(self, monkeypatch):
+        # Every kernel of the checks is a row of numerators or of floats.
         calls = []
-        dirichlet = exp.dirichlet
-        monkeypatch.setattr(exp, "dirichlet", lambda *args: calls.append(args) or dirichlet(*args))
-        assert exp._check_dirichlet_recursion(11, 0).passed
-        assert len(calls) == 0
+        hold = walshvp.kernels.KernelFunction._hold
+        monkeypatch.setattr(
+            walshvp.kernels.KernelFunction, "_hold", lambda *args: calls.append(args) or hold(*args)
+        )
+        assert all(r.passed for r in exp.verify_all_lemmas(11, 0, 20, 4))
+        assert calls == []
+        walshvp.kernels.fejer(3, 4)
+        assert len(calls) == 1  # the spy sees a builder
 
     def test_decomposition_builds_no_walsh_signs_row(self, monkeypatch):
         calls = []
@@ -419,16 +460,16 @@ class TestBatchedChecks:
         # One wrong cell of part 2, in the middle row of the given call of
         # the batched integer core; returns the weight rows of each call.
         calls = []
-        parts = exp._vp_part_numerators
+        numerators = exp._vp_numerators
 
         def perturbed(t):
-            first, second, third = parts(t)
+            kernel, first, second, third = numerators(t)
             calls.append(t)
             if perturb_call in (None, len(calls)):
                 second[len(t) // 2, 3] += 1
-            return first, second, third
+            return kernel, first, second, third
 
-        monkeypatch.setattr(exp, "_vp_part_numerators", perturbed)
+        monkeypatch.setattr(exp, "_vp_numerators", perturbed)
         return calls
 
     def test_one_wrong_part_shows_a_deviation(self, monkeypatch):
@@ -559,7 +600,7 @@ class TestColumnLayout:
         rows = _DTYPES[dtype](np.random.default_rng(seed), (width, 1 << N))
         expected = walshvp.walsh_system._butterfly(rows.copy())
         block = np.ascontiguousarray(rows.T)
-        assert exp._butterfly_columns(block) is block
+        assert walshvp.walsh_system._butterfly_columns(block) is block
         assert block.dtype == expected.dtype
         if dtype == "object":
             assert block.T.tolist() == expected.tolist()
@@ -573,7 +614,8 @@ class TestColumnLayout:
         ones = (np.arange(1 << N) < orders[:, None]).astype(np.int32)
         rows = walshvp.walsh_system._butterfly(ones)
         assert np.array_equal(_row_recursion(orders, N), rows)
-        for columns in (exp._walsh_sum_columns(orders, N), exp._dirichlet_rec_int(orders, N)):
+        for columns in (walshvp.kernels._walsh_sum_columns(orders, N),
+                        walshvp.kernels._dirichlet_rec_int(orders, N)):
             assert columns.dtype == np.int32 and columns.flags.c_contiguous
             assert columns.shape == (1 << N, orders.size)
             assert np.array_equal(columns, rows.T)
@@ -591,12 +633,13 @@ class TestColumnLayout:
         row = walshvp.walsh_system._butterfly((np.arange(1 << N) < n).astype(np.int32)[None])
         assert max(passes) == 1 << 16  # _butterfly's chunks
         passes.clear()
-        for columns in (exp._walsh_sum_columns([n], N), exp._dirichlet_rec_int([n], N)):
+        for columns in (walshvp.kernels._walsh_sum_columns([n], N),
+                        walshvp.kernels._dirichlet_rec_int([n], N)):
             assert columns.shape == (1 << N, 1) and np.array_equal(columns, row.T)
         assert np.array_equal(_row_recursion([n], N), row)
         assert passes and max(passes) == 1 << 16
         values = np.random.default_rng(5).standard_normal(1 << N)
-        block = exp._butterfly_columns(values.reshape(-1, 1).copy())
+        block = walshvp.walsh_system._butterfly_columns(values.reshape(-1, 1).copy())
         assert block.tobytes() == walshvp.walsh_system._butterfly(values.copy()).tobytes()
 
 

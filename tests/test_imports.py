@@ -1,10 +1,14 @@
 import ast
+import contextlib
+import importlib
 import inspect
+import io
 import pathlib
 
 import pytest
 
 import walshvp
+import walshvp.cli
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "walshvp").glob("*.py"))
 
@@ -204,15 +208,15 @@ def _callers(modules: dict, name: str):
 
 
 def test_only_the_two_butterflies_run_stages():
-    # The row butterfly and the column butterfly of the recursion check are
-    # the two layouts that run _stages; the check has one call site of the
-    # column one, so a third layout would show here before it grew a pass
-    # body of its own.
+    # The row butterfly and the column butterfly of the Dirichlet columns
+    # are the two layouts that run _stages; kernels._walsh_sum_columns is
+    # the one call site of the column one, so a third layout would show
+    # here before it grew a pass body of its own.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     assert _callers(modules, "_stages") == [
         "walsh_system._butterfly", "walsh_system._butterfly_columns",
     ]
-    assert _callers(modules, "_butterfly_columns") == ["experiments._walsh_sum_columns"]
+    assert _callers(modules, "_butterfly_columns") == ["kernels._walsh_sum_columns"]
 
 
 def test_callers_are_reported():
@@ -225,6 +229,78 @@ def test_callers_are_reported():
         "STAGED = _stages\n"
     )
     assert _callers({"m": tree}, "_stages") == ["m.Blocked", "m.columns", "m.rows"]
+
+
+def _references(modules: dict, names: set):
+    """module.name: referenced, for each top-level statement of the modules
+    and each of names it refers to: by name, as an attribute, or by
+    importing it."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    hits = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    hits = {node.attr}
+                elif isinstance(node, ast.alias):
+                    hits = {node.name}
+                else:
+                    continue
+                own = getattr(stmt, "name", "<module>")
+                found |= {f"{module}.{own}: {name}" for name in hits & names}
+    return sorted(found)
+
+
+def test_the_checks_build_every_kernel_as_rows():
+    # Every kernel of verify-lemmas comes from a rows builder of kernels
+    # (_walsh_sum_columns, _dirichlet_rec_int, _fejer_numerators,
+    # _vp_numerators): no function of experiments builds one by its order,
+    # synthesizes one alone or holds one as a KernelFunction, and kernels
+    # has no per-order synthesis beside the builders.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    per_order = {"dirichlet", "fejer", "hadamard_transform", "KernelFunction"}
+    assert _references({"experiments": modules["experiments"]}, per_order) == []
+    assert _references({"kernels": modules["kernels"]}, {"hadamard_transform"}) == []
+
+
+def test_references_are_reported():
+    tree = ast.parse(
+        "from .kernels import KernelFunction, fejer as kernel\n"
+        "def check(n):\n    return kernel(n, 4).values\n"
+        "def held(w):\n    return w.hadamard_transform(KernelFunction._own(1, w))\n"
+        "class Rows:\n    def build(self):\n        return dirichlet(3, 4)\n"
+        "def other(fejer_rows):\n    return 'fejer'\n"
+    )
+    names = {"dirichlet", "fejer", "hadamard_transform", "KernelFunction"}
+    assert _references({"m": tree}, names) == [
+        "m.<module>: KernelFunction", "m.<module>: fejer", "m.Rows: dirichlet",
+        "m.held: KernelFunction", "m.held: hadamard_transform",
+    ]
+
+
+def test_a_lemmas_op_runs_one_butterfly_per_batch_of_kernels(monkeypatch):
+    # The N = 10 op of the lemmas workload.  Each batch of Fejer g and each
+    # batch of VP kernels and parts is one butterfly, and the closed-form
+    # row reads the recursion check's columns: 70 calls, where one
+    # synthesis per Fejer g and per power of two, and two butterflies per
+    # VP batch, made 99.
+    calls = []
+    butterfly = walshvp.walsh_system._butterfly
+
+    def counted(a):
+        calls.append(a.shape)
+        return butterfly(a)
+
+    for path in SOURCES:
+        module = importlib.import_module(f"walshvp.{path.stem}")
+        if hasattr(module, "_butterfly"):
+            monkeypatch.setattr(module, "_butterfly", counted)
+    argv = ["verify-lemmas", "--resolution", "10", "--lemma5-count", "40",
+            "--random-schemes", "6", "--seed", "1", "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert walshvp.cli.main(argv) == 0
+    assert len(calls) == 70
 
 
 def test_radix4_view_is_reported():

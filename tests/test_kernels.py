@@ -1,16 +1,15 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 import walshvp.kernels
 import walshvp.walsh_system
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walshvp.dyadic import MAX_RESOLUTION, interval_indicator
+from walshvp.dyadic import MAX_RESOLUTION, SampledFunction, interval_indicator
 from walshvp.kernels import (
     KernelFunction,
     decompose_vp_kernel,
@@ -227,7 +226,8 @@ class TestNormSweep:
             raise AssertionError("the sweep must not touch the 2^N cells")
 
         monkeypatch.setattr(walshvp.walsh_system, "walsh_signs", refuse)
-        monkeypatch.setattr(walshvp.kernels, "hadamard_transform", refuse)
+        for builder in ("_butterfly", "_butterfly_columns", "_dirichlet_rec_int"):
+            monkeypatch.setattr(walshvp.kernels, builder, refuse)
         monkeypatch.setattr(walshvp.walsh_system, "hadamard_transform", refuse)
         d_norms, k_norms = sweep_norms(1 << 9, 12)
         assert d_norms[-1] == 1 and max(k_norms) <= Fraction(17, 15)
@@ -422,37 +422,78 @@ def full_size_numerators(coeffs, resolution):
     return hadamard_transform(full)
 
 
-def butterfly_sizes(build):
-    """(result of build(), shapes of the butterflies it ran)."""
-    sizes = []
-    butterfly = walshvp.walsh_system._butterfly
+def former_vp_numerators(t):
+    """The two butterflies that built the VP kernel and its parts before
+    they shared one: the kernel from _block_multiplier, then parts 2 and 3
+    as two rows of a second call; part 1 is the closed form of D_{2^n}."""
+    low, butterfly, above = t.shape[-1], walshvp.walsh_system._butterfly, walshvp.kernels._above
+    kernel = butterfly(walshvp.kernels._block_multiplier(t, low.bit_length()))
+    diff = np.zeros_like(t)
+    diff[..., 1:-1] = t[..., 1:-1] - t[..., 2:]
+    first = np.zeros_like(t)
+    first[..., 0] = np.sum(t, axis=-1) * low
+    coeffs = np.zeros((2,) + t.shape[:-1] + (2 * low,), dtype=t.dtype)
+    coeffs[0, ..., low:] = above(diff + above(diff))
+    coeffs[1, ..., low:] = t[..., -1:] * np.arange(low - 1, -1, -1).astype(t.dtype)
+    second, third = butterfly(coeffs)
+    return kernel, first, second, third
 
-    def counted(a):
-        sizes.append(a.shape)
-        return butterfly(a)
 
-    with mock.patch.object(walshvp.walsh_system, "_butterfly", counted), \
-            mock.patch.object(walshvp.kernels, "_butterfly", counted):
-        return build(), sizes
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 class TestSynthesisAtSupport:
-    """Each kernel runs one butterfly at its support, whatever N is, and
-    equals the full-size integer butterfly."""
+    """Each kernel has one builder of many orders, run at the support of
+    the orders; the per-order routes it replaced stay here as oracles."""
 
-    @given(st.integers(1, 10), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_dirichlet_and_fejer(self, N, data):
-        n = data.draw(st.integers(0, 1 << N))
-        support = 1 << max(n - 1, 0).bit_length()
-        kernel, sizes = butterfly_sizes(lambda: dirichlet(n, N))
-        assert sizes == [(support,)] and kernel.exact_numer.dtype == np.int64
-        assert np.array_equal(kernel.exact_numer, full_size_numerators([1] * n, N))
-        if n >= 1:
-            kernel, sizes = butterfly_sizes(lambda: fejer(n, N))
-            assert sizes == [(support,)] and kernel.exact_numer.dtype == np.int64
-            expected = full_size_numerators(list(range(n, 0, -1)), N)
-            assert kernel.exact_denom == n and np.array_equal(kernel.exact_numer, expected)
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_dirichlet_is_the_butterfly_of_n_ones(self, N):
+        for n in range((1 << N) + 1):
+            ones = np.zeros(1 << N, dtype=np.int64)
+            ones[:n] = 1
+            kernel = dirichlet(n, N)
+            assert kernel.exact_numer.dtype == np.int64
+            assert np.array_equal(kernel.exact_numer, hadamard_transform(ones))
+
+    @given(st.integers(0, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 1 << n), min_size=1, max_size=40))
+    ))
+    @settings(max_examples=60, deadline=None)
+    @example((12, [1, 2, 3, 1 << 11, (1 << 11) + 1, 4095, 4096]))
+    @example((0, [1]))
+    def test_fejer_rows_have_the_heads_of_fejer(self, drawn):
+        # Each row of the 2^n cells, held as a function, is cut to the rank
+        # of K_k and has the bits of fejer's float head; fejer's numerators
+        # are the int64 butterfly of (k - m)_+ at its period.
+        n, ks = drawn
+        N = max(n, 1)
+        orders = np.array(ks)[:, None]
+        rows = walshvp.kernels._fejer_numerators(orders, 1 << n)
+        assert rows.dtype == np.int64 and rows.shape == (len(ks), 1 << n)
+        for k, row in zip(ks, rows / orders):
+            kernel = fejer(k, N)
+            assert _bits(SampledFunction._own(N, row)._head) == _bits(kernel._head)
+            coeffs = np.maximum(k - np.arange(kernel._exact_head.size, dtype=np.int64), 0)
+            assert np.array_equal(kernel._exact_head, hadamard_transform(coeffs))
+            assert kernel.exact_denom == k
+
+    @given(st.integers(1, 7), st.integers(1, 5), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vp_numerators_equal_the_two_former_butterflies(self, n, rows, big, data):
+        if big:  # numerators near 2^58 pass the int64 bound of the kernel sums
+            n = min(n, 3)
+            numerators = st.lists(st.integers(2**57, 2**58), min_size=1 << n, max_size=1 << n)
+            schemes = [WeightScheme(n, numerators=data.draw(numerators)) for _ in range(rows)]
+        else:
+            rng = SplitMix64(data.draw(st.integers(0, 2**63)))
+            schemes = [random_rational_scheme(n, rng) for _ in range(rows)]
+        t = np.stack([walshvp.kernels._block_weights(scheme)[0] for scheme in schemes])
+        assert t.dtype == (object if big else np.int64)
+        got = walshvp.kernels._vp_numerators(t)
+        for one, former in zip(got, former_vp_numerators(t.copy())):
+            assert one.dtype == t.dtype and one.shape == former.shape
+            assert one.tolist() == former.tolist()
 
     @given(st.integers(2, 10), st.data())
     @settings(max_examples=100, deadline=None)
@@ -465,8 +506,8 @@ class TestSynthesisAtSupport:
         else:
             seed = data.draw(st.integers(0, 2**63))
             scheme, dtype = random_rational_scheme(n, SplitMix64(seed)), np.int64
-        kernel, sizes = butterfly_sizes(lambda: vp_kernel(scheme, N))
-        assert sizes == [(2 << n,)] and kernel.exact_numer.dtype == dtype
+        kernel = vp_kernel(scheme, N)
+        assert kernel._exact_head.size == 2 << n and kernel.exact_numer.dtype == dtype
         a = [int(v) for v in scheme.numerators]
         # the coefficient at m is the weight mass above m: all of it below the block
         coeffs = [sum(a[max(m + 1 - (1 << n), 0) :]) for m in range(2 << n)]
@@ -483,10 +524,8 @@ class TestSynthesisAtSupport:
         else:
             seed = data.draw(st.integers(0, 2**63))
             scheme, dtype = random_rational_scheme(n, SplitMix64(seed)), np.int64
-        parts, sizes = butterfly_sizes(lambda: decompose_vp_kernel(scheme, N))
-        # part 1 is the closed form; parts 2 and 3 run as two rows of one
-        # butterfly at the support
-        assert sizes == [(2, 2 << n)]
+        parts = decompose_vp_kernel(scheme, N)
+        assert [part._exact_head.size for part in parts] == [1 << n, 2 << n, 2 << n]
         assert all(part.exact_numer.dtype == dtype for part in parts)
         a = [int(v) for v in scheme.numerators]
         low = 1 << n
