@@ -50,7 +50,9 @@ _WEIGHTS_HELP = (
 
 
 def _parse_p_list(text: str) -> List[float]:
-    return [_check_exponent(token) for token in text.split(",")]
+    return [
+        _check_exponent(experiments._spec_number("--p", text, token)) for token in text.split(",")
+    ]
 
 
 def _p_field(p: float) -> str:
@@ -401,44 +403,33 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _read_sweep(args, spare: int, default_gap: int):
-    """The function and the range of n of approx and modulus.  --resolution
+    """The range of n and the p list of approx and modulus.  --resolution
     is checked before the default nmax = N - default_gap derives from it,
-    and nmax + spare <= N before the function or any table is built."""
+    nmax + spare <= N and the range before --p is parsed, and all of them
+    before the function or any table is built."""
     check_resolution(args.resolution)
     n_max = args.resolution - default_gap if args.nmax is None else args.nmax
     if n_max + spare > args.resolution:
         raise ValueError(f"nmax={n_max} needs resolution >= {n_max + spare}")
     if args.nmin > n_max:
         raise ValueError(f"empty block range: nmin={args.nmin} > nmax={n_max}")
-    f = experiments.make_function(args.function, args.resolution, args.seed)
-    return f, range(args.nmin, n_max + 1)
+    return range(args.nmin, n_max + 1), _parse_p_list(args.p)
 
 
 def _cmd_approx(args) -> int:
     # Block n of the mean needs resolution n + 1.
-    f, blocks = _read_sweep(args, spare=1, default_gap=2)
-    p_values = _parse_p_list(args.p)  # before the weight spec is read
-    records = experiments.ratio_sweep(f, _schemes(args.weights), blocks, p_values)
-    rows = [
-        {
-            "n": r.block_exponent,
-            "p": _p_field(r.p),
-            "error": r.error,
-            "modulus": r.modulus,
-            "ratio": r.ratio,
-            "bound": r.bound,
-            "bound_ok": r.bound_ok,
-            "flag": r.flag,
-        }
-        for r in records
-    ]
+    blocks, p_values = _read_sweep(args, spare=1, default_gap=2)
+    schemes = map(_schemes(args.weights), blocks)  # the spec is read before f is built
+    f = experiments.make_function(args.function, args.resolution, args.seed)
+    records = experiments.ratio_sweep(f, schemes, p_values)
+    rows = [dict(vars(r), p=_p_field(r.p)) for r in records]
     _emit({"seed": args.seed, "records": rows}, args.format, args.out)
     return 0 if experiments.sweep_ok(records) else CHECK_FAILED
 
 
 def _cmd_modulus(args) -> int:
-    f, blocks = _read_sweep(args, spare=0, default_gap=0)
-    p_values = _parse_p_list(args.p)
+    blocks, p_values = _read_sweep(args, spare=0, default_gap=0)
+    f = experiments.make_function(args.function, args.resolution, args.seed)
     records = [
         {
             "n": n,

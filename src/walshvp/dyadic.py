@@ -190,9 +190,14 @@ def abs_values(resolution: int) -> np.ndarray:
 
 
 def _pairwise_total(values: np.ndarray):
-    # The one summation tree of every sum: adjacent pairs added level by
-    # level along the last axis, a power of 2 long.  A float for a 1-D
-    # array, else the row sums, which are the first levels of their total's.
+    """The one summation tree of every sum: adjacent pairs added level by
+    level along the last axis, a power of 2 long.  A float for a 1-D
+    array, else the row sums, which are the first levels of their total's.
+
+    The tree is the order that sets the bits: entries 2i and 2i + 1 are
+    added first, then those sums pairwise, up to the root, one numpy add
+    of whole levels at a time.  No numpy reduction runs, so neither
+    numpy's own blocking nor the host changes it."""
     a = np.asarray(values, dtype=np.float64)
     while a.shape[-1] > 1:
         a = a[..., 0::2] + a[..., 1::2]
@@ -308,6 +313,32 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     return scale, sums
 
 
+def _l2_error(f: SampledFunction, multiplier: np.ndarray) -> float:
+    """||mean(f) - f||_2 by Parseval, with no synthesis: sqrt(sum_m ((1 -
+    mu_m) fhat_m)^2), mu the block multiplier, given on its first
+    2^min(n+1, r) coefficients, which it leaves as they are.  fhat
+    vanishes from 2^r on (r the rank of f) and mu from 2^(n+1) on, so the
+    terms are |fhat_m| on the first 2^r coefficients, times |1 - mu_m| on
+    the first 2^min(n+1, r).  They are divided by the scale of the largest
+    of them before squaring, as in lp_norm, and summed by _pairwise_total.
+    An error past the float range is inf."""
+    from .walsh_system import fwht_forward
+
+    rank = _rank_of(f)
+    terms = np.abs(fwht_forward(f)._prefix(1 << rank))
+    mean_part = terms[: multiplier.size]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_part *= np.abs(1.0 - multiplier)
+    error = float(np.max(terms))
+    if 0.0 < error < INF:
+        scale = _power_scale(error, 2.0, rank)
+        if scale != 1.0:
+            terms /= scale
+        terms **= 2
+        error = scale * math.sqrt(_pairwise_total(terms))
+    return error
+
+
 def _coset_oscillation(values: np.ndarray, n: int) -> float:
     # Column r of the (2^(N-n), 2^n) table is the coset {y : y mod 2^n = r},
     # the orbit of a point under I_n.  Rounding is monotone, so the largest
@@ -413,18 +444,28 @@ _SPLIT_CHUNK_CELLS = 1 << 16
 
 
 def _sign_split_sums(values: np.ndarray, n: int, scale: float) -> np.ndarray:
-    # The p = 1 table of _translate_sums, to rounding, in about
-    # 2^n m^1.5 sqrt(log m) operations for m = 2^-n values.size translates.
-    # Each coset of I_n (a column of the coset table) is sorted and cut into
-    # B buckets of equal size by rank.  For x in a higher bucket than y,
-    # |f(x) - f(y)| = f(x) - f(y), so the sum over such pairs with
-    # x ^ y = t is a difference of two dyadic correlations, the products
-    # of Walsh transforms: sum_j (f 1_j) * 1_{<j} - 1_j * (f 1_{<j}), with
-    # the transforms of 1_{<j} and f 1_{<j} kept as running sums.  Pairs
-    # inside one bucket are summed directly.  Each pair is counted once,
-    # and the table counts both orders.  Shifting a coset by its smallest
-    # value changes no difference and keeps the transforms, and so their
-    # rounding, at the size of the differences rather than of the values.
+    """The p = 1 table of _translate_sums, to rounding, in about
+    2^n m^1.5 sqrt(log m) operations for m = 2^-n values.size translates.
+    Each coset of I_n (a column of the coset table) is sorted and cut into
+    B buckets of equal size by rank.  For x in a higher bucket than y,
+    |f(x) - f(y)| = f(x) - f(y), so the sum over such pairs with
+    x ^ y = t is a difference of two dyadic correlations, the products
+    of Walsh transforms: sum_j (f 1_j) * 1_{<j} - 1_j * (f 1_{<j}), with
+    the transforms of 1_{<j} and f 1_{<j} kept as running sums.  Pairs
+    inside one bucket are summed directly.  Each pair is counted once,
+    and the table counts both orders.  Shifting a coset by its smallest
+    value changes no difference and keeps the transforms, and so their
+    rounding, at the size of the differences rather than of the values.
+
+    The orders that set its bits: each coset adds its buckets' cross
+    terms bucket after bucket, and the cosets are then added one after
+    another (a sum over the first axis of a C-contiguous array, which
+    numpy runs row by row) before one butterfly.  The in-bucket pairs go
+    level by level, and within a level in np.bincount chunks of about
+    _SPLIT_CHUNK_CELLS differences, a group of runs by a slice of rows,
+    the slices varying fastest: each chunk adds its differences to their
+    bins in the order of its flat input, and the chunk sums are added to
+    the table in chunk order."""
     from .walsh_system import _butterfly
 
     m = values.size >> n

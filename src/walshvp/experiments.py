@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,9 +20,8 @@ from .dyadic import (
     _batches,
     _check_exponent,
     _dyadic_rank,
+    _l2_error,
     _lp_of_values,
-    _pairwise_total,
-    _power_scale,
     _rank_of,
     abs_values,
     check_resolution,
@@ -216,9 +215,10 @@ def random_rational_scheme(n: int, rng: SplitMix64) -> WeightScheme:
 @dataclass(frozen=True)
 class ApproxRecord:
     """One table row: approximation error of the block mean against the
-    modulus of continuity at the matching dyadic scale."""
+    modulus of continuity at the matching dyadic scale.  The fields are
+    the keys of an approx row, in its order."""
 
-    block_exponent: int
+    n: int
     p: float
     error: float
     modulus: float
@@ -226,29 +226,6 @@ class ApproxRecord:
     bound: float  # nan when no explicit constant is asserted
     bound_ok: bool
     flag: str = ""
-
-
-def _l2_error(f: SampledFunction, multiplier: np.ndarray) -> float:
-    """||mean(f) - f||_2 by Parseval: sqrt(sum_m ((1 - mu_m) fhat_m)^2)
-    with mu the block multiplier, given on its first 2^min(n+1, r)
-    coefficients.  fhat vanishes from 2^r on (r the rank of f) and mu from
-    2^(n+1) on, so the terms are |fhat_m| on the first 2^r coefficients,
-    times |1 - mu_m| on the first 2^min(n+1, r).  They are divided by the
-    largest of them before squaring when a square could over- or
-    underflow, as in lp_norm.  An error past the float range is inf."""
-    rank = _rank_of(f)
-    terms = np.abs(fwht_forward(f)._prefix(1 << rank))
-    mean_part = terms[: multiplier.size]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_part *= np.abs(1.0 - multiplier)
-    error = float(np.max(terms))
-    if 0.0 < error < INF:
-        scale = _power_scale(error, 2.0, rank)
-        if scale != 1.0:
-            terms /= scale
-        terms **= 2
-        error = scale * math.sqrt(_pairwise_total(terms))
-    return error
 
 
 def _finite_modulus(modulus: float, n: int, p: float) -> float:
@@ -263,54 +240,46 @@ def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRe
     """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio: the
     sweep of one block and one p (ratio_sweep).
 
-    At p = 2 the error is sqrt(sum_m ((1 - mu_m) fhat_m)^2) by Parseval,
-    mu the mean's multiplier, summed over the 2^r coefficients of a
-    rank-r f; any other p is the L^p norm of mean - f at the 2^r cells of
-    one period, the mean synthesized by _mean_period as in vp_mean, so it
-    is lp_norm(vp_mean(f, scheme).function - f, p) bit for bit.  The 47/30
-    constant is asserted, with slack DEFAULT_SLACK, exactly when the
-    scheme sums to one and is non-increasing (case b); otherwise bound is
-    nan and nothing is asserted.
+    At p = 2 the error is sqrt(sum_m ((1 - mu_m) fhat_m)^2) by Parseval
+    (dyadic._l2_error), mu the mean's multiplier, summed over the 2^r
+    coefficients of a rank-r f; any other p is the L^p norm of mean - f at
+    the 2^r cells of one period, the mean synthesized by _mean_period as
+    in vp_mean, so it is lp_norm(vp_mean(f, scheme).function - f, p) bit
+    for bit.  The 47/30 constant is asserted, with slack DEFAULT_SLACK,
+    exactly when the scheme sums to one and is non-increasing (case b);
+    otherwise bound is nan and nothing is asserted.
     """
-    return ratio_sweep(f, lambda n: scheme, [scheme.block_exponent], [p])[0]
+    return ratio_sweep(f, [scheme], [p])[0]
 
 
 def ratio_sweep(
-    f: SampledFunction,
-    scheme_for: Callable[[int], WeightScheme],
-    n_values: Iterable[int],
-    p_values: Iterable,
+    f: SampledFunction, schemes: Iterable[WeightScheme], p_values: Iterable
 ) -> List[ApproxRecord]:
-    """One ApproxRecord per (n, p), as approximation_error gives it, block
-    after block.  For each n, scheme_for(n), the scheme of block n, is
-    built, checked, validated and applied once for all p; then every p = 2
-    error and every modulus is taken; then the block's records are checked
-    in p_values order: error, modulus, ratio.  The mean is synthesized
-    (_mean_period) at the first p != 2, and the residual mean - f is taken
-    at the 2^r cells of one period of f, r its rank.  A failure raises
-    before the next scheme is built."""
+    """One ApproxRecord per (block, p), as approximation_error gives it,
+    block after block.  Each scheme is drawn from schemes when its block
+    comes, and n is its block exponent; it is checked, validated and
+    turned into the block's multiplier once for all p.  Then each row is
+    computed, checked and recorded in p_values order: the error, the
+    modulus, the ratio.  The mean is synthesized (_mean_period) at the
+    block's first p != 2, and the residual mean - f is taken at the 2^r
+    cells of one period of f, r its rank.  A failure raises before the
+    next row is computed, and so before the next scheme is drawn."""
     p_values = tuple(map(_check_exponent, p_values))
     rank = _rank_of(f)
     records = []
-    for n in n_values:
-        scheme = scheme_for(n)
-        if scheme.block_exponent != n:
-            raise ValueError(f"the scheme of block n = {n} covers n = {scheme.block_exponent}")
+    for scheme in schemes:
+        n = scheme.block_exponent
         _check_block(scheme, f.resolution)
         report = validate(scheme)
         # The 47/30 bound is asserted exactly when the scheme sums to one and
         # is non-increasing (case b): its proof needs both.
         bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
         multiplier = _block_multiplier(scheme.weights, min(n + 1, rank))
-        # The mean is synthesized in the multiplier's place, so every p = 2
-        # error reads the multiplier first.
-        values = [
-            (p, _l2_error(f, multiplier) if p == 2.0 else None, modulus_of_continuity(f, n, p))
-            for p in p_values
-        ]
         residual = None
-        for p, error, modulus in values:
-            if error is None:
+        for p in p_values:
+            if p == 2.0:
+                error = _l2_error(f, multiplier)
+            else:
                 if residual is None:
                     mean = _mean_period(f, multiplier, n)
                     with np.errstate(over="ignore", invalid="ignore"):
@@ -318,7 +287,7 @@ def ratio_sweep(
                 error = _lp_of_values(residual, p, f.resolution)
             if not error < INF:
                 raise ValueError(f"the p = {p:.12g} error of block n = {n} passes the float range")
-            _finite_modulus(modulus, n, p)
+            modulus = _finite_modulus(modulus_of_continuity(f, n, p), n, p)
             flag = ""
             if modulus < MODULUS_FLOOR:
                 # Zero modulus forces a block polynomial, where the mean must
@@ -337,18 +306,7 @@ def ratio_sweep(
                         f"the p = {p:.12g} ratio of block n = {n} passes the float range"
                     )
                 bound_ok = math.isnan(bound) or error <= bound * modulus + DEFAULT_SLACK
-            records.append(
-                ApproxRecord(
-                    block_exponent=n,
-                    p=p,
-                    error=error,
-                    modulus=modulus,
-                    ratio=ratio,
-                    bound=bound,
-                    bound_ok=bound_ok,
-                    flag=flag,
-                )
-            )
+            records.append(ApproxRecord(n, p, error, modulus, ratio, bound, bound_ok, flag))
     return records
 
 

@@ -243,7 +243,10 @@ def _block_weights(w: WeightScheme):
 
 def _above(x: np.ndarray) -> np.ndarray:
     """sum_{i>m} x_i at each m along the last axis, by one running sum
-    from the top: zero at the last entry.  Keeps the dtype of x."""
+    from the top: zero at the last entry.  Keeps the dtype of x.  The
+    running sum is numpy's cumsum, sequential: each entry adds x_{m+1} to
+    the one above it, from the last entry down, and for floats that order
+    sets the bits."""
     above = np.zeros_like(x)
     above[..., :-1] = x[..., :0:-1].cumsum(axis=-1)[..., ::-1]
     return above
@@ -254,7 +257,11 @@ def _block_multiplier(weights: np.ndarray, resolution: int) -> np.ndarray:
     block [2^n, 2^(n+1)-1] for each row of weights along the last axis:
     the whole weight mass below the block, the weight mass strictly above m
     at frequency m inside it, and zero from the block end on.  Only the
-    coefficients asked for are built.  Keeps the dtype of the weights."""
+    coefficients asked for are built.  Keeps the dtype of the weights.
+    The mass below the block is numpy's sum along the last axis, exact on
+    integers; on floats its pairwise summation (eight interleaved partial
+    sums up to 128 entries, halves above) sets the bits, and the mass
+    above m is _above's sequential one."""
     count, width = weights.shape[-1], 1 << resolution
     coeffs = np.zeros(weights.shape[:-1] + (width,), dtype=weights.dtype)
     coeffs[..., :count] = weights.sum(axis=-1, keepdims=True)

@@ -56,11 +56,11 @@ def _mean_period(f: SampledFunction, multiplier: np.ndarray, n: int) -> np.ndarr
     """The period of the block-n mean of f, given the block multiplier at
     its first 2^min(n+1, r) coefficients, r the rank of f: fhat is zero
     from 2^r on and the multiplier from 2^(n+1) on, so these hold every
-    product that is not zero.  The multiplier is multiplied by fhat and
-    synthesized in place.  A mean past the float range is a ValueError."""
+    product that is not zero.  The products go to a new array, which is
+    synthesized in place, so the multiplier is only read and serves every
+    row of its block.  A mean past the float range is a ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        multiplier *= fwht_forward(f)._prefix(multiplier.size)
-        mean = _butterfly(multiplier)
+        mean = _butterfly(multiplier * fwht_forward(f)._prefix(multiplier.size))
     if not np.isfinite(mean).all():
         raise ValueError(f"the mean of block n = {n} passes the float range")
     return mean

@@ -107,7 +107,7 @@ def test_05_case_b_explicit_constant():
     for family, alpha in (("uniform", None), ("linear_down", None), ("cesaro", 2)):
         for name, f in suite:
             scheme_for = functools.partial(build_scheme, family, alpha=alpha)
-            records = exp.ratio_sweep(f, scheme_for, range(1, 11), (1.0, 2.0, INF))
+            records = exp.ratio_sweep(f, map(scheme_for, range(1, 11)), (1.0, 2.0, INF))
             bad.extend(
                 (family, name, r) for r in records if not r.bound_ok or r.flag
             )
@@ -128,7 +128,7 @@ def test_06_case_a_uniform_boundedness():
     linear_up = functools.partial(build_scheme, "linear_up")
     for name, f in suite:
         for p in (1.0, 2.0, INF):
-            records = exp.ratio_sweep(f, linear_up, range(1, 11), (p,))
+            records = exp.ratio_sweep(f, map(linear_up, range(1, 11)), (p,))
             ratios = [r.ratio for r in records if r.modulus >= exp.MODULUS_FLOOR]
             if ratios:
                 sup_ratio = max(sup_ratio, max(ratios))
@@ -151,9 +151,9 @@ def test_07_lipschitz_rate_recovery():
     uniform = functools.partial(build_scheme, "uniform")
     for alpha in (0.5, 1.0):
         # log2(error) against n: the error decays like 2^(-n alpha).
-        records = exp.ratio_sweep(exp.abs_power(alpha, 12), uniform, range(2, 10), (INF,))
+        records = exp.ratio_sweep(exp.abs_power(alpha, 12), map(uniform, range(2, 10)), (INF,))
         slope, _ = np.polyfit(
-            [r.block_exponent for r in records], [math.log2(r.error) for r in records], 1
+            [r.n for r in records], [math.log2(r.error) for r in records], 1
         )
         details.append(f"alpha={alpha}: slope {-slope:.3f}")
         ok = ok and abs(-slope - alpha) <= 0.15
@@ -216,7 +216,8 @@ def test_09_polynomial_reproduction():
 def test_10_performance_full_sweep():
     start = time.perf_counter()
     f = exp.abs_power(1.0, 16)
-    records = exp.ratio_sweep(f, functools.partial(build_scheme, "uniform"), range(1, 15), (2.0,))
+    uniform = functools.partial(build_scheme, "uniform")
+    records = exp.ratio_sweep(f, map(uniform, range(1, 15)), (2.0,))
     elapsed = time.perf_counter() - start
     ok = exp.sweep_ok(records) and elapsed < 10.0
     report(

@@ -649,8 +649,12 @@ def test_spec_arguments_are_checked(capsys, argv, message):
          "function spec 'walsh_poly:1,x': 'x' is not a number"),
         (("approx", "--function", "step_mix", "--weights", "cesaro:x", *_SWEEP),
          "weight spec 'cesaro:x': 'x' is not a number"),
+        (("approx", "--function", "step_mix", "--weights", "uniform", "--p", "1,bogus", *_SWEEP),
+         "--p spec '1,bogus': 'bogus' is not a number"),
+        (("modulus", "--function", "step_mix", "--p", "inf,x", *_SWEEP),
+         "--p spec 'inf,x': 'x' is not a number"),
     ],
-    ids=["abs_power", "indicator", "walsh_poly", "cesaro"],
+    ids=["abs_power", "indicator", "walsh_poly", "cesaro", "approx-p", "modulus-p"],
 )
 def test_malformed_spec_numbers_name_the_spec(capsys, argv, message):
     # The bare float() or int() message did not say which spec failed.
@@ -683,6 +687,25 @@ def test_modulus_parses_its_p_list_once(capsys, monkeypatch):
     assert code == 2 and out == "" and err == "error: L_p exponent must be >= 1 or inf, got 0.5\n"
     code, out, err = run(capsys, *sweep, "--nmax", "-1", "--p", "0.5")
     assert code == 2 and out == "" and err == "error: empty block range: nmin=0 > nmax=-1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("approx", "--weights", "uniform", "--p", "bogus"),
+         "--p spec 'bogus': 'bogus' is not a number"),
+        (("approx", "--weights", "nosuch", "--p", "2"), "unknown weight spec 'nosuch'"),
+        (("modulus", "--p", "1,0.5"), "L_p exponent must be >= 1 or inf, got 0.5"),
+    ],
+    ids=["approx-p", "approx-weights", "modulus-p"],
+)
+def test_specs_are_read_before_the_function_is_built(capsys, monkeypatch, argv, message):
+    # At N = 24 the 2^24 samples of random were built first (286 MiB at
+    # peak) and never read.
+    built = []
+    monkeypatch.setattr(experiments, "make_function", lambda *a: built.append(a))
+    code, out, err = run(capsys, *argv, "--function", "random", "--resolution", "24")
+    assert code == 2 and out == "" and err == f"error: {message}\n" and built == []
 
 
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-1"])
@@ -1137,8 +1160,8 @@ APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")
         # for every p = 2 modulus; the p = 2 error synthesizes no mean
         (APPROX_1_3, "step_mix", "2", [16, 8]),
         # p = 1 asks for the residuals: one synthesis per block, of its
-        # mean period 2^min(n+1, 4), after the tables of its block
-        (APPROX_1_3[:-1] + ("5",), "step_mix", "1,2", [16, 8, 4, 8, 16, 16, 16]),
+        # mean period 2^min(n+1, 4), in p order, so before block 1's table
+        (APPROX_1_3[:-1] + ("5",), "step_mix", "1,2", [16, 4, 8, 8, 16, 16, 16]),
         (("modulus", "--nmin", "0", "--nmax", "2"), "step_mix", "2", [16, 16]),
         # full rank: f once at 2^N, a table of 2^(N-nmin)
         (APPROX_1_3, "abs_power:0.5", "2", [1024, 512]),

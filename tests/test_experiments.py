@@ -120,13 +120,14 @@ class TestApproximationError:
 class TestRatioSweep:
     def test_uniform_sweep_all_ok(self):
         f = exp.abs_power(0.5, 9)
-        recs = exp.ratio_sweep(f, uniform, range(1, 6), (2.0,))
+        recs = exp.ratio_sweep(f, map(uniform, range(1, 6)), (2.0,))
         assert len(recs) == 5
         assert exp.sweep_ok(recs)
 
     def test_custom_factory(self):
         f = exp.abs_power(1.0, 8)
-        recs = exp.ratio_sweep(f, lambda n: build_scheme("cesaro", n, alpha=2), [2, 3], (1.0, INF))
+        schemes = [build_scheme("cesaro", n, alpha=2) for n in (2, 3)]
+        recs = exp.ratio_sweep(f, schemes, (1.0, INF))
         assert len(recs) == 4 and exp.sweep_ok(recs)
 
     @pytest.mark.parametrize("spec, weights", [("step_mix", "linear_up"), ("indicator:2", "cesaro")])
@@ -136,10 +137,10 @@ class TestRatioSweep:
         f = exp.make_function(spec, 8, seed=5)
         p_values = (1.0, 1.5, 2.0, INF)
         scheme_for = functools.partial(build_scheme, weights, alpha=2)
-        recs = exp.ratio_sweep(f, scheme_for, range(1, 7), iter(p_values))
+        recs = exp.ratio_sweep(f, map(scheme_for, range(1, 7)), iter(p_values))
         assert len(recs) == 6 * len(p_values)
         for rec in recs:
-            alone = exp.approximation_error(f, scheme_for(rec.block_exponent), rec.p)
+            alone = exp.approximation_error(f, scheme_for(rec.n), rec.p)
             for field in dataclasses.fields(exp.ApproxRecord):
                 got, want = getattr(rec, field.name), getattr(alone, field.name)
                 assert got == want or (math.isnan(got) and math.isnan(want)), field.name
@@ -147,7 +148,7 @@ class TestRatioSweep:
     def test_large_exponent_rows(self):
         # Unscaled, the error underflowed to 0 for n >= 4 and the modulus
         # for n >= 6, so the rows passed with ratio 0.
-        recs = exp.ratio_sweep(exp.abs_power(0.5, 10), uniform, range(1, 9), (400.0,))
+        recs = exp.ratio_sweep(exp.abs_power(0.5, 10), map(uniform, range(1, 9)), (400.0,))
         assert all(r.error > 0 and r.modulus > 0 and not r.flag for r in recs)
         assert all(0.3 < r.ratio < 0.7 for r in recs)
 
@@ -162,7 +163,7 @@ class TestRatioSweep:
             return WeightScheme(n, [3] * (1 << n))
 
         with pytest.raises(ValueError, match="the mean of block n = 1 passes the float range"):
-            exp.ratio_sweep(f, scheme_for, range(1, 7), (1.0,))
+            exp.ratio_sweep(f, map(scheme_for, range(1, 7)), (1.0,))
         assert built == [1]
 
 

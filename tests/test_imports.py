@@ -4,11 +4,16 @@ import importlib
 import inspect
 import io
 import pathlib
+import types
 
+import numpy as np
 import pytest
 
 import walshvp
 import walshvp.cli
+import walshvp.kernels
+import walshvp.means
+from walshvp.weights import build_scheme
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "walshvp").glob("*.py"))
 
@@ -465,24 +470,65 @@ def test_second_spectrum_entry_and_rank_slot_are_reported():
     ]
 
 
+def _unserved_exports(modules: dict, package):
+    """The names of package.__all__ that the cli and experiments modules do
+    not serve: a function or constant they do not name, or a class they
+    neither name nor get back from an exported function they name, as its
+    return annotation."""
+    referenced = set()
+    for module in ("cli", "experiments"):
+        for node in ast.walk(modules[module]):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    returned = set()
+    for name in package.__all__:
+        value = getattr(package, name)
+        if name in referenced and inspect.isfunction(value):
+            annotation = inspect.signature(value).return_annotation
+            returned.add(getattr(annotation, "__name__", annotation))
+    return [
+        name
+        for name in package.__all__
+        if name not in referenced
+        and not (inspect.isclass(getattr(package, name)) and name in returned)
+    ]
+
+
 def test_every_public_function_serves_the_cli_or_the_checks():
     # The package exports what the command line and the verification suite
-    # call, and the types they return; oracles and helpers stay in their
-    # modules.
-    referenced = set()
-    for path in SOURCES:
-        if path.stem in ("cli", "experiments"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-    unused = [
-        name
-        for name in walshvp.__all__
-        if not inspect.isclass(getattr(walshvp, name)) and name not in referenced
-    ]
-    assert unused == []
+    # call, and the types they name or get back; oracles, helpers and the
+    # types of their results stay in their modules.  ValidationReport is
+    # served as what validate returns.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _unserved_exports(modules, walshvp) == []
+
+
+def test_stray_export_is_reported():
+    def report() -> "Report":
+        return Report()
+
+    def helper():
+        return None
+
+    class Report:
+        pass
+
+    class Named:
+        pass
+
+    class Stray:
+        pass
+
+    exports = {"report": report, "helper": helper, "Report": Report, "Named": Named,
+               "Stray": Stray, "LIMIT": 3}
+    package = types.SimpleNamespace(__all__=list(exports), **exports)
+    modules = {
+        "cli": ast.parse("def main():\n    return report()\n"),
+        "experiments": ast.parse("def check(x):\n    return isinstance(x, Named)\n"),
+    }
+    assert _unserved_exports(modules, package) == ["helper", "Stray", "LIMIT"]
 
 
 _TEXT_ENCODERS = {"json", "csv", "encode_basestring", "encode_basestring_ascii"}
@@ -601,6 +647,88 @@ def test_means_and_records_share_one_core():
         "experiments.ratio_sweep", "means.vp_mean",
     ]
     assert sorted(name for name, called in calls.items() if "vp_mean" in called) == []
+
+
+def _stray_references(modules: dict, names: set, allowed: set):
+    """The _references of names from any statement that is not allowed: a
+    module of allowed, or a module.name key of one."""
+    return [
+        ref for ref in _references(modules, names)
+        if ref.partition(":")[0] not in allowed and ref.partition(".")[0] not in allowed
+    ]
+
+
+def test_only_dyadic_scales_and_sums_powers():
+    # The scale of a power sum and the summation tree serve the norms and
+    # tables of dyadic, the Parseval error among them; another module that
+    # scaled or summed by them would hold a second copy of a norm.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _stray_references(modules, {"_power_scale", "_pairwise_total"}, {"dyadic"}) == []
+
+
+def test_the_sweep_takes_every_parseval_error():
+    # A p = 2 error comes from dyadic._l2_error through ratio_sweep, and
+    # no other function of experiments reads a Parseval route.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    sweep = {"experiments.<module>", "experiments.ratio_sweep"}
+    experiments = {"experiments": modules["experiments"]}
+    assert _stray_references(experiments, {"_l2_table", "_l2_error"}, sweep) == []
+    assert "_l2_error" in _calls_by_function(modules)["experiments.ratio_sweep"]
+
+
+def test_stray_reference_is_reported():
+    dyadic = ast.parse(
+        "def _pairwise_total(a):\n    return a\n"
+        "def norm(a):\n    return _pairwise_total(a)\n"
+    )
+    experiments = ast.parse(
+        "from .dyadic import _l2_error, _pairwise_total\n"
+        "def ratio_sweep(f, m):\n    return _l2_error(f, m)\n"
+        "def error(f, m):\n    return dyadic._l2_table(f, 1) + _l2_error(f, m)\n"
+        "def total(a):\n    return a._power_scale(1.0)\n"
+    )
+    modules = {"dyadic": dyadic, "experiments": experiments}
+    assert _stray_references(modules, {"_power_scale", "_pairwise_total"}, {"dyadic"}) == [
+        "experiments.<module>: _pairwise_total", "experiments.total: _power_scale",
+    ]
+    sweep = {"experiments.<module>", "experiments.ratio_sweep"}
+    assert _stray_references(modules, {"_l2_table", "_l2_error"}, sweep) == [
+        "experiments.error: _l2_error", "experiments.error: _l2_table",
+    ]
+
+
+def _read_only_error(call, array):
+    """The message of the ValueError that call raises on a read-only copy of
+    array, or None when it raises none."""
+    frozen = array.copy()
+    frozen.flags.writeable = False
+    try:
+        call(frozen)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_mean_only_reads_its_multiplier():
+    # A block keeps one multiplier for all its rows: a mean synthesized in
+    # the multiplier's place left its p = 2 errors a product to read, so
+    # the sweep took them before the mean.
+    f = walshvp.SampledFunction(6, np.arange(64.0) ** 0.5)
+    multiplier = walshvp.kernels._block_multiplier(build_scheme("linear_down", 2).weights, 3)
+    mean = walshvp.means._mean_period(f, multiplier.copy(), 2)
+    read = []
+    assert _read_only_error(lambda m: read.append(walshvp.means._mean_period(f, m, 2)),
+                            multiplier) is None
+    assert read[0].tobytes() == mean.tobytes()
+
+
+def test_write_to_a_read_only_argument_is_reported():
+    def doubled(a):
+        a *= 2.0
+        return a
+
+    assert _read_only_error(doubled, np.ones(4)) == "output array is read-only"
+    assert _read_only_error(lambda a: a * 2.0, np.ones(4)) is None
 
 
 def test_calls_by_function_are_reported():

@@ -3,8 +3,10 @@
 Resolution lift: a function of dyadic rank r, run at any N >= r, gives the
 same rows.  Every function is held at its rank, so the rows agree bit for
 bit, and the printed bytes with them.  Translation: f(. + s) gives the rows
-of f, bit for bit at p = 2 and inf.  The brute-force oracles stop at
-N = 12; these relations reach N = 16 and 18.
+of f, bit for bit at p = 2 and inf.  Negation: -f gives the rows of f, bit
+for bit but on the sign split.  Modulation by w_j, j < 2^n: f w_j has the
+moduli of f at n, bit for bit on the coset and blocked routes.  The
+brute-force oracles stop at N = 12; these relations reach N = 16 and 18.
 """
 
 import contextlib
@@ -14,8 +16,9 @@ import io
 import pytest
 
 from walshvp.cli import main
-from walshvp.dyadic import INF, translate
+from walshvp.dyadic import INF, _takes_sign_split, modulus_of_continuity, translate
 from walshvp.experiments import make_function, ratio_sweep
+from walshvp.walsh_system import walsh
 from walshvp.weights import build_scheme
 
 LIFTED = {
@@ -70,13 +73,59 @@ def test_rows_do_not_depend_on_a_translation(N, spec, ps, blocks):
     f = make_function(spec, N, seed=3)
     s = 0x9E37 & ((1 << N) - 1)
     scheme_for = functools.partial(build_scheme, "linear_down")
-    rows = ratio_sweep(f, scheme_for, blocks, ps)
-    moved = ratio_sweep(translate(f, s), scheme_for, blocks, ps)
-    assert [(r.block_exponent, r.p) for r in moved] == [(r.block_exponent, r.p) for r in rows]
+    rows = ratio_sweep(f, map(scheme_for, blocks), ps)
+    moved = ratio_sweep(translate(f, s), map(scheme_for, blocks), ps)
+    assert [(r.n, r.p) for r in moved] == [(r.n, r.p) for r in rows]
     for row, other in zip(rows, moved):
         for field in ("error", "modulus"):
             value, shifted = getattr(row, field), getattr(other, field)
             if row.p in (2.0, INF):
-                assert shifted.hex() == value.hex(), (row.block_exponent, row.p, field)
+                assert shifted.hex() == value.hex(), (row.n, row.p, field)
             else:
                 assert shifted == pytest.approx(value, rel=1e-12, abs=0.0), (row.p, field)
+
+
+def _assert_same(value, other, exact, where):
+    if exact:
+        assert other.hex() == value.hex(), where
+    else:
+        assert other == pytest.approx(value, rel=1e-12, abs=0.0), where
+
+
+@pytest.mark.parametrize("N", [14, 16])
+@pytest.mark.parametrize("spec, ps, blocks", _TRANSLATED, ids=[t[0] for t in _TRANSLATED])
+def test_rows_do_not_depend_on_the_sign(N, spec, ps, blocks):
+    # -f negates every sample, coefficient and mean exactly, so each sum
+    # adds the same magnitudes in the same order.  Only the sign split,
+    # which sorts each coset, meets them in another order; it builds the
+    # p = 1 table when the first block has 2^11 translates or more.
+    f = make_function(spec, N, seed=3)
+    scheme_for = functools.partial(build_scheme, "linear_down")
+    rows = ratio_sweep(f, map(scheme_for, blocks), ps)
+    negated = ratio_sweep(-f, map(scheme_for, blocks), ps)
+    split = _takes_sign_split(1.0, f._head.size >> blocks[0])
+    assert [(r.n, r.p) for r in negated] == [(r.n, r.p) for r in rows]
+    for row, other in zip(rows, negated):
+        where = (row.n, row.p)
+        _assert_same(row.error, other.error, True, where)
+        _assert_same(row.modulus, other.modulus, not (split and row.p == 1.0), where)
+
+
+@pytest.mark.parametrize("N", [14, 16])
+@pytest.mark.parametrize("spec, ps, blocks", _TRANSLATED, ids=[t[0] for t in _TRANSLATED])
+def test_moduli_do_not_depend_on_a_modulation(N, spec, ps, blocks):
+    # w_j with j < 2^n is constant on each coset of I_n, so f w_j has the
+    # |differences| of f at every point and translate of I_n.  f keeps the
+    # p = 1 table of the first block, and each g builds its own.  p = 2 is
+    # left out: its spectral table loses digits to a large coefficient
+    # (ROADMAP item 2).
+    f = make_function(spec, N, seed=3)
+    f_split = _takes_sign_split(1.0, f._head.size >> blocks[0])
+    for n in blocks:
+        j = 0x2B5 & ((1 << n) - 1)
+        g = f * walsh(j, N)
+        split = f_split or _takes_sign_split(1.0, g._head.size >> n)
+        for p in ps:
+            if p != 2:
+                value, other = modulus_of_continuity(f, n, p), modulus_of_continuity(g, n, p)
+                _assert_same(value, other, not (split and p == 1), (n, p, j))

@@ -156,10 +156,9 @@ def test_sweep_errors_are_the_norms_of_the_mean_residuals(case, data):
     blocks = data.draw(st.lists(st.integers(1, N - 1), min_size=1, max_size=4))
     rng = SplitMix64(data.draw(st.integers(0, 2**32)))
     schemes = [random_rational_scheme(n, rng) for n in blocks]
-    built = iter(schemes)
     p_values = (1.0, 3.5, INF)
-    records = ratio_sweep(f, lambda n: next(built), blocks, p_values)
-    assert [r.block_exponent for r in records] == [n for n in blocks for _ in p_values]
+    records = ratio_sweep(f, iter(schemes), p_values)
+    assert [r.n for r in records] == [n for n in blocks for _ in p_values]
     for i, record in enumerate(records):
         residual = vp_mean(f, schemes[i // len(p_values)]).function - f
         assert record.error.hex() == lp_norm(residual, record.p).hex()
