@@ -419,9 +419,11 @@ def _read_sweep(args, spare: int, default_gap: int):
 def _cmd_approx(args) -> int:
     # Block n of the mean needs resolution n + 1.
     blocks, p_values = _read_sweep(args, spare=1, default_gap=2)
-    schemes = map(_schemes(args.weights), blocks)  # the spec is read before f is built
+    # The spec is read, and the first block's scheme built, before f is.
+    schemes = map(_schemes(args.weights), blocks)
+    first = next(schemes)
     f = experiments.make_function(args.function, args.resolution, args.seed)
-    records = experiments.ratio_sweep(f, schemes, p_values)
+    records = experiments.ratio_sweep(f, itertools.chain([first], schemes), p_values)
     rows = [dict(vars(r), p=_p_field(r.p)) for r in records]
     _emit({"seed": args.seed, "records": rows}, args.format, args.out)
     return 0 if experiments.sweep_ok(records) else CHECK_FAILED

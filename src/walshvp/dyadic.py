@@ -3,11 +3,12 @@
 At resolution N the group is {0, ..., 2^N - 1} with XOR as the group
 operation; coordinate x_i of a point is bit i of its index (LSB first).
 Functions are constant on the rank-N dyadic cells.  A function of dyadic
-rank r (the smallest r for which it depends only on x mod 2^r) is held as
-its 2^r samples, its head, which the 2^N samples repeat, however it was
-built: its memory and every pass over it are O(2^r), and the 2^N samples
-are built only when `values` is read.  All integrals use a deterministic
-pairwise-tree reduction.
+rank r (the smallest r for which it depends only on x mod 2^r, its
+samples compared by value, so that -0.0 and +0.0 are one value) is held
+as its 2^r samples, its head, which the 2^N samples repeat, however it
+was built: its memory and every pass over it are O(2^r), and the 2^N
+samples are built only when `values` is read.  All integrals use a
+deterministic pairwise-tree reduction.
 """
 
 from __future__ import annotations
@@ -115,9 +116,11 @@ class SampledFunction(_Samples):
     function of dyadic rank r is held at its rank: its head is its 2^r
     samples, one period that values repeats, whatever period it was built
     from.  values is read-only and, for a head shorter than 2^N, built anew
-    on each read.  Instances are immutable and operations return new
-    objects.  What depends only on the function (its spectrum, its moduli
-    for each p) is computed once and kept in the private slots.
+    on each read: the samples the function was built from up to the sign
+    of a zero, since the first period stands for each copy equal to it by
+    value.  Instances are immutable and operations return new objects.
+    What depends only on the function (its spectrum, its moduli for each
+    p) is computed once and kept in the private slots.
     """
 
     __slots__ = ("_spectrum", "_moduli")
@@ -355,14 +358,14 @@ def _coset_oscillation(values: np.ndarray, n: int) -> float:
 def _dyadic_rank(values: np.ndarray) -> int:
     # The smallest r for which the samples have period 2^r, so that f
     # depends only on x mod 2^r.  Period 2^r implies period 2^(r+1), so
-    # halving from the top finds it.  Halves are compared bit for bit.
-    bits = values.view(np.uint64)
-    while bits.size > 1:
-        half = bits.size // 2
-        if not np.array_equal(bits[:half], bits[half:]):
+    # halving from the top finds it.  Halves are compared by value, so
+    # -0.0 and +0.0 are one sample, and a NaN matches nothing.
+    while values.size > 1:
+        half = values.size // 2
+        if not np.array_equal(values[:half], values[half:]):
             break
-        bits = bits[:half]
-    return bits.size.bit_length() - 1
+        values = values[:half]
+    return values.size.bit_length() - 1
 
 
 def _rank_of(f: SampledFunction) -> int:

@@ -19,7 +19,6 @@ from .dyadic import (
     SampledFunction,
     _batches,
     _check_exponent,
-    _dyadic_rank,
     _l2_error,
     _lp_of_values,
     _rank_of,
@@ -319,17 +318,16 @@ def _translate_differences(
 ) -> List[Tuple[float, float, bool]]:
     """(lhs, rhs, ok) of verify_translate_difference_bound for each
     (f, g, p) of a batch at one n, which the caller has checked against
-    the common resolution.  The rank of every g is checked; the spectra
-    of the fs and gs come from _keep_spectra, and the coefficients
-    fhat(2^n+m) ghat(m) of all left sides are synthesized in one batched
-    butterfly.  A left side's 2^(n+1) cells have the norms of its
-    full-size synthesis, whose copies only tile them (up to the sign of a
-    zero).  Each f's modulus is modulus_of_continuity's, by the route it
-    picks for that f."""
+    the common resolution.  The rank of every g, at which it is held, is
+    checked; the spectra of the fs and gs come from _keep_spectra, and
+    the coefficients fhat(2^n+m) ghat(m) of all left sides are
+    synthesized in one batched butterfly.  A left side's 2^(n+1) cells
+    have the norms of its full-size synthesis, whose copies only tile
+    them up to the sign of a zero.  Each f's modulus is
+    modulus_of_continuity's, by the route it picks for that f, and is a
+    ValueError past the float range (_finite_modulus)."""
     for g in gs:
-        # The rank by value: + 0.0 turns -0.0 into +0.0, which the bitwise
-        # _dyadic_rank would tell apart.  The head is a period of g.
-        rank = _dyadic_rank(g._head + 0.0)
+        rank = _rank_of(g)
         if rank > n:
             raise ValueError(f"g has dyadic rank {rank}, above n = {n}")
     _keep_spectra([*fs, *gs])
@@ -347,7 +345,7 @@ def _translate_differences(
     results = []
     for row, f, g, p in zip(coeffs, fs, gs, ps):
         lhs = _lp_of_values(row, _check_exponent(p), resolution)
-        rhs = 0.5 * lp_norm(g, 1) * modulus_of_continuity(f, n, p)
+        rhs = 0.5 * lp_norm(g, 1) * _finite_modulus(modulus_of_continuity(f, n, p), n, p)
         results.append((lhs, rhs, lhs <= rhs + _TRANSLATE_SLACK))
     return results
 
@@ -358,11 +356,11 @@ def verify_translate_difference_bound(
     """Check || int r_n(t) g(t) (f(.+t) - f(.)) dmu(t) ||_p against
     (1/2) ||g||_1 omega_p(f, 2^-n).
 
-    g must have dyadic rank at most n (depend only on x_0..x_{n-1}, with
-    -0.0 and +0.0 equal), which holds exactly when its spectrum lies below
-    2^n; else ValueError.  Then the integral is f * (r_n g), whose
-    coefficient at 2^n + m is fhat(2^n+m) ghat(m) by r_n w_m = w_{2^n+m},
-    and zero below 2^n.  A left side past the float range is a
+    g must have dyadic rank at most n (depend only on x_0..x_{n-1}),
+    which holds exactly when its spectrum lies below 2^n; else
+    ValueError.  Then the integral is f * (r_n g), whose coefficient at
+    2^n + m is fhat(2^n+m) ghat(m) by r_n w_m = w_{2^n+m}, and zero below
+    2^n.  A left side or a modulus past the float range is a
     ValueError.  This is the batch of one of _translate_differences, the
     core that verify-lemmas runs in batches.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import SampledFunction, _rank_of
-from .walsh_system import _butterfly, _period_head, fwht_forward, hadamard_transform, partial_sum
+from .walsh_system import _butterfly, fwht_forward, hadamard_transform, partial_sum
 from .weights import WeightScheme
 from .kernels import _block_multiplier, _check_block
 
@@ -34,14 +34,13 @@ def dyadic_convolve(f: SampledFunction, kernel: SampledFunction) -> SampledFunct
 
     Spectral route: the coefficients of the convolution are the products
     of the coefficients, which vanish from 2^r on, r the smaller dyadic
-    rank, so the first 2^r are synthesized (_period_head); as in vp_mean,
-    an exact zero may carry the other sign than in the full-size synthesis.
+    rank, so the first 2^r are synthesized, a period of the full-size
+    synthesis up to the sign of a zero, as in vp_mean.
     """
     f._check_same(kernel)
     size = min(f._head.size, kernel._head.size)
     coeffs = fwht_forward(f)._prefix(size) * fwht_forward(kernel)._prefix(size)
-    head = _period_head(hadamard_transform(coeffs), f.resolution)
-    return SampledFunction._own(f.resolution, head)
+    return SampledFunction._own(f.resolution, hadamard_transform(coeffs))
 
 
 def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> SampledFunction:
@@ -71,16 +70,16 @@ def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -
 
     The convolution route is _mean_period: the block multiplier, built at
     its first 2^min(n+1, r) coefficients (r the rank of f), times fhat,
-    synthesized there, so the mean holds at most 2^r samples
-    (_period_head).  An exact zero may carry the other sign than in the
-    full-size synthesis, since a product past the support can be -0.0; no
-    output reads that sign.  A mean past the float range is a ValueError.
+    synthesized there, so the mean holds at most 2^r samples.  They are a
+    period of the full-size synthesis up to the sign of a zero, since a
+    product past the support can be -0.0; no output reads that sign.  A
+    mean past the float range is a ValueError.
     """
     _check_block(w, f.resolution)
     n = w.block_exponent
     if path == PATH_CONVOLUTION:
         mean = _mean_period(f, _block_multiplier(w.weights, min(n + 1, _rank_of(f))), n)
-        return MeanResult(SampledFunction._own(f.resolution, _period_head(mean, f.resolution)))
+        return MeanResult(SampledFunction._own(f.resolution, mean))
     if path == PATH_PARTIAL_SUMS:
         terms = zip(w.weights, range(w.block_start, w.block_end + 1))
         return MeanResult(

@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .dyadic import SampledFunction, _periods, _read_samples, _Samples, check_resolution
+from .dyadic import SampledFunction, _read_samples, _Samples, check_resolution
 
 _SPECTRUM_HEADER = "SPECTRUM"
 
@@ -324,24 +324,6 @@ def hadamard_transform(values) -> np.ndarray:
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
-# The bits of -0.0.
-_NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
-
-
-def _period_head(synthesized: np.ndarray, resolution: int) -> np.ndarray:
-    """The head of the full-size synthesis of a spectrum +0.0 past a
-    power-of-two prefix, given the prefix's synthesis, of which the 2^N
-    samples are copies.  The full-size butterfly's stages past the prefix
-    tile it and add 0, turning -0.0 into +0.0, to every copy but the last,
-    so a synthesis shorter than 2^N that holds a -0.0 is returned as all
-    2^N, so tiled; any other is returned as it is."""
-    size = synthesized.size
-    if size < 1 << resolution and np.any(synthesized.view(np.uint64) == _NEGATIVE_ZERO):
-        values = _periods(synthesized + 0, 1 << resolution)
-        values[-size:] = synthesized
-        return values
-    return synthesized
-
 
 def _keep_spectra(functions) -> None:
     """Keep on each of the functions that lacks one its spectrum.  A
@@ -380,8 +362,8 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
     A function of x mod 2^r, r its dyadic rank, has no coefficient from
     2^r on, so the 2^r samples it is held as are transformed, scaled by
     2^-r, into the head of the spectrum, and the rest is +0.0: O(r 2^r).
-    That is the full-size transform bit for bit, whose stages above 2^r
-    only double the first 2^r sums exactly and set the rest to
+    That is the full-size transform of values bit for bit, whose stages
+    above 2^r only double the first 2^r sums exactly and set the rest to
     x - x = +0.0, as long as those doubled sums stay finite.  Where
     2^r max|f| is past the float range, the samples are scaled before the
     butterfly instead, so no sum overflows.  This is _keep_spectra of one
@@ -395,19 +377,18 @@ def fwht_forward(f: SampledFunction) -> Spectrum:
 
 def fwht_inverse(s: Spectrum) -> SampledFunction:
     """Synthesis sum_n coeffs[n] w_n; inverse of fwht_forward.
-    The shortest power-of-two prefix past which every coefficient has the
-    bits of +0.0 is synthesized (_period_head), so the result is the
-    full-size synthesis bit for bit, held as one period where that is
-    exact.  A synthesis that passes the float range is a ValueError."""
+    The shortest power-of-two prefix past which every coefficient is zero
+    is synthesized, and the 2^N samples repeat it: the full-size
+    synthesis, whose stages past the prefix only tile it and add zeros,
+    up to the sign of a zero.  A synthesis that passes the float range is
+    a ValueError."""
     head = s._head
-    bits = head.view(np.uint64)
     size = head.size
-    while size > 1 and not bits[size // 2 : size].any():
+    while size > 1 and not head[size // 2 : size].any():
         size //= 2
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _period_head(hadamard_transform(head[:size]), s.resolution)
-    # Every other copy is the last one plus 0.
-    if not np.isfinite(values[-size:]).all():
+        values = hadamard_transform(head[:size])
+    if not np.isfinite(values).all():
         raise ValueError("the synthesis of the spectrum overflows the float range")
     return SampledFunction._own(s.resolution, values)
 

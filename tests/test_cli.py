@@ -708,6 +708,32 @@ def test_specs_are_read_before_the_function_is_built(capsys, monkeypatch, argv, 
     assert code == 2 and out == "" and err == f"error: {message}\n" and built == []
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (("cesaro:-2",), "cesaro alpha must exceed -1, got -2.0"),
+        (("cesaro:-0.5",), "cesaro alpha -0.5 produces negative weights"),
+        # The bit budget is checked before the sign, at --nmin.
+        (("cesaro:-0.5", "--nmin", "14"), "cesaro alpha -0.5 at n=14 needs about 2.7e+08 bits"),
+        (("block-3",), "weight file covers block exponent 3, cannot use n=1"),
+    ],
+    ids=["alpha", "sign", "bit-budget", "file"],
+)
+def test_the_first_scheme_is_built_before_the_function(capsys, monkeypatch, tmp_path,
+                                                         weights, message):
+    # A scheme was refused at its first block, after the 2^24 samples of
+    # random were built (286 MiB at peak).
+    if weights[0] == "block-3":
+        path = tmp_path / "w.csv"
+        path.write_text("k,t\n" + "".join(f"{k},1\n" for k in range(8, 16)))
+        weights = (str(path),)
+    built = []
+    monkeypatch.setattr(experiments, "make_function", lambda *a: built.append(a))
+    code, out, err = run(capsys, "approx", "--function", "random", "--resolution", "24",
+                         "--p", "2", "--weights", *weights)
+    assert code == 2 and out == "" and err.startswith(f"error: {message}") and built == []
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-1"])
 def test_abs_power_needs_a_finite_positive_alpha(capsys, alpha):
     # inf gave the zero function and nan failed late on the samples.

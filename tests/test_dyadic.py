@@ -361,8 +361,8 @@ class TestRankAndSharedTable:
             # seeds 0..6 give no period shorter than 2^rank
             assert dyadic._dyadic_rank(f.values) == rank
         assert dyadic._dyadic_rank(np.zeros(8)) == 0
-        # -0.0 and 0.0 are different samples to the rank test
-        assert dyadic._dyadic_rank(np.array([0.0, -0.0, 0.0, 0.0])) == 2
+        # -0.0 and 0.0 are one value to the rank test
+        assert dyadic._dyadic_rank(np.array([0.0, -0.0, 0.0, 0.0])) == 0
 
     @pytest.mark.parametrize("rank", [3, 8])
     @pytest.mark.parametrize("exponent", [0, 600, -600])

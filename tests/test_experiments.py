@@ -213,8 +213,7 @@ class TestTranslateDifferenceBound:
                 exp.verify_translate_difference_bound(f, g, 2, 2)
 
     def test_signed_zeros_are_rank_zero(self):
-        # The synthesis of [-0, -0, 0, ...] holds -0.0 in its last copy only,
-        # so its samples differ bit for bit across x_2, but g is zero.
+        # The synthesis of [-0, -0, 0, ...] is zero, held as one -0.0.
         f = exp.random_bounded(4, 3)
         g = fwht_inverse(Spectrum(3, [-0.0, -0.0, 0, 0, 0, 0, 0, 0]))
         assert np.signbit(g.values).any() and not g.values.any()
@@ -233,6 +232,15 @@ class TestTranslateDifferenceBound:
         g = SampledFunction(4, np.full(16, 1e308))
         with pytest.raises(ValueError, match="left side at n = 2 passes the float range"):
             exp.verify_translate_difference_bound(f, g, 2, 1)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, INF])
+    def test_a_modulus_past_the_float_range_is_refused(self, p):
+        # omega_p(f, 1/2) is inf, and (7.5e307, inf, True) was returned: a
+        # right side of inf bounds nothing.
+        f = SampledFunction(4, np.tile([1e308, 1e308, -1e308, -1e308], 4))
+        g = SampledFunction(4, np.tile([1.0, 0.5], 8))
+        with pytest.raises(ValueError, match=f"the p = {p:.12g} modulus at n = 1 passes"):
+            exp.verify_translate_difference_bound(f, g, 1, p)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 10), st.data())

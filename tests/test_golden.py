@@ -10,7 +10,10 @@ last bits when the p = 2 table stopped summing the terms that cancel
 exactly: a change that moves p = 2 on purpose (ROADMAP item 2) lists each
 digest it moves.  The N = 18 call, the first whose butterflies split into
 shares, was recorded when it was added, with the same bytes on the tree
-before the approx sweep ran block by block.
+before the approx sweep ran block by block.  The zero function given as
+-0.0 was recorded while the rank still told -0.0 from +0.0 and held it at
+all 2^N cells; the inverse of a spectrum of signed zeros was recorded
+after, when its text changed from `0 0 0 0 0 0 -0 0` to eight `-0`.
 """
 
 import argparse
@@ -64,6 +67,11 @@ def _calls():
         "approx", "--weights", "uniform", "--function", "abs_power:0.5", "--resolution", "18",
         "--p", "2", "--nmin", "1", "--nmax", "3", "--format", "json",
     ]
+    # The zero function with the sign bit set: the rows of walsh_poly:0.
+    calls["approx walsh_poly:-0 N=12 json"] = [
+        "approx", "--weights", "uniform", "--function", "walsh_poly:-0", "--resolution", "12",
+        "--p", "1,2,3,inf", "--format", "json",
+    ]
     return calls
 
 
@@ -87,6 +95,7 @@ DIGESTS = {
     "approx step_mix json": "43028fca8af8d2212a23dd3cec86ceed761a1de2ac193793ff56b7a2d4d7b4c1",
     "approx step_mix p=2,3 csv": "c19805cc8532d0002646d2ae65f93ea38ae8a8b42f044a9cba02ba2d49198cfb",
     "approx step_mix p=2,3 json": "6d65f300b20cd77157e2a1fd9243087d38a03f19f498f100f74830816b357291",
+    "approx walsh_poly:-0 N=12 json": "d1abd27178f84a577cc03d40c9c84fa2e638604feb15b561e1bf84182e725d0f",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 csv": "5e3ce11059edc63bcf1cade8fcb4fbfdbd17fa0782384d5d8f72900a36765231",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 json": "a3cd5ae28dc7808cbaa186017479d723fd79bd1c86febd4b0710d9533cd2833b",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 csv": "f23034fc83668cf2b102cac6dce5f43fa1398b9eeaaf85c06f3c157181dc2a54",
@@ -117,6 +126,7 @@ DIGESTS = {
     "transform forward rank-4": "49171354b98aa92487ffed9567b2b957ff245f58d4c40176c5719ebe4f2aab00",
     "transform inverse": "2fb8e3edc8e49299e7609aeed14a307374aea962a95aa5e85dc2e9d744b74768",
     "transform inverse rank-4": "838ba50228309a02cd647bef0fb449312a003d7e49b158da39c5f8459ea83228",
+    "transform inverse signed zeros": "6538da814a429493b531e87db19d28efbd5c4c81178c96dd19a09e6295a60a56",
     "verify-lemmas N=10 40/6 csv": "56ddf034e0d56848aad56c1df6a3684d12939893becf9e680889979ddf424d30",
     "verify-lemmas N=10 40/6 json": "97de799f52bf34b94929330b6d341746258bbe5b19e6cf15e4872dfaff7a9a1d",
     "verify-lemmas N=12 40/6 csv": "7c402316d96e29c655e4dbe75fbc55052ef0ee60ed15e02a9ba0ce25a8e2da56",
@@ -176,6 +186,15 @@ def test_cli_bytes(name):
 def test_transform_round_trip_bytes(tmp_path):
     for name, (code, out) in transform_outputs(tmp_path).items():
         assert _digest(code, out) == DIGESTS[name]
+
+
+def test_signed_zero_inverse_bytes(tmp_path):
+    # The coefficients -0.0, -0.0 and six +0.0 are the zero spectrum: it is
+    # synthesized at one cell, whose -0.0 every sample repeats.
+    spectrum = tmp_path / "zeros.txt"
+    spectrum.write_text("SPECTRUM\nN=3\n-0\n-0\n" + "0\n" * 6)
+    code, out = _run(["transform", "--inverse", "--in", str(spectrum)])
+    assert _digest(code, out) == DIGESTS["transform inverse signed zeros"]
 
 
 def _exit_code(argv):

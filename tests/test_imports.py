@@ -141,6 +141,38 @@ def test_only_the_synthesis_tiles():
     assert _tile_calls(modules) == ["dyadic._periods"]
 
 
+def _view_calls(modules: dict):
+    """module.name of each top-level statement that calls .view() on any
+    object, such as the uint64 view of float samples."""
+    found = set()
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr == "view":
+                        found.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_no_module_reads_the_bits_of_samples():
+    # The paper's objects read the values of f: a rank, a prefix or a check
+    # that compared bits would tell -0.0 from +0.0, and hold a zero
+    # function at 2^N cells.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    assert _view_calls(modules) == []
+
+
+def test_view_call_is_reported():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def rank(a):\n    return a.view(np.uint64)\n"
+        "ZERO = np.float64(-0.0).view(np.uint64)\n"
+        "class Held:\n    def bits(self):\n        return self.head.view('u8')\n"
+        "def shape(a):\n    return a.reshape(-1).viewed\n"
+    )
+    assert _view_calls({"m": tree}) == ["m.<module>", "m.Held", "m.rank"]
+
+
 def _adjacent_pair_slices(modules: dict):
     """module.name of each top-level statement that slices the even or odd
     entries ([0::2], [1::2], [::2]), the pairs a summation tree adds."""

@@ -5,13 +5,17 @@ same rows.  Every function is held at its rank, so the rows agree bit for
 bit, and the printed bytes with them.  Translation: f(. + s) gives the rows
 of f, bit for bit at p = 2 and inf.  Negation: -f gives the rows of f, bit
 for bit but on the sign split.  Modulation by w_j, j < 2^n: f w_j has the
-moduli of f at n, bit for bit on the coset and blocked routes.  The
-brute-force oracles stop at N = 12; these relations reach N = 16 and 18.
+moduli of f at n, bit for bit on the coset and blocked routes.  A
+constant: g = f + c and g - c have the same moduli, bit for bit but at
+p = 2, where c is a power of two that makes every difference of g exact.
+The brute-force oracles stop at N = 12; these relations reach N = 16 and
+18.
 """
 
 import contextlib
 import functools
 import io
+import math
 
 import pytest
 
@@ -129,3 +133,25 @@ def test_moduli_do_not_depend_on_a_modulation(N, spec, ps, blocks):
             if p != 2:
                 value, other = modulus_of_continuity(f, n, p), modulus_of_continuity(g, n, p)
                 _assert_same(value, other, not (split and p == 1), (n, p, j))
+
+
+@pytest.mark.parametrize("N", [14, 16])
+@pytest.mark.parametrize("spec, ps, blocks", _TRANSLATED, ids=[t[0] for t in _TRANSLATED])
+def test_moduli_do_not_depend_on_a_constant(N, spec, ps, blocks):
+    # With c the smallest power of two at or above 4 max|f|, g = fl(f + c)
+    # lies in [3c/4, 5c/4], so each difference of g is exact (Sterbenz's
+    # lemma) and so is h = g - c: g and h have the same differences.  p = 1
+    # takes the blocked route at N = 14 and the sign split at N = 16 on
+    # the full-rank functions, whose p = 3 runs at N = 14 only.  p = 2 reads
+    # the spectrum, where the constant sits in fhat(0) and the other
+    # coefficients round differently.
+    f = make_function(spec, N, seed=3)
+    c = 2.0 ** math.ceil(math.log2(4.0 * max(abs(f._head))))
+    g = f + c
+    h = g - c
+    if N == 14 and 3 not in ps:
+        ps += (3,)
+    for n in blocks:
+        for p in ps:
+            value, other = modulus_of_continuity(g, n, p), modulus_of_continuity(h, n, p)
+            _assert_same(value, other, p != 2, (n, p, c))

@@ -44,6 +44,17 @@ class TestHeldPeriod:
         mean = vp_mean(f, build_scheme("uniform", 2)).function
         assert mean._head.size == 8 and (mean - f)._head.size == 16
 
+    def test_the_sign_of_a_zero_sets_no_period(self):
+        # The zero function given as -0.0 was held at all 2^20 cells.
+        assert make_function("walsh_poly:-0", 20)._head.size == 1
+        # Halves that differ only in the signs of zeros are one period; the
+        # first copy is kept.
+        given = np.array([1.0, -0.0, 2.0, 0.0, 1.0, 0.0, 2.0, -0.0])
+        for f in (SampledFunction(3, given), SampledFunction._own(3, given.copy())):
+            assert f._head.tobytes() == given[:4].tobytes()
+            assert (f.values + 0.0).tobytes() == (given + 0.0).tobytes()
+        assert SampledFunction(3, [1.0, -0.0, 2.0, 0.0, 1.0, 0.0, 3.0, -0.0])._head.size == 8
+
     def test_values_repeat_the_head_and_coeffs_pad_it_with_zeros(self):
         f = step_mix(7, 10)
         assert f.values.shape == (1 << 10,)
@@ -74,8 +85,10 @@ class TestHeldPeriod:
             "negation": ((-a).values, -a.values),
             "translate": (translate(a, t).values, a.values[idx ^ t]),
         }
+        # A period stands for every copy equal to it by value, so the bits
+        # agree up to the sign of a zero.
         for name, (held, full) in bits.items():
-            assert held.tobytes() == full.tobytes(), name
+            assert (held + 0.0).tobytes() == (full + 0.0).tobytes(), name
         full_a = SampledFunction(N, a.values)
         for p in (1.0, 2.0, 3.5, float("inf")):
             assert lp_norm(a, p) == lp_norm(full_a, p)
