@@ -120,10 +120,11 @@ class SampledFunction(_Samples):
     of a zero, since the first period stands for each copy equal to it by
     value.  Instances are immutable and operations return new objects.
     What depends only on the function (its spectrum, its moduli for each
-    p) is computed once and kept in the private slots.
+    p, its coset oscillations) is computed once and kept in the private
+    slots.
     """
 
-    __slots__ = ("_spectrum", "_moduli")
+    __slots__ = ("_spectrum", "_moduli", "_oscillations")
     _field = "values"
     _extend = staticmethod(_periods)
 
@@ -147,6 +148,7 @@ class SampledFunction(_Samples):
         super()._hold(resolution, head)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_moduli", {})
+        object.__setattr__(self, "_oscillations", None)
 
     @property
     def values(self) -> np.ndarray:
@@ -355,6 +357,35 @@ def _coset_oscillation(values: np.ndarray, n: int) -> float:
         return float(np.max(cosets.max(axis=0) - cosets.min(axis=0)))
 
 
+def _oscillation(f: "SampledFunction", n: int) -> float:
+    # omega_inf(f, 2^-n): _coset_oscillation of f's 2^r samples, 0 for
+    # n >= r.  f keeps it for every level j from the lowest n asked so far
+    # up to r - 1, built in one pass: coset c of I_j is cosets c and
+    # c + 2^j of I_(j+1), so the coset max and min at j are the np.maximum
+    # and np.minimum of the halves of those at j + 1, from the samples down.
+    # Level j sits at [2^j - 2^n, 2^(j+1) - 2^n) of hi and lo, so one
+    # subtraction and one segmented max give every level.  Max and min are
+    # exact, so each level is the per-n route's rounded max - min.
+    levels = _rank_of(f) - n
+    if levels <= 0:
+        return 0.0
+    kept = f._oscillations
+    if kept is None or kept.size < levels:
+        low = 1 << n
+        hi, lo = np.empty(f._head.size - low), np.empty(f._head.size - low)
+        above_hi = above_lo = f._head
+        for j in (low << k for k in reversed(range(levels))):
+            level = slice(j - low, 2 * j - low)
+            np.maximum(above_hi[:j], above_hi[j:], out=hi[level])
+            np.minimum(above_lo[:j], above_lo[j:], out=lo[level])
+            above_hi, above_lo = hi[level], lo[level]
+        with np.errstate(over="ignore"):
+            hi -= lo
+        kept = np.maximum.reduceat(hi, [(low << k) - low for k in range(levels)])
+        object.__setattr__(f, "_oscillations", kept)
+    return float(kept[kept.size - levels])
+
+
 def _dyadic_rank(values: np.ndarray) -> int:
     # The smallest r for which the samples have period 2^r, so that f
     # depends only on x mod 2^r.  Period 2^r implies period 2^(r+1), so
@@ -424,12 +455,13 @@ def _translate_sums(values: np.ndarray, n: int, p: float, scale: float) -> np.nd
 
 
 # Translates per coset from which the p = 1 table is built by the sign
-# split.  The split is the faster route from about 2^9 translates on
-# (abs_power:0.5, best of 7 on a 2-vCPU Xeon: 2^10 translates at n = 0
-# took 5.9 ms blocked and 1.8 ms split, 2^8 at n = 2 took 0.9 and 1.1 ms),
-# but it matches the loop only to rounding.  From 2^11 on, every table at
-# N <= 10 keeps the blocked route and its bits, verify-lemmas at N <= 10
-# included.
+# split.  The split is the faster route from about 2^8 translates on
+# (abs_power:0.5, best of 7 on a 2-vCPU Xeon, with the pair-stage
+# butterfly: 2^10 translates at n = 0 at N = 10 took 4.1 ms blocked and
+# 0.8 ms split, 2^8 at n = 2 took 0.54 and 0.44 ms, 2^7 at n = 3 took 0.30
+# and 0.36 ms), but it matches the loop only to rounding.  From 2^11 on,
+# every table at N <= 10 keeps the blocked route and its bits,
+# verify-lemmas at N <= 10 included.
 _SPLIT_MIN_TRANSLATES = 1 << 11
 
 # Smallest share of a sign-split table's largest sum that the largest sum
@@ -569,12 +601,13 @@ def modulus_of_continuity(
     I_n, i.e. the indices divisible by 2^n, so the supremum is a finite
     maximum.  brute_force=True runs the loop over translates, the oracle.
     Four routes evaluate every translate at once, on the 2^r samples that
-    f is held as at its dyadic rank r: p = inf is the largest oscillation of f
-    over the cosets of I_n, which the translates permute, and 0 for
-    n >= r; a finite p is read from a table of one sum per translate in
-    I_n0, built by a spectral identity for p = 2, by a sign split for
-    p = 1 with at least 2^11 translates per coset, and in blocks of
-    translates for any other p.  The coset and blocked routes
+    f is held as at its dyadic rank r: p = inf is the largest oscillation
+    of f over the cosets of I_n, which the translates permute, and 0 for
+    n >= r, kept on f for every n from the lowest asked so far, since it
+    also scales every other p != 2; a finite p is read from a table of one
+    sum per translate in I_n0, built by a spectral identity for p = 2, by a
+    sign split for p = 1 with at least 2^11 translates per coset, and in
+    blocks of translates for any other p.  The coset and blocked routes
     match the loop bit for bit, the spectral and sign-split routes to
     rounding.  Each function keeps one table per p, for the smallest n0
     asked so far, and serves every n >= n0 from it by stride: a sweep
@@ -589,7 +622,7 @@ def modulus_of_continuity(
         return _modulus_by_translates(f, n, p)
     scale = None
     if p != 2.0:
-        top = _coset_oscillation(f._head, n)
+        top = _oscillation(f, n)
         if p == INF or not 0.0 < top < INF:
             return top
         scale = _power_scale(top, p, f.resolution)

@@ -72,29 +72,44 @@ def walsh(n: int, resolution: int) -> SampledFunction:
     return SampledFunction._own(resolution, walsh_signs(n, resolution).astype(np.float64))
 
 
-# Arrays of at least this many entries run two butterfly stages per pass;
-# below it the fixed cost of the extra views outweighs the saved pass over
-# memory (layer timings in BENCH_7.json).
+# Column blocks (_butterfly_columns) of at least this many entries run two
+# butterfly stages per pass; below it the fixed cost of the extra views
+# outweighs the saved pass over memory (layer timings in BENCH_7.json).
 _RADIX4_MIN_SIZE = 1 << 12
 
 # Rows longer than _CHUNK_SIZE = 2^16 entries (512 KiB of float64, a
 # quarter of a 2 MiB L2 cache) are transformed in chunks of that size, each
 # of which stays in cache while it is worked on (layer timings in
-# BENCH_23.json).
-_CHUNK_SIDE = 1 << 8
-_CHUNK_SIZE = _CHUNK_SIDE * _CHUNK_SIDE
+# BENCH_23.json); shorter rows run in blocks of at most that many entries.
+_CHUNK_SIZE = 1 << 16
+
+
+def _pair_stages(x: np.ndarray, buffers, count: int) -> np.ndarray:
+    """count constant-geometry butterfly stages (Pease, 1968) on the flat
+    contiguous x; returns the buffer that holds the result.  Each stage
+    writes the sums of the adjacent pairs x[2k], x[2k + 1] to the first
+    half of buffers[0] and buffers[1] in turn, and their differences to
+    the second half; x itself may be a buffer from the second stage on."""
+    half = x.size // 2
+    for stage in range(count):
+        y = buffers[stage & 1]
+        even, odd = x[0::2], x[1::2]
+        np.add(even, odd, out=y[:half])
+        np.subtract(even, odd, out=y[half:])
+        x = y
+    return x
 
 
 def _stages(a: np.ndarray, h: int, stop: int, work) -> None:
     """The butterfly stages of spans h, 2h, ... below stop, in place on the
     contiguous a, whose size stop divides; every span is a power of two.
 
-    Without a work buffer, for arrays under _RADIX4_MIN_SIZE entries,
-    every stage is radix-2 and its ufuncs allocate their results: there
-    numpy's fixed cost per call dominates, and a ufunc given out= costs
-    more than one that allocates (butterflies of 2^1..2^11 entries took
-    1.1-1.4x as long with out=, and lemmas' op_p50_ms read +12% in 9 of 10
-    benchmark pairs; BENCH_35.json).
+    Without a work buffer, for column blocks under _RADIX4_MIN_SIZE
+    entries, every stage is radix-2 and its ufuncs allocate their results:
+    there numpy's fixed cost per call dominates, and a ufunc given out=
+    costs more than one that allocates (butterflies of 2^1..2^11 entries
+    took 1.1-1.4x as long with out=, and lemmas' op_p50_ms read +12% in 9
+    of 10 benchmark pairs; BENCH_35.json).
 
     Given a work buffer of a.size entries, a radix-4 pass (Fino & Algazi,
     1976) fuses the stages of spans h and 2h on the quarters x0..x3 of each
@@ -203,24 +218,46 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     pairs entries less than a row apart, so the rows of a 2-D array are
     transformed as a batch, each as it would be on its own.
 
-    A row of 2^16 R entries, R > 1, is cache-blocked by
-    H = (H_R (x) I)(I (x) H_(2^16)): the 16 low stages run on each 2^16
-    chunk while it sits in cache, the 8 lowest between the rows of its
-    (2^8, 2^8) transpose; then the high stages run between the rows of
-    the (R, 2^16) view, on copies of its column blocks of 2^16 entries.
-    The stages keep their lowest-first order and a copy only moves
-    values, so the result is the same bit for bit.  The chunks, and then
-    the column blocks, are independent pieces: they run in
-    min(_CPUS, pieces) shares at once (_in_shares), one for Python ints,
-    each with its own work buffers, with every chunk done before any
+    Rows of m <= 2^16 entries run in blocks of R whole rows, R m <=
+    _CHUNK_SIZE, on the calling thread, so each pass over a block stays in
+    cache.  A stage of _pair_stages moves bit 0 of every flat index to the
+    top, so stage s pairs the entries 2^s apart in a row: log2(m) stages
+    leave the block's (m, R) transpose, and one copy puts it back.  A row
+    of 2^16 R entries, R > 1, is cache-blocked by
+    H = (H_R (x) I)(I (x) H_(2^16)): the 16 low stages run as _pair_stages
+    on each 2^16 chunk in cache, the chunk being the second buffer, so the
+    16th stage leaves it in place; then the high stages run between the
+    rows of the (R, 2^16) view, on copies of its column blocks of 2^16
+    entries, by _stages.
+
+    Each stage adds and subtracts the same two operands as the in-place
+    stage of its span, lowest span first, and a copy only moves values,
+    so the result is the in-place butterfly's bit for bit.  A pair stage
+    reads with stride 2 but is one pass of two ufuncs, where the in-place
+    stages of spans under 2^8 ran on runs of 1 to 64 entries: a 2^12 row
+    took 0.11 -> 0.05 ms, a (4, 2048) batch 0.17 -> 0.07 ms and a
+    (32, 2^16) batch 60 -> 21 ms (BENCH_41.json).  The chunks' high stages
+    and _butterfly_columns keep their contiguous runs of 2^8 entries or
+    more, where the stride-2 pass is the slower: as pair stages on a
+    transposed copy, the high stages of a 2^20 row took 4.1 ms, not 3.5,
+    and the Dirichlet check's int32 (2^15, 2) columns 0.90 ms, not 0.48.
+
+    The chunks, and then the column blocks, are independent pieces: they
+    run in min(_CPUS, pieces) shares at once (_in_shares), one for Python
+    ints, each with its own work buffers, with every chunk done before any
     column block starts.  Every piece runs the same additions in the same
     order whatever the share it falls in, so the bits do not depend on
     the thread count.
     """
     n = a.shape[-1]
     if n <= _CHUNK_SIZE:
-        work = np.empty(a.size, a.dtype) if a.size >= _RADIX4_MIN_SIZE else None
-        _stages(a, 1, n, work)
+        rows = a.reshape(-1, n)
+        block = _CHUNK_SIZE // n
+        buffers = np.empty((2, min(a.size, block * n)), a.dtype)
+        for first in range(0, len(rows), block):
+            part = rows[first : first + block]
+            turned = _pair_stages(part.reshape(-1), buffers[:, : part.size], n.bit_length() - 1)
+            np.copyto(part, turned.reshape(n, -1).T)
         return a
     chunks = a.reshape(-1, _CHUNK_SIZE)
     pieces = len(chunks)
@@ -234,14 +271,8 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     buffers = np.empty((shares, 2, _CHUNK_SIZE), a.dtype)
 
     def low_stages(part, buffer):
-        work, turned = buffer
-        turned = turned.reshape(_CHUNK_SIDE, _CHUNK_SIDE)
         for chunk in chunks[part.start : part.stop]:
-            square = chunk.reshape(_CHUNK_SIDE, _CHUNK_SIDE)
-            np.copyto(turned, square.T)
-            _stages(turned, _CHUNK_SIDE, _CHUNK_SIZE, work)
-            np.copyto(square, turned.T)
-            _stages(chunk, _CHUNK_SIDE, _CHUNK_SIZE, work)
+            _pair_stages(chunk, (buffer[0], chunk), _CHUNK_SIZE.bit_length() - 1)
 
     def high_stages(part, buffer):
         work, block = buffer

@@ -188,9 +188,14 @@ def _adjacent_pair_slices(modules: dict):
 def test_only_the_pairwise_total_sums_pairs():
     # Every sum is the one tree of dyadic._pairwise_total; a second copy
     # of it could drift from the first, and the fast routes that match the
-    # full-size sums bit for bit would then no longer match.
+    # full-size sums bit for bit would then no longer match.  The one other
+    # adjacent-pair pass is the butterfly's stage kernel, whose sum half is
+    # that tree: tests/test_walsh.py pins entry 0 of every butterfly to
+    # _pairwise_total bit for bit.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    assert _adjacent_pair_slices(modules) == ["dyadic._pairwise_total"]
+    assert _adjacent_pair_slices(modules) == [
+        "dyadic._pairwise_total", "walsh_system._pair_stages",
+    ]
 
 
 def test_adjacent_pair_slice_is_reported():

@@ -2,14 +2,17 @@
 full-size transforms they replace."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walshvp import dyadic
 from walshvp.dyadic import (
     INF,
     SampledFunction,
+    _coset_oscillation,
     _pairwise_total,
     _power_scale,
     lp_norm,
@@ -164,6 +167,27 @@ def test_sweep_errors_are_the_norms_of_the_mean_residuals(case, data):
     for i, record in enumerate(records):
         residual = vp_mean(f, schemes[i // len(p_values)]).function - f
         assert record.error.hex() == lp_norm(residual, record.p).hex()
+
+
+@given(rank_functions(), st.sampled_from([1.0, 3.0, INF]), st.booleans(), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_kept_oscillations_are_the_per_n_route_bit_for_bit(case, p, huge, rnd):
+    # f keeps its coset oscillations from the lowest n asked so far, so each
+    # n of a sweep in any order, on one f, reads the oscillation of the
+    # per-n route; scaled to 2^1023, opposite samples are inf apart.
+    N, values = case
+    top = float(np.max(np.abs(values)))
+    if huge and top > 0.0:
+        values = values / top * 2.0**1023
+    order = list(range(N + 1))
+    rnd.shuffle(order)
+    f = SampledFunction(N, values)
+    kept = [modulus_of_continuity(f, n, p).hex() for n in order]
+    with mock.patch.object(dyadic, "_oscillation", lambda g, n: _coset_oscillation(g._head, n)):
+        g = SampledFunction(N, values)
+        per_n = [modulus_of_continuity(g, n, p).hex() for n in order]
+    assert kept == per_n
+    assert (INF.hex() in kept) == (huge and _coset_oscillation(values, 0) == INF)
 
 
 def _row_bits(records):

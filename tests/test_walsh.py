@@ -10,9 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshvp import walsh_system
-from walshvp.dyadic import SampledFunction, lp_norm
+from walshvp.dyadic import SampledFunction, _pairwise_total, lp_norm
 from walshvp.walsh_system import (
     Spectrum,
     bit_parity,
@@ -120,6 +122,54 @@ def _same(a, b):
     if a.dtype == object:
         return b.dtype == object and a.tolist() == b.tolist()
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def batches(draw, max_entries=1 << 18):
+    """A C-contiguous (R, m) batch, m = 2^0..2^16 and R m up to
+    max_entries, on both sides of _CHUNK_SIZE: float64 over exponents
+    2^-300..2^300, int64, int32 whose sums stay in range, or Python ints
+    past 2^63; an object batch stays under 2^17 entries."""
+    kind = draw(st.sampled_from(["float64", "int64", "int32", "object"]))
+    log_m = draw(st.integers(0, 16))
+    most = (max_entries if kind != "object" else 1 << 17) >> log_m
+    rows = draw(st.integers(1, min(most, 1 << 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (rows, 1 << log_m)
+    if kind == "float64":
+        return rng.standard_normal(shape) * 2.0 ** rng.integers(-300, 300, shape)
+    if kind == "int32":
+        return rng.integers(-(2**14), 2**14, shape, dtype=np.int32)
+    ints = rng.integers(-(2**40), 2**40, shape)
+    if kind == "int64":
+        return ints
+    return np.array([[int(v) << 70 for v in row] for row in ints], dtype=object)
+
+
+def _row_oracle(row):
+    # int32 rows in int64, where their sums are the same integers
+    if row.dtype == np.int32:
+        return _radix2_oracle(row.astype(np.int64)).astype(np.int32)
+    return _radix2_oracle(row)
+
+
+@given(batches())
+@settings(max_examples=40, deadline=None)
+def test_every_batch_is_the_radix2_butterfly_of_each_row(x):
+    a = x.copy()
+    assert walsh_system._butterfly(a) is a
+    assert all(_same(row, _row_oracle(want)) for row, want in zip(a, x))
+
+
+@given(batches(max_entries=1 << 17).filter(lambda x: x.dtype == np.float64))
+@settings(max_examples=40, deadline=None)
+def test_entry_0_of_every_butterfly_is_the_pairwise_total(x):
+    # The stage kernel's sum half is _pairwise_total's adjacent-pair tree,
+    # on the rows of a batch and on one row of up to 2^17 entries, chunked.
+    rows = walsh_system._butterfly(x.copy())
+    assert rows[:, 0].tobytes() == _pairwise_total(x).tobytes()
+    row = x.reshape(-1)[: 1 << (x.size.bit_length() - 1)]
+    assert walsh_system._butterfly(row.copy())[0].hex() == _pairwise_total(row).hex()
 
 
 # Worker counts forced on the chunked butterfly, so that a host of any CPU
@@ -274,7 +324,7 @@ class TestButterfly:
         # so that no thread still writes the array.
         monkeypatch.setattr(walsh_system, "_CPUS", workers)
         lock, running, done = threading.Lock(), [0], []
-        stages = walsh_system._stages
+        stages = walsh_system._pair_stages  # the chunks' low stages
 
         def slow_off_the_calling_thread(*args):
             with lock:
@@ -282,13 +332,13 @@ class TestButterfly:
             try:
                 if threading.current_thread() is not threading.main_thread():
                     time.sleep(0.02)
-                stages(*args)
+                return stages(*args)
             finally:
                 with lock:
                     running[0] -= 1
                     done.append(threading.current_thread() is threading.main_thread())
 
-        monkeypatch.setattr(walsh_system, "_stages", slow_off_the_calling_thread)
+        monkeypatch.setattr(walsh_system, "_pair_stages", slow_off_the_calling_thread)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             walsh_system._butterfly(self._overflowing(0))
         assert running == [0] and False in done
