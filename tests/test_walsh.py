@@ -104,7 +104,7 @@ class TestTransform:
 
 def _radix2_oracle(values):
     """One radix-2 stage per pass over fresh copies: the butterfly the
-    radix-4 passes must reproduce bit for bit."""
+    pair-stage and radix-4 passes must reproduce bit for bit."""
     integer = values.dtype in (np.int64, object)
     a = np.array(values, dtype=values.dtype if integer else np.float64)
     h = 1
@@ -190,7 +190,7 @@ class TestButterfly:
 
     @pytest.mark.parametrize("N", range(1, 17))
     def test_matches_radix2_oracle(self, N):
-        # Odd and even stage counts on both sides of the radix-4 cut-over.
+        # Odd and even stage counts, up to a row of _CHUNK_SIZE entries.
         for x in self._inputs(N):
             expected = _radix2_oracle(x)
             before = x.copy()
