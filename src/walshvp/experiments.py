@@ -36,7 +36,7 @@ from .kernels import (
     _dirichlet_rec_int,
     _fejer_numerators,
     _vp_numerators,
-    _walsh_sum_columns,
+    _walsh_sum_rows,
     kernel_norm_sweep,
 )
 from .weights import WeightScheme, _FamilySchemes, validate
@@ -381,15 +381,15 @@ class LemmaResult:
 
 def _check_dirichlet_recursion(resolution: int, seed: int) -> Tuple[LemmaResult, LemmaResult]:
     """The closed-form and recursion rows: D_n by the doubling recursion
-    (_dirichlet_rec_int) against D_n = sum_{k<n} w_k (_walsh_sum_columns)
+    (_dirichlet_rec_int) against D_n = sum_{k<n} w_k (_walsh_sum_rows)
     for every n in [0, 2^N] up to RECURSION_EXHAUSTIVE_MAX_N; above it,
     where the 2^N + 1 recursions would cost O(4^N), n = 0, every power of
     two and orders drawn from the seed, RECURSION_SAMPLES in all, with
     detail sampled.  Each of the _batches of B orders is held as two
-    C-contiguous (2^N, B) int32 blocks, the orders on the fast axis; the
-    recursion's is subtracted from the sums' in place.  The recursion
-    builds D_{2^m} as its closed form, 2^m on I_m, so the error at the
-    N + 1 powers of two is the closed-form row's."""
+    int32 (B, 2^N) blocks, one row per order; the recursion's is
+    subtracted from the sums' in place.  The recursion builds D_{2^m} as
+    its closed form, 2^m on I_m, so the error at the N + 1 powers of two
+    is the closed-form row's."""
     size = 1 << resolution
     orders, detail = range(size + 1), ""
     if resolution > RECURSION_EXHAUSTIVE_MAX_N:
@@ -401,11 +401,11 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> Tuple[LemmaResult,
     worst = closed = powers = 0
     for batch in _batches(orders, lambda n: (None, size)):
         block = np.asarray(batch, dtype=np.int32)
-        sums = _walsh_sum_columns(block, resolution)
+        sums = _walsh_sum_rows(block, resolution)
         diffs = np.subtract(_dirichlet_rec_int(block, resolution), sums, out=sums)
         worst = max(worst, int(diffs.max()), -int(diffs.min()))
         power = np.flatnonzero((block > 0) & ((block & (block - 1)) == 0))
-        closed = max(closed, int(np.abs(diffs[:, power]).max(initial=0)))
+        closed = max(closed, int(np.abs(diffs[power]).max(initial=0)))
         powers += power.size
     return (
         LemmaResult("dirichlet-closed-form", powers, float(closed), closed == 0),

@@ -5,13 +5,13 @@ kernel only on x_0..x_n, so each is held as that period of integer
 numerators over one denominator (1 for D_n, n for K_n, the weights'
 common one for VP kernels), built by the integer butterfly of its Walsh
 coefficients or, for D, also by its recursion.  Each has one builder of
-many orders or weight rows in one block (_walsh_sum_columns,
+many orders or weight rows in one block of rows (_walsh_sum_rows,
 _dirichlet_rec_int, _fejer_numerators, _vp_numerators with the three VP
 parts), whose batches of one are the public builders, none of them in
 the package's __all__.  The kernel identities (the closed form of D at
 powers of two, the recursive splitting of D, the three-part VP
 decomposition) are then checked with zero error.  The numerators are
-int64, int32 in the D columns, or Python ints for a VP kernel whose
+int64, int32 in the D rows, or Python ints for a VP kernel whose
 weights have large numerators (_block_weights).
 """
 
@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import SampledFunction, _periods, _Samples, check_resolution
-from .walsh_system import _butterfly, _butterfly_columns, _run_cells
+from .dyadic import SampledFunction, _Samples, check_resolution
+from .walsh_system import _butterfly
 from .weights import WeightScheme, _integers, _quotients
 
 # VP kernel sums switch to Python ints once their bound passes this.  At
@@ -81,71 +81,60 @@ def _check_order(n: int, resolution: int) -> int:
     return int(n)
 
 
-def _walsh_sum_columns(orders, resolution: int) -> np.ndarray:
-    """D_n = sum_{k<n} w_k as column b of a C-contiguous (2^N, B) int32
-    block for each n = orders[b] <= 2^N (unchecked): the columns 1_{k<n},
-    built in runs of _run_cells(B, 2^N) cells, synthesized by
-    _butterfly_columns.  Every butterfly sum is at most 2^N <= 2^24 in
+def _walsh_sum_rows(orders, resolution: int) -> np.ndarray:
+    """D_n = sum_{k<n} w_k as row b of an int32 (B, 2^N) block for each
+    n = orders[b] <= 2^N (unchecked): the rows 1_{k<n}, synthesized by
+    one _butterfly.  Every butterfly sum is at most 2^N <= 2^24 in
     magnitude."""
-    block = np.asarray(orders, dtype=np.int32)
-    size = 1 << resolution
-    runs = _run_cells(block.size, size)
-    # Cell c r + i of column b is 1 when c r < n_b - i, for i < r = runs.
-    ones = np.arange(0, size, runs)[:, None] < (block - np.arange(runs)[:, None]).reshape(-1)
-    return _butterfly_columns(ones.astype(np.int32).reshape(size, -1))
+    orders = np.asarray(orders, dtype=np.int32).reshape(-1, 1)
+    return _butterfly((np.arange(1 << resolution) < orders).astype(np.int32))
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
-    """D_n as column b of a C-contiguous (2^N, B) int32 block, N >= 0, for
-    each n = orders[b] <= 2^N (unchecked), by the splitting
+    """D_n as row b of an int32 (B, 2^N) block, N >= 0, for each
+    n = orders[b] <= 2^N (unchecked), by the splitting
     D_n = D_{2^m} + r_m D_j for the top bit m of n and j = n - 2^m,
-    unrolled from the lowest bit up on all columns at once.  Before bit m
-    each column is D_(n mod 2^m), a function of x_0..x_(m-1), so only its
+    unrolled from the lowest bit up on all rows at once.  Before bit m
+    each row is D_(n mod 2^m), a function of x_0..x_(m-1), so only its
     first 2^m cells are built: bit m copies them to the next 2^m, negated
-    (r_m) in the columns whose n has m set (where j = 0 the copy is 0),
-    and those columns gain the closed form 2^m at the cells 0 and 2^m of
-    I_m; the order 2^N gains 2^N at cell 0.  Each bit is one contiguous
-    pass over B 2^m entries, multiplied in runs of up to
-    _run_cells(B, 2^N) cells by the signs of the orders repeated over the
-    run, so a narrow block runs no pass on runs of B entries.
-    |D_n| <= n <= 2^N <= 2^24 under the resolution cap, so int32 holds
-    every column exactly."""
+    (r_m) in the rows whose n has m set (where j = 0 the copy is 0), in
+    one multiply by each row's sign at bit m, and those rows gain the
+    closed form 2^m at the cells 0 and 2^m of I_m; the order 2^N gains
+    2^N at cell 0.  |D_n| <= n <= 2^N <= 2^24 under the resolution cap,
+    so int32 holds every row exactly."""
     orders = np.asarray(orders, dtype=np.int32)
-    size, width = 1 << resolution, orders.size
-    # The orders repeated over the cells of the longest run.
-    tiled = _periods(orders, _run_cells(width, size) * width)
-    values = np.zeros((size, width), dtype=np.int32)
+    # Row b's sign at bit m, -1 where n_b has bit m set.
+    signs = 1 - 2 * (orders[:, None] >> np.arange(resolution, dtype=np.int32) & 1)
+    values = np.zeros((orders.size, 1 << resolution), dtype=np.int32)
     for m in range(resolution):
         half = 1 << m
-        run = min(half * width, tiled.size)
-        low, high = values[:half].reshape(-1, run), values[half : 2 * half].reshape(-1, run)
-        np.multiply(low, 1 - 2 * (tiled[:run] >> m & 1), out=high)
+        np.multiply(values[:, :half], signs[:, m : m + 1], out=values[:, half : 2 * half])
         gain = orders & half
-        values[0] += gain
-        values[half] += gain
-    values[0] += orders & size
+        values[:, 0] += gain
+        values[:, half] += gain
+    values[:, 0] += orders & (1 << resolution)
     return values
 
 
-def _one_column(columns, n: int, resolution: int) -> KernelFunction:
-    # D_n as the batch of one of a column builder, at its period.
+def _one_row(rows, n: int, resolution: int) -> KernelFunction:
+    # D_n as the batch of one of a row builder, at its period.
     n = _check_order(n, resolution)
-    numer = columns([n], max(n - 1, 0).bit_length()).reshape(-1).astype(np.int64)
+    numer = rows([n], max(n - 1, 0).bit_length())[0].astype(np.int64)
     return KernelFunction._own(resolution, numer)
 
 
 def dirichlet(n: int, resolution: int) -> KernelFunction:
     """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
-    synthesized from its coefficients, 1 below n: _walsh_sum_columns of
+    synthesized from its coefficients, 1 below n: _walsh_sum_rows of
     the one order."""
-    return _one_column(_walsh_sum_columns, n, resolution)
+    return _one_row(_walsh_sum_rows, n, resolution)
 
 
 def dirichlet_via_recursion(n: int, resolution: int) -> KernelFunction:
     """D_n built by binary splitting: peel the top power of two with the
     closed form and recurse on the remainder behind a Rademacher sign
     (_dirichlet_rec_int of the one order)."""
-    return _one_column(_dirichlet_rec_int, n, resolution)
+    return _one_row(_dirichlet_rec_int, n, resolution)
 
 
 def _fejer_numerators(orders, cells: int) -> np.ndarray:

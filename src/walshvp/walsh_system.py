@@ -72,11 +72,6 @@ def walsh(n: int, resolution: int) -> SampledFunction:
     return SampledFunction._own(resolution, walsh_signs(n, resolution).astype(np.float64))
 
 
-# Column blocks (_butterfly_columns) of at least this many entries run two
-# butterfly stages per pass; below it the fixed cost of the extra views
-# outweighs the saved pass over memory (layer timings in BENCH_7.json).
-_RADIX4_MIN_SIZE = 1 << 12
-
 # Rows longer than _CHUNK_SIZE = 2^16 entries (512 KiB of float64, a
 # quarter of a 2 MiB L2 cache) are transformed in chunks of that size, each
 # of which stays in cache while it is worked on (layer timings in
@@ -100,36 +95,21 @@ def _pair_stages(x: np.ndarray, buffers, count: int) -> np.ndarray:
     return x
 
 
-def _stages(a: np.ndarray, h: int, stop: int, work) -> None:
+def _stages(a: np.ndarray, h: int, stop: int, work: np.ndarray) -> None:
     """The butterfly stages of spans h, 2h, ... below stop, in place on the
     contiguous a, whose size stop divides; every span is a power of two.
+    The work buffer holds a.size entries.
 
-    Without a work buffer, for column blocks under _RADIX4_MIN_SIZE
-    entries, every stage is radix-2 and its ufuncs allocate their results:
-    there numpy's fixed cost per call dominates, and a ufunc given out=
-    costs more than one that allocates (butterflies of 2^1..2^11 entries
-    took 1.1-1.4x as long with out=, and lemmas' op_p50_ms read +12% in 9
-    of 10 benchmark pairs; BENCH_35.json).
-
-    Given a work buffer of a.size entries, a radix-4 pass (Fino & Algazi,
-    1976) fuses the stages of spans h and 2h on the quarters x0..x3 of each
-    group of 4h entries: s0 = x0 + x1, d0 = x0 - x1, s1 = x2 + x3,
-    d1 = x2 - x3, then s0 + s1, d0 + d1, s0 - s1, d0 - d1.  Those are the
-    additions of the two radix-2 stages in the same order, so the result
-    is the same bit for bit.  An odd stage count ends on one radix-2 stage
-    whose copies go to the work buffer, so the pass allocates nothing,
-    on a pool thread or elsewhere (a stage of 2^16 entries that allocated
-    its copies took 4.8-6.1x as long).
+    A radix-4 pass (Fino & Algazi, 1976) fuses the stages of spans h and
+    2h on the quarters x0..x3 of each group of 4h entries: s0 = x0 + x1,
+    d0 = x0 - x1, s1 = x2 + x3, d1 = x2 - x3, then s0 + s1, d0 + d1,
+    s0 - s1, d0 - d1.  Those are the additions of the two radix-2 stages
+    in the same order, so the result is the same bit for bit.  An odd
+    stage count ends on one radix-2 stage whose copies go to the work
+    buffer, so the pass allocates nothing, on a pool thread or elsewhere
+    (a stage of 2^16 entries that allocated its copies took 4.8-6.1x as
+    long).
     """
-    if work is None:
-        while h < stop:
-            x = a.reshape(-1, 2 * h)
-            left = x[:, :h].copy()
-            right = x[:, h:].copy()
-            x[:, :h] = left + right
-            x[:, h:] = left - right
-            h *= 2
-        return
     while 4 * h <= stop:
         x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
         s0, d0, s1, d1 = work.reshape(4, -1, h)
@@ -237,10 +217,9 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     stages of spans under 2^8 ran on runs of 1 to 64 entries: a 2^12 row
     took 0.11 -> 0.05 ms, a (4, 2048) batch 0.17 -> 0.07 ms and a
     (32, 2^16) batch 60 -> 21 ms (BENCH_41.json).  The chunks' high stages
-    and _butterfly_columns keep their contiguous runs of 2^8 entries or
+    keep _stages' radix-4 passes over contiguous runs of 2^8 entries or
     more, where the stride-2 pass is the slower: as pair stages on a
-    transposed copy, the high stages of a 2^20 row took 4.1 ms, not 3.5,
-    and the Dirichlet check's int32 (2^15, 2) columns 0.90 ms, not 0.48.
+    transposed copy, the high stages of a 2^20 row took 4.1 ms, not 3.5.
 
     The chunks, and then the column blocks, are independent pieces: they
     run in min(_CPUS, pieces) shares at once (_in_shares), one for Python
@@ -285,54 +264,6 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
 
     _in_shares(low_stages, pieces, buffers)
     _in_shares(high_stages, pieces, buffers)
-    return a
-
-
-# Entries per contiguous run, at least, of a pass over a column block
-# (below): numpy's per-run loop cost is then small beside the run's work.
-# With one cell per run, the 2-column blocks of the recursion check at
-# N = 15 ran their low-cell passes on runs of 2 entries, and the check
-# took 25% longer than in the row layout; with this rule it takes 30% less
-# (4 and 6 alternating pairs of processes on a 2-vCPU host).
-_MIN_RUN = 1 << 8
-
-
-def _run_cells(width: int, cells: int) -> int:
-    """The low cells that a pass over a C-contiguous (cells, width) column
-    block takes as one contiguous run, cells a power of two: the fewest, a
-    power of two, whose run holds at least _MIN_RUN entries, capped at all
-    cells.  The rule reads the width alone: 1 cell from 256 columns on,
-    4 at 64 columns (N = 10), 64 at 4 (N = 14), 128 at 2 (N = 15)."""
-    return min(cells, 1 << (-(-_MIN_RUN // width) - 1).bit_length())
-
-
-def _butterfly_columns(a: np.ndarray) -> np.ndarray:
-    """The Hadamard butterfly in place down each column of a C-contiguous
-    (2^N, B) block; returns a.  Cells 2^s apart in a column are B 2^s
-    apart in the flat block, so its stages of spans B, 2B, ... are the
-    stages of every column at once, run by _stages.  With L =
-    _run_cells(B, 2^N) > 1, the stages of the L low cells, whose runs
-    would be shorter than _MIN_RUN, run first between the rows of the
-    transpose of the (2^N / L, L B) view, on runs of B 2^N / L entries or
-    more (as _butterfly's chunks run their 8 low stages); then the stages
-    of spans L B and up run on the block.  In a batch of 2^16 cells every
-    pass thus runs on runs of 2^8 entries or more.  The stages keep their
-    lowest-first order and a copy only moves values, so every column is
-    _butterfly of it alone, bit for bit.  A one-column block longer than
-    _CHUNK_SIZE is one row and keeps _butterfly's cache blocking."""
-    cells, width = a.shape
-    if width == 1 and cells > _CHUNK_SIZE:
-        _butterfly(a.reshape(cells))
-        return a
-    work = np.empty(a.size, a.dtype) if a.size >= _RADIX4_MIN_SIZE else None
-    low = _run_cells(width, cells)
-    flat = a.reshape(-1)
-    if low > 1:
-        view = flat.reshape(-1, low * width)
-        turned = np.ascontiguousarray(view.T)
-        _stages(turned.reshape(-1), view.shape[0] * width, a.size, work)
-        np.copyto(view, turned.T)
-    _stages(flat, low * width, a.size, work)
     return a
 
 

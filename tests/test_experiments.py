@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshvp.dyadic
@@ -359,12 +359,12 @@ class TestBatchedChecks:
         recursion = exp._dirichlet_rec_int
 
         def counted(orders, resolution):
-            columns = recursion(orders, resolution)
-            assert columns.shape == (1 << resolution, len(orders))
+            rows = recursion(orders, resolution)
+            assert rows.shape == (len(orders), 1 << resolution)
             calls.append(len(orders))
             if len(calls) == perturb_call:
-                columns[3, len(orders) // 2] += 1  # cell 3 of the middle order
-            return columns
+                rows[len(orders) // 2, 3] += 1  # cell 3 of the middle order
+            return rows
 
         monkeypatch.setattr(exp, "_dirichlet_rec_int", counted)
         return calls
@@ -372,7 +372,7 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("N", [10, 11])
     def test_one_wrong_cell_in_a_middle_block_fails(self, monkeypatch, N):
         # Each block's Walsh sums are synthesized from its own orders, so a
-        # wrong column of the recursion is compared with its own definition.
+        # wrong row of the recursion is compared with its own definition.
         calls = self._counted_recursion(monkeypatch, perturb_call=8)
         _, result = exp._check_dirichlet_recursion(N, 0)
         assert len(calls) > 8
@@ -381,21 +381,21 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("N", [10, 12, 16])
     @pytest.mark.parametrize("power", [True, False])
     def test_a_wrong_cell_fails_the_rows_of_its_column(self, monkeypatch, N, power):
-        # The closed-form row reads the columns of the N + 1 powers of two,
-        # the recursion row every column: a wrong cell of the recursion at
-        # the order 2^(N-1), or at the first order above it, fails the rows
-        # that read its column.  N = 10 checks every order, N = 12 samples
-        # them, and N = 16 runs one order per batch.
+        # The closed-form result reads the rows of the N + 1 powers of two,
+        # the recursion result every row: a wrong cell of the recursion at
+        # the order 2^(N-1), or at the first order above it, fails the
+        # results that read its row.  N = 10 checks every order, N = 12
+        # samples them, and N = 16 runs one order per batch.
         recursion, widths, wrong = exp._dirichlet_rec_int, [], []
 
         def perturbed(orders, resolution):
-            columns = recursion(orders, resolution)
+            rows = recursion(orders, resolution)
             widths.append(len(orders))
             for b, n in enumerate(orders.tolist()):
                 if not wrong and (n == 1 << (N - 1) if power else n > 1 << (N - 1)):
-                    columns[3, b] += 1  # D_n is 0 at cell 3 for both kinds of n
+                    rows[b, 3] += 1  # D_n is 0 at cell 3 for both kinds of n
                     wrong.append(n)
-            return columns
+            return rows
 
         monkeypatch.setattr(exp, "_dirichlet_rec_int", perturbed)
         closed, result = exp._check_dirichlet_recursion(N, 0)
@@ -408,8 +408,8 @@ class TestBatchedChecks:
     @pytest.mark.parametrize("N", [1, 4, 10, 16])
     def test_the_recursion_builds_powers_of_two_as_their_closed_form(self, N):
         for m in range(N + 1):
-            closed = np.zeros((1 << N, 1), dtype=np.int32)
-            closed[:: 1 << m] = 1 << m  # 2^m on I_m, the cells whose m low bits are 0
+            closed = np.zeros((1, 1 << N), dtype=np.int32)
+            closed[:, :: 1 << m] = 1 << m  # 2^m on I_m, the cells whose m low bits are 0
             assert np.array_equal(exp._dirichlet_rec_int([1 << m], N), closed)
 
     @pytest.mark.parametrize("N", [10, 11])
@@ -422,21 +422,21 @@ class TestBatchedChecks:
         assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
 
     def test_recursion_oracle_rows_are_int32(self, monkeypatch):
-        # Every butterfly sum of the columns 1_{k<n} is at most 2^N <= 2^24;
-        # each batch of 64 orders at N = 10 is one (2^10, 64) block, the
+        # Every butterfly sum of the rows 1_{k<n} is at most 2^N <= 2^24;
+        # each batch of 64 orders at N = 10 is one (64, 2^10) block, the
         # last order (2^10) a block of one.
         blocks = []
-        butterfly = walshvp.walsh_system._butterfly_columns
+        butterfly = walshvp.walsh_system._butterfly
 
         def spied(a):
             blocks.append((a.dtype, a.shape, a.flags.c_contiguous))
             return butterfly(a)
 
-        monkeypatch.setattr(walshvp.kernels, "_butterfly_columns", spied)
+        monkeypatch.setattr(walshvp.kernels, "_butterfly", spied)
         _, result = exp._check_dirichlet_recursion(10, 0)
         assert result.passed and result.instances == 1025 and result.worst_margin == 0
-        assert set(blocks) == {(np.dtype(np.int32), (1 << 10, 64), True),
-                               (np.dtype(np.int32), (1 << 10, 1), True)}
+        assert set(blocks) == {(np.dtype(np.int32), (64, 1 << 10), True),
+                               (np.dtype(np.int32), (1, 1 << 10), True)}
         assert len(blocks) == 17
 
     def test_the_lemma_checks_build_no_kernel_function(self, monkeypatch):
@@ -565,91 +565,6 @@ class TestBatchedChecks:
             for whole, short in zip([kernel] + list(parts), at_support):
                 tiled = np.tile(short.exact_numer, 1 << (resolution - support))
                 assert np.array_equal(whole.exact_numer, tiled)
-
-
-def _row_recursion(orders, resolution):
-    """The row-major recursion the column layout replaced: one int32 row per
-    order, each bit a strided pass over its 2^m-long halves (a reference)."""
-    orders = np.asarray(orders, dtype=np.int32)
-    values = np.zeros((orders.size, 1 << resolution), dtype=np.int32)
-    for m in range(int(orders.max(initial=0)).bit_length()):
-        bit = orders >> m & 1
-        flip = np.flatnonzero(bit & (orders & ((1 << m) - 1) != 0))
-        if flip.size:
-            values.reshape(orders.size, -1, 2, 1 << m)[flip, :, 1] *= -1
-        values[:, :: 1 << m] += bit[:, None] << m
-    return values
-
-
-_DTYPES = {
-    "int32": lambda rng, shape: rng.integers(-(1 << 12), 1 << 12, shape).astype(np.int32),
-    "int64": lambda rng, shape: rng.integers(-(1 << 40), 1 << 40, shape),
-    "object": lambda rng, shape: (rng.integers(-(1 << 40), 1 << 40, shape) << 30).astype(object),
-    "float64": lambda rng, shape: rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape),
-}
-
-
-class TestColumnLayout:
-    """The recursion check holds a batch of B orders as (2^N, B) blocks, the
-    orders on the fast axis; each column is, bit for bit, the row the
-    row-major _butterfly and recursion make of its order alone."""
-
-    @given(st.integers(0, 12), st.integers(1, 80), st.sampled_from(sorted(_DTYPES)),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    @example(12, 2, "int32", 1)  # the narrow batches: low cells blocked
-    @example(12, 3, "float64", 2)
-    @example(12, 16, "int64", 3)
-    @example(12, 80, "float64", 4)
-    @example(12, 1, "float64", 5)  # one order, its low cells turned
-    @example(6, 64, "object", 6)
-    def test_columns_are_the_row_butterflies(self, N, width, dtype, seed):
-        if dtype == "object":
-            width = min(width, max(1, (1 << 12) >> N))  # Python ints are slow
-        rows = _DTYPES[dtype](np.random.default_rng(seed), (width, 1 << N))
-        expected = walshvp.walsh_system._butterfly(rows.copy())
-        block = np.ascontiguousarray(rows.T)
-        assert walshvp.walsh_system._butterfly_columns(block) is block
-        assert block.dtype == expected.dtype
-        if dtype == "object":
-            assert block.T.tolist() == expected.tolist()
-        else:
-            assert np.ascontiguousarray(block.T).tobytes() == expected.tobytes()
-
-    @given(st.integers(0, 12), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_oracle_and_recursion_columns_are_the_rows(self, N, data):
-        orders = np.array(data.draw(st.lists(st.integers(0, 1 << N), min_size=1, max_size=80)))
-        ones = (np.arange(1 << N) < orders[:, None]).astype(np.int32)
-        rows = walshvp.walsh_system._butterfly(ones)
-        assert np.array_equal(_row_recursion(orders, N), rows)
-        for columns in (walshvp.kernels._walsh_sum_columns(orders, N),
-                        walshvp.kernels._dirichlet_rec_int(orders, N)):
-            assert columns.dtype == np.int32 and columns.flags.c_contiguous
-            assert columns.shape == (1 << N, orders.size)
-            assert np.array_equal(columns, rows.T)
-
-    def test_a_one_order_block_past_the_chunk_takes_the_chunked_butterfly(self, monkeypatch):
-        N, n = 17, 92_681
-        passes = []
-        stages = walshvp.walsh_system._stages
-
-        def counted(a, h, stop, work):
-            passes.append(a.size)
-            stages(a, h, stop, work)
-
-        monkeypatch.setattr(walshvp.walsh_system, "_stages", counted)
-        row = walshvp.walsh_system._butterfly((np.arange(1 << N) < n).astype(np.int32)[None])
-        assert max(passes) == 1 << 16  # _butterfly's chunks
-        passes.clear()
-        for columns in (walshvp.kernels._walsh_sum_columns([n], N),
-                        walshvp.kernels._dirichlet_rec_int([n], N)):
-            assert columns.shape == (1 << N, 1) and np.array_equal(columns, row.T)
-        assert np.array_equal(_row_recursion([n], N), row)
-        assert passes and max(passes) == 1 << 16
-        values = np.random.default_rng(5).standard_normal(1 << N)
-        block = walshvp.walsh_system._butterfly_columns(values.reshape(-1, 1).copy())
-        assert block.tobytes() == walshvp.walsh_system._butterfly(values.copy()).tobytes()
 
 
 # JSON prints every bit of a float, where CSV rounds to 12 digits.

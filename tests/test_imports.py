@@ -249,16 +249,44 @@ def _callers(modules: dict, name: str):
     return sorted(found)
 
 
-def test_only_the_two_butterflies_run_stages():
-    # The row butterfly and the column butterfly of the Dirichlet columns
-    # are the two layouts that run _stages; kernels._walsh_sum_columns is
-    # the one call site of the column one, so a third layout would show
-    # here before it grew a pass body of its own.
+def _layout_names(modules: dict):
+    """Each name, of a function or class defined at any depth or of a
+    call by name or as an attribute, that speaks of a butterfly or of
+    columns."""
+    found = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            else:
+                continue
+            if "butterfl" in name.lower() or "column" in name.lower():
+                found.add(name)
+    return sorted(found)
+
+
+def test_only_the_row_butterfly_runs_stages():
+    # Every butterfly of the package runs on rows: _butterfly is the one
+    # butterfly defined or called, and the one caller of _stages, whose
+    # radix-4 passes run the high stages of rows past _CHUNK_SIZE.  A
+    # second layout, such as (2^N, B) column blocks, would show here before
+    # it grew a pass body of its own.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    assert _callers(modules, "_stages") == [
-        "walsh_system._butterfly", "walsh_system._butterfly_columns",
-    ]
-    assert _callers(modules, "_butterfly_columns") == ["kernels._walsh_sum_columns"]
+    assert _callers(modules, "_stages") == ["walsh_system._butterfly"]
+    assert _layout_names(modules) == ["_butterfly"]
+
+
+def test_layout_names_are_reported():
+    tree = ast.parse(
+        "def _butterfly(a):\n    def low(b):\n        return b\n    return low(a)\n"
+        "def rows(a):\n    return w._butterfly_columns(a) + _butterfly(a)\n"
+        "class ColumnBlock:\n    def run(self, a):\n        return a.sum(axis=0)\n"
+        "def other(a):\n    return a.columns\n"
+    )
+    assert _layout_names({"m": tree}) == ["ColumnBlock", "_butterfly", "_butterfly_columns"]
 
 
 def test_callers_are_reported():
@@ -296,7 +324,7 @@ def _references(modules: dict, names: set):
 
 def test_the_checks_build_every_kernel_as_rows():
     # Every kernel of verify-lemmas comes from a rows builder of kernels
-    # (_walsh_sum_columns, _dirichlet_rec_int, _fejer_numerators,
+    # (_walsh_sum_rows, _dirichlet_rec_int, _fejer_numerators,
     # _vp_numerators): no function of experiments builds one by its order,
     # synthesizes one alone or holds one as a KernelFunction, and kernels
     # has no per-order synthesis beside the builders.
@@ -322,11 +350,13 @@ def test_references_are_reported():
 
 
 def test_a_lemmas_op_runs_one_butterfly_per_batch_of_kernels(monkeypatch):
-    # The N = 10 op of the lemmas workload.  Each batch of Fejer g and each
-    # batch of VP kernels and parts is one butterfly, and the closed-form
-    # row reads the recursion check's columns: 70 calls, where one
-    # synthesis per Fejer g and per power of two, and two butterflies per
-    # VP batch, made 99.
+    # The N = 10 op of the lemmas workload.  Each batch of Fejer g, each
+    # batch of VP kernels and parts, and each of the recursion check's 17
+    # batches of Walsh sums (16 of 64 orders, then the order 2^10) is one
+    # butterfly, and the closed-form row reads the recursion check's rows:
+    # 87 calls.  A synthesis per Fejer g or per power of two, a second
+    # butterfly per VP batch, or a second layout for the Walsh sums would
+    # change the count.
     calls = []
     butterfly = walshvp.walsh_system._butterfly
 
@@ -342,7 +372,7 @@ def test_a_lemmas_op_runs_one_butterfly_per_batch_of_kernels(monkeypatch):
             "--random-schemes", "6", "--seed", "1", "--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert walshvp.cli.main(argv) == 0
-    assert len(calls) == 70
+    assert len(calls) == 87
 
 
 def test_radix4_view_is_reported():

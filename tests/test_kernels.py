@@ -144,18 +144,56 @@ class TestDirichletRecursion:
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_running_walsh_sums(self, N, data):
-        # One column per order, in the order given: unsorted, repeated, with
-        # the ends 0 and 2^N; the orders are the fast axis.
+        # One row per order, in the order given: unsorted, repeated, with
+        # the ends 0 and 2^N.
         drawn = data.draw(st.lists(st.integers(0, 1 << N), max_size=20))
         orders = data.draw(st.permutations(drawn + [0, 1 << N]))
         sums = [np.zeros(1 << N, dtype=np.int64)]
         for k in range(1 << N):
             sums.append(sums[-1] + walsh_signs(k, N))  # sums[n] == D_n
-        columns = walshvp.kernels._dirichlet_rec_int(np.array(orders), N)
-        assert columns.shape == (1 << N, len(orders)) and columns.dtype == np.int32
-        assert columns.flags.c_contiguous
-        for n, column in zip(orders, columns.T):
-            assert np.array_equal(column, sums[n])
+        rows = walshvp.kernels._dirichlet_rec_int(np.array(orders), N)
+        assert rows.shape == (len(orders), 1 << N) and rows.dtype == np.int32
+        assert rows.flags.c_contiguous
+        for n, row in zip(orders, rows):
+            assert np.array_equal(row, sums[n])
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_recursion_rows_are_the_walsh_sum_rows(self, N, data):
+        # The order batches of the recursion check: 0, 2^N, the powers of
+        # two between, and any order in [0, 2^N].
+        order = st.one_of(
+            st.just(0), st.just(1 << N), st.integers(0, N - 1).map(lambda m: 1 << m),
+            st.integers(0, 1 << N),
+        )
+        orders = data.draw(st.lists(order, min_size=1, max_size=40))
+        rows = walshvp.kernels._dirichlet_rec_int(orders, N)
+        sums = walshvp.kernels._walsh_sum_rows(orders, N)
+        assert rows.dtype == sums.dtype == np.int32
+        assert rows.shape == sums.shape == (len(orders), 1 << N)
+        assert np.array_equal(rows, sums)
+        for n, row in zip(orders, rows):
+            assert np.array_equal(dirichlet(n, N).exact_numer, row)
+            assert np.array_equal(dirichlet_via_recursion(n, N).exact_numer, row)
+
+    def test_a_row_past_the_chunk_takes_the_chunked_butterfly(self, monkeypatch):
+        # One order at N = 17: its row of 2^17 entries is longer than
+        # _CHUNK_SIZE, so _butterfly runs its high stages by _stages.
+        N, n = 17, 92_681
+        passes = []
+        stages = walshvp.walsh_system._stages
+
+        def counted(a, h, stop, work):
+            passes.append(a.size)
+            stages(a, h, stop, work)
+
+        monkeypatch.setattr(walshvp.walsh_system, "_stages", counted)
+        sums = walshvp.kernels._walsh_sum_rows([n], N)
+        assert passes and max(passes) == walshvp.walsh_system._CHUNK_SIZE
+        rows = walshvp.kernels._dirichlet_rec_int([n], N)
+        assert sums.shape == rows.shape == (1, 1 << N) and np.array_equal(rows, sums)
+        assert np.array_equal(dirichlet(n, N).exact_numer, rows[0])
+        assert np.array_equal(dirichlet_via_recursion(n, N).exact_numer, rows[0])
 
 
 class TestFejer:
@@ -226,7 +264,7 @@ class TestNormSweep:
             raise AssertionError("the sweep must not touch the 2^N cells")
 
         monkeypatch.setattr(walshvp.walsh_system, "walsh_signs", refuse)
-        for builder in ("_butterfly", "_butterfly_columns", "_dirichlet_rec_int"):
+        for builder in ("_butterfly", "_dirichlet_rec_int"):
             monkeypatch.setattr(walshvp.kernels, builder, refuse)
         monkeypatch.setattr(walshvp.walsh_system, "hadamard_transform", refuse)
         d_norms, k_norms = sweep_norms(1 << 9, 12)

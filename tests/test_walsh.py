@@ -203,9 +203,6 @@ class TestButterfly:
         x = np.random.default_rng(20).standard_normal(1 << 20)
         assert _same(hadamard_transform(x), _radix2_oracle(x))
 
-    def test_cut_over_is_inside_the_tested_sizes(self):
-        assert 2 <= walsh_system._RADIX4_MIN_SIZE <= 1 << 15
-
     @staticmethod
     def _check_rows(x, expected):
         """Each row of x through _butterfly, and a 1-D x through
