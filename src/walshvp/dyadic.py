@@ -233,24 +233,50 @@ def _power_scale(top: float, p: float, resolution: int) -> float:
     return top
 
 
-def _lp_of_values(values: np.ndarray, p: float, resolution: int, top=None) -> float:
+def _lp_of_values(values: np.ndarray, p: float, resolution: int, top=None, period=None) -> float:
     # The L_p norm at resolution N of the function that repeats `values`,
-    # 2^k <= 2^N of them.  The tree at N reaches 2^(N-k) equal sums of one
-    # period and then only doubles them exactly, so the sum over `values`
-    # times 2^-k is the one over 2^N cells times 2^-N bit for bit; the
-    # scale is the one of N.  `top` bounds |values| and sets the scale;
-    # callers comparing several arrays pass one shared bound.
+    # 2^k <= 2^N of them, less `period` (2^j <= 2^k entries) tiled over
+    # them if one is given.  The tree at N reaches 2^(N-k) equal sums of
+    # one period and then only doubles them exactly, so the sum over
+    # `values` times 2^-k is the one over 2^N cells times 2^-N bit for
+    # bit; the scale is the one of N.  `top` bounds the magnitudes and sets
+    # the scale; callers comparing several arrays pass one shared bound.
+    # Without it, the first pass finds it and sums the unscaled powers,
+    # whose overflow is then not read: a second pass runs only where the
+    # scale is not 1.
+    sums = None
     if top is None:
-        top = float(np.max(np.abs(values)))
+        with np.errstate(over="ignore"):
+            top, sums = _block_powers(values, p, 1.0, period)
     if p == INF or not 0.0 < top < INF:
         return top
     scale = _power_scale(top, p, resolution)
-    powers = np.abs(values)
-    if scale != 1.0:
-        powers /= scale
-    powers **= p
-    total = _pairwise_total(powers) / values.size
+    if sums is None or scale != 1.0:
+        _, sums = _block_powers(values, p, scale, period)
+    total = _pairwise_total(sums) / values.size
     return scale * total ** (1.0 / p)
+
+
+def _block_powers(values: np.ndarray, p: float, scale: float, period) -> tuple:
+    # (largest |values - period|, each block's sum of (|values - period| /
+    # scale)^p, unset for p = inf) over blocks of _rows_per_block periods,
+    # read through one work array.  Each block's tree is a node of the tree
+    # of all the powers, so _pairwise_total of the sums is its root.  The
+    # period is tiled to a block once, so that no subtraction runs over a
+    # short inner axis; x - 0.0 is x.
+    width = 1 if period is None else period.size
+    work = np.empty(min(values.size, width * _rows_per_block(width)))
+    tiled = 0.0 if period is None else _periods(period, work.size)
+    top, sums = 0.0, np.empty(values.size // work.size)
+    for i, block in enumerate(values.reshape(-1, work.size)):
+        np.abs(np.subtract(block, tiled, out=work), out=work)
+        top = max(top, float(np.max(work)))
+        if p != INF:
+            if scale != 1.0:
+                work /= scale
+            work **= p
+            sums[i] = _pairwise_total(work)
+    return top, sums
 
 
 def lp_norm(f: SampledFunction, p) -> float:
@@ -258,7 +284,9 @@ def lp_norm(f: SampledFunction, p) -> float:
 
     When a p-th power could over- or underflow, the magnitudes are first
     divided by the largest of them, so a large p stays accurate.  The sum
-    runs over the head of f, its 2^r samples at its rank r.
+    runs over the head of f, its 2^r samples at its rank r, in blocks of at
+    most _BLOCK_CELLS of them: one route with the approx errors, which
+    subtract the mean's period from the same head.
     """
     return _lp_of_values(f._head, _check_exponent(p), f.resolution)
 
@@ -316,32 +344,6 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     np.subtract(total, sums, out=sums)
     sums *= 2.0
     return scale, sums
-
-
-def _l2_error(f: SampledFunction, multiplier: np.ndarray) -> float:
-    """||mean(f) - f||_2 by Parseval, with no synthesis: sqrt(sum_m ((1 -
-    mu_m) fhat_m)^2), mu the block multiplier, given on its first
-    2^min(n+1, r) coefficients, which it leaves as they are.  fhat
-    vanishes from 2^r on (r the rank of f) and mu from 2^(n+1) on, so the
-    terms are |fhat_m| on the first 2^r coefficients, times |1 - mu_m| on
-    the first 2^min(n+1, r).  They are divided by the scale of the largest
-    of them before squaring, as in lp_norm, and summed by _pairwise_total.
-    An error past the float range is inf."""
-    from .walsh_system import fwht_forward
-
-    rank = _rank_of(f)
-    terms = np.abs(fwht_forward(f)._prefix(1 << rank))
-    mean_part = terms[: multiplier.size]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_part *= np.abs(1.0 - multiplier)
-    error = float(np.max(terms))
-    if 0.0 < error < INF:
-        scale = _power_scale(error, 2.0, rank)
-        if scale != 1.0:
-            terms /= scale
-        terms **= 2
-        error = scale * math.sqrt(_pairwise_total(terms))
-    return error
 
 
 def _coset_oscillation(values: np.ndarray, n: int) -> float:
@@ -405,7 +407,8 @@ def _rank_of(f: SampledFunction) -> int:
 
 
 # Cells per block of rows in an array pass (512 KiB of float64 or int64),
-# such as the translates of the finite-p modulus; read by _rows_per_block.
+# such as the translates of the finite-p modulus or the periods of an L^p
+# norm; read by _rows_per_block.
 _BLOCK_CELLS = 1 << 16
 
 

@@ -19,7 +19,6 @@ from .dyadic import (
     SampledFunction,
     _batches,
     _check_exponent,
-    _l2_error,
     _lp_of_values,
     _rank_of,
     abs_values,
@@ -239,12 +238,10 @@ def approximation_error(f: SampledFunction, scheme: WeightScheme, p) -> ApproxRe
     """Compute ||mean(f) - f||_p, omega_p(f, 2^-n), and their ratio: the
     sweep of one block and one p (ratio_sweep).
 
-    At p = 2 the error is sqrt(sum_m ((1 - mu_m) fhat_m)^2) by Parseval
-    (dyadic._l2_error), mu the mean's multiplier, summed over the 2^r
-    coefficients of a rank-r f; any other p is the L^p norm of mean - f at
-    the 2^r cells of one period, the mean synthesized by _mean_period as
-    in vp_mean, so it is lp_norm(vp_mean(f, scheme).function - f, p) bit
-    for bit.  The 47/30 constant is asserted, with slack DEFAULT_SLACK,
+    The error at every p is the L^p norm of f - mean at the 2^r cells of
+    one period of a rank-r f, the mean synthesized by _mean_period as in
+    vp_mean, so it is lp_norm(vp_mean(f, scheme).function - f, p) bit for
+    bit.  The 47/30 constant is asserted, with slack DEFAULT_SLACK,
     exactly when the scheme sums to one and is non-increasing (case b);
     otherwise bound is nan and nothing is asserted.
     """
@@ -257,12 +254,13 @@ def ratio_sweep(
     """One ApproxRecord per (block, p), as approximation_error gives it,
     block after block.  Each scheme is drawn from schemes when its block
     comes, and n is its block exponent; it is checked, validated and
-    turned into the block's multiplier once for all p.  Then each row is
-    computed, checked and recorded in p_values order: the error, the
-    modulus, the ratio.  The mean is synthesized (_mean_period) at the
-    block's first p != 2, and the residual mean - f is taken at the 2^r
-    cells of one period of f, r its rank.  A failure raises before the
-    next row is computed, and so before the next scheme is drawn."""
+    turned into the period of the block's mean (_mean_period) once for all
+    p.  Then each row is computed, checked and recorded in p_values order:
+    the error, the modulus, the ratio.  Every error is one _lp_of_values
+    call on the 2^r samples of f, r its rank, less the mean's period tiled
+    over them, read in blocks, so no residual of 2^r cells is built.  A
+    failure raises before the next row is computed, and so before the next
+    scheme is drawn."""
     p_values = tuple(map(_check_exponent, p_values))
     rank = _rank_of(f)
     records = []
@@ -273,17 +271,9 @@ def ratio_sweep(
         # The 47/30 bound is asserted exactly when the scheme sums to one and
         # is non-increasing (case b): its proof needs both.
         bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
-        multiplier = _block_multiplier(scheme.weights, min(n + 1, rank))
-        residual = None
+        mean = _mean_period(f, _block_multiplier(scheme.weights, min(n + 1, rank)), n)
         for p in p_values:
-            if p == 2.0:
-                error = _l2_error(f, multiplier)
-            else:
-                if residual is None:
-                    mean = _mean_period(f, multiplier, n)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        residual = (mean - f._head.reshape(-1, mean.size)).reshape(-1)
-                error = _lp_of_values(residual, p, f.resolution)
+            error = _lp_of_values(f._head, p, f.resolution, period=mean)
             if not error < INF:
                 raise ValueError(f"the p = {p:.12g} error of block n = {n} passes the float range")
             modulus = _finite_modulus(modulus_of_continuity(f, n, p), n, p)

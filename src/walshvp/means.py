@@ -56,8 +56,8 @@ def _mean_period(f: SampledFunction, multiplier: np.ndarray, n: int) -> np.ndarr
     its first 2^min(n+1, r) coefficients, r the rank of f: fhat is zero
     from 2^r on and the multiplier from 2^(n+1) on, so these hold every
     product that is not zero.  The products go to a new array, which is
-    synthesized in place, so the multiplier is only read and serves every
-    row of its block.  A mean past the float range is a ValueError."""
+    synthesized in place, so the multiplier is only read.  A mean past the
+    float range is a ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = _butterfly(multiplier * fwht_forward(f)._prefix(multiplier.size))
     if not np.isfinite(mean).all():

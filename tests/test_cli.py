@@ -1035,12 +1035,14 @@ def test_full_rank_samples_near_the_float_limit_do_not_overflow(capsys, tmp_path
 @pytest.mark.parametrize(
     "function",
     [
-        "walsh_poly:4",  # (1 - 1e308) 4 is past the float range
-        "walsh_poly:1.5,1.5",  # each term is finite, their root sum of squares is not
+        "walsh_poly:4",  # 4 times the weights' sum 1e308 is past the float range
+        "walsh_poly:1.5,1.5",  # each product is finite, their sum is not
     ],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_l2_error_past_the_float_range_is_a_usage_error(capsys, tmp_path, function, fmt):
+    # The p = 2 error reads the residual of the block's mean, as every p
+    # does, so a mean past the float range fails it first.
     path = tmp_path / "w.csv"
     path.write_text("k,t\n2,5e307\n3,5e307\n")  # the weights sum to 1e308
     with warnings.catch_warnings():
@@ -1049,7 +1051,7 @@ def test_l2_error_past_the_float_range_is_a_usage_error(capsys, tmp_path, functi
                              "--weights", str(path), "--nmin", "1", "--nmax", "1",
                              "--p", "2", "--format", fmt)
     assert code == 2 and out == ""
-    assert err == "error: the p = 2 error of block n = 1 passes the float range\n"
+    assert err == "error: the mean of block n = 1 passes the float range\n"
 
 
 @pytest.mark.parametrize(
@@ -1057,7 +1059,7 @@ def test_l2_error_past_the_float_range_is_a_usage_error(capsys, tmp_path, functi
     [
         ("walsh_poly:4", "1"),  # 4 times the weights' sum 1e308 is past the float range
         ("walsh_poly:1.5,1.5", "inf"),  # each product is finite, their sum is not
-        ("walsh_poly:4", "1,2"),  # the mean's error comes before the p = 2 error
+        ("walsh_poly:4", "1,2"),  # the mean fails before any error is read
     ],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1073,7 +1075,9 @@ def test_mean_past_the_float_range_is_a_usage_error(capsys, tmp_path, function, 
     assert err == "error: the mean of block n = 1 passes the float range\n"
 
 
-@pytest.mark.parametrize("p, message", [("1", "p = 1 error"), ("inf,2", "p = inf error")])
+@pytest.mark.parametrize(
+    "p, message", [("1", "p = 1 error"), ("inf,2", "p = inf error"), ("2", "p = 2 error")]
+)
 def test_residual_past_the_float_range_is_a_usage_error(capsys, tmp_path, p, message):
     # The mean 1.5e308 is finite; f = 0.5e308 + 1.2e308 w_3 moves the
     # residual 1e308 - 1.2e308 w_3 past the float range.
@@ -1106,7 +1110,7 @@ def test_residual_past_the_float_range_is_a_usage_error(capsys, tmp_path, p, mes
         (("--function", "walsh_poly:4", "--resolution", "3", "--weights", "W", "--nmin", "1",
           "--nmax", "1", "--p", "1,2"), "the mean of block n = 1 passes the float range"),
         (("--function", "walsh_poly:4", "--resolution", "3", "--weights", "W", "--nmin", "1",
-          "--nmax", "1", "--p", "2,1"), "the p = 2 error of block n = 1 passes the float range"),
+          "--nmax", "1", "--p", "2,1"), "the mean of block n = 1 passes the float range"),
         # Both blocks of the constant f share one mean period; block 1's
         # mean fails before block 2's scheme, which the file cannot give.
         (("--function", "walsh_poly:4", "--resolution", "4", "--weights", "W", "--nmin", "1",
@@ -1182,15 +1186,16 @@ APPROX_1_3 = ("approx", "--weights", "uniform", "--nmin", "1", "--nmax", "3")
 @pytest.mark.parametrize(
     "argv, function, p, sizes",
     [
-        # step_mix has rank 4: f once at 2^4, and one table of 2^(4-nmin)
-        # for every p = 2 modulus; the p = 2 error synthesizes no mean
-        (APPROX_1_3, "step_mix", "2", [16, 8]),
-        # p = 1 asks for the residuals: one synthesis per block, of its
-        # mean period 2^min(n+1, 4), in p order, so before block 1's table
+        # step_mix has rank 4: f once at 2^4, one synthesis per block of
+        # its mean period 2^min(n+1, 4), before the block's errors and so
+        # before block 1's table, the one of 2^(4-nmin) for every p = 2
+        # modulus
+        (APPROX_1_3, "step_mix", "2", [16, 4, 8, 8, 16]),
+        # p = 1 reads the same mean periods and adds no synthesis
         (APPROX_1_3[:-1] + ("5",), "step_mix", "1,2", [16, 4, 8, 8, 16, 16, 16]),
         (("modulus", "--nmin", "0", "--nmax", "2"), "step_mix", "2", [16, 16]),
-        # full rank: f once at 2^N, a table of 2^(N-nmin)
-        (APPROX_1_3, "abs_power:0.5", "2", [1024, 512]),
+        # full rank: f once at 2^N, the mean periods, a table of 2^(N-nmin)
+        (APPROX_1_3, "abs_power:0.5", "2", [1024, 4, 512, 8, 16]),
     ],
     ids=["approx-step_mix", "approx-step_mix-p1", "modulus-step_mix", "approx-abs_power"],
 )

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -154,7 +155,61 @@ class TestPairwiseTotal:
         assert total == 2.0**log_copies * dyadic._pairwise_total(period)
 
 
+def _flat_norm(values, p, resolution, period):
+    """The L_p norm of values less the tiled period (none: values) from one
+    array of all the magnitudes: the flat route that the blocks replace."""
+    if period is not None:
+        values = values - np.tile(period, values.size // period.size)
+    magnitudes = np.abs(values)
+    top = float(np.max(magnitudes))
+    if p == INF or not 0.0 < top < INF:
+        return top
+    scale = dyadic._power_scale(top, p, resolution)
+    if scale != 1.0:
+        magnitudes /= scale
+    magnitudes **= p
+    return scale * (dyadic._pairwise_total(magnitudes) / values.size) ** (1.0 / p)
+
+
+@st.composite
+def blocked_norm_cases(draw):
+    """(values, period or None, p, budget) for N = 18: 2^0..2^18 values, on
+    both sides of _BLOCK_CELLS, a period from 1 entry up to all of them, and
+    magnitudes from subnormals up to 2^1000, at which every finite p is
+    scaled; the values may repeat the period, so the norm is 0.  The
+    budget is _BLOCK_CELLS or 2^4, which cuts small arrays into many
+    blocks."""
+    size = 1 << draw(st.integers(0, 18))
+    period_size = 1 << draw(st.integers(0, size.bit_length() - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    magnitude = 2.0 ** draw(st.sampled_from([-1074, -1060, -600, 0, 600, 1000]))
+    values = rng.uniform(-4, 4, size) * magnitude
+    period = None
+    if draw(st.booleans()):
+        period = rng.uniform(-4, 4, period_size) * magnitude
+        if draw(st.booleans()):
+            values = np.tile(period, size // period_size)
+    p = draw(st.sampled_from([1.0, 2.0, 3.5, INF, 1000.0]))
+    return values, period, p, draw(st.sampled_from([dyadic._BLOCK_CELLS, 1 << 4]))
+
+
 class TestLpNorm:
+    @given(blocked_norm_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_are_the_flat_norm_bit_for_bit(self, case):
+        # Each block's tree is a node of the flat tree, so the blocks keep
+        # the flat norm's bits; the unscaled first pass may overflow where
+        # the flat route scales, and must not warn of it.
+        values, period, p, budget = case
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            flat = _flat_norm(values, p, 18, period)
+        with warnings.catch_warnings(), mock.patch.object(dyadic, "_BLOCK_CELLS", budget):
+            if not caught:
+                warnings.simplefilter("error")
+            blocked = dyadic._lp_of_values(values, p, 18, period=period)
+        assert blocked.hex() == flat.hex()
+
     def test_walsh_l2_unit(self):
         for n in (0, 3, 7):
             assert lp_norm(walsh(n, 3), 2) == pytest.approx(1.0, abs=1e-14)

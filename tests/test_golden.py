@@ -8,9 +8,13 @@ holds all 2^10 samples, were recorded before every function was held at
 its dyadic rank.  They pin p = 2 again, after its moduli moved in their
 last bits when the p = 2 table stopped summing the terms that cancel
 exactly: a change that moves p = 2 on purpose (ROADMAP item 2) lists each
-digest it moves.  The N = 18 call, the first whose butterflies split into
-shares, was recorded when it was added, with the same bytes on the tree
-before the approx sweep ran block by block.  The zero function given as
+digest it moves.  The approx p = 2,3 digests that print p = 2 errors in
+full (the JSON ones, and step_mix's CSV) and the N = 18 call were
+recorded again when the p = 2 error stopped being read by Parseval and
+became the norm of the mean's residual, as every other p's; their moduli
+and every p = 3 row kept their bytes.  The N = 18 call, the first whose
+butterflies split into shares, was first recorded when it was added, with
+the same bytes on the tree before the approx sweep ran block by block.  The zero function given as
 -0.0 was recorded while the rank still told -0.0 from +0.0 and held it at
 all 2^N cells; the inverse of a spectrum of signed zeros was recorded
 after, when its text changed from `0 0 0 0 0 0 -0 0` to eight `-0`.
@@ -44,8 +48,8 @@ def _calls():
                       "--seed", "3", "--format", fmt]
             calls[f"approx {spec} {fmt}"] = ["approx", "--weights", weights] + common
             calls[f"modulus {spec} {fmt}"] = ["modulus"] + common
-            # p = 2 takes the spectral table and the Parseval error, p = 3
-            # the blocked table and the residual rows.
+            # p = 2 takes the spectral table, p = 3 the blocked one; both
+            # read their errors off the residual of the block's mean.
             common[5] = "2,3"
             calls[f"approx {spec} p=2,3 {fmt}"] = ["approx", "--weights", weights] + common
             calls[f"modulus {spec} p=2,3 {fmt}"] = ["modulus"] + common
@@ -80,9 +84,9 @@ CALLS = _calls()
 DIGESTS = {
     "approx abs_power:0.5 csv": "0f3d27fa61bac5e4e901218d2e360080a24db67ec0b64bd9077adcc7ba2a7b57",
     "approx abs_power:0.5 json": "4402e7faf6532e39c55183deb1455c929d8690917f19567d5934e27ad4af72cf",
-    "approx abs_power:0.5 N=18 p=2 json": "e3e49f0ca975613b757c1e1015e56cd34183aff08e6579b79de8c7296e355247",
+    "approx abs_power:0.5 N=18 p=2 json": "d7c5764644bd0649c6dae468927201e329d6cc191b0e9bb2f7e32eb487d4ba22",
     "approx abs_power:0.5 p=2,3 csv": "d6e802b231f3b1b9c7b08515ec5f486ee5c058f986ddd95282f335cbb5f5b549",
-    "approx abs_power:0.5 p=2,3 json": "90ebcdd008d3637855959cb084eae8f4f2bfcec140cd982cc7e22d48e63d6acb",
+    "approx abs_power:0.5 p=2,3 json": "132b9c45f1128c43f1d3aff1ede7c9e99249ea9d02b6952cc308356826488d71",
     "approx indicator:2 csv": "fc7f07b168cd471ce27f8ea8e8a5860f8b5c95093d147f94d8d8602177b42e37",
     "approx indicator:2 json": "273e76358787470c67e0fa7290073b18e50309a7b669f5ca1d18e79fd5b009b7",
     "approx indicator:2 p=2,3 csv": "6097762aa6fd358cdc4553c34a2bc09fdf84c50a9a6244b1f2e0b5219201f965",
@@ -90,16 +94,16 @@ DIGESTS = {
     "approx random csv": "de389728e3344acfcdc7a1e7bda92a46fe65c25319b03be73afcc5bb13d2f508",
     "approx random json": "f2e6cfaad34ad730e687bb591ddd7928a2c6fb0ada5061c99a3db7970380299a",
     "approx random p=2,3 csv": "70b2efc007df8df9621c40822c4ac145e8acd7f7c4c4c4270b2464a6866c2166",
-    "approx random p=2,3 json": "c5cee34de004725377721b532d9b8cdfa6f8456e23ba44516179ae5fc4412cce",
+    "approx random p=2,3 json": "0526d0ef54a30607023fb93c0dd2d6c0a47052907a92bddd29bd0863418e9dbc",
     "approx step_mix csv": "ccf18336ad6de0d53037653db909ee4479a32738eaf588276d2604da788d0389",
     "approx step_mix json": "43028fca8af8d2212a23dd3cec86ceed761a1de2ac193793ff56b7a2d4d7b4c1",
-    "approx step_mix p=2,3 csv": "c19805cc8532d0002646d2ae65f93ea38ae8a8b42f044a9cba02ba2d49198cfb",
-    "approx step_mix p=2,3 json": "6d65f300b20cd77157e2a1fd9243087d38a03f19f498f100f74830816b357291",
+    "approx step_mix p=2,3 csv": "e44c5e84b8f074337b0090319244138577fc596e0c5b33f3f5a460b496c55621",
+    "approx step_mix p=2,3 json": "b3b068b51f73de855f35aa2c337bbbbe900dac793d21ecae5450d4cd06181d29",
     "approx walsh_poly:-0 N=12 json": "d1abd27178f84a577cc03d40c9c84fa2e638604feb15b561e1bf84182e725d0f",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 csv": "5e3ce11059edc63bcf1cade8fcb4fbfdbd17fa0782384d5d8f72900a36765231",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 json": "a3cd5ae28dc7808cbaa186017479d723fd79bd1c86febd4b0710d9533cd2833b",
     "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 csv": "f23034fc83668cf2b102cac6dce5f43fa1398b9eeaaf85c06f3c157181dc2a54",
-    "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 json": "383b5b15b07b83ee9eccca84d1cdfac199adf827b673e9808839c3416a9ae0fc",
+    "approx walsh_poly:1,0.5,0,-0.25,0,0,0.125,0,0,0,0,0.0625 p=2,3 json": "6f355887d6d6ce2d889198fa23150ff5f20c6039a3f7e9155bb233123927fe5e",
     "kernel-norms csv": "9ecd3ae72486afc211f95bfdf7771d5294cc8bf34fe5834dce2aba54b3a79aaa",
     "kernel-norms json": "4b8843af5626522f582eec88cc0525b30444f7812ed9a512cbef77fe4ad07d12",
     "modulus abs_power:0.5 csv": "9dd3471de5104a5ba631a859406688eb60d2cb7c00bd6d5c4325a082a1c463aa",

@@ -727,20 +727,50 @@ def _stray_references(modules: dict, names: set, allowed: set):
 
 def test_only_dyadic_scales_and_sums_powers():
     # The scale of a power sum and the summation tree serve the norms and
-    # tables of dyadic, the Parseval error among them; another module that
+    # tables of dyadic, the approx errors among them; another module that
     # scaled or summed by them would hold a second copy of a norm.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     assert _stray_references(modules, {"_power_scale", "_pairwise_total"}, {"dyadic"}) == []
 
 
-def test_the_sweep_takes_every_parseval_error():
-    # A p = 2 error comes from dyadic._l2_error through ratio_sweep, and
-    # no other function of experiments reads a Parseval route.
+def _branches_on(function: ast.FunctionDef, name: str):
+    """The source of each if, while or conditional-expression test in
+    function that reads name."""
+    tests = [
+        node.test for node in ast.walk(function)
+        if isinstance(node, (ast.If, ast.While, ast.IfExp))
+    ]
+    return [
+        ast.unparse(test) for test in tests
+        if any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(test))
+    ]
+
+
+def test_every_sweep_error_is_one_norm_of_the_residual():
+    # Every p, 2 included, reads its error off the residual of the block's
+    # mean through _lp_of_values: no module defines or names a Parseval
+    # error, experiments reads no Parseval route, and the sweep does not
+    # branch on p.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    sweep = {"experiments.<module>", "experiments.ratio_sweep"}
-    experiments = {"experiments": modules["experiments"]}
-    assert _stray_references(experiments, {"_l2_table", "_l2_error"}, sweep) == []
-    assert "_l2_error" in _calls_by_function(modules)["experiments.ratio_sweep"]
+    defined = [f"{m}.{s.name}" for m, tree in modules.items() for s in tree.body
+               if getattr(s, "name", None) == "_l2_error"]
+    assert defined == [] and _references(modules, {"_l2_error"}) == []
+    assert _references({"experiments": modules["experiments"]}, {"_l2_table"}) == []
+    calls = _calls_by_function(modules)["experiments.ratio_sweep"]
+    assert {"_mean_period", "_lp_of_values"} <= calls
+    sweep = next(s for s in modules["experiments"].body if getattr(s, "name", None) == "ratio_sweep")
+    assert _branches_on(sweep, "p") == []
+
+
+def test_branch_on_a_name_is_reported():
+    function = ast.parse(
+        "def sweep(ps):\n"
+        "    for p in ps:\n"
+        "        if p == 2.0:\n            x = 1\n"
+        "        y = 0 if error < p else 1\n"
+        "        while q:\n            break\n"
+    ).body[0]
+    assert _branches_on(function, "p") == ["p == 2.0", "error < p"]
 
 
 def test_stray_reference_is_reported():
@@ -777,9 +807,8 @@ def _read_only_error(call, array):
 
 
 def test_the_mean_only_reads_its_multiplier():
-    # A block keeps one multiplier for all its rows: a mean synthesized in
-    # the multiplier's place left its p = 2 errors a product to read, so
-    # the sweep took them before the mean.
+    # The mean's products go to a new array, so a multiplier is only read
+    # and may serve more than one synthesis.
     f = walshvp.SampledFunction(6, np.arange(64.0) ** 0.5)
     multiplier = walshvp.kernels._block_multiplier(build_scheme("linear_down", 2).weights, 3)
     mean = walshvp.means._mean_period(f, multiplier.copy(), 2)

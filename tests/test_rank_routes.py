@@ -2,9 +2,12 @@
 full-size transforms they replace."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from walshvp.dyadic import (
 from walshvp.experiments import (
     SplitMix64,
     approximation_error,
+    make_function,
     random_rational_scheme,
     ratio_sweep,
 )
@@ -130,43 +134,88 @@ def test_mean_equals_the_full_synthesis(case, data):
 
 
 @given(rank_functions(min_resolution=2), st.data())
-@settings(max_examples=120, deadline=None)
-def test_l2_error_by_parseval_is_the_synthesized_residual(case, data):
-    # The oracle synthesizes the mean at 2^N cells and takes the L2 norm of
-    # the residual; its cancellation leaves an error of rounding size, which
-    # among subnormal samples is a few steps of 2^-1074.
-    N, values = case
-    f = SampledFunction(N, values)
-    n = data.draw(st.integers(1, N - 1))
-    scheme = random_rational_scheme(n, SplitMix64(data.draw(st.integers(0, 2**32))))
-    gain, loss = data.draw(st.sampled_from([(1, 1), (3, 1), (1, 7), (1000, 3)]))
-    scheme = WeightScheme(
-        n, [int(a) * gain for a in scheme.numerators], scheme.denominator * loss
-    )
-    error = approximation_error(f, scheme, 2).error
-    oracle = lp_norm(vp_mean(f, scheme).function - f, 2)
-    rounding = 1e-15 * float(np.max(np.abs(values))) + 2.0**-1070
-    assert abs(error - oracle) <= 1e-12 * oracle + rounding
-
-
-@given(rank_functions(min_resolution=2), st.data())
 @settings(max_examples=80, deadline=None)
 def test_sweep_errors_are_the_norms_of_the_mean_residuals(case, data):
-    # A sweep takes each p != 2 error off the residual of its block's mean
-    # at the 2^r cells of one period of f; that is the L^p norm of
-    # vp_mean(f) - f at 2^N cells bit for bit, whichever blocks the sweep
-    # runs and in whatever order.
+    # A sweep takes each error, p = 2 included, off the residual of its
+    # block's mean at the 2^r cells of one period of f; that is the L^p
+    # norm of vp_mean(f) - f at 2^N cells bit for bit, whichever blocks the
+    # sweep runs and in whatever order, and whether the weights sum to one
+    # or not.
     N, values = case
     f = SampledFunction(N, values)
     blocks = data.draw(st.lists(st.integers(1, N - 1), min_size=1, max_size=4))
     rng = SplitMix64(data.draw(st.integers(0, 2**32)))
-    schemes = [random_rational_scheme(n, rng) for n in blocks]
-    p_values = (1.0, 3.5, INF)
+    gain, loss = data.draw(st.sampled_from([(1, 1), (3, 1), (1, 7), (1000, 3)]))
+    schemes = []
+    for n in blocks:
+        scheme = random_rational_scheme(n, rng)
+        numerators = [int(a) * gain for a in scheme.numerators]
+        schemes.append(WeightScheme(n, numerators, scheme.denominator * loss))
+    p_values = (1.0, 2.0, 3.5, INF)
     records = ratio_sweep(f, iter(schemes), p_values)
     assert [r.n for r in records] == [n for n in blocks for _ in p_values]
     for i, record in enumerate(records):
         residual = vp_mean(f, schemes[i // len(p_values)]).function - f
         assert record.error.hex() == lp_norm(residual, record.p).hex()
+
+
+def _exact_l2_error(f, scheme):
+    """||mean - f||_2 of the float samples of f and the scheme's exact
+    weights, by Parseval in integers, correctly rounded: with f = A / D
+    cell by cell, the integer butterfly of A is 2^N D fhat, and the mean
+    keeps fhat_m times the weight mass below the block for m < 2^n, the
+    mass strictly above m inside it, and 0 from 2^(n+1) on."""
+    samples = [Fraction(v) for v in f.values]
+    denominator = max(v.denominator for v in samples)
+    a = [int(v * denominator) for v in samples]
+    half = 1
+    while half < len(a):
+        for i in range(0, len(a), 2 * half):
+            for j in range(i, i + half):
+                a[j], a[j + half] = a[j] + a[j + half], a[j] - a[j + half]
+        half *= 2
+    t, low = scheme.exact, 1 << scheme.block_exponent
+    masses = [sum(t)] * low + [sum(t[i + 1 :]) for i in range(low)]
+    masses += [Fraction(0)] * (len(a) - len(masses))
+    square = sum((1 - mu) ** 2 * c * c for mu, c in zip(masses, a))
+    return math.sqrt(square / (denominator * len(a)) ** 2)
+
+
+@pytest.mark.parametrize("spec", ["abs_power:0.5", "step_mix", "random"])
+def test_l2_error_is_within_rounding_of_the_exact_error(spec):
+    # The p = 2 error of the float samples, against its exact value, within
+    # 1e-15 relative, or 1e-15 of max |f| where it is 0 (step_mix from its
+    # rank 4 on).  Parseval over the 2^r coefficients read 2.8e-15 relative
+    # for abs_power:0.5 at N = 8.  At n = N - 1, where the error is about
+    # 2^(-N/2) of max |f|, the rounding of the mean's cells reads up to
+    # 1.8e-15 relative at N <= 8, so the blocks run up to N - 2.
+    for N in range(3, 9):
+        f = make_function(spec, N, seed=3)
+        top = float(np.max(np.abs(f.values)))
+        for n in range(1, N - 1):
+            rng = SplitMix64(7 * n + N)
+            for scheme in (build_scheme("uniform", n), build_scheme("linear_up", n),
+                           random_rational_scheme(n, rng)):
+                exact = _exact_l2_error(f, scheme)
+                error = approximation_error(f, scheme, 2).error
+                assert abs(error - exact) <= 1e-15 * (exact if exact else top), (N, n)
+
+
+def test_a_sweep_block_builds_no_array_of_f_size():
+    # The errors read f's 2^18 samples less the mean's period in blocks of
+    # _BLOCK_CELLS: with f's spectrum, moduli and oscillations kept, one
+    # block at p = 1, 2 and inf allocates less than one 2^18-entry array.
+    f = make_function("abs_power:0.5", 18)
+    scheme = build_scheme("linear_down", 8)
+    first = ratio_sweep(f, [scheme], [1.0, 2.0, INF])
+    tracemalloc.start()
+    try:
+        again = ratio_sweep(f, [scheme], [1.0, 2.0, INF])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 8 << 18
 
 
 @given(rank_functions(), st.sampled_from([1.0, 3.0, INF]), st.booleans(), st.randoms())
