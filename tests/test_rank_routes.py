@@ -134,6 +134,28 @@ def test_mean_equals_the_full_synthesis(case, data):
 
 
 @given(rank_functions(min_resolution=2), st.data())
+@settings(max_examples=120, deadline=None)
+def test_l2_error_by_parseval_is_the_synthesized_residual(case, data):
+    # The p = 2 error was once taken by Parseval off the spectrum; it is
+    # now read off the residual of one period of the mean, so it meets the
+    # oracle, the L2 norm of the mean synthesized at 2^N cells less f, bit
+    # for bit, and a fortiori within the rounding the Parseval route left.
+    N, values = case
+    f = SampledFunction(N, values)
+    n = data.draw(st.integers(1, N - 1))
+    scheme = random_rational_scheme(n, SplitMix64(data.draw(st.integers(0, 2**32))))
+    gain, loss = data.draw(st.sampled_from([(1, 1), (3, 1), (1, 7), (1000, 3)]))
+    scheme = WeightScheme(
+        n, [int(a) * gain for a in scheme.numerators], scheme.denominator * loss
+    )
+    error = approximation_error(f, scheme, 2).error
+    oracle = lp_norm(vp_mean(f, scheme).function - f, 2)
+    rounding = 1e-15 * float(np.max(np.abs(values))) + 2.0**-1070
+    assert abs(error - oracle) <= 1e-12 * oracle + rounding
+    assert error.hex() == oracle.hex()
+
+
+@given(rank_functions(min_resolution=2), st.data())
 @settings(max_examples=80, deadline=None)
 def test_sweep_errors_are_the_norms_of_the_mean_residuals(case, data):
     # A sweep takes each error, p = 2 included, off the residual of its
