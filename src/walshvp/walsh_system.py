@@ -80,12 +80,14 @@ _CHUNK_SIZE = 1 << 16
 
 
 def _pair_stages(x: np.ndarray, buffers, count: int) -> np.ndarray:
-    """count constant-geometry butterfly stages (Pease, 1968) on the flat
-    contiguous x; returns the buffer that holds the result.  Each stage
-    writes the sums of the adjacent pairs x[2k], x[2k + 1] to the first
-    half of buffers[0] and buffers[1] in turn, and their differences to
-    the second half; x itself may be a buffer from the second stage on."""
-    half = x.size // 2
+    """count constant-geometry butterfly stages (Pease, 1968) along the
+    leading axis of x, whose rows are contiguous; returns the buffer that
+    holds the result.  Each stage writes the sums of the adjacent pairs
+    x[2k], x[2k + 1] to the first half of buffers[0] and buffers[1] in
+    turn, and their differences to the second half; x itself may be a
+    buffer from the second stage on.  On a flat x the pairs are entries,
+    on a (rows, width) block whole rows of width entries."""
+    half = len(x) // 2
     for stage in range(count):
         y = buffers[stage & 1]
         even, odd = x[0::2], x[1::2]
@@ -93,42 +95,6 @@ def _pair_stages(x: np.ndarray, buffers, count: int) -> np.ndarray:
         np.subtract(even, odd, out=y[half:])
         x = y
     return x
-
-
-def _stages(a: np.ndarray, h: int, stop: int, work: np.ndarray) -> None:
-    """The butterfly stages of spans h, 2h, ... below stop, in place on the
-    contiguous a, whose size stop divides; every span is a power of two.
-    The work buffer holds a.size entries.
-
-    A radix-4 pass (Fino & Algazi, 1976) fuses the stages of spans h and
-    2h on the quarters x0..x3 of each group of 4h entries: s0 = x0 + x1,
-    d0 = x0 - x1, s1 = x2 + x3, d1 = x2 - x3, then s0 + s1, d0 + d1,
-    s0 - s1, d0 - d1.  Those are the additions of the two radix-2 stages
-    in the same order, so the result is the same bit for bit.  An odd
-    stage count ends on one radix-2 stage whose copies go to the work
-    buffer, so the pass allocates nothing, on a pool thread or elsewhere
-    (a stage of 2^16 entries that allocated its copies took 4.8-6.1x as
-    long).
-    """
-    while 4 * h <= stop:
-        x0, x1, x2, x3 = a.reshape(-1, 4, h).transpose(1, 0, 2)
-        s0, d0, s1, d1 = work.reshape(4, -1, h)
-        np.add(x0, x1, out=s0)
-        np.subtract(x0, x1, out=d0)
-        np.add(x2, x3, out=s1)
-        np.subtract(x2, x3, out=d1)
-        np.add(s0, s1, out=x0)
-        np.add(d0, d1, out=x1)
-        np.subtract(s0, s1, out=x2)
-        np.subtract(d0, d1, out=x3)
-        h *= 4
-    if h < stop:
-        x = a.reshape(-1, 2 * h)
-        left, right = work.reshape(2, -1, h)
-        np.copyto(left, x[:, :h])
-        np.copyto(right, x[:, h:])
-        np.add(left, right, out=x[:, :h])
-        np.subtract(left, right, out=x[:, h:])
 
 
 # The CPUs this process may run on, the most shares the chunked butterfly
@@ -198,17 +164,19 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     pairs entries less than a row apart, so the rows of a 2-D array are
     transformed as a batch, each as it would be on its own.
 
+    Every stage is a _pair_stages stage along the leading axis of a block.
     Rows of m <= 2^16 entries run in blocks of R whole rows, R m <=
     _CHUNK_SIZE, on the calling thread, so each pass over a block stays in
-    cache.  A stage of _pair_stages moves bit 0 of every flat index to the
-    top, so stage s pairs the entries 2^s apart in a row: log2(m) stages
-    leave the block's (m, R) transpose, and one copy puts it back.  A row
-    of 2^16 R entries, R > 1, is cache-blocked by
-    H = (H_R (x) I)(I (x) H_(2^16)): the 16 low stages run as _pair_stages
-    on each 2^16 chunk in cache, the chunk being the second buffer, so the
-    16th stage leaves it in place; then the high stages run between the
-    rows of the (R, 2^16) view, on copies of its column blocks of 2^16
-    entries, by _stages.
+    cache.  A stage on the flat block moves bit 0 of every flat index to
+    the top, so stage s pairs the entries 2^s apart in a row: log2(m)
+    stages leave the block's (m, R) transpose, and one copy puts it back.
+    A row of 2^16 R entries, R > 1, is cache-blocked by
+    H = (H_R (x) I)(I (x) H_(2^16)): the 16 low stages run on each flat
+    2^16 chunk in cache, the chunk being the second buffer, so the 16th
+    stage leaves it in place; then the log2(R) high stages run on the
+    column blocks of the (R, 2^16) view, (R, 2^16 / R) each, pairing
+    adjacent rows, which are contiguous runs.  The first reads the
+    column block where it lies, and one copy puts the last buffer back.
 
     Each stage adds and subtracts the same two operands as the in-place
     stage of its span, lowest span first, and a copy only moves values,
@@ -216,14 +184,20 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     reads with stride 2 but is one pass of two ufuncs, where the in-place
     stages of spans under 2^8 ran on runs of 1 to 64 entries: a 2^12 row
     took 0.11 -> 0.05 ms, a (4, 2048) batch 0.17 -> 0.07 ms and a
-    (32, 2^16) batch 60 -> 21 ms (BENCH_41.json).  The chunks' high stages
-    keep _stages' radix-4 passes over contiguous runs of 2^8 entries or
-    more, where the stride-2 pass is the slower: as pair stages on a
-    transposed copy, the high stages of a 2^20 row took 4.1 ms, not 3.5.
+    (32, 2^16) batch 60 -> 21 ms (BENCH_41.json).
+
+    From R = 32 on a block row holds 2048 entries or fewer, where numpy's
+    ufuncs ran slower at their default buffer of 8192 entries (an add
+    over a (32, 2048) block: 40 us, 24 us with the buffer at the width),
+    so the high stages set the buffer size to the width; the bits do not
+    depend on it.  Against the fused radix-4 passes on copies of the
+    column blocks that this replaced (Fino & Algazi, 1976), a float64 row
+    of 2^20..2^24 entries took 0.82-0.88x as long in one thread, and
+    1.09-1.19x from 2^21 on at the default buffer (BENCH_44.json).
 
     The chunks, and then the column blocks, are independent pieces: they
     run in min(_CPUS, pieces) shares at once (_in_shares), one for Python
-    ints, each with its own work buffers, with every chunk done before any
+    ints, each with its own two buffers, with every chunk done before any
     column block starts.  Every piece runs the same additions in the same
     order whatever the share it falls in, so the bits do not depend on
     the thread count.
@@ -254,13 +228,12 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
             _pair_stages(chunk, (buffer[0], chunk), _CHUNK_SIZE.bit_length() - 1)
 
     def high_stages(part, buffer):
-        work, block = buffer
-        block = block.reshape(rows, width)
-        for k in part:
-            column = columns[k // rows, :, k % rows]
-            np.copyto(block, column)
-            _stages(block, width, _CHUNK_SIZE, work)
-            np.copyto(column, block)
+        blocks = buffer.reshape(2, rows, width)
+        with np.errstate():  # restores numpy's ufunc buffer size on exit
+            np.setbufsize(max(width, 16))  # a multiple of 16, as numpy asks
+            for k in part:
+                column = columns[k // rows, :, k % rows]
+                np.copyto(column, _pair_stages(column, blocks, rows.bit_length() - 1))
 
     _in_shares(low_stages, pieces, buffers)
     _in_shares(high_stages, pieces, buffers)

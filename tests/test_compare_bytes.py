@@ -31,16 +31,32 @@ def test_every_call_list_is_read():
     assert all((tuple(call["argv"]), call.get("stdin")) in keys for call in edges)
 
 
+def _out(*lines):
+    return {"code": 0, "stdout": "".join(f"{line}\n" for line in lines).encode(), "stderr": b""}
+
+
 def test_a_moved_line_is_located_and_measured():
-    base = {"code": 0, "stdout": b"n,p,error\n1,1,0.5\n2,1,0.25\n", "stderr": b""}
-    head = {"code": 0, "stdout": b"n,p,error\n1,1,0.5\n2,1,0.2500025\n", "stderr": b""}
+    base = _out("n,p,error", "1,1,0.5", "2,1,0.25", "3,2,0")
+    head = _out("n,p,error", "1,1,0.5", "2,1,0.2500025", "3,2,0")
     found = compare_bytes.difference(base, head)
     assert found["stream"] == "stdout" and found["line"] == 3
     assert found["base"] == "2,1,0.25" and found["head"] == "2,1,0.2500025"
     assert found["largest_relative_change"] == pytest.approx(2.5e-6 / 0.2500025)
+    assert found["largest_absolute_change"] == pytest.approx(2.5e-6)
+    # A move from exactly 0 reads a relative change of 1 whatever its size;
+    # the absolute change shows it is 1e-16.
+    zero = compare_bytes.difference(base, _out("n,p,error", "1,1,0.5", "2,1,0.25", "3,2,1e-16"))
+    assert zero["line"] == 4 and zero["largest_relative_change"] == 1.0
+    assert zero["largest_absolute_change"] == 1e-16
+    both = compare_bytes.difference(
+        base, _out("n,p,error", "1,1,0.5", "2,1,0.2500025", "3,2,1e-16")
+    )
+    assert both["line"] == 3 and both["largest_relative_change"] == 1.0
+    assert both["largest_absolute_change"] == pytest.approx(2.5e-6)
     assert compare_bytes.digest(base) != compare_bytes.digest(head)
     code = compare_bytes.difference(base, dict(base, code=2, stderr=b"error: x\n"))
-    assert code["stream"] == "exit code" and code["largest_relative_change"] is None
+    assert code["stream"] == "exit code"
+    assert code["largest_relative_change"] is code["largest_absolute_change"] is None
 
 
 @pytest.mark.skipif(not IN_GIT, reason="needs the git history of this checkout")

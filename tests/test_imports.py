@@ -226,12 +226,13 @@ def _radix4_views(modules: dict):
     return sorted(found)
 
 
-def test_only_the_stages_take_the_radix4_view():
-    # Every butterfly, chunked or not, runs its passes in walsh_system._stages;
-    # a forked copy of the pass body could drift from it, and the routes that
-    # match the radix-2 butterfly bit for bit would then no longer match.
+def test_no_module_takes_the_radix4_view():
+    # Every butterfly stage, chunked or not, is a walsh_system._pair_stages
+    # stage; a fused radix-4 pass would be a second stage engine, and the
+    # routes that match the radix-2 butterfly bit for bit would then have
+    # two pass bodies to keep in step.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    assert _radix4_views(modules) == ["walsh_system._stages"]
+    assert _radix4_views(modules) == []
 
 
 def _callers(modules: dict, name: str):
@@ -270,12 +271,20 @@ def _layout_names(modules: dict):
 
 def test_only_the_row_butterfly_runs_stages():
     # Every butterfly of the package runs on rows: _butterfly is the one
-    # butterfly defined or called, and the one caller of _stages, whose
-    # radix-4 passes run the high stages of rows past _CHUNK_SIZE.  A
-    # second layout, such as (2^N, B) column blocks, would show here before
-    # it grew a pass body of its own.
+    # butterfly defined or called, and the one caller of _pair_stages, the
+    # one stage kernel, which runs the flat blocks, the chunks and the
+    # high stages of rows past _CHUNK_SIZE alike; no module defines a
+    # second one such as _stages.  A second layout, such as (2^N, B)
+    # column blocks, would show here before it grew a pass body of its own.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    assert _callers(modules, "_stages") == ["walsh_system._butterfly"]
+    assert _callers(modules, "_pair_stages") == ["walsh_system._butterfly"]
+    defined = {
+        node.name
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_pair_stages" in defined and "_stages" not in defined
     assert _layout_names(modules) == ["_butterfly"]
 
 

@@ -178,18 +178,21 @@ class TestDirichletRecursion:
 
     def test_a_row_past_the_chunk_takes_the_chunked_butterfly(self, monkeypatch):
         # One order at N = 17: its row of 2^17 entries is longer than
-        # _CHUNK_SIZE, so _butterfly runs its high stages by _stages.
+        # _CHUNK_SIZE, so _butterfly runs its high stage on the (2, 2^15)
+        # column blocks of the (2, 2^16) view.
         N, n = 17, 92_681
-        passes = []
-        stages = walshvp.walsh_system._stages
+        blocks = []
+        stages = walshvp.walsh_system._pair_stages
 
-        def counted(a, h, stop, work):
-            passes.append(a.size)
-            stages(a, h, stop, work)
+        def counted(x, buffers, count):
+            if x.ndim == 2:
+                blocks.append((x.shape, count))
+            return stages(x, buffers, count)
 
-        monkeypatch.setattr(walshvp.walsh_system, "_stages", counted)
+        monkeypatch.setattr(walshvp.walsh_system, "_pair_stages", counted)
         sums = walshvp.kernels._walsh_sum_rows([n], N)
-        assert passes and max(passes) == walshvp.walsh_system._CHUNK_SIZE
+        half = walshvp.walsh_system._CHUNK_SIZE // 2
+        assert blocks == [((2, half), 1)] * 2
         rows = walshvp.kernels._dirichlet_rec_int([n], N)
         assert sums.shape == rows.shape == (1, 1 << N) and np.array_equal(rows, sums)
         assert np.array_equal(dirichlet(n, N).exact_numer, rows[0])

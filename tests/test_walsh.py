@@ -104,7 +104,8 @@ class TestTransform:
 
 def _radix2_oracle(values):
     """One radix-2 stage per pass over fresh copies: the butterfly the
-    pair-stage and radix-4 passes must reproduce bit for bit."""
+    pair stages, flat or along the rows of a column block, must reproduce
+    bit for bit."""
     integer = values.dtype in (np.int64, object)
     a = np.array(values, dtype=values.dtype if integer else np.float64)
     h = 1
@@ -238,6 +239,31 @@ class TestButterfly:
         expected = np.array([int(v) << 70 for v in _radix2_oracle(ints)], dtype=object)
         assert _same(walsh_system._butterfly(big), expected)
 
+    def test_every_high_stage_count_matches_radix2_oracle(self, monkeypatch):
+        # With 2^8-entry chunks, rows of 2^9..2^16 entries run 1 to 8 high
+        # stages on (R, 2^8 / R) column blocks, R = 2..256, down to blocks
+        # of one column: the stage counts and block widths of N = 17..24,
+        # in the shares of 1 to 4 threads; Python ints run in one share
+        # whatever the count, so they run once.  Finite sums raise no
+        # warning.
+        monkeypatch.setattr(walsh_system, "_CHUNK_SIZE", 1 << 8)
+        rng = np.random.default_rng(44)
+        for N in range(9, 17):
+            size = 1 << N
+            floats = rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size)
+            ints = rng.integers(-(2**40), 2**40, size)
+            small = rng.integers(-(2**14), 2**14, (1, size), dtype=np.int32)
+            # The Python ints are the int64 row times 2^70, with sums past 2^63.
+            big = np.array([int(v) << 70 for v in ints], dtype=object)
+            oracle = _radix2_oracle(ints)
+            rows = [(floats, _radix2_oracle(floats)), (ints, oracle), (small, _row_oracle(small[0]))]
+            for workers in _WORKERS:
+                monkeypatch.setattr(walsh_system, "_CPUS", workers)
+                for x, expected in rows:
+                    with np.errstate(all="raise"):
+                        self._check_rows(x, [expected])
+            self._check_rows(big, [np.array([int(v) << 70 for v in oracle], dtype=object)])
+
     def test_chunked_rows_match_radix2_oracle_in_python_ints(self):
         x = self._inputs(17)[2]
         self._check_rows(x, [_radix2_oracle(x)])
@@ -321,7 +347,7 @@ class TestButterfly:
         # so that no thread still writes the array.
         monkeypatch.setattr(walsh_system, "_CPUS", workers)
         lock, running, done = threading.Lock(), [0], []
-        stages = walsh_system._pair_stages  # the chunks' low stages
+        stages = walsh_system._pair_stages  # every stage, low and high
 
         def slow_off_the_calling_thread(*args):
             with lock:

@@ -22,8 +22,8 @@ Calls with the same argv and stdin run once, under their first name.
 The report is one JSON object, written to `--out` or to stdout.  For each
 call that moved it names the stream and the first line that differ, and,
 where the two lines hold the same count of numbers (CSV fields, JSON
-values), the largest relative change among them.  The exit code is 0 when
-nothing moved and 1 otherwise.
+values), the largest relative and absolute changes among them.  The exit
+code is 0 when nothing moved and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -132,24 +132,27 @@ def digest(result: dict) -> str:
     return h.hexdigest()
 
 
-def _relative_change(a: str, b: str):
-    """The largest |x - y| / max(|x|, |y|) over the numbers of two lines
-    that hold the same count of them, or None."""
+def _changes(a: str, b: str):
+    """The largest |x - y| / max(|x|, |y|) and the largest |x - y| over the
+    numbers of two lines that hold the same count of them, or None.  A move
+    from exactly 0 reads a relative change of 1 whatever its size; the
+    absolute change tells a rounding-size move from a wrong result."""
     xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
     if not xs or len(xs) != len(ys):
         return None
-    largest = 0.0
+    relative = absolute = 0.0
     for x, y in zip(map(float, xs), map(float, ys)):
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         top = max(abs(x), abs(y))
-        largest = max(largest, abs(x - y) / top if math.isfinite(top) else math.inf)
-    return largest
+        relative = max(relative, abs(x - y) / top if math.isfinite(top) else math.inf)
+        absolute = max(absolute, abs(x - y))
+    return relative, absolute
 
 
 def difference(base: dict, head: dict) -> dict:
-    """Where two results first differ, and the largest relative change of
-    the numbers on the lines that differ."""
+    """Where two results first differ, and the largest relative and
+    absolute changes of the numbers on the lines that differ."""
     if base["code"] != head["code"]:
         found = {"stream": "exit code", "base": base["code"], "head": head["code"]}
     else:
@@ -165,10 +168,10 @@ def difference(base: dict, head: dict) -> dict:
                 continue
             if not found:
                 found = {"stream": stream, "line": i + 1, "base": x, "head": y}
-            change = _relative_change(x, y) if x is not None and y is not None else None
+            change = _changes(x, y) if x is not None and y is not None else None
             if change is not None:
-                largest = change if largest is None else max(largest, change)
-    found["largest_relative_change"] = largest
+                largest = change if largest is None else tuple(map(max, largest, change))
+    found["largest_relative_change"], found["largest_absolute_change"] = largest or (None, None)
     return found
 
 
