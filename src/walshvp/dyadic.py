@@ -324,8 +324,12 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     # levels of the tree of the total, and both follow the butterfly's
     # adjacent-pair order, so each entry is the full-size value bit for
     # bit, and a table built at n0 holds at the multiples of 2^(n-n0) the
-    # bits of the table built at n.  Every |fhat(m)| <= max |f|, so the
-    # coefficients are divided by the scale of that bound before squaring.
+    # bits of the table built at n; the total is entry 0 of the butterfly.
+    # Every |fhat(m)| <= max |f|, so the coefficients are divided by the
+    # scale of that bound before squaring.  The squares are made from the
+    # kept spectrum in blocks of _rows_per_block(1) cells, whole rows or
+    # parts of one row, through one work array, so no 2^r copy is made; the
+    # sums of a row's parts are nodes of its tree, summed by the same tree.
     # Returns (scale, sums) with sums[k] the distance at t = k 2^n0 over
     # scale^2, for n0 <= r.
     from .walsh_system import _butterfly, fwht_forward
@@ -335,13 +339,17 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     if top == 0.0:  # f = 0; samples are finite, so top < inf
         return 1.0, np.zeros(1)
     scale = _power_scale(top, 2.0, f.resolution)
-    g = fwht_forward(f)._prefix(cells.size) / scale
-    g **= 2
-    g[0] = 0.0
-    low = _pairwise_total(g.reshape(-1, 1 << n0))
-    total = _pairwise_total(low)
-    sums = _butterfly(low)
-    np.subtract(total, sums, out=sums)
+    work = np.empty(min(cells.size, _rows_per_block(1)))
+    part = min(1 << n0, work.size)
+    parts = np.empty((cells.size // work.size, work.size // part))
+    for i, block in enumerate(fwht_forward(f)._prefix(cells.size).reshape(-1, work.size)):
+        np.divide(block, scale, out=work)
+        work **= 2
+        if i == 0:
+            work[0] = 0.0
+        parts[i] = _pairwise_total(work.reshape(-1, part))
+    sums = _butterfly(_pairwise_total(parts.reshape(cells.size >> n0, -1)))
+    np.subtract(float(sums[0]), sums, out=sums)
     sums *= 2.0
     return scale, sums
 

@@ -146,7 +146,9 @@ def abs_power(alpha: float, resolution: int) -> SampledFunction:
     """f(x) = |x|^alpha with the dyadic absolute value."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"abs_power needs a finite alpha > 0, got {alpha}")
-    return SampledFunction._own(resolution, abs_values(resolution) ** alpha)
+    values = abs_values(resolution)
+    values **= alpha  # in place: no second 2^N array
+    return SampledFunction._own(resolution, values)
 
 
 def walsh_poly(coefficients: Sequence[float], resolution: int) -> SampledFunction:

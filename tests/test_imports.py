@@ -883,6 +883,7 @@ def test_one_function_reads_the_batch_budget():
         assert "_batches" in calls[batcher], batcher
     assert "_batches" not in calls["experiments.ratio_sweep"]
     assert "_rows_per_block" in calls["dyadic._translate_sums"]
+    assert "_rows_per_block" in calls["dyadic._l2_table"]
     # The sign split's bincount chunks order its sums, so they take their
     # size from the route's own constant, not from the budget.
     split = next(

@@ -100,9 +100,12 @@ def test_inverse_is_the_full_synthesis_bit_for_bit(N, data):
     assert _bits(synthesis + 0.0) == _bits(hadamard_transform(coeffs) + 0.0)
 
 
-@given(rank_functions())
+@given(rank_functions(), st.sampled_from([dyadic._BLOCK_CELLS, 1 << 4]))
 @settings(max_examples=60, deadline=None)
-def test_l2_modulus_is_the_full_route_bit_for_bit_for_every_first_n(case):
+def test_l2_modulus_is_the_full_route_bit_for_bit_for_every_first_n(case, budget):
+    # The table squares the spectrum in blocks of the budget; at 2^4 the
+    # rows of 2^n0 > 2^4 span several blocks.  rank_functions scales the
+    # samples by 2^+-600, where the table's scale is not 1.
     N, values = case
     f = SampledFunction(N, values)
     if not np.any(values):  # f = 0 needs no table and has every modulus 0
@@ -110,13 +113,14 @@ def test_l2_modulus_is_the_full_route_bit_for_bit_for_every_first_n(case):
         return
     scale, per_t = _l2_distances_oracle(f)
     expected = [m.hex() for m in _l2_moduli_oracle(scale, per_t)]
-    for first in range(N + 1):
-        f = SampledFunction(N, values)
-        modulus_of_continuity(f, first, 2)
-        n0, table_scale, sums = f._moduli[2.0]
-        # the table is the full one at t = 0 mod 2^n0, over one period
-        assert table_scale == scale and _bits(sums) == _bits(per_t[:: 1 << n0][: sums.size])
-        assert [modulus_of_continuity(f, n, 2).hex() for n in range(N + 1)] == expected
+    with mock.patch.object(dyadic, "_BLOCK_CELLS", budget):
+        for first in range(N + 1):
+            f = SampledFunction(N, values)
+            modulus_of_continuity(f, first, 2)
+            n0, table_scale, sums = f._moduli[2.0]
+            # the table is the full one at t = 0 mod 2^n0, over one period
+            assert table_scale == scale and _bits(sums) == _bits(per_t[:: 1 << n0][: sums.size])
+            assert [modulus_of_continuity(f, n, 2).hex() for n in range(N + 1)] == expected
 
 
 @given(rank_functions(min_resolution=2), st.data())
@@ -237,6 +241,22 @@ def test_a_sweep_block_builds_no_array_of_f_size():
     finally:
         tracemalloc.stop()
     assert again == first
+    assert peak < 8 << 18
+
+
+@pytest.mark.parametrize("n0", range(3, 9))
+def test_the_l2_table_builds_no_array_of_spectrum_size(n0):
+    # The squares are made from the kept spectrum in blocks of _BLOCK_CELLS
+    # through one work array, and the total is read off the butterfly, so
+    # a table of 2^(18 - n0) entries allocates less than one 2^18 array.
+    f = make_function("abs_power:0.5", 18)
+    fwht_forward(f)
+    tracemalloc.start()
+    try:
+        dyadic._l2_table(f, n0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 8 << 18
 
 
