@@ -257,6 +257,14 @@ def _lp_of_values(values: np.ndarray, p: float, resolution: int, top=None, perio
     return scale * total ** (1.0 / p)
 
 
+def _scaled_powers(work: np.ndarray, p: float, scale: float) -> None:
+    # (work / scale) ** p in place: the one power step of every finite-p sum.
+    if scale != 1.0:
+        work /= scale
+    if p != 1.0:
+        work **= p
+
+
 def _block_powers(values: np.ndarray, p: float, scale: float, period) -> tuple:
     # (largest |values - period|, each block's sum of (|values - period| /
     # scale)^p, unset for p = inf) over blocks of _rows_per_block periods,
@@ -272,9 +280,7 @@ def _block_powers(values: np.ndarray, p: float, scale: float, period) -> tuple:
         np.abs(np.subtract(block, tiled, out=work), out=work)
         top = max(top, float(np.max(work)))
         if p != INF:
-            if scale != 1.0:
-                work /= scale
-            work **= p
+            _scaled_powers(work, p, scale)
             sums[i] = _pairwise_total(work)
     return top, sums
 
@@ -326,25 +332,23 @@ def _l2_table(f: SampledFunction, n0: int) -> tuple:
     # bit, and a table built at n0 holds at the multiples of 2^(n-n0) the
     # bits of the table built at n; the total is entry 0 of the butterfly.
     # Every |fhat(m)| <= max |f|, so the coefficients are divided by the
-    # scale of that bound before squaring.  The squares are made from the
-    # kept spectrum in blocks of _rows_per_block(1) cells, whole rows or
-    # parts of one row, through one work array, so no 2^r copy is made; the
-    # sums of a row's parts are nodes of its tree, summed by the same tree.
-    # Returns (scale, sums) with sums[k] the distance at t = k 2^n0 over
-    # scale^2, for n0 <= r.
+    # scale of that bound before squaring: blocks of _rows_per_block(1)
+    # cells of the kept spectrum, whole rows or parts of one row, are
+    # copied to one work array and squared there by _scaled_powers, so no
+    # 2^r copy is made; the sums of a row's parts are nodes of its tree.
+    # Returns (scale, sums), sums[k] the distance at t = k 2^n0 over
+    # scale^2, for n0 < r, so f is not constant.
     from .walsh_system import _butterfly, fwht_forward
 
     cells = f._head
     top = max(-float(np.min(cells)), float(np.max(cells)))
-    if top == 0.0:  # f = 0; samples are finite, so top < inf
-        return 1.0, np.zeros(1)
     scale = _power_scale(top, 2.0, f.resolution)
     work = np.empty(min(cells.size, _rows_per_block(1)))
     part = min(1 << n0, work.size)
     parts = np.empty((cells.size // work.size, work.size // part))
     for i, block in enumerate(fwht_forward(f)._prefix(cells.size).reshape(-1, work.size)):
-        np.divide(block, scale, out=work)
-        work **= 2
+        np.copyto(work, block)
+        _scaled_powers(work, 2.0, scale)
         if i == 0:
             work[0] = 0.0
         parts[i] = _pairwise_total(work.reshape(-1, part))
@@ -368,17 +372,15 @@ def _coset_oscillation(values: np.ndarray, n: int) -> float:
 
 
 def _oscillation(f: "SampledFunction", n: int) -> float:
-    # omega_inf(f, 2^-n): _coset_oscillation of f's 2^r samples, 0 for
-    # n >= r.  f keeps it for every level j from the lowest n asked so far
-    # up to r - 1, built in one pass: coset c of I_j is cosets c and
-    # c + 2^j of I_(j+1), so the coset max and min at j are the np.maximum
-    # and np.minimum of the halves of those at j + 1, from the samples down.
+    # omega_inf(f, 2^-n): _coset_oscillation of f's 2^r samples, n < r.  f
+    # keeps it for every level j from the lowest n asked so far up to
+    # r - 1, built in one pass: coset c of I_j is cosets c and c + 2^j of
+    # I_(j+1), so the coset max and min at j are the np.maximum and
+    # np.minimum of the halves of those at j + 1, from the samples down.
     # Level j sits at [2^j - 2^n, 2^(j+1) - 2^n) of hi and lo, so one
     # subtraction and one segmented max give every level.  Max and min are
     # exact, so each level is the per-n route's rounded max - min.
     levels = _rank_of(f) - n
-    if levels <= 0:
-        return 0.0
     kept = f._oscillations
     if kept is None or kept.size < levels:
         low = 1 << n
@@ -457,10 +459,7 @@ def _translate_sums(values: np.ndarray, n: int, p: float, scale: float) -> np.nd
         np.take(table, pick, axis=0, out=cells, mode="clip")
         np.subtract(cells, table, out=cells)
         np.abs(w, out=w)
-        if scale != 1.0:
-            np.divide(w, scale, out=w)
-        if p != 1.0:  # x ** 1 is x
-            np.power(w, p, out=w)
+        _scaled_powers(w, p, scale)
         sums[first : first + k.size] = _pairwise_total(w)
     return sums
 
@@ -515,7 +514,7 @@ def _sign_split_sums(values: np.ndarray, n: int, scale: float) -> np.ndarray:
     from .walsh_system import _butterfly
 
     m = values.size >> n
-    cosets = (values / scale).reshape(m, -1).T
+    cosets = (values if scale == 1.0 else values / scale).reshape(m, -1).T
     order = np.argsort(cosets, axis=1, kind="stable")
     ranked = np.take_along_axis(cosets, order, axis=1)
     ranked -= ranked[:, :1].copy()
@@ -562,8 +561,8 @@ def _takes_sign_split(p: float, translates: int) -> bool:
 def _modulus_table(f: SampledFunction, n: int, p: float, scale) -> tuple:
     # The table of sums over t = 0 mod 2^n0 that serves omega_p(f, 2^-n),
     # as (n0, scale, sums): the one kept on f for p if it serves n, else
-    # one built at n0 = min(n, r) that takes its place, r the rank of f.
-    # A table serves every n >= n0 at its own scale; `scale` is None for
+    # one built at n0 = n that takes its place, for n below the rank r of
+    # f.  A table serves every n >= n0 at its own scale; `scale` is None for
     # p = 2, whose scale depends only on f.  A sign-split table is exact
     # only to rounding of its largest sum, so it also needs the largest sum
     # over t = 0 mod 2^n to be at least _SPLIT_MIN_SHARE of it.  f is run
@@ -579,14 +578,13 @@ def _modulus_table(f: SampledFunction, n: int, p: float, scale) -> tuple:
         if np.max(sums[:: 1 << (n - n0)]) >= _SPLIT_MIN_SHARE * np.max(sums):
             return entry
     values = f._head
-    n0 = min(n, _rank_of(f))
     if p == 2.0:
-        scale, sums = _l2_table(f, n0)
+        scale, sums = _l2_table(f, n)
     elif _takes_sign_split(p, values.size >> n):
         sums = _sign_split_sums(values, n, scale)
     else:
         sums = _translate_sums(values, n, p, scale)
-    entry = f._moduli[p] = (n0, scale, sums)
+    entry = f._moduli[p] = (n, scale, sums)
     return entry
 
 
@@ -611,30 +609,35 @@ def modulus_of_continuity(
     At finite resolution the ball {|t| < 2^-n} is exactly the interval
     I_n, i.e. the indices divisible by 2^n, so the supremum is a finite
     maximum.  brute_force=True runs the loop over translates, the oracle.
-    Four routes evaluate every translate at once, on the 2^r samples that
-    f is held as at its dyadic rank r: p = inf is the largest oscillation
-    of f over the cosets of I_n, which the translates permute, and 0 for
-    n >= r, kept on f for every n from the lowest asked so far, since it
-    also scales every other p != 2; a finite p is read from a table of one
-    sum per translate in I_n0, built by a spectral identity for p = 2, by a
-    sign split for p = 1 with at least 2^11 translates per coset, and in
-    blocks of translates for any other p.  The coset and blocked routes
-    match the loop bit for bit, the spectral and sign-split routes to
-    rounding.  Each function keeps one table per p, for the smallest n0
-    asked so far, and serves every n >= n0 from it by stride: a sweep
-    over n costs one table.  A sign-split table serves n only while the
-    largest sum at n is at least 2^-10 of its own, which keeps the
-    modulus within about 1e-12 relative; below that it is built again.
+    From the dyadic rank r of f on, every translate fixes f: 0.0 is
+    returned before any oscillation, scale or table.  For n < r, four
+    routes take every translate at once on the 2^r samples f is held as:
+    p = inf is the largest oscillation of f over the cosets of I_n, which
+    the translates permute, kept on f for every n from the lowest asked so
+    far, since it also scales every other p != 2; a finite p is read from
+    a table of one sum per translate in I_n0, built by a spectral identity
+    for p = 2, by a sign split for p = 1 with at least 2^11 translates per
+    coset, and in blocks of translates for any other p, each raised to p
+    by _scaled_powers but the split, which copies f for a scale other than
+    1.  The coset and blocked routes match the loop bit for bit, the
+    spectral and sign-split routes to rounding.  Each function keeps one
+    table per p, for the smallest n0 asked so far, and serves every n >=
+    n0 from it by stride: a sweep over n costs one table.  A sign-split
+    table serves n only while the largest sum at n is at least 2^-10 of
+    its own, which keeps the modulus within about 1e-12 relative; below
+    that it is built again.
     """
     p = _check_exponent(p)
     if not 0 <= n <= f.resolution:
         raise ValueError(f"modulus rank {n} out of range [0, {f.resolution}]")
     if brute_force:
         return _modulus_by_translates(f, n, p)
+    if n >= _rank_of(f):  # every translate in I_n fixes f
+        return 0.0
     scale = None
     if p != 2.0:
         top = _oscillation(f, n)
-        if p == INF or not 0.0 < top < INF:
+        if p == INF or top == INF:
             return top
         scale = _power_scale(top, p, f.resolution)
     n0, scale, sums = _modulus_table(f, n, p, scale)

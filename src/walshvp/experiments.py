@@ -29,7 +29,6 @@ from .dyadic import (
 )
 from .walsh_system import Spectrum, _butterfly, _keep_spectra, fwht_forward, fwht_inverse
 from .kernels import (
-    _block_multiplier,
     _block_weights,
     _check_block,
     _dirichlet_rec_int,
@@ -264,7 +263,6 @@ def ratio_sweep(
     failure raises before the next row is computed, and so before the next
     scheme is drawn."""
     p_values = tuple(map(_check_exponent, p_values))
-    rank = _rank_of(f)
     records = []
     for scheme in schemes:
         n = scheme.block_exponent
@@ -273,7 +271,7 @@ def ratio_sweep(
         # The 47/30 bound is asserted exactly when the scheme sums to one and
         # is non-increasing (case b): its proof needs both.
         bound = float(CASE_B_BOUND) if report.sum_ok and report.case_b_ok else math.nan
-        mean = _mean_period(f, _block_multiplier(scheme.weights, min(n + 1, rank)), n)
+        mean = _mean_period(f, scheme.weights, n)
         for p in p_values:
             error = _lp_of_values(f._head, p, f.resolution, period=mean)
             if not error < INF:

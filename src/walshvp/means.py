@@ -51,15 +51,15 @@ def dyadic_convolve_naive(f: SampledFunction, kernel: SampledFunction) -> Sample
     return SampledFunction._own(f.resolution, table @ f.values * 2.0**-f.resolution)
 
 
-def _mean_period(f: SampledFunction, multiplier: np.ndarray, n: int) -> np.ndarray:
-    """The period of the block-n mean of f, given the block multiplier at
-    its first 2^min(n+1, r) coefficients, r the rank of f: fhat is zero
-    from 2^r on and the multiplier from 2^(n+1) on, so these hold every
-    product that is not zero.  The products go to a new array, which is
-    synthesized in place, so the multiplier is only read.  A mean past the
-    float range is a ValueError."""
+def _mean_period(f: SampledFunction, weights: np.ndarray, n: int) -> np.ndarray:
+    """The period of the block-n mean of f with these weights: the block
+    multiplier, built at its first 2^min(n+1, r) coefficients, r the rank
+    of f (fhat is zero from 2^r on and the multiplier from 2^(n+1) on, so
+    these hold every product that is not zero), times fhat in place, then
+    synthesized in place.  A mean past the float range is a ValueError."""
+    mean = _block_multiplier(weights, min(n + 1, _rank_of(f)))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = _butterfly(multiplier * fwht_forward(f)._prefix(multiplier.size))
+        _butterfly(np.multiply(mean, fwht_forward(f)._prefix(mean.size), out=mean))
     if not np.isfinite(mean).all():
         raise ValueError(f"the mean of block n = {n} passes the float range")
     return mean
@@ -78,8 +78,7 @@ def vp_mean(f: SampledFunction, w: WeightScheme, path: str = PATH_CONVOLUTION) -
     _check_block(w, f.resolution)
     n = w.block_exponent
     if path == PATH_CONVOLUTION:
-        mean = _mean_period(f, _block_multiplier(w.weights, min(n + 1, _rank_of(f))), n)
-        return MeanResult(SampledFunction._own(f.resolution, mean))
+        return MeanResult(SampledFunction._own(f.resolution, _mean_period(f, w.weights, n)))
     if path == PATH_PARTIAL_SUMS:
         terms = zip(w.weights, range(w.block_start, w.block_end + 1))
         return MeanResult(

@@ -742,6 +742,42 @@ def test_only_dyadic_scales_and_sums_powers():
     assert _stray_references(modules, {"_power_scale", "_pairwise_total"}, {"dyadic"}) == []
 
 
+def _power_steps(tree: ast.Module):
+    """function: step, for each in-place division or power (/=, **=) and
+    each np.divide or np.power in a top-level function of the module."""
+    found = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Div, ast.Pow)):
+                step = ast.unparse(node)
+            elif isinstance(node, ast.Attribute) and node.attr in ("divide", "power"):
+                step = ast.unparse(node)
+            else:
+                continue
+            found.append(f"{getattr(stmt, 'name', '<module>')}: {step}")
+    return sorted(found)
+
+
+def test_one_kernel_scales_and_raises_every_power():
+    # _scaled_powers is the one power step of dyadic's norms, errors and
+    # tables: no other function divides by a scale or raises to p in place.
+    tree = ast.parse(next(path for path in SOURCES if path.stem == "dyadic").read_text())
+    assert [step for step in _power_steps(tree) if not step.startswith("_scaled_powers:")] == []
+    assert _power_steps(tree)  # the kernel itself is seen
+
+
+def test_power_step_is_reported():
+    tree = ast.parse(
+        "def _scaled_powers(w, p, s):\n    w /= s\n    w **= p\n"
+        "def sums(w, p, s):\n    np.divide(w, s, out=w)\n    w **= 2\n    w *= 2.0\n"
+        "def table(w, p):\n    np.power(w, p, out=w)\n    return w / 2.0 + w ** p\n"
+    )
+    assert _power_steps(tree) == [
+        "_scaled_powers: w **= p", "_scaled_powers: w /= s",
+        "sums: np.divide", "sums: w **= 2", "table: np.power",
+    ]
+
+
 def _branches_on(function: ast.FunctionDef, name: str):
     """The source of each if, while or conditional-expression test in
     function that reads name."""
@@ -815,16 +851,18 @@ def _read_only_error(call, array):
     return None
 
 
-def test_the_mean_only_reads_its_multiplier():
-    # The mean's products go to a new array, so a multiplier is only read
-    # and may serve more than one synthesis.
+def test_the_mean_only_reads_its_weights():
+    # The mean builds its own multiplier from the weights and multiplies the
+    # spectrum into it in place, so the weights are only read, and the mean
+    # is the synthesis of the multiplier's products.
     f = walshvp.SampledFunction(6, np.arange(64.0) ** 0.5)
-    multiplier = walshvp.kernels._block_multiplier(build_scheme("linear_down", 2).weights, 3)
-    mean = walshvp.means._mean_period(f, multiplier.copy(), 2)
+    weights = build_scheme("linear_down", 2).weights
+    multiplier = walshvp.kernels._block_multiplier(weights, 3)
+    products = multiplier * walshvp.walsh_system.fwht_forward(f)._prefix(8)
     read = []
-    assert _read_only_error(lambda m: read.append(walshvp.means._mean_period(f, m, 2)),
-                            multiplier) is None
-    assert read[0].tobytes() == mean.tobytes()
+    assert _read_only_error(lambda w: read.append(walshvp.means._mean_period(f, w, 2)),
+                            weights) is None
+    assert read[0].tobytes() == walshvp.walsh_system.hadamard_transform(products).tobytes()
 
 
 def test_write_to_a_read_only_argument_is_reported():

@@ -106,21 +106,41 @@ def test_l2_modulus_is_the_full_route_bit_for_bit_for_every_first_n(case, budget
     # The table squares the spectrum in blocks of the budget; at 2^4 the
     # rows of 2^n0 > 2^4 span several blocks.  rank_functions scales the
     # samples by 2^+-600, where the table's scale is not 1.
+    # A first n at or above the rank is the rank exit, which keeps no table.
     N, values = case
     f = SampledFunction(N, values)
-    if not np.any(values):  # f = 0 needs no table and has every modulus 0
-        assert [modulus_of_continuity(f, n, 2) for n in range(N + 1)] == [0.0] * (N + 1)
-        return
-    scale, per_t = _l2_distances_oracle(f)
-    expected = [m.hex() for m in _l2_moduli_oracle(scale, per_t)]
+    rank = dyadic._rank_of(f)
+    if rank:
+        scale, per_t = _l2_distances_oracle(f)
+        expected = [m.hex() for m in _l2_moduli_oracle(scale, per_t)]
+    else:  # a constant f, 0 among them: every n is at or above the rank
+        expected = [(0.0).hex()] * (N + 1)
     with mock.patch.object(dyadic, "_BLOCK_CELLS", budget):
         for first in range(N + 1):
             f = SampledFunction(N, values)
             modulus_of_continuity(f, first, 2)
-            n0, table_scale, sums = f._moduli[2.0]
-            # the table is the full one at t = 0 mod 2^n0, over one period
-            assert table_scale == scale and _bits(sums) == _bits(per_t[:: 1 << n0][: sums.size])
+            if first >= rank:
+                assert f._moduli == {}
+            else:
+                n0, table_scale, sums = f._moduli[2.0]
+                # the table is the full one at t = 0 mod 2^n0, over one period
+                assert table_scale == scale and _bits(sums) == _bits(per_t[:: 1 << n0][: sums.size])
             assert [modulus_of_continuity(f, n, 2).hex() for n in range(N + 1)] == expected
+
+
+@given(rank_functions(), st.sampled_from([1.0, 1.5, 2.0, 3.0, INF]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_modulus_is_zero_from_the_rank_on_before_any_table(case, p, data):
+    # Every translate in I_n fixes f from its rank on, so the modulus is 0.0
+    # there at every p, with no oscillation, scale or table.
+    N, values = case
+    f = SampledFunction(N, values)
+    n = data.draw(st.integers(dyadic._rank_of(f), N))
+    refuse = mock.Mock(side_effect=AssertionError("a route below the rank ran"))
+    with mock.patch.object(dyadic, "_modulus_table", refuse), \
+            mock.patch.object(dyadic, "_oscillation", refuse):
+        assert modulus_of_continuity(f, n, p).hex() == (0.0).hex()
+    assert f._moduli == {} and f._oscillations is None
 
 
 @given(rank_functions(min_resolution=2), st.data())
@@ -258,6 +278,20 @@ def test_the_l2_table_builds_no_array_of_spectrum_size(n0):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 18
+
+
+def test_the_sign_split_at_scale_1_copies_no_samples():
+    # At scale 1 the split sorts f's own samples: a table of 2^16 translates
+    # at N = 18 allocates less than 8.5 arrays of 2^18, where a scaled copy
+    # of the samples would take it past 9.
+    f = make_function("abs_power:0.5", 18)
+    tracemalloc.start()
+    try:
+        dyadic._sign_split_sums(f._head, 2, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * (8 << 18)
 
 
 @given(rank_functions(), st.sampled_from([1.0, 3.0, INF]), st.booleans(), st.randoms())
