@@ -34,6 +34,7 @@ from .kernels import (
     _dirichlet_rec_int,
     _fejer_numerators,
     _vp_numerators,
+    _walsh_running_rows,
     _walsh_sum_rows,
     kernel_norm_sweep,
 )
@@ -371,27 +372,35 @@ class LemmaResult:
 
 def _check_dirichlet_recursion(resolution: int, seed: int) -> Tuple[LemmaResult, LemmaResult]:
     """The closed-form and recursion rows: D_n by the doubling recursion
-    (_dirichlet_rec_int) against D_n = sum_{k<n} w_k (_walsh_sum_rows)
-    for every n in [0, 2^N] up to RECURSION_EXHAUSTIVE_MAX_N; above it,
-    where the 2^N + 1 recursions would cost O(4^N), n = 0, every power of
-    two and orders drawn from the seed, RECURSION_SAMPLES in all, with
-    detail sampled.  Each of the _batches of B orders is held as two
-    int32 (B, 2^N) blocks, one row per order; the recursion's is
-    subtracted from the sums' in place.  The recursion builds D_{2^m} as
-    its closed form, 2^m on I_m, so the error at the N + 1 powers of two
-    is the closed-form row's."""
+    (_dirichlet_rec_int) against the definition D_n = sum_{k<n} w_k for
+    every n in [0, 2^N] up to RECURSION_EXHAUSTIVE_MAX_N; above it, where
+    the 2^N + 1 recursions would cost O(4^N), n = 0, every power of two
+    and orders drawn from the seed, RECURSION_SAMPLES in all, with detail
+    sampled.  The definition is the one fork: every order at once is its
+    running sum over the Walsh rows (_walsh_running_rows), O(4^N) adds,
+    and a sampled order is the synthesis of its rows 1_{k<n}
+    (_walsh_sum_rows), O(N 2^N) each, where the running sum up to the
+    sampled orders would cost O(4^N).  Each of the _batches of B orders is
+    held as two int32 (B, 2^N) blocks, one row per order; the recursion's
+    is subtracted from the definition's in place.  The recursion builds
+    D_{2^m} as its closed form, 2^m on I_m, so the error at the N + 1
+    powers of two is the closed-form row's."""
     size = 1 << resolution
-    orders, detail = range(size + 1), ""
-    if resolution > RECURSION_EXHAUSTIVE_MAX_N:
+    if resolution <= RECURSION_EXHAUSTIVE_MAX_N:
+        orders, detail = range(size + 1), ""
+        batches = _walsh_running_rows(resolution)
+    else:
         sampled = {0} | {1 << m for m in range(resolution + 1)}
         rng = SplitMix64(seed)
         while len(sampled) < RECURSION_SAMPLES:
             sampled.add(rng.randint(size + 1))
         orders, detail = sorted(sampled), "sampled"
+        batches = (
+            (np.asarray(batch, dtype=np.int32), _walsh_sum_rows(batch, resolution))
+            for batch in _batches(orders, lambda n: (None, size))
+        )
     worst = closed = powers = 0
-    for batch in _batches(orders, lambda n: (None, size)):
-        block = np.asarray(batch, dtype=np.int32)
-        sums = _walsh_sum_rows(block, resolution)
+    for block, sums in batches:
         diffs = np.subtract(_dirichlet_rec_int(block, resolution), sums, out=sums)
         worst = max(worst, int(diffs.max()), -int(diffs.min()))
         power = np.flatnonzero((block > 0) & ((block & (block - 1)) == 0))

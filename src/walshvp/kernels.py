@@ -8,11 +8,13 @@ coefficients or, for D, also by its recursion.  Each has one builder of
 many orders or weight rows in one block of rows (_walsh_sum_rows,
 _dirichlet_rec_int, _fejer_numerators, _vp_numerators with the three VP
 parts), whose batches of one are the public builders, none of them in
-the package's __all__.  The kernel identities (the closed form of D at
-powers of two, the recursive splitting of D, the three-part VP
-decomposition) are then checked with zero error.  The numerators are
-int64, int32 in the D rows, or Python ints for a VP kernel whose
-weights have large numerators (_block_weights).
+the package's __all__; D of every order up to 2^N also has
+_walsh_running_rows, its running sum over the Walsh rows, batch by
+batch.  The kernel identities (the closed form of D at powers of two,
+the recursive splitting of D, the three-part VP decomposition) are then
+checked with zero error.  The numerators are int64, int32 in the D rows,
+or Python ints for a VP kernel whose weights have large numerators
+(_block_weights).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import SampledFunction, _Samples, check_resolution
+from .dyadic import SampledFunction, _batches, _Samples, check_resolution
 from .walsh_system import _butterfly
 from .weights import WeightScheme, _integers, _quotients
 
@@ -88,6 +90,47 @@ def _walsh_sum_rows(orders, resolution: int) -> np.ndarray:
     magnitude."""
     orders = np.asarray(orders, dtype=np.int32).reshape(-1, 1)
     return _butterfly((np.arange(1 << resolution) < orders).astype(np.int32))
+
+
+def _walsh_running_rows(resolution: int):
+    """D_n for every n in [0, 2^N], N >= 0, in the _batches of the
+    recursion check: yields (orders, rows) for each batch of B orders,
+    orders an int32 array of its n and rows an int32 (B, 2^N) block whose
+    row b is D_n for n = orders[b], by the definition's running sum
+    D_0 = 0, D_(n+1) = D_n + w_n.  All 2^N + 1 rows cost O(4^N) adds,
+    where _walsh_sum_rows of every order costs O(N 4^N).
+
+    The Walsh rows come from one synthesis of an identity of 2^h rows,
+    h = ceil(N/2), whose row i is w_i at its 2^h cells: with
+    x = 2^h x_1 + x_0, w_k(x) = w_(k >> h)(x_1) w_(k mod 2^h)(x_0), so row
+    k is the product of two gathered rows of it.  A batch stacks D of its
+    first order, carried from the batch before (D_0 for the first), over
+    its Walsh rows and sums them down the stack by doubling (Hillis &
+    Steele, 1986): for s = 1, 2, 4, ..., every row gains the row s above
+    it, ceil(log2(B + 1)) adds.  The row carried to the next batch is the
+    one past those handed out, so the caller may write these.  Every sum
+    is at most 2^N <= 2^24 in magnitude."""
+    size = 1 << resolution
+    h = (resolution + 1) // 2
+    signs = _butterfly(np.eye(1 << h, dtype=np.int32))
+    carry = np.zeros(size, dtype=np.int32)  # D_0
+    for batch in _batches(range(size + 1), lambda n: (None, size)):
+        first, count = batch[0], len(batch)
+        terms = min(count, size - first)  # the w_k for first <= k < first + terms
+        k = np.arange(first, first + terms)
+        rows = np.empty((terms + 1, size), dtype=np.int32)
+        rows[0] = carry
+        np.multiply(
+            signs[k >> h, : size >> h, None],
+            signs[k & ((1 << h) - 1), None, :],
+            out=rows[1:].reshape(terms, size >> h, 1 << h),
+        )
+        step = 1
+        while step <= terms:
+            rows[step:] += rows[:-step]
+            step *= 2
+        carry = rows[terms]  # D_(first + terms), handed out only in the last batch
+        yield np.arange(first, first + count, dtype=np.int32), rows[:count]
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:

@@ -369,23 +369,27 @@ class TestBatchedChecks:
         monkeypatch.setattr(exp, "_dirichlet_rec_int", counted)
         return calls
 
-    @pytest.mark.parametrize("N", [10, 11])
+    @pytest.mark.parametrize("N", [4, 7, 10, 11])
     def test_one_wrong_cell_in_a_middle_block_fails(self, monkeypatch, N):
-        # Each block's Walsh sums are synthesized from its own orders, so a
-        # wrong row of the recursion is compared with its own definition.
-        calls = self._counted_recursion(monkeypatch, perturb_call=8)
+        # Each block's definition rows are its own orders', the running sum
+        # carried from the block before at N <= 10 and synthesized at N = 11,
+        # so a wrong row of the recursion is compared with its own
+        # definition.  At N = 4 and 7 one block holds every order.
+        perturb_call, blocks = {4: (1, 1), 7: (1, 1), 10: (8, 17), 11: (8, 33)}[N]
+        calls = self._counted_recursion(monkeypatch, perturb_call=perturb_call)
         _, result = exp._check_dirichlet_recursion(N, 0)
-        assert len(calls) > 8
+        assert len(calls) == blocks
         assert not result.passed and result.worst_margin == 1
 
-    @pytest.mark.parametrize("N", [10, 12, 16])
+    @pytest.mark.parametrize("N", [4, 7, 10, 12, 16])
     @pytest.mark.parametrize("power", [True, False])
     def test_a_wrong_cell_fails_the_rows_of_its_column(self, monkeypatch, N, power):
         # The closed-form result reads the rows of the N + 1 powers of two,
         # the recursion result every row: a wrong cell of the recursion at
         # the order 2^(N-1), or at the first order above it, fails the
-        # results that read its row.  N = 10 checks every order, N = 12
-        # samples them, and N = 16 runs one order per batch.
+        # results that read its row.  N = 4, 7 and 10 check every order, in
+        # one batch at N = 4 and 7; N = 12 samples them, and N = 16 runs one
+        # order per batch.
         recursion, widths, wrong = exp._dirichlet_rec_int, [], []
 
         def perturbed(orders, resolution):
@@ -400,7 +404,7 @@ class TestBatchedChecks:
         monkeypatch.setattr(exp, "_dirichlet_rec_int", perturbed)
         closed, result = exp._check_dirichlet_recursion(N, 0)
         assert len(wrong) == 1 and (wrong[0] & (wrong[0] - 1) == 0) == power
-        assert closed.instances == N + 1 and result.instances == 1025
+        assert closed.instances == N + 1 and result.instances == (1 << min(N, 10)) + 1
         assert not result.passed and result.worst_margin == 1
         assert closed.passed != power and closed.worst_margin == int(power)
         assert N < 16 or set(widths) == {1}
@@ -422,22 +426,69 @@ class TestBatchedChecks:
         assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
 
     def test_recursion_oracle_rows_are_int32(self, monkeypatch):
-        # Every butterfly sum of the rows 1_{k<n} is at most 2^N <= 2^24;
-        # each batch of 64 orders at N = 10 is one (64, 2^10) block, the
-        # last order (2^10) a block of one.
-        blocks = []
-        butterfly = walshvp.walsh_system._butterfly
+        # Up to N = 10 the definition rows are int32 running sums of Walsh
+        # rows, |D_n| <= 2^N, in blocks of 64 orders at N = 10; their one
+        # butterfly synthesizes the identity of 2^ceil(N/2) rows, and no
+        # batch synthesizes a row of 2^N entries.
+        shapes, blocks = [], []
+        butterfly, running = walshvp.walsh_system._butterfly, exp._walsh_running_rows
 
         def spied(a):
-            blocks.append((a.dtype, a.shape, a.flags.c_contiguous))
+            shapes.append((a.dtype, a.shape, a.flags.c_contiguous))
             return butterfly(a)
 
+        def rows(resolution):
+            for orders, block in running(resolution):
+                blocks.append((orders.dtype, block.dtype, block.shape))
+                yield orders, block
+
         monkeypatch.setattr(walshvp.kernels, "_butterfly", spied)
-        _, result = exp._check_dirichlet_recursion(10, 0)
-        assert result.passed and result.instances == 1025 and result.worst_margin == 0
-        assert set(blocks) == {(np.dtype(np.int32), (64, 1 << 10), True),
-                               (np.dtype(np.int32), (1, 1 << 10), True)}
-        assert len(blocks) == 17
+        monkeypatch.setattr(exp, "_walsh_running_rows", rows)
+        int32 = np.dtype(np.int32)
+        for N in range(4, 11):
+            shapes.clear()
+            blocks.clear()
+            _, result = exp._check_dirichlet_recursion(N, 0)
+            assert result.passed and result.instances == (1 << N) + 1 and result.worst_margin == 0
+            side = 1 << (N + 1) // 2
+            assert shapes == [(int32, (side, side), True)]
+            assert {(o, b) for o, b, _ in blocks} == {(int32, int32)}
+            assert sum(shape[0] for _, _, shape in blocks) == (1 << N) + 1
+            assert {shape[1] for _, _, shape in blocks} == {1 << N}
+        assert [shape[0] for _, _, shape in blocks] == [64] * 16 + [1]
+
+    @pytest.mark.parametrize("N", [4, 7, 10])
+    def test_a_flipped_sign_of_the_oracle_synthesis_fails(self, monkeypatch, N):
+        # The definition rows are products of the rows of one synthesized
+        # identity: one wrong sign there (the last cell of its last row)
+        # flips every Walsh row that gathers it at that cell, so the running
+        # sums it feeds are off by 2 and the recursion check fails.
+        butterfly = walshvp.walsh_system._butterfly
+
+        def flipped(a):
+            signs = butterfly(a)
+            signs[-1, -1] *= -1
+            return signs
+
+        monkeypatch.setattr(walshvp.kernels, "_butterfly", flipped)
+        _, result = exp._check_dirichlet_recursion(N, 0)
+        assert not result.passed and result.worst_margin >= 2
+
+    @pytest.mark.parametrize("N, k", [(4, 0), (7, 77), (10, 1023)])
+    def test_one_flipped_walsh_term_of_the_running_sum_fails(self, monkeypatch, N, k):
+        # With w_k counted as -w_k, every D_n with n > k is 2 w_k off, so the
+        # recursion row fails by 2 and so does the closed form at 2^N > k.
+        running, wrong = exp._walsh_running_rows, 2 * walsh(k, N).values.astype(np.int32)
+
+        def flipped(resolution):
+            for orders, block in running(resolution):
+                block[orders > k] -= wrong
+                yield orders, block
+
+        monkeypatch.setattr(exp, "_walsh_running_rows", flipped)
+        closed, result = exp._check_dirichlet_recursion(N, 0)
+        assert not result.passed and result.worst_margin == 2
+        assert not closed.passed and closed.worst_margin == 2
 
     def test_the_lemma_checks_build_no_kernel_function(self, monkeypatch):
         # Every kernel of the checks is a row of numerators or of floats.

@@ -333,14 +333,19 @@ def _references(modules: dict, names: set):
 
 def test_the_checks_build_every_kernel_as_rows():
     # Every kernel of verify-lemmas comes from a rows builder of kernels
-    # (_walsh_sum_rows, _dirichlet_rec_int, _fejer_numerators,
-    # _vp_numerators): no function of experiments builds one by its order,
-    # synthesizes one alone or holds one as a KernelFunction, and kernels
-    # has no per-order synthesis beside the builders.
+    # (_walsh_running_rows, _walsh_sum_rows, _dirichlet_rec_int,
+    # _fejer_numerators, _vp_numerators): no function of experiments builds
+    # one by its order, synthesizes one alone or holds one as a
+    # KernelFunction, and kernels has no per-order synthesis beside the
+    # builders.  The running sums, the definition the recursion is checked
+    # against, call neither the recursion nor the sums' synthesis.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     per_order = {"dirichlet", "fejer", "hadamard_transform", "KernelFunction"}
     assert _references({"experiments": modules["experiments"]}, per_order) == []
     assert _references({"kernels": modules["kernels"]}, {"hadamard_transform"}) == []
+    running = _calls_by_function({"kernels": modules["kernels"]})["kernels._walsh_running_rows"]
+    assert "_butterfly" in running
+    assert not running & {"_dirichlet_rec_int", "_walsh_sum_rows"}
 
 
 def test_references_are_reported():
@@ -359,12 +364,13 @@ def test_references_are_reported():
 
 
 def test_a_lemmas_op_runs_one_butterfly_per_batch_of_kernels(monkeypatch):
-    # The N = 10 op of the lemmas workload.  Each batch of Fejer g, each
-    # batch of VP kernels and parts, and each of the recursion check's 17
-    # batches of Walsh sums (16 of 64 orders, then the order 2^10) is one
-    # butterfly, and the closed-form row reads the recursion check's rows:
-    # 87 calls.  A synthesis per Fejer g or per power of two, a second
-    # butterfly per VP batch, or a second layout for the Walsh sums would
+    # The N = 10 op of the lemmas workload.  Each batch of Fejer g and each
+    # batch of VP kernels and parts is one butterfly, 70 in all; the
+    # recursion check's running sums of Walsh rows over its 17 batches
+    # (16 of 64 orders, then the order 2^10) take theirs from one synthesis
+    # of a 32-row identity, and the closed-form row reads the recursion
+    # check's rows: 71 calls.  A synthesis per Fejer g, per power of two or
+    # per batch of Walsh sums, or a second butterfly per VP batch, would
     # change the count.
     calls = []
     butterfly = walshvp.walsh_system._butterfly
@@ -381,7 +387,7 @@ def test_a_lemmas_op_runs_one_butterfly_per_batch_of_kernels(monkeypatch):
             "--random-schemes", "6", "--seed", "1", "--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert walshvp.cli.main(argv) == 0
-    assert len(calls) == 87
+    assert len(calls) == 71
 
 
 def test_radix4_view_is_reported():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import walshvp.dyadic
 import walshvp.kernels
 import walshvp.walsh_system
 from hypothesis import example, given, settings
@@ -175,6 +176,29 @@ class TestDirichletRecursion:
         for n, row in zip(orders, rows):
             assert np.array_equal(dirichlet(n, N).exact_numer, row)
             assert np.array_equal(dirichlet_via_recursion(n, N).exact_numer, row)
+
+    @pytest.mark.parametrize("budget", [1 << 6, 1 << 11, 1 << 16])
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_running_rows_are_the_walsh_sum_rows(self, monkeypatch, N, budget):
+        # Every order 0..2^N, in the _batches of the recursion check: one
+        # row a batch from N = 6 on at a budget of 2^6 cells, a few at 2^11,
+        # and every order in one batch at 2^16 up to N = 7.  The check
+        # writes its differences into each batch, so this does too before
+        # drawing the next: the running sum carries nothing handed out.
+        monkeypatch.setattr(walshvp.dyadic, "_BLOCK_CELLS", budget)
+        size = 1 << N
+        expected = [len(b) for b in walshvp.dyadic._batches(range(size + 1), lambda n: (None, size))]
+        orders, rows = [], []
+        for batch, block in walshvp.kernels._walsh_running_rows(N):
+            assert batch.dtype == block.dtype == np.int32 and block.shape == (batch.size, size)
+            orders.append(batch.copy())
+            rows.append(block.copy())
+            block[...] = -7
+        assert [batch.size for batch in orders] == expected
+        assert np.array_equal(np.concatenate(orders), np.arange(size + 1))
+        sums = walshvp.kernels._walsh_sum_rows(np.arange(size + 1), N)
+        assert sums.dtype == np.int32
+        assert np.concatenate(rows).tobytes() == sums.tobytes()
 
     def test_a_row_past_the_chunk_takes_the_chunked_butterfly(self, monkeypatch):
         # One order at N = 17: its row of 2^17 entries is longer than
