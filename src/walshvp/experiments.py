@@ -34,8 +34,8 @@ from .kernels import (
     _dirichlet_rec_int,
     _fejer_numerators,
     _vp_numerators,
-    _walsh_running_rows,
     _walsh_sum_rows,
+    _walsh_tables,
     kernel_norm_sweep,
 )
 from .weights import WeightScheme, _FamilySchemes, validate
@@ -374,34 +374,32 @@ def _check_dirichlet_recursion(resolution: int, seed: int) -> Tuple[LemmaResult,
     """The closed-form and recursion rows: D_n by the doubling recursion
     (_dirichlet_rec_int) against the definition D_n = sum_{k<n} w_k for
     every n in [0, 2^N] up to RECURSION_EXHAUSTIVE_MAX_N; above it, where
-    the 2^N + 1 recursions would cost O(4^N), n = 0, every power of two
-    and orders drawn from the seed, RECURSION_SAMPLES in all, with detail
-    sampled.  The definition is the one fork: every order at once is its
-    running sum over the Walsh rows (_walsh_running_rows), O(4^N) adds,
-    and a sampled order is the synthesis of its rows 1_{k<n}
-    (_walsh_sum_rows), O(N 2^N) each, where the running sum up to the
-    sampled orders would cost O(4^N).  Each of the _batches of B orders is
-    held as two int32 (B, 2^N) blocks, one row per order; the recursion's
-    is subtracted from the definition's in place.  The recursion builds
-    D_{2^m} as its closed form, 2^m on I_m, so the error at the N + 1
-    powers of two is the closed-form row's."""
+    the 2^N + 1 orders would cost O(4^N), n = 0, every power of two and
+    orders drawn from the seed, RECURSION_SAMPLES in all, with detail
+    sampled.  The choice of orders is the only branch on N.  The
+    definition rows are _walsh_sum_rows, O(2^N) an order, from one pair of
+    _walsh_tables built here for every batch; that builder uses neither
+    the recursion, nor the top-bit splitting, nor the closed form of
+    D_{2^m}.  Each of the _batches of B orders is held as two int32
+    (B, 2^N) blocks, one row per order; the definition's is subtracted from
+    the recursion's in place.  The recursion builds D_{2^m} as its closed
+    form, 2^m on I_m, so the error at the N + 1 powers of two is the
+    closed-form row's."""
     size = 1 << resolution
     if resolution <= RECURSION_EXHAUSTIVE_MAX_N:
         orders, detail = range(size + 1), ""
-        batches = _walsh_running_rows(resolution)
     else:
         sampled = {0} | {1 << m for m in range(resolution + 1)}
         rng = SplitMix64(seed)
         while len(sampled) < RECURSION_SAMPLES:
             sampled.add(rng.randint(size + 1))
         orders, detail = sorted(sampled), "sampled"
-        batches = (
-            (np.asarray(batch, dtype=np.int32), _walsh_sum_rows(batch, resolution))
-            for batch in _batches(orders, lambda n: (None, size))
-        )
+    tables = _walsh_tables(resolution)
     worst = closed = powers = 0
-    for block, sums in batches:
-        diffs = np.subtract(_dirichlet_rec_int(block, resolution), sums, out=sums)
+    for batch in _batches(orders, lambda n: (None, size)):
+        block = np.asarray(batch, dtype=np.int32)
+        diffs = _dirichlet_rec_int(block, resolution)
+        diffs -= _walsh_sum_rows(block, resolution, tables)
         worst = max(worst, int(diffs.max()), -int(diffs.min()))
         power = np.flatnonzero((block > 0) & ((block & (block - 1)) == 0))
         closed = max(closed, int(np.abs(diffs[power]).max(initial=0)))

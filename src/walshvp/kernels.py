@@ -4,17 +4,16 @@ D_n and K_n for n <= 2^m depend only on x_0..x_(m-1), the block-n VP
 kernel only on x_0..x_n, so each is held as that period of integer
 numerators over one denominator (1 for D_n, n for K_n, the weights'
 common one for VP kernels), built by the integer butterfly of its Walsh
-coefficients or, for D, also by its recursion.  Each has one builder of
+coefficients or, for D, by its definition's Walsh sum grouped by the
+Walsh-Paley product and also by its recursion.  Each has one builder of
 many orders or weight rows in one block of rows (_walsh_sum_rows,
 _dirichlet_rec_int, _fejer_numerators, _vp_numerators with the three VP
 parts), whose batches of one are the public builders, none of them in
-the package's __all__; D of every order up to 2^N also has
-_walsh_running_rows, its running sum over the Walsh rows, batch by
-batch.  The kernel identities (the closed form of D at powers of two,
-the recursive splitting of D, the three-part VP decomposition) are then
-checked with zero error.  The numerators are int64, int32 in the D rows,
-or Python ints for a VP kernel whose weights have large numerators
-(_block_weights).
+the package's __all__.  The kernel identities (the closed form of D at
+powers of two, the recursive splitting of D, the three-part VP
+decomposition) are then checked with zero error.  The numerators are
+int64, int32 in the D rows, or Python ints for a VP kernel whose weights
+have large numerators (_block_weights).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import SampledFunction, _batches, _Samples, check_resolution
+from .dyadic import SampledFunction, _Samples, check_resolution
 from .walsh_system import _butterfly
 from .weights import WeightScheme, _integers, _quotients
 
@@ -83,54 +82,46 @@ def _check_order(n: int, resolution: int) -> int:
     return int(n)
 
 
-def _walsh_sum_rows(orders, resolution: int) -> np.ndarray:
-    """D_n = sum_{k<n} w_k as row b of an int32 (B, 2^N) block for each
-    n = orders[b] <= 2^N (unchecked): the rows 1_{k<n}, synthesized by
-    one _butterfly.  Every butterfly sum is at most 2^N <= 2^24 in
-    magnitude."""
-    orders = np.asarray(orders, dtype=np.int32).reshape(-1, 1)
-    return _butterfly((np.arange(1 << resolution) < orders).astype(np.int32))
+def _walsh_tables(resolution: int) -> tuple:
+    """The tables of _walsh_sum_rows at N: w_j for j < 2^h and
+    D_j = sum_{i<j} w_i for j <= 2^h at the 2^h cells, h = ceil(N/2), as
+    an int8 (2^h, 2^h) and an int16 (2^h + 1, 2^h) block, one row per
+    order.  The Walsh rows are one _butterfly of the identity, every sum
+    of which is 0 or +-1, and the Dirichlet rows their running sum down
+    the rows, D_0 = 0; |D_j| <= 2^h <= 2^12."""
+    side = 1 << (resolution + 1) // 2
+    signs = _butterfly(np.eye(side, dtype=np.int8))
+    sums = np.zeros((side + 1, side), dtype=np.int16)
+    np.cumsum(signs, axis=0, dtype=np.int16, out=sums[1:])
+    return signs, sums
 
 
-def _walsh_running_rows(resolution: int):
-    """D_n for every n in [0, 2^N], N >= 0, in the _batches of the
-    recursion check: yields (orders, rows) for each batch of B orders,
-    orders an int32 array of its n and rows an int32 (B, 2^N) block whose
-    row b is D_n for n = orders[b], by the definition's running sum
-    D_0 = 0, D_(n+1) = D_n + w_n.  All 2^N + 1 rows cost O(4^N) adds,
-    where _walsh_sum_rows of every order costs O(N 4^N).
+def _walsh_sum_rows(orders, resolution: int, tables=None) -> np.ndarray:
+    """D_n = sum_{k<n} w_k as row b of an int32 (B, 2^N) block, N >= 0, for
+    each n = orders[b] <= 2^N (unchecked), from the _walsh_tables of N,
+    built here unless given.
 
-    The Walsh rows come from one synthesis of an identity of 2^h rows,
-    h = ceil(N/2), whose row i is w_i at its 2^h cells: with
-    x = 2^h x_1 + x_0, w_k(x) = w_(k >> h)(x_1) w_(k mod 2^h)(x_0), so row
-    k is the product of two gathered rows of it.  A batch stacks D of its
-    first order, carried from the batch before (D_0 for the first), over
-    its Walsh rows and sums them down the stack by doubling (Hillis &
-    Steele, 1986): for s = 1, 2, 4, ..., every row gains the row s above
-    it, ceil(log2(B + 1)) adds.  The row carried to the next batch is the
-    one past those handed out, so the caller may write these.  Every sum
-    is at most 2^N <= 2^24 in magnitude."""
-    size = 1 << resolution
+    With h = ceil(N/2), x = 2^h x_1 + x_0 and k = 2^h k_1 + k_0, the
+    Walsh-Paley product w_k(x) = w_(k_1)(x_1) w_(k_0)(x_0) groups the
+    definition's terms by k_1: for n = 2^h n_1 + n_0,
+    D_n(x) = D_(n_1)(x_1) D_(2^h)(x_0) + w_(n_1)(x_1) D_(n_0)(x_0), every
+    factor a row of the tables, x_1 < 2^(N-h) <= 2^h and n_1 <= 2^h.  Row
+    b is built as w (w D_(n_1) D_(2^h) + D_(n_0)), w = w_(n_1)(x_1) = +-1,
+    in three passes over its (2^(N-h), 2^h) view and no temporary block:
+    O(2^N) a row.  At n = 2^N with N even, n_1 = 2^h is one row past the
+    Walsh table, and its term is 0 = D_0 times any sign: the last one is
+    read.  No sum passes 2^N <= 2^24 in magnitude."""
+    signs, sums = _walsh_tables(resolution) if tables is None else tables
     h = (resolution + 1) // 2
-    signs = _butterfly(np.eye(1 << h, dtype=np.int32))
-    carry = np.zeros(size, dtype=np.int32)  # D_0
-    for batch in _batches(range(size + 1), lambda n: (None, size)):
-        first, count = batch[0], len(batch)
-        terms = min(count, size - first)  # the w_k for first <= k < first + terms
-        k = np.arange(first, first + terms)
-        rows = np.empty((terms + 1, size), dtype=np.int32)
-        rows[0] = carry
-        np.multiply(
-            signs[k >> h, : size >> h, None],
-            signs[k & ((1 << h) - 1), None, :],
-            out=rows[1:].reshape(terms, size >> h, 1 << h),
-        )
-        step = 1
-        while step <= terms:
-            rows[step:] += rows[:-step]
-            step *= 2
-        carry = rows[terms]  # D_(first + terms), handed out only in the last batch
-        yield np.arange(first, first + count, dtype=np.int32), rows[:count]
+    orders = np.asarray(orders, dtype=np.int32)
+    high, low = orders >> h, orders & ((1 << h) - 1)
+    width = 1 << (resolution - h)
+    sign = signs[np.minimum(high, len(signs) - 1), :width, None].astype(np.int32)
+    rows = np.empty((orders.size, width, 1 << h), dtype=np.int32)
+    np.multiply(sign * sums[high, :width, None], sums[-1].astype(np.int32), out=rows)
+    rows += sums[low, None, :].astype(np.int32)
+    rows *= sign
+    return rows.reshape(orders.size, -1)
 
 
 def _dirichlet_rec_int(orders, resolution: int) -> np.ndarray:
@@ -167,9 +158,8 @@ def _one_row(rows, n: int, resolution: int) -> KernelFunction:
 
 
 def dirichlet(n: int, resolution: int) -> KernelFunction:
-    """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers
-    synthesized from its coefficients, 1 below n: _walsh_sum_rows of
-    the one order."""
+    """D_n: sum of the first n Walsh functions (D_0 = 0), exact integers:
+    _walsh_sum_rows of the one order."""
     return _one_row(_walsh_sum_rows, n, resolution)
 
 

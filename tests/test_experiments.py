@@ -371,10 +371,8 @@ class TestBatchedChecks:
 
     @pytest.mark.parametrize("N", [4, 7, 10, 11])
     def test_one_wrong_cell_in_a_middle_block_fails(self, monkeypatch, N):
-        # Each block's definition rows are its own orders', the running sum
-        # carried from the block before at N <= 10 and synthesized at N = 11,
-        # so a wrong row of the recursion is compared with its own
-        # definition.  At N = 4 and 7 one block holds every order.
+        # Each block's definition rows are its own orders', so a wrong row of
+        # the recursion is compared with its own definition.  At N = 4 and 7 one block holds every order.
         perturb_call, blocks = {4: (1, 1), 7: (1, 1), 10: (8, 17), 11: (8, 33)}[N]
         calls = self._counted_recursion(monkeypatch, perturb_call=perturb_call)
         _, result = exp._check_dirichlet_recursion(N, 0)
@@ -426,43 +424,49 @@ class TestBatchedChecks:
         assert len(calls) <= -(-1025 // rows) and max(calls) <= rows
 
     def test_recursion_oracle_rows_are_int32(self, monkeypatch):
-        # Up to N = 10 the definition rows are int32 running sums of Walsh
-        # rows, |D_n| <= 2^N, in blocks of 64 orders at N = 10; their one
-        # butterfly synthesizes the identity of 2^ceil(N/2) rows, and no
+        # The definition rows are int32, |D_n| <= 2^N, one row per order of
+        # each batch and every order once, in blocks of 64 orders at N = 10.
+        # The check's one butterfly synthesizes the int8 identity of
+        # 2^ceil(N/2) rows for the tables of every batch, at every N: no
         # batch synthesizes a row of 2^N entries.
         shapes, blocks = [], []
-        butterfly, running = walshvp.walsh_system._butterfly, exp._walsh_running_rows
+        butterfly, rows = walshvp.walsh_system._butterfly, exp._walsh_sum_rows
 
         def spied(a):
             shapes.append((a.dtype, a.shape, a.flags.c_contiguous))
             return butterfly(a)
 
-        def rows(resolution):
-            for orders, block in running(resolution):
-                blocks.append((orders.dtype, block.dtype, block.shape))
-                yield orders, block
+        def counted(orders, resolution, tables):
+            block = rows(orders, resolution, tables)
+            blocks.append((orders.copy(), block.dtype, block.shape))
+            return block
 
         monkeypatch.setattr(walshvp.kernels, "_butterfly", spied)
-        monkeypatch.setattr(exp, "_walsh_running_rows", rows)
-        int32 = np.dtype(np.int32)
-        for N in range(4, 11):
+        monkeypatch.setattr(exp, "_walsh_sum_rows", counted)
+        for N in range(4, 15):
             shapes.clear()
             blocks.clear()
             _, result = exp._check_dirichlet_recursion(N, 0)
-            assert result.passed and result.instances == (1 << N) + 1 and result.worst_margin == 0
+            count = (1 << min(N, 10)) + 1
+            assert result.passed and result.instances == count and result.worst_margin == 0
             side = 1 << (N + 1) // 2
-            assert shapes == [(int32, (side, side), True)]
-            assert {(o, b) for o, b, _ in blocks} == {(int32, int32)}
-            assert sum(shape[0] for _, _, shape in blocks) == (1 << N) + 1
-            assert {shape[1] for _, _, shape in blocks} == {1 << N}
-        assert [shape[0] for _, _, shape in blocks] == [64] * 16 + [1]
+            assert shapes == [(np.dtype(np.int8), (side, side), True)]
+            assert {(o.dtype, b) for o, b, _ in blocks} == {(np.dtype(np.int32), np.dtype(np.int32))}
+            orders = np.concatenate([o for o, _, _ in blocks])
+            assert orders.size == count and np.unique(orders).size == count
+            assert N > 10 or np.array_equal(orders, np.arange(count))
+            assert all(shape == (o.size, 1 << N) for o, _, shape in blocks)
+        assert [shape[0] for _, _, shape in blocks] == [4] * 256 + [1]  # N = 14
+        exp._check_dirichlet_recursion(10, 0)
+        assert [shape[0] for _, _, shape in blocks[-17:]] == [64] * 16 + [1]
 
-    @pytest.mark.parametrize("N", [4, 7, 10])
+    @pytest.mark.parametrize("N", [4, 7, 10, 12])
     def test_a_flipped_sign_of_the_oracle_synthesis_fails(self, monkeypatch, N):
-        # The definition rows are products of the rows of one synthesized
+        # The definition rows are built from the rows of one synthesized
         # identity: one wrong sign there (the last cell of its last row)
-        # flips every Walsh row that gathers it at that cell, so the running
-        # sums it feeds are off by 2 and the recursion check fails.
+        # flips that Walsh row at that cell and the running sums below it,
+        # so the definition rows that read them are off and the recursion
+        # check fails.
         butterfly = walshvp.walsh_system._butterfly
 
         def flipped(a):
@@ -474,18 +478,18 @@ class TestBatchedChecks:
         _, result = exp._check_dirichlet_recursion(N, 0)
         assert not result.passed and result.worst_margin >= 2
 
-    @pytest.mark.parametrize("N, k", [(4, 0), (7, 77), (10, 1023)])
+    @pytest.mark.parametrize("N, k", [(4, 0), (7, 77), (10, 1023), (12, 2049)])
     def test_one_flipped_walsh_term_of_the_running_sum_fails(self, monkeypatch, N, k):
         # With w_k counted as -w_k, every D_n with n > k is 2 w_k off, so the
         # recursion row fails by 2 and so does the closed form at 2^N > k.
-        running, wrong = exp._walsh_running_rows, 2 * walsh(k, N).values.astype(np.int32)
+        rows, wrong = exp._walsh_sum_rows, 2 * walsh(k, N).values.astype(np.int32)
 
-        def flipped(resolution):
-            for orders, block in running(resolution):
-                block[orders > k] -= wrong
-                yield orders, block
+        def flipped(orders, resolution, tables):
+            block = rows(orders, resolution, tables)
+            block[orders > k] -= wrong
+            return block
 
-        monkeypatch.setattr(exp, "_walsh_running_rows", flipped)
+        monkeypatch.setattr(exp, "_walsh_sum_rows", flipped)
         closed, result = exp._check_dirichlet_recursion(N, 0)
         assert not result.passed and result.worst_margin == 2
         assert not closed.passed and closed.worst_margin == 2

@@ -177,33 +177,65 @@ class TestDirichletRecursion:
             assert np.array_equal(dirichlet(n, N).exact_numer, row)
             assert np.array_equal(dirichlet_via_recursion(n, N).exact_numer, row)
 
+    @staticmethod
+    def _synthesized(orders, N):
+        # The rows 1_{k<n} synthesized by hadamard_transform on int64: the
+        # per-order oracle of the definition, D_n = sum_{k<n} w_k.
+        rows = np.arange(1 << N) < np.asarray(orders).reshape(-1, 1)
+        return np.stack([hadamard_transform(row.astype(np.int64)) for row in rows])
+
+    @pytest.mark.parametrize("N", range(0, 11))
+    def test_walsh_sum_rows_of_every_order_are_the_synthesis(self, N):
+        orders = np.arange((1 << N) + 1)
+        sums = walshvp.kernels._walsh_sum_rows(orders, N)
+        assert sums.dtype == np.int32 and sums.shape == (orders.size, 1 << N)
+        assert sums.tobytes() == self._synthesized(orders, N).astype(np.int32).tobytes()
+
+    @pytest.mark.parametrize("N", range(11, 18))
+    def test_walsh_sum_rows_of_sampled_orders_are_the_synthesis(self, N):
+        # 0, 2^N (n_1 = 2^h, one row past the Walsh table, at even N), every
+        # power of two and random orders, from tables built once.
+        rng = np.random.default_rng(N)
+        orders = [0, 1 << N, *(1 << m for m in range(N)), *rng.integers(0, (1 << N) + 1, 6)]
+        tables = walshvp.kernels._walsh_tables(N)
+        for first in range(0, len(orders), 8):
+            batch = orders[first : first + 8]
+            sums = walshvp.kernels._walsh_sum_rows(batch, N, tables)
+            assert sums.dtype == np.int32
+            assert sums.tobytes() == self._synthesized(batch, N).astype(np.int32).tobytes()
+
     @pytest.mark.parametrize("budget", [1 << 6, 1 << 11, 1 << 16])
     @pytest.mark.parametrize("N", range(1, 11))
     def test_running_rows_are_the_walsh_sum_rows(self, monkeypatch, N, budget):
         # Every order 0..2^N, in the _batches of the recursion check: one
         # row a batch from N = 6 on at a budget of 2^6 cells, a few at 2^11,
-        # and every order in one batch at 2^16 up to N = 7.  The check
-        # writes its differences into each batch, so this does too before
-        # drawing the next: the running sum carries nothing handed out.
+        # and every order in one batch at 2^16 up to N = 7.  Each batch's
+        # rows are the running sums D_(n+1) = D_n + w_n of the Walsh rows,
+        # one per order and every order once.
         monkeypatch.setattr(walshvp.dyadic, "_BLOCK_CELLS", budget)
         size = 1 << N
         expected = [len(b) for b in walshvp.dyadic._batches(range(size + 1), lambda n: (None, size))]
-        orders, rows = [], []
-        for batch, block in walshvp.kernels._walsh_running_rows(N):
-            assert batch.dtype == block.dtype == np.int32 and block.shape == (batch.size, size)
+        running = np.cumsum([np.zeros(size, dtype=np.int64)] + [walsh_signs(k, N) for k in range(size)], axis=0)
+        builder, orders = walshvp.experiments._walsh_sum_rows, []
+
+        def checked(batch, resolution, tables):
+            rows = builder(batch, resolution, tables)
+            assert batch.dtype == rows.dtype == np.int32 and rows.shape == (batch.size, size)
+            assert rows.tobytes() == running[batch].astype(np.int32).tobytes()
             orders.append(batch.copy())
-            rows.append(block.copy())
-            block[...] = -7
+            return rows
+
+        monkeypatch.setattr(walshvp.experiments, "_walsh_sum_rows", checked)
+        _, result = walshvp.experiments._check_dirichlet_recursion(N, 0)
+        assert result.passed and result.instances == size + 1
         assert [batch.size for batch in orders] == expected
         assert np.array_equal(np.concatenate(orders), np.arange(size + 1))
-        sums = walshvp.kernels._walsh_sum_rows(np.arange(size + 1), N)
-        assert sums.dtype == np.int32
-        assert np.concatenate(rows).tobytes() == sums.tobytes()
 
     def test_a_row_past_the_chunk_takes_the_chunked_butterfly(self, monkeypatch):
-        # One order at N = 17: its row of 2^17 entries is longer than
-        # _CHUNK_SIZE, so _butterfly runs its high stage on the (2, 2^15)
-        # column blocks of the (2, 2^16) view.
+        # One order at N = 17: its oracle row of 2^17 entries is longer than
+        # _CHUNK_SIZE, so hadamard_transform runs its high stage on the
+        # (2, 2^15) column blocks of the (2, 2^16) view, while the builder
+        # runs no butterfly longer than its 2^9-row identity.
         N, n = 17, 92_681
         blocks = []
         stages = walshvp.walsh_system._pair_stages
@@ -215,10 +247,13 @@ class TestDirichletRecursion:
 
         monkeypatch.setattr(walshvp.walsh_system, "_pair_stages", counted)
         sums = walshvp.kernels._walsh_sum_rows([n], N)
+        assert blocks == []
+        oracle = self._synthesized([n], N)
         half = walshvp.walsh_system._CHUNK_SIZE // 2
         assert blocks == [((2, half), 1)] * 2
         rows = walshvp.kernels._dirichlet_rec_int([n], N)
         assert sums.shape == rows.shape == (1, 1 << N) and np.array_equal(rows, sums)
+        assert np.array_equal(oracle, sums)
         assert np.array_equal(dirichlet(n, N).exact_numer, rows[0])
         assert np.array_equal(dirichlet_via_recursion(n, N).exact_numer, rows[0])
 
