@@ -37,9 +37,9 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 # kernel-norms writes one row per order.  At this many rows, at N = 24, it
-# takes 1.4-1.9 s and 210 MiB peak to write 26 MB of JSON (1.4 s, 180 MiB
-# and 9 MB as CSV) on a 2-vCPU Xeon; time, memory and output grow with the
-# rows, up to 2^24 at the resolution cap.
+# takes 0.6-1.0 s and 44-45 MiB peak RSS to write 26 MB of JSON (0.4-0.7 s,
+# 43 MiB and 9 MB as CSV) in one process on a 2-vCPU Xeon; time, memory and
+# output grow with the rows, up to 2^24 at the resolution cap.
 KERNEL_NORMS_MAX_ROWS = 1 << 18
 
 _WEIGHTS_HELP = (
@@ -95,146 +95,116 @@ def _schemes(spec: str):
     return scheme
 
 
-@contextlib.contextmanager
 def _stream(path: str, mode: str):
-    """stdin or stdout, by mode, for '-'; otherwise the file, closed on exit."""
+    """stdin or stdout, by mode, for '-', left open on exit; otherwise the
+    file, closed on exit."""
     if path == "-":
-        yield sys.stdin if mode == "r" else sys.stdout
-    else:
-        with open(path, mode) as fh:
-            yield fh
+        return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    return open(path, mode)
 
 
-def _csv_field(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+def _json_floats(column):
+    if all(map(math.isfinite, column)):
+        return map(float.__repr__, column)
+    # json.dump with allow_nan=False refuses nan and inf; a table writes null.
+    return [float.__repr__(value) if math.isfinite(value) else "null" for value in column]
 
 
-# Bound once: looking float.__repr__ up is a measurable share of writing
-# kernel-norms, two floats a row.
-_FLOAT_REPR = float.__repr__
-
-
-def _float_text(value: float) -> str:
-    # json.dump with allow_nan=False refuses nan and inf; a record writes null.
-    return _FLOAT_REPR(value) if math.isfinite(value) else "null"
-
-
-# The JSON text of each scalar type: the C routines json.dumps itself calls
-# for them, and its literals; a non-finite float is null.
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    float: _float_text,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
+# The texts of a column, by the column's one exact type.  JSON uses the C
+# routines json.dumps itself calls for each type, and its literals; CSV
+# writes floats as .12g ("%.12g" is format's .12g) and bools as true/false.
+_JSON_COLUMNS = {
+    str: functools.partial(map, encode_basestring_ascii),
+    int: functools.partial(map, int.__repr__),
+    float: _json_floats,
+    bool: functools.partial(map, {True: "true", False: "false"}.__getitem__),
+}
+_CSV_COLUMNS = {
+    **_JSON_COLUMNS,
+    str: lambda column: column,
+    float: functools.partial(map, "%.12g".__mod__),
 }
 
 
+# Cached: each command writes one key tuple, and building its template is a
+# measurable share of a one-row table.
+@functools.cache
 def _row_template(keys, indent: str) -> str:
     """The text json.dumps(indent=2) writes at indent for a flat dict with
     these keys, with a %s for each value."""
     if not keys:
         return "{}"
     inner = indent + "  "
-    fields = [f"{inner}{encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys]
-    return "{\n" + ",\n".join(fields) + f"\n{indent}}}"
+    names = [encode_basestring_ascii(key).replace("%", "%%") for key in keys]
+    return f"{{\n{inner}" + f": %s,\n{inner}".join(names) + f": %s\n{indent}}}"
 
 
-# Records per write of _emit, so that a long output is never held whole:
-# the 2^(N-1) rows of kernel-norms up to N = 13 make one write.
+# Rows per write of _emit, so that a long output is never held whole: the
+# 2^(N-1) rows of kernel-norms up to N = 13 make one write.
 _EMIT_ROWS = 4096
 
 
-def _chunks(records):
-    """Lists of up to _EMIT_ROWS records of an iterable, drawn as needed."""
-    records = iter(records)
-    while chunk := list(itertools.islice(records, _EMIT_ROWS)):
-        yield chunk
+def _emit(keys, rows, fmt: str, out_path: str, meta=None, single=False) -> None:
+    """The one writer of CSV and JSON tables.
 
-
-def _json_records(records, indent: str):
-    """The text json.dumps(indent=2) writes at indent for an iterable of
-    flat records, in one piece per _EMIT_ROWS records, the brackets joined
-    to the first and the last: each record filled into the row template
-    of its key tuple, built once per tuple, with one encoder call per
-    value."""
-    inner = indent + "  "
-    separator = ",\n" + inner
-    templates = {}
-    text = None
-    for chunk in _chunks(records):
-        rows = []
-        for record in chunk:
-            keys = tuple(record)
-            template = templates.get(keys)
-            if template is None:
-                template = templates[keys] = _row_template(keys, inner)
-            rows.append(template % tuple([_JSON_SCALARS[type(v)](v) for v in record.values()]))
-        if text is not None:
-            yield text
-        text = ("[\n" + inner if text is None else separator) + separator.join(rows)
-    yield "[]" if text is None else f"{text}\n{indent}]"
-
-
-def _json_text(payload):
-    """The text json.dumps(payload, indent=2) writes for the payload shapes
-    of _emit, non-finite floats as null, in the pieces of _json_records."""
-    if not isinstance(payload, dict):
-        yield from _json_records(payload, "")
-        return
-    text, separator = "{", "\n"
-    for key, value in payload.items():
-        text += f"{separator}  {encode_basestring_ascii(key)}: "
-        if isinstance(value, list):
-            for piece in _json_records(value, "  "):
-                yield text + piece
-                text = ""
-        else:
-            text += _JSON_SCALARS[type(value)](value)
-        separator = ",\n"
-    yield text + "\n}" if payload else "{}"
-
-
-def _csv_text(payload):
-    """The CSV lines of _emit, in one piece per _EMIT_ROWS records: each
-    meta pair as a '# key=value' line and the header of the first
-    record's keys go with the first."""
-    if isinstance(payload, dict) and "records" in payload:
-        head = "".join(f"# {key}={value}\n" for key, value in payload.items() if key != "records")
-        records = payload["records"]
-    else:
-        head, records = "", [payload] if isinstance(payload, dict) else payload
-    first = True
-    for chunk in _chunks(records):
-        rows = "\n".join([",".join([_csv_field(v) for v in record.values()]) for record in chunk])
-        yield f"{head}{','.join(chunk[0])}\n{rows}\n" if first else rows + "\n"
-        first = False
-
-
-def _emit(payload, fmt: str, out_path: str) -> None:
-    """The one writer of CSV and JSON records.
-
-    payload is a list (or any iterable) of flat records, one record, or an
-    envelope {**meta, "records": [...]}.  JSON keeps that shape, with
-    non-finite floats as null, and fills each record into the row template
-    of its keys.  CSV writes each meta pair as a '# key=value' line, then
-    the record keys as the header and one row per record: bools as
-    true/false, floats as .12g, anything else with str.  The records are
-    drawn, filled and written _EMIT_ROWS at a time.
+    keys names the columns once; rows is an iterable of tuples in key
+    order, and each column holds one exact type: str, int, float or bool.
+    JSON is the text of json.dumps(indent=2) for a list of records, for
+    the envelope {**meta, "records": [...]} when meta (key, value) pairs
+    are given, or for the one record when single is set; non-finite
+    floats are null.  CSV writes each meta pair as a '# key=value' line,
+    the keys as the header and one line per row: bools as true/false,
+    floats as .12g, ints and strs as they are.  The rows are drawn
+    _EMIT_ROWS at a time; each chunk is transposed, each column converted
+    by the one function of its type, each row filled into one template,
+    and the chunk written.  A row of another width, or a column that holds
+    more than one exact type, raises TypeError before its chunk is written.
     """
-    pieces = _json_text(payload) if fmt == "json" else _csv_text(payload)
+    # The text of the shape: before the rows, before the first row, between
+    # rows of two chunks, after the last row, in place of no rows, and last.
+    head = opening = separator = ending = empty = closing = ""
+    if fmt == "csv":
+        table, template = _CSV_COLUMNS, ",".join(["%s"] * len(keys)) + "\n"
+        head = "".join([f"# {key}={value}\n" for key, value in meta or ()]) + ",".join(keys) + "\n"
+    elif single:
+        table, template, closing = _JSON_COLUMNS, _row_template(keys, ""), "\n"
+    else:
+        table, indent, closing = _JSON_COLUMNS, "", "\n"
+        if meta is not None:
+            # Each meta value is converted as a column of one row.
+            indent, closing = "  ", "\n}\n"
+            head = "{\n" + "".join(
+                f"  {encode_basestring_ascii(key)}: {''.join(table[type(value)]((value,)))},\n"
+                for key, value in meta
+            ) + '  "records": '
+        template = _row_template(keys, indent + "  ")
+        opening, separator = "[\n" + indent + "  ", ",\n" + indent + "  "
+        ending, empty = f"\n{indent}]", "[]"
+    rows = iter(rows)
+    kinds = converters = text = None
     with _stream(out_path, "w") as stream:
-        # A piece is written once the next is drawn, so the last one takes
-        # JSON's final newline in the same write.
-        text = next(pieces, "")
-        for piece in pieces:
-            stream.write(text)
-            text = piece
-        stream.write(text + "\n" if fmt == "json" else text)
+        while chunk := list(itertools.islice(rows, _EMIT_ROWS)):
+            if kinds is None:
+                kinds = list(map(type, chunk[0]))
+                converters = list(map(table.get, kinds))
+            # Every row holds the first row's exact types: an int column with
+            # a True in it would print 1, a bool column with a 1 in it true.
+            if (
+                None in converters
+                or set(map(len, chunk)) != {len(keys)}
+                or list(map(type, itertools.chain.from_iterable(chunk))) != kinds * len(chunk)
+            ):
+                raise TypeError(f"each column of {keys} must hold one of str, int, float or bool")
+            texts = [convert(column) for convert, column in zip(converters, zip(*chunk))]
+            filled = zip(*texts) if texts else [()] * len(chunk)
+            # A chunk is written once the next is drawn, so the last one
+            # takes the closing text in the same write.
+            if text is not None:
+                stream.write(text)
+            text = (head + opening if text is None else separator) + separator.join(
+                map(template.__mod__, filled)
+            )
+        stream.write(head + empty + closing if text is None else text + ending + closing)
 
 
 def _add_common(parser, resolution_default=8):
@@ -365,19 +335,16 @@ def _cmd_kernel_norms(args) -> int:
     orders = np.arange(1, n_max + 1)
     l1_dirichlet = d[1:] / (1 << args.resolution)
     l1_fejer = ell[1:] / (orders << args.resolution)
-    # The records are built one write of _emit at a time, as it draws them.
-    records = itertools.chain.from_iterable(
-        [
-            {"n": n, "l1_dirichlet": a, "l1_fejer": b}
-            for n, a, b in zip(
-                range(start + 1, n_max + 1),
-                l1_dirichlet[start : start + _EMIT_ROWS].tolist(),
-                l1_fejer[start : start + _EMIT_ROWS].tolist(),
-            )
-        ]
+    # The rows are built one write of _emit at a time, as it draws them.
+    rows = itertools.chain.from_iterable(
+        zip(
+            range(start + 1, n_max + 1),
+            l1_dirichlet[start : start + _EMIT_ROWS].tolist(),
+            l1_fejer[start : start + _EMIT_ROWS].tolist(),
+        )
         for start in range(0, n_max, _EMIT_ROWS)
     )
-    _emit(records, args.format, args.out)
+    _emit(("n", "l1_dirichlet", "l1_fejer"), rows, args.format, args.out)
     return 0
 
 
@@ -388,17 +355,9 @@ def _cmd_verify_lemmas(args) -> int:
         translate_count=args.lemma5_count,
         random_schemes=args.random_schemes,
     )
-    records = [
-        {
-            "lemma": r.name,
-            "instances": r.instances,
-            "worst_margin": r.worst_margin,
-            "pass": r.passed,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
-    _emit(records, args.format, args.out)
+    keys = ("lemma", "instances", "worst_margin", "pass", "detail")
+    rows = [(r.name, r.instances, r.worst_margin, r.passed, r.detail) for r in results]
+    _emit(keys, rows, args.format, args.out)
     return 0 if all(r.passed for r in results) else CHECK_FAILED
 
 
@@ -424,25 +383,24 @@ def _cmd_approx(args) -> int:
     first = next(schemes)
     f = experiments.make_function(args.function, args.resolution, args.seed)
     records = experiments.ratio_sweep(f, itertools.chain([first], schemes), p_values)
-    rows = [dict(vars(r), p=_p_field(r.p)) for r in records]
-    _emit({"seed": args.seed, "records": rows}, args.format, args.out)
+    keys = ("n", "p", "error", "modulus", "ratio", "bound", "bound_ok", "flag")
+    rows = [
+        (r.n, _p_field(r.p), r.error, r.modulus, r.ratio, r.bound, r.bound_ok, r.flag)
+        for r in records
+    ]
+    _emit(keys, rows, args.format, args.out, meta=[("seed", args.seed)])
     return 0 if experiments.sweep_ok(records) else CHECK_FAILED
 
 
 def _cmd_modulus(args) -> int:
     blocks, p_values = _read_sweep(args, spare=0, default_gap=0)
     f = experiments.make_function(args.function, args.resolution, args.seed)
-    records = [
-        {
-            "n": n,
-            "p": _p_field(p),
-            "delta": 2.0**-n,
-            "omega": experiments._finite_modulus(modulus_of_continuity(f, n, p), n, p),
-        }
+    rows = [
+        (n, _p_field(p), 2.0**-n, experiments._finite_modulus(modulus_of_continuity(f, n, p), n, p))
         for n in blocks
         for p in p_values
     ]
-    _emit(records, args.format, args.out)
+    _emit(("n", "p", "delta", "omega"), rows, args.format, args.out)
     return 0
 
 
@@ -451,16 +409,17 @@ def _cmd_weights_validate(args) -> int:
         raise ValueError(f"--cmax must be finite and >= 0, got {args.cmax}")
     scheme = _schemes(args.weights)(args.n)
     report = validate(scheme, case_a_cap=args.cmax)
-    record = {
-        "n": scheme.block_exponent,
-        "sum": report.total,
-        "sum_ok": report.sum_ok,
-        "monotonicity": report.monotonicity,
-        "c2_constant": report.c2_constant,
-        "case_a_ok": report.case_a_ok,
-        "case_b_ok": report.case_b_ok,
-    }
-    _emit(record, args.format, args.out)
+    keys = ("n", "sum", "sum_ok", "monotonicity", "c2_constant", "case_a_ok", "case_b_ok")
+    row = (
+        scheme.block_exponent,
+        report.total,
+        report.sum_ok,
+        report.monotonicity,
+        report.c2_constant,
+        report.case_a_ok,
+        report.case_b_ok,
+    )
+    _emit(keys, [row], args.format, args.out, single=True)
     return 0
 
 

@@ -363,13 +363,13 @@ def _finite_quotient(numer: int, denom: int, quantity: str) -> float:
 
 def _parse_weight_token(token: str) -> Fraction:
     token = token.strip()
-    if "/" in token:
-        num, den = (int(part) for part in token.split("/"))
-        if den == 0:
-            raise ValueError(f"weight {token!r} has a zero denominator")
-        value = Fraction(num, den)
-    else:
-        value = Fraction(token)
+    num, slash, den = token.partition("/")
+    try:
+        value = Fraction(int(num), int(den)) if slash else Fraction(token)
+    except ValueError:
+        raise ValueError(f"weight {token!r} is not a number or p/q") from None
+    except ZeroDivisionError:
+        raise ValueError(f"weight {token!r} has a zero denominator") from None
     _finite_quotient(value.numerator, value.denominator, f"weight {token!r}")
     return value
 

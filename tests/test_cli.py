@@ -350,20 +350,31 @@ def test_nonfinite_values_are_null_in_json(capsys, argv, key):
     assert not all(math.isfinite(float(row[key])) for row in csv.DictReader(lines))
 
 
+# A payload is a table as _emit takes it: the keys, the rows as tuples in
+# key order, and the shape (meta pairs for an envelope, or single).
 @pytest.mark.parametrize(
     "payload",
     [
-        [{"n": 1, "l1": 1.0, "ok": True, "detail": ""}, {"n": 2, "l1": 0.1, "ok": False}],
-        {"seed": 3, "records": [{"omega": float("inf"), "p": "inf"}, {"omega": 1e-300}]},
-        [],
+        (("n", "l1", "ok", "detail"), [(1, 1.0, True, ""), (2, 0.1, False, "x")], {}),
+        (("omega", "p"), [(math.inf, "inf"), (1e-300, "2")], {"meta": [("seed", 3)]}),
+        (("n",), [], {}),
     ],
 )
 def test_json_is_the_bytes_of_json_dump(tmp_path, payload):
+    keys, rows, shape = payload
     path = tmp_path / "out.json"
-    cli._emit(payload, "json", str(path))
+    cli._emit(keys, rows, "json", str(path), **shape)
     expected = io.StringIO()
-    json.dump(_null_mapped(payload), expected, indent=2, allow_nan=False)
+    json.dump(_null_mapped(_dicts(*payload)), expected, indent=2, allow_nan=False)
     assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+
+
+def _dicts(keys, rows, shape):
+    """The list, envelope or record of dicts that a payload stands for."""
+    records = [dict(zip(keys, row)) for row in rows]
+    if shape.get("single"):
+        return records[0]
+    return records if shape.get("meta") is None else {**dict(shape["meta"]), "records": records}
 
 
 def _null_mapped(payload):
@@ -377,63 +388,94 @@ def _null_mapped(payload):
     return payload
 
 
-def _csv_lines(payload):
+def _csv_lines(keys, rows, shape):
     """The CSV lines of a payload by the rule _emit documents."""
-    if isinstance(payload, list):
-        meta, records = {}, payload
-    elif "records" in payload:
-        meta = {key: value for key, value in payload.items() if key != "records"}
-        records = payload["records"]
-    else:
-        meta, records = {}, [payload]
 
     def field(value):
         if isinstance(value, bool):
             return "true" if value else "false"
         return format(value, ".12g") if isinstance(value, float) else str(value)
 
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append(",".join(records[0]))
-    return lines + [",".join(field(value) for value in record.values()) for record in records]
+    lines = [f"# {key}={value}" for key, value in shape.get("meta") or ()]
+    lines.append(",".join(keys))
+    return lines + [",".join(field(value) for value in row) for row in rows]
 
 
-_SCALARS = st.one_of(
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
-    st.integers(-(1 << 70), 1 << 70),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=6),
-)
-# A small pool makes records share key tuples, in and out of order; the
-# free text brings in '%', quotes, escapes and non-ASCII keys.
+_COLUMNS = {
+    float: st.one_of(
+        st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+    ),
+    int: st.integers(-(1 << 70), 1 << 70),
+    bool: st.booleans(),
+    str: st.text(max_size=6),
+}
+# A small pool makes keys share texts across outputs; the free text brings
+# in '%', quotes, escapes and non-ASCII keys.
 _KEYS = st.one_of(st.sampled_from(["n", "p", "l1", "%s", "\u00e9", 'a"b']), st.text(max_size=4))
-_RECORD = st.dictionaries(_KEYS, _SCALARS, max_size=5)
-_RECORDS = st.lists(_RECORD, max_size=6)
-_META = st.dictionaries(_KEYS.filter(lambda key: key != "records"), _SCALARS, max_size=3)
-_PAYLOADS = st.one_of(
-    _RECORDS,
-    _RECORD.filter(lambda record: "records" not in record),
-    st.builds(lambda meta, records: {**meta, "records": records}, _META, _RECORDS),
+_META = st.lists(
+    st.tuples(_KEYS.filter(lambda key: key != "records"), st.one_of(*_COLUMNS.values())),
+    max_size=3,
+    unique_by=lambda pair: pair[0],
 )
+
+
+@st.composite
+def _payloads(draw):
+    """One key tuple, one type per column, and one of the three shapes."""
+    keys = tuple(draw(st.lists(_KEYS, max_size=5, unique=True)))
+    row = st.tuples(*[_COLUMNS[draw(st.sampled_from(list(_COLUMNS)))] for _ in keys])
+    shape = draw(st.sampled_from(["list", "envelope", "single"]))
+    if shape == "single":
+        return keys, [draw(row)], {"single": True}
+    rows = draw(st.lists(row, max_size=6))
+    return keys, rows, {"meta": draw(_META)} if shape == "envelope" else {}
 
 
 def _emitted(payload, fmt):
+    keys, rows, shape = payload
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(payload, fmt, "-")
+        cli._emit(keys, rows, fmt, "-", **shape)
     return out.getvalue()
 
 
-@given(_PAYLOADS)
+@given(_payloads())
 @settings(max_examples=300, deadline=None)
 def test_emit_writes_the_text_of_json_dump_and_the_csv_rule(payload):
-    expected = json.dumps(_null_mapped(payload), indent=2, allow_nan=False) + "\n"
+    expected = json.dumps(_null_mapped(_dicts(*payload)), indent=2, allow_nan=False) + "\n"
     assert _emitted(payload, "json").encode() == expected.encode()
-    records = payload if isinstance(payload, list) else payload.get("records", [payload])
-    if records:  # the CSV header is the keys of the first record
-        expected = "".join(line + "\n" for line in _csv_lines(payload))
-        assert _emitted(payload, "csv") == expected
+    expected = "".join(line + "\n" for line in _csv_lines(*payload))
+    assert _emitted(payload, "csv") == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "column",
+    [(1, True), (True, 1), (1.0, 1), (1, 1.0), ("a", 1.0), (1.0, "a"), (1, None),
+     (np.float64(0.5),)],
+    ids=["int-bool", "bool-int", "float-int", "int-float", "str-float", "float-str",
+         "int-None", "numpy-float"],
+)
+def test_a_column_of_mixed_types_raises_and_writes_nothing(fmt, column):
+    # An int column with a True in it would print 1, a bool column with a 1
+    # in it true.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(TypeError):
+        cli._emit(("k", "x"), [("a", value) for value in column], fmt, "-")
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("last", [(7.0,), (7, 8)], ids=["float-in-int", "wider-row"])
+def test_a_column_keeps_its_type_and_rows_their_width_across_chunks(monkeypatch, fmt, last):
+    # Chunks of two rows: the first is written once the second is drawn and
+    # checked, the second is held until the third, which raises.
+    monkeypatch.setattr(cli, "_EMIT_ROWS", 2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(TypeError):
+        cli._emit(("n",), [(1,), (2,), (3,), (5,), last], fmt, "-")
+    written = out.getvalue()
+    assert "2" in written and not {"3", "5", "7"} & set(written)
 
 
 def test_kernel_norms_builds_no_fraction(capsys, monkeypatch):
@@ -604,6 +646,21 @@ def test_usage_errors(capsys, tmp_path):
             "--nmin", "5", "--nmax", "3", *extra,
         )
         assert code == 2 and out == "" and "empty block range: nmin=5 > nmax=3" in err
+
+
+@pytest.mark.parametrize("token", ["1/2/3", "1/x", ""], ids=["two-slashes", "bad-q", "blank"])
+@pytest.mark.parametrize("command", ["weights-validate", "approx"])
+def test_malformed_weight_tokens_name_themselves(capsys, tmp_path, command, token):
+    # They printed Python's messages: "too many values to unpack (expected
+    # 2)", "invalid literal for int() with base 10: 'x'" and "Invalid
+    # literal for Fraction: ''".
+    path = tmp_path / "w.csv"
+    path.write_text(f"k,t\n2,{token}\n3,1/2\n")
+    sweep = ["--function", "step_mix", "--resolution", "4", "--nmin", "1", "--nmax", "1"]
+    extra = sweep if command == "approx" else []
+    code, out, err = run(capsys, command, "--weights", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: weight '{token}' is not a number or p/q\n"
 
 
 _SWEEP = ("--resolution", "6", "--nmax", "2")

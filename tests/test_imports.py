@@ -673,8 +673,8 @@ def test_only_emit_builds_record_text():
     # for non-finite floats, or its one pass over the records.
     modules = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     assert _record_text_builders(modules) == [
-        "cli.<module>", "cli._JSON_SCALARS", "cli._emit", "cli._json_records",
-        "cli._json_text", "cli._row_template",
+        "cli.<module>", "cli._CSV_COLUMNS", "cli._JSON_COLUMNS", "cli._emit",
+        "cli._row_template",
     ]
     assert _json_dump_calls(modules) == []
 
