@@ -61,9 +61,9 @@ def _p_field(p: float) -> str:
 
 def _schemes(spec: str):
     """The scheme of a weight spec, a family name, family:alpha, or a CSV
-    file path, as a function of the block exponent n.  A family builds
-    block after block on one builder, which needs n; a file covers one
-    block exponent, which n=None selects.  A spec whose name part is a
+    file path, as a function of the block exponent n.  A family is its
+    one builder, which builds block after block and needs n; a file covers
+    one block exponent, which n=None selects.  A spec whose name part is a
     family is that family, so a file cannot shadow it.  The spec is read
     here, and the file loaded; the family's alpha is checked at its first
     block.
@@ -73,14 +73,7 @@ def _schemes(spec: str):
         if colon and name != "cesaro":
             raise ValueError(f"weight spec {spec!r} takes no argument")
         alpha = experiments._spec_number("weight", spec, arg) if arg else None
-        family = _FamilySchemes(name, alpha)
-
-        def scheme(n: Optional[int]):
-            if n is None:
-                raise ValueError("family weight specs require --n")
-            return family(n)
-
-        return scheme
+        return _FamilySchemes(name, alpha)
     if not os.path.exists(spec):
         raise ValueError(f"unknown weight spec {spec!r}")
     loaded = load_weight_file(spec)

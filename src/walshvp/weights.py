@@ -9,7 +9,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,21 +28,16 @@ FAMILIES = ("uniform", "linear_up", "linear_down", "cesaro")
 # in lowest terms each of the 2^n numerators grows by about log2 q bits per
 # index, so the scheme holds about 4^n log2 q bits (1 to 2 times that,
 # measured).  At 2^26 bits the largest schemes it admits (alpha = 0.5 at
-# n = 13, 0.3 at n = 12, 0.123456789 at n = 10) take 0.23-0.38 s and
-# 34-48 MiB as a whole weights-validate process on a 2-vCPU Xeon.  For
-# alpha > 1 each numerator also holds about log2 binom(2^n + alpha - 1, 2^n)
-# bits, which an integer alpha (q = 1) still has: alpha = 1e6 is refused
-# from n = 12.
+# n = 13, 0.3 at n = 12, 0.123456789 at n = 10) take 0.34, 0.25 and 0.22 s
+# (medians of 6) and 34-49 MiB as a whole weights-validate process on a
+# 2-vCPU Xeon.  For alpha > 1 each numerator also holds about
+# log2 binom(2^n + alpha - 1, 2^n) bits, which an integer alpha (q = 1)
+# still has: alpha = 1e6 is refused from n = 12.
 _CESARO_MAX_BITS = 1 << 26
 
-# A cesaro chain that still fits int64 grows to this length at once, so the
-# small blocks of a sweep share one growth.  Otherwise a growth at most
-# doubles the chain, so a chain that passes int64 takes its exact Python-int
-# steps on no more entries than it had.
+# A cesaro chain that still fits int64 grows to at least this length at
+# once, so the small blocks of a sweep share one growth.
 _FIRST_GROWTH = 64
-# Steps of the cesaro chain a run takes on a residue of e, once e passes
-# int64; 32 was the fastest of 8 to 64 at n = 10 and n = 13.
-_RUN = 32
 
 
 @dataclass(frozen=True)
@@ -180,12 +175,14 @@ class _CesaroChain:
     the gcd at 1.  So block n's numerator of A_m is e_m times the suffix
     product of s_j over m < j < 2^n, and the first is N_0 = prod(s_j).
 
-    The chain is one loop over m that a sweep extends block by block,
-    keeping every s_m, and every e_m while they fit int64.  A block that
-    a bound keeps in int64 takes its suffix products and numerators in
-    int64 array passes; past the bound it walks up from N_0 by N_m =
-    N_(m-1) / b_m a_m, exact, with small operands.  alpha is parsed and
-    checked once.
+    The chain is one loop over m, this step on Python ints at every m,
+    which a sweep extends block by block: to at least _FIRST_GROWTH
+    entries while every e_m fits int64, else to the block.  It keeps every
+    s_m and the leading run of e_m below 2^63, so a growth that passes
+    int64 keeps the e_m before it.  A block that a bound keeps in int64
+    takes its suffix products and numerators in int64 array passes; past
+    the bound it walks up from N_0 by N_m = N_(m-1) / b_m a_m, exact, with
+    small operands.  alpha is parsed and checked once.
     """
 
     def __init__(self, alpha):
@@ -245,32 +242,23 @@ class _CesaroChain:
         return a, b.astype(np.int64, copy=False)
 
     def _grow(self, stop: int) -> None:
-        # Extends the chain from m = len(scales) to stop.
+        # Extends the chain from m = len(scales) to stop, one step per m.
         start = len(self._scales)
         a, b = self._ratios(start, stop)
         gcd, e = math.gcd, self._e
+        gs, chain = [], []
+        for a_m, b_m in zip(a.tolist(), b.tolist()):
+            g = gcd(b_m, e)
+            e = e // g * a_m
+            gs.append(g)
+            chain.append(e)
         if len(self._e64) == start:
-            chain = [e := e // gcd(b_m, e) * a_m for a_m, b_m in zip(a.tolist(), b.tolist())]
-            wide = max(chain) >> 63
-            values = np.array([self._e] + chain, dtype=object if wide else np.int64)
-            if not wide:
-                self._e64 = np.concatenate((self._e64, values[1:]))
-            scales = b // np.gcd(b, values[:-1])
-        else:
-            # gcd(b_m, e) reads e only modulo b_m, so a run of steps goes
-            # through on e modulo the product of its b_m, which is small,
-            # and e itself moves once a run.
-            scales, a, b_list = [], a.tolist(), b.tolist()
-            for i in range(0, stop - start, _RUN):
-                a_run, b_run = a[i : i + _RUN], b_list[i : i + _RUN]
-                y, run = e % math.prod(b_run), []
-                for a_m, b_m in zip(a_run, b_run):
-                    run.append(g := gcd(b_m, y))
-                    y = y // g * a_m
-                e = e * math.prod(a_run) // math.prod(run)
-                scales += run
-            scales = b // np.array(scales, dtype=np.int64)
-        self._scales = np.concatenate((self._scales, scales.astype(np.int64, copy=False)))
+            # max is one C pass; the leading run is scanned for only on
+            # the one growth that passes int64.
+            if max(chain) >> 63:
+                chain = chain[: next(i for i, e_m in enumerate(chain) if e_m >> 63)]
+            self._e64 = np.concatenate((self._e64, np.array(chain, dtype=np.int64)))
+        self._scales = np.concatenate((self._scales, b // np.array(gs, dtype=np.int64)))
         self._e = e
 
     def numerators(self, n: int) -> np.ndarray:
@@ -278,10 +266,9 @@ class _CesaroChain:
         against the bit budget and alpha's sign first."""
         self._check(n)
         count = 1 << n
-        while len(self._scales) < count:
-            self._grow(min(count, 2 * len(self._scales)))
-            if len(self._e64) == len(self._scales) < _FIRST_GROWTH:
-                self._grow(_FIRST_GROWTH)
+        if len(self._scales) < count:
+            fits = len(self._e64) == len(self._scales)
+            self._grow(max(count, _FIRST_GROWTH) if fits else count)
         if count <= len(self._e64):
             e, scales = self._e64[:count], self._scales[:count]
             # N_m = e_m times scales up to N_0 = prod(scales): the block
@@ -305,13 +292,17 @@ class _FamilySchemes:
     it asks for in increasing order (any order gives the same
     schemes).  Only a cesaro builder keeps state, its chain, which each
     block extends; the chain is made at the first block, after that
-    block's checks, so an alpha is refused as build_scheme refuses it."""
+    block's checks, so an alpha is refused as build_scheme refuses it.
+    The CLI calls the builder itself, so n=None, a command run without
+    --n, is refused here."""
 
     def __init__(self, family: str, alpha=None):
         self.family, self.alpha = family, alpha
         self._cesaro = None
 
-    def __call__(self, n: int) -> WeightScheme:
+    def __call__(self, n: Optional[int]) -> WeightScheme:
+        if n is None:
+            raise ValueError("family weight specs require --n")
         if n < 1:
             raise ValueError(f"block exponent must be >= 1, got {n}")
         if n + 1 > MAX_RESOLUTION:

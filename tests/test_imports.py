@@ -952,3 +952,56 @@ def test_budget_reader_is_reported():
     assert _budget_readers({"a": a, "b": b, "c": c}) == [
         "a._rows", "a.step", "b.<module>", "c.size",
     ]
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _loop_shape(function: ast.FunctionDef):
+    """(step loops, nested loops, prod calls) of function: the for and
+    while statements and comprehensions that call gcd, those that hold
+    another loop (or a second generator), and the calls of prod, each by
+    name or as an attribute."""
+    def called(node, name):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    loops = [node for node in ast.walk(function) if isinstance(node, _LOOPS)]
+    steps = sum(any(called(node, "gcd") for node in ast.walk(loop)) for loop in loops)
+    nested = sum(
+        len(getattr(loop, "generators", ())) > 1
+        or any(inner is not loop and isinstance(inner, _LOOPS) for inner in ast.walk(loop))
+        for loop in loops
+    )
+    return steps, nested, sum(called(node, "prod") for node in ast.walk(function))
+
+
+def test_the_cesaro_chain_takes_one_step_form():
+    # _CesaroChain._grow takes the step g_m = gcd(b_m, e_(m-1)),
+    # e_m = e_(m-1) // g_m * a_m the same way at every m, in int64 range and
+    # past it: one loop steps the chain, no loop runs inside another, and
+    # no run of steps goes through on a residue of e modulo a product of
+    # its b_m.
+    weights = next(path for path in SOURCES if path.stem == "weights")
+    chain = next(
+        stmt for stmt in ast.parse(weights.read_text()).body
+        if getattr(stmt, "name", None) == "_CesaroChain"
+    )
+    grow = next(stmt for stmt in chain.body if getattr(stmt, "name", None) == "_grow")
+    assert _loop_shape(grow) == (1, 0, 0)
+
+
+def test_loop_shape_is_reported():
+    function = ast.parse(
+        "def grow(a, b, e):\n"
+        "    chain = [e := e // gcd(b_m, e) * a_m for a_m, b_m in zip(a, b)]\n"
+        "    for i in range(0, len(a), 32):\n"
+        "        y = e % math.prod(b[i : i + 32])\n"
+        "        for b_m in b[i : i + 32]:\n            y //= math.gcd(b_m, y)\n"
+        "    pairs = [x * y for x in a for y in b]\n"
+        "    while e:\n        e = prod(a)\n"
+        "    return next(i for i, e_m in enumerate(chain) if e_m >> 63)\n"
+    ).body[0]
+    assert _loop_shape(function) == (3, 2, 2)
